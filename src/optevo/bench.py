@@ -11,21 +11,14 @@ from __future__ import annotations
 
 import csv
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .data import Dataset
-from .nn import Network, TrainConfig, evaluate, train
-from .optim import (
-    BUILTIN_NAMES,
-    HyperParams,
-    OptimizerSpec,
-    SpecStepper,
-    make_stepper,
-)
-from .sched import Leaf, If, ScheduledSGD
+from .nn import TrainConfig, evaluate, train_seeded
+from .optim import HyperParams, make_stepper
 from .tensor import Rng
 
 # the three training protocols used for head-to-head comparisons
@@ -44,25 +37,20 @@ def make_entry(item):
     """Normalize a contender into (name, fresh-stepper factory).
 
     Accepts a built-in name, (built-in name, HyperParams), an OptimizerSpec,
-    a policy tree, or an explicit (name, factory) pair.
+    or a policy tree: whatever `make_stepper` builds afresh on each call.
     """
-    if isinstance(item, str):
-        if item not in BUILTIN_NAMES:
-            raise BenchError(f"unknown built-in optimizer {item!r}")
-        return item, lambda: make_stepper(item)
-    if isinstance(item, OptimizerSpec):
-        return item.name, lambda: SpecStepper(item)
-    if isinstance(item, (Leaf, If)):
-        return "scheduled_sgd", lambda: ScheduledSGD(item)
-    if isinstance(item, tuple) and len(item) == 2:
-        first, second = item
-        if isinstance(first, str) and isinstance(second, HyperParams):
-            if first not in BUILTIN_NAMES:
-                raise BenchError(f"unknown built-in optimizer {first!r}")
-            return first, lambda: make_stepper(first, second)
-        if isinstance(first, str) and callable(second):
-            return first, second
-    raise BenchError(f"cannot interpret benchmark entry {item!r}")
+    opt, hp = item, None
+    if isinstance(item, tuple) and len(item) == 2 and isinstance(item[1], HyperParams):
+        opt, hp = item
+    try:
+        stepper = make_stepper(opt, hp)
+    except ValueError:
+        raise BenchError(f"unknown built-in optimizer {opt!r}") from None
+    except TypeError:
+        raise BenchError(f"cannot interpret benchmark entry {item!r}") from None
+    if stepper is opt:  # a ready stepper would be shared across repetitions
+        raise BenchError(f"cannot interpret benchmark entry {item!r}")
+    return stepper.name, lambda: make_stepper(opt, hp)
 
 
 @dataclass
@@ -132,15 +120,10 @@ class BenchResult:
 
 
 def _one_run(scenario: BenchmarkScenario, factory, name: str, rep: int, seed: int):
-    r = Rng(seed).child("bench", scenario.name, name, rep)
-    net = Network(
-        scenario.layer_sizes, seed=int(r.child("net").integers(2**31 - 1))
-    )
-    cfg = replace(
-        scenario.train_config(),
-        shuffle_seed=int(r.child("shuffle").integers(2**31 - 1)),
-    )
-    net, hist = train(net, factory(), (scenario.train, scenario.validation), cfg)
+    rng = Rng(seed).child("bench", scenario.name, name, rep)
+    data = (scenario.train, scenario.validation)
+    cfg = scenario.train_config()
+    net, hist = train_seeded(scenario.layer_sizes, factory(), data, cfg, rng)
     if hist.failed:
         return 0.0, 0.0
     return evaluate(net, scenario.validation), evaluate(net, scenario.test)

@@ -233,13 +233,8 @@ def load_shipped_genotype(name: str) -> Genotype:
     """One of the packaged standard-optimizer genotypes (see SHIPPED_GENOTYPES)."""
     if name not in SHIPPED_GENOTYPES:
         raise ValueError(f"unknown shipped genotype {name!r}")
-    text = (
+    return Genotype.from_json(
         resources.files("optevo").joinpath(f"genotypes/{name}.json").read_text("utf-8")
-    )
-    d = json.loads(text)
-    return Genotype(
-        {nt: [int(v) for v in lst] for nt, lst in d["genes"].items()},
-        {nt: int(n) for nt, n in d.get("used", {}).items()},
     )
 
 

@@ -23,7 +23,7 @@ import json
 import statistics
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .data import Dataset
@@ -39,7 +39,7 @@ from .dsge import (
     tournament_select,
 )
 from .grammar import Grammar
-from .nn import Network, TrainConfig, evaluate, train
+from .nn import TrainConfig, evaluate, train_seeded
 from .optim import OptimizerSpec, SpecStepper, spec_from_phenotype
 from .sched import PolicyTree, ScheduledSGD, serialize_policy
 from .tensor import Rng
@@ -80,13 +80,9 @@ def _run_trial(task: TrainingTask, stepper, trial_index: int, key: str):
     phenotypes always see identical initial weights and batch orders, which
     is what makes phenotype-keyed fitness caching sound.
     """
-    r = Rng(task.seed).child("fitness", key, trial_index)
-    net = Network(task.layer_sizes, seed=int(r.child("net").integers(2**31 - 1)))
-    cfg = replace(
-        task.train_config,
-        shuffle_seed=int(r.child("shuffle").integers(2**31 - 1)),
-    )
-    net, hist = train(net, stepper, (task.trial_groups[trial_index], task.validation), cfg)
+    rng = Rng(task.seed).child("fitness", key, trial_index)
+    data = (task.trial_groups[trial_index], task.validation)
+    net, hist = train_seeded(task.layer_sizes, stepper, data, task.train_config, rng)
     if hist.failed:
         return 0.0, True
     return evaluate(net, task.test), False
@@ -207,10 +203,7 @@ def _breed(population, params, grammar, root: Rng, generation: int, next_id: int
                 first.genotype, second.genotype, root.child("cross", generation, i)
             )
         else:
-            geno = Genotype(
-                {nt: list(v) for nt, v in first.genotype.genes.items()},
-                dict(first.genotype.used),
-            )
+            geno = first.genotype.copy()
         geno = mutate(geno, params.mutation_rate, grammar, root.child("mut", generation, i))
         new_pop.append(Individual(geno, id=next_id))
         next_id += 1
@@ -340,10 +333,7 @@ def evolve(
         if top.fitness > log.best_fitness or log.best_genotype is None:
             log.best_fitness = top.fitness
             log.best_phenotype = top.phenotype
-            log.best_genotype = Genotype(
-                {nt: list(v) for nt, v in top.genotype.genes.items()},
-                dict(top.genotype.used),
-            )
+            log.best_genotype = top.genotype.copy()
         if log_path is not None:
             _append_log_row(log_path, stat)
         if checkpoint_path is not None:

@@ -230,7 +230,6 @@ def tune(
 
     def run_point(i: int, u: np.ndarray) -> None:
         params = space.from_unit(u)
-        assert space.contains(params)
         trial_seed = int(root.child("trial", i).integers(2**31 - 1))
         try:
             score = float(objective(params, trial_seed))

@@ -1,13 +1,13 @@
 """Small dense classifiers trained from scratch.
 
-The training loop treats the optimizer as an opaque stepper (begin_epoch /
-update / failed), so the same network code scores evolved update rules,
-evolved schedules, and the hand-written baselines.
+The training loop drives the optimizer through one contract, `Stepper`
+(begin_epoch / update / failed), so the same network code scores evolved
+update rules, evolved schedules, and the hand-written baselines.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -35,6 +35,27 @@ class Dense:
             )
         if self.activation not in ("relu", "linear"):
             raise NetworkError(f"unknown activation {self.activation!r}")
+
+
+class Stepper:
+    """The per-batch update contract `train` drives.
+
+    `begin_epoch(epoch)` runs before each epoch's first batch;
+    `update(params, grads)` writes every new weight tensor through `_assign`,
+    which sets `failed` on any non-finite value. Subclasses define `update`
+    on their own class.
+    """
+
+    name = "stepper"
+    failed = False
+
+    def begin_epoch(self, epoch: int) -> None:
+        pass
+
+    def _assign(self, w: Tensor, new_w: Tensor) -> None:
+        if not np.all(np.isfinite(new_w)):
+            self.failed = True
+        w[...] = new_w
 
 
 class Network:
@@ -158,7 +179,6 @@ class TrainConfig:
 class TrainHistory:
     train_loss: list = field(default_factory=list)
     val_loss: list = field(default_factory=list)
-    val_accuracy: list = field(default_factory=list)
     epochs_run: int = 0
     stopped_early: bool = False
     failed: bool = False
@@ -182,7 +202,7 @@ class EarlyStopTracker:
         return self.bad_epochs >= self.patience
 
 
-def train(net: Network, stepper, data, cfg: TrainConfig | None = None):
+def train(net: Network, stepper: Stepper, data, cfg: TrainConfig | None = None):
     """Mini-batch training loop; returns (net, TrainHistory).
 
     `data` is a (train, validation) Dataset pair.  Any non-finite loss or
@@ -217,9 +237,16 @@ def train(net: Network, stepper, data, cfg: TrainConfig | None = None):
             return net, history
         history.train_loss.append(epoch_train_loss)
         history.val_loss.append(epoch_val_loss)
-        history.val_accuracy.append(evaluate(net, val_set))
         history.epochs_run += 1
         if cfg.early_stop and tracker.update(epoch_val_loss):
             history.stopped_early = True
             break
     return net, history
+
+
+def train_seeded(layer_sizes, stepper: Stepper, data, cfg: TrainConfig, rng: Rng):
+    """Train a fresh network whose initial weights and batch order both derive
+    from `rng`; returns (net, TrainHistory) like `train`."""
+    net = Network(layer_sizes, seed=int(rng.child("net").integers(2**31 - 1)))
+    cfg = replace(cfg, shuffle_seed=int(rng.child("shuffle").integers(2**31 - 1)))
+    return train(net, stepper, data, cfg)

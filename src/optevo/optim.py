@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .nn import Stepper
+from .sched import PolicyTree, ScheduledSGD
 from .tensor import ARITY, OpCode, Tensor, elementwise, tensor
 
 VAR_NAMES = ("x", "y", "z", "grad", "alpha")
@@ -409,32 +411,26 @@ def adam_core_spec(hp: HyperParams) -> OptimizerSpec:
     )
 
 
-# --- steppers: the uniform per-batch update interface ------------------------
+# --- steppers: nn.Stepper subclasses -----------------------------------------
 
 
-class SpecStepper:
+class SpecStepper(Stepper):
     """Drives an OptimizerSpec across a network's weight tensors."""
 
     def __init__(self, spec: OptimizerSpec):
         self.spec = spec
         self.name = spec.name
         self.states = None
-        self.failed = False
-
-    def begin_epoch(self, epoch: int) -> None:
-        pass
 
     def update(self, params: list, grads: list) -> None:
         if self.states is None:
             self.states = [OptState.zeros(p.shape) for p in params]
         for i, (w, g) in enumerate(zip(params, grads)):
             new_w, self.states[i] = step(self.spec, self.states[i], w, g)
-            if not np.all(np.isfinite(new_w)):
-                self.failed = True
-            w[...] = new_w
+            self._assign(w, new_w)
 
 
-class NesterovStepper:
+class NesterovStepper(Stepper):
     """Momentum with a look-ahead gradient, reformulated at the current point:
     x' = mom*x - lr*g; w' = w + mom*x' - lr*g. Native because the four-function
     form cannot evaluate gradients anywhere but the current weights.
@@ -446,10 +442,6 @@ class NesterovStepper:
         self.lr = lr
         self.mom = mom
         self.velocity = None
-        self.failed = False
-
-    def begin_epoch(self, epoch: int) -> None:
-        pass
 
     def update(self, params: list, grads: list) -> None:
         if self.velocity is None:
@@ -458,13 +450,10 @@ class NesterovStepper:
             for i, (w, g) in enumerate(zip(params, grads)):
                 v = self.mom * self.velocity[i] - self.lr * g
                 self.velocity[i] = v
-                new_w = w + self.mom * v - self.lr * g
-                if not np.all(np.isfinite(new_w)):
-                    self.failed = True
-                w[...] = new_w
+                self._assign(w, w + self.mom * v - self.lr * g)
 
 
-class AdamStepper:
+class AdamStepper(Stepper):
     """Bias-corrected Adam. Native because the rescale z_t depends on the
     global step count t, which spec expressions cannot see:
     x' = b1*x + (1-b1)*g; y' = b2*y + (1-b2)*g^2;
@@ -487,10 +476,6 @@ class AdamStepper:
         self.t = 0
         self.avg = None
         self.sq = None
-        self.failed = False
-
-    def begin_epoch(self, epoch: int) -> None:
-        pass
 
     def update(self, params: list, grads: list) -> None:
         if self.avg is None:
@@ -502,10 +487,8 @@ class AdamStepper:
             for i, (w, g) in enumerate(zip(params, grads)):
                 self.avg[i] = self.beta1 * self.avg[i] + (1.0 - self.beta1) * g
                 self.sq[i] = self.beta2 * self.sq[i] + (1.0 - self.beta2) * np.square(g)
-                new_w = w - zt * self.avg[i] / (np.sqrt(self.sq[i]) + self.epsilon)
-                if not np.all(np.isfinite(new_w)):
-                    self.failed = True
-                w[...] = new_w
+                scaled = zt * self.avg[i] / (np.sqrt(self.sq[i]) + self.epsilon)
+                self._assign(w, w - scaled)
 
 
 BUILTIN_NAMES = ("sgd", "momentum", "nesterov", "rmsprop", "adam", "sign", "ades")
@@ -531,12 +514,15 @@ def builtin(name: str, hp: HyperParams | None = None):
     raise ValueError(f"unknown optimizer {name!r}; expected one of {BUILTIN_NAMES}")
 
 
-def make_stepper(opt, hp: HyperParams | None = None):
-    """Normalize a builtin name / OptimizerSpec / stepper into a stepper."""
+def make_stepper(opt, hp: HyperParams | None = None) -> Stepper:
+    """Normalize a builtin name / OptimizerSpec / policy tree / Stepper into a
+    Stepper. Policy trees run as ScheduledSGD from its default initial rate."""
     if isinstance(opt, str):
         opt = builtin(opt, hp)
     if isinstance(opt, OptimizerSpec):
         return SpecStepper(opt)
-    if hasattr(opt, "update") and hasattr(opt, "begin_epoch"):
+    if isinstance(opt, PolicyTree):
+        return ScheduledSGD(opt)
+    if isinstance(opt, Stepper):
         return opt
     raise TypeError(f"cannot build a stepper from {opt!r}")

@@ -17,6 +17,7 @@ import numpy as np
 
 from .dsge import Genotype, map_genotype
 from .grammar import Grammar
+from .nn import Stepper
 from .tensor import Rng
 
 COMPARATORS = {
@@ -139,16 +140,16 @@ def policy_from_genotype(
     return parse_policy(tree.text())
 
 
-class ScheduledSGD:
+class ScheduledSGD(Stepper):
     """Plain SGD whose learning rate is set per epoch by a policy tree."""
+
+    name = "scheduled_sgd"
 
     def __init__(self, policy: PolicyTree, initial_lr: float = 0.01):
         if not (np.isfinite(initial_lr) and initial_lr > 0):
             raise PolicyError("initial learning rate must be finite and > 0")
         self.policy = policy
         self.current_lr = initial_lr
-        self.name = "scheduled_sgd"
-        self.failed = False
 
     def begin_epoch(self, epoch: int) -> None:
         self.current_lr = eval_policy(self.policy, epoch, self.current_lr)
@@ -156,7 +157,4 @@ class ScheduledSGD:
     def update(self, params: list, grads: list) -> None:
         with np.errstate(all="ignore"):  # overflow becomes the failed flag
             for w, g in zip(params, grads):
-                new_w = w - self.current_lr * g
-                if not np.all(np.isfinite(new_w)):
-                    self.failed = True
-                w[...] = new_w
+                self._assign(w, w - self.current_lr * g)

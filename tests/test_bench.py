@@ -44,15 +44,13 @@ class TestMakeEntry:
         assert name == "scheduled_sgd"
         assert factory().current_lr == 0.01
 
-    def test_named_factory(self):
-        name, factory = make_entry(("mine", lambda: "stepper"))
-        assert (name, factory()) == ("mine", "stepper")
-
     def test_rejects_unknown(self):
         with pytest.raises(BenchError, match="unknown built-in"):
             make_entry("adagrad")
         with pytest.raises(BenchError, match="cannot interpret"):
             make_entry(42)
+        with pytest.raises(BenchError, match="cannot interpret"):
+            make_entry(builtin("adam"))  # one instance cannot serve every repetition
 
 
 def tiny_scenario(steppers, reps=2, name="toy", **kw):

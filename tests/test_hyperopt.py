@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from optevo.data import synthetic
 from optevo.evolve import TrainingTask
@@ -80,6 +82,13 @@ class TestSearchSpace:
     def test_empty_rejected(self):
         with pytest.raises(TuneError, match="empty"):
             SearchSpace([])
+
+    @given(st.data())
+    def test_from_unit_stays_in_bounds(self, data):
+        space = space_for(data.draw(st.sampled_from(sorted(FAMILY_SPACES))))
+        unit = st.floats(0.0, 1.0, allow_nan=False)
+        u = data.draw(st.lists(unit, min_size=space.dim, max_size=space.dim))
+        assert space.contains(space.from_unit(u))
 
 
 class TestHyperparamsFor:

@@ -275,7 +275,6 @@ class TestTrain:
                         TrainConfig(batch_size=16, max_epochs=4, early_stop=False))
         assert hist.epochs_run == 4
         assert len(hist.train_loss) == len(hist.val_loss) == 4
-        assert len(hist.val_accuracy) == 4
 
     def test_constant_val_loss_stops_after_patience(self):
         net = Network([2, 4, 2], seed=0)

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from optevo.nn import Stepper
 from optevo.optim import (
+    BUILTIN_NAMES,
     AdamStepper,
     Apply,
     Const,
@@ -28,6 +30,7 @@ from optevo.optim import (
     spec_to_json,
     step,
 )
+from optevo.sched import Leaf
 from optevo.tensor import OpCode, Rng, tensor
 
 from oracles import ORACLES
@@ -366,9 +369,22 @@ class TestSteppers:
         expect = ORACLES["nesterov"](1.0, grads, hp)
         np.testing.assert_allclose(mine, expect, rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("opt", [*BUILTIN_NAMES, Leaf(0.1)], ids=str)
+    def test_nonfinite_gradient_sets_failed_and_writes(self, opt):
+        stepper = make_stepper(opt)
+        assert isinstance(stepper, Stepper)
+        # perfbench/tracing.py times `update` by patching each class's own method
+        assert "update" in vars(type(stepper))
+        stepper.begin_epoch(0)
+        w = np.array([1.0, 1.0])
+        stepper.update([w], [np.array([np.inf, np.nan])])  # an overflowed backward
+        assert stepper.failed
+        assert not np.all(np.isfinite(w))
+
     def test_make_stepper_forms(self):
         assert isinstance(make_stepper("sgd"), SpecStepper)
         assert isinstance(make_stepper(builtin("ades")), SpecStepper)
+        assert make_stepper(Leaf(0.01)).current_lr == 0.01
         native = AdamStepper()
         assert make_stepper(native) is native
         with pytest.raises(TypeError):
