@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import statistics
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -264,7 +265,10 @@ def save_checkpoint(path, params: EvoParams, generation: int, population,
             else {"genes": log.best_genotype.genes, "used": log.best_genotype.used},
         },
     }
-    Path(path).write_text(json.dumps(state, indent=2), encoding="utf-8")
+    # a crash mid-write leaves the previous checkpoint intact
+    tmp = Path(path).with_name(Path(path).name + ".tmp")
+    tmp.write_text(json.dumps(state, indent=2), encoding="utf-8")
+    os.replace(tmp, path)
 
 
 def load_checkpoint(path):

@@ -1,20 +1,20 @@
 """Sequential model-based hyperparameter search over optimizer constants.
 
-Protocol: a low-discrepancy initial design (Sobol), then a Gaussian-process
-surrogate (squared-exponential kernel over unit-cube coordinates, so length
-scales follow each parameter's bounds) with expected-improvement proposals
-maximized by random multi-start.  A random-search fallback flag keeps the
-surrogate ablatable.  Every stochastic choice is keyed to the seed, so runs
-are exactly repeatable.
+Protocol: a self-contained scrambled Sobol initial design, then a Gaussian-
+process surrogate (squared-exponential kernel over unit-cube coordinates, so
+length scales follow each parameter's bounds) with expected-improvement
+proposals maximized by random multi-start.  A random-search fallback flag keeps
+the surrogate ablatable.  Every stochastic choice is keyed to the seed, so runs
+are exactly repeatable.  NumPy is the only dependency.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.stats import norm, qmc
 
 from .evolve import TrainingTask, _run_trial
 from .optim import HyperParams, make_stepper
@@ -66,6 +66,8 @@ class SearchSpace:
         names = [p.name for p in self.params]
         if len(set(names)) != len(names):
             raise TuneError("duplicate parameter names")
+        if len(names) > 1 + len(_JOE_KUO):  # dimensions of the Sobol design
+            raise TuneError(f"at most {1 + len(_JOE_KUO)} parameters can be tuned")
 
     @property
     def names(self) -> list:
@@ -156,9 +158,17 @@ def _gp_posterior(train_u, train_y, query_u):
     )
 
 
+def _norm_cdf(x):  # erfc keeps the lower tail accurate
+    return 0.5 * np.frompyfunc(math.erfc, 1, 1)(-x * math.sqrt(0.5)).astype(float)
+
+
+def _norm_pdf(x):
+    return np.exp(-x**2 / 2.0) / np.sqrt(2 * np.pi)
+
+
 def _expected_improvement(mu, sigma, best_y):
     gamma = (mu - best_y - _EI_XI) / sigma
-    return sigma * (gamma * norm.cdf(gamma) + norm.pdf(gamma))
+    return sigma * (gamma * _norm_cdf(gamma) + _norm_pdf(gamma))
 
 
 def _propose(train_u, train_y, dim, rng: Rng):
@@ -174,11 +184,42 @@ def _propose(train_u, train_y, dim, rng: Rng):
     return cands[int(np.argmax(ei))]
 
 
+# Joe & Kuo (2008) degree s, coefficient bits a and initial m values of the
+# primitive polynomials of Sobol dimensions 2 and 3; dimension 1 is van der Corput
+_JOE_KUO = [(1, 0, (1,)), (2, 1, (1, 3))]
+_BITS = 30
+
+
+def _direction_numbers(dim: int) -> np.ndarray:
+    """(dim, 30) direction numbers v[d, j] = m_j << (29 - j)."""
+    ms = [[1] * _BITS]
+    for s, a, m in _JOE_KUO[: dim - 1]:
+        m = list(m)
+        for j in range(s, _BITS):
+            mj = m[j - s] ^ (m[j - s] << s)
+            for k in range(1, s):
+                mj ^= ((a >> (s - 1 - k)) & 1) * (m[j - k] << k)
+            m.append(mj)
+        ms.append(m)
+    return np.array([[mj << (_BITS - 1 - j) for j, mj in enumerate(m)] for m in ms],
+                    dtype=np.uint32)
+
+
 def _sobol_design(n: int, dim: int, rng: Rng) -> np.ndarray:
-    sampler = qmc.Sobol(d=dim, scramble=True,
-                        seed=int(rng.integers(2**31 - 1)))
-    pow2 = 1 << (n - 1).bit_length()  # sample a power of two, keep the first n
-    return sampler.random(pow2)[:n]
+    """First n scrambled Sobol points in Gray-code order: Owen's (1998)
+    left-matrix scramble (unit diagonal) and a digital shift, drawn from a
+    generator seeded by one draw of rng, shift first."""
+    gen = np.random.default_rng(int(rng.integers(2**31 - 1)))
+    bits = np.arange(_BITS, dtype=np.uint32)
+    shift = gen.integers(2, size=(dim, _BITS), dtype=np.uint32) @ (1 << bits)
+    ltm = np.tril(gen.integers(2, size=(dim, _BITS, _BITS), dtype=np.uint32))
+    ltm[:, bits, bits] = 1
+    # scrambled direction number = its bits, most significant first, times ltm mod 2
+    msb_first = 1 << (_BITS - 1 - bits)
+    v_bits = (_direction_numbers(dim)[:, :, None] & msb_first) != 0
+    v = (np.einsum("dpi,dji->djp", ltm, v_bits.astype(np.uint32)) & 1) @ msb_first
+    flips = [(i & -i).bit_length() - 1 for i in range(1, n)]  # Gray-code order
+    return np.bitwise_xor.accumulate(np.vstack([shift, v[:, flips].T])) * 2.0**-_BITS
 
 
 def _task_objective(opt_family: str, task: TrainingTask):
@@ -202,7 +243,6 @@ def tune(
     *,
     objective=None,
     random_search: bool = False,
-    history_path=None,
 ):
     """Run the search; returns (best TuneTrial, full history).
 
@@ -251,8 +291,6 @@ def tune(
                          root.child("ei", i))
         run_point(i, u)
 
-    if history_path is not None:
-        write_tune_csv(history_path, space, history)
     best = max(history, key=lambda t: (t.objective, -t.iteration))
     return best, history
 

@@ -1,7 +1,9 @@
 """Command-line behavior: config validation, exit codes, outputs, resume."""
 
+import errno
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from optevo.cli import (
     main,
     make_run_dir,
 )
+from optevo.evolve import load_checkpoint
 from optevo.grammar import load_shipped_grammar, serialize_grammar
 from optevo.optim import HyperParams, builtin, spec_to_json
 from optevo.sched import parse_policy
@@ -397,6 +400,37 @@ class TestEvolveCommand:
         best_full = json.loads((full / "best.json").read_text())
         best_res = json.loads((resumed / "best.json").read_text())
         assert best_full == best_res
+
+    def test_checkpoint_write_failing_part_way_keeps_previous(
+            self, tmp_path, monkeypatch):
+        cfg = write_cfg(tmp_path, evolve_payload())
+        full, crashed, resumed = tmp_path / "f", tmp_path / "c", tmp_path / "r"
+        assert main(["evolve", cfg, "--run-dir", str(full),
+                     "--generations", "4"]) == EXIT_OK
+
+        real_write_text = Path.write_text
+        checkpoint_writes = []
+
+        def disk_full_on_fourth_checkpoint(self, data, *args, **kwargs):
+            if self.name.startswith("checkpoint.json"):
+                checkpoint_writes.append(self)
+                if len(checkpoint_writes) == 4:  # generation 3
+                    real_write_text(self, data[: len(data) // 2], *args, **kwargs)
+                    raise OSError(errno.ENOSPC, "No space left on device")
+            return real_write_text(self, data, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", disk_full_on_fourth_checkpoint)
+        with pytest.raises(OSError):
+            main(["evolve", cfg, "--run-dir", str(crashed), "--generations", "4"])
+        monkeypatch.undo()
+
+        generation, *_ = load_checkpoint(crashed / "checkpoint.json")
+        assert generation == 2
+        assert main(["evolve", cfg, "--run-dir", str(resumed),
+                     "--generations", "4",
+                     "--resume", str(crashed / "checkpoint.json")]) == EXIT_OK
+        assert (json.loads((resumed / "best.json").read_text())
+                == json.loads((full / "best.json").read_text()))
 
     def test_dlr_evolve_writes_policy(self, tmp_path, capsys):
         run = tmp_path / "run"

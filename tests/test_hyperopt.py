@@ -2,12 +2,17 @@
 
 import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import optevo
 from optevo.data import synthetic
 from optevo.evolve import TrainingTask
 from optevo.hyperopt import (
@@ -16,6 +21,9 @@ from optevo.hyperopt import (
     SearchSpace,
     TuneError,
     TuneTrial,
+    _norm_cdf,
+    _norm_pdf,
+    _sobol_design,
     hyperparams_for,
     report_best,
     space_for,
@@ -23,6 +31,7 @@ from optevo.hyperopt import (
     write_tune_csv,
 )
 from optevo.nn import TrainConfig
+from optevo.tensor import Rng
 
 
 class TestParamSpec:
@@ -82,6 +91,10 @@ class TestSearchSpace:
     def test_empty_rejected(self):
         with pytest.raises(TuneError, match="empty"):
             SearchSpace([])
+
+    def test_more_dimensions_than_the_sobol_design_rejected(self):
+        with pytest.raises(TuneError, match="at most 3 parameters"):
+            SearchSpace([ParamSpec(name, 0, 1) for name in "abcd"])
 
     @given(st.data())
     def test_from_unit_stays_in_bounds(self, data):
@@ -179,6 +192,38 @@ class TestTuneLoop:
             tune("sgd", LR_SPACE, budget=5)
 
 
+class TestSelfContainedDesign:
+    """The numpy Sobol design and EI terms against scipy, kept as a test oracle."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("n", [5, 8, 40, 64])
+    def test_sobol_design_equals_scipy(self, dim, n):
+        qmc = pytest.importorskip("scipy.stats").qmc
+        for seed in range(6):
+            rng = Rng(seed).child("sobol")
+            draw = int(Rng(seed).child("sobol").integers(2**31 - 1))
+            pow2 = 1 << (n - 1).bit_length()
+            expected = qmc.Sobol(dim, scramble=True, seed=draw).random(pow2)[:n]
+            got = _sobol_design(n, dim, rng)
+            assert got.dtype == expected.dtype
+            np.testing.assert_array_equal(got, expected)
+
+    def test_normal_cdf_and_pdf_match_scipy(self):
+        ndtr = pytest.importorskip("scipy.special").ndtr
+        norm = pytest.importorskip("scipy.stats").norm
+        gamma = np.linspace(-8.0, 8.0, 16001)
+        np.testing.assert_allclose(_norm_cdf(gamma), ndtr(gamma), rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(_norm_pdf(gamma), norm.pdf(gamma))
+
+    def test_cli_import_loads_no_scipy(self):
+        code = ("import sys, optevo.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        env = {**os.environ, "PYTHONPATH": str(Path(optevo.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=120).stdout
+        assert out.strip() == "[]"
+
+
 class TestTaskObjective:
     def test_real_training_objective(self):
         task = TrainingTask(
@@ -198,8 +243,8 @@ class TestTaskObjective:
 class TestReporting:
     def test_csv_round_trip(self, tmp_path):
         _, history = tune("sgd", LR_SPACE, budget=6,
-                          objective=quadratic_in_log10, seed=0,
-                          history_path=tmp_path / "h.csv")
+                          objective=quadratic_in_log10, seed=0)
+        write_tune_csv(tmp_path / "h.csv", LR_SPACE, history)
         with open(tmp_path / "h.csv") as f:
             rows = list(csv.reader(f))
         assert rows[0] == ["iteration", "lr", "objective"]
