@@ -43,6 +43,8 @@ from .grammar import (
     CONST_GRID_STEPS,
     Grammar,
     GrammarError,
+    Nonterminal,
+    alternative_text,
     load_shipped_grammar,
     parse_grammar,
     sigmoidal_constants,
@@ -313,6 +315,8 @@ def cmd_evolve(args, mode: str) -> int:
     else:
         fitness_fn = dlr_fitness_fn(task)
     resume = args.resume or _field(cfg, "resume", str, None)
+    if resume is not None and not Path(resume).is_file():
+        raise DataMissing(f"checkpoint not found: {resume}")
     run_dir = make_run_dir(_field(cfg, "out", str, "runs"), seed, args.run_dir)
 
     best, log = evolve(
@@ -477,7 +481,6 @@ def cmd_tune(args) -> int:
     if getattr(args, "budget", None) is not None:
         budget = args.budget
     task, _splits = build_task(_field(cfg, "task", dict), seed)
-    run_dir = make_run_dir(_field(cfg, "out", str, "runs"), seed, args.run_dir)
     try:
         best, history = tune(
             opt,
@@ -489,6 +492,7 @@ def cmd_tune(args) -> int:
         )
     except TuneError as e:
         raise ConfigError(str(e)) from e
+    run_dir = make_run_dir(_field(cfg, "out", str, "runs"), seed, args.run_dir)
     write_tune_csv(run_dir / f"tune_{opt}.csv", space, history)
     row = report_best(history)
     (run_dir / "best.txt").write_text(row + "\n", encoding="utf-8")
@@ -501,10 +505,19 @@ def cmd_tune(args) -> int:
 # --- grammar-check ------------------------------------------------------------
 
 
+def _grid_tokens() -> list:
+    """The constant grid as spelled in the optimizer grammar's <*_const> rules."""
+    return [f"{v:.8e}" for v in
+            sigmoidal_constants(*CONST_GRID_RANGE, CONST_GRID_STEPS)]
+
+
+def _alt_texts(g: Grammar, nt: str) -> list:
+    return [alternative_text(alt) for alt in g.expansions(nt)]
+
+
 def _grid_hyperparams() -> HyperParams:
     """The constant-grid values the shipped genotypes encode."""
-    grid = sigmoidal_constants(*CONST_GRID_RANGE, CONST_GRID_STEPS)
-    grid = [float(f"{v:.8e}") for v in grid]
+    grid = [float(t) for t in _grid_tokens()]
 
     def at(k: float) -> float:
         return grid[round((k - CONST_GRID_RANGE[0]) * 2)]
@@ -515,18 +528,11 @@ def _grid_hyperparams() -> HyperParams:
     )
 
 
-def _reference_spec(name: str, hp: HyperParams):
-    if name == "adam_core":
-        return adam_core_spec(hp)
-    return builtin(name, hp)
-
-
 def _genotype_matches_reference(g: Grammar, name: str) -> tuple[bool, str]:
-    geno = load_shipped_genotype(name)
-    derivation = map_genotype(g, geno)
+    derivation = map_genotype(g, load_shipped_genotype(name))
     mapped = spec_from_phenotype(derivation.text(), name=name)
     hp = _grid_hyperparams()
-    reference = _reference_spec(name, hp)
+    reference = adam_core_spec(hp) if name == "adam_core" else builtin(name, hp)
     rng = Rng(2024).child("grammar-check", name)
     for case in range(20):
         r = rng.child(case)
@@ -554,16 +560,20 @@ def _variables_in(terms) -> set:
     return found
 
 
-def grammar_health_checks(g: Grammar) -> list:
-    """(name, passed, detail) triples for the optimizer-grammar contract."""
+def _run_checks(named) -> list:
+    """(name, passed, detail) for each (name, check function) pair."""
     checks = []
-
-    def run(name, fn):
+    for name, fn in named:
         try:
             ok, detail = fn()
         except Exception as e:  # a failed precondition is a failed check
             ok, detail = False, f"{type(e).__name__}: {e}"
         checks.append((name, ok, detail))
+    return checks
+
+
+def grammar_health_checks(g: Grammar) -> list:
+    """(name, passed, detail) triples for the optimizer-grammar contract."""
 
     def sections():
         needed = ["x_expr", "y_expr", "z_expr", "weight_expr"]
@@ -600,24 +610,73 @@ def grammar_health_checks(g: Grammar) -> list:
         return True, "alpha accumulator reachable from the weight update"
 
     def const_grid():
-        grid = [f"{v:.8e}" for v in
-                sigmoidal_constants(*CONST_GRID_RANGE, CONST_GRID_STEPS)]
+        grid = _grid_tokens()
         if grid[0] != "4.53978687e-05" or grid[-1] != "9.99954602e-01":
             return False, f"grid endpoints {grid[0]} … {grid[-1]}"
-        terms = g.reachable_terminals()
-        missing = [c for c in (grid[0], grid[-1]) if c not in terms]
-        if missing:
-            return False, f"grid endpoints not in grammar: {missing}"
-        return True, "41 sigmoid-spaced constants with published endpoints"
+        rules = [nt for nt in g.nonterminals if nt.endswith("_const")]
+        if not rules:
+            return False, "no <*_const> rules"
+        off_grid = [nt for nt in rules if _alt_texts(g, nt) != grid]
+        if off_grid:
+            return False, f"not exactly the {len(grid)}-point grid: {off_grid}"
+        return True, (f"{len(rules)} <*_const> rules × {len(grid)} sigmoid-spaced "
+                      f"constants, {grid[0]} … {grid[-1]}")
 
-    run("sections", sections)
-    run("weight-gradient-barrier", barrier)
-    run("aux-slot-ordering", aux_ordering)
-    run("alpha-accumulator", alpha_reaches_weight)
-    run("constant-grid", const_grid)
-    for name in SHIPPED_GENOTYPES:
-        run(f"genotype-{name}", lambda name=name: _genotype_matches_reference(g, name))
-    return checks
+    return _run_checks([
+        ("sections", sections),
+        ("weight-gradient-barrier", barrier),
+        ("aux-slot-ordering", aux_ordering),
+        ("alpha-accumulator", alpha_reaches_weight),
+        ("constant-grid", const_grid),
+        *((f"genotype-{name}", lambda name=name: _genotype_matches_reference(g, name))
+          for name in SHIPPED_GENOTYPES),
+    ])
+
+
+def scheduler_health_checks(g: Grammar) -> list:
+    """(name, passed, detail) triples for the scheduler-grammar contract."""
+
+    def tree_shape():
+        alts = _alt_texts(g, "expr")
+        ok = any(a.startswith("if(") for a in alts) and "<lr_const>" in alts
+        return ok, "<expr> ::= " + " | ".join(alts)
+
+    def positive_leaves():
+        leaves = set()  # whatever <expr>'s non-recursive alternatives derive
+        for i in g.non_recursive_alternatives("expr"):
+            for sym in g.expansions("expr")[i]:
+                leaves |= (g.reachable_terminals(sym.name)
+                           if isinstance(sym, Nonterminal) else {sym.text})
+
+        def positive(token):
+            try:
+                return 0 < float(token) < np.inf
+            except ValueError:
+                return False
+
+        bad = sorted(t for t in leaves if not positive(t))
+        if bad:
+            return False, f"leaves not finite and > 0: {bad}"
+        return True, f"{len(leaves)} leaf rates, all finite and > 0"
+
+    def grid(nt, want, what):
+        ok = _alt_texts(g, nt) == want
+        return ok, f"<{nt}> {'is' if ok else 'is not'} {what}"
+
+    # 0.01, the known-good static rate for the reference network, then the
+    # sigmoid grid rescaled onto [1e-5, 1]
+    sig = sigmoidal_constants(*CONST_GRID_RANGE, CONST_GRID_STEPS)
+    lr_grid = ["1.00000000e-02"] + [
+        f"{1e-5 + (v - sig[0]) * (1.0 - 1e-5) / (sig[-1] - sig[0]):.8e}" for v in sig
+    ]
+    return _run_checks([
+        ("tree-shape", tree_shape),
+        ("positive-leaves", positive_leaves),
+        ("epoch-grid", lambda: grid("epoch_const", [str(e) for e in range(0, 101, 5)],
+                                    "0..100 in steps of 5")),
+        ("lr-grid", lambda: grid("lr_const", lr_grid,
+                                 "0.01, then the sigmoid grid rescaled onto [1e-5, 1]")),
+    ])
 
 
 def cmd_grammar_check(args) -> int:
@@ -626,7 +685,9 @@ def cmd_grammar_check(args) -> int:
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    checks = grammar_health_checks(grammar)
+    # an <lr_const> rule marks a scheduler grammar, such as the shipped 'dlr'
+    scheduler = "lr_const" in grammar.rules
+    checks = (scheduler_health_checks if scheduler else grammar_health_checks)(grammar)
     for name, ok, detail in checks:
         print(f"{'PASS' if ok else 'FAIL'}: {name} — {detail}")
     failed = sum(1 for _, ok, _ in checks if not ok)
@@ -676,8 +737,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_tune.add_argument("--budget", type=int, default=None)
 
     p_check = sub.add_parser("grammar-check",
-                             help="validate an optimizer grammar")
-    p_check.add_argument("grammar", help="grammar file, or 'alr' / 'dlr'")
+                             help="validate an optimizer or scheduler grammar")
+    p_check.add_argument(
+        "grammar",
+        help="grammar file, or 'alr' / 'dlr'; a grammar with an <lr_const> "
+             "rule gets the scheduler checks",
+    )
     return parser
 
 

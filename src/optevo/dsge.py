@@ -13,16 +13,31 @@ none the mapping fails — the individual simply scores 0.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from importlib import resources
 
-from .grammar import Grammar, Nonterminal, Terminal
+from .grammar import TOKEN_RE, Grammar, Terminal, load_shipped_grammar
 from .tensor import Rng
 
 DEFAULT_MAX_DEPTH = 6
 
-SHIPPED_GENOTYPES = ("sgd", "momentum", "rmsprop", "adam_core")
+# The classic optimizers as phenotypes of the shipped 'alr' grammar, with
+# constants at the grid points nearest the conventional values. The sgd rule
+# stages lr*grad through x.
+SHIPPED_GENOTYPES = {
+    "sgd": "multiply( 1.09869426e-02 , grad ) ; y ; z ; add(alpha, negative( x ) )",
+    "momentum":
+        "subtract( multiply( 8.80797078e-01 , x ) , multiply( 1.09869426e-02 , grad ) )"
+        " ; y ; z ; add(alpha, x )",
+    "rmsprop":
+        "add( multiply( 9.24141820e-01 , x ) , multiply( 7.58581800e-02 , square( grad ) ) )"
+        " ; divide_no_nan( multiply( 1.09869426e-02 , grad ) ,"
+        " add( sqrt( x ) , 4.53978687e-05 ) ) ; z ; add(alpha, negative( y ) )",
+    "adam_core":
+        "add( multiply( 8.80797078e-01 , x ) , multiply( 1.19202922e-01 , grad ) ) ;"
+        " add( multiply( 9.70687769e-01 , y ) , multiply( 2.93122308e-02 , square( grad ) ) ) ;"
+        " divide_no_nan( multiply( 1.09869426e-02 , x ) , add( sqrt( y ) , 4.53978687e-05 ) ) ;"
+        " add(alpha, negative( z ) )",
+}
 
 
 class MappingFailure(Exception):
@@ -45,17 +60,6 @@ class Genotype:
     def copy(self) -> "Genotype":
         return Genotype(
             {nt: list(lst) for nt, lst in self.genes.items()}, dict(self.used)
-        )
-
-    def to_json(self) -> str:
-        return json.dumps({"genes": self.genes, "used": self.used}, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Genotype":
-        d = json.loads(text)
-        return cls(
-            {nt: [int(v) for v in lst] for nt, lst in d["genes"].items()},
-            {nt: int(n) for nt, n in d.get("used", {}).items()},
         )
 
 
@@ -229,13 +233,55 @@ def crossover(a: Genotype, b: Genotype, rng: Rng) -> Genotype:
     return Genotype(genes, used)
 
 
+def encode(g: Grammar, text: str, max_depth: int = DEFAULT_MAX_DEPTH) -> Genotype:
+    """A genotype that `map_genotype` (same grammar and max_depth) derives `text` from.
+
+    Backtracking leftmost derivation over the phenotype's token stream, so
+    whitespace does not matter. Alternatives are tried lowest index first,
+    under the mapper's depth rule; where several derivations give the same
+    tokens, the first one found wins. Raises ValueError if none exists.
+    """
+    tokens = TOKEN_RE.findall(text)
+    genes: dict = {}
+
+    def derive(nt: str, depths: dict, pos: int):
+        # yields every end position of a derivation of `nt` from tokens[pos:],
+        # with that derivation's genes appended to `genes` while suspended
+        depth = depths.get(nt, 0) + 1
+        alts = g.expansions(nt)
+        limited = depth > max_depth
+        allowed = g.non_recursive_alternatives(nt) if limited else range(len(alts))
+        child_depths = {**depths, nt: depth}
+        lst = genes.setdefault(nt, [])
+        for gene, chosen in enumerate(allowed):
+            lst.append(gene)
+            yield from derive_seq(alts[chosen], 0, child_depths, pos)
+            lst.pop()
+
+    def derive_seq(symbols, i: int, depths: dict, pos: int):
+        if i == len(symbols):
+            yield pos
+            return
+        sym = symbols[i]
+        if isinstance(sym, Terminal):
+            want = TOKEN_RE.findall(sym.text)
+            if tokens[pos : pos + len(want)] == want:
+                yield from derive_seq(symbols, i + 1, depths, pos + len(want))
+            return
+        for mid in derive(sym.name, depths, pos):
+            yield from derive_seq(symbols, i + 1, depths, mid)
+
+    for end in derive(g.start, {}, 0):
+        if end == len(tokens):
+            return Genotype({nt: list(lst) for nt, lst in genes.items() if lst})
+    raise ValueError(f"grammar cannot derive {text!r}")
+
+
 def load_shipped_genotype(name: str) -> Genotype:
-    """One of the packaged standard-optimizer genotypes (see SHIPPED_GENOTYPES)."""
+    """One of the standard-optimizer genotypes, encoded from SHIPPED_GENOTYPES."""
     if name not in SHIPPED_GENOTYPES:
         raise ValueError(f"unknown shipped genotype {name!r}")
-    return Genotype.from_json(
-        resources.files("optevo").joinpath(f"genotypes/{name}.json").read_text("utf-8")
-    )
+    return encode(load_shipped_grammar("alr"), SHIPPED_GENOTYPES[name])
 
 
 def tournament_select(pop: list, k: int, rng: Rng) -> Individual:

@@ -15,19 +15,6 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 
-__all__ = [
-    "Terminal",
-    "Nonterminal",
-    "Grammar",
-    "GrammarError",
-    "parse_grammar",
-    "serialize_grammar",
-    "sigmoidal_constants",
-    "load_shipped_grammar",
-    "alr_grammar_text",
-    "dlr_grammar_text",
-]
-
 
 class GrammarError(ValueError):
     def __init__(self, message: str, line: int | None = None):
@@ -51,6 +38,10 @@ Symbol = Terminal | Nonterminal
 Alternative = tuple  # tuple[Symbol, ...]
 
 _NT_RE = re.compile(r"<([A-Za-z_][A-Za-z0-9_]*)>")
+
+# Phenotype tokens: names, numbers and comparators, and each of ( ) , alone.
+# Whitespace only separates; the expression and policy parsers read this stream.
+TOKEN_RE = re.compile(r"[(),]|[^\s(),]+")
 
 
 class Grammar:
@@ -194,24 +185,19 @@ def parse_grammar(text: str) -> Grammar:
 
     if start is None:
         raise GrammarError("no rules found")
-    try:
-        return Grammar(rules, start)
-    except GrammarError:
-        raise
+    return Grammar(rules, start)
+
+
+def alternative_text(alt: Alternative) -> str:
+    """One alternative as written in a grammar file."""
+    return " ".join(s.text if isinstance(s, Terminal) else f"<{s.name}>" for s in alt)
 
 
 def serialize_grammar(g: Grammar) -> str:
-    lines = []
-    for nt in g.nonterminals:
-        alts = []
-        for alt in g.rules[nt]:
-            alts.append(
-                " ".join(
-                    sym.text if isinstance(sym, Terminal) else f"<{sym.name}>"
-                    for sym in alt
-                )
-            )
-        lines.append(f"<{nt}> ::= " + " | ".join(alts))
+    lines = [
+        f"<{nt}> ::= " + " | ".join(map(alternative_text, g.rules[nt]))
+        for nt in g.nonterminals
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -237,108 +223,6 @@ def sigmoidal_constants(k_min: float, k_max: float, steps: int) -> list[float]:
 # (1 - beta) stay expressible.
 CONST_GRID_STEPS = 41
 CONST_GRID_RANGE = (-10.0, 10.0)
-
-
-def _const_tokens() -> list[str]:
-    vals = sigmoidal_constants(*CONST_GRID_RANGE, CONST_GRID_STEPS)
-    return [f"{v:.8e}" for v in vals]
-
-
-_OPTIMIZER_OPS = [
-    "negative({e})",
-    "subtract({e}, {e})",
-    "multiply({e}, {e})",
-    "pow({e}, {e})",
-    "square({e})",
-    "divide_no_nan({e}, {e})",
-    "add({e}, {e})",
-    "sqrt({e})",
-]
-
-
-def _func_rule(prefix: str) -> str:
-    e = f"<{prefix}_expr>"
-    return " | ".join(op.format(e=e) for op in _OPTIMIZER_OPS)
-
-
-def alr_grammar_text() -> str:
-    """The shipped optimizer grammar.
-
-    Four update expressions separated by ';': the three auxiliaries (x, y, z,
-    executed in that order, each seeing the results of the ones before it)
-    and the weight expression. The weight expression can accumulate onto the
-    current weight (alpha) but can never see the gradient directly, which
-    forces candidate optimizers to route the gradient through an auxiliary.
-    The bare `grad` terminal is listed twice on purpose: the duplicate biases
-    random derivations toward actually consuming the gradient.
-    """
-    consts = " | ".join(_const_tokens())
-    lines = [
-        "# Optimizer grammar: x, y, z auxiliary updates plus the weight update.",
-        "# Duplicate alternatives are deliberate selection bias; do not fold them.",
-        "",
-        "<start> ::= <x_expr> ; <y_expr> ; <z_expr> ; <weight_expr>",
-        "",
-        "<x_expr> ::= add(x, <x_update>) | <x_update>",
-        "<x_update> ::= <x_func> | <x_terminal>",
-        f"<x_func> ::= {_func_rule('x')}",
-        "<x_terminal> ::= <x_const> | x | grad | grad",
-        f"<x_const> ::= {consts}",
-        "",
-        "<y_expr> ::= add(y, <y_update>) | <y_update>",
-        "<y_update> ::= <y_func> | <y_terminal>",
-        f"<y_func> ::= {_func_rule('y')}",
-        "<y_terminal> ::= <y_const> | y | x | grad | grad",
-        f"<y_const> ::= {consts}",
-        "",
-        "<z_expr> ::= add(z, <z_update>) | <z_update>",
-        "<z_update> ::= <z_func> | <z_terminal>",
-        f"<z_func> ::= {_func_rule('z')}",
-        "<z_terminal> ::= <z_const> | z | x | y | grad | grad",
-        f"<z_const> ::= {consts}",
-        "",
-        "<weight_expr> ::= add(alpha, <weight_update>) | <weight_update>",
-        "<weight_update> ::= <weight_func> | <weight_terminal>",
-        f"<weight_func> ::= {_func_rule('weight')}",
-        "<weight_terminal> ::= <weight_const> | x | y | z",
-        f"<weight_const> ::= {consts}",
-        "",
-    ]
-    return "\n".join(lines)
-
-
-def _scheduler_lr_tokens() -> list[str]:
-    # sigmoid grid rescaled onto [1e-5, 1.0]; 0.01 is prepended because it is
-    # the known-good static rate for the reference network and the obvious
-    # anchor for schedules to fall back to.
-    vals = sigmoidal_constants(*CONST_GRID_RANGE, CONST_GRID_STEPS)
-    lo, hi = 1e-5, 1.0
-    smin, smax = vals[0], vals[-1]
-    scaled = [lo + (v - smin) * (hi - lo) / (smax - smin) for v in vals]
-    return ["1.00000000e-02"] + [f"{v:.8e}" for v in scaled]
-
-
-def dlr_grammar_text() -> str:
-    """The shipped scheduler grammar.
-
-    Schedules are if/else decision trees over the current epoch and the
-    previous learning rate, with positive constant leaves.
-    """
-    lr_consts = " | ".join(_scheduler_lr_tokens())
-    epochs = " | ".join(str(e) for e in range(0, 101, 5))
-    lines = [
-        "# Scheduler grammar: decision trees over (epoch, previous lr) that",
-        "# emit the next epoch's learning rate.",
-        "",
-        "<start> ::= <expr>",
-        "<expr> ::= if(<cond>, <expr>, <expr>) | <lr_const>",
-        "<cond> ::= epoch <cmp> <epoch_const> | lr <cmp> <lr_const>",
-        "<cmp> ::= < | <= | > | >=",
-        f"<epoch_const> ::= {epochs}",
-        f"<lr_const> ::= {lr_consts}",
-        "",
-    ]
-    return "\n".join(lines)
 
 
 def load_shipped_grammar(name: str) -> Grammar:

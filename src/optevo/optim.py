@@ -16,11 +16,11 @@ to native steppers for the two rules the four-function form cannot express
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 
 import numpy as np
 
+from .grammar import TOKEN_RE
 from .nn import Stepper
 from .sched import PolicyTree, ScheduledSGD
 from .tensor import ARITY, OpCode, Tensor, elementwise, tensor
@@ -106,8 +106,6 @@ def eval_expr(e: Expr, env: dict) -> Tensor:
 
 # --- canonical prefix-notation text ----------------------------------------
 
-_TOKEN_RE = re.compile(r"[(),]|[^\s(),]+")
-
 
 def serialize_expr(e: Expr) -> str:
     if isinstance(e, Const):
@@ -121,7 +119,7 @@ def serialize_expr(e: Expr) -> str:
 
 def parse_expr(text: str) -> Expr:
     """Parse `op(arg, arg)` / variable / float-literal prefix notation."""
-    tokens = _TOKEN_RE.findall(text)
+    tokens = TOKEN_RE.findall(text)
     expr, pos = _parse(tokens, 0)
     if pos != len(tokens):
         raise ExprError(f"trailing tokens after expression: {tokens[pos:]}")

@@ -10,13 +10,12 @@ current one).
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dsge import Genotype, map_genotype
-from .grammar import Grammar
+from .grammar import TOKEN_RE, Grammar
 from .nn import Stepper
 from .tensor import Rng
 
@@ -85,11 +84,8 @@ def serialize_policy(p: PolicyTree) -> str:
     )
 
 
-_TOKEN_RE = re.compile(r"[(),]|[^\s(),]+")
-
-
 def parse_policy(text: str) -> PolicyTree:
-    tokens = _TOKEN_RE.findall(text)
+    tokens = TOKEN_RE.findall(text)
     tree, pos = _parse(tokens, 0)
     if pos != len(tokens):
         raise PolicyError(f"trailing tokens after policy: {tokens[pos:]}")

@@ -310,6 +310,28 @@ class TestGrammarCheck:
         assert main(["grammar-check", str(p)]) == EXIT_CHECK_FAILED
         assert "FAIL: aux-slot-ordering" in capsys.readouterr().out
 
+    def test_interior_constant_off_grid_fails(self, tmp_path, capsys):
+        text = serialize_grammar(load_shipped_grammar("alr"))
+        line = next(l for l in text.splitlines() if l.startswith("<y_const>"))
+        bad = text.replace(line, line.replace("5.00000000e-01", "5.00000001e-01"))
+        assert bad != text
+        p = tmp_path / "bad.bnf"
+        p.write_text(bad)
+        assert main(["grammar-check", str(p)]) == EXIT_CHECK_FAILED
+        out = capsys.readouterr().out
+        assert "FAIL: constant-grid" in out and "y_const" in out
+
+    def test_scheduler_leaf_at_zero_fails(self, tmp_path, capsys):
+        text = serialize_grammar(load_shipped_grammar("dlr"))
+        bad = text.replace("| 1.00000000e-05 |", "| 0 |")
+        assert bad != text
+        p = tmp_path / "bad.bnf"
+        p.write_text(bad)
+        assert main(["grammar-check", str(p)]) == EXIT_CHECK_FAILED
+        out = capsys.readouterr().out
+        assert "FAIL: positive-leaves" in out and "FAIL: lr-grid" in out
+        assert "PASS: tree-shape" in out and "PASS: epoch-grid" in out
+
     def test_unparseable_grammar(self, tmp_path, capsys):
         p = tmp_path / "broken.bnf"
         p.write_text("<s> := nope |||")
@@ -400,6 +422,15 @@ class TestEvolveCommand:
         best_full = json.loads((full / "best.json").read_text())
         best_res = json.loads((resumed / "best.json").read_text())
         assert best_full == best_res
+
+    def test_resume_from_missing_checkpoint_is_data_error(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_cfg(tmp_path, evolve_payload())
+        ghost = tmp_path / "ghost" / "checkpoint.json"
+        assert main(["evolve", cfg, "--resume", str(ghost)]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith("data error: checkpoint not found")
+        assert not (tmp_path / "runs").exists()
 
     def test_checkpoint_write_failing_part_way_keeps_previous(
             self, tmp_path, monkeypatch):
@@ -579,10 +610,12 @@ class TestTuneCommand:
         lines = (run / "tune_sgd.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 6
 
-    def test_budget_too_small(self, tmp_path, capsys):
+    def test_budget_too_small(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         cfg = write_cfg(tmp_path, tune_payload(budget=2))
         assert main(["tune", cfg]) == EXIT_CONFIG
         assert "budget" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
     def test_unknown_optimizer(self, tmp_path):
         cfg = write_cfg(tmp_path, tune_payload(optimizer="florp"))

@@ -10,13 +10,14 @@ from optevo.dsge import (
     MappingFailure,
     SHIPPED_GENOTYPES,
     crossover,
+    encode,
     load_shipped_genotype,
     map_genotype,
     mutate,
     random_genotype,
     tournament_select,
 )
-from optevo.grammar import load_shipped_grammar, parse_grammar, sigmoidal_constants
+from optevo.grammar import TOKEN_RE, load_shipped_grammar, parse_grammar, sigmoidal_constants
 from optevo.optim import OptState, builtin, spec_from_phenotype, step, make_stepper
 from optevo.tensor import Rng, tensor
 
@@ -183,6 +184,45 @@ class TestRandomGenotype:
             random_genotype(alr)
 
 
+SHIPPED = {name: load_shipped_grammar(name) for name in ("alr", "dlr")}
+
+
+class TestEncode:
+    @pytest.mark.parametrize("name", sorted(SHIPPED))
+    @given(st.integers(0, 2**32 - 1))
+    def test_mapping_the_encoding_gives_the_same_tokens(self, name, seed):
+        g = SHIPPED[name]
+        text = map_genotype(g, random_genotype(g, rng=Rng(seed).child("enc"))).text()
+        again = map_genotype(g, encode(g, text)).text()  # no rng: no repair
+        assert TOKEN_RE.findall(again) == TOKEN_RE.findall(text)
+
+    @pytest.mark.parametrize("name", SHIPPED_GENOTYPES)
+    def test_shipped_lines_map_back_verbatim(self, alr, name):
+        geno = load_shipped_genotype(name)
+        assert map_genotype(alr, geno).text() == SHIPPED_GENOTYPES[name]
+
+    def test_whitespace_does_not_matter(self, alr):
+        tight = "multiply(1.09869426e-02, grad) ; y ; z ; add(alpha, negative(x))"
+        assert encode(alr, tight).genes == load_shipped_genotype("sgd").genes
+
+    def test_lowest_alternative_wins(self):
+        g = parse_grammar("<s> ::= b | a | a")
+        assert encode(g, "a").genes == {"s": [1]}
+
+    @pytest.mark.parametrize(
+        "text, max_depth",
+        [
+            ("grad ; y ; z ; add(alpha, grad )", 6),  # weight slot cannot read grad
+            ("y ; y ; z ; x", 6),  # x slot cannot read y
+            ("x ; y ; z ; x ; x", 6),  # trailing tokens
+            ("negative( negative( grad ) ) ; y ; z ; x", 2),  # deeper than the limit
+        ],
+    )
+    def test_underivable_text_raises(self, alr, text, max_depth):
+        with pytest.raises(ValueError, match="cannot derive"):
+            encode(alr, text, max_depth=max_depth)
+
+
 class TestMutate:
     def test_rate_zero_identity(self, alr):
         geno = random_genotype(alr, rng=Rng(1).child("m"))
@@ -306,11 +346,6 @@ class TestTournament:
 
 
 class TestTypes:
-    def test_genotype_json_round_trip(self):
-        geno = Genotype({"s": [1, 2, 3]}, used={"s": 2})
-        again = Genotype.from_json(geno.to_json())
-        assert again.genes == geno.genes and again.used == geno.used
-
     def test_genotype_rejects_negative(self):
         with pytest.raises(ValueError):
             Genotype({"s": [-1]})
