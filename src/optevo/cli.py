@@ -37,7 +37,13 @@ from .data import (
     synthetic,
 )
 from .dsge import EvoParams, load_shipped_genotype, map_genotype, SHIPPED_GENOTYPES
-from .evolve import TrainingTask, alr_fitness_fn, dlr_fitness_fn, evolve
+from .evolve import (
+    TrainingTask,
+    alr_fitness_fn,
+    dlr_fitness_fn,
+    evolve,
+    load_checkpoint,
+)
 from .grammar import (
     CONST_GRID_RANGE,
     CONST_GRID_STEPS,
@@ -315,8 +321,11 @@ def cmd_evolve(args, mode: str) -> int:
     else:
         fitness_fn = dlr_fitness_fn(task)
     resume = args.resume or _field(cfg, "resume", str, None)
-    if resume is not None and not Path(resume).is_file():
-        raise DataMissing(f"checkpoint not found: {resume}")
+    checkpoint = None
+    if resume is not None:
+        if not Path(resume).is_file():
+            raise DataMissing(f"checkpoint not found: {resume}")
+        checkpoint = load_checkpoint(resume)  # malformed: DataError, no run dir
     run_dir = make_run_dir(_field(cfg, "out", str, "runs"), seed, args.run_dir)
 
     best, log = evolve(
@@ -325,7 +334,7 @@ def cmd_evolve(args, mode: str) -> int:
         fitness_fn,
         log_path=run_dir / "log.csv",
         checkpoint_path=run_dir / "checkpoint.json",
-        resume_from=resume,
+        resume_from=checkpoint,
         workers=workers,
     )
 

@@ -27,7 +27,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .data import Dataset
+from .data import DataError, Dataset
 from .dsge import (
     EvoParams,
     Genotype,
@@ -272,25 +272,30 @@ def save_checkpoint(path, params: EvoParams, generation: int, population,
 
 
 def load_checkpoint(path):
-    state = json.loads(Path(path).read_text(encoding="utf-8"))
-    population = [
-        Individual(
-            Genotype(d["genes"], d["used"]),
-            phenotype=d["phenotype"],
-            fitness=d["fitness"],
-            id=d["id"],
-        )
-        for d in state["population"]
-    ]
-    log = EvolveRunLog(seed=state["seed"])
-    log.stats = [GenerationStat(**s) for s in state["stats"]]
-    log.best_fitness = state["best"]["fitness"]
-    log.best_phenotype = state["best"]["phenotype"]
-    if state["best"]["genotype"] is not None:
-        log.best_genotype = Genotype(
-            state["best"]["genotype"]["genes"], state["best"]["genotype"]["used"]
-        )
-    return state["generation"], population, state["next_id"], state["cache"], log
+    """(generation, population, next_id, cache, log) from a checkpoint file;
+    DataError when the file is not a checkpoint that save_checkpoint wrote."""
+    try:
+        state = json.loads(Path(path).read_text(encoding="utf-8"))
+        population = [
+            Individual(
+                Genotype(d["genes"], d["used"]),
+                phenotype=d["phenotype"],
+                fitness=d["fitness"],
+                id=d["id"],
+            )
+            for d in state["population"]
+        ]
+        log = EvolveRunLog(seed=state["seed"])
+        log.stats = [GenerationStat(**s) for s in state["stats"]]
+        log.best_fitness = state["best"]["fitness"]
+        log.best_phenotype = state["best"]["phenotype"]
+        if state["best"]["genotype"] is not None:
+            log.best_genotype = Genotype(
+                state["best"]["genotype"]["genes"], state["best"]["genotype"]["used"]
+            )
+        return state["generation"], population, state["next_id"], state["cache"], log
+    except (KeyError, TypeError, ValueError, AttributeError) as e:
+        raise DataError(f"{path}: not an evolve checkpoint ({type(e).__name__}: {e})") from e
 
 
 def evolve(
@@ -309,12 +314,15 @@ def evolve(
     `fitness_fn(phenotype_text) -> float` carries all problem semantics.
     Generation 0 is the evaluated random initialization; each later
     generation breeds, then evaluates exactly population_size - elitism
-    newcomers (elites keep their cached fitness).
+    newcomers (elites keep their cached fitness). `resume_from` is a
+    checkpoint path or what `load_checkpoint` returned for one.
     """
     root = Rng(params.rng_seed).child("evolve")
     cache: dict = {}
     if resume_from is not None:
-        start_gen, population, next_id, cache, log = load_checkpoint(resume_from)
+        if isinstance(resume_from, (str, os.PathLike)):
+            resume_from = load_checkpoint(resume_from)
+        start_gen, population, next_id, cache, log = resume_from
         start_gen += 1
     else:
         population = [

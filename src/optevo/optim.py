@@ -1,4 +1,4 @@
-"""Expression-tree optimizers: four update functions interpreted per weight.
+"""Expression-tree optimizers: four update functions, compiled once per stepper.
 
 A candidate optimizer is four expression trees — x_func, y_func, z_func,
 weight_func — evaluated in that order once per training step for every
@@ -8,6 +8,12 @@ function sees the freshly computed values of the functions before it. The
 weight function may read the auxiliaries and the weights but never the raw
 gradient: any use of the gradient has to be routed through an auxiliary.
 
+`compile_spec` turns the four trees into nested closures over the raw ops of
+`tensor._IMPL`, with variable-free subtrees folded to constants through
+`elementwise`; `SpecStepper` and `step` both run those closures. `eval_expr`
+walks a tree op by op and is kept as the reference the compiled code is
+tested against.
+
 Hand-built specs for the classic first-order optimizers live here too, next
 to native steppers for the two rules the four-function form cannot express
 (a look-ahead gradient, a step-count-dependent rescale).
@@ -16,20 +22,21 @@ to native steppers for the two rules the four-function form cannot express
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from operator import itemgetter
 
 import numpy as np
 
 from .grammar import TOKEN_RE
 from .nn import Stepper
 from .sched import PolicyTree, ScheduledSGD
-from .tensor import ARITY, OpCode, Tensor, elementwise, tensor
+from .tensor import _IMPL, ARITY, OpCode, Tensor, elementwise, tensor
 
 VAR_NAMES = ("x", "y", "z", "grad", "alpha")
 
 # Variables each function slot may reference. The weight slot excludes grad:
 # that omission is the gradient barrier, checked at construction and enforced
-# again at evaluation time by simply not binding grad in its environment.
+# again at evaluation time by not binding grad for the weight slot.
 SLOT_VARS = {
     "x_func": frozenset({"x", "grad", "alpha"}),
     "y_func": frozenset({"x", "y", "grad", "alpha"}),
@@ -238,22 +245,58 @@ class OptState:
         )
 
 
+def _compile(e: Expr):
+    """A function of the variable list [x, y, z, grad, alpha] computing `e`
+    with the interpreter's ops: same ufuncs, operand order and dtypes."""
+    if isinstance(e, Var):
+        return itemgetter(VAR_NAMES.index(e.name))
+    if not referenced_vars(e):
+        value = eval_expr(e, {})  # folded once, through elementwise
+        return lambda v: value
+    f = _IMPL[e.op]
+    if len(e.args) == 1:
+        a = _compile(e.args[0])
+        return lambda v: f(a(v))
+    left, right = e.args
+    if not referenced_vars(left):
+        c, b = eval_expr(left, {}), _compile(right)
+        return lambda v: f(c, b(v))
+    if not referenced_vars(right):
+        a, c = _compile(left), eval_expr(right, {})
+        return lambda v: f(a(v), c)
+    a, b = _compile(left), _compile(right)
+    return lambda v: f(a(v), b(v))
+
+
+def compile_spec(spec: OptimizerSpec) -> tuple:
+    """The spec's four slot functions, in evaluation order."""
+    return tuple(_compile(getattr(spec, slot)) for slot in SLOT_VARS)
+
+
+def _advance(slots: tuple, state: OptState, w: Tensor, g: Tensor):
+    """Run compiled slots once for one weight tensor, under the caller's
+    errstate: rebinds state's buffers and returns the new weights."""
+    fx, fy, fz, fw = slots
+    v = [state.x, state.y, state.z, g, w]
+    v[0] = fx(v)
+    v[1] = fy(v)
+    v[2] = fz(v)
+    v[3] = None  # the weight slot never sees the gradient
+    new_w = fw(v)
+    # a state that is the weight buffer itself (x_func = alpha) would follow
+    # the in-place weight write, so only that one is copied
+    state.x, state.y, state.z = (a.copy() if a is w else a for a in v[:3])
+    return new_w
+
+
 def step(
     spec: OptimizerSpec, state: OptState, w: Tensor, grad: Tensor
 ) -> tuple:
     """One update: returns (new_w, new_state); never mutates its inputs."""
-    w = tensor(w)
-    g = tensor(grad)
-    x1 = eval_expr(spec.x_func, {"x": state.x, "grad": g, "alpha": w})
-    y1 = eval_expr(spec.y_func, {"x": x1, "y": state.y, "grad": g, "alpha": w})
-    z1 = eval_expr(
-        spec.z_func, {"x": x1, "y": y1, "z": state.z, "grad": g, "alpha": w}
-    )
-    new_w = eval_expr(spec.weight_func, {"x": x1, "y": y1, "z": z1, "alpha": w})
-    # copies prevent the new state from aliasing w (e.g. x_func = alpha),
-    # which in-place weight writes would otherwise corrupt
-    copy = lambda a: np.array(a, dtype=np.float64)
-    return copy(new_w), OptState(copy(x1), copy(y1), copy(z1))
+    new_state = replace(state)
+    with np.errstate(all="ignore"):
+        new_w = _advance(compile_spec(spec), new_state, tensor(w), tensor(grad))
+    return new_w, new_state
 
 
 def ades_step(y: Tensor, w: Tensor, grad: Tensor, c1: float = 0.08922, c2: float = 0.0891):
@@ -419,13 +462,15 @@ class SpecStepper(Stepper):
         self.spec = spec
         self.name = spec.name
         self.states = None
+        self._slots = compile_spec(spec)
 
     def update(self, params: list, grads: list) -> None:
         if self.states is None:
             self.states = [OptState.zeros(p.shape) for p in params]
-        for i, (w, g) in enumerate(zip(params, grads)):
-            new_w, self.states[i] = step(self.spec, self.states[i], w, g)
-            self._assign(w, new_w)
+        slots = self._slots
+        with np.errstate(all="ignore"):  # non-finite results become the failed flag
+            for w, g, state in zip(params, grads, self.states):
+                self._assign(w, _advance(slots, state, w, g))
 
 
 class NesterovStepper(Stepper):

@@ -43,14 +43,19 @@ def check_binary_shapes(a: Tensor, b: Tensor) -> None:
         )
 
 
+def _divide_no_nan(a: Tensor, b: Tensor) -> Tensor:
+    """The unchecked core of divide_no_nan: float64 operands that share a
+    shape or of which one is 0-d."""
+    out = np.zeros(np.shape(b) or np.shape(a), dtype=np.float64)
+    np.divide(a, b, out=out, where=(b != 0))
+    return out
+
+
 def divide_no_nan(a: Tensor, b: Tensor) -> Tensor:
     """a / b elementwise, with 0 wherever the denominator is exactly 0."""
     check_binary_shapes(a, b)
-    a2, b2 = np.broadcast_arrays(tensor(a), tensor(b))
-    out = np.zeros(b2.shape, dtype=np.float64)
     with np.errstate(all="ignore"):
-        np.divide(a2, b2, out=out, where=(b2 != 0))
-    return out
+        return _divide_no_nan(tensor(a), tensor(b))
 
 
 def sign(a: Tensor) -> Tensor:
@@ -83,48 +88,19 @@ ARITY = {
 }
 
 
-def _sqrt(a: Tensor) -> Tensor:
-    # sqrt of a negative yields NaN (propagated), not an exception
-    with np.errstate(all="ignore"):
-        return np.sqrt(tensor(a))
-
-
-def _pow(a: Tensor, b: Tensor) -> Tensor:
-    # complex/undefined results (negative base, fractional exponent) yield NaN
-    with np.errstate(all="ignore"):
-        return np.power(tensor(a), tensor(b))
-
-
-def _add(a, b):
-    return tensor(a) + tensor(b)
-
-
-def _subtract(a, b):
-    return tensor(a) - tensor(b)
-
-
-def _multiply(a, b):
-    return tensor(a) * tensor(b)
-
-
-def _square(a):
-    return np.square(tensor(a))
-
-
-def _negative(a):
-    return np.negative(tensor(a))
-
-
+# The raw op callables, shared by `elementwise` and the update-rule compiler
+# in optim. They take float64 operands already checked for shape; sqrt of a
+# negative and pow with a negative base and fractional exponent yield NaN.
 _IMPL = {
-    OpCode.ADD: _add,
-    OpCode.SUBTRACT: _subtract,
-    OpCode.MULTIPLY: _multiply,
-    OpCode.POW: _pow,
-    OpCode.SQUARE: _square,
-    OpCode.DIVIDE_NO_NAN: divide_no_nan,
-    OpCode.SQRT: _sqrt,
-    OpCode.NEGATIVE: _negative,
-    OpCode.SIGN: sign,
+    OpCode.ADD: np.add,
+    OpCode.SUBTRACT: np.subtract,
+    OpCode.MULTIPLY: np.multiply,
+    OpCode.POW: np.power,
+    OpCode.SQUARE: np.square,
+    OpCode.DIVIDE_NO_NAN: _divide_no_nan,
+    OpCode.SQRT: np.sqrt,
+    OpCode.NEGATIVE: np.negative,
+    OpCode.SIGN: np.sign,
 }
 
 
@@ -132,8 +108,9 @@ def elementwise(op: OpCode, *args: Tensor) -> Tensor:
     """Apply one op from the shared operation set, with shape checking."""
     if len(args) != ARITY[op]:
         raise ValueError(f"{op.value} expects {ARITY[op]} args, got {len(args)}")
-    if ARITY[op] == 2:
-        check_binary_shapes(args[0], args[1])
+    args = [tensor(a) for a in args]
+    if len(args) == 2:
+        check_binary_shapes(*args)
     with np.errstate(all="ignore"):
         return _IMPL[op](*args)
 

@@ -432,6 +432,18 @@ class TestEvolveCommand:
         assert capsys.readouterr().err.startswith("data error: checkpoint not found")
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("content", ['{"bad": 1}', "[]", '"text"', "{"])
+    def test_resume_from_malformed_checkpoint_is_data_error(
+            self, tmp_path, capsys, monkeypatch, content):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_cfg(tmp_path, evolve_payload())
+        bad = tmp_path / "ck.json"
+        bad.write_text(content)
+        assert main(["evolve", cfg, "--resume", str(bad)]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith(
+            f"data error: {bad}: not an evolve checkpoint")
+        assert not (tmp_path / "runs").exists()
+
     def test_checkpoint_write_failing_part_way_keeps_previous(
             self, tmp_path, monkeypatch):
         cfg = write_cfg(tmp_path, evolve_payload())

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from optevo.dsge import map_genotype, random_genotype
+from optevo.grammar import load_shipped_grammar
 from optevo.nn import Stepper
 from optevo.optim import (
     BUILTIN_NAMES,
@@ -393,6 +395,78 @@ class TestSteppers:
     def test_unknown_builtin(self):
         with pytest.raises(ValueError, match="unknown optimizer"):
             builtin("adagrad")
+
+
+def interpreted_step(spec, state, w, g):
+    """The reference rule: walk each tree with eval_expr, copy every result."""
+    x1 = eval_expr(spec.x_func, {"x": state.x, "grad": g, "alpha": w})
+    y1 = eval_expr(spec.y_func, {"x": x1, "y": state.y, "grad": g, "alpha": w})
+    z1 = eval_expr(
+        spec.z_func, {"x": x1, "y": y1, "z": state.z, "grad": g, "alpha": w}
+    )
+    new_w = eval_expr(spec.weight_func, {"x": x1, "y": y1, "z": z1, "alpha": w})
+    copy = lambda a: np.array(a, dtype=np.float64)
+    return copy(new_w), OptState(copy(x1), copy(y1), copy(z1))
+
+
+TOY_SHAPES = [(2, 16), (16,), (16, 2), (2,)]  # the 2-16-2 net's params
+
+
+def assert_compiled_matches_interpreted(spec, seed, grad_scale, batches=5):
+    """Step SpecStepper and the interpreter side by side on the toy shapes;
+    returns the shared failed flag."""
+    rng = Rng(seed).child("compiled-vs-interpreted")
+    stepper = SpecStepper(spec)
+    w_compiled = [rng.child("w", k).normal(size=s) for k, s in enumerate(TOY_SHAPES)]
+    w_interp = [w.copy() for w in w_compiled]
+    states = [OptState.zeros(s) for s in TOY_SHAPES]
+    failed = False
+    for t in range(batches):
+        grads = [rng.child("g", t, k).normal(size=s) * grad_scale
+                 for k, s in enumerate(TOY_SHAPES)]
+        stepper.update(w_compiled, grads)
+        for k, (w, g) in enumerate(zip(w_interp, grads)):
+            new_w, states[k] = interpreted_step(spec, states[k], w, g)
+            failed = failed or not np.all(np.isfinite(new_w))
+            w[...] = new_w
+        got = [*w_compiled, *(a for s in stepper.states for a in (s.x, s.y, s.z))]
+        want = [*w_interp, *(a for s in states for a in (s.x, s.y, s.z))]
+        for a, b in zip(got, want):
+            assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
+        assert stepper.failed == failed
+    return failed
+
+
+ALR = load_shipped_grammar("alr")
+
+
+class TestCompiledMatchesInterpreted:
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1.0, 1e-3, 1e3, 1e150, 1e300]),
+    )
+    def test_random_genotypes(self, seed, grad_scale):
+        genotype = random_genotype(ALR, rng=Rng(seed).child("genotype"))
+        spec = spec_from_phenotype(map_genotype(ALR, genotype).text())
+        assert_compiled_matches_interpreted(spec, seed, grad_scale)
+
+    @pytest.mark.parametrize("text, grad_scale, fails", [
+        # x_func = alpha: x (and y = x) are the live weight buffer
+        ("alpha ; x ; add(z, grad) ; subtract(y, multiply(0.01, z))", 1.0, False),
+        # constant-only slots: 0-d auxiliaries, one a divide_no_nan array
+        ("divide_no_nan(1.0, 0.0) ; sqrt(2.0) ; pow(2.0, negative(1.0)) ;"
+         " subtract(alpha, multiply(x, add(y, z)))", 1.0, False),
+        ("multiply(grad, divide_no_nan(0.1, 3.0)) ; y ; z ; 0.5", 1.0, False),
+        ("add(x, multiply(sign(grad), square(0.5))) ; y ; z ; subtract(alpha, x)",
+         1.0, False),
+        # gradients large enough to overflow, and NaN from sqrt
+        ("multiply(grad, grad) ; y ; z ; subtract(alpha, x)", 1e200, True),
+        ("sqrt(grad) ; y ; z ; add(alpha, x)", 1.0, True),
+        ("divide_no_nan(1.0, grad) ; y ; z ; pow(alpha, x)", 1e-300, True),
+    ])
+    def test_edge_cases(self, text, grad_scale, fails):
+        spec = spec_from_phenotype(text)
+        assert assert_compiled_matches_interpreted(spec, 7, grad_scale) == fails
 
 
 class TestHyperParams:
