@@ -205,8 +205,3 @@ def summarize(results) -> str:
         if i == 0:
             lines.append("  ".join("-" * w for w in widths))
     return "\n".join(lines) + "\n"
-
-
-def indices_disjoint(a, b) -> bool:
-    """True when two recorded index sets share no rows."""
-    return len(np.intersect1d(np.asarray(a), np.asarray(b))) == 0

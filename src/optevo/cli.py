@@ -326,6 +326,13 @@ def cmd_evolve(args, mode: str) -> int:
         if not Path(resume).is_file():
             raise DataMissing(f"checkpoint not found: {resume}")
         checkpoint = load_checkpoint(resume)  # malformed: DataError, no run dir
+        _, population, _, _, log = checkpoint
+        if (log.seed, len(population)) != (seed, params.population_size):
+            raise DataError(
+                f"{resume}: checkpoint has seed {log.seed} and population "
+                f"{len(population)}, the run has seed {seed} and population "
+                f"{params.population_size}"
+            )
     run_dir = make_run_dir(_field(cfg, "out", str, "runs"), seed, args.run_dir)
 
     best, log = evolve(

@@ -267,7 +267,7 @@ def save_checkpoint(path, params: EvoParams, generation: int, population,
     }
     # a crash mid-write leaves the previous checkpoint intact
     tmp = Path(path).with_name(Path(path).name + ".tmp")
-    tmp.write_text(json.dumps(state, indent=2), encoding="utf-8")
+    tmp.write_text(json.dumps(state), encoding="utf-8")
     os.replace(tmp, path)
 
 

@@ -1,8 +1,11 @@
 """Small dense classifiers trained from scratch.
 
 The training loop drives the optimizer through one contract, `Stepper`
-(begin_epoch / update / failed), so the same network code scores evolved
-update rules, evolved schedules, and the hand-written baselines.
+(begin_epoch / update / failed / needs_grad), so the same network code scores
+evolved update rules, evolved schedules, and the hand-written baselines. Each
+batch takes one log-softmax, shared by its loss and its backward pass; a
+stepper whose weights never depend on the gradient (`needs_grad` false) gets
+`update(params, None)` and no backward pass at all.
 """
 
 from __future__ import annotations
@@ -43,17 +46,20 @@ class Stepper:
     `begin_epoch(epoch)` runs before each epoch's first batch;
     `update(params, grads)` writes every new weight tensor through `_assign`,
     which sets `failed` on any non-finite value. Subclasses define `update`
-    on their own class.
+    on their own class. A stepper whose weights never depend on the gradient
+    sets `needs_grad` false; `train` then skips backward and calls
+    `update(params, None)`.
     """
 
     name = "stepper"
     failed = False
+    needs_grad = True
 
     def begin_epoch(self, epoch: int) -> None:
         pass
 
     def _assign(self, w: Tensor, new_w: Tensor) -> None:
-        if not np.all(np.isfinite(new_w)):
+        if not np.isfinite(new_w).all():
             self.failed = True
         w[...] = new_w
 
@@ -120,23 +126,31 @@ def _log_softmax(logits: Tensor) -> Tensor:
         return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def mean_loss(logits: Tensor, labels: Tensor) -> float:
-    """Softmax cross-entropy averaged over the batch."""
-    labels = np.asarray(labels, dtype=np.int64)
-    log_probs = _log_softmax(np.asarray(logits, dtype=np.float64))
+def _nll(log_probs: Tensor, labels: Tensor) -> float:
     return float(-log_probs[np.arange(len(labels)), labels].mean())
 
 
-def backward(net: Network, cache: dict, labels: Tensor) -> list[Tensor]:
-    """Gradients of the mean cross-entropy, ordered like net.params."""
+def mean_loss(logits: Tensor, labels: Tensor) -> float:
+    """Softmax cross-entropy averaged over the batch."""
+    labels = np.asarray(labels, dtype=np.int64)
+    return _nll(_log_softmax(np.asarray(logits, dtype=np.float64)), labels)
+
+
+def backward(net: Network, cache: dict, labels: Tensor,
+             log_probs: Tensor | None = None) -> list[Tensor]:
+    """Gradients of the mean cross-entropy, ordered like net.params.
+    `log_probs`, the log-softmax of the cached logits, is computed when not
+    given."""
     labels = np.asarray(labels, dtype=np.int64)
     activations, pre = cache["activations"], cache["pre"]
     batch = len(labels)
     logits = activations[-1]
     if labels.min() < 0 or labels.max() >= logits.shape[1]:
         raise NetworkError("label outside the network's class range")
+    if log_probs is None:
+        log_probs = _log_softmax(logits)
     with np.errstate(all="ignore"):
-        probs = np.exp(_log_softmax(logits))
+        probs = np.exp(log_probs)
         delta = probs
         delta[np.arange(batch), labels] -= 1.0
         delta /= batch
@@ -207,7 +221,9 @@ def train(net: Network, stepper: Stepper, data, cfg: TrainConfig | None = None):
 
     `data` is a (train, validation) Dataset pair.  Any non-finite loss or
     parameter aborts the run with history.failed set — callers treat that
-    as a zero-fitness outcome rather than an exception.
+    as a zero-fitness outcome rather than an exception. Every batch still
+    runs forward and takes its loss when the stepper does not need the
+    gradient: finite weights can overflow the logits.
     """
     cfg = cfg or TrainConfig()
     train_set, val_set = data
@@ -216,15 +232,18 @@ def train(net: Network, stepper: Stepper, data, cfg: TrainConfig | None = None):
     history = TrainHistory()
     tracker = EarlyStopTracker(cfg.patience)
     shuffle_rng = Rng(cfg.shuffle_seed).child("shuffle")
+    needs_grad = getattr(stepper, "needs_grad", True)
     for epoch in range(cfg.max_epochs):
         stepper.begin_epoch(epoch)
         order = shuffle_rng.child("epoch", epoch).permutation(len(train_set))
         total_loss = 0.0
         for lo in range(0, len(order), cfg.batch_size):
             idx = order[lo : lo + cfg.batch_size]
+            labels = train_set.y[idx]
             logits, cache = forward(net, train_set.x[idx])
-            total_loss += mean_loss(logits, train_set.y[idx]) * len(idx)
-            grads = backward(net, cache, train_set.y[idx])
+            log_probs = _log_softmax(logits)
+            total_loss += _nll(log_probs, labels) * len(idx)
+            grads = backward(net, cache, labels, log_probs) if needs_grad else None
             stepper.update(net.params, grads)
             if stepper.failed:
                 history.failed = True

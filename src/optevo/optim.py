@@ -12,7 +12,8 @@ gradient: any use of the gradient has to be routed through an auxiliary.
 `tensor._IMPL`, with variable-free subtrees folded to constants through
 `elementwise`; `SpecStepper` and `step` both run those closures. `eval_expr`
 walks a tree op by op and is kept as the reference the compiled code is
-tested against.
+tested against. `grad_tainted` finds the variables the gradient can reach;
+when the weights are not among them, `SpecStepper` needs no backward pass.
 
 Hand-built specs for the classic first-order optimizers live here too, next
 to native steppers for the two rules the four-function form cannot express
@@ -43,6 +44,8 @@ SLOT_VARS = {
     "z_func": frozenset({"x", "y", "z", "grad", "alpha"}),
     "weight_func": frozenset({"x", "y", "z", "alpha"}),
 }
+# The variable each slot writes, in slot order: the weight slot writes alpha.
+SLOT_OUTPUTS = ("x", "y", "z", "alpha")
 
 SIGN_STEP = 9e-4  # fixed per-step magnitude of the sign-of-gradient rule
 
@@ -299,12 +302,22 @@ def step(
     return new_w, new_state
 
 
-def ades_step(y: Tensor, w: Tensor, grad: Tensor, c1: float = 0.08922, c2: float = 0.0891):
-    """One step of the squared-auxiliary evolved rule, directly as arithmetic."""
-    y = tensor(y)
-    g = tensor(grad)
-    y1 = (1.0 - c1) * y - (c1 * np.square(y) + c2 * y * g + c2 * g)
-    return y1, tensor(w) + y1
+def grad_tainted(spec: OptimizerSpec) -> frozenset:
+    """The variables whose values can depend on the gradient: `grad`, and the
+    output of every slot (x, y, z, or alpha for the weight slot) whose tree
+    reads a tainted variable. A slot also reads its own and later slots'
+    values from the step before, hence the fixpoint."""
+    reads = {out: referenced_vars(getattr(spec, slot))
+             for slot, out in zip(SLOT_VARS, SLOT_OUTPUTS)}
+    tainted = {"grad"}
+    grown = True
+    while grown:
+        grown = False
+        for out, names in reads.items():
+            if out not in tainted and names & tainted:
+                tainted.add(out)
+                grown = True
+    return frozenset(tainted)
 
 
 # --- hyperparameters and hand-built specs ------------------------------------
@@ -456,18 +469,33 @@ def adam_core_spec(hp: HyperParams) -> OptimizerSpec:
 
 
 class SpecStepper(Stepper):
-    """Drives an OptimizerSpec across a network's weight tensors."""
+    """Drives an OptimizerSpec across a network's weight tensors.
+
+    When no gradient reaches the weights (`needs_grad` false),
+    `update(params, None)` runs only the slots the weights depend on; the
+    others keep their state. Real gradients always run all four slots.
+    """
 
     def __init__(self, spec: OptimizerSpec):
         self.spec = spec
         self.name = spec.name
         self.states = None
         self._slots = compile_spec(spec)
+        tainted = grad_tainted(spec)
+        self.needs_grad = "alpha" in tainted
+        if not self.needs_grad:
+            self._lean_slots = tuple(
+                itemgetter(i) if out in tainted else f
+                for i, (out, f) in enumerate(zip(SLOT_OUTPUTS, self._slots))
+            )
 
-    def update(self, params: list, grads: list) -> None:
+    def update(self, params: list, grads: list | None) -> None:
         if self.states is None:
             self.states = [OptState.zeros(p.shape) for p in params]
-        slots = self._slots
+        if grads is None:
+            slots, grads = self._lean_slots, [None] * len(params)
+        else:
+            slots = self._slots
         with np.errstate(all="ignore"):  # non-finite results become the failed flag
             for w, g, state in zip(params, grads, self.states):
                 self._assign(w, _advance(slots, state, w, g))

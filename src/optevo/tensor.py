@@ -25,10 +25,6 @@ def tensor(values) -> Tensor:
     return np.asarray(values, dtype=np.float64)
 
 
-def zeros_like(a: Tensor) -> Tensor:
-    return np.zeros_like(np.asarray(a, dtype=np.float64))
-
-
 def _is_scalar(a: Tensor) -> bool:
     return np.ndim(a) == 0
 
@@ -44,23 +40,11 @@ def check_binary_shapes(a: Tensor, b: Tensor) -> None:
 
 
 def _divide_no_nan(a: Tensor, b: Tensor) -> Tensor:
-    """The unchecked core of divide_no_nan: float64 operands that share a
-    shape or of which one is 0-d."""
+    """a / b elementwise, with 0 wherever the denominator is exactly 0.
+    Unchecked: float64 operands that share a shape or of which one is 0-d."""
     out = np.zeros(np.shape(b) or np.shape(a), dtype=np.float64)
     np.divide(a, b, out=out, where=(b != 0))
     return out
-
-
-def divide_no_nan(a: Tensor, b: Tensor) -> Tensor:
-    """a / b elementwise, with 0 wherever the denominator is exactly 0."""
-    check_binary_shapes(a, b)
-    with np.errstate(all="ignore"):
-        return _divide_no_nan(tensor(a), tensor(b))
-
-
-def sign(a: Tensor) -> Tensor:
-    """Elementwise sign in {-1, 0, +1}; sign(0) = 0."""
-    return np.sign(tensor(a))
 
 
 class OpCode(Enum):
@@ -132,8 +116,17 @@ class Rng:
     def __init__(self, seed: int, _key: tuple = ()):
         self.seed = int(seed)
         self._key = tuple(_key)
-        seq = np.random.SeedSequence(self.seed, spawn_key=self._key)
-        self.generator = np.random.Generator(np.random.Philox(seq))
+        self._generator = None
+
+    @property
+    def generator(self) -> np.random.Generator:
+        """The stream itself, built on the first draw: many streams only ever
+        name children, and the SeedSequence + Philox set-up costs more than
+        a small draw."""
+        if self._generator is None:
+            seq = np.random.SeedSequence(self.seed, spawn_key=self._key)
+            self._generator = np.random.Generator(np.random.Philox(seq))
+        return self._generator
 
     def child(self, *tags) -> "Rng":
         """Derive an independent stream named by the given tags."""

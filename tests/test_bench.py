@@ -11,7 +11,6 @@ from optevo.bench import (
     BenchError,
     BenchmarkScenario,
     BenchResult,
-    indices_disjoint,
     make_entry,
     run_benchmark,
     summarize,
@@ -19,6 +18,11 @@ from optevo.bench import (
 from optevo.data import Dataset, SplitPlan, split, synthetic
 from optevo.optim import HyperParams, SpecStepper, builtin, spec_from_phenotype
 from optevo.sched import Leaf
+
+
+def indices_disjoint(a, b) -> bool:
+    """True when two recorded index sets share no rows."""
+    return len(np.intersect1d(np.asarray(a), np.asarray(b))) == 0
 
 
 class TestMakeEntry:

@@ -444,6 +444,25 @@ class TestEvolveCommand:
             f"data error: {bad}: not an evolve checkpoint")
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("override", [
+        ["--seed", "9"],
+        ["--population", "4"],
+        ["--seed", "9", "--population", "4"],
+    ])
+    def test_resume_with_other_seed_or_population_is_data_error(
+            self, tmp_path, capsys, monkeypatch, override):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_cfg(tmp_path, evolve_payload())
+        part = tmp_path / "p"
+        assert main(["evolve", cfg, "--run-dir", str(part)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["evolve", cfg, "--resume", str(part / "checkpoint.json"),
+                     *override]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {part / 'checkpoint.json'}: checkpoint has")
+        assert "seed 3 and population 5" in err
+        assert not (tmp_path / "runs").exists()
+
     def test_checkpoint_write_failing_part_way_keeps_previous(
             self, tmp_path, monkeypatch):
         cfg = write_cfg(tmp_path, evolve_payload())

@@ -11,6 +11,7 @@ from optevo.nn import (
     NetworkError,
     TrainConfig,
     TrainHistory,
+    _log_softmax,
     backward,
     evaluate,
     forward,
@@ -19,6 +20,7 @@ from optevo.nn import (
 )
 from optevo.optim import HyperParams, builtin, make_stepper, spec_from_phenotype
 from optevo.sched import ScheduledSGD, parse_policy
+from optevo.tensor import Rng
 
 
 def sgd(lr):
@@ -191,6 +193,14 @@ class TestBackwardAgainstFiniteDifferences:
             p -= 0.5 * g
         assert loss_at(net, d.x, d.y) < before
 
+    def test_given_log_probs_give_the_same_bytes(self):
+        net = Network([2, 8, 3], seed=2)
+        d = synthetic("xor_blobs", 40, seed=1)
+        logits, cache = forward(net, d.x)
+        fused = backward(net, cache, d.y, _log_softmax(logits))
+        for a, b in zip(fused, backward(net, cache, d.y)):
+            assert a.tobytes() == b.tobytes()
+
     def test_label_out_of_range(self):
         net = Network([2, 3], seed=0)
         _, cache = forward(net, np.zeros((1, 2)))
@@ -347,6 +357,63 @@ class TestTrain:
         train(net, stepper, toy_data(),
               TrainConfig(batch_size=16, max_epochs=6, early_stop=False))
         assert seen == [0.5, 0.5, 0.5, 0.001, 0.001, 0.001]
+
+    def test_train_loss_is_batch_mean_loss(self):
+        """Each epoch's train loss re-derives, bit for bit, from mean_loss on
+        every batch at the weights that batch saw."""
+
+        class Snapshotting:
+            def __init__(self, inner):
+                self.inner, self.seen = inner, []
+
+            def begin_epoch(self, epoch):
+                self.inner.begin_epoch(epoch)
+
+            @property
+            def failed(self):
+                return self.inner.failed
+
+            def update(self, params, grads):
+                self.seen.append([p.copy() for p in params])
+                self.inner.update(params, grads)
+
+        train_set, val_set = toy_data(n=130, seed=3)
+        cfg = TrainConfig(batch_size=16, max_epochs=3, early_stop=False,
+                          shuffle_seed=5)
+        stepper = Snapshotting(sgd(0.3))
+        _, hist = train(Network([2, 8, 2], seed=1), stepper, (train_set, val_set), cfg)
+        replay = Network([2, 8, 2], seed=1)
+        batches = iter(stepper.seen)
+        shuffle_rng = Rng(cfg.shuffle_seed).child("shuffle")
+        want = []
+        for epoch in range(cfg.max_epochs):
+            order = shuffle_rng.child("epoch", epoch).permutation(len(train_set))
+            total = 0.0
+            for lo in range(0, len(order), cfg.batch_size):
+                idx = order[lo : lo + cfg.batch_size]
+                replay.set_params(next(batches))
+                logits, _ = forward(replay, train_set.x[idx])
+                total += mean_loss(logits, train_set.y[idx]) * len(idx)
+            want.append(total / len(order))
+        assert hist.train_loss == want
+
+    def test_gradient_free_stepper_gets_no_backward(self, monkeypatch):
+        import optevo.nn as nn
+
+        calls = []
+        real_backward = nn.backward
+        monkeypatch.setattr(nn, "backward",
+                            lambda *a: calls.append(1) or real_backward(*a))
+        cfg = TrainConfig(batch_size=30, max_epochs=2, early_stop=False)
+        free = make_stepper(spec_from_phenotype("grad ; y ; z ; multiply(alpha, 0.9)"))
+        assert not free.needs_grad
+        grads_seen = []
+        update = free.update
+        free.update = lambda params, grads: grads_seen.append(grads) or update(params, grads)
+        train(Network([2, 4, 2], seed=0), free, toy_data(), cfg)
+        assert calls == [] and grads_seen == [None] * 6
+        train(Network([2, 4, 2], seed=0), sgd(0.1), toy_data(), cfg)
+        assert len(calls) == 6  # 90 rows in batches of 30, two epochs
 
     def test_empty_training_set_rejected(self):
         from optevo.data import Dataset

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from optevo.data import synthetic
 from optevo.dsge import map_genotype, random_genotype
 from optevo.grammar import load_shipped_grammar
-from optevo.nn import Stepper
+from optevo.nn import Network, Stepper, TrainConfig, train
 from optevo.optim import (
     BUILTIN_NAMES,
     AdamStepper,
@@ -21,9 +22,9 @@ from optevo.optim import (
     UnboundVariableError,
     Var,
     adam_core_spec,
-    ades_step,
     builtin,
     eval_expr,
+    grad_tainted,
     make_stepper,
     parse_expr,
     serialize_expr,
@@ -236,6 +237,22 @@ class TestStepExamples:
         np.testing.assert_array_equal(state.x, [0.0, 0.0])
 
 
+def ades_step(y, w, grad):
+    """One step of the built-in ades spec from auxiliary y: (y', w')."""
+    w = tensor(w)
+    zeros = np.zeros_like(w)
+    new_w, state = step(builtin("ades"), OptState(zeros, tensor(y), zeros), w, grad)
+    return state.y, new_w
+
+
+def ades_direct(y, w, grad, c1=0.08922, c2=0.0891):
+    """The same step written directly as arithmetic."""
+    y = tensor(y)
+    g = tensor(grad)
+    y1 = (1.0 - c1) * y - (c1 * np.square(y) + c2 * y * g + c2 * g)
+    return y1, tensor(w) + y1
+
+
 class TestAdesStep:
     def test_fixed_point_at_zero(self):
         y1, w1 = ades_step(tensor([0.0]), tensor([3.0]), tensor([0.0]))
@@ -268,14 +285,13 @@ class TestAdesStep:
         np.testing.assert_allclose(mine, expect, rtol=0, atol=1e-12)
 
     def test_matches_spec_interpreter(self):
-        spec = builtin("ades")
-        state = OptState.zeros((3,))
+        y = tensor([0.0, 0.3, -0.1])
         w = tensor([0.2, -0.4, 1.0])
         g = tensor([1.0, -2.0, 0.5])
-        new_w, new_state = step(spec, state, w, g)
-        y1, w1 = ades_step(state.y, w, g)
+        new_y, new_w = ades_step(y, w, g)
+        y1, w1 = ades_direct(y, w, g)
         np.testing.assert_allclose(new_w, w1, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(new_state.y, y1, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(new_y, y1, rtol=0, atol=1e-15)
 
 
 class TestOracleEquivalence:
@@ -467,6 +483,87 @@ class TestCompiledMatchesInterpreted:
     def test_edge_cases(self, text, grad_scale, fails):
         spec = spec_from_phenotype(text)
         assert assert_compiled_matches_interpreted(spec, 7, grad_scale) == fails
+
+
+class TestGradTainted:
+    @pytest.mark.parametrize("name", ["sgd", "momentum", "rmsprop", "sign", "ades"])
+    def test_builtin_specs_need_grad(self, name):
+        assert "alpha" in grad_tainted(builtin(name))
+        assert SpecStepper(builtin(name)).needs_grad
+
+    def test_adam_core_needs_grad(self):
+        spec = adam_core_spec(HyperParams())
+        assert grad_tainted(spec) == {"grad", "x", "y", "z", "alpha"}
+        assert SpecStepper(spec).needs_grad
+
+    @pytest.mark.parametrize("text, tainted", [
+        ("grad ; y ; z ; add(alpha, x)", {"grad", "x", "alpha"}),
+        # through y: x = grad, y = x, w = alpha + y
+        ("grad ; x ; z ; add(alpha, y)", {"grad", "x", "y", "alpha"}),
+        # x reads the weights, which the gradient reaches a step later
+        ("alpha ; add(y, grad) ; z ; add(alpha, y)", {"grad", "x", "y", "alpha"}),
+        ("grad ; y ; z ; multiply(alpha, 0.9)", {"grad", "x"}),
+        ("alpha ; y ; z ; x", {"grad"}),
+        ("multiply(x, 0.5) ; add(y, grad) ; square(y) ; subtract(alpha, x)",
+         {"grad", "y", "z"}),
+    ])
+    def test_hand_cases(self, text, tainted):
+        spec = spec_from_phenotype(text)
+        assert grad_tainted(spec) == tainted
+        assert SpecStepper(spec).needs_grad == ("alpha" in tainted)
+
+    def test_gradient_free_update_keeps_tainted_state(self):
+        spec = spec_from_phenotype("add(x, grad) ; y ; add(z, 1.0) ; add(alpha, z)")
+        stepper = SpecStepper(spec)
+        assert not stepper.needs_grad
+        w = [np.array([1.0, 2.0])]
+        stepper.update(w, None)
+        stepper.update(w, None)
+        state = stepper.states[0]
+        assert state.x.tolist() == [0.0, 0.0]  # never run without a gradient
+        assert state.z.tolist() == [2.0, 2.0]
+        assert w[0].tolist() == [4.0, 5.0]
+
+
+class GradScaled(SpecStepper):
+    """A SpecStepper whose gradients arrive multiplied by `scale`; `force`
+    makes train run backward for it whatever its spec needs."""
+
+    def __init__(self, spec, scale, force):
+        super().__init__(spec)
+        self.scale = scale
+        if force:
+            self.needs_grad = True
+
+    def update(self, params, grads):
+        if grads is not None:
+            with np.errstate(all="ignore"):
+                grads = [g * self.scale for g in grads]
+        super().update(params, grads)
+
+
+def train_outcome(spec, seed, scale, force):
+    d = synthetic("two_gaussians", 100, noise=0.1, seed=seed % 97)
+    data = d.take(np.arange(70)), d.take(np.arange(70, 100))
+    cfg = TrainConfig(batch_size=20, max_epochs=3, early_stop=False,
+                      shuffle_seed=seed)
+    net, hist = train(Network([2, 16, 2], seed=seed), GradScaled(spec, scale, force),
+                      data, cfg)
+    return ([p.tobytes() for p in net.params], hist.train_loss, hist.val_loss,
+            hist.epochs_run, hist.failed)
+
+
+class TestLeanStepMatchesFullStep:
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1.0, 1e-3, 1e3, 1e150, 1e300]),
+    )
+    def test_random_genotypes(self, seed, grad_scale):
+        genotype = random_genotype(ALR, rng=Rng(seed).child("genotype"))
+        spec = spec_from_phenotype(map_genotype(ALR, genotype).text())
+        lean = train_outcome(spec, seed, grad_scale, force=False)
+        full = train_outcome(spec, seed, grad_scale, force=True)
+        assert lean == full
 
 
 class TestHyperParams:

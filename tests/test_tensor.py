@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -10,12 +12,18 @@ from optevo.tensor import (
     Rng,
     ShapeMismatchError,
     check_binary_shapes,
-    divide_no_nan,
     elementwise,
-    sign,
     tensor,
-    zeros_like,
 )
+
+
+def divide_no_nan(a, b):
+    return elementwise(OpCode.DIVIDE_NO_NAN, a, b)
+
+
+def sign(a):
+    return elementwise(OpCode.SIGN, a)
+
 
 finite_arrays = hnp.arrays(
     dtype=np.float64,
@@ -136,10 +144,6 @@ class TestShapes:
         with pytest.raises(ShapeMismatchError):
             elementwise(OpCode.ADD, tensor([1.0, 2.0]), tensor([[1.0], [2.0]]))
 
-    def test_zeros_like_matches_shape(self):
-        z = zeros_like(tensor([[1.0, 2.0], [3.0, 4.0]]))
-        assert z.shape == (2, 2) and np.all(z == 0)
-
 
 class TestRng:
     def test_same_seed_same_stream(self):
@@ -173,6 +177,16 @@ class TestRng:
         assert not np.array_equal(
             r.child("gen", 1).uniform(size=8), r.child("gen", 2).uniform(size=8)
         )
+
+    def test_stream_is_built_on_first_draw(self):
+        root = Rng(11)
+        r = root.child("init", 2)
+        assert root._generator is None and r._generator is None
+        got = r.normal(size=6)
+        assert root._generator is None and r._generator is not None
+        seq = np.random.SeedSequence(11, spawn_key=(zlib.crc32(b"init"), 2))
+        want = np.random.Generator(np.random.Philox(seq)).normal(size=6)
+        assert got.tobytes() == want.tobytes()
 
     def test_shuffle_and_permutation(self):
         r = Rng(3)
