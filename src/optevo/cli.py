@@ -198,8 +198,18 @@ def build_task(cfg: dict, seed: int, where: str = "config.task"):
                             f"{where}.split")
     splits = split(master, plan)
     layer_sizes = _field(cfg, "layer_sizes", list, where=where)
-    if not layer_sizes or not all(isinstance(s, int) and s > 0 for s in layer_sizes):
-        raise ConfigError(f"{where}.layer_sizes: need a list of positive ints")
+    if len(layer_sizes) < 2 or not all(isinstance(s, int) and s > 0 for s in layer_sizes):
+        raise ConfigError(f"{where}.layer_sizes: need a list of at least two positive ints")
+    if layer_sizes[0] != master.x.shape[1]:
+        raise ConfigError(
+            f"{where}.layer_sizes: input size {layer_sizes[0]}, but the dataset "
+            f"has {master.x.shape[1]} features"
+        )
+    if layer_sizes[-1] < master.n_classes:
+        raise ConfigError(
+            f"{where}.layer_sizes: output size {layer_sizes[-1]}, but the dataset "
+            f"has {master.n_classes} classes"
+        )
     try:
         train_config = TrainConfig(
             batch_size=_field(cfg, "batch_size", int, 1000, where=where),

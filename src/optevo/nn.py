@@ -6,10 +6,18 @@ evolved update rules, evolved schedules, and the hand-written baselines. Each
 batch takes one log-softmax, shared by its loss and its backward pass; a
 stepper whose weights never depend on the gradient (`needs_grad` false) gets
 `update(params, None)` and no backward pass at all.
+
+A network keeps all its parameters in one flat float64 buffer, and `train`
+hands the stepper that one tensor, `update([net.flat], [flat_grad])`, with
+`backward` writing every gradient into views of one fresh flat buffer. Every
+shipped rule is elementwise, so this gives the bytes that stepping each
+weight tensor on its own gives, with one round of numpy calls per batch
+instead of one per tensor.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -45,10 +53,12 @@ class Stepper:
 
     `begin_epoch(epoch)` runs before each epoch's first batch;
     `update(params, grads)` writes every new weight tensor through `_assign`,
-    which sets `failed` on any non-finite value. Subclasses define `update`
-    on their own class. A stepper whose weights never depend on the gradient
-    sets `needs_grad` false; `train` then skips backward and calls
-    `update(params, None)`.
+    which sets `failed` on any non-finite value. `train` passes one tensor,
+    the network's flat parameter buffer, and its flat gradient, so an update
+    must act elementwise; called directly it takes any list of tensors.
+    Subclasses define `update` on their own class. A stepper whose weights
+    never depend on the gradient sets `needs_grad` false; `train` then skips
+    backward and calls `update(params, None)`.
     """
 
     name = "stepper"
@@ -65,7 +75,12 @@ class Stepper:
 
 
 class Network:
-    """Fully-connected stack; the final layer feeds softmax cross-entropy."""
+    """Fully-connected stack; the final layer feeds softmax cross-entropy.
+
+    All parameters live in one float64 vector, `flat`, laid out like
+    `params` ([w0, b0, w1, b1, ...], each C order). Every layer's `weights`
+    and `bias` is a view into it: write into them, do not rebind them.
+    """
 
     def __init__(self, layer_sizes, seed: int = 0):
         sizes = list(layer_sizes)
@@ -75,17 +90,30 @@ class Network:
             raise NetworkError("layer sizes must be positive")
         self.layer_sizes = sizes
         self.seed = seed
+        self._layout = []  # (start, stop, shape) of each tensor in `flat`
+        stop = 0
+        for fan_in, fan_out in zip(sizes, sizes[1:]):
+            for shape in ((fan_in, fan_out), (fan_out,)):
+                start, stop = stop, stop + math.prod(shape)
+                self._layout.append((start, stop, shape))
+        self.flat = np.zeros(stop)
+        views = self._views(self.flat)
         rng = Rng(seed).child("init")
         self.layers: list[Dense] = []
         for i, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
             limit = np.sqrt(6.0 / fan_in)
-            w = rng.child("layer", i).uniform(-limit, limit, size=(fan_in, fan_out))
+            w, b = views[2 * i], views[2 * i + 1]
+            w[...] = rng.child("layer", i).uniform(-limit, limit, size=(fan_in, fan_out))
             act = "linear" if i == len(sizes) - 2 else "relu"
-            self.layers.append(Dense(w, np.zeros(fan_out), act))
+            self.layers.append(Dense(w, b, act))
+
+    def _views(self, flat: Tensor) -> list[Tensor]:
+        """Views [w0, b0, w1, b1, ...] into a buffer laid out like `flat`."""
+        return [flat[start:stop].reshape(shape) for start, stop, shape in self._layout]
 
     @property
     def params(self) -> list[Tensor]:
-        """Flat view [w0, b0, w1, b1, ...] — steppers update these in place."""
+        """Views [w0, b0, w1, b1, ...] into `flat`; writing them writes it."""
         out = []
         for layer in self.layers:
             out.append(layer.weights)
@@ -93,12 +121,15 @@ class Network:
         return out
 
     def set_params(self, values) -> None:
-        values = list(values)
+        """Copy one tensor per entry of `params` into `flat`."""
+        values = [np.asarray(v, dtype=np.float64) for v in values]
         if len(values) != 2 * len(self.layers):
             raise NetworkError("wrong number of parameter tensors")
-        for i, layer in enumerate(self.layers):
-            layer.weights = np.array(values[2 * i], dtype=np.float64)
-            layer.bias = np.array(values[2 * i + 1], dtype=np.float64)
+        for value, (_, _, shape) in zip(values, self._layout):
+            if value.shape != shape:
+                raise NetworkError(f"parameter shape {value.shape}, expected {shape}")
+        for dest, value in zip(self._views(self.flat), values):
+            dest[...] = value
 
 
 def forward(net: Network, batch_x: Tensor):
@@ -137,10 +168,11 @@ def mean_loss(logits: Tensor, labels: Tensor) -> float:
 
 
 def backward(net: Network, cache: dict, labels: Tensor,
-             log_probs: Tensor | None = None) -> list[Tensor]:
-    """Gradients of the mean cross-entropy, ordered like net.params.
-    `log_probs`, the log-softmax of the cached logits, is computed when not
-    given."""
+             log_probs: Tensor | None = None, out: Tensor | None = None) -> list[Tensor]:
+    """Gradients of the mean cross-entropy, ordered like net.params: views
+    into `out`, a float64 buffer laid out like net.flat (a fresh one when not
+    given). `log_probs`, the log-softmax of the cached logits, is computed
+    when not given."""
     labels = np.asarray(labels, dtype=np.int64)
     activations, pre = cache["activations"], cache["pre"]
     batch = len(labels)
@@ -149,18 +181,17 @@ def backward(net: Network, cache: dict, labels: Tensor,
         raise NetworkError("label outside the network's class range")
     if log_probs is None:
         log_probs = _log_softmax(logits)
+    grads = net._views(np.empty_like(net.flat) if out is None else out)
     with np.errstate(all="ignore"):
         probs = np.exp(log_probs)
         delta = probs
         delta[np.arange(batch), labels] -= 1.0
         delta /= batch
-        grads: list[Tensor] = []
         for i in range(len(net.layers) - 1, -1, -1):
-            grads.append(delta.sum(axis=0))  # bias
-            grads.append(activations[i].T @ delta)  # weights
+            delta.sum(axis=0, out=grads[2 * i + 1])  # bias
+            np.matmul(activations[i].T, delta, out=grads[2 * i])  # weights
             if i > 0:
                 delta = (delta @ net.layers[i].weights.T) * (pre[i - 1] > 0)
-    grads.reverse()
     return grads
 
 
@@ -229,10 +260,15 @@ def train(net: Network, stepper: Stepper, data, cfg: TrainConfig | None = None):
     train_set, val_set = data
     if len(train_set) == 0:
         raise NetworkError("cannot train on an empty dataset")
+    width = net.layer_sizes[-1]
+    for part in (train_set, val_set):
+        if len(part) and not (part.y.min() >= 0 and part.y.max() < width):
+            raise NetworkError("label outside the network's class range")
     history = TrainHistory()
     tracker = EarlyStopTracker(cfg.patience)
     shuffle_rng = Rng(cfg.shuffle_seed).child("shuffle")
     needs_grad = getattr(stepper, "needs_grad", True)
+    params = [net.flat]
     for epoch in range(cfg.max_epochs):
         stepper.begin_epoch(epoch)
         order = shuffle_rng.child("epoch", epoch).permutation(len(train_set))
@@ -243,8 +279,12 @@ def train(net: Network, stepper: Stepper, data, cfg: TrainConfig | None = None):
             logits, cache = forward(net, train_set.x[idx])
             log_probs = _log_softmax(logits)
             total_loss += _nll(log_probs, labels) * len(idx)
-            grads = backward(net, cache, labels, log_probs) if needs_grad else None
-            stepper.update(net.params, grads)
+            if needs_grad:
+                flat_grad = np.empty_like(net.flat)  # fresh: steppers may keep it
+                backward(net, cache, labels, log_probs, flat_grad)
+                stepper.update(params, [flat_grad])
+            else:
+                stepper.update(params, None)
             if stepper.failed:
                 history.failed = True
                 return net, history

@@ -529,6 +529,9 @@ class AdamStepper(Stepper):
     global step count t, which spec expressions cannot see:
     x' = b1*x + (1-b1)*g; y' = b2*y + (1-b2)*g^2;
     z_t = lr*sqrt(1-b2^t)/(1-b1^t); w' = w - z_t*x'/(sqrt(y')+eps).
+    Updating `avg` and `sq` in place gives the same bytes but was slower on
+    the 2-16-2 net's four tensors (44.6 -> 53.0 us per update), so each step
+    allocates.
     """
 
     name = "adam"

@@ -1,12 +1,19 @@
-"""Independent scalar recurrences used as ground truth for the optimizer runtime.
+"""Independent references used as ground truth for the package.
 
-Each function advances one scalar weight through a list of gradients and
-returns the weight value after every step. They are written directly from the
-published update rules in plain Python floats and share no code with the
-package — that independence is what makes them oracles.
+The trajectory functions advance one scalar weight through a list of
+gradients and return the weight value after every step. They are written
+directly from the published update rules in plain Python floats and share no
+code with the package — that independence is what makes them oracles.
+
+`gp_kernel` is the tuner's squared-exponential kernel in its direct
+broadcast form, and `train_per_tensor` is the training loop over separately
+allocated weight tensors, each stepped on its own: the layouts the package
+replaced with a 2-D accumulation and one flat parameter buffer.
 """
 
 import math
+
+import numpy as np
 
 
 def sgd_trajectory(w0, grads, lr):
@@ -111,3 +118,85 @@ ORACLES = {
     "sign": lambda w0, grads, hp: sign_trajectory(w0, grads),
     "ades": lambda w0, grads, hp: ades_trajectory(w0, grads, hp.c1, hp.c2),
 }
+
+
+def gp_kernel(a, b, length_scale=0.25):
+    """exp(-0.5 * |a_i - b_j|^2 / length_scale^2) through an (n, m, d)
+    broadcast temporary reduced over its last axis."""
+    d2 = ((a[:, None, :] - b[None, :, :]) / length_scale) ** 2
+    return np.exp(-0.5 * d2.sum(axis=2))
+
+
+def _log_softmax(logits):
+    with np.errstate(all="ignore"):
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def _nll(log_probs, labels):
+    return float(-log_probs[np.arange(len(labels)), labels].mean())
+
+
+def _forward(params, x):
+    activations, pre = [x], []
+    with np.errstate(all="ignore"):
+        for i in range(0, len(params), 2):
+            z = activations[-1] @ params[i] + params[i + 1]
+            pre.append(z)
+            activations.append(np.maximum(z, 0.0) if i + 2 < len(params) else z)
+    return activations, pre
+
+
+def _backward(params, activations, pre, labels, log_probs):
+    batch = len(labels)
+    with np.errstate(all="ignore"):
+        delta = np.exp(log_probs)
+        delta[np.arange(batch), labels] -= 1.0
+        delta /= batch
+        grads = []
+        for i in range(len(params) // 2 - 1, -1, -1):
+            grads.append(delta.sum(axis=0))
+            grads.append(activations[i].T @ delta)
+            if i > 0:
+                delta = (delta @ params[2 * i].T) * (pre[i - 1] > 0)
+    grads.reverse()
+    return grads
+
+
+def train_per_tensor(params, stepper, data, cfg, order):
+    """The training loop with `params` ([w0, b0, w1, b1, ...], updated in
+    place) handed to `stepper` one tensor per entry. `order(epoch)` is the
+    epoch's row permutation; `cfg` a TrainConfig. Returns (train_loss,
+    val_loss, epochs_run, stopped_early, failed)."""
+    train_set, val_set = data
+    train_loss, val_loss = [], []
+    best, bad_epochs = np.inf, 0
+    needs_grad = getattr(stepper, "needs_grad", True)
+    for epoch in range(cfg.max_epochs):
+        stepper.begin_epoch(epoch)
+        rows = order(epoch)
+        total = 0.0
+        for lo in range(0, len(rows), cfg.batch_size):
+            idx = rows[lo : lo + cfg.batch_size]
+            labels = train_set.y[idx]
+            activations, pre = _forward(params, train_set.x[idx])
+            log_probs = _log_softmax(activations[-1])
+            total += _nll(log_probs, labels) * len(idx)
+            grads = (_backward(params, activations, pre, labels, log_probs)
+                     if needs_grad else None)
+            stepper.update(params, grads)
+            if stepper.failed:
+                return train_loss, val_loss, len(train_loss), False, True
+        epoch_train = total / len(rows)
+        epoch_val = _nll(_log_softmax(_forward(params, val_set.x)[0][-1]), val_set.y)
+        if not (np.isfinite(epoch_train) and np.isfinite(epoch_val)):
+            return train_loss, val_loss, len(train_loss), False, True
+        train_loss.append(epoch_train)
+        val_loss.append(epoch_val)
+        if epoch_val < best:
+            best, bad_epochs = epoch_val, 0
+        else:
+            bad_epochs += 1
+        if cfg.early_stop and bad_epochs >= cfg.patience:
+            return train_loss, val_loss, len(train_loss), True, False
+    return train_loss, val_loss, len(train_loss), False, False

@@ -179,6 +179,23 @@ class TestConfigErrors:
         payload["task"]["layer_sizes"] = [2, 0, 2]
         assert main(["evolve", write_cfg(tmp_path, payload)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("command, payload", [
+        ("evolve", evolve_payload), ("tune", tune_payload),
+        ("benchmark", bench_payload)])
+    @pytest.mark.parametrize("sizes, message", [
+        ([2, 16, 1], "output size 1, but the dataset has 2 classes"),
+        ([3, 16, 2], "input size 3, but the dataset has 2 features"),
+        ([2], "at least two"),
+    ])
+    def test_layer_sizes_that_do_not_fit_the_dataset(
+            self, tmp_path, capsys, monkeypatch, command, payload, sizes, message):
+        monkeypatch.chdir(tmp_path)
+        cfg = payload()
+        cfg["task"]["layer_sizes"] = sizes
+        assert main([command, write_cfg(tmp_path, cfg)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
     def test_trials_exceed_groups(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, evolve_payload(trials=9))
         assert main(["evolve", cfg]) == EXIT_CONFIG

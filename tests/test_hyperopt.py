@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from optevo.hyperopt import (
     SearchSpace,
     TuneError,
     TuneTrial,
+    _kernel,
     _norm_cdf,
     _norm_pdf,
     _sobol_design,
@@ -32,6 +34,8 @@ from optevo.hyperopt import (
 )
 from optevo.nn import TrainConfig
 from optevo.tensor import Rng
+
+from oracles import gp_kernel
 
 
 class TestParamSpec:
@@ -222,6 +226,42 @@ class TestSelfContainedDesign:
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True, timeout=120).stdout
         assert out.strip() == "[]"
+
+
+class TestKernel:
+    @given(
+        st.integers(1, 300),
+        st.integers(1, 300),
+        st.integers(1, 3),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+    )
+    def test_matches_broadcast_form_bit_for_bit(self, n, m, d, seed, shared):
+        rng = np.random.default_rng(seed)
+        a = rng.random((n, d))
+        # proposals near the incumbent are clipped onto the cube's faces
+        b = np.clip(rng.normal(0.5, 0.4, size=(m, d)), 0.0, 1.0)
+        if shared:  # duplicate points: a zero distance
+            k = min(n, m)
+            b[:k] = a[:k]
+            a[-1] = a[0]
+        got, want = _kernel(a, b), gp_kernel(a, b)
+        assert (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype,
+                                                          want.tobytes())
+
+    def test_builds_no_three_dimensional_temporary(self):
+        """Peak allocation at the largest tune-gp query shape (budget 200,
+        3 parameters) stays near the (n, m) output; an (n, m, 3) temporary
+        alone is three outputs."""
+        rng = np.random.default_rng(0)
+        a, b = rng.random((199, 3)), rng.random((832, 3))
+        tracemalloc.start()
+        try:
+            out = _kernel(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * out.nbytes
 
 
 class TestTaskObjective:

@@ -1,9 +1,15 @@
 """Dense network: init, forward/backward vs finite differences, training loop."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from optevo.data import synthetic
+from optevo.data import Dataset, synthetic
+from optevo.dsge import map_genotype, random_genotype
+from optevo.grammar import load_shipped_grammar
 from optevo.nn import (
     Dense,
     EarlyStopTracker,
@@ -18,9 +24,17 @@ from optevo.nn import (
     mean_loss,
     train,
 )
-from optevo.optim import HyperParams, builtin, make_stepper, spec_from_phenotype
+from optevo.optim import (
+    BUILTIN_NAMES,
+    HyperParams,
+    builtin,
+    make_stepper,
+    spec_from_phenotype,
+)
 from optevo.sched import ScheduledSGD, parse_policy
 from optevo.tensor import Rng
+
+from oracles import train_per_tensor
 
 
 def sgd(lr):
@@ -80,6 +94,24 @@ class TestNetworkInit:
         np.testing.assert_array_equal(net.layers[1].weights, 0.5)
         with pytest.raises(NetworkError, match="number of parameter"):
             net.set_params(vals[:-1])
+
+    def test_set_params_rejects_a_wrong_shape_and_writes_nothing(self):
+        net = Network([2, 3, 2], seed=0)
+        before = net.flat.copy()
+        vals = [np.full_like(p, 0.5) for p in net.params]
+        vals[3] = np.zeros((2, 1))
+        with pytest.raises(NetworkError, match=r"shape \(2, 1\), expected \(2,\)"):
+            net.set_params(vals)
+        assert net.flat.tobytes() == before.tobytes()
+
+    def test_params_are_views_into_flat(self):
+        net = Network([3, 4, 2], seed=1)
+        params = net.params
+        assert net.flat.tobytes() == b"".join(p.tobytes() for p in params)
+        assert all(p.flags.c_contiguous and np.shares_memory(p, net.flat)
+                   for p in params)
+        net.flat[...] = 2.0
+        assert all((p == 2.0).all() for p in params)
 
 
 class TestForward:
@@ -360,7 +392,8 @@ class TestTrain:
 
     def test_train_loss_is_batch_mean_loss(self):
         """Each epoch's train loss re-derives, bit for bit, from mean_loss on
-        every batch at the weights that batch saw."""
+        every batch at the weights that batch saw. `train` hands the stepper
+        one flat tensor, so the snapshots replay through `flat`."""
 
         class Snapshotting:
             def __init__(self, inner):
@@ -391,7 +424,8 @@ class TestTrain:
             total = 0.0
             for lo in range(0, len(order), cfg.batch_size):
                 idx = order[lo : lo + cfg.batch_size]
-                replay.set_params(next(batches))
+                (snapshot,) = next(batches)
+                replay.flat[...] = snapshot
                 logits, _ = forward(replay, train_set.x[idx])
                 total += mean_loss(logits, train_set.y[idx]) * len(idx)
             want.append(total / len(order))
@@ -431,3 +465,87 @@ class TestTrain:
             TrainConfig(max_epochs=0)
         with pytest.raises(NetworkError, match="patience"):
             TrainConfig(patience=0)
+
+
+class TestLabelRange:
+    """`train` checks every label against the output width before the first
+    batch, whatever the stepper needs."""
+
+    @pytest.mark.parametrize("phenotype", [None, "grad ; y ; z ; multiply(alpha, 0.9)"])
+    @pytest.mark.parametrize("bad_part", [0, 1])
+    def test_label_outside_class_range_rejected(self, phenotype, bad_part):
+        labelled = Dataset(np.zeros((20, 2)), np.arange(20) % 3)
+        fine = Dataset(np.zeros((20, 2)), np.arange(20) % 2)
+        data = (labelled, fine) if bad_part == 0 else (fine, labelled)
+        stepper = sgd(0.1) if phenotype is None else make_stepper(
+            spec_from_phenotype(phenotype))
+        calls = []
+        update = stepper.update
+        stepper.update = lambda params, grads: calls.append(1) or update(params, grads)
+        with pytest.raises(NetworkError, match="class range"):
+            train(Network([2, 2], seed=0), stepper, data,
+                  TrainConfig(batch_size=5, max_epochs=1))
+        assert calls == []
+
+    def test_unused_output_classes_are_allowed(self):
+        _, hist = train(Network([2, 3], seed=0), sgd(0.1), toy_data(),
+                        TrainConfig(batch_size=30, max_epochs=2))
+        assert hist.epochs_run == 2 and not hist.failed
+
+
+ALR = load_shipped_grammar("alr")
+
+# hand-picked rules: x_func = alpha (x is the live weight buffer), rules that
+# overflow, and rules no gradient reaches (no backward pass)
+EDGE_PHENOTYPES = [
+    "alpha ; x ; add(z, grad) ; subtract(y, multiply(0.01, z))",
+    "multiply(grad, grad) ; y ; z ; subtract(alpha, multiply(1e300, x))",
+    "grad ; y ; z ; multiply(alpha, 0.9)",
+    "grad ; add(y, 1.0) ; z ; multiply(alpha, multiply(y, 1e100))",
+    "divide_no_nan(0.01, 3.0) ; y ; z ; subtract(alpha, x)",
+]
+STEPPER_KINDS = [*BUILTIN_NAMES, "scheduled", "alr", *EDGE_PHENOTYPES]
+
+
+def make_case_stepper(kind, seed, lr_scale):
+    rng = Rng(seed).child("flat-vs-per-tensor")
+    if kind == "scheduled":
+        return ScheduledSGD(parse_policy(f"if(epoch < 2.0, {0.5 * lr_scale!r}, 0.01)"))
+    if kind == "alr":
+        genotype = random_genotype(ALR, rng=rng.child("genotype"))
+        return make_stepper(spec_from_phenotype(map_genotype(ALR, genotype).text()))
+    if kind in BUILTIN_NAMES:
+        hp = HyperParams.defaults_for(kind)
+        return make_stepper(kind, replace(
+            hp, lr=hp.lr * lr_scale, mom=float(rng.uniform(0.5, 0.99)),
+            beta1=float(rng.uniform(0.5, 0.99))))
+    return make_stepper(spec_from_phenotype(kind))
+
+
+class TestFlatMatchesPerTensor:
+    """`train` steps one flat buffer; stepping each tensor on its own, from
+    separately allocated arrays, gives the same bytes."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(STEPPER_KINDS),
+        st.sampled_from([1.0, 1e3, 1e300]),
+        st.lists(st.integers(1, 9), max_size=2),
+        st.booleans(),
+    )
+    def test_same_outcome(self, seed, kind, lr_scale, hidden, early_stop):
+        d = synthetic("two_gaussians", 90, noise=0.1, seed=seed % 89)
+        data = d.take(np.arange(60)), d.take(np.arange(60, 90))
+        sizes = [2, *hidden, 2 + seed % 2]
+        cfg = TrainConfig(batch_size=16, max_epochs=4, early_stop=early_stop,
+                          patience=1, shuffle_seed=seed % 1000)
+        net, hist = train(Network(sizes, seed=seed),
+                          make_case_stepper(kind, seed, lr_scale), data, cfg)
+        params = [p.copy() for p in Network(sizes, seed=seed).params]
+        shuffle = Rng(cfg.shuffle_seed).child("shuffle")
+        want = train_per_tensor(
+            params, make_case_stepper(kind, seed, lr_scale), data, cfg,
+            lambda epoch: shuffle.child("epoch", epoch).permutation(60))
+        assert [p.tobytes() for p in net.params] == [p.tobytes() for p in params]
+        assert (hist.train_loss, hist.val_loss, hist.epochs_run,
+                hist.stopped_early, hist.failed) == want
