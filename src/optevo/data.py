@@ -141,13 +141,6 @@ class SplitPlan:
         return self.train_total + self.validation + self.test
 
 
-# the published partition sizes for the two experiment families
-ALR_PLAN = SplitPlan(train_total=53_000, per_trial=10_600, trial_count=5,
-                     validation=3_500, test=3_500)
-DLR_PLAN = SplitPlan(train_total=7_000, per_trial=7_000, trial_count=1,
-                     validation=1_500, test=1_500)
-
-
 @dataclass
 class Splits:
     trial_groups: list  # of Dataset, pairwise disjoint

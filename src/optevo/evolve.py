@@ -147,9 +147,6 @@ class EvolveRunLog:
     best_phenotype: str | None = None
     best_genotype: Genotype | None = None
 
-    def best_per_generation(self) -> list:
-        return [s.best for s in self.stats]
-
 
 def _map_individual(grammar, params, ind: Individual, repair_rng: Rng) -> str | None:
     try:
@@ -223,20 +220,22 @@ def _population_stats(population, generation, evaluations, seconds) -> Generatio
     )
 
 
-def _append_log_row(path, stat: GenerationStat) -> None:
-    new = not Path(path).exists()
-    with open(path, "a", newline="") as f:
+def _write_log_rows(path, stats, mode: str = "a") -> None:
+    """Write one log row per GenerationStat, after the header when `mode` is
+    "w" or the file is new."""
+    header = mode == "w" or not Path(path).exists()
+    with open(path, mode, newline="") as f:
         w = csv.writer(f)
-        if new:
+        if header:
             w.writerow(LOG_COLUMNS)
-        w.writerow([
+        w.writerows([
             stat.generation,
             f"{stat.best:.6f}",
             f"{stat.mean:.6f}",
             f"{stat.median:.6f}",
             stat.evaluations,
             f"{stat.seconds:.3f}",
-        ])
+        ] for stat in stats)
 
 
 def save_checkpoint(path, params: EvoParams, generation: int, population,
@@ -315,7 +314,9 @@ def evolve(
     Generation 0 is the evaluated random initialization; each later
     generation breeds, then evaluates exactly population_size - elitism
     newcomers (elites keep their cached fitness). `resume_from` is a
-    checkpoint path or what `load_checkpoint` returned for one.
+    checkpoint path or what `load_checkpoint` returned for one; resuming
+    rewrites `log_path` from the checkpoint's stats before appending, so the
+    log holds each generation once.
     """
     root = Rng(params.rng_seed).child("evolve")
     cache: dict = {}
@@ -324,6 +325,12 @@ def evolve(
             resume_from = load_checkpoint(resume_from)
         start_gen, population, next_id, cache, log = resume_from
         start_gen += 1
+        if log_path is not None:
+            # drop rows a crash logged past the checkpoint; a crash mid-write
+            # leaves the previous log intact
+            tmp = Path(log_path).with_name(Path(log_path).name + ".tmp")
+            _write_log_rows(tmp, log.stats, "w")
+            os.replace(tmp, log_path)
     else:
         population = [
             Individual(
@@ -347,7 +354,7 @@ def evolve(
             log.best_phenotype = top.phenotype
             log.best_genotype = top.genotype.copy()
         if log_path is not None:
-            _append_log_row(log_path, stat)
+            _write_log_rows(log_path, [stat])
         if checkpoint_path is not None:
             save_checkpoint(
                 checkpoint_path, params, generation, population, next_id, cache, log

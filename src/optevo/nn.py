@@ -5,10 +5,10 @@ The training loop drives the optimizer through one contract, `Stepper`
 evolved update rules, evolved schedules, and the hand-written baselines. Each
 batch takes one log-softmax, shared by its loss and its backward pass; a
 stepper whose weights never depend on the gradient (`needs_grad` false) gets
-`update(params, None)` and no backward pass at all.
+`update(w, None)` and no backward pass at all.
 
 A network keeps all its parameters in one flat float64 buffer, and `train`
-hands the stepper that one tensor, `update([net.flat], [flat_grad])`, with
+hands the stepper that one tensor, `update(net.flat, flat_grad)`, with
 `backward` writing every gradient into views of one fresh flat buffer. Every
 shipped rule is elementwise, so this gives the bytes that stepping each
 weight tensor on its own gives, with one round of numpy calls per batch
@@ -30,35 +30,17 @@ class NetworkError(ValueError):
     pass
 
 
-@dataclass
-class Dense:
-    weights: Tensor  # (fan_in, fan_out)
-    bias: Tensor  # (fan_out,)
-    activation: str  # "relu" for hidden layers, "linear" for the output layer
-
-    def __post_init__(self):
-        if self.weights.ndim != 2:
-            raise NetworkError("weights must be a matrix")
-        if self.bias.shape != (self.weights.shape[1],):
-            raise NetworkError(
-                f"bias shape {self.bias.shape} does not match fan_out "
-                f"{self.weights.shape[1]}"
-            )
-        if self.activation not in ("relu", "linear"):
-            raise NetworkError(f"unknown activation {self.activation!r}")
-
-
 class Stepper:
     """The per-batch update contract `train` drives.
 
     `begin_epoch(epoch)` runs before each epoch's first batch;
-    `update(params, grads)` writes every new weight tensor through `_assign`,
-    which sets `failed` on any non-finite value. `train` passes one tensor,
-    the network's flat parameter buffer, and its flat gradient, so an update
-    must act elementwise; called directly it takes any list of tensors.
-    Subclasses define `update` on their own class. A stepper whose weights
-    never depend on the gradient sets `needs_grad` false; `train` then skips
-    backward and calls `update(params, None)`.
+    `update(w, g)` takes one weight tensor and its gradient and writes the
+    new weights through `_assign`, which sets `failed` on any non-finite
+    value. `train` passes the network's flat parameter buffer and its flat
+    gradient, so an update must act elementwise. Subclasses define `update`
+    on their own class. A stepper whose weights never depend on the gradient
+    sets `needs_grad` false; `train` then skips backward and calls
+    `update(w, None)`.
     """
 
     name = "stepper"
@@ -75,11 +57,13 @@ class Stepper:
 
 
 class Network:
-    """Fully-connected stack; the final layer feeds softmax cross-entropy.
+    """Fully-connected stack: ReLU after every layer but the last, whose
+    logits feed softmax cross-entropy.
 
-    All parameters live in one float64 vector, `flat`, laid out like
-    `params` ([w0, b0, w1, b1, ...], each C order). Every layer's `weights`
-    and `bias` is a view into it: write into them, do not rebind them.
+    All parameters live in one float64 vector, `flat`. `params` holds views
+    into it, [w0, b0, w1, b1, ...], each C order, with weights of shape
+    (fan_in, fan_out) and biases of shape (fan_out,): write into them, do not
+    rebind them.
     """
 
     def __init__(self, layer_sizes, seed: int = 0):
@@ -97,39 +81,15 @@ class Network:
                 start, stop = stop, stop + math.prod(shape)
                 self._layout.append((start, stop, shape))
         self.flat = np.zeros(stop)
-        views = self._views(self.flat)
+        self.params = self._views(self.flat)
         rng = Rng(seed).child("init")
-        self.layers: list[Dense] = []
-        for i, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
-            limit = np.sqrt(6.0 / fan_in)
-            w, b = views[2 * i], views[2 * i + 1]
-            w[...] = rng.child("layer", i).uniform(-limit, limit, size=(fan_in, fan_out))
-            act = "linear" if i == len(sizes) - 2 else "relu"
-            self.layers.append(Dense(w, b, act))
+        for i, w in enumerate(self.params[::2]):
+            limit = np.sqrt(6.0 / w.shape[0])
+            w[...] = rng.child("layer", i).uniform(-limit, limit, size=w.shape)
 
     def _views(self, flat: Tensor) -> list[Tensor]:
         """Views [w0, b0, w1, b1, ...] into a buffer laid out like `flat`."""
         return [flat[start:stop].reshape(shape) for start, stop, shape in self._layout]
-
-    @property
-    def params(self) -> list[Tensor]:
-        """Views [w0, b0, w1, b1, ...] into `flat`; writing them writes it."""
-        out = []
-        for layer in self.layers:
-            out.append(layer.weights)
-            out.append(layer.bias)
-        return out
-
-    def set_params(self, values) -> None:
-        """Copy one tensor per entry of `params` into `flat`."""
-        values = [np.asarray(v, dtype=np.float64) for v in values]
-        if len(values) != 2 * len(self.layers):
-            raise NetworkError("wrong number of parameter tensors")
-        for value, (_, _, shape) in zip(values, self._layout):
-            if value.shape != shape:
-                raise NetworkError(f"parameter shape {value.shape}, expected {shape}")
-        for dest, value in zip(self._views(self.flat), values):
-            dest[...] = value
 
 
 def forward(net: Network, batch_x: Tensor):
@@ -142,11 +102,12 @@ def forward(net: Network, batch_x: Tensor):
     activations = [x]
     pre = []
     out = x
+    params = net.params
     with np.errstate(all="ignore"):
-        for layer in net.layers:
-            z = out @ layer.weights + layer.bias
+        for i in range(0, len(params), 2):
+            z = out @ params[i] + params[i + 1]
             pre.append(z)
-            out = np.maximum(z, 0.0) if layer.activation == "relu" else z
+            out = np.maximum(z, 0.0) if i + 2 < len(params) else z  # linear output
             activations.append(out)
     return out, {"activations": activations, "pre": pre}
 
@@ -187,11 +148,11 @@ def backward(net: Network, cache: dict, labels: Tensor,
         delta = probs
         delta[np.arange(batch), labels] -= 1.0
         delta /= batch
-        for i in range(len(net.layers) - 1, -1, -1):
+        for i in range(len(net.params) // 2 - 1, -1, -1):
             delta.sum(axis=0, out=grads[2 * i + 1])  # bias
             np.matmul(activations[i].T, delta, out=grads[2 * i])  # weights
             if i > 0:
-                delta = (delta @ net.layers[i].weights.T) * (pre[i - 1] > 0)
+                delta = (delta @ net.params[2 * i].T) * (pre[i - 1] > 0)
     return grads
 
 
@@ -268,7 +229,6 @@ def train(net: Network, stepper: Stepper, data, cfg: TrainConfig | None = None):
     tracker = EarlyStopTracker(cfg.patience)
     shuffle_rng = Rng(cfg.shuffle_seed).child("shuffle")
     needs_grad = getattr(stepper, "needs_grad", True)
-    params = [net.flat]
     for epoch in range(cfg.max_epochs):
         stepper.begin_epoch(epoch)
         order = shuffle_rng.child("epoch", epoch).permutation(len(train_set))
@@ -282,9 +242,9 @@ def train(net: Network, stepper: Stepper, data, cfg: TrainConfig | None = None):
             if needs_grad:
                 flat_grad = np.empty_like(net.flat)  # fresh: steppers may keep it
                 backward(net, cache, labels, log_probs, flat_grad)
-                stepper.update(params, [flat_grad])
+                stepper.update(net.flat, flat_grad)
             else:
-                stepper.update(params, None)
+                stepper.update(net.flat, None)
             if stepper.failed:
                 history.failed = True
                 return net, history

@@ -469,17 +469,18 @@ def adam_core_spec(hp: HyperParams) -> OptimizerSpec:
 
 
 class SpecStepper(Stepper):
-    """Drives an OptimizerSpec across a network's weight tensors.
+    """Drives an OptimizerSpec over one weight tensor, whose auxiliaries
+    x, y, z live in `state`.
 
     When no gradient reaches the weights (`needs_grad` false),
-    `update(params, None)` runs only the slots the weights depend on; the
-    others keep their state. Real gradients always run all four slots.
+    `update(w, None)` runs only the slots the weights depend on; the others
+    keep their state. Real gradients always run all four slots.
     """
 
     def __init__(self, spec: OptimizerSpec):
         self.spec = spec
         self.name = spec.name
-        self.states = None
+        self.state = None
         self._slots = compile_spec(spec)
         tainted = grad_tainted(spec)
         self.needs_grad = "alpha" in tainted
@@ -489,16 +490,12 @@ class SpecStepper(Stepper):
                 for i, (out, f) in enumerate(zip(SLOT_OUTPUTS, self._slots))
             )
 
-    def update(self, params: list, grads: list | None) -> None:
-        if self.states is None:
-            self.states = [OptState.zeros(p.shape) for p in params]
-        if grads is None:
-            slots, grads = self._lean_slots, [None] * len(params)
-        else:
-            slots = self._slots
+    def update(self, w: Tensor, g: Tensor | None) -> None:
+        if self.state is None:
+            self.state = OptState.zeros(w.shape)
+        slots = self._lean_slots if g is None else self._slots
         with np.errstate(all="ignore"):  # non-finite results become the failed flag
-            for w, g, state in zip(params, grads, self.states):
-                self._assign(w, _advance(slots, state, w, g))
+            self._assign(w, _advance(slots, self.state, w, g))
 
 
 class NesterovStepper(Stepper):
@@ -514,14 +511,12 @@ class NesterovStepper(Stepper):
         self.mom = mom
         self.velocity = None
 
-    def update(self, params: list, grads: list) -> None:
+    def update(self, w: Tensor, g: Tensor) -> None:
         if self.velocity is None:
-            self.velocity = [np.zeros_like(p) for p in params]
+            self.velocity = np.zeros_like(w)
         with np.errstate(all="ignore"):  # non-finite results become the failed flag
-            for i, (w, g) in enumerate(zip(params, grads)):
-                v = self.mom * self.velocity[i] - self.lr * g
-                self.velocity[i] = v
-                self._assign(w, w + self.mom * v - self.lr * g)
+            self.velocity = self.mom * self.velocity - self.lr * g
+            self._assign(w, w + self.mom * self.velocity - self.lr * g)
 
 
 class AdamStepper(Stepper):
@@ -530,8 +525,8 @@ class AdamStepper(Stepper):
     x' = b1*x + (1-b1)*g; y' = b2*y + (1-b2)*g^2;
     z_t = lr*sqrt(1-b2^t)/(1-b1^t); w' = w - z_t*x'/(sqrt(y')+eps).
     Updating `avg` and `sq` in place gives the same bytes but was slower on
-    the 2-16-2 net's four tensors (44.6 -> 53.0 us per update), so each step
-    allocates.
+    the 2-16-2 net's tensors (44.6 -> 53.0 us per update, stepped one by
+    one), so each step allocates.
     """
 
     name = "adam"
@@ -551,18 +546,16 @@ class AdamStepper(Stepper):
         self.avg = None
         self.sq = None
 
-    def update(self, params: list, grads: list) -> None:
+    def update(self, w: Tensor, g: Tensor) -> None:
         if self.avg is None:
-            self.avg = [np.zeros_like(p) for p in params]
-            self.sq = [np.zeros_like(p) for p in params]
+            self.avg = np.zeros_like(w)
+            self.sq = np.zeros_like(w)
         self.t += 1
         zt = self.lr * np.sqrt(1.0 - self.beta2**self.t) / (1.0 - self.beta1**self.t)
         with np.errstate(all="ignore"):  # non-finite results become the failed flag
-            for i, (w, g) in enumerate(zip(params, grads)):
-                self.avg[i] = self.beta1 * self.avg[i] + (1.0 - self.beta1) * g
-                self.sq[i] = self.beta2 * self.sq[i] + (1.0 - self.beta2) * np.square(g)
-                scaled = zt * self.avg[i] / (np.sqrt(self.sq[i]) + self.epsilon)
-                self._assign(w, w - scaled)
+            self.avg = self.beta1 * self.avg + (1.0 - self.beta1) * g
+            self.sq = self.beta2 * self.sq + (1.0 - self.beta2) * np.square(g)
+            self._assign(w, w - zt * self.avg / (np.sqrt(self.sq) + self.epsilon))
 
 
 BUILTIN_NAMES = ("sgd", "momentum", "nesterov", "rmsprop", "adam", "sign", "ades")

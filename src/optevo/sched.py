@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsge import Genotype, map_genotype
-from .grammar import TOKEN_RE, Grammar
+from .grammar import TOKEN_RE
 from .nn import Stepper
-from .tensor import Rng
+from .tensor import Tensor
 
 COMPARATORS = {
     "<": lambda a, b: a < b,
@@ -125,17 +124,6 @@ def _parse(tokens, pos):
     return Leaf(lr), pos + 1
 
 
-def policy_from_genotype(
-    g: Grammar, geno: Genotype, max_depth: int = 6, rng: Rng | None = None
-) -> PolicyTree:
-    """Map a genotype over the scheduler grammar and parse the result.
-
-    MappingFailure propagates; the fitness layer turns it into a 0 score.
-    """
-    tree = map_genotype(g, geno, max_depth=max_depth, rng=rng)
-    return parse_policy(tree.text())
-
-
 class ScheduledSGD(Stepper):
     """Plain SGD whose learning rate is set per epoch by a policy tree."""
 
@@ -150,7 +138,6 @@ class ScheduledSGD(Stepper):
     def begin_epoch(self, epoch: int) -> None:
         self.current_lr = eval_policy(self.policy, epoch, self.current_lr)
 
-    def update(self, params: list, grads: list) -> None:
+    def update(self, w: Tensor, g: Tensor) -> None:
         with np.errstate(all="ignore"):  # overflow becomes the failed flag
-            for w, g in zip(params, grads):
-                self._assign(w, w - self.current_lr * g)
+            self._assign(w, w - self.current_lr * g)

@@ -1,4 +1,4 @@
-"""Dense float64 buffers, the elementwise op set, and a splittable RNG.
+"""Plain float64 buffers, the elementwise op set, and a splittable RNG.
 
 Tensors are plain numpy float64 arrays. Arithmetic is strictly elementwise:
 operands must have identical shapes, except that a true scalar (0-d array or

@@ -7,8 +7,8 @@ code with the package — that independence is what makes them oracles.
 
 `gp_kernel` is the tuner's squared-exponential kernel in its direct
 broadcast form, and `train_per_tensor` is the training loop over separately
-allocated weight tensors, each stepped on its own: the layouts the package
-replaced with a 2-D accumulation and one flat parameter buffer.
+allocated weight tensors, each with a stepper of its own: the layouts the
+package replaced with a 2-D accumulation and one flat parameter buffer.
 """
 
 import math
@@ -163,17 +163,19 @@ def _backward(params, activations, pre, labels, log_probs):
     return grads
 
 
-def train_per_tensor(params, stepper, data, cfg, order):
-    """The training loop with `params` ([w0, b0, w1, b1, ...], updated in
-    place) handed to `stepper` one tensor per entry. `order(epoch)` is the
-    epoch's row permutation; `cfg` a TrainConfig. Returns (train_loss,
-    val_loss, epochs_run, stopped_early, failed)."""
+def train_per_tensor(params, make_stepper, data, cfg, order):
+    """The training loop with each tensor of `params` ([w0, b0, w1, b1, ...],
+    updated in place) stepped by its own stepper from `make_stepper()`.
+    `order(epoch)` is the epoch's row permutation; `cfg` a TrainConfig.
+    Returns (train_loss, val_loss, epochs_run, stopped_early, failed)."""
     train_set, val_set = data
     train_loss, val_loss = [], []
     best, bad_epochs = np.inf, 0
-    needs_grad = getattr(stepper, "needs_grad", True)
+    steppers = [make_stepper() for _ in params]
+    needs_grad = getattr(steppers[0], "needs_grad", True)
     for epoch in range(cfg.max_epochs):
-        stepper.begin_epoch(epoch)
+        for stepper in steppers:
+            stepper.begin_epoch(epoch)
         rows = order(epoch)
         total = 0.0
         for lo in range(0, len(rows), cfg.batch_size):
@@ -183,9 +185,10 @@ def train_per_tensor(params, stepper, data, cfg, order):
             log_probs = _log_softmax(activations[-1])
             total += _nll(log_probs, labels) * len(idx)
             grads = (_backward(params, activations, pre, labels, log_probs)
-                     if needs_grad else None)
-            stepper.update(params, grads)
-            if stepper.failed:
+                     if needs_grad else [None] * len(params))
+            for stepper, w, g in zip(steppers, params, grads):
+                stepper.update(w, g)
+            if any(stepper.failed for stepper in steppers):
                 return train_loss, val_loss, len(train_loss), False, True
         epoch_train = total / len(rows)
         epoch_val = _nll(_log_softmax(_forward(params, val_set.x)[0][-1]), val_set.y)

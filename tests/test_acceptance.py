@@ -69,7 +69,7 @@ def test_01_steppers_match_scalar_oracles():
                 stepper = make_stepper(name, hp)
                 w = np.array([w0], dtype=np.float64)
                 for t, g in enumerate(grads):
-                    stepper.update([w], [np.array([g], dtype=np.float64)])
+                    stepper.update(w, np.array([g], dtype=np.float64))
                     assert abs(float(w[0]) - expected[t]) <= 1e-10, (
                         f"{name} case {case} step {t}"
                     )

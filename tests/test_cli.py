@@ -2,6 +2,7 @@
 
 import errno
 import json
+import shutil
 import struct
 from pathlib import Path
 
@@ -435,10 +436,33 @@ class TestEvolveCommand:
         _, full_rows = log_rows(full)
         _, res_rows = log_rows(resumed)
         strip = lambda rows: [r[:-1] for r in rows]  # seconds column varies
-        assert strip(res_rows) == strip(full_rows)[3:]
+        assert strip(res_rows) == strip(full_rows)  # the whole history
         best_full = json.loads((full / "best.json").read_text())
         best_res = json.loads((resumed / "best.json").read_text())
         assert best_full == best_res
+
+    def test_resume_into_crashed_run_dir_logs_each_generation_once(self, tmp_path):
+        """A crash between the log append and the checkpoint write leaves a
+        log row past the checkpoint; resuming in place must not repeat it."""
+        cfg = write_cfg(tmp_path, evolve_payload())
+        full, part, crashed = tmp_path / "f", tmp_path / "p", tmp_path / "c"
+        assert main(["evolve", cfg, "--run-dir", str(full),
+                     "--generations", "4"]) == EXIT_OK
+        assert main(["evolve", cfg, "--run-dir", str(part),
+                     "--generations", "2"]) == EXIT_OK
+        assert main(["evolve", cfg, "--run-dir", str(crashed),
+                     "--generations", "3"]) == EXIT_OK
+        shutil.copy(part / "checkpoint.json", crashed / "checkpoint.json")
+        assert main(["evolve", cfg, "--run-dir", str(crashed),
+                     "--generations", "4",
+                     "--resume", str(crashed / "checkpoint.json")]) == EXIT_OK
+        full_header, full_rows = log_rows(full)
+        header, rows = log_rows(crashed)
+        assert header == full_header
+        assert [r[0] for r in rows] == ["0", "1", "2", "3", "4"]
+        strip = lambda rows: [r[:-1] for r in rows]  # seconds column varies
+        assert strip(rows) == strip(full_rows)
+        assert not (crashed / "log.csv.tmp").exists()
 
     def test_resume_from_missing_checkpoint_is_data_error(
             self, tmp_path, capsys, monkeypatch):

@@ -1,6 +1,8 @@
 """Dataset containers, binary readers, deterministic splits, synthetic tasks."""
 
+import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +10,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from optevo.data import (
-    ALR_PLAN,
-    DLR_PLAN,
     DataError,
     Dataset,
     SplitPlan,
@@ -138,17 +138,27 @@ class TestLoadCifar10:
             load_cifar10([])
 
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def paper_plan(config):
+    return SplitPlan(**json.loads((CONFIGS / config).read_text())["task"]["split"])
+
+
 class TestSplitPlan:
     def test_published_plans(self):
-        assert (ALR_PLAN.train_total, ALR_PLAN.per_trial, ALR_PLAN.trial_count) == (
+        """The paper configs' split blocks hold the published partition sizes."""
+        alr = paper_plan("evolve-alr-paper.json")
+        dlr = paper_plan("evolve-dlr-paper.json")
+        assert (alr.train_total, alr.per_trial, alr.trial_count) == (
             53_000,
             10_600,
             5,
         )
-        assert (ALR_PLAN.validation, ALR_PLAN.test) == (3_500, 3_500)
-        assert ALR_PLAN.per_trial * ALR_PLAN.trial_count == ALR_PLAN.train_total
-        assert (DLR_PLAN.train_total, DLR_PLAN.trial_count) == (7_000, 1)
-        assert (DLR_PLAN.validation, DLR_PLAN.test) == (1_500, 1_500)
+        assert (alr.validation, alr.test) == (3_500, 3_500)
+        assert alr.per_trial * alr.trial_count == alr.train_total
+        assert (dlr.train_total, dlr.trial_count) == (7_000, 1)
+        assert (dlr.validation, dlr.test) == (1_500, 1_500)
 
     def test_trials_cannot_exceed_pool(self):
         with pytest.raises(DataError, match="exceeds"):

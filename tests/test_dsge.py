@@ -154,8 +154,8 @@ class TestShippedGenotypes:
             wb = np.array([w0])
             for _ in range(10):
                 g = np.array([float(rng.normal())])
-                mine.update([wa], [g.copy()])
-                theirs.update([wb], [g.copy()])
+                mine.update(wa, g.copy())
+                theirs.update(wb, g.copy())
                 assert abs(float(wa[0]) - float(wb[0])) <= 1e-9
 
 

@@ -193,7 +193,7 @@ class TestEvolveLoop:
 
     def test_best_is_monotone_with_elitism(self):
         _, log = evolve(params(generations=12), TOY, text_score)
-        bests = log.best_per_generation()
+        bests = [s.best for s in log.stats]
         assert all(b2 >= b1 for b1, b2 in zip(bests, bests[1:]))
 
     def test_evaluation_accounting(self):

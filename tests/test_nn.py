@@ -1,4 +1,4 @@
-"""Dense network: init, forward/backward vs finite differences, training loop."""
+"""Dense networks: init, forward/backward vs finite differences, training loop."""
 
 from dataclasses import replace
 
@@ -11,7 +11,6 @@ from optevo.data import Dataset, synthetic
 from optevo.dsge import map_genotype, random_genotype
 from optevo.grammar import load_shipped_grammar
 from optevo.nn import (
-    Dense,
     EarlyStopTracker,
     Network,
     NetworkError,
@@ -44,29 +43,33 @@ def sgd(lr):
 class TestNetworkInit:
     def test_layer_shapes_and_activations(self):
         net = Network([4, 8, 5, 3], seed=0)
-        assert [l.weights.shape for l in net.layers] == [(4, 8), (8, 5), (5, 3)]
-        assert [l.activation for l in net.layers] == ["relu", "relu", "linear"]
-        for layer in net.layers:
-            np.testing.assert_array_equal(layer.bias, 0.0)
+        assert [w.shape for w in net.params[::2]] == [(4, 8), (8, 5), (5, 3)]
+        assert [b.shape for b in net.params[1::2]] == [(8,), (5,), (3,)]
+        for b in net.params[1::2]:
+            np.testing.assert_array_equal(b, 0.0)
+        # ReLU after the hidden layers only: the output layer stays linear
+        _, cache = forward(net, np.random.default_rng(0).normal(size=(6, 4)))
+        for z, a in zip(cache["pre"][:-1], cache["activations"][1:-1]):
+            np.testing.assert_array_equal(a, np.maximum(z, 0.0))
+        assert cache["activations"][-1] is cache["pre"][-1]
 
     def test_he_uniform_bounds(self):
         net = Network([100, 50, 10], seed=1)
-        for layer in net.layers:
-            limit = np.sqrt(6.0 / layer.weights.shape[0])
-            assert np.abs(layer.weights).max() <= limit
+        for w in net.params[::2]:
+            limit = np.sqrt(6.0 / w.shape[0])
+            assert np.abs(w).max() <= limit
             # spread should fill a decent fraction of the admissible range
-            assert np.abs(layer.weights).max() > 0.5 * limit
+            assert np.abs(w).max() > 0.5 * limit
 
     def test_deterministic_in_seed(self):
         a, b = Network([3, 7, 2], seed=9), Network([3, 7, 2], seed=9)
-        for la, lb in zip(a.layers, b.layers):
-            np.testing.assert_array_equal(la.weights, lb.weights)
+        assert a.flat.tobytes() == b.flat.tobytes()
         c = Network([3, 7, 2], seed=10)
-        assert not np.array_equal(a.layers[0].weights, c.layers[0].weights)
+        assert not np.array_equal(a.params[0], c.params[0])
 
     def test_layers_draw_independent_streams(self):
         net = Network([5, 5, 5, 5], seed=0)
-        assert not np.array_equal(net.layers[0].weights, net.layers[1].weights)
+        assert not np.array_equal(net.params[0], net.params[2])
 
     def test_size_validation(self):
         with pytest.raises(NetworkError, match="at least"):
@@ -74,35 +77,17 @@ class TestNetworkInit:
         with pytest.raises(NetworkError, match="positive"):
             Network([4, 0, 2])
 
-    def test_dense_validation(self):
-        with pytest.raises(NetworkError, match="bias shape"):
-            Dense(np.zeros((2, 3)), np.zeros(2), "relu")
-        with pytest.raises(NetworkError, match="activation"):
-            Dense(np.zeros((2, 3)), np.zeros(3), "tanh")
-
     def test_params_alias_layer_tensors(self):
+        """`params` is built once: every read gives the same views, and a
+        write through one reaches the forward pass."""
         net = Network([2, 3, 2], seed=0)
         params = net.params
         assert len(params) == 4
-        params[0][...] = 7.0
-        np.testing.assert_array_equal(net.layers[0].weights, 7.0)
-
-    def test_set_params(self):
-        net = Network([2, 3, 2], seed=0)
-        vals = [np.full_like(p, 0.5) for p in net.params]
-        net.set_params(vals)
-        np.testing.assert_array_equal(net.layers[1].weights, 0.5)
-        with pytest.raises(NetworkError, match="number of parameter"):
-            net.set_params(vals[:-1])
-
-    def test_set_params_rejects_a_wrong_shape_and_writes_nothing(self):
-        net = Network([2, 3, 2], seed=0)
-        before = net.flat.copy()
-        vals = [np.full_like(p, 0.5) for p in net.params]
-        vals[3] = np.zeros((2, 1))
-        with pytest.raises(NetworkError, match=r"shape \(2, 1\), expected \(2,\)"):
-            net.set_params(vals)
-        assert net.flat.tobytes() == before.tobytes()
+        assert all(a is b for a, b in zip(params, net.params))
+        params[2][...] = 0.0
+        params[3][...] = 7.0
+        logits, _ = forward(net, np.ones((1, 2)))
+        np.testing.assert_array_equal(logits, [[7.0, 7.0]])
 
     def test_params_are_views_into_flat(self):
         net = Network([3, 4, 2], seed=1)
@@ -117,10 +102,11 @@ class TestNetworkInit:
 class TestForward:
     def test_hand_computed_relu_chain(self):
         net = Network([2, 2, 2], seed=0)
-        net.set_params([
-            np.array([[1.0, -1.0], [0.0, 2.0]]), np.array([0.5, -0.5]),
-            np.array([[1.0, 0.0], [1.0, 1.0]]), np.array([0.0, 1.0]),
-        ])
+        for p, value in zip(net.params, [
+            [[1.0, -1.0], [0.0, 2.0]], [0.5, -0.5],
+            [[1.0, 0.0], [1.0, 1.0]], [0.0, 1.0],
+        ]):
+            p[...] = value
         logits, cache = forward(net, np.array([[1.0, 1.0]]))
         # z1 = [1.5, 0.5]; relu keeps both; z2 = [1.5+0.5, 0.5+1] = [2.0, 1.5]
         np.testing.assert_allclose(logits, [[2.0, 1.5]])
@@ -128,8 +114,8 @@ class TestForward:
 
     def test_relu_clamps_negatives(self):
         net = Network([1, 1, 1], seed=0)
-        net.set_params([np.array([[-1.0]]), np.zeros(1),
-                        np.array([[1.0]]), np.zeros(1)])
+        for p, value in zip(net.params, [[[-1.0]], [0.0], [[1.0]], [0.0]]):
+            p[...] = value
         logits, cache = forward(net, np.array([[2.0]]))
         np.testing.assert_array_equal(cache["pre"][0], [[-2.0]])
         np.testing.assert_array_equal(logits, [[0.0]])
@@ -243,7 +229,7 @@ class TestBackwardAgainstFiniteDifferences:
 class TestEvaluate:
     def test_zero_network_predicts_class_zero(self):
         net = Network([2, 4, 3], seed=0)
-        net.set_params([np.zeros_like(p) for p in net.params])
+        net.flat[...] = 0.0
         d = synthetic("two_gaussians", 40, seed=1)
         # all logits tie at 0, argmax resolves to the lowest index -> class 0
         acc = evaluate(net, d)
@@ -289,7 +275,7 @@ class RecordingStepper:
     def begin_epoch(self, epoch):
         self.epochs.append(epoch)
 
-    def update(self, params, grads):
+    def update(self, w, g):
         pass
 
 
@@ -406,9 +392,9 @@ class TestTrain:
             def failed(self):
                 return self.inner.failed
 
-            def update(self, params, grads):
-                self.seen.append([p.copy() for p in params])
-                self.inner.update(params, grads)
+            def update(self, w, g):
+                self.seen.append(w.copy())
+                self.inner.update(w, g)
 
         train_set, val_set = toy_data(n=130, seed=3)
         cfg = TrainConfig(batch_size=16, max_epochs=3, early_stop=False,
@@ -424,8 +410,7 @@ class TestTrain:
             total = 0.0
             for lo in range(0, len(order), cfg.batch_size):
                 idx = order[lo : lo + cfg.batch_size]
-                (snapshot,) = next(batches)
-                replay.flat[...] = snapshot
+                replay.flat[...] = next(batches)
                 logits, _ = forward(replay, train_set.x[idx])
                 total += mean_loss(logits, train_set.y[idx]) * len(idx)
             want.append(total / len(order))
@@ -443,7 +428,7 @@ class TestTrain:
         assert not free.needs_grad
         grads_seen = []
         update = free.update
-        free.update = lambda params, grads: grads_seen.append(grads) or update(params, grads)
+        free.update = lambda w, g: grads_seen.append(g) or update(w, g)
         train(Network([2, 4, 2], seed=0), free, toy_data(), cfg)
         assert calls == [] and grads_seen == [None] * 6
         train(Network([2, 4, 2], seed=0), sgd(0.1), toy_data(), cfg)
@@ -481,7 +466,7 @@ class TestLabelRange:
             spec_from_phenotype(phenotype))
         calls = []
         update = stepper.update
-        stepper.update = lambda params, grads: calls.append(1) or update(params, grads)
+        stepper.update = lambda w, g: calls.append(1) or update(w, g)
         with pytest.raises(NetworkError, match="class range"):
             train(Network([2, 2], seed=0), stepper, data,
                   TrainConfig(batch_size=5, max_epochs=1))
@@ -544,7 +529,7 @@ class TestFlatMatchesPerTensor:
         params = [p.copy() for p in Network(sizes, seed=seed).params]
         shuffle = Rng(cfg.shuffle_seed).child("shuffle")
         want = train_per_tensor(
-            params, make_case_stepper(kind, seed, lr_scale), data, cfg,
+            params, lambda: make_case_stepper(kind, seed, lr_scale), data, cfg,
             lambda epoch: shuffle.child("epoch", epoch).permutation(60))
         assert [p.tobytes() for p in net.params] == [p.tobytes() for p in params]
         assert (hist.train_loss, hist.val_loss, hist.epochs_run,

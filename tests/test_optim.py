@@ -47,7 +47,7 @@ def run_trajectory(name, hp, w0, grads):
     w = np.array([w0], dtype=np.float64)
     out = []
     for g in grads:
-        stepper.update([w], [np.array([g], dtype=np.float64)])
+        stepper.update(w, np.array([g], dtype=np.float64))
         out.append(float(w[0]))
     return out
 
@@ -220,7 +220,7 @@ class TestStepExamples:
         stepper = AdamStepper()
         w = np.array([1.0])
         for _ in range(10):
-            stepper.update([w], [np.array([1.0])])
+            stepper.update(w, np.array([1.0]))
         hp = HyperParams(lr=0.001)
         expect = ORACLES["adam"](1.0, [1.0] * 10, hp)[-1]
         assert abs(float(w[0]) - expect) < 1e-12
@@ -345,24 +345,14 @@ class TestZeroGradFixedPoint:
 
 
 class TestSteppers:
-    def test_auxiliary_isolation_across_tensors(self):
-        stepper = SpecStepper(builtin("momentum"))
-        a = np.array([1.0, 1.0])
-        b = np.array([2.0])
-        for _ in range(3):
-            stepper.update([a, b], [np.array([1.0, -1.0]), np.array([0.0])])
-        assert np.all(stepper.states[1].x == 0.0)  # zero grads: b's state untouched
-        assert np.all(stepper.states[0].x != 0.0)
-        np.testing.assert_array_equal(b, [2.0])
-
     def test_state_never_aliases_weights(self):
         # x_func = alpha stores (a copy of) the weights in state.x
         spec = OptimizerSpec(Var("alpha"), Var("y"), Var("z"), Var("x"))
         stepper = SpecStepper(spec)
         w = np.array([1.0, 2.0])
-        stepper.update([w], [np.array([0.0, 0.0])])
+        stepper.update(w, np.array([0.0, 0.0]))
         w[0] = 99.0  # external in-place write must not leak into state
-        np.testing.assert_array_equal(stepper.states[0].x, [1.0, 2.0])
+        np.testing.assert_array_equal(stepper.state.x, [1.0, 2.0])
 
     def test_failure_flag_on_nonfinite(self):
         spec = spec_from_phenotype(
@@ -370,14 +360,14 @@ class TestSteppers:
         )
         stepper = SpecStepper(spec)
         w = np.array([-2.0])
-        stepper.update([w], [np.array([0.5])])  # pow(-2, 2) ok
+        stepper.update(w, np.array([0.5]))  # pow(-2, 2) ok
         assert not stepper.failed
-        stepper.update([w], [np.array([0.4])])  # pow(4, 2.5) fine... keep going
+        stepper.update(w, np.array([0.4]))  # pow(4, 2.5) fine... keep going
         w2 = np.array([-2.0])
         stepper2 = SpecStepper(
             spec_from_phenotype("sqrt(grad) ; y ; z ; add(alpha, x)")
         )
-        stepper2.update([w2], [np.array([-1.0])])  # sqrt(-1) -> NaN
+        stepper2.update(w2, np.array([-1.0]))  # sqrt(-1) -> NaN
         assert stepper2.failed
 
     def test_nesterov_matches_oracle(self):
@@ -395,7 +385,7 @@ class TestSteppers:
         assert "update" in vars(type(stepper))
         stepper.begin_epoch(0)
         w = np.array([1.0, 1.0])
-        stepper.update([w], [np.array([np.inf, np.nan])])  # an overflowed backward
+        stepper.update(w, np.array([np.inf, np.nan]))  # an overflowed backward
         assert stepper.failed
         assert not np.all(np.isfinite(w))
 
@@ -429,10 +419,10 @@ TOY_SHAPES = [(2, 16), (16,), (16, 2), (2,)]  # the 2-16-2 net's params
 
 
 def assert_compiled_matches_interpreted(spec, seed, grad_scale, batches=5):
-    """Step SpecStepper and the interpreter side by side on the toy shapes;
-    returns the shared failed flag."""
+    """Step SpecStepper and the interpreter side by side on the toy shapes,
+    one stepper per shape; returns whether any update failed."""
     rng = Rng(seed).child("compiled-vs-interpreted")
-    stepper = SpecStepper(spec)
+    steppers = [SpecStepper(spec) for _ in TOY_SHAPES]
     w_compiled = [rng.child("w", k).normal(size=s) for k, s in enumerate(TOY_SHAPES)]
     w_interp = [w.copy() for w in w_compiled]
     states = [OptState.zeros(s) for s in TOY_SHAPES]
@@ -440,16 +430,18 @@ def assert_compiled_matches_interpreted(spec, seed, grad_scale, batches=5):
     for t in range(batches):
         grads = [rng.child("g", t, k).normal(size=s) * grad_scale
                  for k, s in enumerate(TOY_SHAPES)]
-        stepper.update(w_compiled, grads)
+        for stepper, w, g in zip(steppers, w_compiled, grads):
+            stepper.update(w, g)
         for k, (w, g) in enumerate(zip(w_interp, grads)):
             new_w, states[k] = interpreted_step(spec, states[k], w, g)
             failed = failed or not np.all(np.isfinite(new_w))
             w[...] = new_w
-        got = [*w_compiled, *(a for s in stepper.states for a in (s.x, s.y, s.z))]
+        got = [*w_compiled,
+               *(a for s in steppers for a in (s.state.x, s.state.y, s.state.z))]
         want = [*w_interp, *(a for s in states for a in (s.x, s.y, s.z))]
         for a, b in zip(got, want):
             assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
-        assert stepper.failed == failed
+        assert any(s.failed for s in steppers) == failed
     return failed
 
 
@@ -516,13 +508,13 @@ class TestGradTainted:
         spec = spec_from_phenotype("add(x, grad) ; y ; add(z, 1.0) ; add(alpha, z)")
         stepper = SpecStepper(spec)
         assert not stepper.needs_grad
-        w = [np.array([1.0, 2.0])]
+        w = np.array([1.0, 2.0])
         stepper.update(w, None)
         stepper.update(w, None)
-        state = stepper.states[0]
+        state = stepper.state
         assert state.x.tolist() == [0.0, 0.0]  # never run without a gradient
         assert state.z.tolist() == [2.0, 2.0]
-        assert w[0].tolist() == [4.0, 5.0]
+        assert w.tolist() == [4.0, 5.0]
 
 
 class GradScaled(SpecStepper):
@@ -535,11 +527,11 @@ class GradScaled(SpecStepper):
         if force:
             self.needs_grad = True
 
-    def update(self, params, grads):
-        if grads is not None:
+    def update(self, w, g):
+        if g is not None:
             with np.errstate(all="ignore"):
-                grads = [g * self.scale for g in grads]
-        super().update(params, grads)
+                g = g * self.scale
+        super().update(w, g)
 
 
 def train_outcome(spec, seed, scale, force):

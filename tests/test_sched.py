@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from optevo.dsge import Genotype, random_genotype
+from optevo.dsge import Genotype, map_genotype, random_genotype
 from optevo.grammar import load_shipped_grammar
 from optevo.sched import (
     Comparison,
@@ -13,7 +13,6 @@ from optevo.sched import (
     ScheduledSGD,
     eval_policy,
     parse_policy,
-    policy_from_genotype,
     serialize_policy,
 )
 from optevo.tensor import Rng
@@ -114,20 +113,20 @@ class TestPolicyText:
 class TestPolicyFromGenotype:
     def test_smallest_derivation_is_static_baseline(self, dlr):
         geno = Genotype({"start": [0], "expr": [1], "lr_const": [0]})
-        assert policy_from_genotype(dlr, geno) == Leaf(0.01)
+        assert parse_policy(map_genotype(dlr, geno).text()) == Leaf(0.01)
 
     def test_fuzzed_genotypes_always_yield_valid_trees(self, dlr):
         master = Rng(314).child("fuzz")
         for i in range(1000):
             geno = random_genotype(dlr, max_depth=4, rng=master)
-            p = policy_from_genotype(dlr, geno, max_depth=4)
+            p = parse_policy(map_genotype(dlr, geno, max_depth=4).text())
             lr = eval_policy(p, i % 100, 0.01)
             assert np.isfinite(lr) and 0 < lr <= 1.0
 
     def test_deterministic_given_genes(self, dlr):
         geno = random_genotype(dlr, rng=Rng(7).child("p"))
-        a = policy_from_genotype(dlr, geno.copy())
-        b = policy_from_genotype(dlr, geno.copy())
+        a = parse_policy(map_genotype(dlr, geno.copy()).text())
+        b = parse_policy(map_genotype(dlr, geno.copy()).text())
         assert a == b
 
 
@@ -144,7 +143,7 @@ class TestScheduledSGD:
         opt = ScheduledSGD(Leaf(0.1))
         opt.begin_epoch(0)
         w = np.array([1.0, -1.0])
-        opt.update([w], [np.array([0.5, 0.5])])
+        opt.update(w, np.array([0.5, 0.5]))
         np.testing.assert_allclose(w, [0.95, -1.05], rtol=0, atol=1e-15)
 
     def test_rate_feedback_chains_across_epochs(self):
@@ -164,5 +163,5 @@ class TestScheduledSGD:
         opt = ScheduledSGD(Leaf(1.0))
         opt.begin_epoch(0)
         w = np.array([1e308])
-        opt.update([w], [np.array([-1e308])])
+        opt.update(w, np.array([-1e308]))
         assert opt.failed
