@@ -498,6 +498,7 @@ def cmd_tune(args) -> int:
         {"seed", "optimizer", "budget", "random_search", "task", "workers", "out"},
     )
     seed = _resolve_seed(cfg, args)
+    _resolve_workers(cfg, args)  # checked like the other commands, then unused
     opt = _field(cfg, "optimizer", str)
     try:
         space = space_for(opt)

@@ -4,6 +4,11 @@ Every Dataset remembers which rows of its source it holds (source_indices),
 so downstream phases can prove their data never overlapped — the benchmark
 asserts its test rows were untouched by evolution by intersecting recorded
 index sets.
+
+The pixels are held once as float64 from file to first batch: readers scale
+in place, `checksum` is hashed on first read, and split parts are read-only
+row slices of one permuted copy that share memory. Loading and splitting
+peak at about twice the float64 dataset; the parts then hold it once.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +36,6 @@ class Dataset:
     x: Tensor  # (N, features), values in [0, 1]
     y: Tensor  # (N,) integer class labels
     name: str = "dataset"
-    checksum: str = ""
     source_indices: Tensor = None  # rows of the originating collection
 
     def __post_init__(self):
@@ -48,13 +53,13 @@ class Dataset:
             self.source_indices = np.asarray(self.source_indices, dtype=np.int64)
             if len(self.source_indices) != len(self.y):
                 raise DataError("source_indices length must match data")
-        if not self.checksum:
-            self.checksum = self._digest()
 
-    def _digest(self) -> str:
+    @cached_property
+    def checksum(self) -> str:
+        """SHA-256 of the x bytes then the y bytes, hashed on first read."""
         h = hashlib.sha256()
-        h.update(np.ascontiguousarray(self.x).tobytes())
-        h.update(np.ascontiguousarray(self.y).tobytes())
+        h.update(memoryview(np.ascontiguousarray(self.x)))
+        h.update(memoryview(np.ascontiguousarray(self.y)))
         return h.hexdigest()
 
     def __len__(self) -> int:
@@ -63,15 +68,6 @@ class Dataset:
     @property
     def n_classes(self) -> int:
         return int(self.y.max()) + 1 if len(self.y) else 0
-
-    def take(self, idx, name: str | None = None) -> "Dataset":
-        idx = np.asarray(idx, dtype=np.int64)
-        return Dataset(
-            self.x[idx],
-            self.y[idx],
-            name=name or self.name,
-            source_indices=self.source_indices[idx],
-        )
 
 
 def _read_exact(f, n: int, what: str) -> bytes:
@@ -97,24 +93,29 @@ def load_idx(images_path, labels_path, name: str = "idx") -> Dataset:
         labels = np.frombuffer(_read_exact(f, label_count, "labels"), dtype=np.uint8)
     if count != label_count:
         raise DataError(f"{count} images but {label_count} labels")
-    x = pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
+    x = pixels.reshape(count, rows * cols).astype(np.float64)
+    x /= 255.0
     return Dataset(x, labels.astype(np.int64), name=name)
 
 
 def load_cifar10(batch_paths, name: str = "cifar10") -> Dataset:
     """Read CIFAR-10 binary batches, flattened to 3072 features in [0, 1]."""
     record = 1 + 3072
-    xs, ys = [], []
-    for path in batch_paths:
-        raw = Path(path).read_bytes()
-        if len(raw) == 0 or len(raw) % record != 0:
-            raise DataError(f"{path}: size {len(raw)} is not a whole number of records")
-        arr = np.frombuffer(raw, dtype=np.uint8).reshape(-1, record)
-        ys.append(arr[:, 0].astype(np.int64))
-        xs.append(arr[:, 1:].astype(np.float64) / 255.0)
-    if not xs:
+    if not batch_paths:
         raise DataError("no batch files given")
-    return Dataset(np.concatenate(xs), np.concatenate(ys), name=name)
+    sizes = [Path(p).stat().st_size for p in batch_paths]
+    for path, size in zip(batch_paths, sizes):
+        if size == 0 or size % record != 0:
+            raise DataError(f"{path}: size {size} is not a whole number of records")
+    x = np.empty((sum(sizes) // record, record - 1))
+    y = np.empty(len(x), dtype=np.int64)
+    row = 0
+    for path, size in zip(batch_paths, sizes):
+        arr = np.fromfile(path, dtype=np.uint8).reshape(size // record, record)
+        x[row : row + len(arr)], y[row : row + len(arr)] = arr[:, 1:], arr[:, 0]
+        row += len(arr)
+    x /= 255.0
+    return Dataset(x, y, name=name)
 
 
 @dataclass
@@ -161,25 +162,27 @@ class Splits:
 
 
 def split(d: Dataset, plan: SplitPlan) -> Splits:
-    """Seed-deterministic, pairwise-disjoint partition of `d` per the plan."""
+    """Seed-deterministic, pairwise-disjoint partition of `d` per the plan;
+    the parts are read-only row slices of one permuted copy of `d`."""
     if plan.total > len(d):
         raise DataError(f"plan needs {plan.total} examples, dataset has {len(d)}")
     perm = Rng(plan.seed).child("split", d.name).permutation(len(d))
-    pool_idx = perm[: plan.train_total]
-    val_idx = perm[plan.train_total : plan.train_total + plan.validation]
-    test_idx = perm[plan.train_total + plan.validation : plan.total]
-    reserve_idx = perm[plan.total :]
-    groups = [
-        d.take(pool_idx[i * plan.per_trial : (i + 1) * plan.per_trial],
-               name=f"{d.name}/trial{i}")
-        for i in range(plan.trial_count)
-    ]
+    x, y, rows = d.x[perm], d.y[perm], d.source_indices[perm]
+    for a in (x, y, rows):
+        a.flags.writeable = False
+
+    def part(start: int, stop: int, suffix: str) -> Dataset:
+        return Dataset(x[start:stop], y[start:stop], name=f"{d.name}/{suffix}",
+                       source_indices=rows[start:stop])
+
+    val_end = plan.train_total + plan.validation
     return Splits(
-        trial_groups=groups,
-        validation=d.take(val_idx, name=f"{d.name}/val"),
-        test=d.take(test_idx, name=f"{d.name}/test"),
-        train_pool=d.take(pool_idx, name=f"{d.name}/train"),
-        reserve=d.take(reserve_idx, name=f"{d.name}/reserve"),
+        trial_groups=[part(i * plan.per_trial, (i + 1) * plan.per_trial, f"trial{i}")
+                      for i in range(plan.trial_count)],
+        validation=part(plan.train_total, val_end, "val"),
+        test=part(val_end, plan.total, "test"),
+        train_pool=part(0, plan.train_total, "train"),
+        reserve=part(plan.total, len(d), "reserve"),
     )
 
 

@@ -174,26 +174,25 @@ def map_genotype(
     return tree
 
 
-def random_genotype(
+def random_derivation(
     g: Grammar,
     max_depth: int = DEFAULT_MAX_DEPTH,
     rng: Rng | None = None,
     start: str | None = None,
     max_attempts: int = 10_000,
-) -> Genotype:
-    """A genotype drawn by running a random derivation and recording it.
+) -> tuple[Genotype, Derivation]:
+    """(genotype, derivation) of a random derivation recorded as genes.
 
-    Mapping the result back (same grammar, same max_depth) reproduces the
+    Mapping the genotype back (same grammar, same max_depth) reproduces the
     derivation with no repairs. The rare random derivation that dead-ends at
     the depth limit is discarded and redrawn.
     """
     if rng is None:
-        raise ValueError("random_genotype needs an rng")
+        raise ValueError("random_derivation needs an rng")
     for _ in range(max_attempts):
         geno = Genotype({})
         try:
-            map_genotype(g, geno, start=start, max_depth=max_depth, rng=rng)
-            return geno
+            return geno, map_genotype(g, geno, start=start, max_depth=max_depth, rng=rng)
         except MappingFailure:
             continue
     raise RuntimeError(f"no valid random genotype in {max_attempts} attempts")

@@ -36,7 +36,7 @@ from .dsge import (
     crossover,
     map_genotype,
     mutate,
-    random_genotype,
+    random_derivation,
     tournament_select,
 )
 from .grammar import Grammar
@@ -148,23 +148,20 @@ class EvolveRunLog:
     best_genotype: Genotype | None = None
 
 
-def _map_individual(grammar, params, ind: Individual, repair_rng: Rng) -> str | None:
-    try:
-        return map_genotype(
-            grammar, ind.genotype, max_depth=params.max_depth, rng=repair_rng
-        ).text()
-    except MappingFailure:
-        return None
-
-
 def _evaluate_wave(population, grammar, params, fitness_fn, cache, root: Rng,
                    generation: int, workers: int) -> int:
-    """Assign fitness to every individual lacking one; returns how many."""
+    """Assign fitness to every individual lacking one; returns how many.
+    Generation 0 keeps the phenotypes its genotypes were drawn with."""
     pending = [ind for ind in population if ind.fitness is None]
     for ind in pending:
-        ind.phenotype = _map_individual(
-            grammar, params, ind, root.child("repair", generation, ind.id)
-        )
+        if ind.phenotype is None:
+            try:
+                ind.phenotype = map_genotype(
+                    grammar, ind.genotype, max_depth=params.max_depth,
+                    rng=root.child("repair", generation, ind.id),
+                ).text()
+            except MappingFailure:
+                pass  # no phenotype: scores 0
     fresh = []
     seen = set()
     for ind in pending:
@@ -332,13 +329,12 @@ def evolve(
             _write_log_rows(tmp, log.stats, "w")
             os.replace(tmp, log_path)
     else:
-        population = [
-            Individual(
-                random_genotype(grammar, params.max_depth, root.child("seed-pop", i)),
-                id=i,
+        population = []
+        for i in range(params.population_size):
+            geno, derivation = random_derivation(
+                grammar, params.max_depth, root.child("seed-pop", i)
             )
-            for i in range(params.population_size)
-        ]
+            population.append(Individual(geno, derivation.text(), id=i))
         next_id = params.population_size
         log = EvolveRunLog(seed=params.rng_seed)
         start_gen = 0

@@ -9,9 +9,18 @@ code with the package — that independence is what makes them oracles.
 broadcast form, and `train_per_tensor` is the training loop over separately
 allocated weight tensors, each with a stepper of its own: the layouts the
 package replaced with a 2-D accumulation and one flat parameter buffer.
+
+`eager_checksum`, `load_idx_eager`, `load_cifar10_eager` and `split_by_take`
+are the data layer as it was before it held one copy of the pixels: a
+digest over `tobytes()` copies, scaling through a second full-size
+temporary, a list of batches joined by `concatenate`, and a fresh copy of
+every split part.
 """
 
+import hashlib
 import math
+import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -203,3 +212,49 @@ def train_per_tensor(params, make_stepper, data, cfg, order):
         if cfg.early_stop and bad_epochs >= cfg.patience:
             return train_loss, val_loss, len(train_loss), True, False
     return train_loss, val_loss, len(train_loss), False, False
+
+
+def eager_checksum(x, y):
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(x, dtype=np.float64).tobytes())
+    h.update(np.ascontiguousarray(y, dtype=np.int64).tobytes())
+    return h.hexdigest()
+
+
+def load_idx_eager(images_path, labels_path):
+    """(x, y) of an idx image/label pair."""
+    images = Path(images_path).read_bytes()
+    count, rows, cols = struct.unpack(">III", images[4:16])
+    pixels = np.frombuffer(images[16:], dtype=np.uint8)
+    labels = np.frombuffer(Path(labels_path).read_bytes()[8:], dtype=np.uint8)
+    x = pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
+    return x, labels.astype(np.int64)
+
+
+def load_cifar10_eager(batch_paths):
+    """(x, y) of CIFAR-10 binary batches."""
+    xs, ys = [], []
+    for path in batch_paths:
+        arr = np.frombuffer(Path(path).read_bytes(), dtype=np.uint8).reshape(-1, 3073)
+        ys.append(arr[:, 0].astype(np.int64))
+        xs.append(arr[:, 1:].astype(np.float64) / 255.0)
+    return np.concatenate(xs), np.concatenate(ys)
+
+
+def split_by_take(x, y, source_indices, perm, plan):
+    """{part name: (x, y, source_indices)}, each part gathered on its own
+    from the rows of `perm` the plan assigns it; trial groups are named
+    trial0, trial1, ..."""
+    bounds = {
+        "train": (0, plan.train_total),
+        "val": (plan.train_total, plan.train_total + plan.validation),
+        "test": (plan.train_total + plan.validation, plan.total),
+        "reserve": (plan.total, len(perm)),
+    }
+    for i in range(plan.trial_count):
+        bounds[f"trial{i}"] = (i * plan.per_trial, (i + 1) * plan.per_trial)
+    parts = {}
+    for name, (lo, hi) in bounds.items():
+        idx = perm[lo:hi]
+        parts[name] = (x[idx], y[idx], source_indices[idx])
+    return parts

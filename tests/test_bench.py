@@ -192,7 +192,9 @@ class TestDataHygiene:
         plan = SplitPlan(train_total=120, per_trial=40, trial_count=3,
                          validation=40, test=40, seed=9)
         splits = split(master, plan)
-        bench_test = splits.reserve.take(np.arange(50), name="bench-test")
+        r = splits.reserve
+        bench_test = Dataset(r.x[:50], r.y[:50], name="bench-test",
+                             source_indices=r.source_indices[:50])
         s = BenchmarkScenario(
             name="hygiene",
             steppers=["sgd"],

@@ -197,6 +197,19 @@ class TestConfigErrors:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("command, payload", [
+        ("evolve", evolve_payload), ("tune", tune_payload),
+        ("benchmark", bench_payload)])
+    @pytest.mark.parametrize("flag", [False, True])
+    def test_workers_below_one(self, tmp_path, capsys, monkeypatch,
+                               command, payload, flag):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_cfg(tmp_path, payload() if flag else payload(workers=0))
+        argv = [command, cfg] + (["--workers", "0"] if flag else [])
+        assert main(argv) == EXIT_CONFIG
+        assert "config.workers: must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
     def test_trials_exceed_groups(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, evolve_payload(trials=9))
         assert main(["evolve", cfg]) == EXIT_CONFIG

@@ -2,13 +2,18 @@
 
 import json
 import struct
+import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import optevo.data as data_mod
+from optevo.cli import build_task
 from optevo.data import (
     DataError,
     Dataset,
@@ -17,6 +22,13 @@ from optevo.data import (
     load_idx,
     split,
     synthetic,
+)
+from optevo.tensor import Rng
+from oracles import (
+    eager_checksum,
+    load_cifar10_eager,
+    load_idx_eager,
+    split_by_take,
 )
 
 
@@ -54,14 +66,6 @@ class TestDataset:
     def test_x_must_be_matrix(self):
         with pytest.raises(DataError, match="features"):
             Dataset(np.zeros(5), np.zeros(5, dtype=int))
-
-    def test_take_threads_source_indices(self):
-        d = small_dataset()
-        sub = d.take([3, 5, 7])
-        np.testing.assert_array_equal(sub.source_indices, [3, 5, 7])
-        sub2 = sub.take([2, 0])
-        np.testing.assert_array_equal(sub2.source_indices, [7, 3])
-        np.testing.assert_array_equal(sub2.x, d.x[[7, 3]])
 
 
 def write_idx_pair(tmp_path, images, labels):
@@ -110,6 +114,19 @@ class TestLoadIdx:
         with pytest.raises(DataError, match="images but"):
             load_idx(img, lbl)
 
+    @pytest.mark.parametrize("count, rows, cols, seed", [
+        (1, 1, 1, 0), (3, 2, 5, 1), (300, 28, 28, 2)])
+    def test_same_bytes_as_eager_scaling(self, tmp_path, count, rows, cols, seed):
+        pixels = np.random.default_rng(seed).integers(0, 256, count * rows * cols)
+        pixels[: min(256, pixels.size)] = np.arange(min(256, pixels.size))
+        labels = np.arange(count) % 10
+        img, lbl = write_idx_pair(tmp_path, pixels.reshape(count, rows, cols), labels)
+        d = load_idx(img, lbl)
+        x, y = load_idx_eager(img, lbl)
+        assert d.x.tobytes() == x.tobytes()
+        assert d.y.tobytes() == y.tobytes()
+        assert d.checksum == eager_checksum(x, y)
+
 
 class TestLoadCifar10:
     def test_round_trip(self, tmp_path):
@@ -126,6 +143,19 @@ class TestLoadCifar10:
         assert d.x.shape == (3, 3072)
         np.testing.assert_array_equal(d.y, labels)
         assert 0.0 <= d.x.min() and d.x.max() <= 1.0
+
+    def test_same_bytes_as_concatenated_batches(self, tmp_path):
+        rng = np.random.default_rng(1)
+        paths = []
+        for i, records in enumerate((5, 1, 12)):
+            p = tmp_path / f"batch{i}.bin"
+            p.write_bytes(rng.integers(0, 256, (records, 3073)).astype(np.uint8).tobytes())
+            paths.append(p)
+        d = load_cifar10(paths)
+        x, y = load_cifar10_eager(paths)
+        assert d.x.tobytes() == x.tobytes()
+        assert d.y.tobytes() == y.tobytes()
+        assert d.checksum == eager_checksum(x, y)
 
     def test_ragged_file_rejected(self, tmp_path):
         p = tmp_path / "bad.bin"
@@ -223,6 +253,105 @@ class TestSplit:
     def test_plan_too_large(self):
         with pytest.raises(DataError, match="needs"):
             split(master(20), self.plan)
+
+
+def split_case(trial_count, per_trial, spare, validation, test, reserve, seed):
+    plan = SplitPlan(per_trial * trial_count + spare, per_trial, trial_count,
+                     validation, test, seed=seed)
+    n = plan.total + reserve
+    rng = np.random.default_rng(seed)
+    d = Dataset(rng.random((n, 3)), rng.integers(0, 4, n), name="m",
+                source_indices=rng.permutation(n) + 7)
+    return d, plan
+
+
+# an empty reserve, and trial groups that leave part of the pool unused
+SPLIT_CASES = dict(
+    trial_count=st.integers(0, 4), per_trial=st.integers(0, 6),
+    spare=st.integers(0, 6), validation=st.integers(0, 6),
+    test=st.integers(0, 6), reserve=st.just(0) | st.integers(1, 6),
+    seed=st.integers(0, 2**16),
+)
+
+
+class TestSplitMatchesPerPartCopies:
+    """`split` against the per-part gather it replaced."""
+
+    @given(**SPLIT_CASES)
+    @example(trial_count=3, per_trial=4, spare=0, validation=2, test=3,
+             reserve=0, seed=1)
+    @example(trial_count=2, per_trial=3, spare=5, validation=1, test=0,
+             reserve=4, seed=2)
+    def test_parts_and_checksums(self, **case):
+        d, plan = split_case(**case)
+        perm = Rng(plan.seed).child("split", d.name).permutation(len(d))
+        expected = split_by_take(d.x, d.y, d.source_indices, perm, plan)
+        s = split(d, plan)
+        parts = {"train": s.train_pool, "val": s.validation, "test": s.test,
+                 "reserve": s.reserve}
+        parts.update({f"trial{i}": g for i, g in enumerate(s.trial_groups)})
+        assert parts.keys() == expected.keys()
+        for name, (x, y, rows) in expected.items():
+            part = parts[name]
+            assert part.name == f"m/{name}"
+            assert part.x.tobytes() == x.tobytes()
+            assert part.y.tobytes() == y.tobytes()
+            np.testing.assert_array_equal(part.source_indices, rows)
+            assert part.checksum == eager_checksum(x, y)
+            assert not part.x.flags.writeable
+        assert d.checksum == eager_checksum(d.x, d.y)
+
+    @settings(max_examples=20, deadline=None)
+    @given(**{**SPLIT_CASES, "trial_count": st.integers(1, 4)})
+    def test_build_task_hashes_nothing(self, **case):
+        _, plan = split_case(**case)
+        cfg = {
+            "dataset": {"kind": "xor_blobs", "n": max(plan.total + case["reserve"], 10),
+                        "seed": case["seed"]},
+            "split": {"train_total": plan.train_total, "per_trial": plan.per_trial,
+                      "trial_count": plan.trial_count, "validation": plan.validation,
+                      "test": plan.test, "seed": plan.seed},
+            "layer_sizes": [2, 3, 2],
+        }
+        digests = []
+        real = data_mod.hashlib.sha256
+
+        def sha256():
+            digests.append(1)
+            return real()
+
+        with mock.patch.object(data_mod, "hashlib", SimpleNamespace(sha256=sha256)):
+            task, _splits = build_task(cfg, seed=0)
+            assert digests == []
+            parts = [*task.trial_groups, task.validation, task.test]
+            assert [p.checksum for p in parts] == [
+                eager_checksum(p.x, p.y) for p in parts]
+        assert len(digests) == len(parts)
+
+    def test_parts_share_one_copy(self):
+        d, plan = split_case(3, 4, 2, 3, 3, 5, seed=0)
+        s = split(d, plan)
+        for part in [*s.trial_groups, s.validation, s.test, s.reserve]:
+            assert np.shares_memory(part.x, s.train_pool.x.base)
+        assert not np.shares_memory(s.train_pool.x, d.x)
+
+    def test_memory_of_load_and_split(self, tmp_path):
+        """Peak at most ~2x the float64 pixels (master plus one permuted
+        copy); the parts hold them once."""
+        n = 2000
+        images = np.random.default_rng(0).integers(0, 256, (n, 28, 28))
+        img, lbl = write_idx_pair(tmp_path, images, np.arange(n) % 10)
+        plan = SplitPlan(1200, 240, 5, 400, 400, seed=3)
+        data_bytes = n * 28 * 28 * 8
+        tracemalloc.start()
+        try:
+            splits = split(load_idx(img, lbl, name="fashion"), plan)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(splits.train_pool) == 1200
+        assert peak <= 2.1 * data_bytes
+        assert held <= 1.05 * data_bytes
 
 
 class TestSynthetic:

@@ -14,7 +14,7 @@ from optevo.dsge import (
     load_shipped_genotype,
     map_genotype,
     mutate,
-    random_genotype,
+    random_derivation,
     tournament_select,
 )
 from optevo.grammar import TOKEN_RE, load_shipped_grammar, parse_grammar, sigmoidal_constants
@@ -65,7 +65,7 @@ class TestMapping:
         assert geno.used == {"s": 1}  # trailing genes stay but are dormant
 
     def test_mapping_deterministic(self, alr):
-        geno = random_genotype(alr, rng=Rng(42).child("g"))
+        geno = random_derivation(alr, rng=Rng(42).child("g"))[0]
         a = map_genotype(alr, geno.copy())
         b = map_genotype(alr, geno.copy())
         assert a.text() == b.text()
@@ -161,27 +161,29 @@ class TestShippedGenotypes:
 
 class TestRandomGenotype:
     def test_idempotent_no_repair(self, alr):
-        geno = random_genotype(alr, rng=Rng(7).child("init"))
+        geno, tree = random_derivation(alr, rng=Rng(7).child("init"))
         before = {nt: list(v) for nt, v in geno.genes.items()}
-        map_genotype(alr, geno)  # no rng: repairs impossible
-        assert geno.genes == before
+        used = dict(geno.used)
+        again = map_genotype(alr, geno)  # no rng: repairs impossible
+        assert geno.genes == before and geno.used == used
+        assert again.text() == tree.text()
 
     def test_deterministic(self, alr):
-        a = random_genotype(alr, rng=Rng(3).child("x"))
-        b = random_genotype(alr, rng=Rng(3).child("x"))
+        a = random_derivation(alr, rng=Rng(3).child("x"))[0]
+        b = random_derivation(alr, rng=Rng(3).child("x"))[0]
         assert a.genes == b.genes
 
     def test_distinct_across_seeds(self, alr):
         differing = 0
         for s in range(200):
-            a = random_genotype(alr, rng=Rng(s).child("a"))
-            b = random_genotype(alr, rng=Rng(s).child("b"))
+            a = random_derivation(alr, rng=Rng(s).child("a"))[0]
+            b = random_derivation(alr, rng=Rng(s).child("b"))[0]
             differing += a.genes != b.genes
         assert differing >= 198
 
     def test_requires_rng(self, alr):
         with pytest.raises(ValueError):
-            random_genotype(alr)
+            random_derivation(alr)
 
 
 SHIPPED = {name: load_shipped_grammar(name) for name in ("alr", "dlr")}
@@ -192,7 +194,7 @@ class TestEncode:
     @given(st.integers(0, 2**32 - 1))
     def test_mapping_the_encoding_gives_the_same_tokens(self, name, seed):
         g = SHIPPED[name]
-        text = map_genotype(g, random_genotype(g, rng=Rng(seed).child("enc"))).text()
+        text = map_genotype(g, random_derivation(g, rng=Rng(seed).child("enc"))[0]).text()
         again = map_genotype(g, encode(g, text)).text()  # no rng: no repair
         assert TOKEN_RE.findall(again) == TOKEN_RE.findall(text)
 
@@ -225,7 +227,7 @@ class TestEncode:
 
 class TestMutate:
     def test_rate_zero_identity(self, alr):
-        geno = random_genotype(alr, rng=Rng(1).child("m"))
+        geno = random_derivation(alr, rng=Rng(1).child("m"))[0]
         out = mutate(geno, 0.0, alr, Rng(2).child("m"))
         assert out.genes == geno.genes
 
@@ -269,13 +271,13 @@ class TestMutate:
 
 class TestCrossover:
     def test_identical_parents(self, alr):
-        a = random_genotype(alr, rng=Rng(10).child("p"))
+        a = random_derivation(alr, rng=Rng(10).child("p"))[0]
         child = crossover(a, a.copy(), Rng(11).child("c"))
         assert child.genes == a.genes
 
     def test_lists_inherited_verbatim(self, alr):
-        a = random_genotype(alr, rng=Rng(20).child("pa"))
-        b = random_genotype(alr, rng=Rng(21).child("pb"))
+        a = random_derivation(alr, rng=Rng(20).child("pa"))[0]
+        b = random_derivation(alr, rng=Rng(21).child("pb"))[0]
         child = crossover(a, b, Rng(22).child("c"))
         for nt, lst in child.genes.items():
             assert lst == a.genes.get(nt, []) or lst == b.genes.get(nt, [])

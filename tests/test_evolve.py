@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import optevo.dsge as dsge_mod
 import optevo.evolve as evolve_mod
 from optevo.data import synthetic
-from optevo.dsge import EvoParams
+from optevo.dsge import EvoParams, map_genotype
 from optevo.evolve import (
     LOG_COLUMNS,
     EvolveRunLog,
@@ -20,6 +21,7 @@ from optevo.evolve import (
     evolve,
     fitness_alr,
     fitness_dlr,
+    load_checkpoint,
 )
 from optevo.grammar import load_shipped_grammar, parse_grammar
 from optevo.nn import TrainConfig
@@ -238,6 +240,27 @@ class TestEvolveLoop:
         evolve(params(generations=3), TOY, text_score,
                on_generation=lambda stat, log: rows.append(stat.generation))
         assert rows == [0, 1, 2, 3]
+
+    def test_generation_zero_is_mapped_once(self, tmp_path, monkeypatch):
+        # TOY never dead-ends, so drawing each genotype maps it exactly once
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return map_genotype(*args, **kwargs)
+
+        monkeypatch.setattr(dsge_mod, "map_genotype", counting)
+        monkeypatch.setattr(evolve_mod, "map_genotype", counting)
+        ckpt = tmp_path / "ckpt.json"
+        evolve(params(generations=0), TOY, text_score, checkpoint_path=ckpt)
+        assert len(calls) == 8
+        _, population, *_ = load_checkpoint(ckpt)
+        for ind in population:
+            fresh = map_genotype(TOY, ind.genotype.copy(), max_depth=4).text()
+            assert ind.phenotype == fresh
+        calls.clear()
+        evolve(params(generations=3), TOY, text_score)
+        assert len(calls) == 8 + 3 * (8 - 1)
 
     def test_mapping_failures_score_zero_without_crashing(self):
         # choosing <r> dooms a genotype: every alternative recurses forever

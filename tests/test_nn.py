@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from optevo.data import Dataset, synthetic
-from optevo.dsge import map_genotype, random_genotype
+from optevo.dsge import map_genotype, random_derivation
 from optevo.grammar import load_shipped_grammar
 from optevo.nn import (
     EarlyStopTracker,
@@ -282,7 +282,7 @@ class RecordingStepper:
 def toy_data(n=120, seed=0):
     d = synthetic("two_gaussians", n, noise=0.08, seed=seed)
     cut = int(0.75 * n)
-    return d.take(np.arange(cut)), d.take(np.arange(cut, n))
+    return Dataset(d.x[:cut], d.y[:cut]), Dataset(d.x[cut:], d.y[cut:])
 
 
 class TestTrain:
@@ -497,7 +497,7 @@ def make_case_stepper(kind, seed, lr_scale):
     if kind == "scheduled":
         return ScheduledSGD(parse_policy(f"if(epoch < 2.0, {0.5 * lr_scale!r}, 0.01)"))
     if kind == "alr":
-        genotype = random_genotype(ALR, rng=rng.child("genotype"))
+        genotype = random_derivation(ALR, rng=rng.child("genotype"))[0]
         return make_stepper(spec_from_phenotype(map_genotype(ALR, genotype).text()))
     if kind in BUILTIN_NAMES:
         hp = HyperParams.defaults_for(kind)
@@ -520,7 +520,7 @@ class TestFlatMatchesPerTensor:
     )
     def test_same_outcome(self, seed, kind, lr_scale, hidden, early_stop):
         d = synthetic("two_gaussians", 90, noise=0.1, seed=seed % 89)
-        data = d.take(np.arange(60)), d.take(np.arange(60, 90))
+        data = Dataset(d.x[:60], d.y[:60]), Dataset(d.x[60:], d.y[60:])
         sizes = [2, *hidden, 2 + seed % 2]
         cfg = TrainConfig(batch_size=16, max_epochs=4, early_stop=early_stop,
                           patience=1, shuffle_seed=seed % 1000)

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from optevo.data import synthetic
-from optevo.dsge import map_genotype, random_genotype
+from optevo.data import Dataset, synthetic
+from optevo.dsge import map_genotype, random_derivation
 from optevo.grammar import load_shipped_grammar
 from optevo.nn import Network, Stepper, TrainConfig, train
 from optevo.optim import (
@@ -454,7 +454,7 @@ class TestCompiledMatchesInterpreted:
         st.sampled_from([1.0, 1e-3, 1e3, 1e150, 1e300]),
     )
     def test_random_genotypes(self, seed, grad_scale):
-        genotype = random_genotype(ALR, rng=Rng(seed).child("genotype"))
+        genotype = random_derivation(ALR, rng=Rng(seed).child("genotype"))[0]
         spec = spec_from_phenotype(map_genotype(ALR, genotype).text())
         assert_compiled_matches_interpreted(spec, seed, grad_scale)
 
@@ -536,7 +536,7 @@ class GradScaled(SpecStepper):
 
 def train_outcome(spec, seed, scale, force):
     d = synthetic("two_gaussians", 100, noise=0.1, seed=seed % 97)
-    data = d.take(np.arange(70)), d.take(np.arange(70, 100))
+    data = Dataset(d.x[:70], d.y[:70]), Dataset(d.x[70:], d.y[70:])
     cfg = TrainConfig(batch_size=20, max_epochs=3, early_stop=False,
                       shuffle_seed=seed)
     net, hist = train(Network([2, 16, 2], seed=seed), GradScaled(spec, scale, force),
@@ -551,7 +551,7 @@ class TestLeanStepMatchesFullStep:
         st.sampled_from([1.0, 1e-3, 1e3, 1e150, 1e300]),
     )
     def test_random_genotypes(self, seed, grad_scale):
-        genotype = random_genotype(ALR, rng=Rng(seed).child("genotype"))
+        genotype = random_derivation(ALR, rng=Rng(seed).child("genotype"))[0]
         spec = spec_from_phenotype(map_genotype(ALR, genotype).text())
         lean = train_outcome(spec, seed, grad_scale, force=False)
         full = train_outcome(spec, seed, grad_scale, force=True)

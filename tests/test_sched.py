@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from optevo.dsge import Genotype, map_genotype, random_genotype
+from optevo.dsge import Genotype, map_genotype, random_derivation
 from optevo.grammar import load_shipped_grammar
 from optevo.sched import (
     Comparison,
@@ -118,13 +118,13 @@ class TestPolicyFromGenotype:
     def test_fuzzed_genotypes_always_yield_valid_trees(self, dlr):
         master = Rng(314).child("fuzz")
         for i in range(1000):
-            geno = random_genotype(dlr, max_depth=4, rng=master)
+            geno = random_derivation(dlr, max_depth=4, rng=master)[0]
             p = parse_policy(map_genotype(dlr, geno, max_depth=4).text())
             lr = eval_policy(p, i % 100, 0.01)
             assert np.isfinite(lr) and 0 < lr <= 1.0
 
     def test_deterministic_given_genes(self, dlr):
-        geno = random_genotype(dlr, rng=Rng(7).child("p"))
+        geno = random_derivation(dlr, rng=Rng(7).child("p"))[0]
         a = parse_policy(map_genotype(dlr, geno.copy()).text())
         b = parse_policy(map_genotype(dlr, geno.copy()).text())
         assert a == b
