@@ -166,20 +166,20 @@ def resolve_dataset(cfg: dict, where: str = "config.task.dataset") -> Dataset:
 
 
 def build_split_plan(cfg: dict, where: str = "config.task.split") -> SplitPlan:
+    """A SplitPlan with at least one non-empty trial group, validation set
+    and test set: an empty one would leave nothing to train or score on."""
     _check_keys(
         cfg,
         {"train_total", "per_trial", "trial_count", "validation", "test", "seed"},
         where,
     )
+    sizes = {key: _field(cfg, key, int, where=where)
+             for key in ("train_total", "per_trial", "trial_count", "validation", "test")}
+    for key in ("trial_count", "per_trial", "validation", "test"):
+        if sizes[key] < 1:
+            raise ConfigError(f"{where}.{key}: must be >= 1")
     try:
-        return SplitPlan(
-            train_total=_field(cfg, "train_total", int, where=where),
-            per_trial=_field(cfg, "per_trial", int, where=where),
-            trial_count=_field(cfg, "trial_count", int, where=where),
-            validation=_field(cfg, "validation", int, where=where),
-            test=_field(cfg, "test", int, where=where),
-            seed=_field(cfg, "seed", int, 0, where=where),
-        )
+        return SplitPlan(**sizes, seed=_field(cfg, "seed", int, 0, where=where))
     except DataError as e:
         raise ConfigError(f"{where}: {e}") from e
 

@@ -13,6 +13,18 @@ hands the stepper that one tensor, `update(net.flat, flat_grad)`, with
 shipped rule is elementwise, so this gives the bytes that stepping each
 weight tensor on its own gives, with one round of numpy calls per batch
 instead of one per tensor.
+
+Floating-point errors never raise or warn here: a non-finite loss or weight
+becomes a failed run. `train` opens one `np.errstate(all="ignore")` around
+its whole epoch loop, and `evaluate` and `mean_loss` each open their own;
+`forward`, `backward` and `_log_softmax` open none and run under the
+caller's errstate, because each one costs a few microseconds, a real share
+of a toy net's batch. Stepper `update` methods keep their own, since they
+are called directly too. For the same reason the log-softmax takes its row
+max with a loop of `np.maximum(..., out=)` over the columns, which is exact
+(max does not depend on order) and several times cheaper than `max(axis=1)`
+on narrow logits; its row sum stays numpy's own axis-1 reduction, whose
+summation order a column loop would not reproduce at every width.
 """
 
 from __future__ import annotations
@@ -51,7 +63,7 @@ class Stepper:
         pass
 
     def _assign(self, w: Tensor, new_w: Tensor) -> None:
-        if not np.isfinite(new_w).all():
+        if not np.logical_and.reduce(np.isfinite(new_w), axis=None):
             self.failed = True
         w[...] = new_w
 
@@ -93,7 +105,8 @@ class Network:
 
 
 def forward(net: Network, batch_x: Tensor):
-    """Return (logits, cache); the cache feeds backward()."""
+    """Return (logits, cache); the cache feeds backward(). Runs under the
+    caller's errstate."""
     x = np.asarray(batch_x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.layer_sizes[0]:
         raise NetworkError(
@@ -103,29 +116,44 @@ def forward(net: Network, batch_x: Tensor):
     pre = []
     out = x
     params = net.params
-    with np.errstate(all="ignore"):
-        for i in range(0, len(params), 2):
-            z = out @ params[i] + params[i + 1]
-            pre.append(z)
-            out = np.maximum(z, 0.0) if i + 2 < len(params) else z  # linear output
-            activations.append(out)
+    for i in range(0, len(params), 2):
+        z = out @ params[i]
+        z += params[i + 1]
+        pre.append(z)
+        out = np.maximum(z, 0.0) if i + 2 < len(params) else z  # linear output
+        activations.append(out)
     return out, {"activations": activations, "pre": pre}
 
 
 def _log_softmax(logits: Tensor) -> Tensor:
-    with np.errstate(all="ignore"):  # non-finite logits surface as failed runs
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    """Row-wise log-softmax of 2-D logits, under the caller's errstate.
+
+    The row max from a column loop equals `max(axis=1)`. Where a row's max
+    is a +0/-0 tie the two may differ in its sign, which can flip the sign
+    of a zero in `shifted` but not its exp, and such a row's sum is at least
+    2, so the output is the same.
+    """
+    m = logits[:, :1].copy()
+    for j in range(1, logits.shape[1]):
+        np.maximum(m, logits[:, j : j + 1], out=m)
+    shifted = logits - m
+    log_sum = np.add.reduce(np.exp(shifted), axis=1, keepdims=True)
+    shifted -= np.log(log_sum, out=log_sum)
+    return shifted
 
 
 def _nll(log_probs: Tensor, labels: Tensor) -> float:
-    return float(-log_probs[np.arange(len(labels)), labels].mean())
+    """Mean negative log-probability of the labels: the ops of `.mean()`
+    without its Python wrapper."""
+    n = len(labels)
+    return float(-(np.add.reduce(log_probs[np.arange(n), labels]) / n))
 
 
 def mean_loss(logits: Tensor, labels: Tensor) -> float:
     """Softmax cross-entropy averaged over the batch."""
     labels = np.asarray(labels, dtype=np.int64)
-    return _nll(_log_softmax(np.asarray(logits, dtype=np.float64)), labels)
+    with np.errstate(all="ignore"):  # non-finite logits surface as failed runs
+        return _nll(_log_softmax(np.asarray(logits, dtype=np.float64)), labels)
 
 
 def backward(net: Network, cache: dict, labels: Tensor,
@@ -133,26 +161,26 @@ def backward(net: Network, cache: dict, labels: Tensor,
     """Gradients of the mean cross-entropy, ordered like net.params: views
     into `out`, a float64 buffer laid out like net.flat (a fresh one when not
     given). `log_probs`, the log-softmax of the cached logits, is computed
-    when not given."""
+    when not given. Runs under the caller's errstate."""
     labels = np.asarray(labels, dtype=np.int64)
     activations, pre = cache["activations"], cache["pre"]
     batch = len(labels)
     logits = activations[-1]
-    if labels.min() < 0 or labels.max() >= logits.shape[1]:
+    if np.minimum.reduce(labels) < 0 or np.maximum.reduce(labels) >= logits.shape[1]:
         raise NetworkError("label outside the network's class range")
     if log_probs is None:
         log_probs = _log_softmax(logits)
     grads = net._views(np.empty_like(net.flat) if out is None else out)
-    with np.errstate(all="ignore"):
-        probs = np.exp(log_probs)
-        delta = probs
-        delta[np.arange(batch), labels] -= 1.0
-        delta /= batch
-        for i in range(len(net.params) // 2 - 1, -1, -1):
-            delta.sum(axis=0, out=grads[2 * i + 1])  # bias
-            np.matmul(activations[i].T, delta, out=grads[2 * i])  # weights
-            if i > 0:
-                delta = (delta @ net.params[2 * i].T) * (pre[i - 1] > 0)
+    delta = np.exp(log_probs)
+    delta[np.arange(batch), labels] -= 1.0
+    delta /= batch
+    params = net.params
+    for i in range(len(params) // 2 - 1, -1, -1):
+        np.add.reduce(delta, axis=0, out=grads[2 * i + 1])  # bias
+        np.matmul(activations[i].T, delta, out=grads[2 * i])  # weights
+        if i > 0:
+            delta = delta @ params[2 * i].T
+            delta *= pre[i - 1] > 0
     return grads
 
 
@@ -160,7 +188,8 @@ def evaluate(net: Network, data: Dataset) -> float:
     """Accuracy under argmax prediction; ties resolve to the lowest class."""
     if len(data) == 0:
         raise NetworkError("cannot evaluate on an empty dataset")
-    logits, _ = forward(net, data.x)
+    with np.errstate(all="ignore"):  # overflowed logits still give an argmax
+        logits, _ = forward(net, data.x)
     return float((logits.argmax(axis=1) == data.y).mean())
 
 
@@ -223,43 +252,45 @@ def train(net: Network, stepper: Stepper, data, cfg: TrainConfig | None = None):
         raise NetworkError("cannot train on an empty dataset")
     width = net.layer_sizes[-1]
     for part in (train_set, val_set):
-        if len(part) and not (part.y.min() >= 0 and part.y.max() < width):
+        if len(part) and not (np.minimum.reduce(part.y) >= 0
+                              and np.maximum.reduce(part.y) < width):
             raise NetworkError("label outside the network's class range")
     history = TrainHistory()
     tracker = EarlyStopTracker(cfg.patience)
     shuffle_rng = Rng(cfg.shuffle_seed).child("shuffle")
     needs_grad = getattr(stepper, "needs_grad", True)
-    for epoch in range(cfg.max_epochs):
-        stepper.begin_epoch(epoch)
-        order = shuffle_rng.child("epoch", epoch).permutation(len(train_set))
-        total_loss = 0.0
-        for lo in range(0, len(order), cfg.batch_size):
-            idx = order[lo : lo + cfg.batch_size]
-            labels = train_set.y[idx]
-            logits, cache = forward(net, train_set.x[idx])
-            log_probs = _log_softmax(logits)
-            total_loss += _nll(log_probs, labels) * len(idx)
-            if needs_grad:
-                flat_grad = np.empty_like(net.flat)  # fresh: steppers may keep it
-                backward(net, cache, labels, log_probs, flat_grad)
-                stepper.update(net.flat, flat_grad)
-            else:
-                stepper.update(net.flat, None)
-            if stepper.failed:
+    with np.errstate(all="ignore"):  # non-finite values become a failed run
+        for epoch in range(cfg.max_epochs):
+            stepper.begin_epoch(epoch)
+            order = shuffle_rng.child("epoch", epoch).permutation(len(train_set))
+            total_loss = 0.0
+            for lo in range(0, len(order), cfg.batch_size):
+                idx = order[lo : lo + cfg.batch_size]
+                labels = train_set.y[idx]
+                logits, cache = forward(net, train_set.x[idx])
+                log_probs = _log_softmax(logits)
+                total_loss += _nll(log_probs, labels) * len(idx)
+                if needs_grad:
+                    flat_grad = np.empty_like(net.flat)  # fresh: steppers may keep it
+                    backward(net, cache, labels, log_probs, flat_grad)
+                    stepper.update(net.flat, flat_grad)
+                else:
+                    stepper.update(net.flat, None)
+                if stepper.failed:
+                    history.failed = True
+                    return net, history
+            epoch_train_loss = total_loss / len(order)
+            val_logits, _ = forward(net, val_set.x)
+            epoch_val_loss = mean_loss(val_logits, val_set.y)
+            if not (np.isfinite(epoch_train_loss) and np.isfinite(epoch_val_loss)):
                 history.failed = True
                 return net, history
-        epoch_train_loss = total_loss / len(order)
-        val_logits, _ = forward(net, val_set.x)
-        epoch_val_loss = mean_loss(val_logits, val_set.y)
-        if not (np.isfinite(epoch_train_loss) and np.isfinite(epoch_val_loss)):
-            history.failed = True
-            return net, history
-        history.train_loss.append(epoch_train_loss)
-        history.val_loss.append(epoch_val_loss)
-        history.epochs_run += 1
-        if cfg.early_stop and tracker.update(epoch_val_loss):
-            history.stopped_early = True
-            break
+            history.train_loss.append(epoch_train_loss)
+            history.val_loss.append(epoch_val_loss)
+            history.epochs_run += 1
+            if cfg.early_stop and tracker.update(epoch_val_loss):
+                history.stopped_early = True
+                break
     return net, history
 
 

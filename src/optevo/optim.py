@@ -249,31 +249,37 @@ class OptState:
 
 
 def _compile(e: Expr):
-    """A function of the variable list [x, y, z, grad, alpha] computing `e`
-    with the interpreter's ops: same ufuncs, operand order and dtypes."""
+    """(fn, value) for `e`, built bottom-up in one pass. A variable-free `e`
+    has its folded constant in `value`, reached through `elementwise` one op
+    at a time as `eval_expr(e, {})` would; otherwise `value` is None. `fn` is
+    a function of the variable list [x, y, z, grad, alpha] computing `e` with
+    the interpreter's ops: same ufuncs, operand order and dtypes."""
     if isinstance(e, Var):
-        return itemgetter(VAR_NAMES.index(e.name))
-    if not referenced_vars(e):
-        value = eval_expr(e, {})  # folded once, through elementwise
-        return lambda v: value
+        return itemgetter(VAR_NAMES.index(e.name)), None
+    if isinstance(e, Const):
+        value = np.float64(e.value)
+        return (lambda v: value), value
+    if not isinstance(e, Apply):
+        raise ExprError(f"not an expression node: {e!r}")
+    parts = [_compile(a) for a in e.args]
+    if all(c is not None for _, c in parts):
+        value = elementwise(e.op, *(c for _, c in parts))
+        return (lambda v: value), value
     f = _IMPL[e.op]
-    if len(e.args) == 1:
-        a = _compile(e.args[0])
-        return lambda v: f(a(v))
-    left, right = e.args
-    if not referenced_vars(left):
-        c, b = eval_expr(left, {}), _compile(right)
-        return lambda v: f(c, b(v))
-    if not referenced_vars(right):
-        a, c = _compile(left), eval_expr(right, {})
-        return lambda v: f(a(v), c)
-    a, b = _compile(left), _compile(right)
-    return lambda v: f(a(v), b(v))
+    if len(parts) == 1:
+        a = parts[0][0]
+        return (lambda v: f(a(v))), None
+    (a, ca), (b, cb) = parts
+    if ca is not None:
+        return (lambda v: f(ca, b(v))), None
+    if cb is not None:
+        return (lambda v: f(a(v), cb)), None
+    return (lambda v: f(a(v), b(v))), None
 
 
 def compile_spec(spec: OptimizerSpec) -> tuple:
     """The spec's four slot functions, in evaluation order."""
-    return tuple(_compile(getattr(spec, slot)) for slot in SLOT_VARS)
+    return tuple(_compile(getattr(spec, slot))[0] for slot in SLOT_VARS)
 
 
 def _advance(slots: tuple, state: OptState, w: Tensor, g: Tensor):

@@ -220,6 +220,16 @@ class TestConfigErrors:
         payload["task"]["split"]["per_trial"] = 500  # exceeds train_total
         assert main(["evolve", write_cfg(tmp_path, payload)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("key", ["trial_count", "per_trial", "validation", "test"])
+    def test_empty_split_part(self, tmp_path, capsys, monkeypatch, key):
+        monkeypatch.chdir(tmp_path)
+        payload = tune_payload()
+        payload["task"]["split"][key] = 0
+        assert main(["tune", write_cfg(tmp_path, payload)]) == EXIT_CONFIG
+        assert (f"config error: config.task.split.{key}: must be >= 1"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "runs").exists()
+
     def test_unknown_dataset_kind(self, tmp_path):
         payload = evolve_payload()
         payload["task"]["dataset"] = {"kind": "fractal", "n": 10}

@@ -302,7 +302,10 @@ class TestSplitMatchesPerPartCopies:
         assert d.checksum == eager_checksum(d.x, d.y)
 
     @settings(max_examples=20, deadline=None)
-    @given(**{**SPLIT_CASES, "trial_count": st.integers(1, 4)})
+    # build_task rejects an empty trial group, validation or test set
+    @given(**{**SPLIT_CASES, "trial_count": st.integers(1, 4),
+              "per_trial": st.integers(1, 6), "validation": st.integers(1, 6),
+              "test": st.integers(1, 6)})
     def test_build_task_hashes_nothing(self, **case):
         _, plan = split_case(**case)
         cfg = {

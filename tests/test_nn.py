@@ -1,5 +1,6 @@
 """Dense networks: init, forward/backward vs finite differences, training loop."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +18,7 @@ from optevo.nn import (
     TrainConfig,
     TrainHistory,
     _log_softmax,
+    _nll,
     backward,
     evaluate,
     forward,
@@ -33,6 +35,7 @@ from optevo.optim import (
 from optevo.sched import ScheduledSGD, parse_policy
 from optevo.tensor import Rng
 
+import oracles
 from oracles import train_per_tensor
 
 
@@ -534,3 +537,93 @@ class TestFlatMatchesPerTensor:
         assert [p.tobytes() for p in net.params] == [p.tobytes() for p in params]
         assert (hist.train_loss, hist.val_loss, hist.epochs_run,
                 hist.stopped_early, hist.failed) == want
+
+
+SPECIAL_VALUES = [np.inf, -np.inf, np.nan, 0.0, -0.0]
+
+
+@st.composite
+def logits_and_labels(draw):
+    """Logits of 1-1200 rows and 1-12 columns at scales from tiny to near
+    overflow, optionally rounded (ties, and -0.0 from small negatives), with
+    +-inf, NaN and +-0 written into random cells; labels in range."""
+    rows, width = draw(st.integers(1, 1200)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-300, 1e-3, 1.0, 40.0, 1e3, 1e300]))
+    logits = rng.normal(size=(rows, width)) * scale
+    if draw(st.booleans()):
+        logits = np.round(logits)
+    cells = draw(st.lists(st.tuples(st.integers(0, rows - 1), st.integers(0, width - 1),
+                                    st.sampled_from(SPECIAL_VALUES)), max_size=24))
+    for r, c, value in cells:
+        logits[r, c] = value
+    return logits, rng.integers(0, width, size=rows)
+
+
+def assert_same_bits(got, want):
+    """Byte-equal float64 values, any NaN counting as equal to any NaN."""
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    assert got.shape == want.shape
+    nan = np.isnan(got)
+    assert np.array_equal(nan, np.isnan(want))
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+class TestSoftmaxMatchesOracle:
+    """The column-loop row max and direct reductions give the bytes of the
+    `max(axis=1)` / `.mean()` forms in tests/oracles.py."""
+
+    @given(logits_and_labels())
+    def test_log_softmax(self, case):
+        logits, _ = case
+        with np.errstate(all="ignore"):  # _log_softmax runs under the caller's
+            got = _log_softmax(logits)
+        assert_same_bits(got, oracles._log_softmax(logits))
+
+    @given(logits_and_labels())
+    def test_nll(self, case):
+        logits, labels = case
+        log_probs = oracles._log_softmax(logits)
+        with np.errstate(all="ignore"):
+            got = _nll(log_probs, labels)
+            want = oracles._nll(log_probs, labels)
+        assert type(got) is float
+        assert_same_bits(got, want)
+
+    @given(logits_and_labels())
+    def test_mean_loss(self, case):
+        logits, labels = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # mean_loss opens its own errstate
+            got = mean_loss(logits, labels)
+        with np.errstate(all="ignore"):
+            want = oracles._nll(oracles._log_softmax(logits), labels)
+        assert_same_bits(got, want)
+
+    def test_signed_zero_tie(self):
+        """A +0/-0 row max may keep either sign; the output does not show it."""
+        logits = np.array([[-0.0, 0.0, -1.0], [0.0, -0.0, -1.0], [-0.0, -0.0, 0.0]])
+        with np.errstate(all="ignore"):
+            got = _log_softmax(logits)
+        assert_same_bits(got, oracles._log_softmax(logits))
+
+
+class TestOverflowStaysSilent:
+    """`train` and `evaluate` run their numpy work under their own errstate:
+    weights large enough to overflow the logits fail the run quietly."""
+
+    @pytest.mark.parametrize("opt", [
+        "sgd", "adam", "nesterov",
+        spec_from_phenotype("grad ; y ; z ; multiply(alpha, 0.9)"),  # no backward
+    ])
+    def test_huge_initial_weights(self, opt):
+        net = Network([2, 16, 2], seed=0)
+        net.flat *= 1e200
+        data = toy_data()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, hist = train(net, make_stepper(opt), data,
+                            TrainConfig(batch_size=16, max_epochs=3))
+            acc = evaluate(net, data[1])
+        assert hist.failed
+        assert type(acc) is float

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from optevo import optim
 from optevo.data import Dataset, synthetic
 from optevo.dsge import map_genotype, random_derivation
 from optevo.grammar import load_shipped_grammar
@@ -23,10 +24,12 @@ from optevo.optim import (
     Var,
     adam_core_spec,
     builtin,
+    compile_spec,
     eval_expr,
     grad_tainted,
     make_stepper,
     parse_expr,
+    referenced_vars,
     serialize_expr,
     spec_from_json,
     spec_from_phenotype,
@@ -475,6 +478,74 @@ class TestCompiledMatchesInterpreted:
     def test_edge_cases(self, text, grad_scale, fails):
         spec = spec_from_phenotype(text)
         assert assert_compiled_matches_interpreted(spec, 7, grad_scale) == fails
+
+
+def subtrees(e):
+    yield e
+    if isinstance(e, Apply):
+        for a in e.args:
+            yield from subtrees(a)
+
+
+def slot_trees(spec):
+    return [spec.x_func, spec.y_func, spec.z_func, spec.weight_func]
+
+
+# constant subtrees nested at several depths, on both sides of a binary op,
+# under unary ops, and folding to NaN, inf and 0-d arrays
+NESTED_CONSTANT_PHENOTYPES = [
+    "add(x, multiply(sqrt(add(0.25, square(0.5))), grad)) ; y ; z ; subtract(alpha, x)",
+    "multiply(grad, divide_no_nan(pow(2.0, negative(3.0)), add(sign(negative(0.5)), 4.0)))"
+    " ; add(y, square(sqrt(2.0))) ; subtract(z, multiply(negative(0.1), x))"
+    " ; subtract(alpha, multiply(add(0.5, 0.5), x))",
+    "divide_no_nan(1.0, 0.0) ; sqrt(2.0) ; pow(2.0, negative(1.0))"
+    " ; subtract(alpha, multiply(x, add(y, z)))",
+    "grad ; y ; z ; multiply(alpha, subtract(1.0, multiply(0.01, sqrt(negative(1.0)))))",
+    "multiply(pow(10.0, 400.0), grad) ; y ; z"
+    " ; subtract(alpha, multiply(x, divide_no_nan(1.0, pow(10.0, 400.0))))",
+]
+
+
+class TestOnePassCompile:
+    """`compile_spec` builds each tree bottom-up, visiting every node once,
+    and folds constants exactly as a compiler that re-scans subtrees for
+    variables does: one `elementwise` call per variable-free op node."""
+
+    @pytest.mark.parametrize("text", NESTED_CONSTANT_PHENOTYPES + [
+        map_genotype(ALR, random_derivation(ALR, rng=Rng(seed).child("genotype"))[0]).text()
+        for seed in range(40)],
+        ids=[f"nested{i}" for i in range(len(NESTED_CONSTANT_PHENOTYPES))]
+        + [f"alr{seed}" for seed in range(40)])
+    def test_elementwise_calls_and_visits(self, text, monkeypatch):
+        spec = spec_from_phenotype(text)
+        trees = slot_trees(spec)
+        folded_ops = sum(isinstance(n, Apply) and not referenced_vars(n)
+                         for t in trees for n in subtrees(t))
+        calls, visits = [], []
+        real_elementwise, real_compile = optim.elementwise, optim._compile
+        monkeypatch.setattr(optim, "elementwise",
+                            lambda *a: calls.append(1) or real_elementwise(*a))
+        monkeypatch.setattr(optim, "_compile",
+                            lambda e: visits.append(1) or real_compile(e))
+        compile_spec(spec)
+        assert len(calls) == folded_ops
+        assert len(visits) == sum(1 for t in trees for _ in subtrees(t))
+
+    @pytest.mark.parametrize("text", NESTED_CONSTANT_PHENOTYPES,
+                             ids=[f"nested{i}" for i in range(len(NESTED_CONSTANT_PHENOTYPES))])
+    def test_folded_values_match_eval_expr(self, text):
+        spec = spec_from_phenotype(text)
+        for node in (n for t in slot_trees(spec) for n in subtrees(t)):
+            value = optim._compile(node)[1]
+            if referenced_vars(node):
+                assert value is None
+                continue
+            want = eval_expr(node, {})
+            assert type(value) is type(want)
+            got, want = np.asarray(value), np.asarray(want)
+            assert (got.shape, got.dtype, got.tobytes()) == (
+                want.shape, want.dtype, want.tobytes())
+        assert_compiled_matches_interpreted(spec, 7, 1.0)
 
 
 class TestGradTainted:
