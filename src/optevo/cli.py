@@ -1,9 +1,10 @@
-"""Command-line entry point: evolve / dlr-evolve / benchmark / tune / grammar-check.
+"""Command-line entry point: evolve / benchmark / tune / grammar-check.
 
 Configs are JSON; every field is schema-checked before any compute starts,
-and command-line flags override config fields.  All outputs land under a
-run directory named by timestamp + seed.  Exit codes: 0 success, 1 check
-failure, 2 config error, 3 data error.
+and command-line flags override config fields.  `evolve` searches update
+rules or learning-rate schedules, whichever its grammar derives.  All outputs
+land under a run directory named by timestamp + seed.  Exit codes: 0 success,
+1 check failure, 2 config error, 3 data error.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from .grammar import (
     GrammarError,
     Nonterminal,
     alternative_text,
+    is_scheduler_grammar,
     load_shipped_grammar,
     parse_grammar,
     sigmoidal_constants,
@@ -305,10 +307,10 @@ def _echo_config(run_dir: Path, cfg: dict, extras: dict) -> None:
     )
 
 
-# --- evolve / dlr-evolve ------------------------------------------------------
+# --- evolve -------------------------------------------------------------------
 
 
-def cmd_evolve(args, mode: str) -> int:
+def cmd_evolve(args) -> int:
     cfg = _load_config(args.config)
     _check_keys(
         cfg,
@@ -317,10 +319,15 @@ def cmd_evolve(args, mode: str) -> int:
     )
     seed = _resolve_seed(cfg, args)
     params = build_evo_params(cfg, seed, args)
-    grammar = resolve_grammar(_field(cfg, "grammar", str, mode))
+    grammar = resolve_grammar(_field(cfg, "grammar", str, "alr"))
+    scheduler = is_scheduler_grammar(grammar)
+    if scheduler and {"trials", "threshold"} & cfg.keys():
+        raise ConfigError("config: trials and threshold need an optimizer grammar")
     task, splits = build_task(_field(cfg, "task", dict), seed)
     workers = _resolve_workers(cfg, args)
-    if mode == "alr":
+    if scheduler:
+        fitness_fn = dlr_fitness_fn(task)
+    else:
         trials = _field(cfg, "trials", int, len(task.trial_groups))
         threshold = _field(cfg, "threshold", float, 0.8)
         if trials > len(task.trial_groups):
@@ -328,8 +335,6 @@ def cmd_evolve(args, mode: str) -> int:
                 f"config.trials: {trials} > {len(task.trial_groups)} trial groups"
             )
         fitness_fn = alr_fitness_fn(task, trial_number=trials, threshold=threshold)
-    else:
-        fitness_fn = dlr_fitness_fn(task)
     resume = args.resume or _field(cfg, "resume", str, None)
     checkpoint = None
     if resume is not None:
@@ -355,31 +360,17 @@ def cmd_evolve(args, mode: str) -> int:
         workers=workers,
     )
 
-    _echo_config(run_dir, cfg, {"resolved_seed": seed, "mode": mode})
-    (run_dir / "best.json").write_text(
-        json.dumps(
-            {
-                "fitness": best.fitness,
-                "phenotype": best.phenotype,
-                "genotype": {
-                    "genes": best.genotype.genes,
-                    "used": best.genotype.used,
-                },
-            },
-            indent=2,
-        ),
-        encoding="utf-8",
-    )
-    if best.phenotype is not None:
-        if mode == "alr":
-            spec = spec_from_phenotype(best.phenotype, name="evolved")
-            (run_dir / "best_spec.json").write_text(spec_to_json(spec),
-                                                    encoding="utf-8")
-        else:
-            policy = parse_policy(best.phenotype)
-            (run_dir / "best_policy.txt").write_text(
-                serialize_policy(policy) + "\n", encoding="utf-8"
-            )
+    _echo_config(run_dir, cfg,
+                 {"resolved_seed": seed, "mode": "dlr" if scheduler else "alr"})
+    record = {"fitness": best.fitness, "phenotype": best.phenotype,
+              "genotype": vars(best.genotype)}  # its genes and used counts
+    (run_dir / "best.json").write_text(json.dumps(record, indent=2), encoding="utf-8")
+    if best.phenotype is not None and scheduler:
+        policy = serialize_policy(parse_policy(best.phenotype))
+        (run_dir / "best_policy.txt").write_text(policy + "\n", encoding="utf-8")
+    elif best.phenotype is not None:
+        spec = spec_to_json(spec_from_phenotype(best.phenotype, name="evolved"))
+        (run_dir / "best_spec.json").write_text(spec, encoding="utf-8")
     (run_dir / "indices.json").write_text(
         json.dumps({"evolution_indices": splits.evolution_indices().tolist()}),
         encoding="utf-8",
@@ -712,9 +703,8 @@ def cmd_grammar_check(args) -> int:
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    # an <lr_const> rule marks a scheduler grammar, such as the shipped 'dlr'
-    scheduler = "lr_const" in grammar.rules
-    checks = (scheduler_health_checks if scheduler else grammar_health_checks)(grammar)
+    checks = (scheduler_health_checks if is_scheduler_grammar(grammar)
+              else grammar_health_checks)(grammar)
     for name, ok, detail in checks:
         print(f"{'PASS' if ok else 'FAIL'}: {name} — {detail}")
     failed = sum(1 for _, ok, _ in checks if not ok)
@@ -742,18 +732,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--run-dir", default=None,
                        help="exact output directory (default: runs/<stamp>_s<seed>)")
 
-    p_evolve = sub.add_parser("evolve", help="evolve weight-update rules")
+    p_evolve = sub.add_parser("evolve", help="evolve update rules or LR schedules")
     common(p_evolve)
     p_evolve.add_argument("--generations", type=int, default=None)
     p_evolve.add_argument("--population", type=int, default=None)
     p_evolve.add_argument("--resume", default=None,
                           help="checkpoint file to resume from")
-
-    p_dlr = sub.add_parser("dlr-evolve", help="evolve learning-rate schedules")
-    common(p_dlr)
-    p_dlr.add_argument("--generations", type=int, default=None)
-    p_dlr.add_argument("--population", type=int, default=None)
-    p_dlr.add_argument("--resume", default=None)
 
     p_bench = sub.add_parser("benchmark", help="compare optimizers head-to-head")
     common(p_bench)
@@ -777,9 +761,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "evolve":
-            return cmd_evolve(args, "alr")
-        if args.command == "dlr-evolve":
-            return cmd_evolve(args, "dlr")
+            return cmd_evolve(args)
         if args.command == "benchmark":
             return cmd_benchmark(args)
         if args.command == "tune":

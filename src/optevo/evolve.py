@@ -41,8 +41,14 @@ from .dsge import (
 )
 from .grammar import Grammar
 from .nn import TrainConfig, evaluate, train_seeded
-from .optim import OptimizerSpec, SpecStepper, spec_from_phenotype
-from .sched import PolicyTree, ScheduledSGD, serialize_policy
+from .optim import (
+    ExprError,
+    OptimizerSpec,
+    SpecStepper,
+    SpecValidationError,
+    spec_from_phenotype,
+)
+from .sched import PolicyError, PolicyTree, ScheduledSGD, parse_policy, serialize_policy
 from .tensor import Rng
 
 LOG_COLUMNS = ("generation", "best", "mean", "median", "evaluations", "seconds")
@@ -384,7 +390,7 @@ def alr_fitness_fn(task: TrainingTask, trial_number: int = 5, threshold: float =
     def fn(text: str) -> float:
         try:
             spec = spec_from_phenotype(text)
-        except Exception:
+        except (ExprError, SpecValidationError):
             return 0.0
         return fitness_alr(spec, task, trial_number, threshold).fitness
 
@@ -393,12 +399,11 @@ def alr_fitness_fn(task: TrainingTask, trial_number: int = 5, threshold: float =
 
 def dlr_fitness_fn(task: TrainingTask):
     """Adapter: phenotype text -> scalar fitness for schedule search."""
-    from .sched import parse_policy
 
     def fn(text: str) -> float:
         try:
             policy = parse_policy(text)
-        except Exception:
+        except PolicyError:
             return 0.0
         return fitness_dlr(policy, task)
 

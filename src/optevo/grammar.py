@@ -188,6 +188,11 @@ def parse_grammar(text: str) -> Grammar:
     return Grammar(rules, start)
 
 
+def is_scheduler_grammar(g: Grammar) -> bool:
+    """An <lr_const> rule marks a scheduler grammar, such as the shipped 'dlr'."""
+    return "lr_const" in g.rules
+
+
 def alternative_text(alt: Alternative) -> str:
     """One alternative as written in a grammar file."""
     return " ".join(s.text if isinstance(s, Terminal) else f"<{s.name}>" for s in alt)

@@ -171,8 +171,10 @@ def backward(net: Network, cache: dict, labels: Tensor,
     if log_probs is None:
         log_probs = _log_softmax(logits)
     grads = net._views(np.empty_like(net.flat) if out is None else out)
-    delta = np.exp(log_probs)
-    delta[np.arange(batch), labels] -= 1.0
+    delta = np.exp(log_probs, order="C")
+    # C order keeps reshape(-1) a view, where row r's label entry sits at
+    # r * classes + labels[r]
+    delta.reshape(-1)[np.arange(0, delta.size, delta.shape[1]) + labels] -= 1.0
     delta /= batch
     params = net.params
     for i in range(len(params) // 2 - 1, -1, -1):

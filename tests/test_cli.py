@@ -570,10 +570,30 @@ class TestEvolveCommand:
             "test": 60,
         }
         cfg = write_cfg(tmp_path, payload)
-        assert main(["dlr-evolve", cfg, "--run-dir", str(run)]) == EXIT_OK
+        assert main(["evolve", cfg, "--run-dir", str(run)]) == EXIT_OK
         policy_text = (run / "best_policy.txt").read_text().strip()
         parse_policy(policy_text)  # must round-trip
         assert not (run / "best_spec.json").exists()
+
+    def test_dlr_evolve_is_not_a_command(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, evolve_payload(grammar="dlr"))
+        with pytest.raises(SystemExit) as exc:
+            main(["dlr-evolve", cfg, "--run-dir", str(tmp_path / "run")])
+        assert exc.value.code == EXIT_CONFIG
+        assert "dlr-evolve" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("key", ["trials", "threshold"])
+    def test_scheduler_grammar_rejects_update_rule_keys(
+            self, tmp_path, capsys, monkeypatch, key):
+        monkeypatch.chdir(tmp_path)
+        payload = evolve_payload(grammar="dlr")
+        del payload["threshold" if key == "trials" else "trials"]
+        cfg = write_cfg(tmp_path, payload)
+        assert main(["evolve", cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
+        assert not (tmp_path / "runs").exists()
 
 
 class TestBenchmarkCommand:

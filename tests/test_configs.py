@@ -1,5 +1,6 @@
 """Every shipped config under configs/ runs through the CLI as documented."""
 
+import json
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 # smoke run
 QUICK = {
     "evolve-alr": ["evolve", "--generations", "0"],
-    "evolve-dlr": ["dlr-evolve", "--generations", "0"],
+    "evolve-dlr": ["evolve", "--generations", "0"],
     "benchmark": ["benchmark", "--repetitions", "1"],
     "tune-adam": ["tune", "--budget", "5"],
 }
@@ -31,6 +32,17 @@ def test_quick_config_runs(stem, tmp_path, monkeypatch):
             "--workers", "1", "--run-dir", str(tmp_path / "run")]
     assert main(argv) == EXIT_OK
     assert (tmp_path / "run" / "config.json").is_file()
+
+
+def test_scheduler_config_scores_its_schedules(tmp_path):
+    run = tmp_path / "run"
+    argv = ["evolve", str(CONFIGS / "evolve-dlr.json"), "--generations", "0",
+            "--population", "6", "--workers", "1", "--run-dir", str(run)]
+    assert main(argv) == EXIT_OK
+    assert json.loads((run / "best.json").read_text())["fitness"] > 0
+    assert json.loads((run / "config.json").read_text())["mode"] == "dlr"
+    assert (run / "best_policy.txt").is_file()
+    assert not (run / "best_spec.json").exists()
 
 
 @pytest.mark.parametrize("stem", sorted(QUICK))

@@ -10,6 +10,7 @@ from optevo.grammar import (
     GrammarError,
     Nonterminal,
     Terminal,
+    is_scheduler_grammar,
     load_shipped_grammar,
     parse_grammar,
     serialize_grammar,
@@ -78,9 +79,19 @@ class TestParsing:
 
 class TestRoundTrip:
     def test_shipped_grammars_round_trip(self):
-        for name in ("alr", "dlr"):
-            g = load_shipped_grammar(name)
+        # then two small grammars: an <lr_const> rule is what marks a
+        # scheduler grammar, whatever the start rule is called
+        grammars = [
+            (load_shipped_grammar("alr"), False),
+            (load_shipped_grammar("dlr"), True),
+            (parse_grammar("<s> ::= x | add(x, <weight_const>)\n"
+                           "<weight_const> ::= 0.5"), False),
+            (parse_grammar("<s> ::= <lr_const> | if(epoch < 5, <s>, <s>)\n"
+                           "<lr_const> ::= 0.1 | 0.01"), True),
+        ]
+        for g, scheduler in grammars:
             assert parse_grammar(serialize_grammar(g)) == g
+            assert is_scheduler_grammar(g) is scheduler
 
     names = st.sampled_from(["s", "t", "u"])
 
