@@ -1,10 +1,10 @@
 """Benchmark harness: repeated independent trainings, statistics, report tables.
 
 A scenario names its contenders (built-in optimizers, evolved update rules,
-or learning-rate policies), fixes the data and training protocol, and runs
-each contender `repetitions` times from independently seeded initializations.
-Results carry the test rows' source indices so callers can prove the test
-data was never touched by the evolutionary phase.
+or learning-rate policies), fixes the data and the training protocol (one
+TrainConfig), and runs each contender `repetitions` times from independently
+seeded initializations. Results carry the test rows' source indices so
+callers can prove the test data was never touched by the evolutionary phase.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import Dataset
 from .nn import TrainConfig, evaluate, train_seeded
-from .optim import HyperParams, make_stepper
+from .optim import BUILTIN_NAMES, HyperParams, make_stepper
 from .tensor import Rng
 
 # the three training protocols used for head-to-head comparisons
@@ -45,7 +45,8 @@ def make_entry(item):
     try:
         stepper = make_stepper(opt, hp)
     except ValueError:
-        raise BenchError(f"unknown built-in optimizer {opt!r}") from None
+        raise BenchError(f"unknown built-in optimizer {opt!r}; "
+                         f"expected one of {', '.join(BUILTIN_NAMES)}") from None
     except TypeError:
         raise BenchError(f"cannot interpret benchmark entry {item!r}") from None
     if stepper is opt:  # a ready stepper would be shared across repetitions
@@ -61,29 +62,16 @@ class BenchmarkScenario:
     validation: Dataset
     test: Dataset
     layer_sizes: list
-    epochs: int = 100
-    early_stop: bool = True
+    train_config: TrainConfig
     repetitions: int = 5
-    batch_size: int = 1000
-    patience: int = 5
 
     def __post_init__(self):
         if not self.steppers:
             raise BenchError("scenario needs at least one contender")
         if self.repetitions < 1:
             raise BenchError("repetitions must be >= 1")
-        if self.epochs < 1:
-            raise BenchError("epochs must be >= 1")
         # normalize early so bad entries fail before any training happens
         self.entries = [make_entry(s) for s in self.steppers]
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            batch_size=min(self.batch_size, len(self.train)),
-            max_epochs=self.epochs,
-            early_stop=self.early_stop,
-            patience=self.patience,
-        )
 
 
 def _sample_std(values) -> float:
@@ -122,8 +110,8 @@ class BenchResult:
 def _one_run(scenario: BenchmarkScenario, factory, name: str, rep: int, seed: int):
     rng = Rng(seed).child("bench", scenario.name, name, rep)
     data = (scenario.train, scenario.validation)
-    cfg = scenario.train_config()
-    net, hist = train_seeded(scenario.layer_sizes, factory(), data, cfg, rng)
+    net, hist = train_seeded(scenario.layer_sizes, factory(), data,
+                             scenario.train_config, rng)
     if hist.failed:
         return 0.0, 0.0
     return evaluate(net, scenario.validation), evaluate(net, scenario.test)

@@ -24,6 +24,7 @@ from .bench import (
     SCENARIO_PRESETS,
     BenchError,
     BenchmarkScenario,
+    make_entry,
     run_benchmark,
     summarize,
 )
@@ -60,7 +61,6 @@ from .grammar import (
 from .hyperopt import TuneError, report_best, space_for, tune, write_tune_csv
 from .nn import NetworkError, TrainConfig
 from .optim import (
-    BUILTIN_NAMES,
     HyperParams,
     OptState,
     adam_core_spec,
@@ -82,10 +82,6 @@ DATA_DIR_ENV = "OPTEVO_DATA_DIR"
 
 
 class ConfigError(Exception):
-    pass
-
-
-class DataMissing(Exception):
     pass
 
 
@@ -136,7 +132,7 @@ def _data_path(p: str) -> Path:
         if base:
             path = Path(base) / path
     if not path.is_file():
-        raise DataMissing(f"data file not found: {path}")
+        raise DataError(f"data file not found: {path}")
     return path
 
 
@@ -346,7 +342,7 @@ def cmd_evolve(args) -> int:
     checkpoint = None
     if resume is not None:
         if not Path(resume).is_file():
-            raise DataMissing(f"checkpoint not found: {resume}")
+            raise DataError(f"checkpoint not found: {resume}")
         checkpoint = load_checkpoint(resume)  # malformed: DataError, no run dir
         _, population, _, _, log = checkpoint
         if (log.seed, len(population)) != (seed, params.population_size):
@@ -399,22 +395,17 @@ def _stepper_from_config(item, where: str):
         if "spec_file" in item:
             p = Path(_field(item, "spec_file", str, where=where))
             if not p.is_file():
-                raise DataMissing(f"spec file not found: {p}")
+                raise DataError(f"spec file not found: {p}")
             return spec_from_json(p.read_text(encoding="utf-8"))
         if "policy_file" in item:
             p = Path(_field(item, "policy_file", str, where=where))
             if not p.is_file():
-                raise DataMissing(f"policy file not found: {p}")
+                raise DataError(f"policy file not found: {p}")
             try:
                 return parse_policy(p.read_text(encoding="utf-8").strip())
             except PolicyError as e:
                 raise ConfigError(f"{where}: {e}") from e
         name = _field(item, "name", str, where=where)
-        if name not in BUILTIN_NAMES:
-            raise ConfigError(
-                f"{where}.name: unknown optimizer {name!r}; "
-                f"expected one of {', '.join(BUILTIN_NAMES)}"
-            )
         hp_cfg = _field(item, "hyperparams", dict, {}, where=where)
         try:
             hp = replace(HyperParams.defaults_for(name), **hp_cfg)
@@ -429,8 +420,7 @@ def cmd_benchmark(args) -> int:
     _check_keys(
         cfg,
         {"seed", "name", "preset", "epochs", "early_stop", "repetitions",
-         "batch_size", "patience", "steppers", "task", "test_source",
-         "workers", "out"},
+         "steppers", "task", "test_source", "workers", "out"},
     )
     seed = _resolve_seed(cfg, args)
     workers = _resolve_workers(cfg, args)
@@ -441,7 +431,27 @@ def cmd_benchmark(args) -> int:
         _stepper_from_config(item, f"config.steppers[{i}]")
         for i, item in enumerate(stepper_cfgs)
     ]
-    task, splits = build_task(_field(cfg, "task", dict), seed)
+    for stepper in steppers:
+        make_entry(stepper)  # an unknown name exits 2 before any data load
+    task_cfg = _field(cfg, "task", dict)
+    unread = sorted({"max_epochs", "early_stop"} & task_cfg.keys())
+    if unread:
+        raise ConfigError(
+            f"config.task: benchmark does not read {', '.join(unread)}; "
+            "set epochs, early_stop or preset at the top level"
+        )
+    preset = _field(cfg, "preset", str, None)
+    if preset is not None and preset not in SCENARIO_PRESETS:
+        raise ConfigError(f"config.preset: unknown preset {preset!r}")
+    protocol = SCENARIO_PRESETS[preset or "I"]
+    epochs = _field(cfg, "epochs", int, protocol["epochs"])
+    early_stop = _field(cfg, "early_stop", bool, protocol["early_stop"])
+    task, splits = build_task(task_cfg, seed)
+    try:
+        train_config = replace(task.train_config, max_epochs=epochs,
+                               early_stop=early_stop)
+    except NetworkError as e:
+        raise ConfigError(f"config.epochs: {e}") from e
     test_source = _field(cfg, "test_source", str, "split")
     if test_source not in ("split", "reserve"):
         raise ConfigError("config.test_source: must be 'split' or 'reserve'")
@@ -449,31 +459,19 @@ def cmd_benchmark(args) -> int:
     if len(test_set) == 0:
         raise DataError(f"benchmark test set ({test_source}) is empty")
 
-    preset = _field(cfg, "preset", str, None)
-    defaults = {"epochs": 100, "early_stop": True}
-    if preset is not None:
-        if preset not in SCENARIO_PRESETS:
-            raise ConfigError(f"config.preset: unknown preset {preset!r}")
-        defaults = SCENARIO_PRESETS[preset]
     repetitions = _field(cfg, "repetitions", int, 5)
     if getattr(args, "repetitions", None) is not None:
         repetitions = args.repetitions
-    try:
-        scenario = BenchmarkScenario(
-            name=_field(cfg, "name", str, preset or "scenario"),
-            steppers=steppers,
-            train=splits.train_pool,
-            validation=task.validation,
-            test=test_set,
-            layer_sizes=task.layer_sizes,
-            epochs=_field(cfg, "epochs", int, defaults["epochs"]),
-            early_stop=_field(cfg, "early_stop", bool, defaults["early_stop"]),
-            repetitions=repetitions,
-            batch_size=task.train_config.batch_size,
-            patience=task.train_config.patience,
-        )
-    except BenchError as e:
-        raise ConfigError(str(e)) from e
+    scenario = BenchmarkScenario(
+        name=_field(cfg, "name", str, preset or "scenario"),
+        steppers=steppers,
+        train=splits.train_pool,
+        validation=task.validation,
+        test=test_set,
+        layer_sizes=task.layer_sizes,
+        train_config=train_config,
+        repetitions=repetitions,
+    )
     run_dir = make_run_dir(_field(cfg, "out", str, "runs"), seed, args.run_dir)
     results = run_benchmark(scenario, seed=seed, out_dir=run_dir, workers=workers)
     _echo_config(run_dir, cfg, {"resolved_seed": seed})
@@ -776,15 +774,9 @@ def main(argv=None) -> int:
         if args.command == "grammar-check":
             return cmd_grammar_check(args)
         raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as e:
+    except (ConfigError, BenchError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except BenchError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DataMissing as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return EXIT_DATA
     except DataError as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA

@@ -145,9 +145,6 @@ class Rng:
     def normal(self, loc=0.0, scale=1.0, size=None):
         return self.generator.normal(loc, scale, size=size)
 
-    def shuffle(self, a):
-        self.generator.shuffle(a)
-
     def permutation(self, n):
         return self.generator.permutation(n)
 

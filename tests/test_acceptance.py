@@ -277,10 +277,9 @@ def test_06_evolved_rules_hold_up_on_image_data():
             validation=splits.validation,
             test=splits.test,
             layer_sizes=[784, 64, 10],
-            epochs=20,
-            early_stop=False,
+            train_config=TrainConfig(batch_size=1000, max_epochs=20,
+                                     early_stop=False),
             repetitions=5,
-            batch_size=1000,
         )
         _ordering_assertions(run_benchmark(scenario, seed=0, workers=4))
         elapsed = time.perf_counter() - t0
@@ -307,10 +306,9 @@ def test_06b_evolved_rules_hold_up_on_synthetic_stand_in():
             validation=splits.validation,
             test=splits.test,
             layer_sizes=[2, 16, 2],
-            epochs=40,
-            early_stop=False,
+            train_config=TrainConfig(batch_size=200, max_epochs=40,
+                                     early_stop=False),
             repetitions=5,
-            batch_size=200,
         )
         results = run_benchmark(scenario, seed=0, workers=4)
         _ordering_assertions(results, sign_below_adam=False)
@@ -347,14 +345,13 @@ def test_09_benchmark_never_tests_on_evolution_rows(tmp_path):
             },
             "layer_sizes": [2, 8, 2],
             "batch_size": 60,
-            "max_epochs": 3,
-            "early_stop": False,
         }
         evolve_cfg = tmp_path / "evolve.json"
         evolve_cfg.write_text(json.dumps({
             "seed": 3,
             "evo": {"population": 5, "generations": 2, "tournament": 3},
-            "grammar": "alr", "trials": 2, "workers": 1, "task": task,
+            "grammar": "alr", "trials": 2, "workers": 1,
+            "task": {**task, "max_epochs": 3, "early_stop": False},
         }))
         bench_cfg = tmp_path / "bench.json"
         bench_cfg.write_text(json.dumps({

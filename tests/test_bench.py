@@ -16,6 +16,7 @@ from optevo.bench import (
     summarize,
 )
 from optevo.data import Dataset, SplitPlan, split, synthetic
+from optevo.nn import TrainConfig
 from optevo.optim import HyperParams, SpecStepper, builtin, spec_from_phenotype
 from optevo.sched import Leaf
 
@@ -49,7 +50,8 @@ class TestMakeEntry:
         assert factory().current_lr == 0.01
 
     def test_rejects_unknown(self):
-        with pytest.raises(BenchError, match="unknown built-in"):
+        with pytest.raises(BenchError, match="unknown built-in optimizer 'adagrad'; "
+                                             "expected one of sgd, momentum,"):
             make_entry("adagrad")
         with pytest.raises(BenchError, match="cannot interpret"):
             make_entry(42)
@@ -57,7 +59,7 @@ class TestMakeEntry:
             make_entry(builtin("adam"))  # one instance cannot serve every repetition
 
 
-def tiny_scenario(steppers, reps=2, name="toy", **kw):
+def tiny_scenario(steppers, reps=2, name="toy", epochs=2, batch_size=16):
     return BenchmarkScenario(
         name=name,
         steppers=steppers,
@@ -65,11 +67,9 @@ def tiny_scenario(steppers, reps=2, name="toy", **kw):
         validation=synthetic("two_gaussians", 40, seed=2),
         test=synthetic("two_gaussians", 40, seed=3),
         layer_sizes=[2, 4, 2],
-        epochs=kw.pop("epochs", 2),
+        train_config=TrainConfig(batch_size=batch_size, max_epochs=epochs,
+                                 early_stop=False),
         repetitions=reps,
-        batch_size=16,
-        early_stop=False,
-        **kw,
     )
 
 
@@ -177,6 +177,17 @@ class TestRunBenchmark:
         table = (tmp_path / "bench_demo.txt").read_text()
         assert "Optimizer" in table and "sgd" in table
 
+    def test_batch_past_the_training_set_is_one_full_batch(self, tmp_path):
+        """A batch size above len(train) slices the same single batch as
+        len(train) itself, so the CSV is byte for byte the same."""
+        csv_bytes = []
+        for batch_size in (80, 1000):  # tiny_scenario trains on 80 rows
+            out = tmp_path / str(batch_size)
+            run_benchmark(tiny_scenario(["sgd", "adam"], batch_size=batch_size),
+                          seed=0, out_dir=out)
+            csv_bytes.append((out / "bench_toy.csv").read_bytes())
+        assert csv_bytes[0] == csv_bytes[1]
+
     def test_records_test_indices(self):
         s = tiny_scenario(["sgd"])
         results = run_benchmark(s, seed=0)
@@ -202,10 +213,8 @@ class TestDataHygiene:
             validation=splits.validation,
             test=bench_test,
             layer_sizes=[4, 4, 2],
-            epochs=1,
+            train_config=TrainConfig(batch_size=32, max_epochs=1, early_stop=False),
             repetitions=1,
-            batch_size=32,
-            early_stop=False,
         )
         results = run_benchmark(s, seed=0)
         assert indices_disjoint(results[0].test_indices, splits.evolution_indices())

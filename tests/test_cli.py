@@ -653,7 +653,17 @@ class TestBenchmarkCommand:
             tmp_path, bench_payload(steppers=[{"name": "florp"}])
         )
         assert main(["benchmark", cfg]) == EXIT_CONFIG
-        assert "florp" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "florp" in err and "expected one of sgd, momentum," in err
+
+    @pytest.mark.parametrize("entry", ["florp", {"name": "florp"}])
+    def test_unknown_optimizer_fails_before_data_load(self, tmp_path, capsys,
+                                                      entry):
+        payload = bench_payload(steppers=["sgd", entry])
+        payload["task"]["dataset"] = {"kind": "idx", "images": "ghost-images",
+                                      "labels": "ghost-labels"}
+        assert main(["benchmark", write_cfg(tmp_path, payload)]) == EXIT_CONFIG
+        assert "unknown built-in optimizer 'florp'" in capsys.readouterr().err
 
     def test_empty_stepper_list(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, bench_payload(steppers=[]))
@@ -708,6 +718,30 @@ class TestBenchmarkCommand:
         cfg = write_cfg(tmp_path, bench_payload(preset="IV"))
         assert main(["benchmark", cfg]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("block, key, value", [
+        ("top", "batch_size", 7), ("top", "patience", 99),
+        ("task", "max_epochs", 1), ("task", "early_stop", True)])
+    def test_keys_benchmark_does_not_read(self, tmp_path, capsys, monkeypatch,
+                                          block, key, value):
+        """The protocol comes from top-level epochs/early_stop/preset and
+        task.batch_size/patience; a key that nothing reads is refused."""
+        monkeypatch.chdir(tmp_path)
+        payload = bench_payload()
+        (payload if block == "top" else payload["task"])[key] = value
+        assert main(["benchmark", write_cfg(tmp_path, payload)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
+        if block == "task":
+            assert "epochs, early_stop or preset" in err
+        assert not (tmp_path / "runs").exists()
+
+    def test_zero_epochs(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_cfg(tmp_path, bench_payload(epochs=0))
+        assert main(["benchmark", cfg]) == EXIT_CONFIG
+        assert "config error: config.epochs:" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
     def test_reserve_test_indices_disjoint_from_evolution(self, tmp_path):
         """Held-back rows never overlap what evolution saw."""
         evo_run = tmp_path / "evo"
@@ -717,6 +751,7 @@ class TestBenchmarkCommand:
         bench_run = tmp_path / "bench"
         payload = bench_payload(test_source="reserve", repetitions=1)
         payload["task"] = evolve_payload()["task"]  # same data, same split
+        del payload["task"]["max_epochs"], payload["task"]["early_stop"]
         bcfg = write_cfg(tmp_path, payload, "bench.json")
         assert main(["benchmark", bcfg, "--run-dir", str(bench_run)]) == EXIT_OK
 
