@@ -392,6 +392,13 @@ def _stepper_from_config(item, where: str):
         return item
     if isinstance(item, dict):
         _check_keys(item, {"name", "hyperparams", "spec_file", "policy_file"}, where)
+        sources = [k for k in ("name", "spec_file", "policy_file") if k in item]
+        if len(sources) != 1:
+            got = f", got {', '.join(sources)}" if sources else ""
+            raise ConfigError(
+                f"{where}: set exactly one of name, spec_file, policy_file{got}")
+        if "hyperparams" in item and "name" not in item:
+            raise ConfigError(f"{where}.hyperparams: needs a name, not {sources[0]}")
         if "spec_file" in item:
             p = Path(_field(item, "spec_file", str, where=where))
             if not p.is_file():

@@ -7,25 +7,31 @@ proposals maximized by random multi-start.  A random-search fallback flag keeps
 the surrogate ablatable.  Every stochastic choice is keyed to the seed, so runs
 are exactly repeatable.  NumPy is the only dependency.
 
-Cost per proposal, with n evaluated points and m = 256*dim + 64 candidates:
-`_kernel` accumulates one (n, m) buffer coordinate by coordinate (n*m*dim
-elementwise work, no (n, m, dim) temporary), the Cholesky factor is inverted
-once (n^3), and everything after is matrix products: two matrix-vector
-products give alpha and one (n, n) x (n, m) GEMM gives v, n^2*m. At budget
-200 (n = 199, m = 832, one BLAS thread) the posterior takes about 4.5 ms,
-against about 7 ms with three general solves, each of which LU-factored
-the triangular factor again. The inverse changes the posterior's floats:
-against the solves, mu moves by at most about 1e-7 of y's standard
-deviation and sigma by about 1e-6 relative, which has not moved a proposal
-or a recorded tune result (tests/test_hyperopt.py `TestPosterior`).
+Cost, with n evaluated points and m = 256*dim + 64 candidates: `tune` keeps
+one `_Surrogate` per run and grows it as trials arrive, so each added point
+costs one kernel column and one bordered row of the inverse Cholesky factor,
+O(n^2 + n*dim); nothing is factored or inverted. A proposal costs the query
+kernel, which `_kernel` accumulates in one (n, m) buffer coordinate by
+coordinate (n*m*dim elementwise work, no (n, m, dim) temporary), and one
+(n, n) x (n, m) GEMM for v: O(n^2*m + n*m*dim). At budget 200 (n = 199,
+m = 832, one BLAS thread) a proposal's posterior takes about 5.5 ms and an
+added point about 0.06 ms, against about 10.5 ms when each proposal rebuilt
+the train kernel, factored it and inverted the factor with a general LU.
+
+The grown inverse changes the posterior's floats. One refinement step on
+alpha keeps mu within about 2e-7 of y's standard deviation of a posterior
+through LU solves, and sigma within about 5e-7 relative; without it mu's
+error reached 1.5e-6. Neither has moved a proposal or a recorded tune
+result (tests/test_hyperopt.py `TestPosterior`, `TestSurrogate`).
 
 Tried and rejected while the posterior's bits had to stay those of the
 solves, or because the change did not pay:
 - one solve against [y, kq] in place of solve(chol, y) and solve(chol, kq)
   changed the bits in 400 of 400 random cases;
 - kq in Fortran order gave the same bits and no measurable gain;
-- an incrementally grown train x train kernel: that kernel is about 2% of
-  the posterior's time, not worth the extra state.
+- splitting linv @ kq by linv's triangle changes v's bits in a way that
+  depends on the BLAS build;
+- computing the query kernel in row blocks gave no gain.
 """
 
 from __future__ import annotations
@@ -152,43 +158,98 @@ class TuneTrial:
 
 
 _LENGTH_SCALE = 0.25  # in unit-cube coordinates
+_JITTER = 1e-6  # added to the train kernel's diagonal
 _EI_XI = 0.01
 
 
 def _kernel(a, b) -> np.ndarray:
     """exp(-0.5 * sum_k ((a_k - b_k) / length)^2), summed k = 0, 1, ... into
     one (n, m) buffer: the same ops in the same order as reducing an
-    (n, m, d) temporary over its last axis, without building it."""
+    (n, m, d) temporary over its last axis, without building it. The inputs
+    are scaled once by 1 / length = 4, a power of two, so a_k / length -
+    b_k / length rounds to the same double as (a_k - b_k) / length."""
+    a = a * (1.0 / _LENGTH_SCALE)
+    b = b * (1.0 / _LENGTH_SCALE)
     d2 = np.subtract.outer(a[:, 0], b[:, 0])
-    d2 /= _LENGTH_SCALE
     np.square(d2, out=d2)
     if a.shape[1] > 1:
         term = np.empty_like(d2)
         for k in range(1, a.shape[1]):
             np.subtract.outer(a[:, k], b[:, k], out=term)
-            term /= _LENGTH_SCALE
             np.square(term, out=term)
             d2 += term
     d2 *= -0.5
     return np.exp(d2, out=d2)
 
 
+class _Surrogate:
+    """The train side of a zero-mean unit-signal GP, grown one evaluated
+    point at a time: the points, the jittered train kernel K and the inverse
+    of K's lower Cholesky factor, in buffers for `capacity` points."""
+
+    def __init__(self, capacity: int, dim: int):
+        self.n = 0
+        self._u = np.empty((capacity, dim))
+        self._k = np.empty((capacity, capacity))
+        self._linv = np.zeros((capacity, capacity))
+
+    @property
+    def points(self) -> np.ndarray:
+        return self._u[: self.n]
+
+    @property
+    def k(self) -> np.ndarray:
+        return self._k[: self.n, : self.n]
+
+    @property
+    def linv(self) -> np.ndarray:
+        return self._linv[: self.n, : self.n]
+
+    def add(self, u) -> None:
+        """Border K with u's kernel column and L^-1 with one row: if
+        L l = k and d^2 = k_nn - l.l, the new factor is [[L, 0], [l', d]]
+        and its inverse gains the row [-(l' L^-1) / d, 1 / d]."""
+        n = self.n
+        self._u[n] = u
+        # (a - b)^2 == (b - a)^2, so the column is also K's new row
+        col = _kernel(self._u[: n + 1], self._u[n : n + 1])[:, 0]
+        col[n] += _JITTER
+        self._k[n, : n + 1] = col
+        self._k[:n, n] = col[:n]
+        linv = self._linv[:n, :n]
+        l = linv @ col[:n]
+        d2 = col[n] - l @ l
+        if not (np.isfinite(d2) and d2 > 0):
+            raise np.linalg.LinAlgError("train kernel is not positive definite")
+        d = math.sqrt(d2)
+        self._linv[n, :n] = (l @ linv) / -d
+        self._linv[n, n] = 1.0 / d
+        self.n = n + 1
+
+    def posterior(self, train_y, query_u):
+        """Mean and std at the query points, given the objective at each
+        point. One refinement step on alpha = K^-1 y against the stored K
+        takes up the rounding that L^-1 gathers as it grows."""
+        y_mean = train_y.mean()
+        y_std = train_y.std()
+        scale = y_std if y_std > 0 else 1.0
+        y = (train_y - y_mean) / scale
+        linv = self.linv
+        alpha = linv.T @ (linv @ y)
+        alpha += linv.T @ (linv @ (y - self.k @ alpha))
+        kq = _kernel(self.points, query_u)
+        mu = kq.T @ alpha
+        v = linv @ kq
+        var = np.clip(1.0 - (v**2).sum(axis=0), 1e-12, None)
+        return mu * scale + y_mean, np.sqrt(var) * scale
+
+
 def _gp_posterior(train_u, train_y, query_u):
-    """Mean and std of a zero-mean unit-signal GP at the query points."""
-    y_mean = train_y.mean()
-    y_std = train_y.std()
-    y = (train_y - y_mean) / (y_std if y_std > 0 else 1.0)
-    k = _kernel(train_u, train_u)
-    k[np.diag_indices_from(k)] += 1e-6
-    linv = np.linalg.inv(np.linalg.cholesky(k))
-    alpha = linv.T @ (linv @ y)
-    kq = _kernel(train_u, query_u)
-    mu = kq.T @ alpha
-    v = linv @ kq
-    var = np.clip(1.0 - (v**2).sum(axis=0), 1e-12, None)
-    return mu * (y_std if y_std > 0 else 1.0) + y_mean, np.sqrt(var) * (
-        y_std if y_std > 0 else 1.0
-    )
+    """The posterior of a surrogate grown from scratch on train_u."""
+    gp = _Surrogate(*train_u.shape)
+    for u in train_u:
+        gp.add(u)
+    return gp.posterior(train_y, query_u)
 
 
 def _norm_cdf(x):  # erfc keeps the lower tail accurate
@@ -204,15 +265,15 @@ def _expected_improvement(mu, sigma, best_y):
     return sigma * (gamma * _norm_cdf(gamma) + _norm_pdf(gamma))
 
 
-def _propose(train_u, train_y, dim, rng: Rng):
+def _propose(gp: _Surrogate, train_y, dim, rng: Rng):
     """Maximize EI over a random multi-start candidate set."""
     n_candidates = 256 * dim
     cands = rng.child("uniform").random(size=(n_candidates, dim))
     # restarts near the incumbent help refine a good basin
-    best_u = train_u[int(np.argmax(train_y))]
+    best_u = gp.points[int(np.argmax(train_y))]
     local = best_u + 0.05 * rng.child("local").normal(size=(64, dim))
     cands = np.clip(np.vstack([cands, local]), 0.0, 1.0)
-    mu, sigma = _gp_posterior(train_u, train_y, cands)
+    mu, sigma = gp.posterior(train_y, cands)
     ei = _expected_improvement(mu, sigma, train_y.max())
     return cands[int(np.argmax(ei))]
 
@@ -298,8 +359,8 @@ def tune(
     design = _sobol_design(min(n_init, budget), space.dim, root.child("sobol"))
 
     history: list[TuneTrial] = []
-    us: list[np.ndarray] = []
     ys: list[float] = []
+    gp = None if random_search else _Surrogate(budget, space.dim)
 
     def run_point(i: int, u: np.ndarray) -> None:
         params = space.from_unit(u)
@@ -311,8 +372,9 @@ def tune(
         if not np.isfinite(score):
             score = 0.0
         history.append(TuneTrial(i, params, score, trial_seed, opt_family))
-        us.append(np.asarray(u, dtype=np.float64))
         ys.append(score)
+        if gp is not None:
+            gp.add(u)
 
     for i in range(len(design)):
         run_point(i, design[i])
@@ -320,8 +382,7 @@ def tune(
         if random_search:
             u = root.child("fallback", i).random(size=space.dim)
         else:
-            u = _propose(np.vstack(us), np.asarray(ys), space.dim,
-                         root.child("ei", i))
+            u = _propose(gp, np.asarray(ys), space.dim, root.child("ei", i))
         run_point(i, u)
 
     best = max(history, key=lambda t: (t.objective, -t.iteration))

@@ -685,6 +685,43 @@ class TestBenchmarkCommand:
         )
         assert main(["benchmark", cfg]) == EXIT_DATA
 
+    @pytest.mark.parametrize("entry, message", [
+        ({"name": "adam", "hyperparams": {"lr": 5.0}, "spec_file": "s.json",
+          "policy_file": "nope.txt"},
+         "set exactly one of name, spec_file, policy_file, "
+         "got name, spec_file, policy_file"),
+        ({"spec_file": "s.json", "policy_file": "nope.txt"},
+         "got spec_file, policy_file"),
+        ({"hyperparams": {"lr": 0.5}},
+         "set exactly one of name, spec_file, policy_file\n"),
+        ({"spec_file": "s.json", "hyperparams": {"lr": 0.5}},
+         "config.steppers[1].hyperparams: needs a name, not spec_file"),
+        ({"policy_file": "nope.txt", "hyperparams": {}},
+         "hyperparams: needs a name, not policy_file"),
+    ])
+    def test_entry_sets_one_source(self, tmp_path, capsys, monkeypatch, entry,
+                                   message):
+        """Every key of an entry is read: one of name, spec_file and
+        policy_file, and hyperparams only with name. The check comes before
+        the files are looked for and before any data load."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "s.json").write_text(
+            spec_to_json(builtin("sgd", HyperParams(lr=0.05))))
+        payload = bench_payload(steppers=["sgd", entry])
+        payload["task"]["dataset"] = {"kind": "idx", "images": "ghost-images",
+                                      "labels": "ghost-labels"}
+        assert main(["benchmark", write_cfg(tmp_path, payload)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config.steppers[1]") and message in err
+        assert not (tmp_path / "runs").exists()
+
+    def test_missing_policy_file_is_data_error(self, tmp_path, capsys):
+        cfg = write_cfg(
+            tmp_path, bench_payload(steppers=[{"policy_file": "ghost.txt"}])
+        )
+        assert main(["benchmark", cfg]) == EXIT_DATA
+        assert "data error: policy file not found" in capsys.readouterr().err
+
     def test_hyperparams_override(self, tmp_path):
         run = tmp_path / "run"
         cfg = write_cfg(
