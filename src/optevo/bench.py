@@ -10,13 +10,13 @@ callers can prove the test data was never touched by the evolutionary phase.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .data import Dataset
+from .evolve import parallel_map
 from .nn import TrainConfig, evaluate, train_seeded
 from .optim import BUILTIN_NAMES, HyperParams, make_stepper
 from .tensor import Rng
@@ -107,7 +107,7 @@ class BenchResult:
         return 100.0 * self.mean_test / self.mean_val
 
 
-def _one_run(scenario: BenchmarkScenario, factory, name: str, rep: int, seed: int):
+def _one_run(scenario: BenchmarkScenario, name: str, factory, rep: int, seed: int):
     rng = Rng(seed).child("bench", scenario.name, name, rep)
     data = (scenario.train, scenario.validation)
     net, hist = train_seeded(scenario.layer_sizes, factory(), data,
@@ -130,13 +130,8 @@ def run_benchmark(
         for name, factory in scenario.entries
         for rep in range(scenario.repetitions)
     ]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(
-                pool.map(lambda j: _one_run(scenario, j[1], j[0], j[2], seed), jobs)
-            )
-    else:
-        outcomes = [_one_run(scenario, f, n, rep, seed) for n, f, rep in jobs]
+    outcomes = parallel_map(lambda j: _one_run(scenario, *jobs[j], seed),
+                            range(len(jobs)), workers)
     results = []
     for i, (name, _factory) in enumerate(scenario.entries):
         chunk = outcomes[i * scenario.repetitions : (i + 1) * scenario.repetitions]

@@ -296,7 +296,7 @@ def _resolve_seed(cfg: dict, args) -> int:
 
 
 def _resolve_workers(cfg: dict, args) -> int:
-    workers = _field(cfg, "workers", int, os.cpu_count() or 1)
+    workers = _field(cfg, "workers", int, 1)
     if getattr(args, "workers", None) is not None:
         workers = args.workers
     if workers < 1:
@@ -501,7 +501,7 @@ def cmd_tune(args) -> int:
         {"seed", "optimizer", "budget", "random_search", "task", "workers", "out"},
     )
     seed = _resolve_seed(cfg, args)
-    _resolve_workers(cfg, args)  # checked like the other commands, then unused
+    workers = _resolve_workers(cfg, args)
     opt = _field(cfg, "optimizer", str)
     try:
         space = space_for(opt)
@@ -519,6 +519,7 @@ def cmd_tune(args) -> int:
             task=task,
             seed=seed,
             random_search=_field(cfg, "random_search", bool, False),
+            workers=workers,
         )
     except TuneError as e:
         raise ConfigError(str(e)) from e
@@ -740,7 +741,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override config seed")
         p.add_argument("--workers", type=int, default=None,
-                       help="parallel evaluation cap (default: all cores)")
+                       help="parallel evaluation cap (default: 1)")
         p.add_argument("--run-dir", default=None,
                        help="exact output directory (default: runs/<stamp>_s<seed>)")
 

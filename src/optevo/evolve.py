@@ -23,7 +23,6 @@ import json
 import os
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -78,6 +77,33 @@ class FitnessReport:
     trials_run: int
     cancelled_early: bool
     failed: bool
+
+
+_MAPPED = None  # parallel_map's fn, inherited by the workers it forks
+
+
+def _call_mapped(item):
+    return _MAPPED(item)
+
+
+def parallel_map(fn, items, workers: int) -> list:
+    """[fn(item) for item in items], in item order, on up to `workers`
+    forked processes. fn need not pickle, since the workers inherit it; the
+    items and results must. Serial, in this process, when workers == 1,
+    when there are fewer than 2 items, or when the platform cannot fork."""
+    global _MAPPED
+    if workers == 1 or len(items) < 2 or not hasattr(os, "fork"):
+        return [fn(item) for item in items]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    ctx = multiprocessing.get_context("fork")
+    _MAPPED = fn
+    try:
+        with ProcessPoolExecutor(min(workers, len(items)), mp_context=ctx) as pool:
+            chunk = -(-len(items) // (4 * workers))
+            return list(pool.map(_call_mapped, items, chunksize=chunk))
+    finally:
+        _MAPPED = None
 
 
 def _run_trial(task: TrainingTask, stepper, trial_index: int, key: str):
@@ -168,20 +194,12 @@ def _evaluate_wave(population, grammar, params, fitness_fn, cache, root: Rng,
                 ).text()
             except MappingFailure:
                 pass  # no phenotype: scores 0
-    fresh = []
-    seen = set()
-    for ind in pending:
-        if ind.phenotype is not None and ind.phenotype not in cache \
-                and ind.phenotype not in seen:
-            seen.add(ind.phenotype)
-            fresh.append(ind.phenotype)
-    if workers > 1 and len(fresh) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for text, fit in zip(fresh, pool.map(fitness_fn, fresh)):
-                cache[text] = float(fit)
-    else:
-        for text in fresh:
-            cache[text] = float(fitness_fn(text))
+    fresh = list(dict.fromkeys(
+        ind.phenotype for ind in pending
+        if ind.phenotype is not None and ind.phenotype not in cache
+    ))
+    for text, fit in zip(fresh, parallel_map(fitness_fn, fresh, workers)):
+        cache[text] = float(fit)
     for ind in pending:
         ind.fitness = 0.0 if ind.phenotype is None else cache[ind.phenotype]
     return len(pending)

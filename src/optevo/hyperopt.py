@@ -42,7 +42,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .evolve import TrainingTask, _run_trial
+from .evolve import TrainingTask, _run_trial, parallel_map
 from .optim import HyperParams, make_stepper
 from .tensor import Rng
 
@@ -185,13 +185,16 @@ def _kernel(a, b) -> np.ndarray:
 class _Surrogate:
     """The train side of a zero-mean unit-signal GP, grown one evaluated
     point at a time: the points, the jittered train kernel K and the inverse
-    of K's lower Cholesky factor, in buffers for `capacity` points."""
+    of K's lower Cholesky factor, in buffers for `capacity` points. It starts
+    from `points`, added in order."""
 
-    def __init__(self, capacity: int, dim: int):
+    def __init__(self, capacity: int, dim: int, points=()):
         self.n = 0
         self._u = np.empty((capacity, dim))
         self._k = np.empty((capacity, capacity))
         self._linv = np.zeros((capacity, capacity))
+        for u in points:
+            self.add(u)
 
     @property
     def points(self) -> np.ndarray:
@@ -246,10 +249,7 @@ class _Surrogate:
 
 def _gp_posterior(train_u, train_y, query_u):
     """The posterior of a surrogate grown from scratch on train_u."""
-    gp = _Surrogate(*train_u.shape)
-    for u in train_u:
-        gp.add(u)
-    return gp.posterior(train_y, query_u)
+    return _Surrogate(*train_u.shape, train_u).posterior(train_y, query_u)
 
 
 def _norm_cdf(x):  # erfc keeps the lower tail accurate
@@ -337,13 +337,14 @@ def tune(
     *,
     objective=None,
     random_search: bool = False,
+    workers: int = 1,
 ):
     """Run the search; returns (best TuneTrial, full history).
 
     `objective(params, seed) -> float` defaults to one seeded training of
     the family's optimizer on the task, scored on its test split.  Failures
     (exceptions or non-finite scores) record objective 0 and the search
-    continues.
+    continues.  The Sobol trials run on `workers` processes; EI runs in order.
     """
     if budget < 5:
         raise TuneError("budget must be >= 5")
@@ -358,11 +359,7 @@ def tune(
     n_init = max(5, budget // 5)
     design = _sobol_design(min(n_init, budget), space.dim, root.child("sobol"))
 
-    history: list[TuneTrial] = []
-    ys: list[float] = []
-    gp = None if random_search else _Surrogate(budget, space.dim)
-
-    def run_point(i: int, u: np.ndarray) -> None:
+    def run_point(i: int, u: np.ndarray) -> TuneTrial:
         params = space.from_unit(u)
         trial_seed = int(root.child("trial", i).integers(2**31 - 1))
         try:
@@ -371,19 +368,18 @@ def tune(
             score = 0.0
         if not np.isfinite(score):
             score = 0.0
-        history.append(TuneTrial(i, params, score, trial_seed, opt_family))
-        ys.append(score)
-        if gp is not None:
-            gp.add(u)
+        return TuneTrial(i, params, score, trial_seed, opt_family)
 
-    for i in range(len(design)):
-        run_point(i, design[i])
+    history = parallel_map(lambda i: run_point(i, design[i]), range(len(design)), workers)
+    gp = None if random_search else _Surrogate(budget, space.dim, design)
     for i in range(len(design), budget):
         if random_search:
             u = root.child("fallback", i).random(size=space.dim)
         else:
-            u = _propose(gp, np.asarray(ys), space.dim, root.child("ei", i))
-        run_point(i, u)
+            ys = np.array([t.objective for t in history])
+            u = _propose(gp, ys, space.dim, root.child("ei", i))
+            gp.add(u)
+        history.append(run_point(i, u))
 
     best = max(history, key=lambda t: (t.objective, -t.iteration))
     return best, history

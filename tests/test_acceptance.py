@@ -12,6 +12,7 @@ import json
 import math
 import os
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -210,8 +211,18 @@ def test_04_fitness_cancels_below_threshold(monkeypatch):
         assert elapsed < 1.0, f"took {elapsed:.2f}s"
 
 
+def same_at_any_workers(run):
+    """run(seed, workers) gives the same result at 1, 2 and 3 workers, for
+    seeds 0, 1 and 2."""
+    for seed in (0, 1, 2):
+        serial = run(seed, 1)
+        for workers in (2, 3):
+            assert run(seed, workers) == serial, f"seed {seed}, {workers} workers"
+
+
 def test_05_evolution_discovers_a_working_optimizer():
-    """Pop 20, tournament 5, mutation 0.15, 30 generations on two_gaussians."""
+    """Pop 20, tournament 5, mutation 0.15, 30 generations on two_gaussians;
+    2-generation runs of the same task are equal at 1, 2 and 3 workers."""
     with criterion(5, "seeded 30-generation run reaches fitness ≥ 0.8, monotone best"):
         t0 = time.perf_counter()
         data = synthetic("two_gaussians", 2000, noise=0.1, seed=1)
@@ -229,15 +240,20 @@ def test_05_evolution_discovers_a_working_optimizer():
             population_size=20, generations=30, tournament_size=5,
             mutation_rate=0.15, rng_seed=0,
         )
-        best, log = evolve(
-            params,
-            load_shipped_grammar("alr"),
-            alr_fitness_fn(task, trial_number=5, threshold=0.8),
-            workers=4,
-        )
+        grammar = load_shipped_grammar("alr")
+        fitness = alr_fitness_fn(task, trial_number=5, threshold=0.8)
+        best, log = evolve(params, grammar, fitness, workers=2)
         bests = [s.best for s in log.stats]
         assert all(b2 >= b1 for b1, b2 in zip(bests, bests[1:])), "best regressed"
         assert best.fitness >= 0.8, f"best fitness {best.fitness}"
+
+        def short_run(seed, workers):
+            short = replace(params, generations=2, rng_seed=seed)
+            best, log = evolve(short, grammar, fitness, workers=workers)
+            stats = [(s.best, s.mean, s.median, s.evaluations) for s in log.stats]
+            return best.phenotype, best.fitness, stats
+
+        same_at_any_workers(short_run)
         elapsed = time.perf_counter() - t0
         assert elapsed < 600.0, f"took {elapsed:.1f}s"
 
@@ -281,13 +297,14 @@ def test_06_evolved_rules_hold_up_on_image_data():
                                      early_stop=False),
             repetitions=5,
         )
-        _ordering_assertions(run_benchmark(scenario, seed=0, workers=4))
+        _ordering_assertions(run_benchmark(scenario, seed=0, workers=2))
         elapsed = time.perf_counter() - t0
         assert elapsed < 900.0, f"took {elapsed:.1f}s"
 
 
 def test_06b_evolved_rules_hold_up_on_synthetic_stand_in():
-    """The orderings that transfer to synthetic data always get exercised.
+    """The orderings that transfer to synthetic data always get exercised,
+    and 5-epoch runs of the same lineup are equal at 1, 2 and 3 workers.
 
     Sign-vs-adam is a high-dimensional effect: on 2-D blobs the two are
     statistically tied (their gap flips sign across benchmark seeds), so
@@ -310,8 +327,15 @@ def test_06b_evolved_rules_hold_up_on_synthetic_stand_in():
                                      early_stop=False),
             repetitions=5,
         )
-        results = run_benchmark(scenario, seed=0, workers=4)
+        results = run_benchmark(scenario, seed=0, workers=2)
         _ordering_assertions(results, sign_below_adam=False)
+
+        short = replace(scenario, train_config=replace(scenario.train_config,
+                                                       max_epochs=5))
+        same_at_any_workers(lambda seed, workers: [
+            (r.name, r.val_accuracies, r.test_accuracies)
+            for r in run_benchmark(short, seed=seed, workers=workers)
+        ])
         elapsed = time.perf_counter() - t0
         assert elapsed < 900.0, f"took {elapsed:.1f}s"
 

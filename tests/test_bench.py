@@ -4,6 +4,8 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optevo.bench import (
     SCENARIO_PRESETS,
@@ -143,16 +145,18 @@ class TestRunBenchmark:
             assert len(r.val_accuracies) == len(r.test_accuracies) == 2
             assert all(0.0 <= a <= 1.0 for a in r.val_accuracies + r.test_accuracies)
 
-    def test_deterministic_and_worker_invariant(self):
-        s = tiny_scenario(["sgd", "adam"])
-        a = run_benchmark(s, seed=4)
-        b = run_benchmark(s, seed=4)
-        c = run_benchmark(s, seed=4, workers=4)
-        for x, y in ((a, b), (a, c)):
-            for rx, ry in zip(x, y):
-                assert rx.val_accuracies == ry.val_accuracies
-                assert rx.test_accuracies == ry.test_accuracies
-        d = run_benchmark(s, seed=5)
+    @settings(max_examples=3)
+    @given(st.integers(0, 2**31 - 1))
+    def test_deterministic_and_worker_invariant(self, seed):
+        s = tiny_scenario(["sgd", "adam", "sign"])
+        a = run_benchmark(s, seed=seed)
+        for workers in (1, 2, 3):
+            b = run_benchmark(s, seed=seed, workers=workers)
+            for ra, rb in zip(a, b, strict=True):
+                assert ra.name == rb.name
+                assert ra.val_accuracies == rb.val_accuracies
+                assert ra.test_accuracies == rb.test_accuracies
+        d = run_benchmark(s, seed=seed + 1)
         assert any(
             ra.test_accuracies != rd.test_accuracies for ra, rd in zip(a, d)
         )

@@ -22,7 +22,10 @@ from optevo.cli import (
     main,
     make_run_dir,
 )
-from optevo.evolve import load_checkpoint
+import optevo.bench as bench_mod
+import optevo.evolve as evolve_mod
+import optevo.hyperopt as hyperopt_mod
+from optevo.evolve import load_checkpoint, parallel_map
 from optevo.grammar import load_shipped_grammar, serialize_grammar
 from optevo.optim import HyperParams, builtin, spec_to_json
 from optevo.sched import parse_policy
@@ -832,6 +835,54 @@ class TestTuneCommand:
     def test_unknown_optimizer(self, tmp_path):
         cfg = write_cfg(tmp_path, tune_payload(optimizer="florp"))
         assert main(["tune", cfg]) == EXIT_CONFIG
+
+
+def outputs(command, run_dir) -> list:
+    """The bytes a run writes that do not depend on timing."""
+    if command == "evolve":
+        _header, rows = log_rows(run_dir)  # the last column is seconds
+        return [(run_dir / "best.json").read_bytes(), [row[:-1] for row in rows]]
+    pattern = "bench_*.csv" if command == "benchmark" else "tune_*.csv"
+    return [path.read_bytes() for path in sorted(run_dir.glob(pattern))]
+
+
+class TestWorkers:
+    """Workers are forked processes that change no output byte; a run that
+    does not ask for them maps serially."""
+
+    @pytest.mark.parametrize("command, payload", [
+        ("evolve", evolve_payload()), ("benchmark", bench_payload()),
+        ("tune", tune_payload(optimizer="adam", budget=40))],  # 8 design points
+        ids=["evolve", "benchmark", "tune"])
+    def test_outputs_equal_at_any_workers(self, tmp_path, command, payload):
+        cfg = write_cfg(tmp_path, payload)
+        for seed in (0, 1, 2):
+            runs = []
+            for workers in (1, 2, 3):
+                run = tmp_path / f"s{seed}-w{workers}"
+                argv = [command, cfg, "--seed", str(seed), "--workers", str(workers),
+                        "--run-dir", str(run)]
+                assert main(argv) == EXIT_OK
+                runs.append(outputs(command, run))
+            assert runs[0] and runs[1] == runs[0] and runs[2] == runs[0]
+
+    @pytest.mark.parametrize("command, payload", [
+        ("evolve", evolve_payload), ("benchmark", bench_payload),
+        ("tune", tune_payload)])
+    def test_default_is_one_worker(self, tmp_path, monkeypatch, command, payload):
+        asked = []
+
+        def spy(fn, items, workers):
+            asked.append(workers)
+            return parallel_map(fn, items, workers)
+
+        for module in (evolve_mod, bench_mod, hyperopt_mod):
+            monkeypatch.setattr(module, "parallel_map", spy)
+        cfg = payload()
+        del cfg["workers"]
+        argv = [command, write_cfg(tmp_path, cfg), "--run-dir", str(tmp_path / "run")]
+        assert main(argv) == EXIT_OK
+        assert asked and set(asked) == {1}
 
 
 class TestRunDir:

@@ -1,10 +1,16 @@
 """Fitness semantics (min rule, early cancel), generation loop, checkpoints."""
 
+import concurrent.futures
 import csv
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import optevo.dsge as dsge_mod
@@ -22,11 +28,14 @@ from optevo.evolve import (
     fitness_alr,
     fitness_dlr,
     load_checkpoint,
+    parallel_map,
 )
 from optevo.grammar import load_shipped_grammar, parse_grammar
 from optevo.nn import TrainConfig
 from optevo.optim import builtin
 from optevo.sched import Leaf
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def tiny_task(groups=2, n_per=60, seed=0):
@@ -159,6 +168,59 @@ class TestFitnessReal:
         assert fn("1.00000000e-02") == fitness_dlr(Leaf(0.01), task)
 
 
+class TestParallelMap:
+    def test_keeps_item_order_across_workers(self):
+        items = list(range(37))
+        for workers in (2, 3):
+            out = parallel_map(lambda i: (i * i, os.getpid()), items, workers)
+            assert [sq for sq, _ in out] == [i * i for i in items]
+            assert os.getpid() not in {pid for _, pid in out}  # forked workers
+
+    @pytest.mark.parametrize("workers, items", [(1, range(5)), (4, [7]), (4, [])])
+    def test_serial_builds_no_executor(self, monkeypatch, workers, items):
+        def refuse(*args, **kwargs):
+            raise AssertionError("serial map built an executor")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        calls = []
+        out = parallel_map(lambda i: calls.append(i) or i + 1, items, workers)
+        assert out == [i + 1 for i in items]
+        assert calls == list(items)  # ran here, in order
+
+    def test_worker_exit_breaks_the_pool_instead_of_hanging(self):
+        code = (
+            "import os\n"
+            "from concurrent.futures.process import BrokenProcessPool\n"
+            "from optevo.evolve import parallel_map\n"
+            "try:\n"
+            "    parallel_map(lambda i: os._exit(1), range(4), 2)\n"
+            "except BrokenProcessPool:\n"
+            "    print('broken')\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(evolve_mod.__file__).parents[1])}
+        started = time.monotonic()
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=60).stdout
+        assert out.split() == ["broken"]
+        assert time.monotonic() - started < 30
+
+    def test_serial_run_imports_no_process_pool(self, tmp_path):
+        code = (
+            "import sys\n"
+            "from optevo.cli import main\n"
+            f"rc = main(['evolve', {str(CONFIGS / 'evolve-alr.json')!r}, "
+            "'--generations', '1', '--population', '6', "
+            f"'--run-dir', {str(tmp_path / 'run')!r}])\n"
+            "print(rc, sorted(m for m in sys.modules if m.startswith("
+            "('multiprocessing', 'concurrent.futures.process', "
+            "'concurrent.futures.thread'))))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(evolve_mod.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=120).stdout
+        assert out.splitlines()[-1] == "0 []"
+
+
 # --- generation loop on stub fitness -----------------------------------------
 
 
@@ -223,11 +285,14 @@ class TestEvolveLoop:
         # accounting still reports requested evaluations, not cache misses
         assert all(s.evaluations == 7 for s in log.stats[1:])
 
-    def test_workers_do_not_change_results(self):
-        a = evolve(params(), TOY, text_score)
-        b = evolve(params(), TOY, text_score, workers=4)
-        assert stat_tuple(a[1]) == stat_tuple(b[1])
-        assert a[0].phenotype == b[0].phenotype
+    @settings(max_examples=3)
+    @given(st.integers(0, 2**31 - 1))
+    def test_workers_do_not_change_results(self, seed):
+        a = evolve(params(rng_seed=seed), TOY, text_score)
+        for workers in (2, 3):
+            b = evolve(params(rng_seed=seed), TOY, text_score, workers=workers)
+            assert stat_tuple(a[1]) == stat_tuple(b[1])
+            assert a[0].phenotype == b[0].phenotype
 
     def test_best_fitness_equals_max_over_log(self):
         best, log = evolve(params(generations=10), TOY, text_score)

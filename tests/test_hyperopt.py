@@ -193,6 +193,16 @@ class TestTuneLoop:
                        objective=quadratic_in_log10, seed=seed)
         assert 1e-2 / 1.5 <= best.params["lr"] <= 1e-2 * 1.5
 
+    def test_only_the_design_runs_on_workers(self):
+        parent = os.getpid()
+
+        def elsewhere(params, seed):
+            return float(os.getpid() != parent)
+
+        _, history = tune("sgd", LR_SPACE, budget=12, objective=elsewhere,
+                          seed=0, workers=2)
+        assert [t.objective for t in history] == [1.0] * 5 + [0.0] * 7
+
     def test_needs_task_or_objective(self):
         with pytest.raises(TuneError, match="task or an explicit objective"):
             tune("sgd", LR_SPACE, budget=5)
