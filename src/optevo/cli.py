@@ -45,6 +45,7 @@ from .evolve import (
     dlr_fitness_fn,
     evolve,
     load_checkpoint,
+    write_atomic,
 )
 from .grammar import (
     CONST_GRID_RANGE,
@@ -305,9 +306,8 @@ def _resolve_workers(cfg: dict, args) -> int:
 
 
 def _echo_config(run_dir: Path, cfg: dict, extras: dict) -> None:
-    (run_dir / "config.json").write_text(
-        json.dumps({**cfg, **extras}, indent=2, default=str), encoding="utf-8"
-    )
+    write_atomic(run_dir / "config.json",
+                 json.dumps({**cfg, **extras}, indent=2, default=str))
 
 
 # --- evolve -------------------------------------------------------------------
@@ -352,6 +352,11 @@ def cmd_evolve(args) -> int:
                 f"{params.population_size}"
             )
     run_dir = make_run_dir(_field(cfg, "out", str, "runs"), seed, args.run_dir)
+    # before generation 0, so a killed run still names its config and rows
+    _echo_config(run_dir, cfg,
+                 {"resolved_seed": seed, "mode": "dlr" if scheduler else "alr"})
+    write_atomic(run_dir / "indices.json", json.dumps(
+        {"evolution_indices": splits.evolution_indices().tolist()}))
 
     best, log = evolve(
         params,
@@ -363,8 +368,6 @@ def cmd_evolve(args) -> int:
         workers=workers,
     )
 
-    _echo_config(run_dir, cfg,
-                 {"resolved_seed": seed, "mode": "dlr" if scheduler else "alr"})
     record = {"fitness": best.fitness, "phenotype": best.phenotype,
               "genotype": vars(best.genotype)}  # its genes and used counts
     (run_dir / "best.json").write_text(json.dumps(record, indent=2), encoding="utf-8")
@@ -374,10 +377,6 @@ def cmd_evolve(args) -> int:
     elif best.phenotype is not None:
         spec = spec_to_json(spec_from_phenotype(best.phenotype, name="evolved"))
         (run_dir / "best_spec.json").write_text(spec, encoding="utf-8")
-    (run_dir / "indices.json").write_text(
-        json.dumps({"evolution_indices": splits.evolution_indices().tolist()}),
-        encoding="utf-8",
-    )
     print(f"run dir: {run_dir}")
     print(f"best fitness: {best.fitness:.6f}")
     print(f"best phenotype: {best.phenotype}")

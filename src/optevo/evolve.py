@@ -285,9 +285,14 @@ def save_checkpoint(path, params: EvoParams, generation: int, population,
             else {"genes": log.best_genotype.genes, "used": log.best_genotype.used},
         },
     }
-    # a crash mid-write leaves the previous checkpoint intact
+    write_atomic(path, json.dumps(state))
+
+
+def write_atomic(path, text: str) -> None:
+    """Write `text` to a temporary file beside `path`, then rename it over
+    `path`: a crash mid-write leaves the previous file, or none, intact."""
     tmp = Path(path).with_name(Path(path).name + ".tmp")
-    tmp.write_text(json.dumps(state), encoding="utf-8")
+    tmp.write_text(text, encoding="utf-8")
     os.replace(tmp, path)
 
 

@@ -1,11 +1,11 @@
 """Small dense classifiers trained from scratch.
 
 The training loop drives the optimizer through one contract, `Stepper`
-(begin_epoch / update / failed / needs_grad), so the same network code scores
-evolved update rules, evolved schedules, and the hand-written baselines. Each
-batch takes one log-softmax, shared by its loss and its backward pass; a
-stepper whose weights never depend on the gradient (`needs_grad` false) gets
-`update(w, None)` and no backward pass at all.
+(begin_epoch / update / failed / needs_grad / bound), so the same network
+code scores evolved update rules, evolved schedules, and the hand-written
+baselines. Each batch takes one log-softmax, shared by its loss and its
+backward pass; a stepper whose weights never depend on the gradient
+(`needs_grad` false) gets `update(w, None)` and no backward pass at all.
 
 A network keeps all its parameters in one flat float64 buffer, and `train`
 hands the stepper that one tensor, `update(net.flat, flat_grad)`, with
@@ -25,17 +25,33 @@ max with a loop of `np.maximum(..., out=)` over the columns, which is exact
 (max does not depend on order) and several times cheaper than `max(axis=1)`
 on narrow logits; its row sum stays numpy's own axis-1 reduction, whose
 summation order a column loop would not reproduce at every width.
+
+Most losses a training computes are read only to check that they are
+finite, and `train` skips those that a finiteness certificate shows cannot
+be anything else. `Stepper._assign` records B = max |w| of the weights it
+writes, and each Dataset caches X = max |x| over its rows. Folding the layer
+sizes in with a <- fan_in * a * B + B from a = X bounds every logit by L:
+ReLU never grows a magnitude. While L stays below `_LOGIT_MARGIN` (1e150),
+the logits minus their row max lie in [-2L, 0] and include one exact 0, so
+each row's exp-sum lies in [1, classes]: every log-softmax, batch loss and
+epoch sum is finite. The margin, 150 orders below overflow, absorbs the
+rounding of every matmul. A non-finite X or B, or a product that overflows,
+compares false and certifies nothing.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .data import Dataset
 from .tensor import Rng, Tensor
+
+
+# a logit bound below this certifies every loss finite (module docstring)
+_LOGIT_MARGIN = 1e150
 
 
 class NetworkError(ValueError):
@@ -48,24 +64,36 @@ class Stepper:
     `begin_epoch(epoch)` runs before each epoch's first batch;
     `update(w, g)` takes one weight tensor and its gradient and writes the
     new weights through `_assign`, which sets `failed` on any non-finite
-    value. `train` passes the network's flat parameter buffer and its flat
-    gradient, so an update must act elementwise. Subclasses define `update`
-    on their own class. A stepper whose weights never depend on the gradient
-    sets `needs_grad` false; `train` then skips backward and calls
-    `update(w, None)`.
+    value and records their largest magnitude in `bound`, both from one max
+    and one min reduction. `train` reads `bound` after each update to
+    certify its losses finite (see the module docstring); a stepper without
+    one gets no certificate. `train` passes the network's flat parameter
+    buffer and its flat gradient, so an update must act elementwise.
+    Subclasses define `update` on their own class. A stepper whose weights
+    never depend on the gradient sets `needs_grad` false; `train` then skips
+    backward and calls `update(w, None)`.
     """
 
     name = "stepper"
     failed = False
     needs_grad = True
+    bound = math.inf  # max |w| of the last `_assign`
 
     def begin_epoch(self, epoch: int) -> None:
         pass
 
     def _assign(self, w: Tensor, new_w: Tensor) -> None:
-        if not np.logical_and.reduce(np.isfinite(new_w), axis=None):
-            self.failed = True
         w[...] = new_w
+        self.bound = _abs_max(w)
+        if not self.bound < math.inf:  # NaN compares false too
+            self.failed = True
+
+
+def _abs_max(w: Tensor) -> float:
+    """max |w| from one max and one min reduction; NaN when `w` holds one."""
+    hi = float(np.maximum.reduce(w, axis=None))
+    lo = -float(np.minimum.reduce(w, axis=None))
+    return hi if hi > lo else lo
 
 
 class Network:
@@ -214,11 +242,10 @@ class TrainConfig:
 
 @dataclass
 class TrainHistory:
-    train_loss: list = field(default_factory=list)
-    val_loss: list = field(default_factory=list)
     epochs_run: int = 0
     stopped_early: bool = False
     failed: bool = False
+    val_loss: float | None = None  # at the returned weights; None when failed
 
 
 class EarlyStopTracker:
@@ -239,14 +266,38 @@ class EarlyStopTracker:
         return self.bad_epochs >= self.patience
 
 
+def _logit_bound(sizes, x_bound: float, w_bound: float) -> float:
+    """Bound on |logit| of a net with these layer sizes, inputs bounded by
+    `x_bound` and every parameter by `w_bound` (see the module docstring)."""
+    a = x_bound
+    for fan_in in sizes[:-1]:
+        a = fan_in * a * w_bound + w_bound
+    return a
+
+
 def train(net: Network, stepper: Stepper, data, cfg: TrainConfig | None = None):
     """Mini-batch training loop; returns (net, TrainHistory).
 
-    `data` is a (train, validation) Dataset pair.  Any non-finite loss or
-    parameter aborts the run with history.failed set — callers treat that
-    as a zero-fitness outcome rather than an exception. Every batch still
-    runs forward and takes its loss when the stepper does not need the
-    gradient: finite weights can overflow the logits.
+    `data` is a (train, validation) Dataset pair. A non-finite parameter
+    aborts the run at once with history.failed set; a non-finite training
+    loss (summed over an epoch's batches, each at the weights it saw) or
+    validation loss fails it at the end of the epoch. Callers treat a
+    failure as a zero-fitness outcome rather than an exception. Finite
+    weights can still overflow the logits, so the losses matter even to a
+    stepper that does not need the gradient.
+
+    A loss that only this check reads is skipped where the module's
+    certificate shows it finite, so the outcome is that of computing every
+    loss, bit for bit:
+    - the validation pass runs under early stopping, on the final epoch
+      (for `val_loss`) and after an epoch whose end weights are not
+      certified;
+    - a stepper with `needs_grad` false runs its epoch's updates first,
+      keeping the weights each update saw. Only if one of those is not
+      certified does the epoch draw its batch order and take every batch's
+      loss from the kept weights, in batch order. A stepper that does need
+      the gradient takes each loss from the log-softmax its backward pass
+      computes anyway.
     """
     cfg = cfg or TrainConfig()
     train_set, val_set = data
@@ -261,39 +312,80 @@ def train(net: Network, stepper: Stepper, data, cfg: TrainConfig | None = None):
     tracker = EarlyStopTracker(cfg.patience)
     shuffle_rng = Rng(cfg.shuffle_seed).child("shuffle")
     needs_grad = getattr(stepper, "needs_grad", True)
+    # no validation rows: a mean loss of 0/0, never certified
+    x_bound = max(train_set.x_bound, val_set.x_bound) if len(val_set) else math.inf
+
+    def certifies(w_bound: float) -> bool:  # every loss at such weights is finite
+        return _logit_bound(net.layer_sizes, x_bound, w_bound) < _LOGIT_MARGIN
+
+    starts = range(0, len(train_set), cfg.batch_size)
+    if not needs_grad:
+        seen = np.empty((len(starts), net.flat.size))  # the weights each update saw
+    val_loss = None
     with np.errstate(all="ignore"):  # non-finite values become a failed run
+        certified = certifies(_abs_max(net.flat))
         for epoch in range(cfg.max_epochs):
             stepper.begin_epoch(epoch)
-            order = shuffle_rng.child("epoch", epoch).permutation(len(train_set))
             total_loss = 0.0
-            for lo in range(0, len(order), cfg.batch_size):
-                idx = order[lo : lo + cfg.batch_size]
-                labels = train_set.y[idx]
-                logits, cache = forward(net, train_set.x[idx])
-                log_probs = _log_softmax(logits)
-                total_loss += _nll(log_probs, labels) * len(idx)
-                if needs_grad:
+            if needs_grad:
+                order = shuffle_rng.child("epoch", epoch).permutation(len(train_set))
+                for lo in starts:
+                    idx = order[lo : lo + cfg.batch_size]
+                    labels = train_set.y[idx]
+                    logits, cache = forward(net, train_set.x[idx])
+                    log_probs = _log_softmax(logits)
+                    total_loss += _nll(log_probs, labels) * len(idx)
                     flat_grad = np.empty_like(net.flat)  # fresh: steppers may keep it
                     backward(net, cache, labels, log_probs, flat_grad)
                     stepper.update(net.flat, flat_grad)
-                else:
+                    if stepper.failed:
+                        history.failed = True
+                        return net, history
+                certified = certifies(getattr(stepper, "bound", math.inf))
+            else:
+                all_certified = True
+                for k in range(len(starts)):
+                    all_certified = all_certified and certified
+                    seen[k] = net.flat
                     stepper.update(net.flat, None)
-                if stepper.failed:
-                    history.failed = True
-                    return net, history
-            epoch_train_loss = total_loss / len(order)
-            val_logits, _ = forward(net, val_set.x)
-            epoch_val_loss = mean_loss(val_logits, val_set.y)
-            if not (np.isfinite(epoch_train_loss) and np.isfinite(epoch_val_loss)):
+                    if stepper.failed:
+                        history.failed = True
+                        return net, history
+                    certified = certifies(getattr(stepper, "bound", math.inf))
+                if not all_certified:
+                    total_loss = _replay_losses(net, train_set, seen, cfg.batch_size,
+                                                shuffle_rng.child("epoch", epoch))
+            loss_finite = math.isfinite(total_loss)
+            if cfg.early_stop or epoch == cfg.max_epochs - 1 or not certified:
+                val_logits, _ = forward(net, val_set.x)
+                val_loss = mean_loss(val_logits, val_set.y)
+                loss_finite = loss_finite and math.isfinite(val_loss)
+            if not loss_finite:
                 history.failed = True
                 return net, history
-            history.train_loss.append(epoch_train_loss)
-            history.val_loss.append(epoch_val_loss)
             history.epochs_run += 1
-            if cfg.early_stop and tracker.update(epoch_val_loss):
+            if cfg.early_stop and tracker.update(val_loss):
                 history.stopped_early = True
                 break
+    history.val_loss = val_loss
     return net, history
+
+
+def _replay_losses(net: Network, train_set: Dataset, seen: Tensor, batch_size: int,
+                   epoch_rng: Rng) -> float:
+    """Sum over an epoch's batches of each batch's mean loss times its size,
+    at the weights `seen[k]` that batch k's update saw, in batch order: the
+    sum `train` takes inline when it runs backward. Restores net.flat."""
+    order = epoch_rng.permutation(len(train_set))
+    after = net.flat.copy()
+    total = 0.0
+    for k, lo in enumerate(range(0, len(order), batch_size)):
+        idx = order[lo : lo + batch_size]
+        net.flat[...] = seen[k]  # the same buffer, so the same bytes as inline
+        logits, _ = forward(net, train_set.x[idx])
+        total += _nll(_log_softmax(logits), train_set.y[idx]) * len(idx)
+    net.flat[...] = after
+    return total
 
 
 def train_seeded(layer_sizes, stepper: Stepper, data, cfg: TrainConfig, rng: Rng):

@@ -415,6 +415,26 @@ class TestEvolveCommand:
         assert 0.0 <= best["fitness"] <= 1.0
         assert best["phenotype"] in capsys.readouterr().out
 
+    def test_config_and_indices_precede_generation_zero(self, tmp_path, monkeypatch):
+        """A run killed in generation 0 still names its config and rows."""
+        import optevo.cli as cli_mod
+
+        run = tmp_path / "run"
+        cfg = write_cfg(tmp_path, evolve_payload())
+        seen = []
+
+        def killed(*args, **kwargs):
+            seen.extend(sorted(p.name for p in run.iterdir()))
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli_mod, "evolve", killed)
+        with pytest.raises(KeyboardInterrupt):
+            main(["evolve", cfg, "--run-dir", str(run)])
+        assert seen == ["config.json", "indices.json"]  # no temporary file left
+        assert json.loads((run / "config.json").read_text())["resolved_seed"] == 3
+        idx = json.loads((run / "indices.json").read_text())["evolution_indices"]
+        assert len(idx) == 240 + 60 + 60
+
     def test_best_spec_is_loadable(self, tmp_path):
         run = tmp_path / "run"
         cfg = write_cfg(tmp_path, evolve_payload())

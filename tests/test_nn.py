@@ -1,11 +1,12 @@
 """Dense networks: init, forward/backward vs finite differences, training loop."""
 
 import warnings
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from optevo.data import Dataset, synthetic
@@ -15,9 +16,11 @@ from optevo.nn import (
     EarlyStopTracker,
     Network,
     NetworkError,
+    Stepper,
     TrainConfig,
     TrainHistory,
     _log_softmax,
+    _logit_bound,
     _nll,
     backward,
     evaluate,
@@ -266,6 +269,23 @@ class TestEarlyStopTracker:
         assert tracker.update(1.0)
 
 
+class Swell(Stepper):
+    """Gradient-free stepper that scales every weight by `factor` on odd
+    updates and back down on even ones, through `_assign`."""
+
+    name = "swell"
+    needs_grad = False
+
+    def __init__(self, factor):
+        self.factor = factor
+        self.t = 0
+
+    def update(self, w, g):
+        self.t += 1
+        with np.errstate(all="ignore"):
+            self._assign(w, w * (self.factor if self.t % 2 else 1.0 / self.factor))
+
+
 class RecordingStepper:
     """No-op stepper that logs begin_epoch calls."""
 
@@ -300,12 +320,14 @@ class TestTrain:
         assert hist.epochs_run == 3
         assert not hist.stopped_early and not hist.failed
 
-    def test_history_lengths_match_epochs_run(self):
+    def test_val_loss_is_at_returned_weights(self):
         net = Network([2, 4, 2], seed=0)
-        _, hist = train(net, sgd(0.1), toy_data(),
+        train_set, val_set = toy_data()
+        _, hist = train(net, sgd(0.1), (train_set, val_set),
                         TrainConfig(batch_size=16, max_epochs=4, early_stop=False))
         assert hist.epochs_run == 4
-        assert len(hist.train_loss) == len(hist.val_loss) == 4
+        logits, _ = forward(net, val_set.x)
+        assert hist.val_loss == mean_loss(logits, val_set.y)
 
     def test_constant_val_loss_stops_after_patience(self):
         net = Network([2, 4, 2], seed=0)
@@ -341,19 +363,18 @@ class TestTrain:
             _, hist = train(net, sgd(0.3), toy_data(),
                             TrainConfig(batch_size=8, max_epochs=5, early_stop=False,
                                         shuffle_seed=2))
-            runs.append(hist)
-        assert runs[0].train_loss == runs[1].train_loss
-        assert runs[0].val_loss == runs[1].val_loss
+            runs.append((net.flat.tobytes(), hist))
+        assert runs[0] == runs[1]
 
     def test_shuffle_seed_changes_trajectory(self):
-        losses = []
+        weights = []
         for seed in (0, 1):
             net = Network([2, 8, 2], seed=4)
-            _, hist = train(net, sgd(0.3), toy_data(),
-                            TrainConfig(batch_size=8, max_epochs=3, early_stop=False,
-                                        shuffle_seed=seed))
-            losses.append(hist.train_loss)
-        assert losses[0] != losses[1]
+            train(net, sgd(0.3), toy_data(),
+                  TrainConfig(batch_size=8, max_epochs=3, early_stop=False,
+                              shuffle_seed=seed))
+            weights.append(net.flat.tobytes())
+        assert weights[0] != weights[1]
 
     def test_sgd_solves_two_gaussians(self):
         net = Network([2, 16, 2], seed=0)
@@ -361,7 +382,8 @@ class TestTrain:
         _, hist = train(net, sgd(0.5), (train_set, val_set),
                         TrainConfig(batch_size=32, max_epochs=50, early_stop=False))
         assert evaluate(net, val_set) >= 0.95
-        assert hist.val_loss[-1] < hist.val_loss[0]
+        untrained, _ = forward(Network([2, 16, 2], seed=0), val_set.x)
+        assert hist.val_loss < mean_loss(untrained, val_set.y)
 
     def test_scheduled_sgd_consults_policy_each_epoch(self):
         policy = parse_policy("if(epoch < 3.0, 0.5, 0.001)")
@@ -379,45 +401,18 @@ class TestTrain:
               TrainConfig(batch_size=16, max_epochs=6, early_stop=False))
         assert seen == [0.5, 0.5, 0.5, 0.001, 0.001, 0.001]
 
-    def test_train_loss_is_batch_mean_loss(self):
-        """Each epoch's train loss re-derives, bit for bit, from mean_loss on
-        every batch at the weights that batch saw. `train` hands the stepper
-        one flat tensor, so the snapshots replay through `flat`."""
-
-        class Snapshotting:
-            def __init__(self, inner):
-                self.inner, self.seen = inner, []
-
-            def begin_epoch(self, epoch):
-                self.inner.begin_epoch(epoch)
-
-            @property
-            def failed(self):
-                return self.inner.failed
-
-            def update(self, w, g):
-                self.seen.append(w.copy())
-                self.inner.update(w, g)
-
-        train_set, val_set = toy_data(n=130, seed=3)
-        cfg = TrainConfig(batch_size=16, max_epochs=3, early_stop=False,
-                          shuffle_seed=5)
-        stepper = Snapshotting(sgd(0.3))
-        _, hist = train(Network([2, 8, 2], seed=1), stepper, (train_set, val_set), cfg)
-        replay = Network([2, 8, 2], seed=1)
-        batches = iter(stepper.seen)
-        shuffle_rng = Rng(cfg.shuffle_seed).child("shuffle")
-        want = []
-        for epoch in range(cfg.max_epochs):
-            order = shuffle_rng.child("epoch", epoch).permutation(len(train_set))
-            total = 0.0
-            for lo in range(0, len(order), cfg.batch_size):
-                idx = order[lo : lo + cfg.batch_size]
-                replay.flat[...] = next(batches)
-                logits, _ = forward(replay, train_set.x[idx])
-                total += mean_loss(logits, train_set.y[idx]) * len(idx)
-            want.append(total / len(order))
-        assert hist.train_loss == want
+    def test_failure_reads_every_batch_loss(self):
+        """A batch whose weights overflow the logits fails the training at
+        the end of its epoch, though every weight stays finite and the epoch
+        ends at weights whose validation loss is finite."""
+        train_set, val_set = toy_data()
+        cfg = TrainConfig(batch_size=24, max_epochs=3, early_stop=False)
+        net, hist = train(Network([2, 4, 2], seed=0), Swell(1e200),
+                          (train_set, val_set), cfg)
+        assert hist.failed and hist.epochs_run == 0
+        assert np.isfinite(net.flat).all()
+        logits, _ = forward(net, val_set.x)
+        assert np.isfinite(mean_loss(logits, val_set.y))
 
     def test_gradient_free_stepper_gets_no_backward(self, monkeypatch):
         import optevo.nn as nn
@@ -535,8 +530,160 @@ class TestFlatMatchesPerTensor:
             params, lambda: make_case_stepper(kind, seed, lr_scale), data, cfg,
             lambda epoch: shuffle.child("epoch", epoch).permutation(60))
         assert [p.tobytes() for p in net.params] == [p.tobytes() for p in params]
-        assert (hist.train_loss, hist.val_loss, hist.epochs_run,
-                hist.stopped_early, hist.failed) == want
+        _, val_loss, *outcome = want
+        assert [hist.epochs_run, hist.stopped_early, hist.failed] == outcome
+        assert hist.val_loss == (None if hist.failed else val_loss[-1])
+
+
+def count_calls(monkeypatch, names=("forward", "backward", "mean_loss")) -> Counter:
+    """Count the calls `train` makes to these nn functions by name."""
+    import optevo.nn as nn
+
+    calls = Counter()
+    for name in names:
+        monkeypatch.setattr(nn, name, lambda *a, _name=name, _real=getattr(nn, name):
+                            calls.update([_name]) or _real(*a))
+    return calls
+
+
+class TestCertifiedTraining:
+    """`train` skips the losses its finiteness certificate shows finite; the
+    outcome is that of the oracle loop, which takes every loss."""
+
+    @settings(max_examples=150)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["alr", "alr", "alr", *EDGE_PHENOTYPES]),
+        st.sampled_from([1.0, 1e40, 1e70, 1e148]),
+        st.sampled_from([7, 16, 64]),
+        st.booleans(),
+    )
+    def test_matches_every_loss_oracle(self, seed, kind, x_scale, batch_size,
+                                       early_stop):
+        d = synthetic("two_gaussians", 90, noise=0.1, seed=seed % 89)
+        x = d.x * x_scale  # larger inputs leave the certificate sooner
+        # 61 rows: every batch size leaves a short last batch
+        data = Dataset(x[:61], d.y[:61]), Dataset(x[61:], d.y[61:])
+        sizes = [2, 16, 2]
+        cfg = TrainConfig(batch_size=batch_size, max_epochs=4, early_stop=early_stop,
+                          patience=1, shuffle_seed=seed % 1000)
+        net, hist = train(Network(sizes, seed=seed),
+                          make_case_stepper(kind, seed, 1.0), data, cfg)
+        params = [p.copy() for p in Network(sizes, seed=seed).params]
+        shuffle = Rng(cfg.shuffle_seed).child("shuffle")
+        _, val_loss, *outcome = train_per_tensor(
+            params, lambda: make_case_stepper(kind, seed, 1.0), data, cfg,
+            lambda epoch: shuffle.child("epoch", epoch).permutation(61))
+        # the sign of a NaN may differ between flat and per-tensor stepping
+        # (at the parent too); a failed run's weights are never read
+        assert_same_bits(net.flat, np.concatenate([p.ravel() for p in params]))
+        assert [hist.epochs_run, hist.stopped_early, hist.failed] == outcome
+        assert hist.val_loss == (None if hist.failed else val_loss[-1])
+
+    def test_val_overflow_fails_on_a_non_final_epoch(self, monkeypatch):
+        """One update per epoch multiplies every weight by 1e60. After epoch
+        2 the weights (about 1e180) are finite and the epoch's batch loss,
+        taken at about 1e120, is too, but the validation logits overflow."""
+        calls = count_calls(monkeypatch)
+        spec = spec_from_phenotype("grad ; y ; z ; multiply(alpha, 1e60)")
+        train_set, val_set = toy_data()
+        cfg = TrainConfig(batch_size=len(train_set), max_epochs=5, early_stop=False)
+        net, hist = train(Network([2, 16, 2], seed=0), make_stepper(spec),
+                          (train_set, val_set), cfg)
+        assert hist.failed and hist.epochs_run == 2
+        assert np.isfinite(net.flat).all()
+        # weights of about 1 and 1e60 are certified, 1e120 is not: epoch 1
+        # validates, and epoch 2 replays its batch loss and validates
+        assert calls == {"forward": 3, "mean_loss": 2}
+
+    def test_crossing_mid_epoch_replays_batch_losses(self, monkeypatch):
+        """Weights scaled by 1e100 on every other update leave the
+        certificate mid-epoch: each epoch replays all four batch losses from
+        the weights its updates saw, and ends certified again."""
+        calls = count_calls(monkeypatch)
+        train_set, val_set = toy_data()
+        cfg = TrainConfig(batch_size=24, max_epochs=3, early_stop=False)
+        net, hist = train(Network([2, 4, 2], seed=0), Swell(1e100),
+                          (train_set, val_set), cfg)
+        assert not hist.failed and hist.epochs_run == 3
+        assert calls == {"forward": 3 * 4 + 1, "mean_loss": 1}
+        params = [p.copy() for p in Network([2, 4, 2], seed=0).params]
+        shuffle = Rng(cfg.shuffle_seed).child("shuffle")
+        _, val_loss, *outcome = train_per_tensor(
+            params, lambda: Swell(1e100), (train_set, val_set), cfg,
+            lambda epoch: shuffle.child("epoch", epoch).permutation(len(train_set)))
+        assert net.flat.tobytes() == b"".join(p.tobytes() for p in params)
+        assert outcome == [3, False, False] and hist.val_loss == val_loss[-1]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_input_gets_no_certificate(self, bad):
+        """A gradient-free rule that shrinks the weights would be certified
+        on clean rows; one bad training row fails the first epoch."""
+        train_set, val_set = toy_data()
+        x = train_set.x.copy()
+        x[5, 1] = bad
+        poisoned = Dataset(x, train_set.y)
+        assert poisoned.x_bound == np.inf
+        shrink = make_stepper(spec_from_phenotype("grad ; y ; z ; multiply(alpha, 0.9)"))
+        _, hist = train(Network([2, 16, 2], seed=0), shrink, (poisoned, val_set),
+                        TrainConfig(batch_size=16, max_epochs=3, early_stop=False))
+        assert hist.failed and hist.epochs_run == 0
+
+    def test_empty_validation_set_gets_no_certificate(self):
+        """No validation rows give a 0/0 loss: the first epoch fails, as
+        it does when every loss is taken."""
+        train_set, _ = toy_data()
+        empty = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int))
+        shrink = make_stepper(spec_from_phenotype("grad ; y ; z ; multiply(alpha, 0.9)"))
+        _, hist = train(Network([2, 4, 2], seed=0), shrink, (train_set, empty),
+                        TrainConfig(batch_size=30, max_epochs=3, early_stop=False))
+        assert hist.failed and hist.epochs_run == 0
+
+    def test_certified_training_takes_one_validation_loss(self, monkeypatch):
+        calls = count_calls(monkeypatch)
+        cfg = TrainConfig(batch_size=30, max_epochs=4, early_stop=False)
+        _, hist = train(Network([2, 4, 2], seed=0), sgd(0.1), toy_data(), cfg)
+        assert not hist.failed
+        # 90 rows in batches of 30 over four epochs, then the final validation
+        assert calls == {"forward": 12 + 1, "backward": 12, "mean_loss": 1}
+        calls.clear()
+        free = make_stepper(spec_from_phenotype("grad ; y ; z ; multiply(alpha, 0.9)"))
+        _, hist = train(Network([2, 4, 2], seed=0), free, toy_data(), cfg)
+        assert not hist.failed
+        assert calls == {"forward": 1, "mean_loss": 1}
+
+    def test_early_stopping_takes_every_validation_loss(self, monkeypatch):
+        calls = count_calls(monkeypatch, ("mean_loss",))
+        cfg = TrainConfig(batch_size=30, max_epochs=4, patience=10)
+        _, hist = train(Network([2, 4, 2], seed=0), sgd(0.1), toy_data(), cfg)
+        assert hist.epochs_run == 4 and calls == {"mean_loss": 4}
+
+    @given(st.lists(st.integers(1, 40), min_size=2, max_size=4),
+           st.sampled_from([1e-3, 1.0, 7.0, 1e20]), st.sampled_from([0.5, 1.0, 3e10]),
+           st.integers(0, 2**32 - 1), st.booleans())
+    def test_logit_bound_covers_the_logits(self, sizes, w_bound, x_bound, seed,
+                                           aligned):
+        """Every parameter at +-w_bound and every input at +-x_bound; with
+        all signs positive the logits reach the bound itself."""
+        rng = np.random.default_rng(seed)
+        net = Network(sizes, seed=0)
+        signs = np.ones(net.flat.size) if aligned else rng.choice([-1.0, 1.0], net.flat.size)
+        net.flat[...] = w_bound * signs
+        x = x_bound * (np.ones((5, sizes[0])) if aligned
+                       else rng.choice([-1.0, 1.0], (5, sizes[0])))
+        logits, _ = forward(net, x)
+        bound = _logit_bound(sizes, x_bound, w_bound)
+        assert np.abs(logits).max() <= bound * (1 + 1e-12)  # rounding aside
+        if aligned:
+            np.testing.assert_allclose(logits, bound, rtol=1e-12)
+
+    def test_assign_records_bound(self):
+        stepper = sgd(1.0)
+        w = np.array([0.5, -3.0, 2.0])
+        stepper.update(w, np.array([0.0, 1.0, 0.0]))
+        assert stepper.bound == 4.0 and not stepper.failed
+        stepper.update(w, np.array([np.inf, 0.0, 0.0]))
+        assert stepper.failed
 
 
 SPECIAL_VALUES = [np.inf, -np.inf, np.nan, 0.0, -0.0]

@@ -612,8 +612,8 @@ def train_outcome(spec, seed, scale, force):
                       shuffle_seed=seed)
     net, hist = train(Network([2, 16, 2], seed=seed), GradScaled(spec, scale, force),
                       data, cfg)
-    return ([p.tobytes() for p in net.params], hist.train_loss, hist.val_loss,
-            hist.epochs_run, hist.failed)
+    return ([p.tobytes() for p in net.params], hist.val_loss, hist.epochs_run,
+            hist.stopped_early, hist.failed)
 
 
 class TestLeanStepMatchesFullStep:
