@@ -1,9 +1,10 @@
 """Command-line entry point: evolve / benchmark / tune / grammar-check.
 
-Configs are JSON; every field is schema-checked before any compute starts,
-and command-line flags override config fields.  `evolve` searches update
-rules or learning-rate schedules, whichever its grammar derives.  All outputs
-land under a run directory named by timestamp + seed.  Exit codes: 0 success,
+Configs are JSON, read against one key table per section before any data
+load; a flag overrides the key of its name, and a run's config.json is the
+resolved config, which reruns it.  `evolve` searches update rules or
+learning-rate schedules, whichever its grammar derives.  All outputs land
+under a run directory named by timestamp + seed.  Exit codes: 0 success,
 1 check failure, 2 config error, 3 data error.
 """
 
@@ -31,7 +32,6 @@ from .bench import (
 from .data import (
     SYNTHETIC_KINDS,
     DataError,
-    Dataset,
     SplitPlan,
     load_cifar10,
     load_idx,
@@ -90,20 +90,25 @@ _REQUIRED = object()
 
 
 def _field(cfg: dict, key: str, kind, default=_REQUIRED, where: str = "config"):
-    """Typed field lookup with schema-style diagnostics."""
+    """Typed field lookup with schema-style diagnostics; an int is promoted to
+    float, a bool is no number, and a `list[...]` kind checks each entry."""
     if key not in cfg:
         if default is _REQUIRED:
             raise ConfigError(f"{where}: missing required field {key!r}")
         return default
     value = cfg[key]
+    container = getattr(kind, "__origin__", kind)  # list, for list[int]
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
-    if kind is not bool and isinstance(value, bool):
-        raise ConfigError(f"{where}.{key}: expected {kind.__name__}, got bool")
-    if not isinstance(value, kind):
+    if container is not bool and isinstance(value, bool):
+        raise ConfigError(f"{where}.{key}: expected {container.__name__}, got bool")
+    if not isinstance(value, container):
         raise ConfigError(
-            f"{where}.{key}: expected {kind.__name__}, got {type(value).__name__}"
+            f"{where}.{key}: expected {container.__name__}, got {type(value).__name__}"
         )
+    if container is not kind:  # read each entry as the field key[i]
+        entries = {f"{key}[{i}]": entry for i, entry in enumerate(value)}
+        return [_field(entries, k, kind.__args__[0], where=where) for k in entries]
     return value
 
 
@@ -111,6 +116,110 @@ def _check_keys(cfg: dict, allowed, where: str = "config") -> None:
     unknown = sorted(set(cfg) - set(allowed))
     if unknown:
         raise ConfigError(f"{where}: unknown field(s) {', '.join(unknown)}")
+
+
+def _key(kind, default=_REQUIRED, *, least=None, flag=None) -> tuple:
+    """A key table entry: type, default (_REQUIRED: none; None: an unset key
+    stays out), least value, and the help of the flag of the key's name."""
+    return kind, default, least, flag
+
+
+def _read(cfg: dict, table: dict, where: str, flags=None) -> dict:
+    """Section `cfg` resolved against its key table in one pass: unknown keys,
+    ill-typed values and values below their least are refused, and a flag set
+    in `flags` wins over the config, which wins over the default."""
+    _check_keys(cfg, table, where)
+    out = {}
+    for key, (kind, default, least, _flag) in table.items():
+        value = getattr(flags, key, None)
+        if value is None:
+            value = _field(cfg, key, kind, default, where)
+        if value is None:
+            continue
+        if least is not None and value < least:
+            raise ConfigError(f"{where}.{key}: must be >= {least}")
+        out[key] = value
+    return out
+
+
+# One key table per config section. Defaults that a library dataclass holds
+# are read from it. A run writes its resolved config, which reruns it, as
+# config.json.
+RUN_KEYS = {
+    "seed": _key(int, 0, flag="override config seed"),
+    "workers": _key(int, 1, least=1, flag="parallel evaluation cap (default: 1)"),
+    "out": _key(str, "runs"),
+    "task": _key(dict),
+}
+EVOLVE_KEYS = {
+    **RUN_KEYS,
+    "grammar": _key(str, "alr"),
+    "evo": _key(dict, {}),
+    "trials": _key(int, None),  # default: one per trial group
+    "threshold": _key(float, 0.8),
+    "resume": _key(str, None, flag="checkpoint file to resume from"),
+}
+EVO_KEYS = {  # each sets the EvoParams field its default is read from
+    "population": _key(int, EvoParams.population_size,
+                       flag="override config.evo.population"),
+    "generations": _key(int, EvoParams.generations,
+                        flag="override config.evo.generations"),
+    "tournament": _key(int, EvoParams.tournament_size),
+    "mutation": _key(float, EvoParams.mutation_rate),
+    "elitism": _key(int, EvoParams.elitism),
+    "max_depth": _key(int, EvoParams.max_depth),
+    "crossover": _key(float, EvoParams.crossover_prob),
+}
+BENCHMARK_KEYS = {
+    **RUN_KEYS,
+    "name": _key(str, None),  # default: the preset, else "scenario"
+    "preset": _key(str, None),  # epochs and early_stop default to its protocol
+    "epochs": _key(int, None),
+    "early_stop": _key(bool, None),
+    "repetitions": _key(int, 5, flag="override config repetitions"),
+    "steppers": _key(list),
+    "test_source": _key(str, "split"),
+}
+TUNE_KEYS = {
+    **RUN_KEYS,
+    "optimizer": _key(str),
+    "budget": _key(int, 25, flag="override config budget"),
+    "random_search": _key(bool, False),
+}
+TRAIN_KEYS = {  # the TrainConfig fields of a task
+    "batch_size": _key(int, TrainConfig.batch_size),
+    "max_epochs": _key(int, TrainConfig.max_epochs),
+    "early_stop": _key(bool, TrainConfig.early_stop),
+    "patience": _key(int, TrainConfig.patience),
+}
+TASK_KEYS = {
+    "dataset": _key(dict),
+    "split": _key(dict),
+    "layer_sizes": _key(list[int]),
+    **TRAIN_KEYS,
+    "initial_lr": _key(float, TrainingTask.initial_lr),  # scheduler grammars only
+}
+SPLIT_KEYS = {  # an empty trial group, validation or test set is refused
+    "train_total": _key(int),
+    "per_trial": _key(int, least=1),
+    "trial_count": _key(int, least=1),
+    "validation": _key(int, least=1),
+    "test": _key(int, least=1),
+    "seed": _key(int, SplitPlan.seed),
+}
+_KIND = {"kind": _key(str)}
+DATASET_KEYS = {  # by dataset kind
+    **dict.fromkeys(SYNTHETIC_KINDS, {
+        **_KIND, "n": _key(int), "noise": _key(float, 0.1), "seed": _key(int, 0)}),
+    "idx": {**_KIND, "images": _key(str), "labels": _key(str), "name": _key(str, "idx")},
+    "cifar10": {**_KIND, "batches": _key(list[str]), "name": _key(str, "cifar10")},
+}
+STEPPER_KEYS = {  # a benchmark's object entry
+    "name": _key(str, None),
+    "hyperparams": _key(dict, None),
+    "spec_file": _key(str, None),
+    "policy_file": _key(str, None),
+}
 
 
 def _load_config(path) -> dict:
@@ -137,75 +246,46 @@ def _data_path(p: str) -> Path:
     return path
 
 
-def resolve_dataset(cfg: dict, where: str = "config.task.dataset") -> Dataset:
-    kind = _field(cfg, "kind", str, where=where)
-    if kind in SYNTHETIC_KINDS:
-        _check_keys(cfg, {"kind", "n", "noise", "seed"}, where)
-        return synthetic(
-            kind,
-            _field(cfg, "n", int, where=where),
-            noise=_field(cfg, "noise", float, 0.1, where=where),
-            seed=_field(cfg, "seed", int, 0, where=where),
-        )
-    if kind == "idx":
-        _check_keys(cfg, {"kind", "images", "labels", "name"}, where)
-        return load_idx(
-            _data_path(_field(cfg, "images", str, where=where)),
-            _data_path(_field(cfg, "labels", str, where=where)),
-            name=_field(cfg, "name", str, "idx", where=where),
-        )
-    if kind == "cifar10":
-        _check_keys(cfg, {"kind", "batches", "name"}, where)
-        batches = _field(cfg, "batches", list, where=where)
-        return load_cifar10(
-            [_data_path(b) for b in batches],
-            name=_field(cfg, "name", str, "cifar10", where=where),
-        )
-    raise ConfigError(f"{where}.kind: unknown dataset kind {kind!r}")
-
-
-def build_split_plan(cfg: dict, where: str = "config.task.split") -> SplitPlan:
-    """A SplitPlan with at least one non-empty trial group, validation set
-    and test set: an empty one would leave nothing to train or score on."""
-    _check_keys(
-        cfg,
-        {"train_total", "per_trial", "trial_count", "validation", "test", "seed"},
-        where,
-    )
-    sizes = {key: _field(cfg, key, int, where=where)
-             for key in ("train_total", "per_trial", "trial_count", "validation", "test")}
-    for key in ("trial_count", "per_trial", "validation", "test"):
-        if sizes[key] < 1:
-            raise ConfigError(f"{where}.{key}: must be >= 1")
-    try:
-        return SplitPlan(**sizes, seed=_field(cfg, "seed", int, 0, where=where))
-    except DataError as e:
-        raise ConfigError(f"{where}: {e}") from e
-
-
-def build_task(cfg: dict, seed: int, where: str = "config.task",
-               scheduler: bool = False):
-    """Returns (TrainingTask, Splits) from a task config block. Only a
-    scheduler search reads `initial_lr`, so only it may set the key."""
-    _check_keys(
-        cfg,
-        {"dataset", "split", "layer_sizes", "batch_size", "max_epochs",
-         "early_stop", "patience", "initial_lr"},
-        where,
-    )
-    if "initial_lr" in cfg and not scheduler:
-        raise ConfigError(f"{where}.initial_lr: needs a scheduler grammar")
-    initial_lr = _field(cfg, "initial_lr", float, 0.01, where=where)
-    if not (np.isfinite(initial_lr) and initial_lr > 0):
+def read_task(cfg: dict, scheduler: bool = False, omit=()) -> dict:
+    """A task section resolved with its dataset and split sections, before any
+    data load. Only a scheduler search reads `initial_lr`, so only it may set
+    the key; the keys in `omit`, which the caller has refused, stay out."""
+    where = "config.task"
+    if not scheduler:
+        if "initial_lr" in cfg:
+            raise ConfigError(f"{where}.initial_lr: needs a scheduler grammar")
+        omit = (*omit, "initial_lr")
+    task = _read(cfg, {k: v for k, v in TASK_KEYS.items() if k not in omit}, where)
+    if scheduler and not (np.isfinite(task["initial_lr"]) and task["initial_lr"] > 0):
         raise ConfigError(f"{where}.initial_lr: must be finite and > 0")
-    master = resolve_dataset(_field(cfg, "dataset", dict, where=where),
-                             f"{where}.dataset")
-    plan = build_split_plan(_field(cfg, "split", dict, where=where),
-                            f"{where}.split")
-    splits = split(master, plan)
-    layer_sizes = _field(cfg, "layer_sizes", list, where=where)
-    if len(layer_sizes) < 2 or not all(isinstance(s, int) and s > 0 for s in layer_sizes):
+    if len(task["layer_sizes"]) < 2 or min(task["layer_sizes"]) < 1:
         raise ConfigError(f"{where}.layer_sizes: need a list of at least two positive ints")
+    kind = _field(task["dataset"], "kind", str, where=f"{where}.dataset")
+    if kind not in DATASET_KEYS:
+        raise ConfigError(f"{where}.dataset.kind: unknown dataset kind {kind!r}")
+    task["dataset"] = _read(task["dataset"], DATASET_KEYS[kind], f"{where}.dataset")
+    task["split"] = _read(task["split"], SPLIT_KEYS, f"{where}.split")
+    return task
+
+
+def build_task(cfg: dict, seed: int):
+    """(TrainingTask, Splits) from a task section that `read_task` resolved."""
+    where = "config.task"
+    data = cfg["dataset"]
+    if data["kind"] == "idx":
+        master = load_idx(_data_path(data["images"]), _data_path(data["labels"]),
+                          name=data["name"])
+    elif data["kind"] == "cifar10":
+        master = load_cifar10([_data_path(b) for b in data["batches"]],
+                              name=data["name"])
+    else:
+        master = synthetic(**data)
+    try:
+        plan = SplitPlan(**cfg["split"])
+    except DataError as e:
+        raise ConfigError(f"{where}.split: {e}") from e
+    splits = split(master, plan)
+    layer_sizes = cfg["layer_sizes"]
     if layer_sizes[0] != master.x.shape[1]:
         raise ConfigError(
             f"{where}.layer_sizes: input size {layer_sizes[0]}, but the dataset "
@@ -217,12 +297,7 @@ def build_task(cfg: dict, seed: int, where: str = "config.task",
             f"has {master.n_classes} classes"
         )
     try:
-        train_config = TrainConfig(
-            batch_size=_field(cfg, "batch_size", int, 1000, where=where),
-            max_epochs=_field(cfg, "max_epochs", int, 100, where=where),
-            early_stop=_field(cfg, "early_stop", bool, True, where=where),
-            patience=_field(cfg, "patience", int, 5, where=where),
-        )
+        train_config = TrainConfig(**{k: cfg[k] for k in TRAIN_KEYS if k in cfg})
     except NetworkError as e:
         raise ConfigError(f"{where}: {e}") from e
     task = TrainingTask(
@@ -232,37 +307,9 @@ def build_task(cfg: dict, seed: int, where: str = "config.task",
         layer_sizes=layer_sizes,
         train_config=train_config,
         seed=seed,
-        initial_lr=initial_lr,
+        initial_lr=cfg.get("initial_lr", TrainingTask.initial_lr),
     )
     return task, splits
-
-
-def build_evo_params(cfg: dict, seed: int, args) -> EvoParams:
-    evo = _field(cfg, "evo", dict, {}, where="config")
-    _check_keys(
-        evo,
-        {"population", "generations", "tournament", "mutation", "elitism",
-         "max_depth", "crossover"},
-        "config.evo",
-    )
-    values = dict(
-        population_size=_field(evo, "population", int, 20, "config.evo"),
-        generations=_field(evo, "generations", int, 1500, "config.evo"),
-        tournament_size=_field(evo, "tournament", int, 5, "config.evo"),
-        mutation_rate=_field(evo, "mutation", float, 0.15, "config.evo"),
-        elitism=_field(evo, "elitism", int, 1, "config.evo"),
-        max_depth=_field(evo, "max_depth", int, 6, "config.evo"),
-        crossover_prob=_field(evo, "crossover", float, 0.9, "config.evo"),
-        rng_seed=seed,
-    )
-    if getattr(args, "generations", None) is not None:
-        values["generations"] = args.generations
-    if getattr(args, "population", None) is not None:
-        values["population_size"] = args.population
-    try:
-        return EvoParams(**values)
-    except ValueError as e:
-        raise ConfigError(f"config.evo: {e}") from e
 
 
 def resolve_grammar(name_or_path: str) -> Grammar:
@@ -291,54 +338,37 @@ def make_run_dir(base, seed: int, pinned=None) -> Path:
     return run
 
 
-def _resolve_seed(cfg: dict, args) -> int:
-    seed = _field(cfg, "seed", int, 0)
-    return args.seed if getattr(args, "seed", None) is not None else seed
-
-
-def _resolve_workers(cfg: dict, args) -> int:
-    workers = _field(cfg, "workers", int, 1)
-    if getattr(args, "workers", None) is not None:
-        workers = args.workers
-    if workers < 1:
-        raise ConfigError("config.workers: must be >= 1")
-    return workers
-
-
-def _echo_config(run_dir: Path, cfg: dict, extras: dict) -> None:
-    write_atomic(run_dir / "config.json",
-                 json.dumps({**cfg, **extras}, indent=2, default=str))
-
-
 # --- evolve -------------------------------------------------------------------
 
 
 def cmd_evolve(args) -> int:
-    cfg = _load_config(args.config)
-    _check_keys(
-        cfg,
-        {"seed", "evo", "grammar", "task", "trials", "threshold", "workers",
-         "out", "resume"},
-    )
-    seed = _resolve_seed(cfg, args)
-    params = build_evo_params(cfg, seed, args)
-    grammar = resolve_grammar(_field(cfg, "grammar", str, "alr"))
+    given = _load_config(args.config)
+    cfg = _read(given, EVOLVE_KEYS, "config", args)
+    seed = cfg["seed"]
+    evo = cfg["evo"] = _read(cfg["evo"], EVO_KEYS, "config.evo", args)
+    try:
+        params = EvoParams(
+            population_size=evo["population"], generations=evo["generations"],
+            tournament_size=evo["tournament"], mutation_rate=evo["mutation"],
+            elitism=evo["elitism"], max_depth=evo["max_depth"],
+            crossover_prob=evo["crossover"], rng_seed=seed)
+    except ValueError as e:
+        raise ConfigError(f"config.evo: {e}") from e
+    grammar = resolve_grammar(cfg["grammar"])
     scheduler = is_scheduler_grammar(grammar)
-    if scheduler and {"trials", "threshold"} & cfg.keys():
-        raise ConfigError("config: trials and threshold need an optimizer grammar")
-    task, splits = build_task(_field(cfg, "task", dict), seed, scheduler=scheduler)
-    workers = _resolve_workers(cfg, args)
+    cfg["task"] = read_task(cfg["task"], scheduler)
     if scheduler:
-        fitness_fn = dlr_fitness_fn(task)
+        if {"trials", "threshold"} & given.keys():
+            raise ConfigError("config: trials and threshold need an optimizer grammar")
+        del cfg["threshold"]
     else:
-        trials = _field(cfg, "trials", int, len(task.trial_groups))
-        threshold = _field(cfg, "threshold", float, 0.8)
-        if trials > len(task.trial_groups):
-            raise ConfigError(
-                f"config.trials: {trials} > {len(task.trial_groups)} trial groups"
-            )
-        fitness_fn = alr_fitness_fn(task, trial_number=trials, threshold=threshold)
-    resume = args.resume or _field(cfg, "resume", str, None)
+        groups = cfg["task"]["split"]["trial_count"]
+        if cfg.setdefault("trials", groups) > groups:
+            raise ConfigError(f"config.trials: {cfg['trials']} > {groups} trial groups")
+    task, splits = build_task(cfg["task"], seed)
+    fitness_fn = (dlr_fitness_fn(task) if scheduler else alr_fitness_fn(
+        task, trial_number=cfg["trials"], threshold=cfg["threshold"]))
+    resume = cfg.get("resume")
     checkpoint = None
     if resume is not None:
         if not Path(resume).is_file():
@@ -351,10 +381,9 @@ def cmd_evolve(args) -> int:
                 f"{len(population)}, the run has seed {seed} and population "
                 f"{params.population_size}"
             )
-    run_dir = make_run_dir(_field(cfg, "out", str, "runs"), seed, args.run_dir)
+    run_dir = make_run_dir(cfg["out"], seed, args.run_dir)
     # before generation 0, so a killed run still names its config and rows
-    _echo_config(run_dir, cfg,
-                 {"resolved_seed": seed, "mode": "dlr" if scheduler else "alr"})
+    write_atomic(run_dir / "config.json", json.dumps(cfg, indent=2))
     write_atomic(run_dir / "indices.json", json.dumps(
         {"evolution_indices": splits.evolution_indices().tolist()}))
 
@@ -365,7 +394,7 @@ def cmd_evolve(args) -> int:
         log_path=run_dir / "log.csv",
         checkpoint_path=run_dir / "checkpoint.json",
         resume_from=checkpoint,
-        workers=workers,
+        workers=cfg["workers"],
     )
 
     record = {"fitness": best.fitness, "phenotype": best.phenotype,
@@ -389,98 +418,89 @@ def cmd_evolve(args) -> int:
 def _stepper_from_config(item, where: str):
     if isinstance(item, str):
         return item
-    if isinstance(item, dict):
-        _check_keys(item, {"name", "hyperparams", "spec_file", "policy_file"}, where)
-        sources = [k for k in ("name", "spec_file", "policy_file") if k in item]
-        if len(sources) != 1:
-            got = f", got {', '.join(sources)}" if sources else ""
-            raise ConfigError(
-                f"{where}: set exactly one of name, spec_file, policy_file{got}")
-        if "hyperparams" in item and "name" not in item:
-            raise ConfigError(f"{where}.hyperparams: needs a name, not {sources[0]}")
-        if "spec_file" in item:
-            p = Path(_field(item, "spec_file", str, where=where))
-            if not p.is_file():
-                raise DataError(f"spec file not found: {p}")
-            return spec_from_json(p.read_text(encoding="utf-8"))
-        if "policy_file" in item:
-            p = Path(_field(item, "policy_file", str, where=where))
-            if not p.is_file():
-                raise DataError(f"policy file not found: {p}")
-            try:
-                return parse_policy(p.read_text(encoding="utf-8").strip())
-            except PolicyError as e:
-                raise ConfigError(f"{where}: {e}") from e
-        name = _field(item, "name", str, where=where)
-        hp_cfg = _field(item, "hyperparams", dict, {}, where=where)
+    if not isinstance(item, dict):
+        raise ConfigError(f"{where}: entry must be a name or an object")
+    entry = _read(item, STEPPER_KEYS, where)
+    sources = [key for key in entry if key != "hyperparams"]
+    if len(sources) != 1:
+        got = f", got {', '.join(sources)}" if sources else ""
+        raise ConfigError(
+            f"{where}: set exactly one of name, spec_file, policy_file{got}")
+    if "hyperparams" in entry and "name" not in entry:
+        raise ConfigError(f"{where}.hyperparams: needs a name, not {sources[0]}")
+    if "spec_file" in entry:
+        p = Path(entry["spec_file"])
+        if not p.is_file():
+            raise DataError(f"spec file not found: {p}")
+        return spec_from_json(p.read_text(encoding="utf-8"))
+    if "policy_file" in entry:
+        p = Path(entry["policy_file"])
+        if not p.is_file():
+            raise DataError(f"policy file not found: {p}")
         try:
-            hp = replace(HyperParams.defaults_for(name), **hp_cfg)
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"{where}.hyperparams: {e}") from e
-        return (name, hp)
-    raise ConfigError(f"{where}: entry must be a name or an object")
+            return parse_policy(p.read_text(encoding="utf-8").strip())
+        except PolicyError as e:
+            raise ConfigError(f"{where}: {e}") from e
+    try:
+        hp = replace(HyperParams.defaults_for(entry["name"]),
+                     **entry.get("hyperparams", {}))
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{where}.hyperparams: {e}") from e
+    return (entry["name"], hp)
 
 
 def cmd_benchmark(args) -> int:
-    cfg = _load_config(args.config)
-    _check_keys(
-        cfg,
-        {"seed", "name", "preset", "epochs", "early_stop", "repetitions",
-         "steppers", "task", "test_source", "workers", "out"},
-    )
-    seed = _resolve_seed(cfg, args)
-    workers = _resolve_workers(cfg, args)
-    stepper_cfgs = _field(cfg, "steppers", list)
-    if not stepper_cfgs:
+    cfg = _read(_load_config(args.config), BENCHMARK_KEYS, "config", args)
+    seed = cfg["seed"]
+    if not cfg["steppers"]:
         raise ConfigError("config.steppers: must not be empty")
     steppers = [
         _stepper_from_config(item, f"config.steppers[{i}]")
-        for i, item in enumerate(stepper_cfgs)
+        for i, item in enumerate(cfg["steppers"])
     ]
     for stepper in steppers:
         make_entry(stepper)  # an unknown name exits 2 before any data load
-    task_cfg = _field(cfg, "task", dict)
-    unread = sorted({"max_epochs", "early_stop"} & task_cfg.keys())
+    at_top = ("max_epochs", "early_stop")  # set by epochs, early_stop or preset
+    unread = [key for key in at_top if key in cfg["task"]]
     if unread:
         raise ConfigError(
             f"config.task: benchmark does not read {', '.join(unread)}; "
             "set epochs, early_stop or preset at the top level"
         )
-    preset = _field(cfg, "preset", str, None)
+    preset = cfg.get("preset")
     if preset is not None and preset not in SCENARIO_PRESETS:
         raise ConfigError(f"config.preset: unknown preset {preset!r}")
     protocol = SCENARIO_PRESETS[preset or "I"]
-    epochs = _field(cfg, "epochs", int, protocol["epochs"])
-    early_stop = _field(cfg, "early_stop", bool, protocol["early_stop"])
-    task, splits = build_task(task_cfg, seed)
+    cfg.setdefault("name", preset or "scenario")
+    cfg.setdefault("epochs", protocol["epochs"])
+    cfg.setdefault("early_stop", protocol["early_stop"])
+    if cfg["test_source"] not in ("split", "reserve"):
+        raise ConfigError("config.test_source: must be 'split' or 'reserve'")
+    cfg["task"] = read_task(cfg["task"], omit=at_top)
+    task, splits = build_task(cfg["task"], seed)
     try:
-        train_config = replace(task.train_config, max_epochs=epochs,
-                               early_stop=early_stop)
+        train_config = replace(task.train_config, max_epochs=cfg["epochs"],
+                               early_stop=cfg["early_stop"])
     except NetworkError as e:
         raise ConfigError(f"config.epochs: {e}") from e
-    test_source = _field(cfg, "test_source", str, "split")
-    if test_source not in ("split", "reserve"):
-        raise ConfigError("config.test_source: must be 'split' or 'reserve'")
-    test_set = splits.reserve if test_source == "reserve" else splits.test
+    test_set = splits.reserve if cfg["test_source"] == "reserve" else splits.test
     if len(test_set) == 0:
-        raise DataError(f"benchmark test set ({test_source}) is empty")
+        raise DataError(f"benchmark test set ({cfg['test_source']}) is empty")
 
-    repetitions = _field(cfg, "repetitions", int, 5)
-    if getattr(args, "repetitions", None) is not None:
-        repetitions = args.repetitions
     scenario = BenchmarkScenario(
-        name=_field(cfg, "name", str, preset or "scenario"),
+        name=cfg["name"],
         steppers=steppers,
         train=splits.train_pool,
         validation=task.validation,
         test=test_set,
         layer_sizes=task.layer_sizes,
         train_config=train_config,
-        repetitions=repetitions,
+        repetitions=cfg["repetitions"],
     )
-    run_dir = make_run_dir(_field(cfg, "out", str, "runs"), seed, args.run_dir)
-    results = run_benchmark(scenario, seed=seed, out_dir=run_dir, workers=workers)
-    _echo_config(run_dir, cfg, {"resolved_seed": seed})
+    run_dir = make_run_dir(cfg["out"], seed, args.run_dir)
+    results = run_benchmark(scenario, seed=seed, out_dir=run_dir,
+                            workers=cfg["workers"])
+    write_atomic(run_dir / "config.json", json.dumps(cfg, indent=2))
     (run_dir / "indices.json").write_text(
         json.dumps({"test_indices": test_set.source_indices.tolist()}),
         encoding="utf-8",
@@ -494,39 +514,32 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_tune(args) -> int:
-    cfg = _load_config(args.config)
-    _check_keys(
-        cfg,
-        {"seed", "optimizer", "budget", "random_search", "task", "workers", "out"},
-    )
-    seed = _resolve_seed(cfg, args)
-    workers = _resolve_workers(cfg, args)
-    opt = _field(cfg, "optimizer", str)
+    cfg = _read(_load_config(args.config), TUNE_KEYS, "config", args)
+    seed = cfg["seed"]
+    opt = cfg["optimizer"]
     try:
         space = space_for(opt)
     except TuneError as e:
         raise ConfigError(str(e)) from e
-    budget = _field(cfg, "budget", int, 25)
-    if getattr(args, "budget", None) is not None:
-        budget = args.budget
-    task, _splits = build_task(_field(cfg, "task", dict), seed)
+    cfg["task"] = read_task(cfg["task"])
+    task, _splits = build_task(cfg["task"], seed)
     try:
         best, history = tune(
             opt,
             space,
-            budget=budget,
+            budget=cfg["budget"],
             task=task,
             seed=seed,
-            random_search=_field(cfg, "random_search", bool, False),
-            workers=workers,
+            random_search=cfg["random_search"],
+            workers=cfg["workers"],
         )
     except TuneError as e:
         raise ConfigError(str(e)) from e
-    run_dir = make_run_dir(_field(cfg, "out", str, "runs"), seed, args.run_dir)
+    run_dir = make_run_dir(cfg["out"], seed, args.run_dir)
     write_tune_csv(run_dir / f"tune_{opt}.csv", space, history)
     row = report_best(history)
     (run_dir / "best.txt").write_text(row + "\n", encoding="utf-8")
-    _echo_config(run_dir, cfg, {"resolved_seed": seed})
+    write_atomic(run_dir / "config.json", json.dumps(cfg, indent=2))
     print(f"run dir: {run_dir}")
     print(row)
     return EXIT_OK
@@ -727,37 +740,29 @@ def cmd_grammar_check(args) -> int:
 # --- argument parsing ----------------------------------------------------------
 
 
+COMMANDS = {  # command: (entry point, help, the key tables whose flags it takes)
+    "evolve": (cmd_evolve, "evolve update rules or LR schedules",
+               (EVOLVE_KEYS, EVO_KEYS)),
+    "benchmark": (cmd_benchmark, "compare optimizers head-to-head", (BENCHMARK_KEYS,)),
+    "tune": (cmd_tune, "Bayesian hyperparameter search", (TUNE_KEYS,)),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="optevo",
         description="Evolve, benchmark, and tune learning-rate optimizers.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, with_config=True):
-        if with_config:
-            p.add_argument("config", help="JSON config file")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override config seed")
-        p.add_argument("--workers", type=int, default=None,
-                       help="parallel evaluation cap (default: 1)")
+    for command, (_run, help_text, tables) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("config", help="JSON config file")
+        for table in tables:
+            for key, (kind, _default, _least, flag) in table.items():
+                if flag:
+                    p.add_argument(f"--{key}", type=kind, help=flag)
         p.add_argument("--run-dir", default=None,
                        help="exact output directory (default: runs/<stamp>_s<seed>)")
-
-    p_evolve = sub.add_parser("evolve", help="evolve update rules or LR schedules")
-    common(p_evolve)
-    p_evolve.add_argument("--generations", type=int, default=None)
-    p_evolve.add_argument("--population", type=int, default=None)
-    p_evolve.add_argument("--resume", default=None,
-                          help="checkpoint file to resume from")
-
-    p_bench = sub.add_parser("benchmark", help="compare optimizers head-to-head")
-    common(p_bench)
-    p_bench.add_argument("--repetitions", type=int, default=None)
-
-    p_tune = sub.add_parser("tune", help="Bayesian hyperparameter search")
-    common(p_tune)
-    p_tune.add_argument("--budget", type=int, default=None)
 
     p_check = sub.add_parser("grammar-check",
                              help="validate an optimizer or scheduler grammar")
@@ -772,15 +777,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "evolve":
-            return cmd_evolve(args)
-        if args.command == "benchmark":
-            return cmd_benchmark(args)
-        if args.command == "tune":
-            return cmd_tune(args)
         if args.command == "grammar-check":
             return cmd_grammar_check(args)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return COMMANDS[args.command][0](args)
     except (ConfigError, BenchError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

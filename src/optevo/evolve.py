@@ -19,6 +19,7 @@ bit-reproducible.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import statistics
@@ -241,22 +242,21 @@ def _population_stats(population, generation, evaluations, seconds) -> Generatio
     )
 
 
-def _write_log_rows(path, stats, mode: str = "a") -> None:
-    """Write one log row per GenerationStat, after the header when `mode` is
-    "w" or the file is new."""
-    header = mode == "w" or not Path(path).exists()
-    with open(path, mode, newline="") as f:
-        w = csv.writer(f)
-        if header:
-            w.writerow(LOG_COLUMNS)
-        w.writerows([
-            stat.generation,
-            f"{stat.best:.6f}",
-            f"{stat.mean:.6f}",
-            f"{stat.median:.6f}",
-            stat.evaluations,
-            f"{stat.seconds:.3f}",
-        ] for stat in stats)
+def _log_text(stats, header: bool) -> str:
+    """CSV text of one log row per GenerationStat, after the header if asked."""
+    out = io.StringIO()
+    w = csv.writer(out)
+    if header:
+        w.writerow(LOG_COLUMNS)
+    w.writerows([
+        stat.generation,
+        f"{stat.best:.6f}",
+        f"{stat.mean:.6f}",
+        f"{stat.median:.6f}",
+        stat.evaluations,
+        f"{stat.seconds:.3f}",
+    ] for stat in stats)
+    return out.getvalue()
 
 
 def save_checkpoint(path, params: EvoParams, generation: int, population,
@@ -292,7 +292,7 @@ def write_atomic(path, text: str) -> None:
     """Write `text` to a temporary file beside `path`, then rename it over
     `path`: a crash mid-write leaves the previous file, or none, intact."""
     tmp = Path(path).with_name(Path(path).name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
+    tmp.write_text(text, encoding="utf-8", newline="")  # line ends as given
     os.replace(tmp, path)
 
 
@@ -352,11 +352,8 @@ def evolve(
         start_gen, population, next_id, cache, log = resume_from
         start_gen += 1
         if log_path is not None:
-            # drop rows a crash logged past the checkpoint; a crash mid-write
-            # leaves the previous log intact
-            tmp = Path(log_path).with_name(Path(log_path).name + ".tmp")
-            _write_log_rows(tmp, log.stats, "w")
-            os.replace(tmp, log_path)
+            # drop rows a crash logged past the checkpoint
+            write_atomic(log_path, _log_text(log.stats, header=True))
     else:
         population = []
         for i in range(params.population_size):
@@ -379,7 +376,9 @@ def evolve(
             log.best_phenotype = top.phenotype
             log.best_genotype = top.genotype.copy()
         if log_path is not None:
-            _write_log_rows(log_path, [stat])
+            header = not Path(log_path).exists()
+            with open(log_path, "a", newline="") as f:
+                f.write(_log_text([stat], header))
         if checkpoint_path is not None:
             save_checkpoint(
                 checkpoint_path, params, generation, population, next_id, cache, log

@@ -183,6 +183,23 @@ class TestConfigErrors:
         payload["task"]["layer_sizes"] = [2, 0, 2]
         assert main(["evolve", write_cfg(tmp_path, payload)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("layer_sizes", [2, True, 2], "layer_sizes[1]: expected int, got bool"),
+        ("dataset", {"kind": "cifar10", "batches": [1]},
+         "dataset.batches[0]: expected str, got int"),
+    ])
+    def test_list_entries_are_typed(self, tmp_path, capsys, monkeypatch,
+                                    key, value, message):
+        """Exit 2 before any data load: the idx files do not exist."""
+        monkeypatch.chdir(tmp_path)
+        payload = evolve_payload()
+        payload["task"]["dataset"] = {"kind": "idx", "images": "ghost-images",
+                                      "labels": "ghost-labels"}
+        payload["task"][key] = value
+        assert main(["evolve", write_cfg(tmp_path, payload)]) == EXIT_CONFIG
+        assert f"config error: config.task.{message}" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
     @pytest.mark.parametrize("command, payload", [
         ("evolve", evolve_payload), ("tune", tune_payload),
         ("benchmark", bench_payload)])
@@ -431,7 +448,7 @@ class TestEvolveCommand:
         with pytest.raises(KeyboardInterrupt):
             main(["evolve", cfg, "--run-dir", str(run)])
         assert seen == ["config.json", "indices.json"]  # no temporary file left
-        assert json.loads((run / "config.json").read_text())["resolved_seed"] == 3
+        assert json.loads((run / "config.json").read_text())["seed"] == 3
         idx = json.loads((run / "indices.json").read_text())["evolution_indices"]
         assert len(idx) == 240 + 60 + 60
 
@@ -466,8 +483,8 @@ class TestEvolveCommand:
         main(["evolve", cfg, "--run-dir", str(a)])
         main(["evolve", cfg, "--run-dir", str(b), "--seed", "99"])
         echoed = json.loads((b / "config.json").read_text())
-        assert echoed["resolved_seed"] == 99
-        assert json.loads((a / "config.json").read_text())["resolved_seed"] == 3
+        assert echoed["seed"] == 99
+        assert json.loads((a / "config.json").read_text())["seed"] == 3
 
     def test_resume_reproduces_uninterrupted_run(self, tmp_path):
         cfg = write_cfg(tmp_path, evolve_payload())
@@ -583,16 +600,7 @@ class TestEvolveCommand:
 
     def test_dlr_evolve_writes_policy(self, tmp_path, capsys):
         run = tmp_path / "run"
-        payload = evolve_payload(grammar="dlr")
-        del payload["trials"], payload["threshold"]
-        payload["task"]["split"] = {
-            "train_total": 180,
-            "per_trial": 180,
-            "trial_count": 1,
-            "validation": 60,
-            "test": 60,
-        }
-        cfg = write_cfg(tmp_path, payload)
+        cfg = write_cfg(tmp_path, dlr_payload())
         assert main(["evolve", cfg, "--run-dir", str(run)]) == EXIT_OK
         policy_text = (run / "best_policy.txt").read_text().strip()
         parse_policy(policy_text)  # must round-trip
@@ -903,6 +911,40 @@ class TestWorkers:
         argv = [command, write_cfg(tmp_path, cfg), "--run-dir", str(tmp_path / "run")]
         assert main(argv) == EXIT_OK
         assert asked and set(asked) == {1}
+
+
+def dlr_payload():
+    payload = evolve_payload(grammar="dlr")
+    del payload["trials"], payload["threshold"]
+    payload["task"]["split"] = {"train_total": 180, "per_trial": 180,
+                                "trial_count": 1, "validation": 60, "test": 60}
+    return payload
+
+
+class TestConfigRoundTrip:
+    """A run's config.json is its config resolved, defaults and flags
+    applied: rerunning it writes the same outputs and the same config.json."""
+
+    @pytest.mark.parametrize("command, payload, flags", [
+        ("evolve", evolve_payload(), ["--generations", "1", "--population", "4"]),
+        ("evolve", dlr_payload(), ["--generations", "1", "--population", "4"]),
+        ("benchmark", bench_payload(preset="II"), ["--repetitions", "1"]),
+        ("tune", tune_payload(), ["--budget", "6"])],
+        ids=["evolve-alr", "evolve-dlr", "benchmark", "tune"])
+    def test_rerun_from_config_json(self, tmp_path, command, payload, flags):
+        first, again = tmp_path / "first", tmp_path / "again"
+        argv = [command, write_cfg(tmp_path, payload), "--seed", "4", *flags]
+        assert main([*argv, "--run-dir", str(first)]) == EXIT_OK
+        rerun = [command, str(first / "config.json"), "--run-dir", str(again)]
+        assert main(rerun) == EXIT_OK
+        assert outputs(command, again) == outputs(command, first)
+        assert ((again / "config.json").read_bytes()
+                == (first / "config.json").read_bytes())
+        echoed = json.loads((first / "config.json").read_text())
+        assert echoed["seed"] == 4 and echoed["workers"] == 1
+        assert "max_epochs" in echoed["task"] or command == "benchmark"
+        assert ("initial_lr" in echoed["task"]) == (payload.get("grammar") == "dlr")
+        assert ("trials" in echoed) == (payload.get("grammar") == "alr")
 
 
 class TestRunDir:

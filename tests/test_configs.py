@@ -40,7 +40,8 @@ def test_scheduler_config_scores_its_schedules(tmp_path):
             "--population", "6", "--workers", "1", "--run-dir", str(run)]
     assert main(argv) == EXIT_OK
     assert json.loads((run / "best.json").read_text())["fitness"] > 0
-    assert json.loads((run / "config.json").read_text())["mode"] == "dlr"
+    echoed = json.loads((run / "config.json").read_text())
+    assert echoed["grammar"] == "dlr" and "trials" not in echoed
     assert (run / "best_policy.txt").is_file()
     assert not (run / "best_spec.json").exists()
 

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import optevo.data as data_mod
-from optevo.cli import build_task
+from optevo.cli import build_task, read_task
 from optevo.data import (
     DataError,
     Dataset,
@@ -360,7 +360,7 @@ class TestSplitMatchesPerPartCopies:
             return real()
 
         with mock.patch.object(data_mod, "hashlib", SimpleNamespace(sha256=sha256)):
-            task, _splits = build_task(cfg, seed=0)
+            task, _splits = build_task(read_task(cfg), seed=0)
             assert digests == []
             parts = [*task.trial_groups, task.validation, task.test]
             assert [p.checksum for p in parts] == [
