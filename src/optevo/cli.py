@@ -246,10 +246,12 @@ def _data_path(p: str) -> Path:
     return path
 
 
-def read_task(cfg: dict, scheduler: bool = False, omit=()) -> dict:
-    """A task section resolved with its dataset and split sections, before any
-    data load. Only a scheduler search reads `initial_lr`, so only it may set
-    the key; the keys in `omit`, which the caller has refused, stay out."""
+def read_task(cfg: dict, scheduler: bool = False, omit=()) -> tuple:
+    """(section, SplitPlan, TrainConfig): a task section resolved with its
+    dataset and split sections, and the plan and training config it sets,
+    all before any data load. Only a scheduler search reads `initial_lr`, so
+    only it may set the key; the keys in `omit`, which the caller has
+    refused, stay out."""
     where = "config.task"
     if not scheduler:
         if "initial_lr" in cfg:
@@ -265,11 +267,19 @@ def read_task(cfg: dict, scheduler: bool = False, omit=()) -> dict:
         raise ConfigError(f"{where}.dataset.kind: unknown dataset kind {kind!r}")
     task["dataset"] = _read(task["dataset"], DATASET_KEYS[kind], f"{where}.dataset")
     task["split"] = _read(task["split"], SPLIT_KEYS, f"{where}.split")
-    return task
+    try:
+        plan = SplitPlan(**task["split"])
+    except DataError as e:
+        raise ConfigError(f"{where}.split: {e}") from e
+    try:
+        train_config = TrainConfig(**{k: task[k] for k in TRAIN_KEYS if k in task})
+    except NetworkError as e:
+        raise ConfigError(f"{where}: {e}") from e
+    return task, plan, train_config
 
 
-def build_task(cfg: dict, seed: int):
-    """(TrainingTask, Splits) from a task section that `read_task` resolved."""
+def build_task(cfg: dict, plan: SplitPlan, train_config: TrainConfig, seed: int):
+    """(TrainingTask, Splits) from what `read_task` returned."""
     where = "config.task"
     data = cfg["dataset"]
     if data["kind"] == "idx":
@@ -280,10 +290,6 @@ def build_task(cfg: dict, seed: int):
                               name=data["name"])
     else:
         master = synthetic(**data)
-    try:
-        plan = SplitPlan(**cfg["split"])
-    except DataError as e:
-        raise ConfigError(f"{where}.split: {e}") from e
     splits = split(master, plan)
     layer_sizes = cfg["layer_sizes"]
     if layer_sizes[0] != master.x.shape[1]:
@@ -296,10 +302,6 @@ def build_task(cfg: dict, seed: int):
             f"{where}.layer_sizes: output size {layer_sizes[-1]}, but the dataset "
             f"has {master.n_classes} classes"
         )
-    try:
-        train_config = TrainConfig(**{k: cfg[k] for k in TRAIN_KEYS if k in cfg})
-    except NetworkError as e:
-        raise ConfigError(f"{where}: {e}") from e
     task = TrainingTask(
         trial_groups=splits.trial_groups,
         validation=splits.validation,
@@ -355,8 +357,10 @@ def cmd_evolve(args) -> int:
     except ValueError as e:
         raise ConfigError(f"config.evo: {e}") from e
     grammar = resolve_grammar(cfg["grammar"])
+    if cfg["grammar"] not in ("alr", "dlr"):  # config.json reruns from anywhere
+        cfg["grammar"] = str(Path(cfg["grammar"]).resolve())
     scheduler = is_scheduler_grammar(grammar)
-    cfg["task"] = read_task(cfg["task"], scheduler)
+    cfg["task"], plan, train_config = read_task(cfg["task"], scheduler)
     if scheduler:
         if {"trials", "threshold"} & given.keys():
             raise ConfigError("config: trials and threshold need an optimizer grammar")
@@ -365,7 +369,7 @@ def cmd_evolve(args) -> int:
         groups = cfg["task"]["split"]["trial_count"]
         if cfg.setdefault("trials", groups) > groups:
             raise ConfigError(f"config.trials: {cfg['trials']} > {groups} trial groups")
-    task, splits = build_task(cfg["task"], seed)
+    task, splits = build_task(cfg["task"], plan, train_config, seed)
     fitness_fn = (dlr_fitness_fn(task) if scheduler else alr_fitness_fn(
         task, trial_number=cfg["trials"], threshold=cfg["threshold"]))
     resume = cfg.get("resume")
@@ -387,6 +391,14 @@ def cmd_evolve(args) -> int:
     write_atomic(run_dir / "indices.json", json.dumps(
         {"evolution_indices": splits.evolution_indices().tolist()}))
 
+    written = []  # the best fitness best.json holds
+
+    def on_generation(_stat, log):  # a stopped run names its best so far
+        if not written or log.best_fitness > written[-1]:
+            _write_best(run_dir, log.best_fitness, log.best_phenotype,
+                        log.best_genotype, scheduler)
+            written.append(log.best_fitness)
+
     best, log = evolve(
         params,
         grammar,
@@ -395,29 +407,38 @@ def cmd_evolve(args) -> int:
         checkpoint_path=run_dir / "checkpoint.json",
         resume_from=checkpoint,
         workers=cfg["workers"],
+        on_generation=on_generation,
     )
-
-    record = {"fitness": best.fitness, "phenotype": best.phenotype,
-              "genotype": vars(best.genotype)}  # its genes and used counts
-    (run_dir / "best.json").write_text(json.dumps(record, indent=2), encoding="utf-8")
-    if best.phenotype is not None and scheduler:
-        policy = serialize_policy(parse_policy(best.phenotype))
-        (run_dir / "best_policy.txt").write_text(policy + "\n", encoding="utf-8")
-    elif best.phenotype is not None:
-        spec = spec_to_json(spec_from_phenotype(best.phenotype, name="evolved"))
-        (run_dir / "best_spec.json").write_text(spec, encoding="utf-8")
+    _write_best(run_dir, best.fitness, best.phenotype, best.genotype, scheduler)
     print(f"run dir: {run_dir}")
     print(f"best fitness: {best.fitness:.6f}")
     print(f"best phenotype: {best.phenotype}")
     return EXIT_OK
 
 
+def _write_best(run_dir: Path, fitness, phenotype, genotype, scheduler: bool) -> None:
+    """best.json, and the best rule or policy as its artifact, each through
+    write_atomic."""
+    record = {"fitness": fitness, "phenotype": phenotype,
+              "genotype": vars(genotype)}  # its genes and used counts
+    write_atomic(run_dir / "best.json", json.dumps(record, indent=2))
+    if phenotype is not None and scheduler:
+        policy = serialize_policy(parse_policy(phenotype))
+        write_atomic(run_dir / "best_policy.txt", policy + "\n")
+    elif phenotype is not None:
+        spec = spec_to_json(spec_from_phenotype(phenotype, name="evolved"))
+        write_atomic(run_dir / "best_spec.json", spec)
+
+
 # --- benchmark ----------------------------------------------------------------
 
 
-def _stepper_from_config(item, where: str):
+def _stepper_from_config(item, where: str) -> tuple:
+    """(stepper source, entry for config.json): a name as given, or the
+    object entry with its spec_file or policy_file made absolute, so that
+    config.json reruns from any directory."""
     if isinstance(item, str):
-        return item
+        return item, item
     if not isinstance(item, dict):
         raise ConfigError(f"{where}: entry must be a name or an object")
     entry = _read(item, STEPPER_KEYS, where)
@@ -428,25 +449,25 @@ def _stepper_from_config(item, where: str):
             f"{where}: set exactly one of name, spec_file, policy_file{got}")
     if "hyperparams" in entry and "name" not in entry:
         raise ConfigError(f"{where}.hyperparams: needs a name, not {sources[0]}")
-    if "spec_file" in entry:
-        p = Path(entry["spec_file"])
-        if not p.is_file():
-            raise DataError(f"spec file not found: {p}")
-        return spec_from_json(p.read_text(encoding="utf-8"))
-    if "policy_file" in entry:
-        p = Path(entry["policy_file"])
-        if not p.is_file():
-            raise DataError(f"policy file not found: {p}")
-        try:
-            return parse_policy(p.read_text(encoding="utf-8").strip())
-        except PolicyError as e:
-            raise ConfigError(f"{where}: {e}") from e
+    for key in ("spec_file", "policy_file"):
+        if key in entry:
+            p = Path(entry[key])
+            if not p.is_file():
+                raise DataError(f"{key.replace('_', ' ')} not found: {p}")
+            entry[key] = str(p.resolve())
+            text = p.read_text(encoding="utf-8")
+            if key == "spec_file":
+                return spec_from_json(text), entry
+            try:
+                return parse_policy(text.strip()), entry
+            except PolicyError as e:
+                raise ConfigError(f"{where}: {e}") from e
     try:
         hp = replace(HyperParams.defaults_for(entry["name"]),
                      **entry.get("hyperparams", {}))
     except (TypeError, ValueError) as e:
         raise ConfigError(f"{where}.hyperparams: {e}") from e
-    return (entry["name"], hp)
+    return (entry["name"], hp), entry
 
 
 def cmd_benchmark(args) -> int:
@@ -454,10 +475,10 @@ def cmd_benchmark(args) -> int:
     seed = cfg["seed"]
     if not cfg["steppers"]:
         raise ConfigError("config.steppers: must not be empty")
-    steppers = [
-        _stepper_from_config(item, f"config.steppers[{i}]")
-        for i, item in enumerate(cfg["steppers"])
-    ]
+    parsed = [_stepper_from_config(item, f"config.steppers[{i}]")
+              for i, item in enumerate(cfg["steppers"])]
+    steppers = [stepper for stepper, _ in parsed]
+    cfg["steppers"] = [entry for _, entry in parsed]
     for stepper in steppers:
         make_entry(stepper)  # an unknown name exits 2 before any data load
     at_top = ("max_epochs", "early_stop")  # set by epochs, early_stop or preset
@@ -476,8 +497,8 @@ def cmd_benchmark(args) -> int:
     cfg.setdefault("early_stop", protocol["early_stop"])
     if cfg["test_source"] not in ("split", "reserve"):
         raise ConfigError("config.test_source: must be 'split' or 'reserve'")
-    cfg["task"] = read_task(cfg["task"], omit=at_top)
-    task, splits = build_task(cfg["task"], seed)
+    cfg["task"], plan, train_config = read_task(cfg["task"], omit=at_top)
+    task, splits = build_task(cfg["task"], plan, train_config, seed)
     try:
         train_config = replace(task.train_config, max_epochs=cfg["epochs"],
                                early_stop=cfg["early_stop"])
@@ -521,8 +542,8 @@ def cmd_tune(args) -> int:
         space = space_for(opt)
     except TuneError as e:
         raise ConfigError(str(e)) from e
-    cfg["task"] = read_task(cfg["task"])
-    task, _splits = build_task(cfg["task"], seed)
+    cfg["task"], plan, train_config = read_task(cfg["task"])
+    task, _splits = build_task(cfg["task"], plan, train_config, seed)
     try:
         best, history = tune(
             opt,

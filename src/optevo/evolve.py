@@ -9,6 +9,10 @@ Two fitness protocols share one trainer:
   groups, fitness = the minimum test score so far, remaining trials cancelled
   the moment one falls below the acceptance threshold.
 
+The fitness adapters score a list of phenotypes: trial 0 of each trains in
+an `nn.Population` with others, and any later trials one at a time. Each
+phenotype scores what training it alone scores, bit for bit.
+
 The generation loop is steady-state-free generational GE: elites carry their
 fitness, everyone else is bred by tournament + crossover + mutation and
 re-evaluated.  Fitness is cached by phenotype text, and every stochastic
@@ -40,7 +44,7 @@ from .dsge import (
     tournament_select,
 )
 from .grammar import Grammar
-from .nn import TrainConfig, evaluate, train_seeded
+from .nn import TrainConfig, evaluate, population_size, train_seeded
 from .optim import (
     ExprError,
     OptimizerSpec,
@@ -122,6 +126,56 @@ def _run_trial(task: TrainingTask, stepper, trial_index: int, key: str):
     return evaluate(net, task.test), False
 
 
+def _run_population(task: TrainingTask, steppers: list, keys: list) -> list:
+    """Trial 0 of several phenotypes, trained as one population: a
+    (score, failed) per phenotype, each that of its `_run_trial`."""
+    root = Rng(task.seed)
+    rngs = [root.child("fitness", key, 0) for key in keys]
+    data = (task.trial_groups[0], task.validation)
+    pop, hist = train_seeded(task.layer_sizes, steppers, data, task.train_config, rngs)
+    outcomes = [(0.0, True)] * len(keys)
+    passed = [k for k, failed in enumerate(hist.failed) if not failed]
+    if passed:
+        for k, score in zip(passed, evaluate(pop.take(passed), task.test)):
+            outcomes[k] = (score, False)
+    return outcomes
+
+
+def _population_fitness(task: TrainingTask, parse, score):
+    """A fitness function of a list of phenotype texts. `parse(text)` gives
+    (stepper, seed key), or None for a text that scores 0; `score(stepper,
+    first)` gives the fitness from trial 0's (score, failed). Trial 0 trains
+    in populations of `nn.population_size` members that share `needs_grad`,
+    each population parsed just before it trains."""
+    rows = min(task.train_config.batch_size, len(task.trial_groups[0]))
+    size = population_size(rows, task.layer_sizes)
+
+    def fn(texts) -> list:
+        fitness = [0.0] * len(texts)
+        waiting = {True: [], False: []}  # by needs_grad: (index, stepper, key)
+
+        def flush(group):
+            firsts = _run_population(task, [s for _, s, _ in group],
+                                     [key for _, _, key in group])
+            for (i, stepper, _), first in zip(group, firsts):
+                fitness[i] = score(stepper, first)
+            group.clear()
+
+        for i, text in enumerate(texts):
+            parsed = parse(text)
+            if parsed is not None:
+                group = waiting[parsed[0].needs_grad]
+                group.append((i, *parsed))
+                if len(group) == size:
+                    flush(group)
+        for group in waiting.values():
+            if group:
+                flush(group)
+        return fitness
+
+    return fn
+
+
 def fitness_dlr(policy: PolicyTree, task: TrainingTask) -> float:
     """Train once under the schedule, return test accuracy (0 on failure)."""
     stepper = ScheduledSGD(policy, initial_lr=task.initial_lr)
@@ -134,8 +188,11 @@ def fitness_alr(
     task: TrainingTask,
     trial_number: int = 5,
     threshold: float = 0.8,
+    first: tuple | None = None,
 ) -> FitnessReport:
-    """Multi-trial fitness: running minimum with sub-threshold early cancel."""
+    """Multi-trial fitness: running minimum with sub-threshold early cancel.
+    `first` is trial 0's (score, failed) when the caller has trained it, in
+    a population; the later trials train one at a time."""
     if trial_number < 1:
         raise ValueError("trial_number must be >= 1")
     if len(task.trial_groups) < trial_number:
@@ -147,7 +204,10 @@ def fitness_alr(
     any_failed = False
     cancelled = False
     for t in range(trial_number):
-        score, failed = _run_trial(task, SpecStepper(spec), t, spec.phenotype())
+        if t == 0 and first is not None:
+            score, failed = first
+        else:
+            score, failed = _run_trial(task, SpecStepper(spec), t, spec.phenotype())
         any_failed = any_failed or failed
         scores.append(score)
         if score < threshold and t < trial_number - 1:
@@ -199,8 +259,12 @@ def _evaluate_wave(population, grammar, params, fitness_fn, cache, root: Rng,
         ind.phenotype for ind in pending
         if ind.phenotype is not None and ind.phenotype not in cache
     ))
-    for text, fit in zip(fresh, parallel_map(fitness_fn, fresh, workers)):
-        cache[text] = float(fit)
+    # one piece per worker: fitness_fn trains each piece's texts in populations
+    step = max(1, -(-len(fresh) // workers))
+    pieces = [fresh[lo : lo + step] for lo in range(0, len(fresh), step)]
+    for piece, fits in zip(pieces, parallel_map(fitness_fn, pieces, workers)):
+        for text, fit in zip(piece, fits):
+            cache[text] = float(fit)
     for ind in pending:
         ind.fitness = 0.0 if ind.phenotype is None else cache[ind.phenotype]
     return len(pending)
@@ -336,7 +400,10 @@ def evolve(
 ):
     """Run the generational loop; returns (best Individual, EvolveRunLog).
 
-    `fitness_fn(phenotype_text) -> float` carries all problem semantics.
+    `fitness_fn(phenotype_texts) -> fitnesses`, one float per text in text
+    order, carries all problem semantics; each text's fitness must not
+    depend on the others in its list, since `workers` cuts a generation's
+    fresh texts into one list per worker.
     Generation 0 is the evaluated random initialization; each later
     generation breeds, then evaluates exactly population_size - elitism
     newcomers (elites keep their cached fitness). `resume_from` is a
@@ -407,26 +474,34 @@ def evolve(
 
 
 def alr_fitness_fn(task: TrainingTask, trial_number: int = 5, threshold: float = 0.8):
-    """Adapter: phenotype text -> scalar fitness for update-rule search."""
+    """Adapter: phenotype texts -> their fitnesses for update-rule search,
+    each that of `fitness_alr` (0 for a text that does not parse)."""
 
-    def fn(text: str) -> float:
+    def parse(text):
         try:
             spec = spec_from_phenotype(text)
         except (ExprError, SpecValidationError):
-            return 0.0
-        return fitness_alr(spec, task, trial_number, threshold).fitness
+            return None
+        return SpecStepper(spec), spec.phenotype()
 
-    return fn
+    def score(stepper, first):
+        return fitness_alr(stepper.spec, task, trial_number, threshold, first).fitness
+
+    return _population_fitness(task, parse, score)
 
 
 def dlr_fitness_fn(task: TrainingTask):
-    """Adapter: phenotype text -> scalar fitness for schedule search."""
+    """Adapter: phenotype texts -> their fitnesses for schedule search, each
+    that of `fitness_dlr` (0 for a text that does not parse)."""
 
-    def fn(text: str) -> float:
+    def parse(text):
         try:
             policy = parse_policy(text)
         except PolicyError:
-            return 0.0
-        return fitness_dlr(policy, task)
+            return None
+        return ScheduledSGD(policy, initial_lr=task.initial_lr), serialize_policy(policy)
 
-    return fn
+    def score(stepper, first):
+        return first[0]
+
+    return _population_fitness(task, parse, score)

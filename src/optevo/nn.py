@@ -1,18 +1,40 @@
-"""Small dense classifiers trained from scratch.
+"""Small dense classifiers trained from scratch, one at a time or as a population.
 
 The training loop drives the optimizer through one contract, `Stepper`
-(begin_epoch / update / failed / needs_grad / bound), so the same network
-code scores evolved update rules, evolved schedules, and the hand-written
-baselines. Each batch takes one log-softmax, shared by its loss and its
-backward pass; a stepper whose weights never depend on the gradient
-(`needs_grad` false) gets `update(w, None)` and no backward pass at all.
+(begin_epoch / update / needs_grad), so the same network code scores evolved
+update rules, evolved schedules, and the hand-written baselines. Each batch
+takes one log-softmax, shared by its loss and its backward pass; a stepper
+whose weights never depend on the gradient (`needs_grad` false) gets
+`update(w, None)` and no backward pass at all.
 
 A network keeps all its parameters in one flat float64 buffer, and `train`
 hands the stepper that one tensor, `update(net.flat, flat_grad)`, with
 `backward` writing every gradient into views of one fresh flat buffer. Every
 shipped rule is elementwise, so this gives the bytes that stepping each
 weight tensor on its own gives, with one round of numpy calls per batch
-instead of one per tensor.
+instead of one per tensor. `train` owns the weight check: after each update
+one max and one min reduction over the weights give the failed flag (a
+non-finite weight) and the bound B = max |w| that the certificate below
+reads.
+
+A `Population` is K networks of one shape whose parameters live in one
+(K, P) buffer, row k holding member k's flat buffer. `forward`,
+`_log_softmax`, `_nll`, `mean_loss`, `backward`, `evaluate` and `train` all
+take such a leading member axis: each batch runs one stacked forward and
+backward for the whole population, and `train` then calls each member's
+stepper on its own row, and takes every member's failed flag and bound from
+one max and one min reduction over the (K, P) buffer. Members whose steppers
+need no gradient train in a loop of their own, which stacks their replayed
+losses and validation passes the same way. A member's numbers are
+those of training it alone, bit for bit: numpy runs a stacked matmul as one
+BLAS call per member with the strides of the single product, and every
+other step is elementwise or reduces within a member's rows. The callers
+size populations by `population_size`, a budget of `POPULATION_ELEMENTS`
+per stacked activation, and the validation and test passes go through the
+members in groups of that size too. A member that fails, stops early or
+finishes leaves the population: its row is dropped and its weights are
+written back to its network. A single network keeps its own shapes and
+numpy calls.
 
 Floating-point errors never raise or warn here: a non-finite loss or weight
 becomes a failed run. `train` opens one `np.errstate(all="ignore")` around
@@ -23,13 +45,13 @@ of a toy net's batch. Stepper `update` methods keep their own, since they
 are called directly too. For the same reason the log-softmax takes its row
 max with a loop of `np.maximum(..., out=)` over the columns, which is exact
 (max does not depend on order) and several times cheaper than `max(axis=1)`
-on narrow logits; its row sum stays numpy's own axis-1 reduction, whose
+on narrow logits; its row sum stays numpy's own last-axis reduction, whose
 summation order a column loop would not reproduce at every width.
 
 Most losses a training computes are read only to check that they are
 finite, and `train` skips those that a finiteness certificate shows cannot
-be anything else. `Stepper._assign` records B = max |w| of the weights it
-writes, and each Dataset caches X = max |x| over its rows. Folding the layer
+be anything else. `train` records B = max |w| of the weights after each
+update, and each Dataset caches X = max |x| over its rows. Folding the layer
 sizes in with a <- fan_in * a * B + B from a = X bounds every logit by L:
 ReLU never grows a magnitude. While L stays below `_LOGIT_MARGIN` (1e150),
 the logits minus their row max lie in [-2L, 0] and include one exact 0, so
@@ -53,9 +75,18 @@ from .tensor import Rng, Tensor
 # a logit bound below this certifies every loss finite (module docstring)
 _LOGIT_MARGIN = 1e150
 
+# elements of one stacked activation: members x rows x the widest layer
+POPULATION_ELEMENTS = 2**16
+
 
 class NetworkError(ValueError):
     pass
+
+
+def population_size(rows: int, layer_sizes) -> int:
+    """How many members of this shape one stacked pass over `rows` rows
+    takes: the element budget over rows x the widest layer, at least 1."""
+    return max(1, POPULATION_ELEMENTS // (rows * max(layer_sizes)))
 
 
 class Stepper:
@@ -63,37 +94,37 @@ class Stepper:
 
     `begin_epoch(epoch)` runs before each epoch's first batch;
     `update(w, g)` takes one weight tensor and its gradient and writes the
-    new weights through `_assign`, which sets `failed` on any non-finite
-    value and records their largest magnitude in `bound`, both from one max
-    and one min reduction. `train` reads `bound` after each update to
-    certify its losses finite (see the module docstring); a stepper without
-    one gets no certificate. `train` passes the network's flat parameter
-    buffer and its flat gradient, so an update must act elementwise.
-    Subclasses define `update` on their own class. A stepper whose weights
-    never depend on the gradient sets `needs_grad` false; `train` then skips
+    new weights into `w` in place. `train` passes the network's flat
+    parameter buffer and its flat gradient, so an update must act
+    elementwise; in a population each member's stepper gets its own row of
+    the stacked buffers, which may be a different array on the next call, so
+    a stepper keeps no reference to `w`. `train` checks the weights each
+    update writes (see the module docstring). A stepper whose weights never
+    depend on the gradient sets `needs_grad` false; `train` then skips
     backward and calls `update(w, None)`.
     """
 
     name = "stepper"
-    failed = False
     needs_grad = True
-    bound = math.inf  # max |w| of the last `_assign`
 
     def begin_epoch(self, epoch: int) -> None:
         pass
 
-    def _assign(self, w: Tensor, new_w: Tensor) -> None:
-        w[...] = new_w
-        self.bound = _abs_max(w)
-        if not self.bound < math.inf:  # NaN compares false too
-            self.failed = True
+
+def _abs_max(w: Tensor):
+    """max |w| along the last axis, from one max and one min reduction; NaN
+    where a row holds one."""
+    return np.maximum(np.maximum.reduce(w, axis=-1), -np.minimum.reduce(w, axis=-1))
 
 
-def _abs_max(w: Tensor) -> float:
-    """max |w| from one max and one min reduction; NaN when `w` holds one."""
-    hi = float(np.maximum.reduce(w, axis=None))
-    lo = -float(np.minimum.reduce(w, axis=None))
-    return hi if hi > lo else lo
+def _views(layout, flat: Tensor) -> list[Tensor]:
+    """Views [w0, b0, w1, b1, ...] into `flat`, a (P,) buffer or a (K, P)
+    stack of them: weights (K, fan_in, fan_out) and biases (K, 1, fan_out)
+    when stacked, so that the biases broadcast over rows."""
+    lead = flat.shape[:-1]
+    return [flat[..., start:stop].reshape(*lead, *((1,) if lead and len(shape) == 1
+                                                    else ()), *shape)
+            for start, stop, shape in layout]
 
 
 class Network:
@@ -129,14 +160,56 @@ class Network:
 
     def _views(self, flat: Tensor) -> list[Tensor]:
         """Views [w0, b0, w1, b1, ...] into a buffer laid out like `flat`."""
-        return [flat[start:stop].reshape(shape) for start, stop, shape in self._layout]
+        return _views(self._layout, flat)
 
 
-def forward(net: Network, batch_x: Tensor):
-    """Return (logits, cache); the cache feeds backward(). Runs under the
+class Population:
+    """K networks of one shape, `nets`, trained as one: their parameters
+    live in one (K, P) buffer, `flat`, row k laid out like nets[k].flat, and
+    `params` holds its stacked views (see `_views`). Building one copies the
+    members' weights in; `train` writes them back."""
+
+    def __init__(self, nets, flat: Tensor | None = None):
+        self.nets = list(nets)
+        if not self.nets:
+            raise NetworkError("a population needs at least one network")
+        self.layer_sizes = self.nets[0].layer_sizes
+        if any(net.layer_sizes != self.layer_sizes for net in self.nets):
+            raise NetworkError("the networks of a population share one shape")
+        self._layout = self.nets[0]._layout
+        self.flat = np.stack([net.flat for net in self.nets]) if flat is None else flat
+        self.params = self._views(self.flat)
+
+    _views = Network._views
+
+    def __len__(self) -> int:
+        return len(self.nets)
+
+    def take(self, rows) -> "Population":
+        """The members at `rows`: a slice shares this buffer, an index array
+        copies its rows."""
+        nets = self.nets[rows] if isinstance(rows, slice) else [self.nets[k] for k in rows]
+        return Population(nets, self.flat[rows])
+
+    def chunks(self, rows: int):
+        """Consecutive groups of members, each sized for one stacked pass
+        over `rows` rows; they share this buffer."""
+        step = population_size(rows, self.layer_sizes)
+        return [self.take(slice(lo, lo + step)) for lo in range(0, len(self), step)]
+
+    def write_back(self) -> None:
+        """Copy each member's row into its network."""
+        for net, row in zip(self.nets, self.flat):
+            net.flat[...] = row
+
+
+def forward(net: Network | Population, batch_x: Tensor):
+    """Return (logits, cache); the cache feeds backward(). A population
+    takes rows (B, inputs) shared by all members or (K, B, inputs), one
+    batch per member, and gives (K, B, classes) logits. Runs under the
     caller's errstate."""
     x = np.asarray(batch_x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != net.layer_sizes[0]:
+    if x.ndim not in (2, net.flat.ndim + 1) or x.shape[-1] != net.layer_sizes[0]:
         raise NetworkError(
             f"expected inputs of shape (B, {net.layer_sizes[0]}), got {x.shape}"
         )
@@ -154,73 +227,86 @@ def forward(net: Network, batch_x: Tensor):
 
 
 def _log_softmax(logits: Tensor) -> Tensor:
-    """Row-wise log-softmax of 2-D logits, under the caller's errstate.
+    """Log-softmax along the last axis of 2-D or stacked 3-D logits, under
+    the caller's errstate.
 
-    The row max from a column loop equals `max(axis=1)`. Where a row's max
+    The row max from a column loop equals `max(axis=-1)`. Where a row's max
     is a +0/-0 tie the two may differ in its sign, which can flip the sign
     of a zero in `shifted` but not its exp, and such a row's sum is at least
     2, so the output is the same.
     """
-    m = logits[:, :1].copy()
-    for j in range(1, logits.shape[1]):
-        np.maximum(m, logits[:, j : j + 1], out=m)
+    m = logits[..., :1].copy()
+    for j in range(1, logits.shape[-1]):
+        np.maximum(m, logits[..., j : j + 1], out=m)
     shifted = logits - m
-    log_sum = np.add.reduce(np.exp(shifted), axis=1, keepdims=True)
+    log_sum = np.add.reduce(np.exp(shifted), axis=-1, keepdims=True)
     shifted -= np.log(log_sum, out=log_sum)
     return shifted
 
 
-def _nll(log_probs: Tensor, labels: Tensor) -> float:
+def _nll(log_probs: Tensor, labels: Tensor):
     """Mean negative log-probability of the labels: the ops of `.mean()`
-    without its Python wrapper."""
-    n = len(labels)
-    return float(-(np.add.reduce(log_probs[np.arange(n), labels]) / n))
+    without its Python wrapper. Stacked (K, B, classes) log-probabilities
+    take labels (B,) shared by all members or (K, B), and give a (K,) array."""
+    n = labels.shape[-1]
+    if log_probs.ndim == 2:
+        return float(-(np.add.reduce(log_probs[np.arange(n), labels]) / n))
+    members = np.arange(len(log_probs))[:, None]
+    return -(np.add.reduce(log_probs[members, np.arange(n), labels], axis=-1) / n)
 
 
-def mean_loss(logits: Tensor, labels: Tensor) -> float:
-    """Softmax cross-entropy averaged over the batch."""
+def mean_loss(logits: Tensor, labels: Tensor):
+    """Softmax cross-entropy averaged over the batch; one per member for
+    stacked logits."""
     labels = np.asarray(labels, dtype=np.int64)
     with np.errstate(all="ignore"):  # non-finite logits surface as failed runs
         return _nll(_log_softmax(np.asarray(logits, dtype=np.float64)), labels)
 
 
-def backward(net: Network, cache: dict, labels: Tensor,
+def backward(net: Network | Population, cache: dict, labels: Tensor,
              log_probs: Tensor | None = None, out: Tensor | None = None) -> list[Tensor]:
     """Gradients of the mean cross-entropy, ordered like net.params: views
     into `out`, a float64 buffer laid out like net.flat (a fresh one when not
     given). `log_probs`, the log-softmax of the cached logits, is computed
-    when not given. Runs under the caller's errstate."""
+    when not given. A population takes labels (K, B) and gives each member
+    the gradient of its own batch. Runs under the caller's errstate."""
     labels = np.asarray(labels, dtype=np.int64)
     activations, pre = cache["activations"], cache["pre"]
-    batch = len(labels)
+    batch = labels.shape[-1]
     logits = activations[-1]
-    if np.minimum.reduce(labels) < 0 or np.maximum.reduce(labels) >= logits.shape[1]:
+    if (np.minimum.reduce(labels, axis=None) < 0
+            or np.maximum.reduce(labels, axis=None) >= logits.shape[-1]):
         raise NetworkError("label outside the network's class range")
     if log_probs is None:
         log_probs = _log_softmax(logits)
     grads = net._views(np.empty_like(net.flat) if out is None else out)
+    stacked = logits.ndim == 3
     delta = np.exp(log_probs, order="C")
     # C order keeps reshape(-1) a view, where row r's label entry sits at
     # r * classes + labels[r]
-    delta.reshape(-1)[np.arange(0, delta.size, delta.shape[1]) + labels] -= 1.0
+    delta.reshape(-1)[np.arange(0, delta.size, delta.shape[-1]) + labels.reshape(-1)] -= 1.0
     delta /= batch
     params = net.params
     for i in range(len(params) // 2 - 1, -1, -1):
-        np.add.reduce(delta, axis=0, out=grads[2 * i + 1])  # bias
-        np.matmul(activations[i].T, delta, out=grads[2 * i])  # weights
+        np.add.reduce(delta, axis=-2, out=grads[2 * i + 1], keepdims=stacked)  # bias
+        np.matmul(activations[i].swapaxes(-1, -2), delta, out=grads[2 * i])  # weights
         if i > 0:
-            delta = delta @ params[2 * i].T
+            delta = delta @ params[2 * i].swapaxes(-1, -2)
             delta *= pre[i - 1] > 0
     return grads
 
 
-def evaluate(net: Network, data: Dataset) -> float:
-    """Accuracy under argmax prediction; ties resolve to the lowest class."""
+def evaluate(net: Network | Population, data: Dataset):
+    """Accuracy under argmax prediction; ties resolve to the lowest class. A
+    population gets a list, one per member."""
     if len(data) == 0:
         raise NetworkError("cannot evaluate on an empty dataset")
     with np.errstate(all="ignore"):  # overflowed logits still give an argmax
-        logits, _ = forward(net, data.x)
-    return float((logits.argmax(axis=1) == data.y).mean())
+        if isinstance(net, Network):
+            logits, _ = forward(net, data.x)
+            return float((logits.argmax(axis=1) == data.y).mean())
+        return [float(acc) for chunk in net.chunks(len(data))
+                for acc in (forward(chunk, data.x)[0].argmax(axis=-1) == data.y).mean(axis=-1)]
 
 
 @dataclass
@@ -242,6 +328,9 @@ class TrainConfig:
 
 @dataclass
 class TrainHistory:
+    """How a training went. A population's history holds, in each field, a
+    tuple with one entry per member."""
+
     epochs_run: int = 0
     stopped_early: bool = False
     failed: bool = False
@@ -266,16 +355,17 @@ class EarlyStopTracker:
         return self.bad_epochs >= self.patience
 
 
-def _logit_bound(sizes, x_bound: float, w_bound: float) -> float:
+def _logit_bound(sizes, x_bound: float, w_bound):
     """Bound on |logit| of a net with these layer sizes, inputs bounded by
-    `x_bound` and every parameter by `w_bound` (see the module docstring)."""
+    `x_bound` and every parameter by `w_bound`, a float or an array of them
+    (see the module docstring)."""
     a = x_bound
     for fan_in in sizes[:-1]:
         a = fan_in * a * w_bound + w_bound
     return a
 
 
-def train(net: Network, stepper: Stepper, data, cfg: TrainConfig | None = None):
+def train(net, stepper, data, cfg=None):
     """Mini-batch training loop; returns (net, TrainHistory).
 
     `data` is a (train, validation) Dataset pair. A non-finite parameter
@@ -298,6 +388,13 @@ def train(net: Network, stepper: Stepper, data, cfg: TrainConfig | None = None):
       loss from the kept weights, in batch order. A stepper that does need
       the gradient takes each loss from the log-softmax its backward pass
       computes anyway.
+
+    `net` may be a Population. `stepper` is then a list, one stepper per
+    member, and `cfg` a TrainConfig or a list of one per member that differ
+    at most in `shuffle_seed`. Every member's outcome is that of training it
+    alone. The history's fields hold one entry per member, and each member's
+    network holds its final weights. When every stepper needs the gradient
+    the members train in one stacked loop; otherwise each trains alone.
     """
     cfg = cfg or TrainConfig()
     train_set, val_set = data
@@ -308,14 +405,15 @@ def train(net: Network, stepper: Stepper, data, cfg: TrainConfig | None = None):
         if len(part) and not (np.minimum.reduce(part.y) >= 0
                               and np.maximum.reduce(part.y) < width):
             raise NetworkError("label outside the network's class range")
+    if isinstance(net, Population):
+        return net, _train_population(net, list(stepper), data, cfg)
     history = TrainHistory()
     tracker = EarlyStopTracker(cfg.patience)
     shuffle_rng = Rng(cfg.shuffle_seed).child("shuffle")
     needs_grad = getattr(stepper, "needs_grad", True)
-    # no validation rows: a mean loss of 0/0, never certified
-    x_bound = max(train_set.x_bound, val_set.x_bound) if len(val_set) else math.inf
+    x_bound = _x_bound(data)
 
-    def certifies(w_bound: float) -> bool:  # every loss at such weights is finite
+    def certifies(w_bound) -> bool:  # every loss at such weights is finite
         return _logit_bound(net.layer_sizes, x_bound, w_bound) < _LOGIT_MARGIN
 
     starts = range(0, len(train_set), cfg.batch_size)
@@ -323,7 +421,7 @@ def train(net: Network, stepper: Stepper, data, cfg: TrainConfig | None = None):
         seen = np.empty((len(starts), net.flat.size))  # the weights each update saw
     val_loss = None
     with np.errstate(all="ignore"):  # non-finite values become a failed run
-        certified = certifies(_abs_max(net.flat))
+        bound = _abs_max(net.flat)
         for epoch in range(cfg.max_epochs):
             stepper.begin_epoch(epoch)
             total_loss = 0.0
@@ -338,25 +436,25 @@ def train(net: Network, stepper: Stepper, data, cfg: TrainConfig | None = None):
                     flat_grad = np.empty_like(net.flat)  # fresh: steppers may keep it
                     backward(net, cache, labels, log_probs, flat_grad)
                     stepper.update(net.flat, flat_grad)
-                    if stepper.failed:
+                    bound = _abs_max(net.flat)
+                    if not bound < math.inf:  # NaN compares false too
                         history.failed = True
                         return net, history
-                certified = certifies(getattr(stepper, "bound", math.inf))
             else:
                 all_certified = True
                 for k in range(len(starts)):
-                    all_certified = all_certified and certified
+                    all_certified = all_certified and certifies(bound)
                     seen[k] = net.flat
                     stepper.update(net.flat, None)
-                    if stepper.failed:
+                    bound = _abs_max(net.flat)
+                    if not bound < math.inf:
                         history.failed = True
                         return net, history
-                    certified = certifies(getattr(stepper, "bound", math.inf))
                 if not all_certified:
                     total_loss = _replay_losses(net, train_set, seen, cfg.batch_size,
                                                 shuffle_rng.child("epoch", epoch))
             loss_finite = math.isfinite(total_loss)
-            if cfg.early_stop or epoch == cfg.max_epochs - 1 or not certified:
+            if cfg.early_stop or epoch == cfg.max_epochs - 1 or not certifies(bound):
                 val_logits, _ = forward(net, val_set.x)
                 val_loss = mean_loss(val_logits, val_set.y)
                 loss_finite = loss_finite and math.isfinite(val_loss)
@@ -369,6 +467,155 @@ def train(net: Network, stepper: Stepper, data, cfg: TrainConfig | None = None):
                 break
     history.val_loss = val_loss
     return net, history
+
+
+def _x_bound(data) -> float:
+    """max |x| over the training and validation rows; no validation rows
+    give a mean loss of 0/0, never certified."""
+    train_set, val_set = data
+    return max(train_set.x_bound, val_set.x_bound) if len(val_set) else math.inf
+
+
+def _train_population(pop: Population, steppers: list, data, cfg) -> TrainHistory:
+    """`train` for a population: its members that need the gradient train
+    in one stacked loop, and those that do not in another."""
+    cfgs = list(cfg) if isinstance(cfg, (list, tuple)) else [cfg] * len(pop)
+    if not len(steppers) == len(cfgs) == len(pop):
+        raise NetworkError("a population needs one stepper and one config per member")
+    if any(replace(c, shuffle_seed=0) != replace(cfgs[0], shuffle_seed=0) for c in cfgs):
+        raise NetworkError("the members of a population differ only in shuffle_seed")
+    needs_grad = [getattr(s, "needs_grad", True) for s in steppers]
+    outcomes = [None] * len(pop)
+    for kind in (True, False):
+        rows = [k for k, flag in enumerate(needs_grad) if flag == kind]
+        if rows:
+            trained = _train_stacked(pop.take(rows), [steppers[k] for k in rows], data,
+                                     [cfgs[k] for k in rows], kind)
+            for k, outcome in zip(rows, trained):
+                outcomes[k] = outcome
+    pop.flat[...] = np.stack([net.flat for net in pop.nets])
+    return TrainHistory(*map(tuple, zip(*outcomes)))
+
+
+def _keep_freed_memory() -> None:
+    """Allocate and free one 8 MiB block, untouched. glibc's malloc raises
+    its mmap threshold to the largest mmapped block freed, and its trim
+    threshold to twice that, so blocks below 8 MiB then come from its heap,
+    and up to 16 MiB of freed heap stays for reuse. Under the default 128
+    KiB thresholds the stacked activations (512 KiB at the element budget)
+    that each batch frees go back to the system and are faulted in again by
+    the next batch: an evolve-toy run took 16.9k page faults instead of
+    1.0k, and a third more time. Other allocators just free the block."""
+    np.empty(2**20)
+
+
+def _train_stacked(pop: Population, steppers: list, data, cfgs: list,
+                   needs_grad: bool) -> list:
+    """Train a population whose steppers all need the gradient, or all do
+    not, batch by batch in stacked passes; returns each member's
+    (epochs_run, stopped_early, failed, val_loss), as `train` alone gives
+    them. Members leave as they fail, stop early or finish, their weights
+    written back to their networks."""
+    train_set, val_set = data
+    _keep_freed_memory()
+    cfg = cfgs[0]
+    size = len(pop)
+    epochs_run, stopped, failed = [0] * size, [False] * size, [False] * size
+    val_loss = [None] * size
+    trackers = [EarlyStopTracker(cfg.patience) for _ in range(size)]
+    shuffles = [Rng(c.shuffle_seed).child("shuffle") for c in cfgs]
+    members = np.arange(size)  # the member each row of pop.flat holds
+    x_bound = _x_bound(data)
+    starts = range(0, len(train_set), cfg.batch_size)
+
+    def orders(rows, epoch):  # each member's batch order for the epoch
+        return np.stack([shuffles[k].child("epoch", epoch).permutation(len(train_set))
+                         for k in members[rows]])
+
+    def uncertified(bound):  # rows whose losses the certificate leaves open
+        return ~(_logit_bound(pop.layer_sizes, x_bound, bound) < _LOGIT_MARGIN)
+
+    def leave(gone):  # write back the members of rows `gone`; the kept rows
+        nonlocal pop, members
+        pop.take(np.flatnonzero(gone)).write_back()
+        keep = np.flatnonzero(~gone)
+        if len(keep):
+            pop, members = pop.take(keep), members[keep]
+        return keep
+
+    with np.errstate(all="ignore"):  # non-finite values become a failed run
+        bound = _abs_max(pop.flat)
+        for epoch in range(cfg.max_epochs):
+            for k in members:
+                steppers[k].begin_epoch(epoch)
+            totals = np.zeros(len(members))
+            if needs_grad:
+                order = orders(slice(None), epoch)
+            else:
+                seen = np.empty((len(starts), *pop.flat.shape))  # weights each update saw
+                replay = np.zeros(len(members), dtype=bool)
+            for j, lo in enumerate(starts):
+                if needs_grad:
+                    idx = order[:, lo : lo + cfg.batch_size]
+                    labels = train_set.y[idx]
+                    logits, cache = forward(pop, train_set.x[idx])
+                    log_probs = _log_softmax(logits)
+                    totals += _nll(log_probs, labels) * idx.shape[1]
+                    grads = np.empty_like(pop.flat)  # fresh: steppers may keep a row
+                    backward(pop, cache, labels, log_probs, grads)
+                else:
+                    replay |= uncertified(bound)
+                    seen[j] = pop.flat
+                    grads = [None] * len(members)
+                for k, w, g in zip(members, pop.flat, grads):
+                    steppers[k].update(w, g)
+                bound = _abs_max(pop.flat)
+                bad = ~(bound < math.inf)  # NaN compares false too
+                if bad.any():
+                    for k in members[bad]:
+                        failed[k] = True
+                    keep = leave(bad)
+                    if not len(keep):
+                        return list(zip(epochs_run, stopped, failed, val_loss))
+                    totals, bound = totals[keep], bound[keep]
+                    if needs_grad:
+                        order = order[keep]
+                    else:
+                        seen, replay = seen[:, keep], replay[keep]
+            if not needs_grad and replay.any():  # as _replay_losses, row by row
+                rows = np.flatnonzero(replay)
+                order, nets = orders(rows, epoch), [pop.nets[k] for k in rows]
+                for j, lo in enumerate(starts):
+                    idx = order[:, lo : lo + cfg.batch_size]
+                    logits, _ = forward(Population(nets, seen[j, rows]), train_set.x[idx])
+                    totals[rows] += _nll(_log_softmax(logits), train_set.y[idx]) * idx.shape[1]
+            last = epoch == cfg.max_epochs - 1
+            finite = np.isfinite(totals)
+            need = finite.copy() if cfg.early_stop or last else finite & uncertified(bound)
+            losses = np.full(len(members), np.nan)
+            rows = np.flatnonzero(need)
+            if len(rows):
+                losses[rows] = np.concatenate([
+                    mean_loss(forward(chunk, val_set.x)[0], val_set.y)
+                    for chunk in pop.take(rows).chunks(len(val_set))])
+                finite[rows] &= np.isfinite(losses[rows])
+            gone = np.zeros(len(members), dtype=bool)
+            for row, k in enumerate(members):
+                if not finite[row]:
+                    failed[k] = gone[row] = True
+                    continue
+                epochs_run[k] += 1
+                if cfg.early_stop and trackers[k].update(float(losses[row])):
+                    stopped[k] = gone[row] = True
+                gone[row] |= last
+                if gone[row]:
+                    val_loss[k] = float(losses[row])
+            if gone.any():
+                keep = leave(gone)
+                if not len(keep):
+                    break
+                bound = bound[keep]
+    return list(zip(epochs_run, stopped, failed, val_loss))
 
 
 def _replay_losses(net: Network, train_set: Dataset, seen: Tensor, batch_size: int,
@@ -388,9 +635,16 @@ def _replay_losses(net: Network, train_set: Dataset, seen: Tensor, batch_size: i
     return total
 
 
-def train_seeded(layer_sizes, stepper: Stepper, data, cfg: TrainConfig, rng: Rng):
+def train_seeded(layer_sizes, stepper, data, cfg: TrainConfig, rng):
     """Train a fresh network whose initial weights and batch order both derive
-    from `rng`; returns (net, TrainHistory) like `train`."""
-    net = Network(layer_sizes, seed=int(rng.child("net").integers(2**31 - 1)))
-    cfg = replace(cfg, shuffle_seed=int(rng.child("shuffle").integers(2**31 - 1)))
-    return train(net, stepper, data, cfg)
+    from `rng`; returns (net, TrainHistory) like `train`. Given a list of
+    streams and a list of steppers, one per stream, it trains them as one
+    Population, member k seeded by rng[k]."""
+    if isinstance(rng, Rng):
+        net = Network(layer_sizes, seed=int(rng.child("net").integers(2**31 - 1)))
+        cfg = replace(cfg, shuffle_seed=int(rng.child("shuffle").integers(2**31 - 1)))
+        return train(net, stepper, data, cfg)
+    nets = [Network(layer_sizes, seed=int(r.child("net").integers(2**31 - 1))) for r in rng]
+    cfgs = [replace(cfg, shuffle_seed=int(r.child("shuffle").integers(2**31 - 1)))
+            for r in rng]
+    return train(Population(nets), stepper, data, cfgs)

@@ -8,10 +8,12 @@ propagate; penalizing them is the fitness layer's job, not this one's.
 
 from __future__ import annotations
 
+import functools
 import zlib
 from enum import Enum
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 Tensor = np.ndarray
 
@@ -105,32 +107,91 @@ def _tag32(tag) -> int:
     return int(tag) & 0xFFFFFFFF
 
 
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+@functools.lru_cache(maxsize=64)
+def _root_state(seed: int) -> tuple:
+    """(pool, hash constant) of SeedSequence(seed) once its run entropy is
+    mixed: its pool, and the constant after the 16 hashes of a seed of up to
+    four 32-bit words plus 4 per further word."""
+    words = max(1, -(-seed.bit_length() // 32))
+    pool = tuple(np.random.SeedSequence(seed).pool.tolist())
+    return pool, _INIT_A * pow(_MULT_A, 16 + 4 * max(0, words - 4), 1 << 32) & _M32
+
+
+def _mix(pool: tuple, hash_const: int, words) -> tuple:
+    """SeedSequence's mixing of spawn-key words into a pool: each word,
+    hashed anew for each pool word, is mixed into it. Returns the new
+    (pool, hash constant)."""
+    pool = list(pool)
+    for word in words:
+        for i in range(4):
+            value = word ^ hash_const
+            hash_const = hash_const * _MULT_A & _M32
+            value = value * hash_const & _M32
+            value ^= value >> 16
+            mixed = (_MIX_L * pool[i] - _MIX_R * value) & _M32
+            pool[i] = mixed ^ mixed >> 16
+    return tuple(pool), hash_const
+
+
+class _MixedPool(ISeedSequence):
+    """A seed sequence whose entropy is already mixed into `pool`: its
+    `generate_state` is SeedSequence's, so Philox draws the same key."""
+
+    def __init__(self, pool: tuple):
+        self.pool = pool
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        dtype = np.dtype(dtype)
+        hash_const = _INIT_B
+        state = []
+        for i in range(n_words * dtype.itemsize // 4):
+            value = self.pool[i % 4] ^ hash_const
+            hash_const = hash_const * _MULT_B & _M32
+            value = value * hash_const & _M32
+            state.append(value ^ value >> 16)
+        return np.array(state, dtype=np.uint32).view(dtype)
+
+
 class Rng:
     """Deterministic, splittable random stream (counter-based Philox).
 
-    The same seed always reproduces the same stream, and children derived
-    via ``child(...)`` are statistically independent of the parent and of
-    each other by construction of the underlying seed sequence.
+    The stream of `Rng(seed).child(*tags)` is that of
+    `Philox(SeedSequence(seed, spawn_key=<tag words>))`, the tags read as
+    32-bit words (strings by CRC-32), so the same seed and tags always
+    reproduce it, and children are statistically independent of the parent
+    and of each other by construction of the seed sequence.
+
+    Streams are keyed by prefix: SeedSequence mixes the spawn-key words into
+    its pool one after another, so each Rng keeps the pool mixed so far, and
+    a child mixes in only its own tags. Philox then reads its key from that
+    pool without a SeedSequence of its own.
     """
 
-    def __init__(self, seed: int, _key: tuple = ()):
+    def __init__(self, seed: int, _key: tuple = (), _state: tuple | None = None):
         self.seed = int(seed)
         self._key = tuple(_key)
+        self._state = _mix(*_root_state(self.seed), self._key) if _state is None else _state
         self._generator = None
 
     @property
     def generator(self) -> np.random.Generator:
         """The stream itself, built on the first draw: many streams only ever
-        name children, and the SeedSequence + Philox set-up costs more than
-        a small draw."""
+        name children, and the Philox set-up costs more than a small draw."""
         if self._generator is None:
-            seq = np.random.SeedSequence(self.seed, spawn_key=self._key)
-            self._generator = np.random.Generator(np.random.Philox(seq))
+            self._generator = np.random.Generator(np.random.Philox(_MixedPool(self._state[0])))
         return self._generator
 
     def child(self, *tags) -> "Rng":
         """Derive an independent stream named by the given tags."""
-        return Rng(self.seed, self._key + tuple(_tag32(t) for t in tags))
+        words = tuple(_tag32(t) for t in tags)
+        return Rng(self.seed, self._key + words, _mix(*self._state, words))
 
     # thin passthroughs for the handful of draws the codebase uses
     def integers(self, low, high=None, size=None):

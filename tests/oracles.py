@@ -216,7 +216,7 @@ def train_per_tensor(params, make_stepper, data, cfg, order):
                      if needs_grad else [None] * len(params))
             for stepper, w, g in zip(steppers, params, grads):
                 stepper.update(w, g)
-            if any(stepper.failed for stepper in steppers):
+            if not all(np.isfinite(p).all() for p in params):
                 return train_loss, val_loss, len(train_loss), False, True
         epoch_train = total / len(rows)
         epoch_val = _nll(_log_softmax(_forward(params, val_set.x)[0][-1]), val_set.y)

@@ -30,6 +30,8 @@ from optevo.grammar import load_shipped_grammar, serialize_grammar
 from optevo.optim import HyperParams, builtin, spec_to_json
 from optevo.sched import parse_policy
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
 
 @pytest.fixture(autouse=True)
 def no_data_dir(monkeypatch):
@@ -259,6 +261,24 @@ class TestConfigErrors:
         cfg = write_cfg(tmp_path, evolve_payload(grammar="missing.bnf"))
         assert main(["evolve", cfg]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("per_trial", 99999, "config.task.split"),
+        ("batch_size", 0, "config.task: batch_size")])
+    def test_bad_plan_exits_before_data_load(self, tmp_path, monkeypatch, capsys,
+                                             key, value, message):
+        """The paper config reads idx files from $OPTEVO_DATA_DIR, here empty:
+        a split plan or training config that cannot hold exits 2 before any
+        load would exit 3."""
+        payload = json.loads((CONFIGS / "evolve-alr-paper.json").read_text())
+        (payload["task"]["split"] if key == "per_trial" else payload["task"])[key] = value
+        empty = tmp_path / "data"
+        empty.mkdir()
+        monkeypatch.setenv(DATA_DIR_ENV, str(empty))
+        argv = ["evolve", write_cfg(tmp_path, payload), "--run-dir", str(tmp_path / "r")]
+        assert main(argv) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_split_too_large_for_dataset_is_data_error(self, tmp_path, capsys):
         payload = evolve_payload()
         payload["task"]["split"]["train_total"] = 100_000
@@ -451,6 +471,35 @@ class TestEvolveCommand:
         assert json.loads((run / "config.json").read_text())["seed"] == 3
         idx = json.loads((run / "indices.json").read_text())["evolution_indices"]
         assert len(idx) == 240 + 60 + 60
+
+    @pytest.mark.parametrize("stop_after", [0, 2])
+    def test_stopped_run_names_its_best(self, tmp_path, monkeypatch, stop_after):
+        """best.json and best_spec.json follow each improvement, so a run
+        stopped after generation k names the best of log.csv's rows."""
+        run = tmp_path / "run"
+        payload = evolve_payload(trials=1, threshold=0.0)
+        payload["evo"]["generations"] = 5
+        breed = evolve_mod._breed
+        calls = []
+
+        def stopping(*args):
+            calls.append(1)
+            if len(calls) > stop_after:
+                raise KeyboardInterrupt
+            return breed(*args)
+
+        monkeypatch.setattr(evolve_mod, "_breed", stopping)
+        with pytest.raises(KeyboardInterrupt):
+            main(["evolve", write_cfg(tmp_path, payload), "--run-dir", str(run)])
+        _, rows = log_rows(run)
+        assert len(rows) == stop_after + 1
+        best = json.loads((run / "best.json").read_text())
+        assert f"{best['fitness']:.6f}" == max(row[1] for row in rows)
+        from optevo.optim import spec_from_json, spec_from_phenotype
+
+        spec = spec_from_json((run / "best_spec.json").read_text())
+        assert spec == spec_from_phenotype(best["phenotype"], name="evolved")
+        assert sorted(p.name for p in run.iterdir() if p.suffix == ".tmp") == []
 
     def test_best_spec_is_loadable(self, tmp_path):
         run = tmp_path / "run"
@@ -945,6 +994,33 @@ class TestConfigRoundTrip:
         assert "max_epochs" in echoed["task"] or command == "benchmark"
         assert ("initial_lr" in echoed["task"]) == (payload.get("grammar") == "dlr")
         assert ("trials" in echoed) == (payload.get("grammar") == "alr")
+
+
+    def test_rerun_from_another_directory(self, tmp_path, monkeypatch):
+        """config.json names spec, policy and grammar files by absolute
+        path: a run whose config names them relative to its directory reruns
+        from a sibling one."""
+        home, sibling = tmp_path / "home", tmp_path / "sibling"
+        home.mkdir()
+        sibling.mkdir()
+        (home / "rule.json").write_text(spec_to_json(builtin("momentum")))
+        (home / "sched.txt").write_text("if(epoch < 1.0, 0.1, 0.01)\n")
+        (home / "my.bnf").write_text(serialize_grammar(load_shipped_grammar("alr")))
+        bench = bench_payload(repetitions=1, steppers=[
+            "sgd", {"spec_file": "rule.json"}, {"policy_file": "sched.txt"}])
+        evolve_cfg = evolve_payload(grammar="my.bnf")
+        evolve_cfg["evo"].update(population=4, generations=1)
+        for command, payload in (("benchmark", bench), ("evolve", evolve_cfg)):
+            first, again = tmp_path / f"{command}-first", tmp_path / f"{command}-again"
+            monkeypatch.chdir(home)
+            assert main([command, write_cfg(home, payload), "--run-dir", str(first)]) == EXIT_OK
+            monkeypatch.chdir(sibling)
+            rerun = [command, str(first / "config.json"), "--run-dir", str(again)]
+            assert main(rerun) == EXIT_OK
+            assert outputs(command, again) == outputs(command, first)
+        echoed = json.loads((tmp_path / "benchmark-first" / "config.json").read_text())
+        assert echoed["steppers"] == ["sgd", {"spec_file": str(home / "rule.json")},
+                                      {"policy_file": str(home / "sched.txt")}]
 
 
 class TestRunDir:

@@ -360,7 +360,7 @@ class TestSplitMatchesPerPartCopies:
             return real()
 
         with mock.patch.object(data_mod, "hashlib", SimpleNamespace(sha256=sha256)):
-            task, _splits = build_task(read_task(cfg), seed=0)
+            task, _splits = build_task(*read_task(cfg), seed=0)
             assert digests == []
             parts = [*task.trial_groups, task.validation, task.test]
             assert [p.checksum for p in parts] == [

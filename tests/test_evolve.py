@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 
 import optevo.dsge as dsge_mod
 import optevo.evolve as evolve_mod
+import optevo.nn as nn_mod
 from optevo.data import synthetic
-from optevo.dsge import EvoParams, map_genotype
+from optevo.dsge import EvoParams, map_genotype, random_derivation
 from optevo.evolve import (
     LOG_COLUMNS,
     EvolveRunLog,
@@ -32,8 +33,9 @@ from optevo.evolve import (
 )
 from optevo.grammar import load_shipped_grammar, parse_grammar
 from optevo.nn import TrainConfig
-from optevo.optim import builtin
-from optevo.sched import Leaf
+from optevo.optim import HyperParams, builtin, spec_from_phenotype
+from optevo.sched import Leaf, parse_policy
+from optevo.tensor import Rng
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -159,13 +161,43 @@ class TestFitnessReal:
 
     def test_adapters_swallow_unparseable_text(self):
         task = tiny_task(1)
-        assert alr_fitness_fn(task)("not a phenotype") == 0.0
-        assert dlr_fitness_fn(task)("still not one") == 0.0
+        assert alr_fitness_fn(task)(["not a phenotype"]) == [0.0]
+        assert dlr_fitness_fn(task)(["still not one"]) == [0.0]
 
     def test_dlr_adapter_runs_serialized_leaf(self):
         task = tiny_task(1)
         fn = dlr_fitness_fn(task)
-        assert fn("1.00000000e-02") == fitness_dlr(Leaf(0.01), task)
+        assert fn(["1.00000000e-02"]) == [fitness_dlr(Leaf(0.01), task)]
+
+    @pytest.mark.parametrize("elements", [200, 2**16])
+    def test_wave_matches_per_text_fitness(self, monkeypatch, elements):
+        """A list of texts scores as each text does alone, whether trial 0
+        trains in populations of 3 (200 elements: 16 rows x 4 wide) or in
+        one: fitness_alr for rules, gradient-free and failing ones among
+        them, fitness_dlr for schedules, and 0 for a text that does not
+        parse."""
+        monkeypatch.setattr(nn_mod, "POPULATION_ELEMENTS", elements)
+        task = tiny_task(3)
+        task.train_config = TrainConfig(batch_size=16, max_epochs=6, patience=2)
+        grammar = load_shipped_grammar("alr")
+        rules = [random_derivation(grammar, 6, Rng(5).child(i))[1].text()
+                 for i in range(14)]
+        rules[3:3] = ["grad ; y ; z ; multiply(alpha, 0.9)", "not a rule",
+                      "multiply(grad, grad) ; y ; z ; subtract(alpha, multiply(1e300, x))",
+                      *(builtin(name, HyperParams(lr=lr)).phenotype()
+                        for name, lr in [("sgd", 0.5), ("momentum", 0.1), ("ades", 0.01)])]
+        got = alr_fitness_fn(task, trial_number=3, threshold=0.6)(rules)
+        reports = [None if text == "not a rule" else fitness_alr(
+            spec_from_phenotype(text), task, trial_number=3, threshold=0.6)
+            for text in rules]
+        assert got == [0.0 if r is None else r.fitness for r in reports]
+        # some rules fail, some are cancelled and some run every trial
+        assert {1, 3} <= {r.trials_run for r in reports if r}
+        assert any(r.failed for r in reports if r)
+        policies = ["1.00000000e-02", "if(epoch < 1.0, 0.5, 1e200)", "0.3", "oops", "2.0"]
+        want = [0.0 if text == "oops" else fitness_dlr(parse_policy(text), task)
+                for text in policies]
+        assert dlr_fitness_fn(task)(policies) == want
 
 
 class TestParallelMap:
@@ -232,6 +264,11 @@ def text_score(text: str) -> float:
     return (text.count("x") * 2 + len(text)) / 20.0
 
 
+def per_text(score):
+    """A fitness function of a list of texts from a function of one text."""
+    return lambda texts: [score(text) for text in texts]
+
+
 def params(**kw):
     base = dict(population_size=8, generations=5, tournament_size=3,
                 mutation_rate=0.3, elitism=1, max_depth=4, rng_seed=1)
@@ -245,32 +282,32 @@ def stat_tuple(log):
 
 class TestEvolveLoop:
     def test_constant_fitness_gives_flat_log(self):
-        best, log = evolve(params(), TOY, lambda text: 0.5)
+        best, log = evolve(params(), TOY, per_text(lambda text: 0.5))
         assert best.fitness == 0.5
         assert all(s.best == 0.5 and s.mean == 0.5 for s in log.stats)
 
     def test_zero_generations_returns_best_of_init(self):
-        best, log = evolve(params(generations=0), TOY, text_score)
+        best, log = evolve(params(generations=0), TOY, per_text(text_score))
         assert len(log.stats) == 1
         assert log.stats[0].generation == 0
         assert best.fitness == log.stats[0].best
 
     def test_best_is_monotone_with_elitism(self):
-        _, log = evolve(params(generations=12), TOY, text_score)
+        _, log = evolve(params(generations=12), TOY, per_text(text_score))
         bests = [s.best for s in log.stats]
         assert all(b2 >= b1 for b1, b2 in zip(bests, bests[1:]))
 
     def test_evaluation_accounting(self):
-        _, log = evolve(params(elitism=2, population_size=9), TOY, text_score)
+        _, log = evolve(params(elitism=2, population_size=9), TOY, per_text(text_score))
         assert log.stats[0].evaluations == 9
         assert all(s.evaluations == 9 - 2 for s in log.stats[1:])
 
     def test_deterministic_in_seed(self):
-        a = evolve(params(), TOY, text_score)
-        b = evolve(params(), TOY, text_score)
+        a = evolve(params(), TOY, per_text(text_score))
+        b = evolve(params(), TOY, per_text(text_score))
         assert stat_tuple(a[1]) == stat_tuple(b[1])
         assert a[0].phenotype == b[0].phenotype
-        c = evolve(params(rng_seed=99), TOY, text_score)
+        c = evolve(params(rng_seed=99), TOY, per_text(text_score))
         assert stat_tuple(a[1]) != stat_tuple(c[1])
 
     def test_fitness_cache_deduplicates_calls(self):
@@ -280,7 +317,7 @@ class TestEvolveLoop:
             seen.append(text)
             return text_score(text)
 
-        _, log = evolve(params(generations=8), TOY, counting)
+        _, log = evolve(params(generations=8), TOY, per_text(counting))
         assert len(seen) == len(set(seen))  # never trains the same phenotype twice
         # accounting still reports requested evaluations, not cache misses
         assert all(s.evaluations == 7 for s in log.stats[1:])
@@ -288,21 +325,21 @@ class TestEvolveLoop:
     @settings(max_examples=3)
     @given(st.integers(0, 2**31 - 1))
     def test_workers_do_not_change_results(self, seed):
-        a = evolve(params(rng_seed=seed), TOY, text_score)
+        a = evolve(params(rng_seed=seed), TOY, per_text(text_score))
         for workers in (2, 3):
-            b = evolve(params(rng_seed=seed), TOY, text_score, workers=workers)
+            b = evolve(params(rng_seed=seed), TOY, per_text(text_score), workers=workers)
             assert stat_tuple(a[1]) == stat_tuple(b[1])
             assert a[0].phenotype == b[0].phenotype
 
     def test_best_fitness_equals_max_over_log(self):
-        best, log = evolve(params(generations=10), TOY, text_score)
+        best, log = evolve(params(generations=10), TOY, per_text(text_score))
         assert best.fitness == max(s.best for s in log.stats)
         assert best.fitness == log.best_fitness
         assert best.phenotype == log.best_phenotype
 
     def test_on_generation_callback(self):
         rows = []
-        evolve(params(generations=3), TOY, text_score,
+        evolve(params(generations=3), TOY, per_text(text_score),
                on_generation=lambda stat, log: rows.append(stat.generation))
         assert rows == [0, 1, 2, 3]
 
@@ -317,14 +354,14 @@ class TestEvolveLoop:
         monkeypatch.setattr(dsge_mod, "map_genotype", counting)
         monkeypatch.setattr(evolve_mod, "map_genotype", counting)
         ckpt = tmp_path / "ckpt.json"
-        evolve(params(generations=0), TOY, text_score, checkpoint_path=ckpt)
+        evolve(params(generations=0), TOY, per_text(text_score), checkpoint_path=ckpt)
         assert len(calls) == 8
         _, population, *_ = load_checkpoint(ckpt)
         for ind in population:
             fresh = map_genotype(TOY, ind.genotype.copy(), max_depth=4).text()
             assert ind.phenotype == fresh
         calls.clear()
-        evolve(params(generations=3), TOY, text_score)
+        evolve(params(generations=3), TOY, per_text(text_score))
         assert len(calls) == 8 + 3 * (8 - 1)
 
     def test_mapping_failures_score_zero_without_crashing(self):
@@ -334,7 +371,7 @@ class TestEvolveLoop:
             EvoParams(population_size=4, generations=3, tournament_size=2,
                       mutation_rate=1.0, elitism=1, max_depth=3, rng_seed=5),
             doomed,
-            lambda text: 1.0,
+            per_text(lambda text: 1.0),
         )
         fits = {s.best for s in log.stats}
         assert best.fitness == 1.0  # the elite survives the doomed mutants
@@ -344,7 +381,7 @@ class TestEvolveLoop:
 class TestLogAndCheckpoint:
     def test_csv_log_shape(self, tmp_path):
         path = tmp_path / "run.csv"
-        evolve(params(generations=4), TOY, text_score, log_path=path)
+        evolve(params(generations=4), TOY, per_text(text_score), log_path=path)
         with open(path) as f:
             rows = list(csv.reader(f))
         assert rows[0] == list(LOG_COLUMNS)
@@ -356,10 +393,10 @@ class TestLogAndCheckpoint:
 
     def test_resume_reproduces_uninterrupted_run(self, tmp_path):
         ckpt = tmp_path / "state.json"
-        full_best, full_log = evolve(params(generations=6), TOY, text_score)
-        evolve(params(generations=3), TOY, text_score, checkpoint_path=ckpt)
+        full_best, full_log = evolve(params(generations=6), TOY, per_text(text_score))
+        evolve(params(generations=3), TOY, per_text(text_score), checkpoint_path=ckpt)
         resumed_best, resumed_log = evolve(
-            params(generations=6), TOY, text_score, resume_from=ckpt
+            params(generations=6), TOY, per_text(text_score), resume_from=ckpt
         )
         assert stat_tuple(resumed_log) == stat_tuple(full_log)
         assert resumed_best.phenotype == full_best.phenotype
@@ -367,9 +404,9 @@ class TestLogAndCheckpoint:
 
     def test_resume_from_final_checkpoint_is_a_no_op(self, tmp_path):
         ckpt = tmp_path / "state.json"
-        best, log = evolve(params(generations=2), TOY, text_score,
+        best, log = evolve(params(generations=2), TOY, per_text(text_score),
                            checkpoint_path=ckpt)
-        again_best, again_log = evolve(params(generations=2), TOY, text_score,
+        again_best, again_log = evolve(params(generations=2), TOY, per_text(text_score),
                                        resume_from=ckpt)
         assert stat_tuple(again_log) == stat_tuple(log)
         assert again_best.fitness == best.fitness

@@ -16,9 +16,11 @@ from optevo.nn import (
     EarlyStopTracker,
     Network,
     NetworkError,
+    Population,
     Stepper,
     TrainConfig,
     TrainHistory,
+    _abs_max,
     _log_softmax,
     _logit_bound,
     _nll,
@@ -26,6 +28,7 @@ from optevo.nn import (
     evaluate,
     forward,
     mean_loss,
+    population_size,
     train,
 )
 from optevo.optim import (
@@ -271,7 +274,7 @@ class TestEarlyStopTracker:
 
 class Swell(Stepper):
     """Gradient-free stepper that scales every weight by `factor` on odd
-    updates and back down on even ones, through `_assign`."""
+    updates and back down on even ones, in place."""
 
     name = "swell"
     needs_grad = False
@@ -283,7 +286,7 @@ class Swell(Stepper):
     def update(self, w, g):
         self.t += 1
         with np.errstate(all="ignore"):
-            self._assign(w, w * (self.factor if self.t % 2 else 1.0 / self.factor))
+            w[...] = w * (self.factor if self.t % 2 else 1.0 / self.factor)
 
 
 class RecordingStepper:
@@ -679,13 +682,129 @@ class TestCertifiedTraining:
         if aligned:
             np.testing.assert_allclose(logits, bound, rtol=1e-12)
 
-    def test_assign_records_bound(self):
+    def test_abs_max_gives_bound_and_failure(self):
+        """The weight check `train` runs after each update: max |w| per row,
+        infinite or NaN where the row fails."""
         stepper = sgd(1.0)
         w = np.array([0.5, -3.0, 2.0])
         stepper.update(w, np.array([0.0, 1.0, 0.0]))
-        assert stepper.bound == 4.0 and not stepper.failed
-        stepper.update(w, np.array([np.inf, 0.0, 0.0]))
-        assert stepper.failed
+        assert _abs_max(w) == 4.0
+        stepped = np.array([w, w, w])
+        stepped[1, 0], stepped[2, 2] = -np.inf, np.nan
+        bound = _abs_max(stepped)
+        assert bound[0] == 4.0 and bound[1] == np.inf and np.isnan(bound[2])
+
+
+# members that need the gradient train in one stacked loop, the others
+# (three of the edge phenotypes, some "alr" draws) in another
+POPULATION_KINDS = ["alr", "alr", "sgd", "adam", "nesterov", "scheduled", *EDGE_PHENOTYPES]
+
+
+def member_case(seed, k, kind, lr_scale, batch_size, early_stop):
+    """Network, stepper and config of population member k."""
+    cfg = TrainConfig(batch_size=batch_size, max_epochs=4, early_stop=early_stop,
+                      patience=1, shuffle_seed=(seed + k) % 1000)
+    return (Network([2, 16, 2], seed=seed + k),
+            make_case_stepper(kind, seed + k, lr_scale), cfg)
+
+
+class TestPopulationTraining:
+    """K networks trained as one population end where each, trained alone,
+    ends: the same weights, bit for bit, and the same history."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1, 2, 7]).flatmap(
+            lambda k: st.lists(st.sampled_from(POPULATION_KINDS), min_size=k, max_size=k)),
+        st.sampled_from([1.0, 1e40, 1e70, 1e148]),
+        st.sampled_from([1.0, 1e300]),
+        st.sampled_from([7, 16, 64]),
+        st.booleans(),
+    )
+    def test_matches_members_trained_alone(self, seed, kinds, x_scale, lr_scale,
+                                           batch_size, early_stop):
+        d = synthetic("two_gaussians", 90, noise=0.1, seed=seed % 89)
+        x = d.x * x_scale  # larger inputs leave the certificate sooner
+        # 61 rows: every batch size leaves a short last batch
+        data = Dataset(x[:61], d.y[:61]), Dataset(x[61:], d.y[61:])
+        cases = [member_case(seed, k, kind, lr_scale, batch_size, early_stop)
+                 for k, kind in enumerate(kinds)]
+        pop, hist = train(Population([net for net, _, _ in cases]),
+                          [stepper for _, stepper, _ in cases], data,
+                          [cfg for _, _, cfg in cases])
+        for k, kind in enumerate(kinds):
+            net, stepper, cfg = member_case(seed, k, kind, lr_scale, batch_size,
+                                            early_stop)
+            _, alone = train(net, stepper, data, cfg)
+            assert_same_bits(pop.nets[k].flat, net.flat)
+            assert_same_bits(pop.flat[k], net.flat)
+            assert (hist.epochs_run[k], hist.stopped_early[k], hist.failed[k],
+                    hist.val_loss[k]) == (alone.epochs_run, alone.stopped_early,
+                                          alone.failed, alone.val_loss)
+
+    def test_replayed_losses_match_alone(self):
+        """Swell leaves the certificate on every other update, so each epoch
+        replays its batch losses from the weights its updates saw."""
+        nets = [Network([2, 4, 2], seed=k) for k in range(3)]
+        cfgs = [TrainConfig(batch_size=24, max_epochs=3, early_stop=False,
+                            shuffle_seed=k) for k in range(3)]
+        factors = [1e100, 1e200, 1.5]
+        pop, hist = train(Population(nets), [Swell(f) for f in factors], toy_data(), cfgs)
+        for k, factor in enumerate(factors):
+            net = Network([2, 4, 2], seed=k)
+            _, alone = train(net, Swell(factor), toy_data(), cfgs[k])
+            assert pop.flat[k].tobytes() == net.flat.tobytes()
+            assert (hist.epochs_run[k], hist.failed[k], hist.val_loss[k]) == (
+                alone.epochs_run, alone.failed, alone.val_loss)
+        assert hist.failed == (False, True, False)
+
+    def test_stacked_pass_per_batch(self, monkeypatch):
+        """Three members run one forward and one backward per batch, one
+        update each, and validate together on the final epoch."""
+        calls = count_calls(monkeypatch)
+        cases = [member_case(0, k, "sgd", 1.0, 30, False) for k in range(3)]
+        _, hist = train(Population([net for net, _, _ in cases]),
+                        [stepper for _, stepper, _ in cases], toy_data(),
+                        [replace(cfg, max_epochs=2) for _, _, cfg in cases])
+        assert hist.failed == (False,) * 3 and hist.epochs_run == (2,) * 3
+        # 90 rows in batches of 30 over two epochs, then the final validation
+        assert calls == {"forward": 6 + 1, "backward": 6, "mean_loss": 1}
+
+    def test_mixed_population_trains_as_alone(self):
+        free = "grad ; y ; z ; multiply(alpha, 0.9)"
+        cases = [member_case(3, k, kind, 1.0, 16, True)
+                 for k, kind in enumerate([free, "sgd"])]
+        pop, hist = train(Population([net for net, _, _ in cases]),
+                          [stepper for _, stepper, _ in cases], toy_data(),
+                          [cfg for _, _, cfg in cases])
+        for k, kind in enumerate([free, "sgd"]):
+            net, stepper, cfg = member_case(3, k, kind, 1.0, 16, True)
+            _, alone = train(net, stepper, toy_data(), cfg)
+            assert pop.flat[k].tobytes() == net.flat.tobytes()
+            assert hist.val_loss[k] == alone.val_loss
+
+    def test_members_evaluate_as_alone(self):
+        nets = [Network([2, 16, 2], seed=k) for k in range(23)]
+        val = synthetic("two_gaussians", 3000, noise=0.5, seed=1)
+        # 3000 rows x 16 wide: groups of population_size = 1 member
+        assert population_size(len(val), [2, 16, 2]) == 1
+        assert evaluate(Population(nets), val) == [evaluate(n, val) for n in nets]
+        small = Dataset(val.x[:300], val.y[:300])
+        assert population_size(len(small), [2, 16, 2]) == 13
+        assert evaluate(Population(nets), small) == [evaluate(n, small) for n in nets]
+
+    def test_population_size(self):
+        assert population_size(200, [2, 16, 2]) == 20  # toy batches
+        assert population_size(400, [2, 16, 2]) == 10  # toy validation and test
+        assert population_size(1000, [784, 100, 10]) == 1
+
+    def test_mixed_shapes_rejected(self):
+        with pytest.raises(NetworkError, match="one shape"):
+            Population([Network([2, 4, 2]), Network([2, 5, 2])])
+        with pytest.raises(NetworkError, match="shuffle_seed"):
+            train(Population([Network([2, 4, 2])] * 2), [sgd(0.1), sgd(0.1)],
+                  toy_data(), [TrainConfig(batch_size=5), TrainConfig(batch_size=6)])
 
 
 SPECIAL_VALUES = [np.inf, -np.inf, np.nan, 0.0, -0.0]
@@ -748,6 +867,23 @@ class TestSoftmaxMatchesOracle:
         with np.errstate(all="ignore"):
             want = oracles._nll(oracles._log_softmax(logits), labels)
         assert_same_bits(got, want)
+
+    @given(logits_and_labels())
+    def test_stacked_members_match_alone(self, case):
+        """Stacked logits, one (B, classes) block per member, give each
+        member's log-softmax and loss bit for bit."""
+        logits, labels = case
+        stacked = np.stack([logits, logits[::-1], 3.0 * logits])
+        member_labels = np.stack([labels, labels[::-1], labels])
+        with np.errstate(all="ignore"):
+            log_probs = _log_softmax(stacked)
+            losses = _nll(log_probs, member_labels)
+            shared = _nll(log_probs, labels)
+            for k in range(3):
+                alone = _log_softmax(stacked[k])
+                assert_same_bits(log_probs[k], alone)
+                assert_same_bits(losses[k], _nll(alone, member_labels[k]))
+                assert_same_bits(shared[k], _nll(alone, labels))
 
     def test_signed_zero_tie(self):
         """A +0/-0 row max may keep either sign; the output does not show it."""

@@ -192,3 +192,36 @@ class TestRng:
         r = Rng(3)
         p = r.child("perm").permutation(10)
         assert sorted(p) == list(range(10))
+
+
+class TestPrefixKeyedStreams:
+    """A stream keyed by prefix, each child mixing in only its own tags, is
+    the stream of numpy's SeedSequence over the whole key."""
+
+    @given(
+        st.one_of(st.just(0), st.integers(1, 2**32 - 1), st.integers(2**32, 2**200)),
+        st.lists(st.lists(st.one_of(st.integers(0, 2**32 - 1), st.text(max_size=8)),
+                          max_size=3), max_size=3)
+        .filter(lambda groups: sum(map(len, groups)) <= 5),
+    )
+    def test_matches_seed_sequence(self, seed, tag_groups):
+        rng = Rng(seed)
+        for tags in tag_groups:
+            rng = rng.child(*tags)
+        key = tuple(zlib.crc32(t.encode()) if isinstance(t, str) else t
+                    for tags in tag_groups for t in tags)
+        want = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(seed, spawn_key=key))).random(size=7).tobytes()
+        assert rng.random(size=7).tobytes() == want
+        assert Rng(seed, key).random(size=7).tobytes() == want  # the whole key at once
+
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 5, 2**160 + 3])
+    @pytest.mark.parametrize("length", range(6))
+    def test_every_key_length(self, seed, length):
+        key = tuple(range(7, 7 + length))
+        rng = Rng(seed)
+        for word in key:
+            rng = rng.child(word)
+        want = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(seed, spawn_key=key)))
+        assert rng.permutation(50).tolist() == want.permutation(50).tolist()
