@@ -86,7 +86,7 @@ class NetworkError(ValueError):
 def population_size(rows: int, layer_sizes) -> int:
     """How many members of this shape one stacked pass over `rows` rows
     takes: the element budget over rows x the widest layer, at least 1."""
-    return max(1, POPULATION_ELEMENTS // (rows * max(layer_sizes)))
+    return max(1, POPULATION_ELEMENTS // (max(rows, 1) * max(layer_sizes)))
 
 
 class Stepper:
@@ -393,8 +393,8 @@ def train(net, stepper, data, cfg=None):
     member, and `cfg` a TrainConfig or a list of one per member that differ
     at most in `shuffle_seed`. Every member's outcome is that of training it
     alone. The history's fields hold one entry per member, and each member's
-    network holds its final weights. When every stepper needs the gradient
-    the members train in one stacked loop; otherwise each trains alone.
+    network holds its final weights. The members whose steppers need the
+    gradient train in one stacked loop, and the others in a second.
     """
     cfg = cfg or TrainConfig()
     train_set, val_set = data

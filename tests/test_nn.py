@@ -784,6 +784,17 @@ class TestPopulationTraining:
             assert pop.flat[k].tobytes() == net.flat.tobytes()
             assert hist.val_loss[k] == alone.val_loss
 
+    @pytest.mark.parametrize("kind", ["sgd", "grad ; y ; z ; multiply(alpha, 0.9)"])
+    def test_empty_validation_set_fails_every_member(self, kind):
+        """No validation rows give a 0/0 loss, as alone: the first epoch fails."""
+        train_set, _ = toy_data()
+        empty = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int))
+        cases = [member_case(0, k, kind, 1.0, 30, False) for k in range(3)]
+        _, hist = train(Population([net for net, _, _ in cases]),
+                        [stepper for _, stepper, _ in cases], (train_set, empty),
+                        [cfg for _, _, cfg in cases])
+        assert hist.failed == (True,) * 3 and hist.epochs_run == (0,) * 3
+
     def test_members_evaluate_as_alone(self):
         nets = [Network([2, 16, 2], seed=k) for k in range(23)]
         val = synthetic("two_gaussians", 3000, noise=0.5, seed=1)
