@@ -146,7 +146,7 @@ def _read(cfg: dict, table: dict, where: str, flags=None) -> dict:
 # are read from it. A run writes its resolved config, which reruns it, as
 # config.json.
 RUN_KEYS = {
-    "seed": _key(int, 0, flag="override config seed"),
+    "seed": _key(int, 0, least=0, flag="override config seed"),
     "workers": _key(int, 1, least=1, flag="parallel evaluation cap (default: 1)"),
     "out": _key(str, "runs"),
     "task": _key(dict),
@@ -205,12 +205,12 @@ SPLIT_KEYS = {  # an empty trial group, validation or test set is refused
     "trial_count": _key(int, least=1),
     "validation": _key(int, least=1),
     "test": _key(int, least=1),
-    "seed": _key(int, SplitPlan.seed),
+    "seed": _key(int, SplitPlan.seed, least=0),
 }
 _KIND = {"kind": _key(str)}
 DATASET_KEYS = {  # by dataset kind
     **dict.fromkeys(SYNTHETIC_KINDS, {
-        **_KIND, "n": _key(int), "noise": _key(float, 0.1), "seed": _key(int, 0)}),
+        **_KIND, "n": _key(int), "noise": _key(float, 0.1), "seed": _key(int, 0, least=0)}),
     "idx": {**_KIND, "images": _key(str), "labels": _key(str), "name": _key(str, "idx")},
     "cifar10": {**_KIND, "batches": _key(list[str]), "name": _key(str, "cifar10")},
 }

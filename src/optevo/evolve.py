@@ -9,9 +9,12 @@ Two fitness protocols share one trainer:
   groups, fitness = the minimum test score so far, remaining trials cancelled
   the moment one falls below the acceptance threshold.
 
-The fitness adapters score a list of phenotypes: trial 0 of each trains in
-an `nn.Population` with others, and any later trials one at a time. Each
-phenotype scores what training it alone scores, bit for bit.
+Every training behind a fitness, and behind a `tune` objective, is one
+seeded trial, `_run_trial`: one phenotype trains as a lone network, and a
+list of them as one `nn.Population`, both in `nn.train`'s one loop. The
+fitness adapters score a list of phenotypes: trial 0 of each trains in a
+population with others, and any later trials one at a time. Each phenotype
+scores what training it alone scores, bit for bit.
 
 The generation loop is steady-state-free generational GE: elites carry their
 fitness, everyone else is bred by tournament + crossover + mutation and
@@ -44,7 +47,7 @@ from .dsge import (
     tournament_select,
 )
 from .grammar import Grammar
-from .nn import TrainConfig, evaluate, population_size, train_seeded
+from .nn import Population, TrainConfig, evaluate, population_size, train_seeded
 from .optim import (
     ExprError,
     OptimizerSpec,
@@ -111,34 +114,29 @@ def parallel_map(fn, items, workers: int) -> list:
         _MAPPED = None
 
 
-def _run_trial(task: TrainingTask, stepper, trial_index: int, key: str):
+def _run_trial(task: TrainingTask, stepper, trial_index: int, key):
     """One seeded training on trial group `trial_index`; returns (score, failed).
+    Given lists of steppers and keys, one per phenotype, it trains them as
+    one Population and returns a list of (score, failed), each that of
+    training the phenotype alone.
 
     Seeds derive from (task seed, phenotype key, trial index): identical
     phenotypes always see identical initial weights and batch orders, which
     is what makes phenotype-keyed fitness caching sound.
     """
-    rng = Rng(task.seed).child("fitness", key, trial_index)
-    data = (task.trial_groups[trial_index], task.validation)
-    net, hist = train_seeded(task.layer_sizes, stepper, data, task.train_config, rng)
-    if hist.failed:
-        return 0.0, True
-    return evaluate(net, task.test), False
-
-
-def _run_population(task: TrainingTask, steppers: list, keys: list) -> list:
-    """Trial 0 of several phenotypes, trained as one population: a
-    (score, failed) per phenotype, each that of its `_run_trial`."""
+    lone = isinstance(key, str)
     root = Rng(task.seed)
-    rngs = [root.child("fitness", key, 0) for key in keys]
-    data = (task.trial_groups[0], task.validation)
-    pop, hist = train_seeded(task.layer_sizes, steppers, data, task.train_config, rngs)
-    outcomes = [(0.0, True)] * len(keys)
-    passed = [k for k, failed in enumerate(hist.failed) if not failed]
+    rngs = [root.child("fitness", k, trial_index) for k in ([key] if lone else key)]
+    data = (task.trial_groups[trial_index], task.validation)
+    net, hist = train_seeded(task.layer_sizes, stepper, data, task.train_config,
+                             rngs[0] if lone else rngs)
+    pop, failed = (Population([net]), [hist.failed]) if lone else (net, hist.failed)
+    outcomes = [(0.0, True)] * len(rngs)
+    passed = [k for k, flag in enumerate(failed) if not flag]
     if passed:
         for k, score in zip(passed, evaluate(pop.take(passed), task.test)):
             outcomes[k] = (score, False)
-    return outcomes
+    return outcomes[0] if lone else outcomes
 
 
 def _population_fitness(task: TrainingTask, parse, score):
@@ -155,8 +153,8 @@ def _population_fitness(task: TrainingTask, parse, score):
         waiting = {True: [], False: []}  # by needs_grad: (index, stepper, key)
 
         def flush(group):
-            firsts = _run_population(task, [s for _, s, _ in group],
-                                     [key for _, _, key in group])
+            firsts = _run_trial(task, [s for _, s, _ in group], 0,
+                                [key for _, _, key in group])
             for (i, stepper, _), first in zip(group, firsts):
                 fitness[i] = score(stepper, first)
             group.clear()

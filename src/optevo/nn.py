@@ -1,4 +1,4 @@
-"""Small dense classifiers trained from scratch, one at a time or as a population.
+"""Small dense classifiers, trained from scratch by one loop.
 
 The training loop drives the optimizer through one contract, `Stepper`
 (begin_epoch / update / needs_grad), so the same network code scores evolved
@@ -8,33 +8,33 @@ whose weights never depend on the gradient (`needs_grad` false) gets
 `update(w, None)` and no backward pass at all.
 
 A network keeps all its parameters in one flat float64 buffer, and `train`
-hands the stepper that one tensor, `update(net.flat, flat_grad)`, with
-`backward` writing every gradient into views of one fresh flat buffer. Every
-shipped rule is elementwise, so this gives the bytes that stepping each
-weight tensor on its own gives, with one round of numpy calls per batch
-instead of one per tensor. `train` owns the weight check: after each update
-one max and one min reduction over the weights give the failed flag (a
+hands the stepper that one tensor, `update(w, flat_grad)`, with `backward`
+writing every gradient into views of one fresh flat buffer. Every shipped
+rule is elementwise, so this gives the bytes that stepping each weight
+tensor on its own gives, with one round of numpy calls per batch instead of
+one per tensor. `train` owns the weight check: after each batch's updates
+one max and one min reduction over the weights give each failed flag (a
 non-finite weight) and the bound B = max |w| that the certificate below
 reads.
 
 A `Population` is K networks of one shape whose parameters live in one
 (K, P) buffer, row k holding member k's flat buffer. `forward`,
 `_log_softmax`, `_nll`, `mean_loss`, `backward`, `evaluate` and `train` all
-take such a leading member axis: each batch runs one stacked forward and
-backward for the whole population, and `train` then calls each member's
-stepper on its own row, and takes every member's failed flag and bound from
-one max and one min reduction over the (K, P) buffer. Members whose steppers
-need no gradient train in a loop of their own, which stacks their replayed
-losses and validation passes the same way. A member's numbers are
-those of training it alone, bit for bit: numpy runs a stacked matmul as one
-BLAS call per member with the strides of the single product, and every
-other step is elementwise or reduces within a member's rows. The callers
-size populations by `population_size`, a budget of `POPULATION_ELEMENTS`
-per stacked activation, and the validation and test passes go through the
-members in groups of that size too. A member that fails, stops early or
-finishes leaves the population: its row is dropped and its weights are
-written back to its network. A single network keeps its own shapes and
-numpy calls.
+take such a leading member axis. `train` has one epoch loop, and it always
+trains a population: a lone Network trains as a population of one. Each
+batch runs one stacked forward and backward for all members, `train` then
+calls each member's stepper on its own row, and takes every member's failed
+flag and bound from one max and one min reduction over the (K, P) buffer.
+Members whose steppers need no gradient train in a second pass of the same
+loop, which stacks their replayed losses and validation passes the same
+way. A member's numbers are those of training it alone, bit for bit: numpy
+runs a stacked matmul as one BLAS call per member with the strides of the
+single product, and every other step is elementwise or reduces within a
+member's rows. The callers size populations by `population_size`, a budget
+of `POPULATION_ELEMENTS` per stacked activation, and the validation and
+test passes go through the members in groups of that size too. A member
+that fails, stops early or finishes leaves the population: its row is
+dropped and its weights are written back to its network.
 
 Floating-point errors never raise or warn here: a non-finite loss or weight
 becomes a failed run. `train` opens one `np.errstate(all="ignore")` around
@@ -389,12 +389,14 @@ def train(net, stepper, data, cfg=None):
       the gradient takes each loss from the log-softmax its backward pass
       computes anyway.
 
-    `net` may be a Population. `stepper` is then a list, one stepper per
-    member, and `cfg` a TrainConfig or a list of one per member that differ
+    `net` is a Network, trained as a population of one, or a Population.
+    For a Population `stepper` is a list, one stepper per member; `cfg` is a
+    TrainConfig or a list of one per member, and the members' configs differ
     at most in `shuffle_seed`. Every member's outcome is that of training it
-    alone. The history's fields hold one entry per member, and each member's
-    network holds its final weights. The members whose steppers need the
-    gradient train in one stacked loop, and the others in a second.
+    alone, and each member's network holds its final weights. A Network's
+    history holds scalars, a Population's one tuple entry per member. The
+    members whose steppers need the gradient train in one stacked pass, and
+    the others in a second.
     """
     cfg = cfg or TrainConfig()
     train_set, val_set = data
@@ -405,84 +407,12 @@ def train(net, stepper, data, cfg=None):
         if len(part) and not (np.minimum.reduce(part.y) >= 0
                               and np.maximum.reduce(part.y) < width):
             raise NetworkError("label outside the network's class range")
-    if isinstance(net, Population):
-        return net, _train_population(net, list(stepper), data, cfg)
-    history = TrainHistory()
-    tracker = EarlyStopTracker(cfg.patience)
-    shuffle_rng = Rng(cfg.shuffle_seed).child("shuffle")
-    needs_grad = getattr(stepper, "needs_grad", True)
-    x_bound = _x_bound(data)
-
-    def certifies(w_bound) -> bool:  # every loss at such weights is finite
-        return _logit_bound(net.layer_sizes, x_bound, w_bound) < _LOGIT_MARGIN
-
-    starts = range(0, len(train_set), cfg.batch_size)
-    if not needs_grad:
-        seen = np.empty((len(starts), net.flat.size))  # the weights each update saw
-    val_loss = None
-    with np.errstate(all="ignore"):  # non-finite values become a failed run
-        bound = _abs_max(net.flat)
-        for epoch in range(cfg.max_epochs):
-            stepper.begin_epoch(epoch)
-            total_loss = 0.0
-            if needs_grad:
-                order = shuffle_rng.child("epoch", epoch).permutation(len(train_set))
-                for lo in starts:
-                    idx = order[lo : lo + cfg.batch_size]
-                    labels = train_set.y[idx]
-                    logits, cache = forward(net, train_set.x[idx])
-                    log_probs = _log_softmax(logits)
-                    total_loss += _nll(log_probs, labels) * len(idx)
-                    flat_grad = np.empty_like(net.flat)  # fresh: steppers may keep it
-                    backward(net, cache, labels, log_probs, flat_grad)
-                    stepper.update(net.flat, flat_grad)
-                    bound = _abs_max(net.flat)
-                    if not bound < math.inf:  # NaN compares false too
-                        history.failed = True
-                        return net, history
-            else:
-                all_certified = True
-                for k in range(len(starts)):
-                    all_certified = all_certified and certifies(bound)
-                    seen[k] = net.flat
-                    stepper.update(net.flat, None)
-                    bound = _abs_max(net.flat)
-                    if not bound < math.inf:
-                        history.failed = True
-                        return net, history
-                if not all_certified:
-                    total_loss = _replay_losses(net, train_set, seen, cfg.batch_size,
-                                                shuffle_rng.child("epoch", epoch))
-            loss_finite = math.isfinite(total_loss)
-            if cfg.early_stop or epoch == cfg.max_epochs - 1 or not certifies(bound):
-                val_logits, _ = forward(net, val_set.x)
-                val_loss = mean_loss(val_logits, val_set.y)
-                loss_finite = loss_finite and math.isfinite(val_loss)
-            if not loss_finite:
-                history.failed = True
-                return net, history
-            history.epochs_run += 1
-            if cfg.early_stop and tracker.update(val_loss):
-                history.stopped_early = True
-                break
-    history.val_loss = val_loss
-    return net, history
-
-
-def _x_bound(data) -> float:
-    """max |x| over the training and validation rows; no validation rows
-    give a mean loss of 0/0, never certified."""
-    train_set, val_set = data
-    return max(train_set.x_bound, val_set.x_bound) if len(val_set) else math.inf
-
-
-def _train_population(pop: Population, steppers: list, data, cfg) -> TrainHistory:
-    """`train` for a population: its members that need the gradient train
-    in one stacked loop, and those that do not in another."""
+    pop = net if isinstance(net, Population) else Population([net])
+    steppers = list(stepper) if pop is net else [stepper]
     cfgs = list(cfg) if isinstance(cfg, (list, tuple)) else [cfg] * len(pop)
     if not len(steppers) == len(cfgs) == len(pop):
         raise NetworkError("a population needs one stepper and one config per member")
-    if any(replace(c, shuffle_seed=0) != replace(cfgs[0], shuffle_seed=0) for c in cfgs):
+    if any(replace(c, shuffle_seed=cfgs[0].shuffle_seed) != cfgs[0] for c in cfgs[1:]):
         raise NetworkError("the members of a population differ only in shuffle_seed")
     needs_grad = [getattr(s, "needs_grad", True) for s in steppers]
     outcomes = [None] * len(pop)
@@ -493,8 +423,17 @@ def _train_population(pop: Population, steppers: list, data, cfg) -> TrainHistor
                                      [cfgs[k] for k in rows], kind)
             for k, outcome in zip(rows, trained):
                 outcomes[k] = outcome
-    pop.flat[...] = np.stack([net.flat for net in pop.nets])
-    return TrainHistory(*map(tuple, zip(*outcomes)))
+    if pop is not net:
+        return net, TrainHistory(*outcomes[0])
+    pop.flat[...] = np.stack([member.flat for member in pop.nets])
+    return net, TrainHistory(*map(tuple, zip(*outcomes)))
+
+
+def _x_bound(data) -> float:
+    """max |x| over the training and validation rows; no validation rows
+    give a mean loss of 0/0, never certified."""
+    train_set, val_set = data
+    return max(train_set.x_bound, val_set.x_bound) if len(val_set) else math.inf
 
 
 def _keep_freed_memory() -> None:
@@ -513,11 +452,12 @@ def _train_stacked(pop: Population, steppers: list, data, cfgs: list,
                    needs_grad: bool) -> list:
     """Train a population whose steppers all need the gradient, or all do
     not, batch by batch in stacked passes; returns each member's
-    (epochs_run, stopped_early, failed, val_loss), as `train` alone gives
-    them. Members leave as they fail, stop early or finish, their weights
+    (epochs_run, stopped_early, failed, val_loss), each that of training
+    the member alone. Members leave as they fail, stop early or finish, their weights
     written back to their networks."""
     train_set, val_set = data
-    _keep_freed_memory()
+    if len(pop) > 1:
+        _keep_freed_memory()
     cfg = cfgs[0]
     size = len(pop)
     epochs_run, stopped, failed = [0] * size, [False] * size, [False] * size
@@ -529,7 +469,7 @@ def _train_stacked(pop: Population, steppers: list, data, cfgs: list,
     starts = range(0, len(train_set), cfg.batch_size)
 
     def orders(rows, epoch):  # each member's batch order for the epoch
-        return np.stack([shuffles[k].child("epoch", epoch).permutation(len(train_set))
+        return np.array([shuffles[k].child("epoch", epoch).permutation(len(train_set))
                          for k in members[rows]])
 
     def uncertified(bound):  # rows whose losses the certificate leaves open
@@ -570,8 +510,8 @@ def _train_stacked(pop: Population, steppers: list, data, cfgs: list,
                 for k, w, g in zip(members, pop.flat, grads):
                     steppers[k].update(w, g)
                 bound = _abs_max(pop.flat)
-                bad = ~(bound < math.inf)  # NaN compares false too
-                if bad.any():
+                if not bound.max() < math.inf:  # NaN compares false too
+                    bad = ~(bound < math.inf)
                     for k in members[bad]:
                         failed[k] = True
                     keep = leave(bad)
@@ -582,7 +522,7 @@ def _train_stacked(pop: Population, steppers: list, data, cfgs: list,
                         order = order[keep]
                     else:
                         seen, replay = seen[:, keep], replay[keep]
-            if not needs_grad and replay.any():  # as _replay_losses, row by row
+            if not needs_grad and replay.any():  # each batch's loss at the weights it saw
                 rows = np.flatnonzero(replay)
                 order, nets = orders(rows, epoch), [pop.nets[k] for k in rows]
                 for j, lo in enumerate(starts):
@@ -618,33 +558,15 @@ def _train_stacked(pop: Population, steppers: list, data, cfgs: list,
     return list(zip(epochs_run, stopped, failed, val_loss))
 
 
-def _replay_losses(net: Network, train_set: Dataset, seen: Tensor, batch_size: int,
-                   epoch_rng: Rng) -> float:
-    """Sum over an epoch's batches of each batch's mean loss times its size,
-    at the weights `seen[k]` that batch k's update saw, in batch order: the
-    sum `train` takes inline when it runs backward. Restores net.flat."""
-    order = epoch_rng.permutation(len(train_set))
-    after = net.flat.copy()
-    total = 0.0
-    for k, lo in enumerate(range(0, len(order), batch_size)):
-        idx = order[lo : lo + batch_size]
-        net.flat[...] = seen[k]  # the same buffer, so the same bytes as inline
-        logits, _ = forward(net, train_set.x[idx])
-        total += _nll(_log_softmax(logits), train_set.y[idx]) * len(idx)
-    net.flat[...] = after
-    return total
-
-
 def train_seeded(layer_sizes, stepper, data, cfg: TrainConfig, rng):
-    """Train a fresh network whose initial weights and batch order both derive
-    from `rng`; returns (net, TrainHistory) like `train`. Given a list of
-    streams and a list of steppers, one per stream, it trains them as one
-    Population, member k seeded by rng[k]."""
-    if isinstance(rng, Rng):
-        net = Network(layer_sizes, seed=int(rng.child("net").integers(2**31 - 1)))
-        cfg = replace(cfg, shuffle_seed=int(rng.child("shuffle").integers(2**31 - 1)))
-        return train(net, stepper, data, cfg)
-    nets = [Network(layer_sizes, seed=int(r.child("net").integers(2**31 - 1))) for r in rng]
+    """Train fresh networks whose initial weights and batch orders derive
+    from `rng`; returns (net, TrainHistory) like `train`. A lone stream
+    trains one Network under `stepper`; a list of streams and a list of
+    steppers, one per stream, train one Population, member k seeded by
+    rng[k]."""
+    lone = isinstance(rng, Rng)
+    rngs = [rng] if lone else rng
+    nets = [Network(layer_sizes, seed=int(r.child("net").integers(2**31 - 1))) for r in rngs]
     cfgs = [replace(cfg, shuffle_seed=int(r.child("shuffle").integers(2**31 - 1)))
-            for r in rng]
-    return train(Population(nets), stepper, data, cfgs)
+            for r in rngs]
+    return train(nets[0] if lone else Population(nets), stepper, data, cfgs)

@@ -232,6 +232,28 @@ class TestConfigErrors:
         assert "config.workers: must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("command, payload", [
+        ("evolve", evolve_payload), ("tune", tune_payload),
+        ("benchmark", bench_payload)])
+    @pytest.mark.parametrize("where", ["flag", "seed", "task.split.seed",
+                                       "task.dataset.seed"])
+    def test_negative_seed(self, tmp_path, capsys, monkeypatch, command, payload, where):
+        """A seed below 0 exits 2 before any run directory is made, instead
+        of dying in numpy's seeding with a traceback."""
+        monkeypatch.chdir(tmp_path)
+        cfg, flags = payload(), []
+        if where == "flag":
+            flags, where = ["--seed", "-1"], "seed"
+        else:
+            *path, key = where.split(".")
+            section = cfg
+            for name in path:
+                section = section[name]
+            section[key] = -1
+        assert main([command, write_cfg(tmp_path, cfg), *flags]) == EXIT_CONFIG
+        assert f"config error: config.{where}: must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
     def test_trials_exceed_groups(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, evolve_payload(trials=9))
         assert main(["evolve", cfg]) == EXIT_CONFIG

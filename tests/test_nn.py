@@ -30,6 +30,7 @@ from optevo.nn import (
     mean_loss,
     population_size,
     train,
+    train_seeded,
 )
 from optevo.optim import (
     BUILTIN_NAMES,
@@ -508,6 +509,19 @@ def make_case_stepper(kind, seed, lr_scale):
     return make_stepper(spec_from_phenotype(kind))
 
 
+def oracle_training(sizes, seed, make_stepper, data, cfg):
+    """`oracles.train_per_tensor` from the initial weights of
+    Network(sizes, seed) and the batch orders `train` draws from cfg:
+    (final flat weights, [epochs_run, stopped_early, failed], val_loss)."""
+    params = [p.copy() for p in Network(sizes, seed=seed).params]
+    shuffle = Rng(cfg.shuffle_seed).child("shuffle")
+    _, val_loss, *outcome = train_per_tensor(
+        params, make_stepper, data, cfg,
+        lambda epoch: shuffle.child("epoch", epoch).permutation(len(data[0])))
+    flat = np.concatenate([p.ravel() for p in params])
+    return flat, outcome, None if outcome[-1] else val_loss[-1]
+
+
 class TestFlatMatchesPerTensor:
     """`train` steps one flat buffer; stepping each tensor on its own, from
     separately allocated arrays, gives the same bytes."""
@@ -529,15 +543,11 @@ class TestFlatMatchesPerTensor:
                           patience=1, shuffle_seed=seed % 1000)
         net, hist = train(Network(sizes, seed=seed),
                           make_case_stepper(kind, seed, lr_scale), data, cfg)
-        params = [p.copy() for p in Network(sizes, seed=seed).params]
-        shuffle = Rng(cfg.shuffle_seed).child("shuffle")
-        want = train_per_tensor(
-            params, lambda: make_case_stepper(kind, seed, lr_scale), data, cfg,
-            lambda epoch: shuffle.child("epoch", epoch).permutation(60))
-        assert_same_bits(net.flat, np.concatenate([p.ravel() for p in params]))
-        _, val_loss, *outcome = want
+        flat, outcome, val_loss = oracle_training(
+            sizes, seed, lambda: make_case_stepper(kind, seed, lr_scale), data, cfg)
+        assert_same_bits(net.flat, flat)
         assert [hist.epochs_run, hist.stopped_early, hist.failed] == outcome
-        assert hist.val_loss == (None if hist.failed else val_loss[-1])
+        assert hist.val_loss == val_loss
 
 
 def count_calls(monkeypatch, names=("forward", "backward", "mean_loss")) -> Counter:
@@ -574,16 +584,13 @@ class TestCertifiedTraining:
                           patience=1, shuffle_seed=seed % 1000)
         net, hist = train(Network(sizes, seed=seed),
                           make_case_stepper(kind, seed, 1.0), data, cfg)
-        params = [p.copy() for p in Network(sizes, seed=seed).params]
-        shuffle = Rng(cfg.shuffle_seed).child("shuffle")
-        _, val_loss, *outcome = train_per_tensor(
-            params, lambda: make_case_stepper(kind, seed, 1.0), data, cfg,
-            lambda epoch: shuffle.child("epoch", epoch).permutation(61))
+        flat, outcome, val_loss = oracle_training(
+            sizes, seed, lambda: make_case_stepper(kind, seed, 1.0), data, cfg)
         # the sign of a NaN may differ between flat and per-tensor stepping
         # (at the parent too); a failed run's weights are never read
-        assert_same_bits(net.flat, np.concatenate([p.ravel() for p in params]))
+        assert_same_bits(net.flat, flat)
         assert [hist.epochs_run, hist.stopped_early, hist.failed] == outcome
-        assert hist.val_loss == (None if hist.failed else val_loss[-1])
+        assert hist.val_loss == val_loss
 
     def test_val_overflow_fails_on_a_non_final_epoch(self, monkeypatch):
         """One update per epoch multiplies every weight by 1e60. After epoch
@@ -710,7 +717,9 @@ def member_case(seed, k, kind, lr_scale, batch_size, early_stop):
 
 class TestPopulationTraining:
     """K networks trained as one population end where each, trained alone,
-    ends: the same weights, bit for bit, and the same history."""
+    ends: the same weights, bit for bit, and the same history. A lone
+    network trains in the same loop, as a population of one, so each member
+    is also checked against the oracle loop of tests/oracles.py."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -742,6 +751,26 @@ class TestPopulationTraining:
             assert (hist.epochs_run[k], hist.stopped_early[k], hist.failed[k],
                     hist.val_loss[k]) == (alone.epochs_run, alone.stopped_early,
                                           alone.failed, alone.val_loss)
+            flat, outcome, val_loss = oracle_training(
+                [2, 16, 2], seed + k,
+                lambda: make_case_stepper(kind, seed + k, lr_scale), data, cfg)
+            assert_same_bits(pop.flat[k], flat)
+            assert [hist.epochs_run[k], hist.stopped_early[k], hist.failed[k]] == outcome
+            assert hist.val_loss[k] == val_loss
+
+    @pytest.mark.parametrize("lr_scale, failed", [(1.0, False), (1e300, True)])
+    def test_lone_network_history_holds_scalars(self, lr_scale, failed):
+        """A Network trains as a population of one, but its history is not
+        a population's: a 1-tuple (False,) would read as failed."""
+        net, stepper, cfg = member_case(0, 0, "sgd", lr_scale, 30, True)
+        histories = [train(net, stepper, toy_data(), cfg)[1],
+                     train_seeded([2, 16, 2], make_case_stepper("sgd", 0, lr_scale),
+                                  toy_data(), cfg, Rng(0))[1]]
+        for hist in histories:
+            assert type(hist.failed) is bool and hist.failed is failed
+            assert type(hist.stopped_early) is bool
+            assert type(hist.epochs_run) is int
+            assert type(hist.val_loss) is (type(None) if failed else float)
 
     def test_replayed_losses_match_alone(self):
         """Swell leaves the certificate on every other update, so each epoch
