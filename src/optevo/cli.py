@@ -795,7 +795,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _keep_freed_memory() -> None:
+    """A process setting: allocate and free one untouched 8 MiB block.
+    glibc's malloc then raises its mmap threshold to that block's size and
+    its trim threshold to twice that, so smaller blocks come from its heap
+    and up to 16 MiB of freed heap stays for reuse. Under the default 128
+    KiB thresholds, temporaries freed and made again go back to the system
+    and are faulted in afresh: evolve-toy's stacked activations (512 KiB a
+    batch) took 16.9k minor page faults instead of 1.0k, and tune's GP
+    temporaries (two 1.3 MB arrays a proposal at budget 200) about 120k
+    instead of 1.2k. Other allocators just free the block."""
+    np.empty(2**20)
+
+
 def main(argv=None) -> int:
+    _keep_freed_memory()
     args = build_parser().parse_args(argv)
     try:
         if args.command == "grammar-check":

@@ -14,9 +14,12 @@ O(n^2 + n*dim); nothing is factored or inverted. A proposal costs the query
 kernel, which `_kernel` accumulates in one (n, m) buffer coordinate by
 coordinate (n*m*dim elementwise work, no (n, m, dim) temporary), and one
 (n, n) x (n, m) GEMM for v: O(n^2*m + n*m*dim). At budget 200 (n = 199,
-m = 832, one BLAS thread) a proposal's posterior takes about 5.5 ms and an
-added point about 0.06 ms, against about 10.5 ms when each proposal rebuilt
-the train kernel, factored it and inverted the factor with a general LU.
+m = 832, one BLAS thread), in an `optevo` process, which keeps freed heap
+(`cli._keep_freed_memory`), a proposal's posterior takes about 2.5-3 ms and
+an added point about 0.08 ms. Without the kept heap each proposal faults its
+two 1.3 MB temporaries, kq and v, in afresh: about 4.5-5.5 ms, against about
+10.5 ms when each proposal rebuilt the train kernel, factored it and inverted
+the factor with a general LU.
 
 The grown inverse changes the posterior's floats. One refinement step on
 alpha keeps mu within about 2e-7 of y's standard deviation of a posterior
@@ -245,11 +248,6 @@ class _Surrogate:
         v = linv @ kq
         var = np.clip(1.0 - (v**2).sum(axis=0), 1e-12, None)
         return mu * scale + y_mean, np.sqrt(var) * scale
-
-
-def _gp_posterior(train_u, train_y, query_u):
-    """The posterior of a surrogate grown from scratch on train_u."""
-    return _Surrogate(*train_u.shape, train_u).posterior(train_y, query_u)
 
 
 def _norm_cdf(x):  # erfc keeps the lower tail accurate

@@ -251,8 +251,8 @@ def _nll(log_probs: Tensor, labels: Tensor):
     n = labels.shape[-1]
     if log_probs.ndim == 2:
         return float(-(np.add.reduce(log_probs[np.arange(n), labels]) / n))
-    members = np.arange(len(log_probs))[:, None]
-    return -(np.add.reduce(log_probs[members, np.arange(n), labels], axis=-1) / n)
+    rows = np.arange(0, log_probs.size, log_probs.shape[-1]).reshape(log_probs.shape[:-1])
+    return -(np.add.reduce(log_probs.reshape(-1)[rows + labels], axis=-1) / n)
 
 
 def mean_loss(logits: Tensor, labels: Tensor):
@@ -436,18 +436,6 @@ def _x_bound(data) -> float:
     return max(train_set.x_bound, val_set.x_bound) if len(val_set) else math.inf
 
 
-def _keep_freed_memory() -> None:
-    """Allocate and free one 8 MiB block, untouched. glibc's malloc raises
-    its mmap threshold to the largest mmapped block freed, and its trim
-    threshold to twice that, so blocks below 8 MiB then come from its heap,
-    and up to 16 MiB of freed heap stays for reuse. Under the default 128
-    KiB thresholds the stacked activations (512 KiB at the element budget)
-    that each batch frees go back to the system and are faulted in again by
-    the next batch: an evolve-toy run took 16.9k page faults instead of
-    1.0k, and a third more time. Other allocators just free the block."""
-    np.empty(2**20)
-
-
 def _train_stacked(pop: Population, steppers: list, data, cfgs: list,
                    needs_grad: bool) -> list:
     """Train a population whose steppers all need the gradient, or all do
@@ -456,8 +444,6 @@ def _train_stacked(pop: Population, steppers: list, data, cfgs: list,
     the member alone. Members leave as they fail, stop early or finish, their weights
     written back to their networks."""
     train_set, val_set = data
-    if len(pop) > 1:
-        _keep_freed_memory()
     cfg = cfgs[0]
     size = len(pop)
     epochs_run, stopped, failed = [0] * size, [False] * size, [False] * size

@@ -23,6 +23,7 @@ from optevo.cli import (
     make_run_dir,
 )
 import optevo.bench as bench_mod
+import optevo.cli as cli_mod
 import optevo.evolve as evolve_mod
 import optevo.hyperopt as hyperopt_mod
 from optevo.evolve import load_checkpoint, parallel_map
@@ -982,6 +983,21 @@ class TestWorkers:
         argv = [command, write_cfg(tmp_path, cfg), "--run-dir", str(tmp_path / "run")]
         assert main(argv) == EXIT_OK
         assert asked and set(asked) == {1}
+
+
+class TestProcessSetting:
+    @pytest.mark.parametrize("command, payload", [
+        ("evolve", evolve_payload), ("tune", tune_payload),
+        ("benchmark", bench_payload)])
+    def test_freed_memory_kept_once_per_run(self, tmp_path, monkeypatch, command,
+                                            payload):
+        """`main` makes the process's allocator setting once per command,
+        whatever the command trains."""
+        calls = []
+        monkeypatch.setattr(cli_mod, "_keep_freed_memory", lambda: calls.append(1))
+        argv = [command, write_cfg(tmp_path, payload()), "--run-dir", str(tmp_path / "run")]
+        assert main(argv) == EXIT_OK
+        assert len(calls) == 1
 
 
 def dlr_payload():

@@ -23,7 +23,6 @@ from optevo.hyperopt import (
     SearchSpace,
     TuneError,
     TuneTrial,
-    _gp_posterior,
     _kernel,
     _norm_cdf,
     _norm_pdf,
@@ -314,7 +313,7 @@ class TestPosterior:
         worst_mu = worst_sigma = 0.0
         for seed in range(400):
             train, y, query = posterior_case(seed)
-            mu, sigma = _gp_posterior(train, y, query)
+            mu, sigma = hyperopt._Surrogate(*train.shape, train).posterior(y, query)
             want_mu, want_sigma = gp_posterior_lu(train, y, query)
             worst_mu = max(worst_mu, np.max(np.abs(mu - want_mu)) / y.std())
             worst_sigma = max(worst_sigma,
