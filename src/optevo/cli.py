@@ -11,6 +11,7 @@ under a run directory named by timestamp + seed.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -57,6 +58,7 @@ from .grammar import (
     is_scheduler_grammar,
     load_shipped_grammar,
     parse_grammar,
+    serialize_grammar,
     sigmoidal_constants,
 )
 from .hyperopt import TuneError, report_best, space_for, tune, write_tune_csv
@@ -155,7 +157,7 @@ EVOLVE_KEYS = {
     **RUN_KEYS,
     "grammar": _key(str, "alr"),
     "evo": _key(dict, {}),
-    "trials": _key(int, None),  # default: one per trial group
+    "trials": _key(int, None, least=1),  # default: one per trial group
     "threshold": _key(float, 0.8),
     "resume": _key(str, None, flag="checkpoint file to resume from"),
 }
@@ -372,6 +374,7 @@ def cmd_evolve(args) -> int:
     task, splits = build_task(cfg["task"], plan, train_config, seed)
     fitness_fn = (dlr_fitness_fn(task) if scheduler else alr_fitness_fn(
         task, trial_number=cfg["trials"], threshold=cfg["threshold"]))
+    search = _search_digest(grammar, cfg)
     resume = cfg.get("resume")
     checkpoint = None
     if resume is not None:
@@ -385,6 +388,10 @@ def cmd_evolve(args) -> int:
                 f"{len(population)}, the run has seed {seed} and population "
                 f"{params.population_size}"
             )
+        if log.search != search:
+            raise DataError(f"{resume}: checkpoint " + (
+                "records no search digest" if log.search is None else
+                "is of another search: its grammar, task, trials or threshold differ"))
     run_dir = make_run_dir(cfg["out"], seed, args.run_dir)
     # before generation 0, so a killed run still names its config and rows
     write_atomic(run_dir / "config.json", json.dumps(cfg, indent=2))
@@ -406,6 +413,7 @@ def cmd_evolve(args) -> int:
         log_path=run_dir / "log.csv",
         checkpoint_path=run_dir / "checkpoint.json",
         resume_from=checkpoint,
+        search=search,
         workers=cfg["workers"],
         on_generation=on_generation,
     )
@@ -414,6 +422,14 @@ def cmd_evolve(args) -> int:
     print(f"best fitness: {best.fitness:.6f}")
     print(f"best phenotype: {best.phenotype}")
     return EXIT_OK
+
+
+def _search_digest(grammar: Grammar, cfg: dict) -> str:
+    """A digest of what defines an evolve search, which a resumed checkpoint
+    must match: the grammar, the task, and trials and threshold where set."""
+    defining = {"grammar": serialize_grammar(grammar), "task": cfg["task"],
+                **{key: cfg[key] for key in ("trials", "threshold") if key in cfg}}
+    return hashlib.sha256(json.dumps(defining, sort_keys=True).encode()).hexdigest()
 
 
 def _write_best(run_dir: Path, fitness, phenotype, genotype, scheduler: bool) -> None:

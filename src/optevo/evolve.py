@@ -1,10 +1,10 @@
 """Evolutionary driver: fitness functions, the generation loop, logs, checkpoints.
 
-Two fitness protocols share one trainer:
+Two fitness protocols share one trial path:
 
-* schedule search — train once on the full pool, score on the held-out test
-  split (the policy only ever steers the learning rate; it never reads test
-  data itself);
+* schedule search — one trial: train once on the full pool, score on the
+  held-out test split (the policy only ever steers the learning rate; it
+  never reads test data itself);
 * update-rule search — up to `trial_number` trainings on disjoint training
   groups, fitness = the minimum test score so far, remaining trials cancelled
   the moment one falls below the acceptance threshold.
@@ -12,9 +12,10 @@ Two fitness protocols share one trainer:
 Every training behind a fitness, and behind a `tune` objective, is one
 seeded trial, `_run_trial`: one phenotype trains as a lone network, and a
 list of them as one `nn.Population`, both in `nn.train`'s one loop. The
-fitness adapters score a list of phenotypes: trial 0 of each trains in a
-population with others, and any later trials one at a time. Each phenotype
-scores what training it alone scores, bit for bit.
+fitness adapters score a list of phenotypes trial-major: each trial trains
+every phenotype still open in populations, and `fitness_alr` then turns
+each phenotype's trial outcomes into the report that holds its fitness.
+Each phenotype scores what training it alone scores, bit for bit.
 
 The generation loop is steady-state-free generational GE: elites carry their
 fitness, everyone else is bred by tournament + crossover + mutation and
@@ -32,6 +33,7 @@ import os
 import statistics
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 from .data import DataError, Dataset
@@ -48,14 +50,8 @@ from .dsge import (
 )
 from .grammar import Grammar
 from .nn import Population, TrainConfig, evaluate, population_size, train_seeded
-from .optim import (
-    ExprError,
-    OptimizerSpec,
-    SpecStepper,
-    SpecValidationError,
-    spec_from_phenotype,
-)
-from .sched import PolicyError, PolicyTree, ScheduledSGD, parse_policy, serialize_policy
+from .optim import ExprError, SpecStepper, SpecValidationError, spec_from_phenotype
+from .sched import PolicyError, ScheduledSGD, parse_policy, serialize_policy
 from .tensor import Rng
 
 LOG_COLUMNS = ("generation", "best", "mean", "median", "evaluations", "seconds")
@@ -139,84 +135,71 @@ def _run_trial(task: TrainingTask, stepper, trial_index: int, key):
     return outcomes[0] if lone else outcomes
 
 
-def _population_fitness(task: TrainingTask, parse, score):
-    """A fitness function of a list of phenotype texts. `parse(text)` gives
-    (stepper, seed key), or None for a text that scores 0; `score(stepper,
-    first)` gives the fitness from trial 0's (score, failed). Trial 0 trains
-    in populations of `nn.population_size` members that share `needs_grad`,
-    each population parsed just before it trains."""
+def _population_fitness(task: TrainingTask, parse, trial_number: int = 1,
+                        threshold: float = 0.0):
+    """A fitness function of a list of phenotype texts: each text's fitness
+    is that of the `fitness_alr` report on its trials, and 0 for a text that
+    does not parse. `parse(text)` gives (make_stepper, seed key) or None.
+
+    The trials run trial-major: trial t trains every text still open, in
+    populations of `nn.population_size` members that share `needs_grad`,
+    each member with a fresh stepper. A text stays open for trial t + 1
+    while its score reaches `threshold`, up to `trial_number` trials. Trial
+    0's populations train as the texts are parsed."""
     rows = min(task.train_config.batch_size, len(task.trial_groups[0]))
     size = population_size(rows, task.layer_sizes)
 
     def fn(texts) -> list:
-        fitness = [0.0] * len(texts)
-        waiting = {True: [], False: []}  # by needs_grad: (index, stepper, key)
+        parsed = {}  # text index -> (make_stepper, key)
+        outcomes = [None] * len(texts)
 
-        def flush(group):
-            firsts = _run_trial(task, [s for _, s, _ in group], 0,
-                                [key for _, _, key in group])
-            for (i, stepper, _), first in zip(group, firsts):
-                fitness[i] = score(stepper, first)
+        def first_trials():
+            for i, text in enumerate(texts):
+                p = parse(text)
+                if p is not None:
+                    parsed[i] = p
+                    outcomes[i] = []
+                    yield i
+
+        def flush(group, t):
+            trained = _run_trial(task, [s for _, s in group], t,
+                                 [parsed[i][1] for i, _ in group])
+            for (i, _), outcome in zip(group, trained):
+                outcomes[i].append(outcome)
             group.clear()
 
-        for i, text in enumerate(texts):
-            parsed = parse(text)
-            if parsed is not None:
-                group = waiting[parsed[0].needs_grad]
-                group.append((i, *parsed))
+        wave = first_trials()
+        for t in range(trial_number):
+            waiting = {True: [], False: []}  # by needs_grad: (index, stepper)
+            for i in wave:
+                stepper = parsed[i][0]()
+                group = waiting[stepper.needs_grad]
+                group.append((i, stepper))
                 if len(group) == size:
-                    flush(group)
-        for group in waiting.values():
-            if group:
-                flush(group)
-        return fitness
+                    flush(group, t)
+            for group in waiting.values():
+                if group:
+                    flush(group, t)
+            wave = [i for i in parsed if len(outcomes[i]) == t + 1
+                    and outcomes[i][-1][0] >= threshold]
+        return [0.0 if trials is None
+                else fitness_alr(trials, trial_number, threshold).fitness
+                for trials in outcomes]
 
     return fn
 
 
-def fitness_dlr(policy: PolicyTree, task: TrainingTask) -> float:
-    """Train once under the schedule, return test accuracy (0 on failure)."""
-    stepper = ScheduledSGD(policy, initial_lr=task.initial_lr)
-    score, _ = _run_trial(task, stepper, 0, serialize_policy(policy))
-    return score
-
-
-def fitness_alr(
-    spec: OptimizerSpec,
-    task: TrainingTask,
-    trial_number: int = 5,
-    threshold: float = 0.8,
-    first: tuple | None = None,
-) -> FitnessReport:
-    """Multi-trial fitness: running minimum with sub-threshold early cancel.
-    `first` is trial 0's (score, failed) when the caller has trained it, in
-    a population; the later trials train one at a time."""
-    if trial_number < 1:
-        raise ValueError("trial_number must be >= 1")
-    if len(task.trial_groups) < trial_number:
-        raise ValueError(
-            f"task has {len(task.trial_groups)} training groups, "
-            f"need {trial_number}"
-        )
-    scores: list[float] = []
-    any_failed = False
-    cancelled = False
-    for t in range(trial_number):
-        if t == 0 and first is not None:
-            score, failed = first
-        else:
-            score, failed = _run_trial(task, SpecStepper(spec), t, spec.phenotype())
-        any_failed = any_failed or failed
-        scores.append(score)
-        if score < threshold and t < trial_number - 1:
-            cancelled = True
-            break
+def fitness_alr(outcomes, trial_number: int = 5, threshold: float = 0.8) -> FitnessReport:
+    """Multi-trial fitness from the (score, failed) of the trials a text ran,
+    in trial order: the minimum score, cancelled early when a score below
+    `threshold` ended the text before its `trial_number`-th trial."""
+    scores = [score for score, _ in outcomes]
     return FitnessReport(
         trial_scores=scores,
         fitness=min(scores),
         trials_run=len(scores),
-        cancelled_early=cancelled,
-        failed=any_failed,
+        cancelled_early=scores[-1] < threshold and len(scores) < trial_number,
+        failed=any(failed for _, failed in outcomes),
     )
 
 
@@ -233,6 +216,7 @@ class GenerationStat:
 @dataclass
 class EvolveRunLog:
     seed: int
+    search: str | None = None  # digest of what defines the search
     stats: list = field(default_factory=list)  # of GenerationStat
     best_fitness: float = 0.0
     best_phenotype: str | None = None
@@ -327,6 +311,7 @@ def save_checkpoint(path, params: EvoParams, generation: int, population,
         "generation": generation,
         "next_id": next_id,
         "seed": params.rng_seed,
+        "search": log.search,
         "population": [
             {
                 "genes": ind.genotype.genes,
@@ -372,7 +357,7 @@ def load_checkpoint(path):
             )
             for d in state["population"]
         ]
-        log = EvolveRunLog(seed=state["seed"])
+        log = EvolveRunLog(seed=state["seed"], search=state.get("search"))
         log.stats = [GenerationStat(**s) for s in state["stats"]]
         log.best_fitness = state["best"]["fitness"]
         log.best_phenotype = state["best"]["phenotype"]
@@ -393,6 +378,7 @@ def evolve(
     log_path=None,
     checkpoint_path=None,
     resume_from=None,
+    search: str | None = None,
     workers: int = 1,
     on_generation=None,
 ):
@@ -407,7 +393,9 @@ def evolve(
     newcomers (elites keep their cached fitness). `resume_from` is a
     checkpoint path or what `load_checkpoint` returned for one; resuming
     rewrites `log_path` from the checkpoint's stats before appending, so the
-    log holds each generation once.
+    log holds each generation once. `search`, a digest of what defines the
+    search, goes into every checkpoint of a fresh run; a resumed run keeps its
+    checkpoint's.
     """
     root = Rng(params.rng_seed).child("evolve")
     cache: dict = {}
@@ -427,7 +415,7 @@ def evolve(
             )
             population.append(Individual(geno, derivation.text(), id=i))
         next_id = params.population_size
-        log = EvolveRunLog(seed=params.rng_seed)
+        log = EvolveRunLog(seed=params.rng_seed, search=search)
         start_gen = 0
 
     def finish_generation(generation, evaluations, started):
@@ -473,33 +461,37 @@ def evolve(
 
 def alr_fitness_fn(task: TrainingTask, trial_number: int = 5, threshold: float = 0.8):
     """Adapter: phenotype texts -> their fitnesses for update-rule search,
-    each that of `fitness_alr` (0 for a text that does not parse)."""
+    each that of `fitness_alr` over the text's trials (0 for a text that does
+    not parse)."""
+    if trial_number < 1:
+        raise ValueError("trial_number must be >= 1")
+    if len(task.trial_groups) < trial_number:
+        raise ValueError(
+            f"task has {len(task.trial_groups)} training groups, "
+            f"need {trial_number}"
+        )
 
     def parse(text):
         try:
             spec = spec_from_phenotype(text)
         except (ExprError, SpecValidationError):
             return None
-        return SpecStepper(spec), spec.phenotype()
+        return partial(SpecStepper, spec), spec.phenotype()
 
-    def score(stepper, first):
-        return fitness_alr(stepper.spec, task, trial_number, threshold, first).fitness
-
-    return _population_fitness(task, parse, score)
+    return _population_fitness(task, parse, trial_number, threshold)
 
 
 def dlr_fitness_fn(task: TrainingTask):
     """Adapter: phenotype texts -> their fitnesses for schedule search, each
-    that of `fitness_dlr` (0 for a text that does not parse)."""
+    the test score of one training under the schedule (0 for a text that
+    does not parse)."""
 
     def parse(text):
         try:
             policy = parse_policy(text)
         except PolicyError:
             return None
-        return ScheduledSGD(policy, initial_lr=task.initial_lr), serialize_policy(policy)
+        return (partial(ScheduledSGD, policy, initial_lr=task.initial_lr),
+                serialize_policy(policy))
 
-    def score(stepper, first):
-        return first[0]
-
-    return _population_fitness(task, parse, score)
+    return _population_fitness(task, parse)

@@ -16,6 +16,11 @@ are the data layer as it was before it held one copy of the pixels: a
 digest over `tobytes()` copies, scaling through a second full-size
 temporary, a list of batches joined by `concatenate`, and a fresh copy of
 every split part.
+
+`fitness_alr_lone` and `fitness_dlr_lone` are the fitness protocols as they
+ran before trials went trial-major: each text's trials train one lone
+network at a time through `evolve._run_trial`, in trial order, cancelled at
+the first score below the threshold.
 """
 
 import hashlib
@@ -24,6 +29,10 @@ import struct
 from pathlib import Path
 
 import numpy as np
+
+from optevo import evolve
+from optevo.optim import SpecStepper
+from optevo.sched import ScheduledSGD, serialize_policy
 
 
 def sgd_trajectory(w0, grads, lr):
@@ -277,3 +286,32 @@ def split_by_take(x, y, source_indices, perm, plan):
         idx = perm[lo:hi]
         parts[name] = (x[idx], y[idx], source_indices[idx])
     return parts
+
+
+def fitness_alr_lone(spec, task, trial_number=5, threshold=0.8):
+    """Multi-trial fitness: running minimum with sub-threshold early cancel,
+    each trial a lone training of `spec` on its trial group."""
+    scores = []
+    any_failed = False
+    cancelled = False
+    for t in range(trial_number):
+        score, failed = evolve._run_trial(task, SpecStepper(spec), t, spec.phenotype())
+        any_failed = any_failed or failed
+        scores.append(score)
+        if score < threshold and t < trial_number - 1:
+            cancelled = True
+            break
+    return evolve.FitnessReport(
+        trial_scores=scores,
+        fitness=min(scores),
+        trials_run=len(scores),
+        cancelled_early=cancelled,
+        failed=any_failed,
+    )
+
+
+def fitness_dlr_lone(policy, task):
+    """Train once under the schedule, return test accuracy (0 on failure)."""
+    stepper = ScheduledSGD(policy, initial_lr=task.initial_lr)
+    score, _ = evolve._run_trial(task, stepper, 0, serialize_policy(policy))
+    return score

@@ -175,33 +175,44 @@ def test_04_fitness_cancels_below_threshold(monkeypatch):
         )
         spec = builtin("sgd", HyperParams(lr=0.05))
         calls = []
+        reports = []  # what fitness_alr reports, read through a spy
+
+        def spy(*args):
+            reports.append(fitness_alr(*args))
+            return reports[-1]
+
+        monkeypatch.setattr(evolve_mod, "fitness_alr", spy)
 
         def stub(scores):
             calls.clear()
 
-            def fake(task_, stepper, trial_index, key):
+            def fake(task_, steppers, trial_index, keys):
                 calls.append(trial_index)
-                return scores[trial_index], False
+                return [(scores[trial_index], False) for _ in keys]
 
             monkeypatch.setattr(evolve_mod, "_run_trial", fake)
 
+        def wave_report():
+            alr_fitness_fn(task, trial_number=5, threshold=0.8)([spec.phenotype()])
+            return reports[-1]
+
         # all five trials clear the threshold: every one runs, min aggregates
         stub([0.85, 0.9, 0.82, 0.88, 0.84])
-        report = fitness_alr(spec, task, trial_number=5, threshold=0.8)
+        report = wave_report()
         assert report.trials_run == 5 and len(calls) == 5
         assert report.fitness == pytest.approx(0.82)
         assert not report.cancelled_early
 
         # first trial under threshold: remaining four are never trained
         stub([0.3, 0.99, 0.99, 0.99, 0.99])
-        report = fitness_alr(spec, task, trial_number=5, threshold=0.8)
+        report = wave_report()
         assert report.trials_run == 1 and len(calls) == 1
         assert report.cancelled_early
         assert report.fitness == pytest.approx(0.3)
 
         # mid-run dip cancels the tail
         stub([0.9, 0.85, 0.5, 0.99, 0.99])
-        report = fitness_alr(spec, task, trial_number=5, threshold=0.8)
+        report = wave_report()
         assert report.trials_run == 3 and len(calls) == 3
         assert report.cancelled_early
         assert report.fitness == pytest.approx(0.5)

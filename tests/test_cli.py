@@ -255,6 +255,14 @@ class TestConfigErrors:
         assert f"config error: config.{where}: must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
+    def test_zero_trials(self, tmp_path, capsys, monkeypatch):
+        """"trials": 0 exits 2 before any run directory is made, instead of
+        dying in the fitness function after config.json is written."""
+        monkeypatch.chdir(tmp_path)
+        assert main(["evolve", write_cfg(tmp_path, evolve_payload(trials=0))]) == EXIT_CONFIG
+        assert "config error: config.trials: must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
     def test_trials_exceed_groups(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, evolve_payload(trials=9))
         assert main(["evolve", cfg]) == EXIT_CONFIG
@@ -637,6 +645,43 @@ class TestEvolveCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"data error: {part / 'checkpoint.json'}: checkpoint has")
         assert "seed 3 and population 5" in err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("other", ["dlr", "threshold", "trials", "task"])
+    def test_resume_of_another_search_is_data_error(
+            self, tmp_path, capsys, monkeypatch, other):
+        """A checkpoint of an update-rule search resumed under a schedule
+        grammar, or under another threshold, trial count or task, exits 3
+        before any run directory is made, instead of breeding a mixed run."""
+        monkeypatch.chdir(tmp_path)
+        part = tmp_path / "p"
+        assert main(["evolve", write_cfg(tmp_path, evolve_payload()),
+                     "--run-dir", str(part)]) == EXIT_OK
+        capsys.readouterr()
+        payload = {"dlr": dlr_payload(), "threshold": evolve_payload(threshold=0.7),
+                   "trials": evolve_payload(trials=1), "task": evolve_payload()}[other]
+        if other == "task":
+            payload["task"]["max_epochs"] += 1
+        cfg = write_cfg(tmp_path, payload, name="other.json")
+        assert main(["evolve", cfg, "--generations", "4",
+                     "--resume", str(part / "checkpoint.json")]) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"data error: {part / 'checkpoint.json'}: checkpoint is of another "
+            "search: its grammar, task, trials or threshold differ\n")
+        assert not (tmp_path / "runs").exists()
+
+    def test_resume_of_checkpoint_without_search_digest_is_data_error(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_cfg(tmp_path, evolve_payload())
+        part = tmp_path / "p"
+        assert main(["evolve", cfg, "--run-dir", str(part)]) == EXIT_OK
+        capsys.readouterr()
+        state = json.loads((part / "checkpoint.json").read_text())
+        del state["search"]
+        (part / "checkpoint.json").write_text(json.dumps(state))
+        assert main(["evolve", cfg, "--resume", str(part / "checkpoint.json")]) == EXIT_DATA
+        assert capsys.readouterr().err.endswith("checkpoint records no search digest\n")
         assert not (tmp_path / "runs").exists()
 
     def test_checkpoint_write_failing_part_way_keeps_previous(

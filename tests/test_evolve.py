@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import fitness_alr_lone, fitness_dlr_lone
 import optevo.dsge as dsge_mod
 import optevo.evolve as evolve_mod
 import optevo.nn as nn_mod
@@ -26,15 +27,13 @@ from optevo.evolve import (
     alr_fitness_fn,
     dlr_fitness_fn,
     evolve,
-    fitness_alr,
-    fitness_dlr,
     load_checkpoint,
     parallel_map,
 )
 from optevo.grammar import load_shipped_grammar, parse_grammar
 from optevo.nn import TrainConfig
 from optevo.optim import HyperParams, builtin, spec_from_phenotype
-from optevo.sched import Leaf, parse_policy
+from optevo.sched import Leaf, parse_policy, serialize_policy
 from optevo.tensor import Rng
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -53,23 +52,46 @@ def tiny_task(groups=2, n_per=60, seed=0):
 
 
 def stub_trials(monkeypatch, outcomes):
-    """Replace the training trial with a scripted (score, failed) sequence."""
+    """Replace the training trial with a scripted (score, failed) sequence,
+    one outcome per member of each population it is given."""
     feed = list(outcomes)
     calls = []
 
-    def fake(task, stepper, trial_index, key):
+    def fake(task, steppers, trial_index, keys):
         calls.append(trial_index)
-        out = feed.pop(0)
-        return out if isinstance(out, tuple) else (out, False)
+        return [out if isinstance(out, tuple) else (out, False)
+                for out in (feed.pop(0) for _ in keys)]
 
     monkeypatch.setattr(evolve_mod, "_run_trial", fake)
     return calls
 
 
+def spy_reports(monkeypatch):
+    """The FitnessReports fitness_alr returns, in call order."""
+    reports = []
+    real = evolve_mod.fitness_alr
+
+    def spy(*args, **kwargs):
+        reports.append(real(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(evolve_mod, "fitness_alr", spy)
+    return reports
+
+
+def wave_report(monkeypatch, task, spec=None, **kwargs):
+    """The FitnessReport of one rule (default: sgd), through alr_fitness_fn."""
+    reports = spy_reports(monkeypatch)
+    text = (spec or builtin("sgd")).phenotype()
+    fitness = alr_fitness_fn(task, **kwargs)([text])
+    assert len(reports) == 1 and fitness == [reports[0].fitness]
+    return reports[0]
+
+
 class TestFitnessAlrSemantics:
     def test_min_over_five_trials(self, monkeypatch):
         stub_trials(monkeypatch, [0.85, 0.9, 0.82, 0.88, 0.84])
-        r = fitness_alr(builtin("sgd"), tiny_task(5))
+        r = wave_report(monkeypatch, tiny_task(5))
         assert r.fitness == pytest.approx(0.82)
         assert r.trials_run == 5
         assert not r.cancelled_early and not r.failed
@@ -77,7 +99,7 @@ class TestFitnessAlrSemantics:
 
     def test_sub_threshold_first_trial_cancels(self, monkeypatch):
         calls = stub_trials(monkeypatch, [0.3, 0.99, 0.99, 0.99, 0.99])
-        r = fitness_alr(builtin("sgd"), tiny_task(5))
+        r = wave_report(monkeypatch, tiny_task(5))
         assert r.fitness == pytest.approx(0.3)
         assert r.trials_run == 1
         assert r.cancelled_early
@@ -85,51 +107,54 @@ class TestFitnessAlrSemantics:
 
     def test_mid_run_cancel(self, monkeypatch):
         stub_trials(monkeypatch, [0.85, 0.5, 0.99, 0.99, 0.99])
-        r = fitness_alr(builtin("sgd"), tiny_task(5))
+        r = wave_report(monkeypatch, tiny_task(5))
         assert r.trials_run == 2
         assert r.cancelled_early
         assert r.fitness == pytest.approx(0.5)
 
     def test_sub_threshold_last_trial_is_not_a_cancel(self, monkeypatch):
         stub_trials(monkeypatch, [0.9, 0.9, 0.9, 0.9, 0.3])
-        r = fitness_alr(builtin("sgd"), tiny_task(5))
+        r = wave_report(monkeypatch, tiny_task(5))
         assert r.trials_run == 5
         assert not r.cancelled_early
         assert r.fitness == pytest.approx(0.3)
 
     def test_failed_training_scores_zero(self, monkeypatch):
         stub_trials(monkeypatch, [(0.0, True)])
-        r = fitness_alr(builtin("sgd"), tiny_task(5))
+        r = wave_report(monkeypatch, tiny_task(5))
         assert r.failed
         assert r.fitness == 0.0
         assert r.cancelled_early
 
+    def test_score_at_threshold_is_not_a_cancel(self, monkeypatch):
+        calls = stub_trials(monkeypatch, [0.8, 0.8, 0.8, 0.8, 0.8])
+        r = wave_report(monkeypatch, tiny_task(5))
+        assert r.trials_run == 5 and calls == [0, 1, 2, 3, 4]
+        assert not r.cancelled_early
+
     def test_custom_threshold(self, monkeypatch):
         stub_trials(monkeypatch, [0.85, 0.9, 0.82, 0.88, 0.84])
-        r = fitness_alr(builtin("sgd"), tiny_task(5), threshold=0.83)
+        r = wave_report(monkeypatch, tiny_task(5), threshold=0.83)
         assert r.trials_run == 3
         assert r.cancelled_early
 
     def test_preconditions(self):
         with pytest.raises(ValueError, match="training groups"):
-            fitness_alr(builtin("sgd"), tiny_task(2), trial_number=5)
+            alr_fitness_fn(tiny_task(2), trial_number=5)
         with pytest.raises(ValueError, match="trial_number"):
-            fitness_alr(builtin("sgd"), tiny_task(2), trial_number=0)
+            alr_fitness_fn(tiny_task(2), trial_number=0)
 
     @given(st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5),
            st.floats(0.1, 0.9))
     def test_report_invariants(self, scores, threshold):
         outcomes = list(scores)
 
-        def fake(task, stepper, trial_index, key):
-            return outcomes[trial_index], False
+        def fake(task, steppers, trial_index, keys):
+            return [(outcomes[trial_index], False) for _ in keys]
 
-        original = evolve_mod._run_trial
-        evolve_mod._run_trial = fake
-        try:
-            r = fitness_alr(builtin("sgd"), tiny_task(5), threshold=threshold)
-        finally:
-            evolve_mod._run_trial = original
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(evolve_mod, "_run_trial", fake)
+            r = wave_report(monkeypatch, tiny_task(5), threshold=threshold)
         assert r.fitness == min(r.trial_scores)
         assert r.trials_run == len(r.trial_scores) <= 5
         if r.cancelled_early:
@@ -140,44 +165,46 @@ class TestFitnessAlrSemantics:
 
 
 class TestFitnessReal:
-    def test_alr_deterministic_and_bounded(self):
+    def test_alr_deterministic_and_bounded(self, monkeypatch):
         task = tiny_task(2)
-        a = fitness_alr(builtin("sgd"), task, trial_number=2, threshold=0.0)
-        b = fitness_alr(builtin("sgd"), task, trial_number=2, threshold=0.0)
+        a = wave_report(monkeypatch, task, trial_number=2, threshold=0.0)
+        b = fitness_alr_lone(builtin("sgd"), task, trial_number=2, threshold=0.0)
         assert a == b
         assert a.trials_run == 2 and not a.cancelled_early
         assert all(0.0 <= s <= 1.0 for s in a.trial_scores)
 
     def test_dlr_static_policy_trains(self):
         task = tiny_task(1)
-        score = fitness_dlr(Leaf(0.01), task)
+        score = fitness_dlr_lone(Leaf(0.01), task)
         assert 0.0 <= score <= 1.0
-        assert score == fitness_dlr(Leaf(0.01), task)
+        assert score == fitness_dlr_lone(Leaf(0.01), task)
 
     def test_dlr_divergent_policy_scores_zero(self):
         task = tiny_task(1)
         # large enough that the second update overflows float64
-        assert fitness_dlr(Leaf(1e200), task) == 0.0
+        assert dlr_fitness_fn(task)([serialize_policy(Leaf(1e200))]) == [0.0]
+        assert fitness_dlr_lone(Leaf(1e200), task) == 0.0
 
     def test_adapters_swallow_unparseable_text(self):
         task = tiny_task(1)
-        assert alr_fitness_fn(task)(["not a phenotype"]) == [0.0]
+        assert alr_fitness_fn(task, trial_number=1)(["not a phenotype"]) == [0.0]
         assert dlr_fitness_fn(task)(["still not one"]) == [0.0]
 
     def test_dlr_adapter_runs_serialized_leaf(self):
         task = tiny_task(1)
         fn = dlr_fitness_fn(task)
-        assert fn(["1.00000000e-02"]) == [fitness_dlr(Leaf(0.01), task)]
+        assert fn(["1.00000000e-02"]) == [fitness_dlr_lone(Leaf(0.01), task)]
 
     @pytest.mark.parametrize("elements", [200, 2**16])
     def test_wave_matches_per_text_fitness(self, monkeypatch, elements):
-        """A list of texts scores as each text does alone, whether trial 0
-        trains in populations of 3 (200 elements: 16 rows x 4 wide) or in
-        one: fitness_alr for rules, gradient-free and failing ones among
-        them, fitness_dlr for schedules, and 0 for a text that does not
-        parse."""
+        """A list of texts scores as each text does alone, whether each
+        trial trains in populations of 3 (200 elements: 16 rows x 4 wide) or
+        in one: fitness_alr_lone's report for rules, gradient-free and
+        failing ones among them, cancelled at trials 0, 1 and 2 or running
+        every trial; fitness_dlr_lone for schedules; and 0 for a text that
+        does not parse. No trial trains a lone network."""
         monkeypatch.setattr(nn_mod, "POPULATION_ELEMENTS", elements)
-        task = tiny_task(3)
+        task = tiny_task(4)
         task.train_config = TrainConfig(batch_size=16, max_epochs=6, patience=2)
         grammar = load_shipped_grammar("alr")
         rules = [random_derivation(grammar, 6, Rng(5).child(i))[1].text()
@@ -185,17 +212,38 @@ class TestFitnessReal:
         rules[3:3] = ["grad ; y ; z ; multiply(alpha, 0.9)", "not a rule",
                       "multiply(grad, grad) ; y ; z ; subtract(alpha, multiply(1e300, x))",
                       *(builtin(name, HyperParams(lr=lr)).phenotype()
-                        for name, lr in [("sgd", 0.5), ("momentum", 0.1), ("ades", 0.01)])]
-        got = alr_fitness_fn(task, trial_number=3, threshold=0.6)(rules)
-        reports = [None if text == "not a rule" else fitness_alr(
-            spec_from_phenotype(text), task, trial_number=3, threshold=0.6)
+                        for name, lr in [("sgd", 0.5), ("sgd", 0.02), ("momentum", 0.1),
+                                         ("ades", 0.01)])]
+        members = []  # per _run_trial call: (trial, population size or None)
+        real_trial = evolve_mod._run_trial
+
+        def counted(task, stepper, trial_index, key):
+            members.append((trial_index, None if isinstance(key, str) else len(key)))
+            return real_trial(task, stepper, trial_index, key)
+
+        monkeypatch.setattr(evolve_mod, "_run_trial", counted)
+        reports = spy_reports(monkeypatch)
+        got = alr_fitness_fn(task, trial_number=4, threshold=0.6)(rules)
+        monkeypatch.setattr(evolve_mod, "_run_trial", real_trial)
+        want = [None if text == "not a rule" else fitness_alr_lone(
+            spec_from_phenotype(text), task, trial_number=4, threshold=0.6)
             for text in rules]
-        assert got == [0.0 if r is None else r.fitness for r in reports]
-        # some rules fail, some are cancelled and some run every trial
-        assert {1, 3} <= {r.trials_run for r in reports if r}
-        assert any(r.failed for r in reports if r)
+        assert reports == [r for r in want if r]
+        assert got == [0.0 if r is None else r.fitness for r in want]
+        # some rules fail, some are cancelled at each of trials 0-2, and
+        # some run every trial
+        assert {1, 2, 3, 4} <= {r.trials_run for r in want if r}
+        assert {1, 2, 3} <= {r.trials_run for r in want if r and r.cancelled_early}
+        assert any(r.failed for r in want if r)
+        # every trial trains in populations of at most population_size
+        # members, each text once per trial it ran
+        assert None not in {size for _, size in members}
+        assert max(size for _, size in members) <= nn_mod.population_size(16, [2, 4, 2])
+        for t in range(4):
+            assert (sum(size for trial, size in members if trial == t)
+                    == sum(r.trials_run > t for r in want if r))
         policies = ["1.00000000e-02", "if(epoch < 1.0, 0.5, 1e200)", "0.3", "oops", "2.0"]
-        want = [0.0 if text == "oops" else fitness_dlr(parse_policy(text), task)
+        want = [0.0 if text == "oops" else fitness_dlr_lone(parse_policy(text), task)
                 for text in policies]
         assert dlr_fitness_fn(task)(policies) == want
 
