@@ -472,12 +472,12 @@ def _stepper_from_config(item, where: str) -> tuple:
                 raise DataError(f"{key.replace('_', ' ')} not found: {p}")
             entry[key] = str(p.resolve())
             text = p.read_text(encoding="utf-8")
-            if key == "spec_file":
-                return spec_from_json(text), entry
             try:
+                if key == "spec_file":
+                    return spec_from_json(text), entry
                 return parse_policy(text.strip()), entry
-            except PolicyError as e:
-                raise ConfigError(f"{where}: {e}") from e
+            except (KeyError, TypeError, AttributeError, ValueError) as e:
+                raise ConfigError(f"{where}: {p}: {type(e).__name__}: {e}") from e
     try:
         hp = replace(HyperParams.defaults_for(entry["name"]),
                      **entry.get("hyperparams", {}))

@@ -11,11 +11,13 @@ Two fitness protocols share one trial path:
 
 Every training behind a fitness, and behind a `tune` objective, is one
 seeded trial, `_run_trial`: one phenotype trains as a lone network, and a
-list of them as one `nn.Population`, both in `nn.train`'s one loop. The
-fitness adapters score a list of phenotypes trial-major: each trial trains
-every phenotype still open in populations, and `fitness_alr` then turns
-each phenotype's trial outcomes into the report that holds its fitness.
-Each phenotype scores what training it alone scores, bit for bit.
+list of them as one `nn.Population`, both in `nn.train`'s one loop, which
+alone decides how many members train in each stacked pass. The fitness
+adapters score a list of phenotypes trial-major: all of them are parsed
+first, each trial is one `_run_trial` call on every phenotype still open,
+and `fitness_alr` then turns each phenotype's trial outcomes into the
+report that holds its fitness. Each phenotype scores what training it
+alone scores, bit for bit.
 
 The generation loop is steady-state-free generational GE: elites carry their
 fitness, everyone else is bred by tournament + crossover + mutation and
@@ -49,7 +51,7 @@ from .dsge import (
     tournament_select,
 )
 from .grammar import Grammar
-from .nn import Population, TrainConfig, evaluate, population_size, train_seeded
+from .nn import Population, TrainConfig, evaluate, train_seeded
 from .optim import ExprError, SpecStepper, SpecValidationError, spec_from_phenotype
 from .sched import PolicyError, ScheduledSGD, parse_policy, serialize_policy
 from .tensor import Rng
@@ -113,8 +115,8 @@ def parallel_map(fn, items, workers: int) -> list:
 def _run_trial(task: TrainingTask, stepper, trial_index: int, key):
     """One seeded training on trial group `trial_index`; returns (score, failed).
     Given lists of steppers and keys, one per phenotype, it trains them as
-    one Population and returns a list of (score, failed), each that of
-    training the phenotype alone.
+    one Population, which `nn.train` cuts into stacks, and returns a list of
+    (score, failed), each that of training the phenotype alone.
 
     Seeds derive from (task seed, phenotype key, trial index): identical
     phenotypes always see identical initial weights and batch orders, which
@@ -141,50 +143,25 @@ def _population_fitness(task: TrainingTask, parse, trial_number: int = 1,
     is that of the `fitness_alr` report on its trials, and 0 for a text that
     does not parse. `parse(text)` gives (make_stepper, seed key) or None.
 
-    The trials run trial-major: trial t trains every text still open, in
-    populations of `nn.population_size` members that share `needs_grad`,
-    each member with a fresh stepper. A text stays open for trial t + 1
-    while its score reaches `threshold`, up to `trial_number` trials. Trial
-    0's populations train as the texts are parsed."""
-    rows = min(task.train_config.batch_size, len(task.trial_groups[0]))
-    size = population_size(rows, task.layer_sizes)
+    The trials run trial-major: trial t is one `_run_trial` call on every
+    text still open, each with a fresh stepper, and `nn.train` cuts them
+    into stacks. A text stays open for trial t + 1 while its score reaches
+    `threshold`, up to `trial_number` trials."""
 
     def fn(texts) -> list:
-        parsed = {}  # text index -> (make_stepper, key)
-        outcomes = [None] * len(texts)
-
-        def first_trials():
-            for i, text in enumerate(texts):
-                p = parse(text)
-                if p is not None:
-                    parsed[i] = p
-                    outcomes[i] = []
-                    yield i
-
-        def flush(group, t):
-            trained = _run_trial(task, [s for _, s in group], t,
-                                 [parsed[i][1] for i, _ in group])
-            for (i, _), outcome in zip(group, trained):
-                outcomes[i].append(outcome)
-            group.clear()
-
-        wave = first_trials()
+        parsed = {i: p for i, p in enumerate(map(parse, texts)) if p is not None}
+        outcomes = {i: [] for i in parsed}  # text index -> its (score, failed)
+        wave = list(parsed)
         for t in range(trial_number):
-            waiting = {True: [], False: []}  # by needs_grad: (index, stepper)
-            for i in wave:
-                stepper = parsed[i][0]()
-                group = waiting[stepper.needs_grad]
-                group.append((i, stepper))
-                if len(group) == size:
-                    flush(group, t)
-            for group in waiting.values():
-                if group:
-                    flush(group, t)
-            wave = [i for i in parsed if len(outcomes[i]) == t + 1
-                    and outcomes[i][-1][0] >= threshold]
-        return [0.0 if trials is None
-                else fitness_alr(trials, trial_number, threshold).fitness
-                for trials in outcomes]
+            if not wave:
+                break
+            trained = _run_trial(task, [parsed[i][0]() for i in wave], t,
+                                 [parsed[i][1] for i in wave])
+            for i, outcome in zip(wave, trained):
+                outcomes[i].append(outcome)
+            wave = [i for i in wave if outcomes[i][-1][0] >= threshold]
+        return [fitness_alr(outcomes[i], trial_number, threshold).fitness
+                if i in parsed else 0.0 for i in range(len(texts))]
 
     return fn
 
@@ -391,11 +368,12 @@ def evolve(
     Generation 0 is the evaluated random initialization; each later
     generation breeds, then evaluates exactly population_size - elitism
     newcomers (elites keep their cached fitness). `resume_from` is a
-    checkpoint path or what `load_checkpoint` returned for one; resuming
-    rewrites `log_path` from the checkpoint's stats before appending, so the
-    log holds each generation once. `search`, a digest of what defines the
-    search, goes into every checkpoint of a fresh run; a resumed run keeps its
-    checkpoint's.
+    checkpoint path or what `load_checkpoint` returned for one. `log_path`
+    is rewritten before the first generation runs, with the header alone or,
+    when resuming, the checkpoint's rows too; each generation then appends
+    its row, so the log holds each generation of this run once. `search`, a
+    digest of what defines the search, goes into every checkpoint of a fresh
+    run; a resumed run keeps its checkpoint's.
     """
     root = Rng(params.rng_seed).child("evolve")
     cache: dict = {}
@@ -404,9 +382,6 @@ def evolve(
             resume_from = load_checkpoint(resume_from)
         start_gen, population, next_id, cache, log = resume_from
         start_gen += 1
-        if log_path is not None:
-            # drop rows a crash logged past the checkpoint
-            write_atomic(log_path, _log_text(log.stats, header=True))
     else:
         population = []
         for i in range(params.population_size):
@@ -417,6 +392,10 @@ def evolve(
         next_id = params.population_size
         log = EvolveRunLog(seed=params.rng_seed, search=search)
         start_gen = 0
+    if log_path is not None:
+        # a fresh log, or the checkpoint's rows without any a crash logged
+        # past it
+        write_atomic(log_path, _log_text(log.stats, header=True))
 
     def finish_generation(generation, evaluations, started):
         stat = _population_stats(
@@ -429,9 +408,8 @@ def evolve(
             log.best_phenotype = top.phenotype
             log.best_genotype = top.genotype.copy()
         if log_path is not None:
-            header = not Path(log_path).exists()
             with open(log_path, "a", newline="") as f:
-                f.write(_log_text([stat], header))
+                f.write(_log_text([stat], header=False))
         if checkpoint_path is not None:
             save_checkpoint(
                 checkpoint_path, params, generation, population, next_id, cache, log

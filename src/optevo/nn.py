@@ -21,20 +21,22 @@ A `Population` is K networks of one shape whose parameters live in one
 (K, P) buffer, row k holding member k's flat buffer. `forward`,
 `_log_softmax`, `_nll`, `mean_loss`, `backward`, `evaluate` and `train` all
 take such a leading member axis. `train` has one epoch loop, and it always
-trains a population: a lone Network trains as a population of one. Each
-batch runs one stacked forward and backward for all members, `train` then
-calls each member's stepper on its own row, and takes every member's failed
-flag and bound from one max and one min reduction over the (K, P) buffer.
-Members whose steppers need no gradient train in a second pass of the same
-loop, which stacks their replayed losses and validation passes the same
-way. A member's numbers are those of training it alone, bit for bit: numpy
-runs a stacked matmul as one BLAS call per member with the strides of the
-single product, and every other step is elementwise or reduces within a
-member's rows. The callers size populations by `population_size`, a budget
-of `POPULATION_ELEMENTS` per stacked activation, and the validation and
-test passes go through the members in groups of that size too. A member
-that fails, stops early or finishes leaves the population: its row is
-dropped and its weights are written back to its network.
+trains a population: a lone Network trains as a population of one. `nn`
+alone decides how members stack. `train` splits a population of any size by
+`needs_grad` and cuts each kind into consecutive stacks of at most
+`population_size` members, a budget of `POPULATION_ELEMENTS` per stacked
+activation; the validation and test passes go through the members in groups
+sized the same way. Each batch runs one stacked forward and backward for all
+members of a stack, `train` then calls each member's stepper on its own row,
+and takes every member's failed flag and bound from one max and one min
+reduction over the stack's (K, P) buffer. A stack whose steppers need no
+gradient runs the same loop without the backward pass, and stacks its
+replayed losses and validation passes the same way. A member's numbers are
+those of training it alone, bit for bit: numpy runs a stacked matmul as one
+BLAS call per member with the strides of the single product, and every
+other step is elementwise or reduces within a member's rows. A member that
+fails, stops early or finishes leaves its stack: its row is dropped and its
+weights are written back to its network.
 
 Floating-point errors never raise or warn here: a non-finite loss or weight
 becomes a failed run. `train` opens one `np.errstate(all="ignore")` around
@@ -395,8 +397,9 @@ def train(net, stepper, data, cfg=None):
     at most in `shuffle_seed`. Every member's outcome is that of training it
     alone, and each member's network holds its final weights. A Network's
     history holds scalars, a Population's one tuple entry per member. The
-    members whose steppers need the gradient train in one stacked pass, and
-    the others in a second.
+    members whose steppers need the gradient train first, then the others,
+    each kind cut into consecutive stacks of at most
+    `population_size(min(batch_size, len(train)), layer_sizes)` members.
     """
     cfg = cfg or TrainConfig()
     train_set, val_set = data
@@ -415,13 +418,14 @@ def train(net, stepper, data, cfg=None):
     if any(replace(c, shuffle_seed=cfgs[0].shuffle_seed) != cfgs[0] for c in cfgs[1:]):
         raise NetworkError("the members of a population differ only in shuffle_seed")
     needs_grad = [getattr(s, "needs_grad", True) for s in steppers]
+    size = population_size(min(cfgs[0].batch_size, len(train_set)), pop.layer_sizes)
     outcomes = [None] * len(pop)
     for kind in (True, False):
         rows = [k for k, flag in enumerate(needs_grad) if flag == kind]
-        if rows:
-            trained = _train_stacked(pop.take(rows), [steppers[k] for k in rows], data,
-                                     [cfgs[k] for k in rows], kind)
-            for k, outcome in zip(rows, trained):
+        for stack in (rows[lo : lo + size] for lo in range(0, len(rows), size)):
+            trained = _train_stacked(pop.take(stack), [steppers[k] for k in stack], data,
+                                     [cfgs[k] for k in stack], kind)
+            for k, outcome in zip(stack, trained):
                 outcomes[k] = outcome
     if pop is not net:
         return net, TrainHistory(*outcomes[0])

@@ -10,10 +10,10 @@ gradient: any use of the gradient has to be routed through an auxiliary.
 
 `compile_spec` turns the four trees into nested closures over the raw ops of
 `tensor._IMPL`, with variable-free subtrees folded to constants through
-`elementwise`; `SpecStepper` and `step` both run those closures. `eval_expr`
-walks a tree op by op and is kept as the reference the compiled code is
-tested against. `grad_tainted` finds the variables the gradient can reach;
-when the weights are not among them, `SpecStepper` needs no backward pass.
+`elementwise`; `SpecStepper` and `step` both run those closures, which the
+tests check against `eval_expr` in `tests/oracles.py`, a tree interpreter.
+`grad_tainted` finds the variables the gradient can reach; when the weights
+are not among them, `SpecStepper` needs no backward pass.
 
 Hand-built specs for the classic first-order optimizers live here too, next
 to native steppers for the two rules the four-function form cannot express
@@ -60,10 +60,6 @@ class SpecValidationError(ValueError):
     pass
 
 
-class UnboundVariableError(KeyError):
-    pass
-
-
 @dataclass(frozen=True)
 class Const:
     value: float
@@ -99,19 +95,6 @@ def referenced_vars(e: Expr) -> frozenset:
     if isinstance(e, Apply):
         return frozenset().union(*(referenced_vars(a) for a in e.args))
     return frozenset()
-
-
-def eval_expr(e: Expr, env: dict) -> Tensor:
-    """Recursive elementwise evaluation; constants broadcast as scalars."""
-    if isinstance(e, Const):
-        return np.float64(e.value)
-    if isinstance(e, Var):
-        if e.name not in env:
-            raise UnboundVariableError(e.name)
-        return env[e.name]
-    if isinstance(e, Apply):
-        return elementwise(e.op, *(eval_expr(a, env) for a in e.args))
-    raise ExprError(f"not an expression node: {e!r}")
 
 
 # --- canonical prefix-notation text ----------------------------------------
@@ -251,9 +234,10 @@ class OptState:
 def _compile(e: Expr):
     """(fn, value) for `e`, built bottom-up in one pass. A variable-free `e`
     has its folded constant in `value`, reached through `elementwise` one op
-    at a time as `eval_expr(e, {})` would; otherwise `value` is None. `fn` is
-    a function of the variable list [x, y, z, grad, alpha] computing `e` with
-    the interpreter's ops: same ufuncs, operand order and dtypes."""
+    at a time as the tree interpreter `eval_expr(e, {})` of `tests/oracles.py`
+    would; otherwise `value` is None. `fn` is a function of the variable list
+    [x, y, z, grad, alpha] computing `e` with the interpreter's ops: same
+    ufuncs, operand order and dtypes."""
     if isinstance(e, Var):
         return itemgetter(VAR_NAMES.index(e.name)), None
     if isinstance(e, Const):

@@ -17,6 +17,10 @@ digest over `tobytes()` copies, scaling through a second full-size
 temporary, a list of batches joined by `concatenate`, and a fresh copy of
 every split part.
 
+`eval_expr` is the recursive tree interpreter that evolved update rules
+ran through before `optim.compile_spec` compiled them: one `elementwise`
+call per node, constants broadcast as scalars.
+
 `fitness_alr_lone` and `fitness_dlr_lone` are the fitness protocols as they
 ran before trials went trial-major: each text's trials train one lone
 network at a time through `evolve._run_trial`, in trial order, cancelled at
@@ -31,8 +35,9 @@ from pathlib import Path
 import numpy as np
 
 from optevo import evolve
-from optevo.optim import SpecStepper
+from optevo.optim import Apply, Const, ExprError, SpecStepper, Var
 from optevo.sched import ScheduledSGD, serialize_policy
+from optevo.tensor import elementwise
 
 
 def sgd_trajectory(w0, grads, lr):
@@ -286,6 +291,23 @@ def split_by_take(x, y, source_indices, perm, plan):
         idx = perm[lo:hi]
         parts[name] = (x[idx], y[idx], source_indices[idx])
     return parts
+
+
+class UnboundVariableError(KeyError):
+    pass
+
+
+def eval_expr(e, env):
+    """Recursive elementwise evaluation; constants broadcast as scalars."""
+    if isinstance(e, Const):
+        return np.float64(e.value)
+    if isinstance(e, Var):
+        if e.name not in env:
+            raise UnboundVariableError(e.name)
+        return env[e.name]
+    if isinstance(e, Apply):
+        return elementwise(e.op, *(eval_expr(a, env) for a in e.args))
+    raise ExprError(f"not an expression node: {e!r}")
 
 
 def fitness_alr_lone(spec, task, trial_number=5, threshold=0.8):

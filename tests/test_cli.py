@@ -483,6 +483,19 @@ class TestEvolveCommand:
         assert 0.0 <= best["fitness"] <= 1.0
         assert best["phenotype"] in capsys.readouterr().out
 
+    def test_rerun_into_one_run_dir_starts_a_fresh_log(self, tmp_path):
+        """A fresh run into the directory of an earlier one rewrites its
+        log: two runs leave the log of one, bar the seconds column."""
+        run = tmp_path / "run"
+        cfg = write_cfg(tmp_path, evolve_payload())
+        logs = []
+        for _ in range(2):
+            assert main(["evolve", cfg, "--run-dir", str(run)]) == EXIT_OK
+            header, rows = log_rows(run)
+            logs.append((header, [row[:5] for row in rows]))
+        assert logs[1] == logs[0]
+        assert [row[0] for row in logs[0][1]] == ["0", "1", "2"]
+
     def test_config_and_indices_precede_generation_zero(self, tmp_path, monkeypatch):
         """A run killed in generation 0 still names its config and rows."""
         import optevo.cli as cli_mod
@@ -861,6 +874,24 @@ class TestBenchmarkCommand:
         assert main(["benchmark", write_cfg(tmp_path, payload)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error: config.steppers[1]") and message in err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("text, error", [
+        ("{}", "KeyError: 'x_func'"),
+        ("not json", "JSONDecodeError"),
+        (json.dumps({"x_func": "grad", "y_func": "y", "z_func": "z",
+                     "weight_func": "subtract(alpha, grad)"}), "SpecValidationError"),
+    ])
+    def test_malformed_spec_file_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                                 text, error):
+        """A spec file that is not a valid optimizer spec exits 2, naming its
+        entry, before any run directory is made."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.json").write_text(text)
+        payload = bench_payload(steppers=["sgd", {"spec_file": "bad.json"}])
+        assert main(["benchmark", write_cfg(tmp_path, payload)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config.steppers[1]: ") and error in err
         assert not (tmp_path / "runs").exists()
 
     def test_missing_policy_file_is_data_error(self, tmp_path, capsys):

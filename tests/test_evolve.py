@@ -195,14 +195,42 @@ class TestFitnessReal:
         fn = dlr_fitness_fn(task)
         assert fn(["1.00000000e-02"]) == [fitness_dlr_lone(Leaf(0.01), task)]
 
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 4), st.floats(0.0, 1.0),
+           st.lists(st.one_of(
+               st.integers(0, 2**32 - 1),
+               st.tuples(st.sampled_from(["sgd", "momentum"]), st.floats(0.01, 1.0))),
+               min_size=1, max_size=6),
+           st.sampled_from([200, 2**16]))
+    def test_wave_reports_match_lone(self, trial_number, threshold, draws, elements):
+        """Over random trial counts, thresholds and rules, each text's
+        report from one wave is fitness_alr_lone's, wherever the threshold
+        cancels it and however nn.train stacks the trial. A rule is a
+        grammar draw, most of which train to chance or fail, or sgd or
+        momentum at a random learning rate, whose scores vary by trial."""
+        task = tiny_task(4)
+        task.train_config = TrainConfig(batch_size=16, max_epochs=3, patience=1)
+        grammar = load_shipped_grammar("alr")
+        rules = [random_derivation(grammar, 6, Rng(d))[1].text() if isinstance(d, int)
+                 else builtin(d[0], HyperParams(lr=d[1])).phenotype() for d in draws]
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(nn_mod, "POPULATION_ELEMENTS", elements)
+            reports = spy_reports(monkeypatch)
+            got = alr_fitness_fn(task, trial_number, threshold)(rules)
+        want = [fitness_alr_lone(spec_from_phenotype(text), task, trial_number, threshold)
+                for text in rules]
+        assert reports == want
+        assert got == [r.fitness for r in want]
+
     @pytest.mark.parametrize("elements", [200, 2**16])
     def test_wave_matches_per_text_fitness(self, monkeypatch, elements):
-        """A list of texts scores as each text does alone, whether each
-        trial trains in populations of 3 (200 elements: 16 rows x 4 wide) or
-        in one: fitness_alr_lone's report for rules, gradient-free and
-        failing ones among them, cancelled at trials 0, 1 and 2 or running
-        every trial; fitness_dlr_lone for schedules; and 0 for a text that
-        does not parse. No trial trains a lone network."""
+        """A list of texts scores as each text does alone, whether nn.train
+        cuts each trial into stacks of 3 (200 elements: 16 rows x 4 wide) or
+        trains one stack per kind: fitness_alr_lone's report for rules,
+        gradient-free and failing ones among them, cancelled at trials 0, 1
+        and 2 or running every trial; fitness_dlr_lone for schedules; and 0
+        for a text that does not parse. Each trial is one _run_trial call on
+        exactly the texts still open, and no trial trains a lone network."""
         monkeypatch.setattr(nn_mod, "POPULATION_ELEMENTS", elements)
         task = tiny_task(4)
         task.train_config = TrainConfig(batch_size=16, max_epochs=6, patience=2)
@@ -221,10 +249,19 @@ class TestFitnessReal:
             members.append((trial_index, None if isinstance(key, str) else len(key)))
             return real_trial(task, stepper, trial_index, key)
 
+        stacks = []  # per stacked pass: (members, their needs_grad kinds, kind)
+        real_stacked = nn_mod._train_stacked
+
+        def stacked(pop, steppers, data, cfgs, needs_grad):
+            stacks.append((len(pop), {s.needs_grad for s in steppers}, needs_grad))
+            return real_stacked(pop, steppers, data, cfgs, needs_grad)
+
         monkeypatch.setattr(evolve_mod, "_run_trial", counted)
+        monkeypatch.setattr(nn_mod, "_train_stacked", stacked)
         reports = spy_reports(monkeypatch)
         got = alr_fitness_fn(task, trial_number=4, threshold=0.6)(rules)
         monkeypatch.setattr(evolve_mod, "_run_trial", real_trial)
+        monkeypatch.setattr(nn_mod, "_train_stacked", real_stacked)
         want = [None if text == "not a rule" else fitness_alr_lone(
             spec_from_phenotype(text), task, trial_number=4, threshold=0.6)
             for text in rules]
@@ -235,13 +272,16 @@ class TestFitnessReal:
         assert {1, 2, 3, 4} <= {r.trials_run for r in want if r}
         assert {1, 2, 3} <= {r.trials_run for r in want if r and r.cancelled_early}
         assert any(r.failed for r in want if r)
-        # every trial trains in populations of at most population_size
-        # members, each text once per trial it ran
-        assert None not in {size for _, size in members}
-        assert max(size for _, size in members) <= nn_mod.population_size(16, [2, 4, 2])
-        for t in range(4):
-            assert (sum(size for trial, size in members if trial == t)
-                    == sum(r.trials_run > t for r in want if r))
+        # one _run_trial call per trial, on each text still open
+        assert members == [(t, sum(r.trials_run > t for r in want if r))
+                           for t in range(4)]
+        # nn.train stacks at most population_size members, all of one kind
+        budget = nn_mod.population_size(16, [2, 4, 2])
+        assert all(size <= budget and kinds == {kind} for size, kinds, kind in stacks)
+        assert {kind for _, _, kind in stacks} == {True, False}
+        assert sum(size for size, _, _ in stacks) == sum(size for _, size in members)
+        # only the small budget cuts one kind of one trial into several stacks
+        assert (len(stacks) > 2 * len(members)) == (elements == 200)
         policies = ["1.00000000e-02", "if(epoch < 1.0, 0.5, 1e200)", "0.3", "oops", "2.0"]
         want = [0.0 if text == "oops" else fitness_dlr_lone(parse_policy(text), task)
                 for text in policies]

@@ -824,6 +824,43 @@ class TestPopulationTraining:
                         [cfg for _, _, cfg in cases])
         assert hist.failed == (True,) * 3 and hist.epochs_run == (0,) * 3
 
+    def test_population_past_the_budget_trains_in_stacks(self, monkeypatch):
+        """Past the element budget, train cuts each needs_grad kind into
+        consecutive stacks of at most population_size members, and every
+        member still ends where it ends alone."""
+        import optevo.nn as nn
+
+        monkeypatch.setattr(nn, "POPULATION_ELEMENTS", 3 * 16 * 16)  # 3 at batch 16
+        free = ["grad ; y ; z ; multiply(alpha, 0.9)",
+                "divide_no_nan(0.01, 3.0) ; y ; z ; subtract(alpha, x)"]
+        kinds = ["sgd", free[0], "adam", "scheduled", free[1], "momentum",
+                 "nesterov", free[0], "sgd", "rmsprop"]
+        stacks = []  # per stacked pass: (member seeds, their kinds, the pass's kind)
+        real = nn._train_stacked
+
+        def spy(pop, steppers, data, cfgs, needs_grad):
+            stacks.append(([net.seed for net in pop.nets],
+                           {s.needs_grad for s in steppers}, needs_grad))
+            return real(pop, steppers, data, cfgs, needs_grad)
+
+        monkeypatch.setattr(nn, "_train_stacked", spy)
+        cases = [member_case(0, k, kind, 1.0, 16, True) for k, kind in enumerate(kinds)]
+        pop, hist = train(Population([net for net, _, _ in cases]),
+                          [stepper for _, stepper, _ in cases], toy_data(),
+                          [cfg for _, _, cfg in cases])
+        assert population_size(16, [2, 16, 2]) == 3
+        assert [seeds for seeds, _, _ in stacks] == [[0, 2, 3], [5, 6, 8], [9], [1, 4, 7]]
+        assert all(kinds == {kind} for _, kinds, kind in stacks)
+        monkeypatch.setattr(nn, "_train_stacked", real)
+        for k, kind in enumerate(kinds):
+            net, stepper, cfg = member_case(0, k, kind, 1.0, 16, True)
+            _, alone = train(net, stepper, toy_data(), cfg)
+            assert_same_bits(pop.nets[k].flat, net.flat)
+            assert_same_bits(pop.flat[k], net.flat)
+            assert (hist.epochs_run[k], hist.stopped_early[k], hist.failed[k],
+                    hist.val_loss[k]) == (alone.epochs_run, alone.stopped_early,
+                                          alone.failed, alone.val_loss)
+
     def test_members_evaluate_as_alone(self):
         nets = [Network([2, 16, 2], seed=k) for k in range(23)]
         val = synthetic("two_gaussians", 3000, noise=0.5, seed=1)

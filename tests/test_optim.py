@@ -20,12 +20,10 @@ from optevo.optim import (
     SIGN_STEP,
     SpecStepper,
     SpecValidationError,
-    UnboundVariableError,
     Var,
     adam_core_spec,
     builtin,
     compile_spec,
-    eval_expr,
     grad_tainted,
     make_stepper,
     parse_expr,
@@ -38,8 +36,7 @@ from optevo.optim import (
 )
 from optevo.sched import Leaf
 from optevo.tensor import OpCode, Rng, tensor
-
-from oracles import ORACLES
+from oracles import ORACLES, UnboundVariableError, eval_expr
 
 SPEC_OPTIMIZERS = ["sgd", "momentum", "rmsprop", "adam", "ades", "sign"]
 
