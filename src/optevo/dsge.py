@@ -283,8 +283,9 @@ def load_shipped_genotype(name: str) -> Genotype:
     return encode(load_shipped_grammar("alr"), SHIPPED_GENOTYPES[name])
 
 
-def tournament_select(pop: list, k: int, rng: Rng) -> Individual:
-    """Best of a uniform k-subset; fitness ties go to the lower id."""
+def tournament_select(pop: list, k: int, rng) -> Individual:
+    """Best of a uniform k-subset; fitness ties go to the lower id. `rng` is
+    an Rng or a numpy Generator, such as the one `Streams.draw` passes."""
     if not pop:
         raise ValueError("empty population")
     if not 0 < k <= len(pop):

@@ -54,7 +54,7 @@ from .grammar import Grammar
 from .nn import Population, TrainConfig, evaluate, train_seeded
 from .optim import ExprError, SpecStepper, SpecValidationError, spec_from_phenotype
 from .sched import PolicyError, ScheduledSGD, parse_policy, serialize_policy
-from .tensor import Rng
+from .tensor import Rng, Streams
 
 LOG_COLUMNS = ("generation", "best", "mean", "median", "evaluations", "seconds")
 
@@ -124,12 +124,12 @@ def _run_trial(task: TrainingTask, stepper, trial_index: int, key):
     """
     lone = isinstance(key, str)
     root = Rng(task.seed)
-    rngs = [root.child("fitness", k, trial_index) for k in ([key] if lone else key)]
+    rng = (root.child("fitness", key, trial_index) if lone
+           else Streams.of([root] * len(key)).child("fitness", key, trial_index))
     data = (task.trial_groups[trial_index], task.validation)
-    net, hist = train_seeded(task.layer_sizes, stepper, data, task.train_config,
-                             rngs[0] if lone else rngs)
+    net, hist = train_seeded(task.layer_sizes, stepper, data, task.train_config, rng)
     pop, failed = (Population([net]), [hist.failed]) if lone else (net, hist.failed)
-    outcomes = [(0.0, True)] * len(rngs)
+    outcomes = [(0.0, True)] * len(pop)
     passed = [k for k, flag in enumerate(failed) if not flag]
     if passed:
         for k, score in zip(passed, evaluate(pop.take(passed), task.test)):
@@ -205,15 +205,16 @@ def _evaluate_wave(population, grammar, params, fitness_fn, cache, root: Rng,
     """Assign fitness to every individual lacking one; returns how many.
     Generation 0 keeps the phenotypes its genotypes were drawn with."""
     pending = [ind for ind in population if ind.fitness is None]
-    for ind in pending:
-        if ind.phenotype is None:
-            try:
-                ind.phenotype = map_genotype(
-                    grammar, ind.genotype, max_depth=params.max_depth,
-                    rng=root.child("repair", generation, ind.id),
-                ).text()
-            except MappingFailure:
-                pass  # no phenotype: scores 0
+    unmapped = [ind for ind in pending if ind.phenotype is None]
+    repairs = Streams.of([root] * len(unmapped)).child(
+        "repair", generation, [ind.id for ind in unmapped]).rngs()
+    for ind, rng in zip(unmapped, repairs):
+        try:
+            ind.phenotype = map_genotype(
+                grammar, ind.genotype, max_depth=params.max_depth, rng=rng,
+            ).text()
+        except MappingFailure:
+            pass  # no phenotype: scores 0
     fresh = list(dict.fromkeys(
         ind.phenotype for ind in pending
         if ind.phenotype is not None and ind.phenotype not in cache
@@ -234,20 +235,24 @@ def _breed(population, params, grammar, root: Rng, generation: int, next_id: int
     (probability crossover_prob) -> mutation."""
     ranked = sorted(population, key=lambda ind: (-ind.fitness, ind.id))
     new_pop = ranked[: params.elitism]
-    for i in range(params.population_size - params.elitism):
-        first = tournament_select(
-            population, params.tournament_size, root.child("tour", generation, i, 0)
-        )
-        if root.child("xo", generation, i).random() < params.crossover_prob:
-            second = tournament_select(
-                population, params.tournament_size, root.child("tour", generation, i, 1)
-            )
-            geno = crossover(
-                first.genotype, second.genotype, root.child("cross", generation, i)
-            )
+    children = range(params.population_size - params.elitism)
+
+    def streams(tag, rows, *more):  # child i's stream (tag, generation, i, *more)
+        return Streams.of([root] * len(rows)).child(tag, generation, rows, *more)
+
+    select = partial(tournament_select, population, params.tournament_size)
+    firsts = streams("tour", children, 0).draw(select)
+    coins = streams("xo", children).draw(lambda gen: gen.random())
+    crossed = [i for i in children if coins[i] < params.crossover_prob]
+    seconds = dict(zip(crossed, streams("tour", crossed, 1).draw(select)))
+    crosses = streams("cross", crossed).rngs()  # in the order of `crossed`
+    mutations = streams("mut", children).rngs()
+    for i, first, mutation in zip(children, firsts, mutations):
+        if i in seconds:
+            geno = crossover(first.genotype, seconds[i].genotype, next(crosses))
         else:
             geno = first.genotype.copy()
-        geno = mutate(geno, params.mutation_rate, grammar, root.child("mut", generation, i))
+        geno = mutate(geno, params.mutation_rate, grammar, mutation)
         new_pop.append(Individual(geno, id=next_id))
         next_id += 1
     return new_pop, next_id
@@ -384,10 +389,10 @@ def evolve(
         start_gen += 1
     else:
         population = []
-        for i in range(params.population_size):
-            geno, derivation = random_derivation(
-                grammar, params.max_depth, root.child("seed-pop", i)
-            )
+        seeding = Streams.of([root] * params.population_size).child(
+            "seed-pop", range(params.population_size)).rngs()
+        for i, rng in enumerate(seeding):
+            geno, derivation = random_derivation(grammar, params.max_depth, rng)
             population.append(Individual(geno, derivation.text(), id=i))
         next_id = params.population_size
         log = EvolveRunLog(seed=params.rng_seed, search=search)

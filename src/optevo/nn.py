@@ -41,14 +41,24 @@ weights are written back to its network.
 Floating-point errors never raise or warn here: a non-finite loss or weight
 becomes a failed run. `train` opens one `np.errstate(all="ignore")` around
 its whole epoch loop, and `evaluate` and `mean_loss` each open their own;
-`forward`, `backward` and `_log_softmax` open none and run under the
-caller's errstate, because each one costs a few microseconds, a real share
-of a toy net's batch. Stepper `update` methods keep their own, since they
-are called directly too. For the same reason the log-softmax takes its row
-max with a loop of `np.maximum(..., out=)` over the columns, which is exact
-(max does not depend on order) and several times cheaper than `max(axis=1)`
-on narrow logits; its row sum stays numpy's own last-axis reduction, whose
-summation order a column loop would not reproduce at every width.
+`forward`, `backward`, `_log_softmax` and every stepper's `update` open
+none and run under the caller's errstate, because each one costs a few
+microseconds, a real share of a toy net's batch. For the same reason the
+log-softmax takes its row max with a loop of `np.maximum(..., out=)` over
+the columns, which is exact (max does not depend on order) and several
+times cheaper than `max(axis=1)` on narrow logits; its row sum stays
+numpy's own last-axis reduction, whose summation order a column loop would
+not reproduce at every width.
+
+Every random number a training draws comes from a keyed stream, derived
+for a whole population at once as `tensor.Streams`: `train_seeded` draws
+each member's network and shuffle seeds from its stream, `_initial_weights`
+draws every member's layer i from stream ("init", "layer", i) of its
+network seed, and `_train_stacked` draws each member's epoch-e batch order
+from stream ("shuffle", "epoch", e) of its shuffle seed, every epoch's key
+derived once per stack. Each is a one-shot draw on one re-keyed generator,
+the numbers of a fresh generator per stream; a lone `Rng` trains as
+`Streams` of one.
 
 Most losses a training computes are read only to check that they are
 finite, and `train` skips those that a finiteness certificate shows cannot
@@ -71,7 +81,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Dataset
-from .tensor import Rng, Tensor
+from .tensor import Rng, Streams, Tensor, draw_keyed
 
 
 # a logit bound below this certifies every loss finite (module docstring)
@@ -100,10 +110,12 @@ class Stepper:
     parameter buffer and its flat gradient, so an update must act
     elementwise; in a population each member's stepper gets its own row of
     the stacked buffers, which may be a different array on the next call, so
-    a stepper keeps no reference to `w`. `train` checks the weights each
-    update writes (see the module docstring). A stepper whose weights never
-    depend on the gradient sets `needs_grad` false; `train` then skips
-    backward and calls `update(w, None)`.
+    a stepper keeps no reference to `w`. `update` runs under the caller's
+    `np.errstate`: `train` opens one for its whole loop, and a direct caller
+    that may overflow opens its own. `train` checks the weights each update
+    writes (see the module docstring). A stepper whose weights never depend
+    on the gradient sets `needs_grad` false; `train` then skips backward and
+    calls `update(w, None)`.
     """
 
     name = "stepper"
@@ -139,30 +151,52 @@ class Network:
     rebind them.
     """
 
-    def __init__(self, layer_sizes, seed: int = 0):
-        sizes = list(layer_sizes)
-        if len(sizes) < 2:
-            raise NetworkError("need at least input and output sizes")
-        if any(s < 1 for s in sizes):
-            raise NetworkError("layer sizes must be positive")
-        self.layer_sizes = sizes
+    def __init__(self, layer_sizes, seed: int = 0, _flat: Tensor | None = None):
+        self.layer_sizes = list(layer_sizes)
         self.seed = seed
-        self._layout = []  # (start, stop, shape) of each tensor in `flat`
-        stop = 0
-        for fan_in, fan_out in zip(sizes, sizes[1:]):
-            for shape in ((fan_in, fan_out), (fan_out,)):
-                start, stop = stop, stop + math.prod(shape)
-                self._layout.append((start, stop, shape))
-        self.flat = np.zeros(stop)
+        self._layout = _layout(self.layer_sizes)
+        self.flat = _initial_weights(self._layout, [seed])[0] if _flat is None else _flat
         self.params = self._views(self.flat)
-        rng = Rng(seed).child("init")
-        for i, w in enumerate(self.params[::2]):
-            limit = np.sqrt(6.0 / w.shape[0])
-            w[...] = rng.child("layer", i).uniform(-limit, limit, size=w.shape)
 
     def _views(self, flat: Tensor) -> list[Tensor]:
         """Views [w0, b0, w1, b1, ...] into a buffer laid out like `flat`."""
         return _views(self._layout, flat)
+
+
+def _layout(sizes) -> list:
+    """(start, stop, shape) of each tensor of a network's flat buffer."""
+    if len(sizes) < 2:
+        raise NetworkError("need at least input and output sizes")
+    if any(s < 1 for s in sizes):
+        raise NetworkError("layer sizes must be positive")
+    layout, stop = [], 0
+    for fan_in, fan_out in zip(sizes, sizes[1:]):
+        for shape in ((fan_in, fan_out), (fan_out,)):
+            start, stop = stop, stop + math.prod(shape)
+            layout.append((start, stop, shape))
+    return layout
+
+
+def _initial_weights(layout, seeds) -> Tensor:
+    """(len(seeds), P) initial parameters, row k those of a network seeded
+    by seeds[k]: weight matrix i uniform in +-sqrt(6 / fan_in), drawn from
+    stream ("init", "layer", i) of the seed, and zero biases."""
+    weights = layout[::2]
+    flat = np.zeros((len(seeds), layout[-1][1]))
+    keys = Streams.from_seeds(seeds).children("init", "layer", last=range(len(weights))).keys()
+    keys = keys.reshape(len(seeds), len(weights), 2)
+    for i, (start, stop, shape) in enumerate(weights):
+        limit = np.sqrt(6.0 / shape[0])
+        flat[:, start:stop] = draw_keyed(
+            keys[:, i], lambda gen: gen.uniform(-limit, limit, size=stop - start))
+    return flat
+
+
+def _networks(layer_sizes, seeds) -> list[Network]:
+    """[Network(layer_sizes, seed) for seed in seeds], every initial weight
+    drawn in one pass."""
+    flat = _initial_weights(_layout(list(layer_sizes)), seeds)
+    return [Network(layer_sizes, seed, row) for seed, row in zip(seeds, flat)]
 
 
 class Population:
@@ -453,14 +487,18 @@ def _train_stacked(pop: Population, steppers: list, data, cfgs: list,
     epochs_run, stopped, failed = [0] * size, [False] * size, [False] * size
     val_loss = [None] * size
     trackers = [EarlyStopTracker(cfg.patience) for _ in range(size)]
-    shuffles = [Rng(c.shuffle_seed).child("shuffle") for c in cfgs]
     members = np.arange(size)  # the member each row of pop.flat holds
+    # keys[k, e]: member k's epoch-e batch order, stream ("shuffle", "epoch",
+    # e) of its shuffle seed, all derived at once
+    keys = Streams.from_seeds([c.shuffle_seed for c in cfgs]).children(
+        "shuffle", "epoch", last=range(cfg.max_epochs)).keys()
+    keys = keys.reshape(size, cfg.max_epochs, 2)
     x_bound = _x_bound(data)
     starts = range(0, len(train_set), cfg.batch_size)
 
     def orders(rows, epoch):  # each member's batch order for the epoch
-        return np.array([shuffles[k].child("epoch", epoch).permutation(len(train_set))
-                         for k in members[rows]])
+        return np.array(draw_keyed(keys[members[rows], epoch],
+                                   lambda gen: gen.permutation(len(train_set))))
 
     def uncertified(bound):  # rows whose losses the certificate leaves open
         return ~(_logit_bound(pop.layer_sizes, x_bound, bound) < _LOGIT_MARGIN)
@@ -548,15 +586,20 @@ def _train_stacked(pop: Population, steppers: list, data, cfgs: list,
     return list(zip(epochs_run, stopped, failed, val_loss))
 
 
+def _draw_seed(gen) -> int:
+    return int(gen.integers(2**31 - 1))
+
+
 def train_seeded(layer_sizes, stepper, data, cfg: TrainConfig, rng):
     """Train fresh networks whose initial weights and batch orders derive
-    from `rng`; returns (net, TrainHistory) like `train`. A lone stream
-    trains one Network under `stepper`; a list of streams and a list of
-    steppers, one per stream, train one Population, member k seeded by
-    rng[k]."""
+    from `rng`; returns (net, TrainHistory) like `train`. A lone `Rng`
+    trains one Network under `stepper`, as `Streams` of one; `Streams` and a
+    list of steppers, one per stream, train one Population, member k seeded
+    by stream k. Each member's network seed is one draw from its stream's
+    child "net", and its shuffle seed one from its child "shuffle"."""
     lone = isinstance(rng, Rng)
-    rngs = [rng] if lone else rng
-    nets = [Network(layer_sizes, seed=int(r.child("net").integers(2**31 - 1))) for r in rngs]
-    cfgs = [replace(cfg, shuffle_seed=int(r.child("shuffle").integers(2**31 - 1)))
-            for r in rngs]
+    streams = Streams.of([rng]) if lone else rng
+    seeds = streams.children(last=["net", "shuffle"]).draw(_draw_seed)
+    nets = _networks(layer_sizes, seeds[::2])
+    cfgs = [replace(cfg, shuffle_seed=seed) for seed in seeds[1::2]]
     return train(nets[0] if lone else Population(nets), stepper, data, cfgs)

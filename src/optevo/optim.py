@@ -484,8 +484,7 @@ class SpecStepper(Stepper):
         if self.state is None:
             self.state = OptState.zeros(w.shape)
         slots = self._lean_slots if g is None else self._slots
-        with np.errstate(all="ignore"):  # train fails non-finite weights
-            w[...] = _advance(slots, self.state, w, g)
+        w[...] = _advance(slots, self.state, w, g)
 
 
 class NesterovStepper(Stepper):
@@ -504,9 +503,8 @@ class NesterovStepper(Stepper):
     def update(self, w: Tensor, g: Tensor) -> None:
         if self.velocity is None:
             self.velocity = np.zeros_like(w)
-        with np.errstate(all="ignore"):  # train fails non-finite weights
-            self.velocity = self.mom * self.velocity - self.lr * g
-            w[...] = w + self.mom * self.velocity - self.lr * g
+        self.velocity = self.mom * self.velocity - self.lr * g
+        w[...] = w + self.mom * self.velocity - self.lr * g
 
 
 class AdamStepper(Stepper):
@@ -542,10 +540,9 @@ class AdamStepper(Stepper):
             self.sq = np.zeros_like(w)
         self.t += 1
         zt = self.lr * np.sqrt(1.0 - self.beta2**self.t) / (1.0 - self.beta1**self.t)
-        with np.errstate(all="ignore"):  # train fails non-finite weights
-            self.avg = self.beta1 * self.avg + (1.0 - self.beta1) * g
-            self.sq = self.beta2 * self.sq + (1.0 - self.beta2) * np.square(g)
-            w[...] = w - zt * self.avg / (np.sqrt(self.sq) + self.epsilon)
+        self.avg = self.beta1 * self.avg + (1.0 - self.beta1) * g
+        self.sq = self.beta2 * self.sq + (1.0 - self.beta2) * np.square(g)
+        w[...] = w - zt * self.avg / (np.sqrt(self.sq) + self.epsilon)
 
 
 BUILTIN_NAMES = ("sgd", "momentum", "nesterov", "rmsprop", "adam", "sign", "ades")

@@ -139,5 +139,4 @@ class ScheduledSGD(Stepper):
         self.current_lr = eval_policy(self.policy, epoch, self.current_lr)
 
     def update(self, w: Tensor, g: Tensor) -> None:
-        with np.errstate(all="ignore"):  # train fails non-finite weights
-            w[...] = w - self.current_lr * g
+        w[...] = w - self.current_lr * g

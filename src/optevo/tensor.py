@@ -1,9 +1,28 @@
-"""Plain float64 buffers, the elementwise op set, and a splittable RNG.
+"""Plain float64 buffers, the elementwise op set, and keyed random streams.
 
 Tensors are plain numpy float64 arrays. Arithmetic is strictly elementwise:
 operands must have identical shapes, except that a true scalar (0-d array or
 Python float) may combine with any tensor. NaN and Inf are representable and
 propagate; penalizing them is the fitness layer's job, not this one's.
+
+Every random draw comes from a keyed stream: the stream of a seed and tags
+is the Philox stream of numpy's `SeedSequence(seed, spawn_key=tags)`.
+Philox is counter-based, so a stream is its 128-bit key, which SeedSequence
+hashes from a 4-word pool after mixing in the seed and each tag word in
+turn. Two forms give the same numbers:
+
+* `Rng`, one stream. A child mixes only its own tags into the pool, word by
+  word in Python, which for one stream costs about a third of the array
+  form. Its generator is built on the first draw, which also binds the draw
+  passthroughs (`integers`, `random`, ...) to the generator's own methods,
+  so the many draws of a genotype derivation or a mutation skip them.
+* `Streams`, a population's N streams as an (N, 4) uint32 pool array and
+  one hash constant per stream, so seeds of any width mix in one batch. A
+  child mixes each tag into every stream with a few uint32 array
+  operations, and `draw` derives every Philox key at once, then re-keys one
+  shared generator per stream through its `state` setter (counter 0, empty
+  buffer): for a one-shot draw, exactly a fresh generator of the stream. A
+  stream of many draws leaves as an `Rng` with a generator of its own.
 """
 
 from __future__ import annotations
@@ -159,6 +178,10 @@ class _MixedPool(ISeedSequence):
         return np.array(state, dtype=np.uint32).view(dtype)
 
 
+# the draws Rng passes through to its generator
+_DRAWS = ("integers", "random", "uniform", "normal", "permutation", "choice")
+
+
 class Rng:
     """Deterministic, splittable random stream (counter-based Philox).
 
@@ -174,11 +197,16 @@ class Rng:
     pool without a SeedSequence of its own.
     """
 
-    def __init__(self, seed: int, _key: tuple = (), _state: tuple | None = None):
-        self.seed = int(seed)
-        self._key = tuple(_key)
-        self._state = _mix(*_root_state(self.seed), self._key) if _state is None else _state
+    def __init__(self, seed: int, _key: tuple = ()):
+        self._state = _mix(*_root_state(int(seed)), tuple(_key))
         self._generator = None
+
+    @classmethod
+    def _keyed(cls, state: tuple) -> "Rng":
+        """The stream of an already mixed (pool, hash constant)."""
+        rng = cls.__new__(cls)
+        rng._state, rng._generator = state, None
+        return rng
 
     @property
     def generator(self) -> np.random.Generator:
@@ -186,14 +214,15 @@ class Rng:
         name children, and the Philox set-up costs more than a small draw."""
         if self._generator is None:
             self._generator = np.random.Generator(np.random.Philox(_MixedPool(self._state[0])))
+            for name in _DRAWS:  # later draws skip the passthroughs below
+                setattr(self, name, getattr(self._generator, name))
         return self._generator
 
     def child(self, *tags) -> "Rng":
         """Derive an independent stream named by the given tags."""
-        words = tuple(_tag32(t) for t in tags)
-        return Rng(self.seed, self._key + words, _mix(*self._state, words))
+        return Rng._keyed(_mix(*self._state, [_tag32(t) for t in tags]))
 
-    # thin passthroughs for the handful of draws the codebase uses
+    # thin passthroughs for the first draw of the handful the codebase uses
     def integers(self, low, high=None, size=None):
         return self.generator.integers(low, high, size=size)
 
@@ -206,11 +235,138 @@ class Rng:
     def normal(self, loc=0.0, scale=1.0, size=None):
         return self.generator.normal(loc, scale, size=size)
 
-    def permutation(self, n):
-        return self.generator.permutation(n)
+    def permutation(self, x):
+        return self.generator.permutation(x)
 
     def choice(self, a, size=None, replace=True):
         return self.generator.choice(a, size=size, replace=replace)
 
     def __repr__(self):
-        return f"Rng(seed={self.seed}, key={self._key})"
+        return f"Rng(pool={self._state[0]})"
+
+
+@functools.lru_cache(maxsize=16)
+def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
+    """init * mult**j modulo 2**32 for j < n, as uint32: a hash constant
+    and its next n - 1 successors."""
+    return np.array([init * pow(mult, j, 1 << 32) & _M32 for j in range(n)], dtype=np.uint32)
+
+
+# generate_state's hash constants before and after each of the 4 key words
+_B_CONSTS = _hash_consts(_INIT_B, _MULT_B, 5)
+_MIX_L32, _MIX_R32 = np.uint32(_MIX_L), np.uint32(_MIX_R)
+
+# the one generator of every one-shot draw, re-keyed per stream
+_SHARED = np.random.Generator(np.random.Philox(0))
+_SHARED_BITS = _SHARED.bit_generator
+
+
+def _column_words(tag) -> np.ndarray:
+    """A column tag's 32-bit words, one per stream."""
+    if isinstance(tag, np.ndarray) and tag.dtype.kind in "iu":
+        return tag.astype(np.uint32)  # wraps as _tag32 does
+    return np.array([_tag32(t) for t in tag], dtype=np.uint32)
+
+
+@functools.lru_cache(maxsize=256)
+def _scalar_words(tags: tuple) -> np.ndarray:
+    """The 32-bit words of scalar tags, each repeated for the 4 pool words."""
+    return np.array([_tag32(tag) for tag in tags for _ in range(4)], dtype=np.uint32)
+
+
+class Streams:
+    """N keyed streams at once, the bulk form of N `Rng`s (see the module
+    docstring): stream k's mixed pool is row k of `pool` and its hash
+    constant entry k of `hash_const`."""
+
+    def __init__(self, pool: np.ndarray, hash_const: np.ndarray):
+        self.pool = pool
+        self.hash_const = hash_const
+
+    @classmethod
+    def _stacked(cls, states) -> "Streams":
+        """The streams of these (pool, hash constant) pairs."""
+        return cls(np.array([pool for pool, _ in states], dtype=np.uint32).reshape(-1, 4),
+                   np.array([const for _, const in states], dtype=np.uint32))
+
+    @classmethod
+    def from_seeds(cls, seeds) -> "Streams":
+        """The root streams Rng(seed) of each seed."""
+        return cls._stacked([_root_state(int(seed)) for seed in seeds])
+
+    @classmethod
+    def of(cls, rngs) -> "Streams":
+        """The streams of these Rngs."""
+        return cls._stacked([rng._state for rng in rngs])
+
+    def take(self, rows) -> "Streams":
+        """The streams at `rows`."""
+        return Streams(self.pool[rows], self.hash_const[rows])
+
+    def child(self, *tags) -> "Streams":
+        """Each stream's child named by the tags: `Rng.child` per stream,
+        where a column tag names stream k's child by its entry k."""
+        width = 4 * len(tags)
+        scalar = [isinstance(tag, (str, int, np.integer)) for tag in tags]
+        if all(scalar):
+            words = _scalar_words(tags)
+        else:
+            words = np.empty((len(self.pool), len(tags)), dtype=np.uint32)
+            for j, tag in enumerate(tags):
+                words[:, j] = _tag32(tag) if scalar[j] else _column_words(tag)
+            words = words.repeat(4, axis=1)
+        # word j meets pool word i under the hash constant advanced 4j + i
+        # times, and is multiplied by the next one (see `_mix`)
+        hashes = self.hash_const[:, None] * _hash_consts(1, _MULT_A, width + 1)
+        values = words ^ hashes[:, :-1]
+        values *= hashes[:, 1:]
+        values ^= values >> 16
+        values *= _MIX_R32
+        pool = self.pool
+        for j in range(0, width, 4):
+            mixed = pool * _MIX_L32
+            mixed -= values[:, j : j + 4]
+            pool = mixed ^ mixed >> 16
+        return Streams(pool, hashes[:, width])
+
+    def children(self, *tags, last) -> "Streams":
+        """Stream k's child (*tags, c) for each c in `last`, k-major: the
+        child of stream k and last[j] is stream k * len(last) + j."""
+        last = np.asarray(last)
+        grid = np.arange(len(self.pool) * len(last))
+        return self.take(grid // len(last)).child(*tags, last[grid % len(last)])
+
+    def keys(self) -> np.ndarray:
+        """Each stream's Philox key, an (N, 2) uint64 array, as
+        SeedSequence.generate_state(2, uint64) gives it from the pool."""
+        words = (self.pool ^ _B_CONSTS[:4]) * _B_CONSTS[1:]
+        words ^= words >> 16
+        return words.view(np.uint64)
+
+    def draw(self, fn) -> list:
+        """[fn(generator of stream k) for each stream k], each generator
+        fresh (see `draw_keyed`)."""
+        return draw_keyed(self.keys(), fn)
+
+    def rngs(self):
+        """Each stream as an Rng, for streams that draw many times. An
+        iterator: an Rng made as it is reached frees its generator once the
+        caller is done with it."""
+        for pool, const in zip(self.pool.tolist(), self.hash_const.tolist()):
+            yield Rng._keyed((tuple(pool), const))
+
+
+def draw_keyed(keys: np.ndarray, fn) -> list:
+    """[fn(generator) for each Philox key in `keys`, (N, 2) uint64]: the
+    shared generator, re-keyed with counter 0 and an empty buffer as a fresh
+    Philox starts. `fn` draws only from the generator it is given, and keeps
+    no reference to it."""
+    philox = {"counter": (0, 0, 0, 0), "key": None}
+    state = {"bit_generator": "Philox", "state": philox, "buffer": (0, 0, 0, 0),
+             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    out = []
+    for key in keys.tolist():
+        philox["key"] = key
+        _SHARED_BITS.state = state
+        out.append(fn(_SHARED))
+    return out

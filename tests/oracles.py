@@ -228,8 +228,9 @@ def train_per_tensor(params, make_stepper, data, cfg, order):
             total += _nll(log_probs, labels) * len(idx)
             grads = (_backward(params, activations, pre, labels, log_probs)
                      if needs_grad else [None] * len(params))
-            for stepper, w, g in zip(steppers, params, grads):
-                stepper.update(w, g)
+            with np.errstate(all="ignore"):  # update runs under the caller's
+                for stepper, w, g in zip(steppers, params, grads):
+                    stepper.update(w, g)
             if not all(np.isfinite(p).all() for p in params):
                 return train_loss, val_loss, len(train_loss), False, True
         epoch_train = total / len(rows)

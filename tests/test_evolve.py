@@ -18,7 +18,17 @@ import optevo.dsge as dsge_mod
 import optevo.evolve as evolve_mod
 import optevo.nn as nn_mod
 from optevo.data import synthetic
-from optevo.dsge import EvoParams, map_genotype, random_derivation
+from optevo.dsge import (
+    EvoParams,
+    Genotype,
+    Individual,
+    MappingFailure,
+    crossover,
+    map_genotype,
+    mutate,
+    random_derivation,
+    tournament_select,
+)
 from optevo.evolve import (
     LOG_COLUMNS,
     EvolveRunLog,
@@ -32,7 +42,7 @@ from optevo.evolve import (
 )
 from optevo.grammar import load_shipped_grammar, parse_grammar
 from optevo.nn import TrainConfig
-from optevo.optim import HyperParams, builtin, spec_from_phenotype
+from optevo.optim import HyperParams, SpecStepper, builtin, spec_from_phenotype
 from optevo.sched import Leaf, parse_policy, serialize_policy
 from optevo.tensor import Rng
 
@@ -172,6 +182,26 @@ class TestFitnessReal:
         assert a == b
         assert a.trials_run == 2 and not a.cancelled_early
         assert all(0.0 <= s <= 1.0 for s in a.trial_scores)
+
+    def test_lone_trial_trains_a_network(self, monkeypatch):
+        """A lone key trains one Network, whose history holds scalars (a
+        population's 1-tuple (False,) would read as failed), and scores what
+        it scores as a member of a wave."""
+        task, text = tiny_task(1), builtin("sgd").phenotype()
+        histories = []
+        real = nn_mod.train
+
+        def spy(net, *args):
+            histories.append((type(net), real(net, *args)))
+            return histories[-1][1]
+
+        monkeypatch.setattr(nn_mod, "train", spy)
+        lone = evolve_mod._run_trial(task, SpecStepper(builtin("sgd")), 0, text)
+        (kind, (_, hist)), = histories
+        assert kind is nn_mod.Network and hist.failed is False
+        wave = evolve_mod._run_trial(task, [SpecStepper(builtin("sgd")) for _ in range(2)], 0,
+                                     [text, builtin("momentum").phenotype()])
+        assert lone == wave[0] and not lone[1]
 
     def test_dlr_static_policy_trains(self):
         task = tiny_task(1)
@@ -464,6 +494,75 @@ class TestEvolveLoop:
         fits = {s.best for s in log.stats}
         assert best.fitness == 1.0  # the elite survives the doomed mutants
         assert all(f in (0.0, 1.0) for f in fits)
+
+
+ALR = load_shipped_grammar("alr")
+
+
+def breed_per_choice(population, params, grammar, root, generation, next_id):
+    """`_breed` with one Rng per stochastic choice, each built alone: child
+    i's tournaments, crossover coin, crossover and mutation."""
+    ranked = sorted(population, key=lambda ind: (-ind.fitness, ind.id))
+    new_pop = ranked[: params.elitism]
+    for i in range(params.population_size - params.elitism):
+        first = tournament_select(population, params.tournament_size,
+                                  root.child("tour", generation, i, 0))
+        if root.child("xo", generation, i).random() < params.crossover_prob:
+            second = tournament_select(population, params.tournament_size,
+                                       root.child("tour", generation, i, 1))
+            geno = crossover(first.genotype, second.genotype, root.child("cross", generation, i))
+        else:
+            geno = first.genotype.copy()
+        geno = mutate(geno, params.mutation_rate, grammar, root.child("mut", generation, i))
+        new_pop.append(Individual(geno, id=next_id))
+        next_id += 1
+    return new_pop, next_id
+
+
+def individuals(seeds, ids):
+    return [Individual(random_derivation(ALR, 6, Rng(seed).child("g"))[0], id=ind_id,
+                       fitness=(seed % 7) / 7) for seed, ind_id in zip(seeds, ids)]
+
+
+class TestBulkStreams:
+    """Breeding, seeding and repair derive a generation's streams in bulk;
+    every choice is the one its own stream makes alone."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 2**40), st.integers(1, 50), st.sampled_from([0.0, 0.5, 1.0]))
+    def test_breed_matches_per_choice_streams(self, seed, generation, crossover_prob):
+        evo = params(population_size=12, elitism=2, mutation_rate=0.3,
+                     crossover_prob=crossover_prob)
+        root = Rng(seed).child("evolve")
+        population = individuals(range(seed, seed + 12), range(100, 112))
+        got, got_id = evolve_mod._breed(population, evo, ALR, root, generation, 500)
+        want, want_id = breed_per_choice(individuals(range(seed, seed + 12), range(100, 112)),
+                                         evo, ALR, root, generation, 500)
+        assert got_id == want_id == 510
+        assert [(ind.id, ind.genotype.genes, ind.genotype.used) for ind in got] == [
+            (ind.id, ind.genotype.genes, ind.genotype.used) for ind in want]
+
+    def test_seed_population_and_repairs_are_their_streams(self, tmp_path):
+        """Generation 0's genotype i is the random derivation of stream
+        ("seed-pop", i); a bred genotype that runs out of genes is repaired
+        from stream ("repair", generation, id)."""
+        evo = params(population_size=6, generations=0, max_depth=6)
+        evolve(evo, ALR, per_text(text_score), checkpoint_path=tmp_path / "c.json")
+        _, population, _, _, _ = load_checkpoint(tmp_path / "c.json")
+        root = Rng(evo.rng_seed).child("evolve")
+        for i, ind in enumerate(population):
+            geno, derivation = random_derivation(ALR, 6, root.child("seed-pop", i))
+            assert (ind.genotype.genes, ind.phenotype) == (geno.genes, derivation.text())
+        pending = [Individual(Genotype({}), id=ind_id) for ind_id in (3, 11, 40)]
+        evolve_mod._evaluate_wave(pending, ALR, evo, per_text(text_score), {}, root, 7, 1)
+        for ind in pending:
+            geno, text = Genotype({}), None
+            try:
+                text = map_genotype(ALR, geno, max_depth=6,
+                                    rng=root.child("repair", 7, ind.id)).text()
+            except MappingFailure:
+                pass
+            assert (ind.genotype.genes, ind.phenotype) == (geno.genes, text)
 
 
 class TestLogAndCheckpoint:

@@ -40,7 +40,7 @@ from optevo.optim import (
     spec_from_phenotype,
 )
 from optevo.sched import ScheduledSGD, parse_policy
-from optevo.tensor import Rng
+from optevo.tensor import Rng, Streams
 
 import oracles
 from oracles import train_per_tensor
@@ -80,6 +80,17 @@ class TestNetworkInit:
     def test_layers_draw_independent_streams(self):
         net = Network([5, 5, 5, 5], seed=0)
         assert not np.array_equal(net.params[0], net.params[2])
+
+    @pytest.mark.parametrize("seed", [0, 17, 2**31 - 2, 2**40 + 3])
+    def test_weights_are_the_layer_streams(self, seed):
+        """Weight matrix i is drawn from stream ("init", "layer", i) of the
+        seed, and the biases are zero."""
+        net = Network([3, 6, 4, 2], seed=seed)
+        for i, (w, b) in enumerate(zip(net.params[::2], net.params[1::2])):
+            limit = np.sqrt(6.0 / w.shape[0])
+            want = Rng(seed).child("init").child("layer", i).uniform(-limit, limit, size=w.shape)
+            assert w.tobytes() == want.tobytes()
+            assert not b.any()
 
     def test_size_validation(self):
         with pytest.raises(NetworkError, match="at least"):
@@ -860,6 +871,56 @@ class TestPopulationTraining:
             assert (hist.epochs_run[k], hist.stopped_early[k], hist.failed[k],
                     hist.val_loss[k]) == (alone.epochs_run, alone.stopped_early,
                                           alone.failed, alone.val_loss)
+
+    @pytest.mark.parametrize("budget", [None, 2 * 30 * 16])
+    def test_seeded_members_match_lone_trainings(self, monkeypatch, budget):
+        """`train_seeded` derives a population's seeds in bulk. Member k gets
+        the initial weights and shuffle seed that its stream gives alone, and
+        ends where the oracle loop ends from them. At a budget of 2 members
+        per stack the 5 members train in 3 stacks."""
+        import optevo.nn as nn
+
+        if budget is not None:
+            monkeypatch.setattr(nn, "POPULATION_ELEMENTS", budget)
+        kinds = ["sgd", "adam", "grad ; y ; z ; multiply(alpha, 0.9)", "momentum", "alr"]
+        rngs = [Rng(2**33 + 5).child("member", k) for k in range(len(kinds))]
+        cfg = TrainConfig(batch_size=30, max_epochs=3, early_stop=True, patience=1)
+        seen, stacks = {}, []
+        real_train, real_stacked = nn.train, nn._train_stacked
+
+        def spy_train(net, stepper, data, cfgs):
+            seen.update(flat=net.flat.copy(), cfgs=cfgs)
+            return real_train(net, stepper, data, cfgs)
+
+        def spy_stacked(pop, *args):
+            stacks.append(len(pop))
+            return real_stacked(pop, *args)
+
+        monkeypatch.setattr(nn, "train", spy_train)
+        monkeypatch.setattr(nn, "_train_stacked", spy_stacked)
+        pop, hist = train_seeded([2, 16, 2], [make_case_stepper(kind, k, 1.0)
+                                              for k, kind in enumerate(kinds)],
+                                 toy_data(), cfg, Streams.of(rngs))
+        monkeypatch.setattr(nn, "train", real_train)
+        assert stacks == ([4, 1] if budget is None else [2, 2, 1])
+        for k, (kind, rng) in enumerate(zip(kinds, rngs)):
+            net_seed = int(rng.child("net").integers(2**31 - 1))
+            shuffle_seed = int(rng.child("shuffle").integers(2**31 - 1))
+            assert pop.nets[k].seed == net_seed
+            assert seen["flat"][k].tobytes() == Network([2, 16, 2], seed=net_seed).flat.tobytes()
+            assert seen["cfgs"][k] == replace(cfg, shuffle_seed=shuffle_seed)
+            flat, outcome, val_loss = oracle_training(
+                [2, 16, 2], net_seed, lambda: make_case_stepper(kind, k, 1.0), toy_data(),
+                replace(cfg, shuffle_seed=shuffle_seed))
+            assert_same_bits(pop.flat[k], flat)
+            assert [hist.epochs_run[k], hist.stopped_early[k], hist.failed[k]] == outcome
+            assert hist.val_loss[k] == val_loss
+            net, alone = train_seeded([2, 16, 2], make_case_stepper(kind, k, 1.0),
+                                      toy_data(), cfg, rng)
+            assert net.seed == net_seed
+            assert_same_bits(net.flat, flat)
+            assert (alone.epochs_run, alone.stopped_early, alone.failed, alone.val_loss) == (
+                hist.epochs_run[k], hist.stopped_early[k], hist.failed[k], hist.val_loss[k])
 
     def test_members_evaluate_as_alone(self):
         nets = [Network([2, 16, 2], seed=k) for k in range(23)]

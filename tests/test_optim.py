@@ -360,14 +360,15 @@ class TestSteppers:
         )
         stepper = SpecStepper(spec)
         w = np.array([-2.0])
-        stepper.update(w, np.array([0.5]))  # pow(-2, 2) ok
-        assert np.isfinite(w).all()
-        stepper.update(w, np.array([0.4]))  # pow(4, 2.5) fine... keep going
-        w2 = np.array([-2.0])
-        stepper2 = SpecStepper(
-            spec_from_phenotype("sqrt(grad) ; y ; z ; add(alpha, x)")
-        )
-        stepper2.update(w2, np.array([-1.0]))  # sqrt(-1) -> NaN
+        with np.errstate(all="ignore"):  # update runs under the caller's
+            stepper.update(w, np.array([0.5]))  # pow(-2, 2) ok
+            assert np.isfinite(w).all()
+            stepper.update(w, np.array([0.4]))  # pow(4, 2.5) fine... keep going
+            w2 = np.array([-2.0])
+            stepper2 = SpecStepper(
+                spec_from_phenotype("sqrt(grad) ; y ; z ; add(alpha, x)")
+            )
+            stepper2.update(w2, np.array([-1.0]))  # sqrt(-1) -> NaN
         assert np.isnan(w2).all()  # train fails the run on this weight
 
     def test_nesterov_matches_oracle(self):
@@ -385,7 +386,8 @@ class TestSteppers:
         assert "update" in vars(type(stepper))
         stepper.begin_epoch(0)
         w = np.array([1.0, 1.0])
-        stepper.update(w, np.array([np.inf, np.nan]))  # an overflowed backward
+        with np.errstate(all="ignore"):  # update runs under the caller's
+            stepper.update(w, np.array([np.inf, np.nan]))  # an overflowed backward
         assert not np.all(np.isfinite(w))  # train fails the run on these weights
 
     def test_make_stepper_forms(self):
@@ -429,8 +431,9 @@ def assert_compiled_matches_interpreted(spec, seed, grad_scale, batches=5):
     for t in range(batches):
         grads = [rng.child("g", t, k).normal(size=s) * grad_scale
                  for k, s in enumerate(TOY_SHAPES)]
-        for stepper, w, g in zip(steppers, w_compiled, grads):
-            stepper.update(w, g)
+        with np.errstate(all="ignore"):  # update runs under the caller's
+            for stepper, w, g in zip(steppers, w_compiled, grads):
+                stepper.update(w, g)
         for k, (w, g) in enumerate(zip(w_interp, grads)):
             new_w, states[k] = interpreted_step(spec, states[k], w, g)
             failed = failed or not np.all(np.isfinite(new_w))

@@ -11,6 +11,7 @@ from optevo.tensor import (
     OpCode,
     Rng,
     ShapeMismatchError,
+    Streams,
     check_binary_shapes,
     elementwise,
     tensor,
@@ -185,8 +186,31 @@ class TestRng:
         got = r.normal(size=6)
         assert root._generator is None and r._generator is not None
         seq = np.random.SeedSequence(11, spawn_key=(zlib.crc32(b"init"), 2))
-        want = np.random.Generator(np.random.Philox(seq)).normal(size=6)
-        assert got.tobytes() == want.tobytes()
+        want = np.random.Generator(np.random.Philox(seq))
+        assert got.tobytes() == want.normal(size=6).tobytes()
+        # the first draw bound the passthroughs to the generator's own methods
+        assert r.integers.__self__ is r.generator and r.choice.__self__ is r.generator
+        assert r.integers(0, 9, size=5).tolist() == want.integers(0, 9, size=5).tolist()
+        assert r.random(size=3).tobytes() == want.random(size=3).tobytes()
+        assert r.uniform(-1, 2, size=3).tobytes() == want.uniform(-1, 2, size=3).tobytes()
+        assert r.normal(1, 3) == want.normal(1, 3)
+        assert r.permutation(9).tolist() == want.permutation(9).tolist()
+        assert r.choice(20, size=4, replace=False).tolist() == want.choice(
+            20, size=4, replace=False).tolist()
+        assert r.integers(7) == want.integers(7)
+        assert Rng(11).child("init", 2).integers.__self__ is not r.generator  # per stream
+
+    def test_bulk_draw_leaves_live_streams_alone(self):
+        """A `Streams.draw` re-keys the shared generator; a live Rng keeps
+        its own, so a draw between two of its draws does not move it."""
+        r = Rng(4).child("live")
+        want = np.random.Generator(np.random.Philox(np.random.SeedSequence(
+            4, spawn_key=(zlib.crc32(b"live"),))))
+        assert r.integers(100, size=3).tolist() == want.integers(100, size=3).tolist()
+        Streams.of([r, Rng(5)]).child("other").draw(lambda gen: gen.random(size=50))
+        Streams.of([r]).draw(lambda gen: gen.integers(100, size=7))  # r's own key
+        assert r.random(size=4).tobytes() == want.random(size=4).tobytes()
+        assert r.integers(100, size=3).tolist() == want.integers(100, size=3).tolist()
 
     def test_shuffle_and_permutation(self):
         r = Rng(3)
@@ -225,3 +249,69 @@ class TestPrefixKeyedStreams:
         want = np.random.Generator(np.random.Philox(
             np.random.SeedSequence(seed, spawn_key=key)))
         assert rng.permutation(50).tolist() == want.permutation(50).tolist()
+
+
+def seed_sequence_stream(seed, key):
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
+
+
+TAG = st.one_of(st.integers(0, 2**32 - 1), st.text(max_size=8))
+
+
+class TestBulkStreams:
+    """`Streams` holds N keyed streams as arrays; stream k is the stream of
+    numpy's SeedSequence over seed k and the tags it was named by, a column
+    tag giving stream k its entry k."""
+
+    @given(
+        st.integers(1, 2**32 - 1),
+        st.integers(2**32, 2**200),
+        st.lists(st.one_of(st.just(0), st.integers(1, 2**32 - 1), st.integers(2**32, 2**200)),
+                 max_size=3),
+        st.data(),
+    )
+    def test_draws_match_seed_sequence(self, small, wide, more, data):
+        seeds = data.draw(st.permutations([0, small, wide, *more]))
+        n = len(seeds)
+        column = st.lists(TAG, min_size=n, max_size=n)
+        groups = data.draw(st.lists(st.lists(st.one_of(TAG, column), min_size=1, max_size=3),
+                                    max_size=3).filter(lambda gs: sum(map(len, gs)) <= 5))
+        streams = Streams.from_seeds(seeds)
+        for tags in groups:
+            streams = streams.child(*tags)
+        assert streams.pool.shape == (n, 4)
+
+        def word(tag):
+            return zlib.crc32(tag.encode()) if isinstance(tag, str) else tag
+
+        keys = [tuple(word(t[k] if isinstance(t, list) else t)
+                      for tags in groups for t in tags) for k in range(n)]
+        draws = [lambda gen: gen.permutation(11), lambda gen: gen.integers(-5, 2**40, size=4),
+                 lambda gen: gen.uniform(-2.0, 3.0, size=3), lambda gen: gen.random()]
+        for fn in draws:
+            got = streams.draw(fn)
+            for k in range(n):
+                want = fn(seed_sequence_stream(seeds[k], keys[k]))
+                assert np.asarray(got[k]).tobytes() == np.asarray(want).tobytes()
+        for k, rng in enumerate(streams.rngs()):  # a many-draw stream as an Rng
+            want = seed_sequence_stream(seeds[k], keys[k])
+            for _ in range(2):
+                assert rng.integers(1000, size=3).tolist() == want.integers(1000, size=3).tolist()
+
+    def test_of_rngs_and_take(self):
+        rngs = [Rng(3).child("a", k) for k in range(4)]
+        streams = Streams.of(rngs).child("b").take([2, 0])
+        got = streams.draw(lambda gen: gen.random(size=2))
+        for g, k in zip(got, [2, 0]):
+            assert g.tobytes() == rngs[k].child("b").random(size=2).tobytes()
+
+    def test_no_streams_draw_nothing(self):
+        assert Streams.of([]).child("a", [], 3).draw(lambda gen: gen.random()) == []
+        assert list(Streams.from_seeds([]).rngs()) == []
+
+    def test_many_tags_at_once(self):
+        """More tags than the precomputed hash constants cover."""
+        tags = list(range(12))
+        got = Streams.from_seeds([9, 2**70]).child(*tags).draw(lambda gen: gen.random(size=3))
+        for g, seed in zip(got, [9, 2**70]):
+            assert g.tobytes() == seed_sequence_stream(seed, tuple(tags)).random(size=3).tobytes()
