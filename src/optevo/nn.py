@@ -52,13 +52,13 @@ not reproduce at every width.
 
 Every random number a training draws comes from a keyed stream, derived
 for a whole population at once as `tensor.Streams`: `train_seeded` draws
-each member's network and shuffle seeds from its stream, `_initial_weights`
+each member's network and shuffle seeds from its stream, `Network.seeded`
 draws every member's layer i from stream ("init", "layer", i) of its
-network seed, and `_train_stacked` draws each member's epoch-e batch order
-from stream ("shuffle", "epoch", e) of its shuffle seed, every epoch's key
-derived once per stack. Each is a one-shot draw on one re-keyed generator,
-the numbers of a fresh generator per stream; a lone `Rng` trains as
-`Streams` of one.
+network seed into the one buffer their `Population` trains on, and
+`_train_stacked` draws each member's epoch-e batch order from stream
+("shuffle", "epoch", e) of its shuffle seed, every epoch's key derived once
+per stack. Each is a one-shot draw on one re-keyed generator, the numbers
+of a fresh generator per stream; a lone `Rng` trains as `Streams` of one.
 
 Most losses a training computes are read only to check that they are
 finite, and `train` skips those that a finiteness certificate shows cannot
@@ -151,12 +151,28 @@ class Network:
     rebind them.
     """
 
-    def __init__(self, layer_sizes, seed: int = 0, _flat: Tensor | None = None):
+    def __init__(self, layer_sizes, seed: int = 0):
+        layout = _layout(list(layer_sizes))
+        self._adopt(layer_sizes, seed, layout, _initial_weights(layout, [seed])[0])
+
+    @classmethod
+    def seeded(cls, layer_sizes, seeds) -> tuple[list["Network"], Tensor]:
+        """[Network(layer_sizes, seed) for seed in seeds], every initial
+        weight drawn in one pass, and the (K, P) buffer whose row k is
+        nets[k].flat."""
+        layout = _layout(list(layer_sizes))
+        flat = _initial_weights(layout, seeds)
+        nets = [cls.__new__(cls) for _ in seeds]
+        for net, seed, row in zip(nets, seeds, flat):
+            net._adopt(layer_sizes, seed, layout, row)
+        return nets, flat
+
+    def _adopt(self, layer_sizes, seed, layout, flat: Tensor) -> None:
         self.layer_sizes = list(layer_sizes)
         self.seed = seed
-        self._layout = _layout(self.layer_sizes)
-        self.flat = _initial_weights(self._layout, [seed])[0] if _flat is None else _flat
-        self.params = self._views(self.flat)
+        self._layout = layout
+        self.flat = flat
+        self.params = self._views(flat)
 
     def _views(self, flat: Tensor) -> list[Tensor]:
         """Views [w0, b0, w1, b1, ...] into a buffer laid out like `flat`."""
@@ -192,18 +208,12 @@ def _initial_weights(layout, seeds) -> Tensor:
     return flat
 
 
-def _networks(layer_sizes, seeds) -> list[Network]:
-    """[Network(layer_sizes, seed) for seed in seeds], every initial weight
-    drawn in one pass."""
-    flat = _initial_weights(_layout(list(layer_sizes)), seeds)
-    return [Network(layer_sizes, seed, row) for seed, row in zip(seeds, flat)]
-
-
 class Population:
     """K networks of one shape, `nets`, trained as one: their parameters
     live in one (K, P) buffer, `flat`, row k laid out like nets[k].flat, and
     `params` holds its stacked views (see `_views`). Building one copies the
-    members' weights in; `train` writes them back."""
+    members' weights in, unless `flat` (such as `Network.seeded`'s buffer)
+    already holds them; `train` writes them back."""
 
     def __init__(self, nets, flat: Tensor | None = None):
         self.nets = list(nets)
@@ -600,6 +610,6 @@ def train_seeded(layer_sizes, stepper, data, cfg: TrainConfig, rng):
     lone = isinstance(rng, Rng)
     streams = Streams.of([rng]) if lone else rng
     seeds = streams.children(last=["net", "shuffle"]).draw(_draw_seed)
-    nets = _networks(layer_sizes, seeds[::2])
+    nets, flat = Network.seeded(layer_sizes, seeds[::2])
     cfgs = [replace(cfg, shuffle_seed=seed) for seed in seeds[1::2]]
-    return train(nets[0] if lone else Population(nets), stepper, data, cfgs)
+    return train(nets[0] if lone else Population(nets, flat), stepper, data, cfgs)

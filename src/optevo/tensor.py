@@ -9,20 +9,19 @@ Every random draw comes from a keyed stream: the stream of a seed and tags
 is the Philox stream of numpy's `SeedSequence(seed, spawn_key=tags)`.
 Philox is counter-based, so a stream is its 128-bit key, which SeedSequence
 hashes from a 4-word pool after mixing in the seed and each tag word in
-turn. Two forms give the same numbers:
+turn. `Streams` holds N streams as an (N, 4) uint32 pool array and one hash
+constant per stream, so seeds of any width mix in one batch. A child mixes
+each tag into every stream with a few uint32 array operations, and `keys`
+hashes every Philox key at once; these are the only copies of the two
+hashes, which an `Rng`, one stream, uses as a `Streams` of one.
 
-* `Rng`, one stream. A child mixes only its own tags into the pool, word by
-  word in Python, which for one stream costs about a third of the array
-  form. Its generator is built on the first draw, which also binds the draw
-  passthroughs (`integers`, `random`, ...) to the generator's own methods,
-  so the many draws of a genotype derivation or a mutation skip them.
-* `Streams`, a population's N streams as an (N, 4) uint32 pool array and
-  one hash constant per stream, so seeds of any width mix in one batch. A
-  child mixes each tag into every stream with a few uint32 array
-  operations, and `draw` derives every Philox key at once, then re-keys one
-  shared generator per stream through its `state` setter (counter 0, empty
-  buffer): for a one-shot draw, exactly a fresh generator of the stream. A
-  stream of many draws leaves as an `Rng` with a generator of its own.
+A one-shot draw (`Streams.draw`) re-keys one shared generator per stream
+through its `state` setter (counter 0, empty buffer): exactly a fresh
+generator of the stream, without building one. A stream of many draws is
+an `Rng`, whose own generator is built on its first draw; that draw also
+binds the generator's draw methods (`integers`, `random`, ...) onto the
+Rng, so the many draws of a genotype derivation or a mutation call them
+directly.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ import zlib
 from enum import Enum
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 Tensor = np.ndarray
 
@@ -143,108 +141,6 @@ def _root_state(seed: int) -> tuple:
     return pool, _INIT_A * pow(_MULT_A, 16 + 4 * max(0, words - 4), 1 << 32) & _M32
 
 
-def _mix(pool: tuple, hash_const: int, words) -> tuple:
-    """SeedSequence's mixing of spawn-key words into a pool: each word,
-    hashed anew for each pool word, is mixed into it. Returns the new
-    (pool, hash constant)."""
-    pool = list(pool)
-    for word in words:
-        for i in range(4):
-            value = word ^ hash_const
-            hash_const = hash_const * _MULT_A & _M32
-            value = value * hash_const & _M32
-            value ^= value >> 16
-            mixed = (_MIX_L * pool[i] - _MIX_R * value) & _M32
-            pool[i] = mixed ^ mixed >> 16
-    return tuple(pool), hash_const
-
-
-class _MixedPool(ISeedSequence):
-    """A seed sequence whose entropy is already mixed into `pool`: its
-    `generate_state` is SeedSequence's, so Philox draws the same key."""
-
-    def __init__(self, pool: tuple):
-        self.pool = pool
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        dtype = np.dtype(dtype)
-        hash_const = _INIT_B
-        state = []
-        for i in range(n_words * dtype.itemsize // 4):
-            value = self.pool[i % 4] ^ hash_const
-            hash_const = hash_const * _MULT_B & _M32
-            value = value * hash_const & _M32
-            state.append(value ^ value >> 16)
-        return np.array(state, dtype=np.uint32).view(dtype)
-
-
-# the draws Rng passes through to its generator
-_DRAWS = ("integers", "random", "uniform", "normal", "permutation", "choice")
-
-
-class Rng:
-    """Deterministic, splittable random stream (counter-based Philox).
-
-    The stream of `Rng(seed).child(*tags)` is that of
-    `Philox(SeedSequence(seed, spawn_key=<tag words>))`, the tags read as
-    32-bit words (strings by CRC-32), so the same seed and tags always
-    reproduce it, and children are statistically independent of the parent
-    and of each other by construction of the seed sequence.
-
-    Streams are keyed by prefix: SeedSequence mixes the spawn-key words into
-    its pool one after another, so each Rng keeps the pool mixed so far, and
-    a child mixes in only its own tags. Philox then reads its key from that
-    pool without a SeedSequence of its own.
-    """
-
-    def __init__(self, seed: int, _key: tuple = ()):
-        self._state = _mix(*_root_state(int(seed)), tuple(_key))
-        self._generator = None
-
-    @classmethod
-    def _keyed(cls, state: tuple) -> "Rng":
-        """The stream of an already mixed (pool, hash constant)."""
-        rng = cls.__new__(cls)
-        rng._state, rng._generator = state, None
-        return rng
-
-    @property
-    def generator(self) -> np.random.Generator:
-        """The stream itself, built on the first draw: many streams only ever
-        name children, and the Philox set-up costs more than a small draw."""
-        if self._generator is None:
-            self._generator = np.random.Generator(np.random.Philox(_MixedPool(self._state[0])))
-            for name in _DRAWS:  # later draws skip the passthroughs below
-                setattr(self, name, getattr(self._generator, name))
-        return self._generator
-
-    def child(self, *tags) -> "Rng":
-        """Derive an independent stream named by the given tags."""
-        return Rng._keyed(_mix(*self._state, [_tag32(t) for t in tags]))
-
-    # thin passthroughs for the first draw of the handful the codebase uses
-    def integers(self, low, high=None, size=None):
-        return self.generator.integers(low, high, size=size)
-
-    def random(self, size=None):
-        return self.generator.random(size=size)
-
-    def uniform(self, low=0.0, high=1.0, size=None):
-        return self.generator.uniform(low, high, size=size)
-
-    def normal(self, loc=0.0, scale=1.0, size=None):
-        return self.generator.normal(loc, scale, size=size)
-
-    def permutation(self, x):
-        return self.generator.permutation(x)
-
-    def choice(self, a, size=None, replace=True):
-        return self.generator.choice(a, size=size, replace=replace)
-
-    def __repr__(self):
-        return f"Rng(pool={self._state[0]})"
-
-
 @functools.lru_cache(maxsize=16)
 def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
     """init * mult**j modulo 2**32 for j < n, as uint32: a hash constant
@@ -254,6 +150,7 @@ def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
 
 # generate_state's hash constants before and after each of the 4 key words
 _B_CONSTS = _hash_consts(_INIT_B, _MULT_B, 5)
+_KEY_XOR, _KEY_MULT = _B_CONSTS[:4], _B_CONSTS[1:]
 _MIX_L32, _MIX_R32 = np.uint32(_MIX_L), np.uint32(_MIX_R)
 
 # the one generator of every one-shot draw, re-keyed per stream
@@ -275,9 +172,8 @@ def _scalar_words(tags: tuple) -> np.ndarray:
 
 
 class Streams:
-    """N keyed streams at once, the bulk form of N `Rng`s (see the module
-    docstring): stream k's mixed pool is row k of `pool` and its hash
-    constant entry k of `hash_const`."""
+    """N keyed streams at once (see the module docstring): stream k's mixed
+    pool is row k of `pool` and its hash constant entry k of `hash_const`."""
 
     def __init__(self, pool: np.ndarray, hash_const: np.ndarray):
         self.pool = pool
@@ -297,15 +193,17 @@ class Streams:
     @classmethod
     def of(cls, rngs) -> "Streams":
         """The streams of these Rngs."""
-        return cls._stacked([rng._state for rng in rngs])
+        return cls._stacked([(rng._streams.pool[0], rng._streams.hash_const[0]) for rng in rngs])
 
     def take(self, rows) -> "Streams":
         """The streams at `rows`."""
         return Streams(self.pool[rows], self.hash_const[rows])
 
     def child(self, *tags) -> "Streams":
-        """Each stream's child named by the tags: `Rng.child` per stream,
-        where a column tag names stream k's child by its entry k."""
+        """Each stream's child named by the tags, mixed in as SeedSequence
+        mixes spawn-key words into its pool: each word, hashed anew for each
+        pool word, is mixed into it. A column tag names stream k's child by
+        its entry k."""
         width = 4 * len(tags)
         scalar = [isinstance(tag, (str, int, np.integer)) for tag in tags]
         if all(scalar):
@@ -316,7 +214,7 @@ class Streams:
                 words[:, j] = _tag32(tag) if scalar[j] else _column_words(tag)
             words = words.repeat(4, axis=1)
         # word j meets pool word i under the hash constant advanced 4j + i
-        # times, and is multiplied by the next one (see `_mix`)
+        # times, and is multiplied by the next one
         hashes = self.hash_const[:, None] * _hash_consts(1, _MULT_A, width + 1)
         values = words ^ hashes[:, :-1]
         values *= hashes[:, 1:]
@@ -339,7 +237,8 @@ class Streams:
     def keys(self) -> np.ndarray:
         """Each stream's Philox key, an (N, 2) uint64 array, as
         SeedSequence.generate_state(2, uint64) gives it from the pool."""
-        words = (self.pool ^ _B_CONSTS[:4]) * _B_CONSTS[1:]
+        words = self.pool ^ _KEY_XOR
+        words *= _KEY_MULT
         words ^= words >> 16
         return words.view(np.uint64)
 
@@ -352,8 +251,62 @@ class Streams:
         """Each stream as an Rng, for streams that draw many times. An
         iterator: an Rng made as it is reached frees its generator once the
         caller is done with it."""
-        for pool, const in zip(self.pool.tolist(), self.hash_const.tolist()):
-            yield Rng._keyed((tuple(pool), const))
+        for k in range(len(self.pool)):
+            yield Rng._keyed(self.take(slice(k, k + 1)))
+
+
+# the draws an Rng takes from its generator
+_DRAWS = frozenset({"integers", "random", "uniform", "normal", "permutation", "choice"})
+
+
+class Rng:
+    """Deterministic, splittable random stream (counter-based Philox).
+
+    The stream of `Rng(seed).child(*tags)` is that of
+    `Philox(SeedSequence(seed, spawn_key=<tag words>))`, the tags read as
+    32-bit words (strings by CRC-32), so the same seed and tags always
+    reproduce it, and children are statistically independent of the parent
+    and of each other by construction of the seed sequence.
+
+    An Rng is a `Streams` of one: a child mixes in only its own tags, and
+    the generator reads its Philox key from the mixed pool without a
+    SeedSequence of its own. Its draws (`integers`, `random`, `uniform`,
+    `normal`, `permutation`, `choice`) are the generator's own methods.
+    """
+
+    def __init__(self, seed: int, _key: tuple = ()):
+        self._streams = Streams.from_seeds([seed]).child(*_key)
+        self._generator = None
+
+    @classmethod
+    def _keyed(cls, streams: Streams) -> "Rng":
+        """The stream of a Streams of one."""
+        rng = cls.__new__(cls)
+        rng._streams, rng._generator = streams, None
+        return rng
+
+    @property
+    def generator(self) -> np.random.Generator:
+        """The stream itself, built on the first draw: many streams only ever
+        name children, and the Philox set-up costs more than a small draw."""
+        if self._generator is None:
+            self._generator = np.random.Generator(np.random.Philox(key=self._streams.keys()[0]))
+            for name in _DRAWS:  # later draws find them without __getattr__
+                setattr(self, name, getattr(self._generator, name))
+        return self._generator
+
+    def __getattr__(self, name):
+        """A draw before the first: build the generator, which binds them all."""
+        if name not in _DRAWS:
+            raise AttributeError(f"'Rng' object has no attribute {name!r}")
+        return getattr(self.generator, name)
+
+    def child(self, *tags) -> "Rng":
+        """Derive an independent stream named by the given tags."""
+        return Rng._keyed(self._streams.child(*tags))
+
+    def __repr__(self):
+        return f"Rng(pool={tuple(self._streams.pool[0].tolist())})"
 
 
 def draw_keyed(keys: np.ndarray, fn) -> list:

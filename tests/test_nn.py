@@ -92,6 +92,18 @@ class TestNetworkInit:
             assert w.tobytes() == want.tobytes()
             assert not b.any()
 
+    def test_seeded_networks_view_one_buffer(self):
+        """`Network.seeded` gives each seed's Network, its weights row k of
+        one (K, P) buffer."""
+        seeds = [4, 0, 2**31 - 2]
+        nets, flat = Network.seeded([3, 6, 2], seeds)
+        assert flat.shape == (3, nets[0].flat.size)
+        for k, (net, seed) in enumerate(zip(nets, seeds)):
+            assert net.seed == seed and net.layer_sizes == [3, 6, 2]
+            assert net.flat.tobytes() == Network([3, 6, 2], seed=seed).flat.tobytes()
+            assert np.shares_memory(net.flat, flat[k])
+            assert all(np.shares_memory(p, flat[k]) for p in net.params)
+
     def test_size_validation(self):
         with pytest.raises(NetworkError, match="at least"):
             Network([4])

@@ -188,7 +188,7 @@ class TestRng:
         seq = np.random.SeedSequence(11, spawn_key=(zlib.crc32(b"init"), 2))
         want = np.random.Generator(np.random.Philox(seq))
         assert got.tobytes() == want.normal(size=6).tobytes()
-        # the first draw bound the passthroughs to the generator's own methods
+        # the first draw bound the generator's own draw methods onto the Rng
         assert r.integers.__self__ is r.generator and r.choice.__self__ is r.generator
         assert r.integers(0, 9, size=5).tolist() == want.integers(0, 9, size=5).tolist()
         assert r.random(size=3).tobytes() == want.random(size=3).tobytes()
@@ -199,6 +199,8 @@ class TestRng:
             20, size=4, replace=False).tolist()
         assert r.integers(7) == want.integers(7)
         assert Rng(11).child("init", 2).integers.__self__ is not r.generator  # per stream
+        with pytest.raises(AttributeError):  # only the draws reach the generator
+            Rng(11).bit_generator
 
     def test_bulk_draw_leaves_live_streams_alone(self):
         """A `Streams.draw` re-keys the shared generator; a live Rng keeps
