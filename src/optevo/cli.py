@@ -230,7 +230,7 @@ def _load_config(path) -> dict:
         raise ConfigError(f"config file not found: {p}")
     try:
         cfg = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise ConfigError(f"{p}: invalid JSON ({e})") from e
     if not isinstance(cfg, dict):
         raise ConfigError(f"{p}: top level must be an object")
@@ -324,7 +324,7 @@ def resolve_grammar(name_or_path: str) -> Grammar:
         raise ConfigError(f"grammar file not found: {p}")
     try:
         return parse_grammar(p.read_text(encoding="utf-8"))
-    except GrammarError as e:
+    except (GrammarError, UnicodeDecodeError) as e:
         raise ConfigError(f"{p}: {e}") from e
 
 
@@ -471,8 +471,8 @@ def _stepper_from_config(item, where: str) -> tuple:
             if not p.is_file():
                 raise DataError(f"{key.replace('_', ' ')} not found: {p}")
             entry[key] = str(p.resolve())
-            text = p.read_text(encoding="utf-8")
             try:
+                text = p.read_text(encoding="utf-8")
                 if key == "spec_file":
                     return spec_from_json(text), entry
                 return parse_policy(text.strip()), entry
@@ -523,6 +523,12 @@ def cmd_benchmark(args) -> int:
     test_set = splits.reserve if cfg["test_source"] == "reserve" else splits.test
     if len(test_set) == 0:
         raise DataError(f"benchmark test set ({cfg['test_source']}) is empty")
+    if cfg["test_source"] == "split" and any(
+            isinstance(entry, dict) and entry.keys() & {"spec_file", "policy_file"}
+            for entry in cfg["steppers"]):
+        print('warning: test_source "split" scores evolved rules on the test rows '
+              'that evolution on this task scored them on; "reserve" rows it never saw',
+              file=sys.stderr)
 
     scenario = BenchmarkScenario(
         name=cfg["name"],
@@ -609,8 +615,7 @@ def _grid_hyperparams() -> HyperParams:
 
 
 def _genotype_matches_reference(g: Grammar, name: str) -> tuple[bool, str]:
-    derivation = map_genotype(g, load_shipped_genotype(name))
-    mapped = spec_from_phenotype(derivation.text(), name=name)
+    mapped = spec_from_phenotype(map_genotype(g, load_shipped_genotype(name)), name=name)
     hp = _grid_hyperparams()
     reference = adam_core_spec(hp) if name == "adam_core" else builtin(name, hp)
     rng = Rng(2024).child("grammar-check", name)
@@ -760,11 +765,7 @@ def scheduler_health_checks(g: Grammar) -> list:
 
 
 def cmd_grammar_check(args) -> int:
-    try:
-        grammar = resolve_grammar(args.grammar)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+    grammar = resolve_grammar(args.grammar)
     checks = (scheduler_health_checks if is_scheduler_grammar(grammar)
               else grammar_health_checks)(grammar)
     for name, ok, detail in checks:

@@ -1,7 +1,9 @@
 """Structured grammatical evolution with one gene list per nonterminal.
 
 A genotype keeps an ordered integer list for every grammar nonterminal.
-Mapping performs the leftmost derivation: each expansion of nonterminal N
+Mapping performs the leftmost derivation and returns the phenotype text, its
+terminals joined by single spaces; no derivation tree is kept, since the
+text is all that fitness reads. Each expansion of nonterminal N
 consumes N's next unused gene, reduced modulo the number of alternatives.
 If N's list runs out, a fresh uniformly random valid gene is drawn and
 recorded back into the genotype (repair), so the repaired genotype maps to
@@ -19,6 +21,7 @@ from .grammar import TOKEN_RE, Grammar, Terminal, load_shipped_grammar
 from .tensor import Rng
 
 DEFAULT_MAX_DEPTH = 6
+MAX_ATTEMPTS = 10_000  # random_derivation's draws before it gives up
 
 # The classic optimizers as phenotypes of the shipped 'alr' grammar, with
 # constants at the grid points nearest the conventional values. The sgd rule
@@ -66,7 +69,7 @@ class Genotype:
 @dataclass
 class Individual:
     genotype: Genotype
-    phenotype: object = None  # filled lazily by evaluation
+    phenotype: str | None = None  # the mapped text, filled lazily by evaluation
     fitness: float = None
     id: int = 0
 
@@ -97,44 +100,23 @@ class EvoParams:
             raise ValueError("crossover_prob must be in [0, 1]")
 
 
-@dataclass
-class Derivation:
-    """One node of the derivation tree: which alternative expanded where."""
-
-    nonterminal: str
-    alternative: int
-    children: list  # Derivation nodes and terminal strings, in order
-
-    def text(self) -> str:
-        """The derived phenotype: terminal leaves joined by single spaces."""
-        return " ".join(self.leaves())
-
-    def leaves(self) -> list:
-        out = []
-        for child in self.children:
-            if isinstance(child, Derivation):
-                out.extend(child.leaves())
-            else:
-                out.append(child)
-        return out
-
-
 def map_genotype(
     g: Grammar,
     geno: Genotype,
-    start: str | None = None,
     max_depth: int = DEFAULT_MAX_DEPTH,
     rng: Rng | None = None,
-) -> Derivation:
-    """Leftmost derivation of `geno` under `g`; repairs are written back.
+) -> str:
+    """The phenotype of `geno` under `g`: the terminals of its leftmost
+    derivation, joined by single spaces. Repairs are written back.
 
     After the call, ``geno.used`` records how many genes each nonterminal
     consumed; genes beyond that prefix took no part in the phenotype.
     """
-    start = g.start if start is None else start
     cursor: dict = {}
+    depths: dict = {}  # nonterminal -> expansions of it open on the current path
+    terminals: list = []
 
-    def expand(nt: str, depths: dict) -> Derivation:
+    def expand(nt: str) -> None:
         depth = depths.get(nt, 0) + 1
         alts = g.expansions(nt)
         if depth > max_depth:
@@ -158,44 +140,39 @@ def map_genotype(
             gene = int(rng.integers(0, len(allowed)))
             genes.append(gene)
         cursor[nt] = pos + 1
-        chosen = allowed[gene % len(allowed)]
-        child_depths = dict(depths)
-        child_depths[nt] = depth
-        children = []
-        for sym in alts[chosen]:
+        depths[nt] = depth
+        for sym in alts[allowed[gene % len(allowed)]]:
             if isinstance(sym, Terminal):
-                children.append(sym.text)
+                terminals.append(sym.text)
             else:
-                children.append(expand(sym.name, child_depths))
-        return Derivation(nt, chosen, children)
+                expand(sym.name)
+        depths[nt] = depth - 1
 
-    tree = expand(start, {})
+    expand(g.start)
     geno.used = dict(cursor)
-    return tree
+    return " ".join(terminals)
 
 
 def random_derivation(
     g: Grammar,
     max_depth: int = DEFAULT_MAX_DEPTH,
     rng: Rng | None = None,
-    start: str | None = None,
-    max_attempts: int = 10_000,
-) -> tuple[Genotype, Derivation]:
-    """(genotype, derivation) of a random derivation recorded as genes.
+) -> tuple[Genotype, str]:
+    """(genotype, phenotype) of a random derivation recorded as genes.
 
     Mapping the genotype back (same grammar, same max_depth) reproduces the
-    derivation with no repairs. The rare random derivation that dead-ends at
-    the depth limit is discarded and redrawn.
+    phenotype with no repairs. The rare random derivation that dead-ends at
+    the depth limit is discarded and redrawn, up to MAX_ATTEMPTS times.
     """
     if rng is None:
         raise ValueError("random_derivation needs an rng")
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         geno = Genotype({})
         try:
-            return geno, map_genotype(g, geno, start=start, max_depth=max_depth, rng=rng)
+            return geno, map_genotype(g, geno, max_depth, rng)
         except MappingFailure:
             continue
-    raise RuntimeError(f"no valid random genotype in {max_attempts} attempts")
+    raise RuntimeError(f"no valid random genotype in {MAX_ATTEMPTS} attempts")
 
 
 def mutate(geno: Genotype, rate: float, g: Grammar, rng: Rng) -> Genotype:

@@ -13,9 +13,10 @@ Every training behind a fitness, and behind a `tune` objective, is one
 seeded trial, `_run_trial`: one phenotype trains as a lone network, and a
 list of them as one `nn.Population`, both in `nn.train`'s one loop, which
 alone decides how many members train in each stacked pass. The fitness
-adapters score a list of phenotypes trial-major: all of them are parsed
-first, each trial is one `_run_trial` call on every phenotype still open,
-and `fitness_alr` then turns each phenotype's trial outcomes into the
+adapters score a list of phenotypes trial-major. All of them are parsed
+first, an update rule into one compiled `SpecStepper`, which each of its
+trials copies. Each trial is one `_run_trial` call on every phenotype still
+open, and `fitness_alr` then turns each phenotype's trial outcomes into the
 report that holds its fitness. Each phenotype scores what training it
 alone scores, bit for bit.
 
@@ -28,6 +29,7 @@ bit-reproducible.
 
 from __future__ import annotations
 
+import copy
 import csv
 import io
 import json
@@ -210,9 +212,7 @@ def _evaluate_wave(population, grammar, params, fitness_fn, cache, root: Rng,
         "repair", generation, [ind.id for ind in unmapped]).rngs()
     for ind, rng in zip(unmapped, repairs):
         try:
-            ind.phenotype = map_genotype(
-                grammar, ind.genotype, max_depth=params.max_depth, rng=rng,
-            ).text()
+            ind.phenotype = map_genotype(grammar, ind.genotype, params.max_depth, rng)
         except MappingFailure:
             pass  # no phenotype: scores 0
     fresh = list(dict.fromkeys(
@@ -392,8 +392,8 @@ def evolve(
         seeding = Streams.of([root] * params.population_size).child(
             "seed-pop", range(params.population_size)).rngs()
         for i, rng in enumerate(seeding):
-            geno, derivation = random_derivation(grammar, params.max_depth, rng)
-            population.append(Individual(geno, derivation.text(), id=i))
+            geno, text = random_derivation(grammar, params.max_depth, rng)
+            population.append(Individual(geno, text, id=i))
         next_id = params.population_size
         log = EvolveRunLog(seed=params.rng_seed, search=search)
         start_gen = 0
@@ -459,7 +459,9 @@ def alr_fitness_fn(task: TrainingTask, trial_number: int = 5, threshold: float =
             spec = spec_from_phenotype(text)
         except (ExprError, SpecValidationError):
             return None
-        return partial(SpecStepper, spec), spec.phenotype()
+        # one compile per text: each trial's stepper is a fresh copy of this
+        # one, with its own state and the compiled slots shared
+        return partial(copy.copy, SpecStepper(spec)), spec.phenotype()
 
     return _population_fitness(task, parse, trial_number, threshold)
 

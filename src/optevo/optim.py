@@ -1,4 +1,4 @@
-"""Expression-tree optimizers: four update functions, compiled once per stepper.
+"""Expression-tree optimizers: four update functions, compiled once per text.
 
 A candidate optimizer is four expression trees — x_func, y_func, z_func,
 weight_func — evaluated in that order once per training step for every
@@ -13,7 +13,9 @@ gradient: any use of the gradient has to be routed through an auxiliary.
 `elementwise`; `SpecStepper` and `step` both run those closures, which the
 tests check against `eval_expr` in `tests/oracles.py`, a tree interpreter.
 `grad_tainted` finds the variables the gradient can reach; when the weights
-are not among them, `SpecStepper` needs no backward pass.
+are not among them, `SpecStepper` needs no backward pass. Evolution builds
+one `SpecStepper` per phenotype text and gives each trial a shallow copy of
+it, so a text's rule is compiled, and its taint found, once.
 
 Hand-built specs for the classic first-order optimizers live here too, next
 to native steppers for the two rules the four-function form cannot express
@@ -465,6 +467,13 @@ class SpecStepper(Stepper):
     When no gradient reaches the weights (`needs_grad` false),
     `update(w, None)` runs only the slots the weights depend on; the others
     keep their state. Real gradients always run all four slots.
+
+    A `copy.copy` of a stepper whose `state` is unset is a fresh stepper of
+    the same spec that shares the compiled slots. Sharing is safe: the slots
+    hold only ufuncs, item getters and folded constants (numpy scalars, or
+    0-d arrays from divide_no_nan), and nothing writes into them. An update
+    writes only into `w`; it rebinds its own `state`'s buffers, which may
+    then be a folded constant, but never writes into them.
     """
 
     def __init__(self, spec: OptimizerSpec):

@@ -144,7 +144,7 @@ def test_03_shipped_genotypes_encode_reference_rules():
         # x), so weights along trajectories are what must agree.
         for name, reference in references.items():
             geno = load_shipped_genotype(name)
-            mapped = spec_from_phenotype(map_genotype(grammar, geno).text(), name)
+            mapped = spec_from_phenotype(map_genotype(grammar, geno), name)
             for case in range(100):
                 r = Rng(77).child("env", name, case)
                 w_m = w_r = r.child("w").normal(size=5)

@@ -171,6 +171,25 @@ class TestConfigErrors:
         assert main(["evolve", str(p)]) == EXIT_CONFIG
         assert "invalid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, source", [
+        ("tune", "config"), ("grammar-check", "grammar"),
+        ("benchmark", "spec_file"), ("benchmark", "policy_file"),
+    ])
+    def test_input_that_is_not_utf8(self, tmp_path, capsys, monkeypatch, command,
+                                    source):
+        """A config, grammar, spec file or policy file whose bytes are not
+        UTF-8 exits 2 with a config error, before any run directory."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad").write_bytes(b"\xff\xfe not UTF-8")
+        if source in ("config", "grammar"):
+            argv = [command, "bad"]
+        else:
+            argv = [command, write_cfg(tmp_path, bench_payload(steppers=[{source: "bad"}]))]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "'utf-8' codec" in err
+        assert not (tmp_path / "runs").exists()
+
     def test_top_level_must_be_object(self, tmp_path):
         p = tmp_path / "arr.json"
         p.write_text("[1, 2]")
@@ -830,6 +849,27 @@ class TestBenchmarkCommand:
         cfg = write_cfg(tmp_path, bench_payload(steppers=[]))
         assert main(["benchmark", cfg]) == EXIT_CONFIG
         assert "must not be empty" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("steppers, test_source, warned", [
+        (["sgd", {"spec_file": "mine.json"}], "split", True),
+        ([{"policy_file": "mine.txt"}], "split", True),
+        (["sgd", {"spec_file": "mine.json"}], "reserve", False),
+        (["sgd", {"name": "adam"}], "split", False),
+    ])
+    def test_evolved_rule_on_split_rows_warns(self, tmp_path, capsys, monkeypatch,
+                                              steppers, test_source, warned):
+        """An evolved rule scored on the split's test rows, which evolution
+        scores its fitness on, gets one stderr line pointing to "reserve"."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "mine.json").write_text(spec_to_json(builtin("sgd")))
+        (tmp_path / "mine.txt").write_text("1.00000000e-02")
+        cfg = write_cfg(tmp_path, bench_payload(steppers=steppers, repetitions=1,
+                                                test_source=test_source))
+        assert main(["benchmark", cfg, "--run-dir", str(tmp_path / "run")]) == EXIT_OK
+        err = capsys.readouterr().err.splitlines()
+        assert err == (['warning: test_source "split" scores evolved rules on the test '
+                        'rows that evolution on this task scored them on; "reserve" '
+                        'rows it never saw'] if warned else [])
 
     def test_spec_file_entry(self, tmp_path):
         spec_path = tmp_path / "mine.json"

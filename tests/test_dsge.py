@@ -43,17 +43,17 @@ def dlr():
 class TestMapping:
     def test_modulo_rule(self):
         geno = Genotype({"s": [3]})
-        tree = map_genotype(TOY, geno)
-        assert tree.text() == "b"  # 3 mod 2 = 1
+        text = map_genotype(TOY, geno)
+        assert text == "b"  # 3 mod 2 = 1
 
     def test_repair_records_gene(self):
         geno = Genotype({"s": []})
-        tree = map_genotype(TOY, geno, rng=Rng(5).child("repair"))
-        assert tree.text() in ("a", "b")
+        text = map_genotype(TOY, geno, rng=Rng(5).child("repair"))
+        assert text in ("a", "b")
         assert geno.genes["s"][0] in (0, 1)
         # idempotence: remapping without an rng reproduces the phenotype
         again = map_genotype(TOY, geno.copy())
-        assert again.text() == tree.text()
+        assert again == text
 
     def test_exhausted_without_rng_raises(self):
         with pytest.raises(ValueError, match="repair"):
@@ -68,7 +68,7 @@ class TestMapping:
         geno = random_derivation(alr, rng=Rng(42).child("g"))[0]
         a = map_genotype(alr, geno.copy())
         b = map_genotype(alr, geno.copy())
-        assert a.text() == b.text()
+        assert a == b
 
     def test_depth_failure_when_only_recursive_alternatives(self, alr):
         # force the function route forever: negative(negative(...))
@@ -82,17 +82,13 @@ class TestMapping:
         # nested if(...) conditions: at the limit the expr rule must pick a
         # constant leaf, because that alternative cannot recurse
         geno = Genotype({"expr": [0] * 50})
-        tree = map_genotype(dlr, geno, max_depth=3, rng=Rng(1).child("dlr"))
-
-        def count_depth(node, nt, along=0):
-            here = along + (1 if node.nonterminal == nt else 0)
-            best = here
-            for ch in node.children:
-                if hasattr(ch, "children"):
-                    best = max(best, count_depth(ch, nt, here))
-            return best
-
-        assert count_depth(tree, "expr") <= 3 + 1  # limit + the forced leaf level
+        text = map_genotype(dlr, geno, max_depth=3, rng=Rng(1).child("dlr"))
+        # each open if( is one <expr> level; the leaf inside the deepest is one more
+        open_ifs = deepest = 0
+        for token in text.split():
+            open_ifs += (token == "if(") - (token == ")")
+            deepest = max(deepest, open_ifs)
+        assert deepest + 1 <= 3 + 1  # limit + the forced leaf level
 
     def test_depth_limited_leaf_is_still_gene_driven(self, dlr):
         # both genotypes exhaust the depth limit; the restricted choice list
@@ -101,15 +97,15 @@ class TestMapping:
         g2 = Genotype({"expr": [1] * 50})
         t1 = map_genotype(dlr, g1, max_depth=2, rng=Rng(3).child("a"))
         t2 = map_genotype(dlr, g2, max_depth=2, rng=Rng(3).child("a"))
-        assert t1.text()  # both complete without failure
-        assert t2.text()
+        assert t1  # both complete without failure
+        assert t2
 
 
 class TestHandBuiltSgd:
     def test_maps_to_descent_rule(self, alr):
         geno = load_shipped_genotype("sgd")
-        tree = map_genotype(alr, geno)
-        spec = spec_from_phenotype(tree.text(), name="sgd-geno")
+        text = map_genotype(alr, geno)
+        spec = spec_from_phenotype(text, name="sgd-geno")
         lr = grid(-4.5)
         rng = Rng(99).child("pairs")
         for _ in range(100):
@@ -143,7 +139,7 @@ class TestShippedGenotypes:
     @pytest.mark.parametrize("name", SHIPPED_GENOTYPES)
     def test_weight_trajectories_match_reference(self, alr, name):
         geno = load_shipped_genotype(name)
-        spec = spec_from_phenotype(map_genotype(alr, geno).text(), name=name)
+        spec = spec_from_phenotype(map_genotype(alr, geno), name=name)
         ref = self.reference(name)
         rng = Rng(2026).child("traj", name)
         for _ in range(20):
@@ -161,12 +157,12 @@ class TestShippedGenotypes:
 
 class TestRandomGenotype:
     def test_idempotent_no_repair(self, alr):
-        geno, tree = random_derivation(alr, rng=Rng(7).child("init"))
+        geno, text = random_derivation(alr, rng=Rng(7).child("init"))
         before = {nt: list(v) for nt, v in geno.genes.items()}
         used = dict(geno.used)
         again = map_genotype(alr, geno)  # no rng: repairs impossible
         assert geno.genes == before and geno.used == used
-        assert again.text() == tree.text()
+        assert again == text
 
     def test_deterministic(self, alr):
         a = random_derivation(alr, rng=Rng(3).child("x"))[0]
@@ -194,14 +190,14 @@ class TestEncode:
     @given(st.integers(0, 2**32 - 1))
     def test_mapping_the_encoding_gives_the_same_tokens(self, name, seed):
         g = SHIPPED[name]
-        text = map_genotype(g, random_derivation(g, rng=Rng(seed).child("enc"))[0]).text()
-        again = map_genotype(g, encode(g, text)).text()  # no rng: no repair
+        text = map_genotype(g, random_derivation(g, rng=Rng(seed).child("enc"))[0])
+        again = map_genotype(g, encode(g, text))  # no rng: no repair
         assert TOKEN_RE.findall(again) == TOKEN_RE.findall(text)
 
     @pytest.mark.parametrize("name", SHIPPED_GENOTYPES)
     def test_shipped_lines_map_back_verbatim(self, alr, name):
         geno = load_shipped_genotype(name)
-        assert map_genotype(alr, geno).text() == SHIPPED_GENOTYPES[name]
+        assert map_genotype(alr, geno) == SHIPPED_GENOTYPES[name]
 
     def test_whitespace_does_not_matter(self, alr):
         tight = "multiply(1.09869426e-02, grad) ; y ; z ; add(alpha, negative(x))"

@@ -17,6 +17,7 @@ from oracles import fitness_alr_lone, fitness_dlr_lone
 import optevo.dsge as dsge_mod
 import optevo.evolve as evolve_mod
 import optevo.nn as nn_mod
+import optevo.optim as optim_mod
 from optevo.data import synthetic
 from optevo.dsge import (
     EvoParams,
@@ -241,7 +242,7 @@ class TestFitnessReal:
         task = tiny_task(4)
         task.train_config = TrainConfig(batch_size=16, max_epochs=3, patience=1)
         grammar = load_shipped_grammar("alr")
-        rules = [random_derivation(grammar, 6, Rng(d))[1].text() if isinstance(d, int)
+        rules = [random_derivation(grammar, 6, Rng(d))[1] if isinstance(d, int)
                  else builtin(d[0], HyperParams(lr=d[1])).phenotype() for d in draws]
         with pytest.MonkeyPatch.context() as monkeypatch:
             monkeypatch.setattr(nn_mod, "POPULATION_ELEMENTS", elements)
@@ -265,7 +266,7 @@ class TestFitnessReal:
         task = tiny_task(4)
         task.train_config = TrainConfig(batch_size=16, max_epochs=6, patience=2)
         grammar = load_shipped_grammar("alr")
-        rules = [random_derivation(grammar, 6, Rng(5).child(i))[1].text()
+        rules = [random_derivation(grammar, 6, Rng(5).child(i))[1]
                  for i in range(14)]
         rules[3:3] = ["grad ; y ; z ; multiply(alpha, 0.9)", "not a rule",
                       "multiply(grad, grad) ; y ; z ; subtract(alpha, multiply(1e300, x))",
@@ -316,6 +317,21 @@ class TestFitnessReal:
         want = [0.0 if text == "oops" else fitness_dlr_lone(parse_policy(text), task)
                 for text in policies]
         assert dlr_fitness_fn(task)(policies) == want
+
+    def test_each_text_compiles_once(self, monkeypatch):
+        """One alr_fitness_fn call compiles each parsed text's rule once,
+        however many trials the text runs: each trial steps a copy of the
+        text's one SpecStepper."""
+        compiled = []
+        real_compile = optim_mod.compile_spec
+        monkeypatch.setattr(optim_mod, "compile_spec",
+                            lambda spec: compiled.append(spec.phenotype()) or real_compile(spec))
+        reports = spy_reports(monkeypatch)
+        rules = [builtin(name).phenotype() for name in ("sgd", "momentum", "ades")]
+        rules += ["grad ; y ; z ; multiply(alpha, 0.9)", "not a rule"]
+        alr_fitness_fn(tiny_task(3), trial_number=3, threshold=0.0)(rules)
+        assert [r.trials_run for r in reports] == [3, 3, 3, 3]
+        assert compiled == [spec_from_phenotype(text).phenotype() for text in rules[:4]]
 
 
 class TestParallelMap:
@@ -476,7 +492,7 @@ class TestEvolveLoop:
         assert len(calls) == 8
         _, population, *_ = load_checkpoint(ckpt)
         for ind in population:
-            fresh = map_genotype(TOY, ind.genotype.copy(), max_depth=4).text()
+            fresh = map_genotype(TOY, ind.genotype.copy(), max_depth=4)
             assert ind.phenotype == fresh
         calls.clear()
         evolve(params(generations=3), TOY, per_text(text_score))
@@ -551,15 +567,15 @@ class TestBulkStreams:
         _, population, _, _, _ = load_checkpoint(tmp_path / "c.json")
         root = Rng(evo.rng_seed).child("evolve")
         for i, ind in enumerate(population):
-            geno, derivation = random_derivation(ALR, 6, root.child("seed-pop", i))
-            assert (ind.genotype.genes, ind.phenotype) == (geno.genes, derivation.text())
+            geno, text = random_derivation(ALR, 6, root.child("seed-pop", i))
+            assert (ind.genotype.genes, ind.phenotype) == (geno.genes, text)
         pending = [Individual(Genotype({}), id=ind_id) for ind_id in (3, 11, 40)]
         evolve_mod._evaluate_wave(pending, ALR, evo, per_text(text_score), {}, root, 7, 1)
         for ind in pending:
             geno, text = Genotype({}), None
             try:
                 text = map_genotype(ALR, geno, max_depth=6,
-                                    rng=root.child("repair", 7, ind.id)).text()
+                                    rng=root.child("repair", 7, ind.id))
             except MappingFailure:
                 pass
             assert (ind.genotype.genes, ind.phenotype) == (geno.genes, text)

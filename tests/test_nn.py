@@ -523,7 +523,7 @@ def make_case_stepper(kind, seed, lr_scale):
         return ScheduledSGD(parse_policy(f"if(epoch < 2.0, {0.5 * lr_scale!r}, 0.01)"))
     if kind == "alr":
         genotype = random_derivation(ALR, rng=rng.child("genotype"))[0]
-        return make_stepper(spec_from_phenotype(map_genotype(ALR, genotype).text()))
+        return make_stepper(spec_from_phenotype(map_genotype(ALR, genotype)))
     if kind in BUILTIN_NAMES:
         hp = HyperParams.defaults_for(kind)
         return make_stepper(kind, replace(

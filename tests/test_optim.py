@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -459,7 +461,7 @@ class TestCompiledMatchesInterpreted:
     )
     def test_random_genotypes(self, seed, grad_scale):
         genotype = random_derivation(ALR, rng=Rng(seed).child("genotype"))[0]
-        spec = spec_from_phenotype(map_genotype(ALR, genotype).text())
+        spec = spec_from_phenotype(map_genotype(ALR, genotype))
         assert_compiled_matches_interpreted(spec, seed, grad_scale)
 
     @pytest.mark.parametrize("text, grad_scale, fails", [
@@ -513,7 +515,7 @@ class TestOnePassCompile:
     variables does: one `elementwise` call per variable-free op node."""
 
     @pytest.mark.parametrize("text", NESTED_CONSTANT_PHENOTYPES + [
-        map_genotype(ALR, random_derivation(ALR, rng=Rng(seed).child("genotype"))[0]).text()
+        map_genotype(ALR, random_derivation(ALR, rng=Rng(seed).child("genotype"))[0])
         for seed in range(40)],
         ids=[f"nested{i}" for i in range(len(NESTED_CONSTANT_PHENOTYPES))]
         + [f"alr{seed}" for seed in range(40)])
@@ -624,10 +626,64 @@ class TestLeanStepMatchesFullStep:
     )
     def test_random_genotypes(self, seed, grad_scale):
         genotype = random_derivation(ALR, rng=Rng(seed).child("genotype"))[0]
-        spec = spec_from_phenotype(map_genotype(ALR, genotype).text())
+        spec = spec_from_phenotype(map_genotype(ALR, genotype))
         lean = train_outcome(spec, seed, grad_scale, force=False)
         full = train_outcome(spec, seed, grad_scale, force=True)
         assert lean == full
+
+
+# slots that return the live weight buffer (alpha) or a folded constant, and
+# a rule whose weights no gradient reaches, which steps its lean slots
+SHARED_RULE_TEXTS = [
+    "alpha ; x ; add(z, grad) ; subtract(y, multiply(0.01, z))",
+    "divide_no_nan(1.0, 0.0) ; sqrt(2.0) ; pow(2.0, negative(1.0)) ;"
+    " subtract(alpha, multiply(x, add(y, z)))",
+    "multiply(grad, divide_no_nan(0.1, 3.0)) ; y ; z ; 0.5",
+    "add(x, grad) ; alpha ; add(z, 1.0) ; add(alpha, z)",
+]
+
+
+def alr_text(seed):
+    return map_genotype(ALR, random_derivation(ALR, rng=Rng(seed).child("genotype"))[0])
+
+
+class TestSharedRule:
+    @given(
+        st.one_of(st.sampled_from(SHARED_RULE_TEXTS),
+                  st.integers(0, 2**32 - 1).map(alr_text)),
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 6),
+    )
+    def test_copies_step_as_own_steppers(self, text, seed, n):
+        """Steppers copied from one text's stepper, updated in an
+        interleaved order on different shapes, each write the bytes of a
+        SpecStepper built for it alone; the copies share the compiled slots,
+        and the stepper they were copied from keeps no state."""
+        spec = spec_from_phenotype(text)
+        shared = SpecStepper(spec)
+        copies = [copy.copy(shared) for _ in range(n)]
+        own = [SpecStepper(spec) for _ in range(n)]
+        rng = Rng(seed).child("shared-rule")
+        shapes = [TOY_SHAPES[k % len(TOY_SHAPES)] for k in range(n)]
+        w_copies = [rng.child("w", k).normal(size=s) for k, s in enumerate(shapes)]
+        w_own = [w.copy() for w in w_copies]
+        for t in range(4):
+            grads = [rng.child("g", t, k).normal(size=s) if shared.needs_grad else None
+                     for k, s in enumerate(shapes)]
+            with np.errstate(all="ignore"):
+                for k in rng.child("order", t).permutation(n):
+                    copies[k].update(w_copies[k], grads[k])
+                for k in range(n):
+                    own[k].update(w_own[k], grads[k])
+            for a, b in zip(w_copies, w_own):
+                assert a.tobytes() == b.tobytes()
+            for a, b in zip(copies, own):
+                for got, want in zip(vars(a.state).values(), vars(b.state).values()):
+                    got, want = np.asarray(got), np.asarray(want)
+                    assert (got.shape, got.dtype, got.tobytes()) == (
+                        want.shape, want.dtype, want.tobytes())
+        assert all(c._slots is shared._slots for c in copies)
+        assert shared.state is None
 
 
 class TestHyperParams:

@@ -113,20 +113,20 @@ class TestPolicyText:
 class TestPolicyFromGenotype:
     def test_smallest_derivation_is_static_baseline(self, dlr):
         geno = Genotype({"start": [0], "expr": [1], "lr_const": [0]})
-        assert parse_policy(map_genotype(dlr, geno).text()) == Leaf(0.01)
+        assert parse_policy(map_genotype(dlr, geno)) == Leaf(0.01)
 
     def test_fuzzed_genotypes_always_yield_valid_trees(self, dlr):
         master = Rng(314).child("fuzz")
         for i in range(1000):
             geno = random_derivation(dlr, max_depth=4, rng=master)[0]
-            p = parse_policy(map_genotype(dlr, geno, max_depth=4).text())
+            p = parse_policy(map_genotype(dlr, geno, max_depth=4))
             lr = eval_policy(p, i % 100, 0.01)
             assert np.isfinite(lr) and 0 < lr <= 1.0
 
     def test_deterministic_given_genes(self, dlr):
         geno = random_derivation(dlr, rng=Rng(7).child("p"))[0]
-        a = parse_policy(map_genotype(dlr, geno.copy()).text())
-        b = parse_policy(map_genotype(dlr, geno.copy()).text())
+        a = parse_policy(map_genotype(dlr, geno.copy()))
+        b = parse_policy(map_genotype(dlr, geno.copy()))
         assert a == b
 
 
