@@ -1,8 +1,10 @@
 """Command-line entry point: evolve / benchmark / tune / grammar-check.
 
-Configs are JSON, read against one key table per section before any data
-load; a flag overrides the key of its name, and a run's config.json is the
-resolved config, which reruns it.  `evolve` searches update rules or
+This module validates configs and dispatches; the work is done in the
+library, and grammar-check's contract lives in `optevo.check`.  Configs are
+JSON, read against one key table per section before any data load; a flag
+overrides the key of its name, and a run's config.json is the resolved
+config, which reruns it.  `evolve` searches update rules or
 learning-rate schedules, whichever its grammar derives.  All outputs land
 under a run directory named by timestamp + seed.  Exit codes: 0 success,
 1 check failure, 2 config error, 3 data error.
@@ -14,7 +16,6 @@ import argparse
 import hashlib
 import json
 import os
-import re
 import sys
 import time
 from dataclasses import replace
@@ -39,7 +40,8 @@ from .data import (
     split,
     synthetic,
 )
-from .dsge import EvoParams, load_shipped_genotype, map_genotype, SHIPPED_GENOTYPES
+from .check import grammar_health_checks, scheduler_health_checks
+from .dsge import EvoParams
 from .evolve import (
     TrainingTask,
     alr_fitness_fn,
@@ -49,32 +51,17 @@ from .evolve import (
     write_atomic,
 )
 from .grammar import (
-    CONST_GRID_RANGE,
-    CONST_GRID_STEPS,
     Grammar,
     GrammarError,
-    Nonterminal,
-    alternative_text,
     is_scheduler_grammar,
     load_shipped_grammar,
     parse_grammar,
     serialize_grammar,
-    sigmoidal_constants,
 )
 from .hyperopt import TuneError, report_best, space_for, tune, write_tune_csv
 from .nn import NetworkError, TrainConfig
-from .optim import (
-    HyperParams,
-    OptState,
-    adam_core_spec,
-    builtin,
-    spec_from_json,
-    spec_from_phenotype,
-    spec_to_json,
-    step,
-)
-from .sched import PolicyError, parse_policy, serialize_policy
-from .tensor import Rng
+from .optim import HyperParams, spec_from_json, spec_from_phenotype, spec_to_json
+from .sched import parse_policy, serialize_policy
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -128,8 +115,9 @@ def _key(kind, default=_REQUIRED, *, least=None, flag=None) -> tuple:
 
 def _read(cfg: dict, table: dict, where: str, flags=None) -> dict:
     """Section `cfg` resolved against its key table in one pass: unknown keys,
-    ill-typed values and values below their least are refused, and a flag set
-    in `flags` wins over the config, which wins over the default."""
+    ill-typed values, floats that are not finite (JSON as Python reads it
+    has NaN and Infinity) and values below their least are refused, and a
+    flag set in `flags` wins over the config, which wins over the default."""
     _check_keys(cfg, table, where)
     out = {}
     for key, (kind, default, least, _flag) in table.items():
@@ -138,6 +126,8 @@ def _read(cfg: dict, table: dict, where: str, flags=None) -> dict:
             value = _field(cfg, key, kind, default, where)
         if value is None:
             continue
+        if kind is float and not np.isfinite(value):
+            raise ConfigError(f"{where}.{key}: must be finite")
         if least is not None and value < least:
             raise ConfigError(f"{where}.{key}: must be >= {least}")
         out[key] = value
@@ -212,7 +202,8 @@ SPLIT_KEYS = {  # an empty trial group, validation or test set is refused
 _KIND = {"kind": _key(str)}
 DATASET_KEYS = {  # by dataset kind
     **dict.fromkeys(SYNTHETIC_KINDS, {
-        **_KIND, "n": _key(int), "noise": _key(float, 0.1), "seed": _key(int, 0, least=0)}),
+        **_KIND, "n": _key(int, least=10), "noise": _key(float, 0.1, least=0),
+        "seed": _key(int, 0, least=0)}),
     "idx": {**_KIND, "images": _key(str), "labels": _key(str), "name": _key(str, "idx")},
     "cifar10": {**_KIND, "batches": _key(list[str]), "name": _key(str, "cifar10")},
 }
@@ -259,9 +250,11 @@ def read_task(cfg: dict, scheduler: bool = False, omit=()) -> tuple:
         if "initial_lr" in cfg:
             raise ConfigError(f"{where}.initial_lr: needs a scheduler grammar")
         omit = (*omit, "initial_lr")
+    else:  # before _read, whose message would not name the bound
+        lr = _field(cfg, "initial_lr", float, TrainingTask.initial_lr, where)
+        if not (np.isfinite(lr) and lr > 0):
+            raise ConfigError(f"{where}.initial_lr: must be finite and > 0")
     task = _read(cfg, {k: v for k, v in TASK_KEYS.items() if k not in omit}, where)
-    if scheduler and not (np.isfinite(task["initial_lr"]) and task["initial_lr"] > 0):
-        raise ConfigError(f"{where}.initial_lr: must be finite and > 0")
     if len(task["layer_sizes"]) < 2 or min(task["layer_sizes"]) < 1:
         raise ConfigError(f"{where}.layer_sizes: need a list of at least two positive ints")
     kind = _field(task["dataset"], "kind", str, where=f"{where}.dataset")
@@ -541,13 +534,12 @@ def cmd_benchmark(args) -> int:
         repetitions=cfg["repetitions"],
     )
     run_dir = make_run_dir(cfg["out"], seed, args.run_dir)
+    # before the first training, so a killed run still names its config and rows
+    write_atomic(run_dir / "config.json", json.dumps(cfg, indent=2))
+    write_atomic(run_dir / "indices.json", json.dumps(
+        {"test_indices": test_set.source_indices.tolist()}))
     results = run_benchmark(scenario, seed=seed, out_dir=run_dir,
                             workers=cfg["workers"])
-    write_atomic(run_dir / "config.json", json.dumps(cfg, indent=2))
-    (run_dir / "indices.json").write_text(
-        json.dumps({"test_indices": test_set.source_indices.tolist()}),
-        encoding="utf-8",
-    )
     print(f"run dir: {run_dir}")
     print(summarize(results), end="")
     return EXIT_OK
@@ -589,179 +581,6 @@ def cmd_tune(args) -> int:
 
 
 # --- grammar-check ------------------------------------------------------------
-
-
-def _grid_tokens() -> list:
-    """The constant grid as spelled in the optimizer grammar's <*_const> rules."""
-    return [f"{v:.8e}" for v in
-            sigmoidal_constants(*CONST_GRID_RANGE, CONST_GRID_STEPS)]
-
-
-def _alt_texts(g: Grammar, nt: str) -> list:
-    return [alternative_text(alt) for alt in g.expansions(nt)]
-
-
-def _grid_hyperparams() -> HyperParams:
-    """The constant-grid values the shipped genotypes encode."""
-    grid = [float(t) for t in _grid_tokens()]
-
-    def at(k: float) -> float:
-        return grid[round((k - CONST_GRID_RANGE[0]) * 2)]
-
-    return HyperParams(
-        lr=at(-4.5), mom=at(2.0), rho=at(2.5),
-        beta1=at(2.0), beta2=at(3.5), epsilon=at(-10.0),
-    )
-
-
-def _genotype_matches_reference(g: Grammar, name: str) -> tuple[bool, str]:
-    mapped = spec_from_phenotype(map_genotype(g, load_shipped_genotype(name)), name=name)
-    hp = _grid_hyperparams()
-    reference = adam_core_spec(hp) if name == "adam_core" else builtin(name, hp)
-    rng = Rng(2024).child("grammar-check", name)
-    for case in range(20):
-        r = rng.child(case)
-        w_a = w_b = r.normal(size=4)
-        s_a = OptState.zeros((4,))
-        s_b = OptState.zeros((4,))
-        for t in range(10):
-            grad = r.child("g", t).normal(size=4)
-            w_a, s_a = step(mapped, s_a, w_a, grad)
-            w_b, s_b = step(reference, s_b, w_b, grad)
-            if np.max(np.abs(w_a - w_b)) > 1e-9:
-                return False, f"trajectory diverged at case {case}, step {t}"
-    return True, "20 trajectories × 10 steps within 1e-9"
-
-
-def _variables_in(terms) -> set:
-    """Variable identifiers mentioned by a set of grammar terminals.
-
-    Terminals may be composite tokens such as ``add(x,``; function names
-    (identifiers immediately followed by ``(``) don't count as variables.
-    """
-    found = set()
-    for t in terms:
-        found.update(re.findall(r"\b[a-z][a-z_]*\b(?!\()", t))
-    return found
-
-
-def _run_checks(named) -> list:
-    """(name, passed, detail) for each (name, check function) pair."""
-    checks = []
-    for name, fn in named:
-        try:
-            ok, detail = fn()
-        except Exception as e:  # a failed precondition is a failed check
-            ok, detail = False, f"{type(e).__name__}: {e}"
-        checks.append((name, ok, detail))
-    return checks
-
-
-def grammar_health_checks(g: Grammar) -> list:
-    """(name, passed, detail) triples for the optimizer-grammar contract."""
-
-    def sections():
-        needed = ["x_expr", "y_expr", "z_expr", "weight_expr"]
-        missing = [nt for nt in needed if nt not in g.rules]
-        if missing:
-            return False, f"missing rules: {', '.join(missing)}"
-        return True, "x/y/z/weight sections present"
-
-    def barrier():
-        if "grad" in _variables_in(g.reachable_terminals("weight_expr")):
-            return False, "grad is reachable from the weight update"
-        return True, "weight update cannot read the raw gradient"
-
-    def aux_ordering():
-        want = {
-            "x_expr": ({"x", "grad"}, {"y", "z", "alpha"}),
-            "y_expr": ({"y", "x", "grad"}, {"z", "alpha"}),
-            "z_expr": ({"z", "x", "y", "grad"}, {"alpha"}),
-        }
-        for nt, (required, forbidden) in want.items():
-            seen = _variables_in(g.reachable_terminals(nt))
-            missing = required - seen
-            illegal = forbidden & seen
-            if missing or illegal:
-                return (
-                    False,
-                    f"<{nt}>: missing {sorted(missing)}, illegal {sorted(illegal)}",
-                )
-        return True, "each slot sees exactly the earlier slots plus grad"
-
-    def alpha_reaches_weight():
-        if "alpha" not in _variables_in(g.reachable_terminals("weight_expr")):
-            return False, "weight update cannot accumulate onto alpha"
-        return True, "alpha accumulator reachable from the weight update"
-
-    def const_grid():
-        grid = _grid_tokens()
-        if grid[0] != "4.53978687e-05" or grid[-1] != "9.99954602e-01":
-            return False, f"grid endpoints {grid[0]} … {grid[-1]}"
-        rules = [nt for nt in g.nonterminals if nt.endswith("_const")]
-        if not rules:
-            return False, "no <*_const> rules"
-        off_grid = [nt for nt in rules if _alt_texts(g, nt) != grid]
-        if off_grid:
-            return False, f"not exactly the {len(grid)}-point grid: {off_grid}"
-        return True, (f"{len(rules)} <*_const> rules × {len(grid)} sigmoid-spaced "
-                      f"constants, {grid[0]} … {grid[-1]}")
-
-    return _run_checks([
-        ("sections", sections),
-        ("weight-gradient-barrier", barrier),
-        ("aux-slot-ordering", aux_ordering),
-        ("alpha-accumulator", alpha_reaches_weight),
-        ("constant-grid", const_grid),
-        *((f"genotype-{name}", lambda name=name: _genotype_matches_reference(g, name))
-          for name in SHIPPED_GENOTYPES),
-    ])
-
-
-def scheduler_health_checks(g: Grammar) -> list:
-    """(name, passed, detail) triples for the scheduler-grammar contract."""
-
-    def tree_shape():
-        alts = _alt_texts(g, "expr")
-        ok = any(a.startswith("if(") for a in alts) and "<lr_const>" in alts
-        return ok, "<expr> ::= " + " | ".join(alts)
-
-    def positive_leaves():
-        leaves = set()  # whatever <expr>'s non-recursive alternatives derive
-        for i in g.non_recursive_alternatives("expr"):
-            for sym in g.expansions("expr")[i]:
-                leaves |= (g.reachable_terminals(sym.name)
-                           if isinstance(sym, Nonterminal) else {sym.text})
-
-        def positive(token):
-            try:
-                return 0 < float(token) < np.inf
-            except ValueError:
-                return False
-
-        bad = sorted(t for t in leaves if not positive(t))
-        if bad:
-            return False, f"leaves not finite and > 0: {bad}"
-        return True, f"{len(leaves)} leaf rates, all finite and > 0"
-
-    def grid(nt, want, what):
-        ok = _alt_texts(g, nt) == want
-        return ok, f"<{nt}> {'is' if ok else 'is not'} {what}"
-
-    # 0.01, the known-good static rate for the reference network, then the
-    # sigmoid grid rescaled onto [1e-5, 1]
-    sig = sigmoidal_constants(*CONST_GRID_RANGE, CONST_GRID_STEPS)
-    lr_grid = ["1.00000000e-02"] + [
-        f"{1e-5 + (v - sig[0]) * (1.0 - 1e-5) / (sig[-1] - sig[0]):.8e}" for v in sig
-    ]
-    return _run_checks([
-        ("tree-shape", tree_shape),
-        ("positive-leaves", positive_leaves),
-        ("epoch-grid", lambda: grid("epoch_const", [str(e) for e in range(0, 101, 5)],
-                                    "0..100 in steps of 5")),
-        ("lr-grid", lambda: grid("lr_const", lr_grid,
-                                 "0.01, then the sigmoid grid rescaled onto [1e-5, 1]")),
-    ])
 
 
 def cmd_grammar_check(args) -> int:

@@ -10,12 +10,13 @@ gradient: any use of the gradient has to be routed through an auxiliary.
 
 `compile_spec` turns the four trees into nested closures over the raw ops of
 `tensor._IMPL`, with variable-free subtrees folded to constants through
-`elementwise`; `SpecStepper` and `step` both run those closures, which the
-tests check against `eval_expr` in `tests/oracles.py`, a tree interpreter.
-`grad_tainted` finds the variables the gradient can reach; when the weights
-are not among them, `SpecStepper` needs no backward pass. Evolution builds
-one `SpecStepper` per phenotype text and gives each trial a shallow copy of
-it, so a text's rule is compiled, and its taint found, once.
+`elementwise`. `SpecStepper` is the one runner of those closures: it holds
+one weight tensor's x, y and z, and the tests check its updates against
+`eval_expr` in `tests/oracles.py`, a tree interpreter. `grad_tainted` finds
+the variables the gradient can reach, from the read sets each spec keeps;
+when the weights are not among them, `SpecStepper` needs no backward pass.
+Evolution builds one `SpecStepper` per phenotype text and gives each trial a
+shallow copy of it, so a text's rule is compiled, and its taint found, once.
 
 Hand-built specs for the classic first-order optimizers live here too, next
 to native steppers for the two rules the four-function form cannot express
@@ -25,7 +26,8 @@ to native steppers for the two rules the four-function form cannot express
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
+from itertools import combinations
 from operator import itemgetter
 
 import numpy as np
@@ -33,9 +35,13 @@ import numpy as np
 from .grammar import TOKEN_RE
 from .nn import Stepper
 from .sched import PolicyTree, ScheduledSGD
-from .tensor import _IMPL, ARITY, OpCode, Tensor, elementwise, tensor
+from .tensor import _IMPL, ARITY, OpCode, Tensor, elementwise
 
 VAR_NAMES = ("x", "y", "z", "grad", "alpha")
+# Every set of variable names, made once: each spec keeps four read sets for
+# its lifetime, and sharing these instead costs it no memory
+_NAME_SETS = {s: s for r in range(len(VAR_NAMES) + 1)
+              for s in map(frozenset, combinations(VAR_NAMES, r))}
 
 # Variables each function slot may reference. The weight slot excludes grad:
 # that omission is the gradient barrier, checked at construction and enforced
@@ -163,10 +169,15 @@ class OptimizerSpec:
     z_func: Expr
     weight_func: Expr
     name: str = "custom"
+    # the variables each slot's tree reads, in slot order
+    reads: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for slot, allowed in SLOT_VARS.items():
-            extra = referenced_vars(getattr(self, slot)) - allowed
+        reads = tuple(_NAME_SETS[referenced_vars(getattr(self, slot))]
+                      for slot in SLOT_VARS)
+        object.__setattr__(self, "reads", reads)
+        for (slot, allowed), names in zip(SLOT_VARS.items(), reads):
+            extra = names - allowed
             if extra:
                 detail = "gradient barrier: " if "grad" in extra else ""
                 raise SpecValidationError(
@@ -215,22 +226,7 @@ def spec_from_json(text: str) -> OptimizerSpec:
     )
 
 
-# --- per-weight state and the step rule -------------------------------------
-
-
-@dataclass
-class OptState:
-    x: Tensor
-    y: Tensor
-    z: Tensor
-
-    @classmethod
-    def zeros(cls, shape) -> "OptState":
-        return cls(
-            np.zeros(shape, dtype=np.float64),
-            np.zeros(shape, dtype=np.float64),
-            np.zeros(shape, dtype=np.float64),
-        )
+# --- compiling a spec --------------------------------------------------------
 
 
 def _compile(e: Expr):
@@ -268,39 +264,12 @@ def compile_spec(spec: OptimizerSpec) -> tuple:
     return tuple(_compile(getattr(spec, slot))[0] for slot in SLOT_VARS)
 
 
-def _advance(slots: tuple, state: OptState, w: Tensor, g: Tensor):
-    """Run compiled slots once for one weight tensor, under the caller's
-    errstate: rebinds state's buffers and returns the new weights."""
-    fx, fy, fz, fw = slots
-    v = [state.x, state.y, state.z, g, w]
-    v[0] = fx(v)
-    v[1] = fy(v)
-    v[2] = fz(v)
-    v[3] = None  # the weight slot never sees the gradient
-    new_w = fw(v)
-    # a state that is the weight buffer itself (x_func = alpha) would follow
-    # the in-place weight write, so only that one is copied
-    state.x, state.y, state.z = (a.copy() if a is w else a for a in v[:3])
-    return new_w
-
-
-def step(
-    spec: OptimizerSpec, state: OptState, w: Tensor, grad: Tensor
-) -> tuple:
-    """One update: returns (new_w, new_state); never mutates its inputs."""
-    new_state = replace(state)
-    with np.errstate(all="ignore"):
-        new_w = _advance(compile_spec(spec), new_state, tensor(w), tensor(grad))
-    return new_w, new_state
-
-
 def grad_tainted(spec: OptimizerSpec) -> frozenset:
     """The variables whose values can depend on the gradient: `grad`, and the
     output of every slot (x, y, z, or alpha for the weight slot) whose tree
     reads a tainted variable. A slot also reads its own and later slots'
     values from the step before, hence the fixpoint."""
-    reads = {out: referenced_vars(getattr(spec, slot))
-             for slot, out in zip(SLOT_VARS, SLOT_OUTPUTS)}
+    reads = dict(zip(SLOT_OUTPUTS, spec.reads))
     tainted = {"grad"}
     grown = True
     while grown:
@@ -462,24 +431,24 @@ def adam_core_spec(hp: HyperParams) -> OptimizerSpec:
 
 class SpecStepper(Stepper):
     """Drives an OptimizerSpec over one weight tensor, whose auxiliaries
-    x, y, z live in `state`.
+    x, y, z it holds: zeros of the weights' shape on the first update.
 
     When no gradient reaches the weights (`needs_grad` false),
     `update(w, None)` runs only the slots the weights depend on; the others
-    keep their state. Real gradients always run all four slots.
+    keep their values. Real gradients always run all four slots.
 
-    A `copy.copy` of a stepper whose `state` is unset is a fresh stepper of
-    the same spec that shares the compiled slots. Sharing is safe: the slots
+    A `copy.copy` of a stepper not yet updated is a fresh stepper of the
+    same spec that shares the compiled slots. Sharing is safe: the slots
     hold only ufuncs, item getters and folded constants (numpy scalars, or
     0-d arrays from divide_no_nan), and nothing writes into them. An update
-    writes only into `w`; it rebinds its own `state`'s buffers, which may
-    then be a folded constant, but never writes into them.
+    writes only into `w`; it rebinds x, y and z, which may then be a folded
+    constant, but never writes into them.
     """
 
     def __init__(self, spec: OptimizerSpec):
         self.spec = spec
         self.name = spec.name
-        self.state = None
+        self.x = self.y = self.z = None
         self._slots = compile_spec(spec)
         tainted = grad_tainted(spec)
         self.needs_grad = "alpha" in tainted
@@ -490,10 +459,19 @@ class SpecStepper(Stepper):
             )
 
     def update(self, w: Tensor, g: Tensor | None) -> None:
-        if self.state is None:
-            self.state = OptState.zeros(w.shape)
-        slots = self._lean_slots if g is None else self._slots
-        w[...] = _advance(slots, self.state, w, g)
+        if self.x is None:
+            self.x, self.y, self.z = (np.zeros(w.shape) for _ in range(3))
+        fx, fy, fz, fw = self._lean_slots if g is None else self._slots
+        v = [self.x, self.y, self.z, g, w]
+        v[0] = fx(v)
+        v[1] = fy(v)
+        v[2] = fz(v)
+        v[3] = None  # the weight slot never sees the gradient
+        new_w = fw(v)
+        # an auxiliary that is the weight buffer itself (x_func = alpha)
+        # would follow the in-place weight write, so only that one is copied
+        self.x, self.y, self.z = (a.copy() if a is w else a for a in v[:3])
+        w[...] = new_w
 
 
 class NesterovStepper(Stepper):

@@ -18,7 +18,6 @@ from optevo.cli import (
     ConfigError,
     _check_keys,
     _field,
-    grammar_health_checks,
     main,
     make_run_dir,
 )
@@ -26,6 +25,7 @@ import optevo.bench as bench_mod
 import optevo.cli as cli_mod
 import optevo.evolve as evolve_mod
 import optevo.hyperopt as hyperopt_mod
+from optevo.check import grammar_health_checks
 from optevo.evolve import load_checkpoint, parallel_map
 from optevo.grammar import load_shipped_grammar, serialize_grammar
 from optevo.optim import HyperParams, builtin, spec_to_json
@@ -329,6 +329,33 @@ class TestConfigErrors:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("command, path, value, message", [
+        ("evolve", "threshold", float("nan"), "must be finite"),
+        ("evolve", "threshold", float("inf"), "must be finite"),
+        ("evolve", "evo.mutation", float("-inf"), "must be finite"),
+        ("tune", "task.dataset.noise", float("nan"), "must be finite"),
+        ("tune", "task.dataset.noise", -0.1, "must be >= 0"),
+        ("benchmark", "task.dataset.n", 5, "must be >= 10"),
+    ])
+    def test_numbers_out_of_range(self, tmp_path, capsys, monkeypatch, command,
+                                  path, value, message):
+        """Python's json reads NaN and Infinity: a float that is not
+        finite, a negative noise or a synthetic n too small to split exits 2
+        before any data load or run directory."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli_mod, "synthetic", lambda *a, **k: pytest.fail("loaded"))
+        payload = {"evolve": evolve_payload, "tune": tune_payload,
+                   "benchmark": bench_payload}[command]()
+        *sections, key = path.split(".")
+        section = payload
+        for name in sections:
+            section = section[name]
+        section[key] = value
+        assert main([command, write_cfg(tmp_path, payload)]) == EXIT_CONFIG
+        assert (f"config error: config.{path}: {message}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "runs").exists()
+
     def test_split_too_large_for_dataset_is_data_error(self, tmp_path, capsys):
         payload = evolve_payload()
         payload["task"]["split"]["train_total"] = 100_000
@@ -471,6 +498,23 @@ class TestGrammarCheck:
 
     def test_missing_grammar_file(self, tmp_path):
         assert main(["grammar-check", str(tmp_path / "ghost.bnf")]) == EXIT_CONFIG
+
+    def test_genotype_checks_fail_on_a_changed_weight_op(self, tmp_path, capsys):
+        """With square in place of negative, the shipped sgd, rmsprop and
+        adam_core genotypes, which negate their step, map to other rules;
+        momentum adds its step and still matches."""
+        text = serialize_grammar(load_shipped_grammar("alr"))
+        bad = text.replace("<weight_func> ::= negative( <weight_expr> ) |",
+                           "<weight_func> ::= square( <weight_expr> ) |")
+        assert bad != text
+        p = tmp_path / "bad.bnf"
+        p.write_text(bad)
+        assert main(["grammar-check", str(p)]) == EXIT_CHECK_FAILED
+        out = capsys.readouterr().out
+        for name in ("sgd", "rmsprop", "adam_core"):
+            assert f"FAIL: genotype-{name} — trajectory diverged" in out
+        assert "PASS: genotype-momentum" in out
+        assert "6/9 checks passed" in out
 
     def test_health_checks_structurally_sound(self):
         checks = grammar_health_checks(load_shipped_grammar("alr"))
@@ -812,6 +856,24 @@ class TestBenchmarkCommand:
         assert (run / "bench_toy.txt").is_file()
         idx = json.loads((run / "indices.json").read_text())
         assert len(idx["test_indices"]) == 60
+
+    def test_killed_run_names_its_config_and_rows(self, tmp_path, monkeypatch):
+        """config.json and indices.json are written before the first
+        training, so a run that dies in training still names both."""
+        run = tmp_path / "run"
+
+        def killed(*args, **kwargs):
+            assert sorted(p.name for p in run.iterdir()) == ["config.json",
+                                                             "indices.json"]
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(bench_mod, "train_seeded", killed)
+        with pytest.raises(KeyboardInterrupt):
+            main(["benchmark", write_cfg(tmp_path, bench_payload()),
+                  "--run-dir", str(run)])
+        assert json.loads((run / "config.json").read_text())["steppers"] == ["sgd", "adam"]
+        idx = json.loads((run / "indices.json").read_text())["test_indices"]
+        assert len(idx) == 60
 
     def test_csv_has_one_row_per_repetition(self, tmp_path):
         run = tmp_path / "run"

@@ -17,7 +17,6 @@ from optevo.optim import (
     Const,
     ExprError,
     HyperParams,
-    OptState,
     OptimizerSpec,
     SIGN_STEP,
     SpecStepper,
@@ -34,7 +33,6 @@ from optevo.optim import (
     spec_from_json,
     spec_from_phenotype,
     spec_to_json,
-    step,
 )
 from optevo.sched import Leaf
 from optevo.tensor import OpCode, Rng, tensor
@@ -198,15 +196,23 @@ class TestSerializationFormats:
         assert spec_from_json(spec_to_json(spec)) == spec
 
 
+def spec_step(spec, w, grad):
+    """One update of a fresh SpecStepper on a copy of `w`: the new weights."""
+    new_w = np.array(w, dtype=np.float64)  # the update writes in place
+    with np.errstate(all="ignore"):
+        SpecStepper(spec).update(new_w, tensor(grad))
+    return new_w
+
+
 class TestStepExamples:
     def test_sgd_single_step(self):
         spec = builtin("sgd", HyperParams(lr=0.01))
-        new_w, _ = step(spec, OptState.zeros((1,)), tensor([1.0]), tensor([0.5]))
+        new_w = spec_step(spec, tensor([1.0]), tensor([0.5]))
         np.testing.assert_allclose(new_w, [0.995], rtol=0, atol=1e-15)
 
     def test_sign_single_step(self):
         spec = builtin("sign")
-        new_w, _ = step(spec, OptState.zeros((1,)), tensor([0.5]), tensor([-3.2]))
+        new_w = spec_step(spec, tensor([0.5]), tensor([-3.2]))
         np.testing.assert_allclose(new_w, [0.5009], rtol=0, atol=1e-15)
 
     def test_ades_y_func_at_zero_state(self):
@@ -228,23 +234,31 @@ class TestStepExamples:
         assert abs(float(w[0]) - expect) < 1e-12
 
     def test_step_does_not_mutate_inputs(self):
-        spec = builtin("momentum")
-        state = OptState.zeros((2,))
+        """An update writes only into `w`: the gradient and the auxiliaries
+        it read are untouched, and the new auxiliaries are not `w`."""
+        stepper = SpecStepper(builtin("momentum"))
+        aux = [np.zeros(2) for _ in range(3)]
+        stepper.x, stepper.y, stepper.z = aux
         w = tensor([1.0, 2.0])
         g = tensor([0.5, -0.5])
-        w_copy, g_copy = w.copy(), g.copy()
-        step(spec, state, w, g)
-        np.testing.assert_array_equal(w, w_copy)
+        g_copy = g.copy()
+        stepper.update(w, g)
+        np.testing.assert_allclose(w, [0.995, 2.005], rtol=0, atol=1e-15)
         np.testing.assert_array_equal(g, g_copy)
-        np.testing.assert_array_equal(state.x, [0.0, 0.0])
+        for a in aux:
+            np.testing.assert_array_equal(a, [0.0, 0.0])
+        assert all(a is not w for a in (stepper.x, stepper.y, stepper.z))
 
 
 def ades_step(y, w, grad):
     """One step of the built-in ades spec from auxiliary y: (y', w')."""
-    w = tensor(w)
-    zeros = np.zeros_like(w)
-    new_w, state = step(builtin("ades"), OptState(zeros, tensor(y), zeros), w, grad)
-    return state.y, new_w
+    new_w = np.array(w, dtype=np.float64)  # the update writes in place
+    stepper = SpecStepper(builtin("ades"))
+    stepper.x = stepper.z = np.zeros_like(new_w)
+    stepper.y = tensor(y)
+    with np.errstate(all="ignore"):
+        stepper.update(new_w, tensor(grad))
+    return stepper.y, new_w
 
 
 def ades_direct(y, w, grad, c1=0.08922, c2=0.0891):
@@ -342,7 +356,7 @@ class TestZeroGradFixedPoint:
         zeros = np.zeros_like(w0)
         for name in ("sgd", "momentum", "sign"):
             spec = builtin(name)
-            new_w, _ = step(spec, OptState.zeros(w0.shape), w0, zeros)
+            new_w = spec_step(spec, w0, zeros)
             np.testing.assert_array_equal(new_w, w0)
 
 
@@ -354,7 +368,7 @@ class TestSteppers:
         w = np.array([1.0, 2.0])
         stepper.update(w, np.array([0.0, 0.0]))
         w[0] = 99.0  # external in-place write must not leak into state
-        np.testing.assert_array_equal(stepper.state.x, [1.0, 2.0])
+        np.testing.assert_array_equal(stepper.x, [1.0, 2.0])
 
     def test_failure_flag_on_nonfinite(self):
         spec = spec_from_phenotype(
@@ -406,16 +420,18 @@ class TestSteppers:
             builtin("adagrad")
 
 
-def interpreted_step(spec, state, w, g):
-    """The reference rule: walk each tree with eval_expr, copy every result."""
-    x1 = eval_expr(spec.x_func, {"x": state.x, "grad": g, "alpha": w})
-    y1 = eval_expr(spec.y_func, {"x": x1, "y": state.y, "grad": g, "alpha": w})
+def interpreted_step(spec, aux, w, g):
+    """The reference rule: walk each tree with eval_expr, copy every result.
+    `aux` is (x, y, z); returns the new weights and the new (x, y, z)."""
+    x, y, z = aux
+    x1 = eval_expr(spec.x_func, {"x": x, "grad": g, "alpha": w})
+    y1 = eval_expr(spec.y_func, {"x": x1, "y": y, "grad": g, "alpha": w})
     z1 = eval_expr(
-        spec.z_func, {"x": x1, "y": y1, "z": state.z, "grad": g, "alpha": w}
+        spec.z_func, {"x": x1, "y": y1, "z": z, "grad": g, "alpha": w}
     )
     new_w = eval_expr(spec.weight_func, {"x": x1, "y": y1, "z": z1, "alpha": w})
     copy = lambda a: np.array(a, dtype=np.float64)
-    return copy(new_w), OptState(copy(x1), copy(y1), copy(z1))
+    return copy(new_w), (copy(x1), copy(y1), copy(z1))
 
 
 TOY_SHAPES = [(2, 16), (16,), (16, 2), (2,)]  # the 2-16-2 net's params
@@ -428,7 +444,7 @@ def assert_compiled_matches_interpreted(spec, seed, grad_scale, batches=5):
     steppers = [SpecStepper(spec) for _ in TOY_SHAPES]
     w_compiled = [rng.child("w", k).normal(size=s) for k, s in enumerate(TOY_SHAPES)]
     w_interp = [w.copy() for w in w_compiled]
-    states = [OptState.zeros(s) for s in TOY_SHAPES]
+    states = [tuple(np.zeros(s) for _ in range(3)) for s in TOY_SHAPES]
     failed = compiled_failed = False
     for t in range(batches):
         grads = [rng.child("g", t, k).normal(size=s) * grad_scale
@@ -441,8 +457,8 @@ def assert_compiled_matches_interpreted(spec, seed, grad_scale, batches=5):
             failed = failed or not np.all(np.isfinite(new_w))
             w[...] = new_w
         got = [*w_compiled,
-               *(a for s in steppers for a in (s.state.x, s.state.y, s.state.z))]
-        want = [*w_interp, *(a for s in states for a in (s.x, s.y, s.z))]
+               *(a for s in steppers for a in (s.x, s.y, s.z))]
+        want = [*w_interp, *(a for s in states for a in s)]
         for a, b in zip(got, want):
             assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
         # the weight check `train` runs after each update
@@ -578,6 +594,27 @@ class TestGradTainted:
         assert grad_tainted(spec) == tainted
         assert SpecStepper(spec).needs_grad == ("alpha" in tainted)
 
+    @pytest.mark.parametrize("text", [
+        "grad ; x ; z ; add(alpha, y)",
+        "add(x, grad) ; y ; add(z, 1.0) ; add(alpha, z)",
+        builtin("ades").phenotype(),
+    ])
+    def test_stepper_reads_the_spec_walk(self, text, monkeypatch):
+        """A spec walks each slot tree once, when it is built, and keeps the
+        shared read set of each: a stepper built from it finds the taint from
+        those and walks no tree."""
+        spec = spec_from_phenotype(text)
+        assert spec.reads == tuple(referenced_vars(t) for t in slot_trees(spec))
+        assert all(names is optim._NAME_SETS[names] for names in spec.reads)
+        calls = []
+        real = optim.referenced_vars
+        monkeypatch.setattr(optim, "referenced_vars",
+                            lambda e: calls.append(1) or real(e))
+        stepper = SpecStepper(spec)
+        assert calls == []
+        assert grad_tainted(spec) == grad_tainted(spec_from_phenotype(text))
+        assert stepper.needs_grad == ("alpha" in grad_tainted(spec))
+
     def test_gradient_free_update_keeps_tainted_state(self):
         spec = spec_from_phenotype("add(x, grad) ; y ; add(z, 1.0) ; add(alpha, z)")
         stepper = SpecStepper(spec)
@@ -585,9 +622,8 @@ class TestGradTainted:
         w = np.array([1.0, 2.0])
         stepper.update(w, None)
         stepper.update(w, None)
-        state = stepper.state
-        assert state.x.tolist() == [0.0, 0.0]  # never run without a gradient
-        assert state.z.tolist() == [2.0, 2.0]
+        assert stepper.x.tolist() == [0.0, 0.0]  # never run without a gradient
+        assert stepper.z.tolist() == [2.0, 2.0]
         assert w.tolist() == [4.0, 5.0]
 
 
@@ -678,12 +714,12 @@ class TestSharedRule:
             for a, b in zip(w_copies, w_own):
                 assert a.tobytes() == b.tobytes()
             for a, b in zip(copies, own):
-                for got, want in zip(vars(a.state).values(), vars(b.state).values()):
+                for got, want in zip((a.x, a.y, a.z), (b.x, b.y, b.z)):
                     got, want = np.asarray(got), np.asarray(want)
                     assert (got.shape, got.dtype, got.tobytes()) == (
                         want.shape, want.dtype, want.tobytes())
         assert all(c._slots is shared._slots for c in copies)
-        assert shared.state is None
+        assert shared.x is shared.y is shared.z is None
 
 
 class TestHyperParams:
