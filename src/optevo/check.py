@@ -65,7 +65,7 @@ def _genotype_matches_reference(g: Grammar, name: str) -> tuple[bool, str]:
                 grad = r.child("g", t).normal(size=4)
                 s_a.update(w_a, grad)
                 s_b.update(w_b, grad)
-                if np.max(np.abs(w_a - w_b)) > 1e-9:
+                if not np.max(np.abs(w_a - w_b)) <= 1e-9:  # NaN fails too
                     return False, f"trajectory diverged at case {case}, step {t}"
     return True, "20 trajectories × 10 steps within 1e-9"
 

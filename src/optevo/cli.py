@@ -175,7 +175,7 @@ BENCHMARK_KEYS = {
 TUNE_KEYS = {
     **RUN_KEYS,
     "optimizer": _key(str),
-    "budget": _key(int, 25, flag="override config budget"),
+    "budget": _key(int, 25, least=5, flag="override config budget"),
     "random_search": _key(bool, False),
 }
 TRAIN_KEYS = {  # the TrainConfig fields of a task
@@ -558,6 +558,9 @@ def cmd_tune(args) -> int:
         raise ConfigError(str(e)) from e
     cfg["task"], plan, train_config = read_task(cfg["task"])
     task, _splits = build_task(cfg["task"], plan, train_config, seed)
+    run_dir = make_run_dir(cfg["out"], seed, args.run_dir)
+    # before the search, so a killed run still names its config
+    write_atomic(run_dir / "config.json", json.dumps(cfg, indent=2))
     try:
         best, history = tune(
             opt,
@@ -570,11 +573,9 @@ def cmd_tune(args) -> int:
         )
     except TuneError as e:
         raise ConfigError(str(e)) from e
-    run_dir = make_run_dir(cfg["out"], seed, args.run_dir)
     write_tune_csv(run_dir / f"tune_{opt}.csv", space, history)
     row = report_best(history)
-    (run_dir / "best.txt").write_text(row + "\n", encoding="utf-8")
-    write_atomic(run_dir / "config.json", json.dumps(cfg, indent=2))
+    write_atomic(run_dir / "best.txt", row + "\n")
     print(f"run dir: {run_dir}")
     print(row)
     return EXIT_OK

@@ -40,12 +40,13 @@ solves, or because the change did not pay:
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .evolve import TrainingTask, _run_trial, parallel_map
+from .evolve import TrainingTask, _run_trial, parallel_map, write_atomic
 from .optim import HyperParams, make_stepper
 from .tensor import Rng
 
@@ -384,15 +385,17 @@ def tune(
 
 
 def write_tune_csv(path, space: SearchSpace, history) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["iteration", *space.names, "objective"])
-        for t in history:
-            w.writerow(
-                [t.iteration]
-                + [repr(t.params[n]) for n in space.names]
-                + [f"{t.objective:.6f}"]
-            )
+    """One row per trial, written through `write_atomic`."""
+    out = io.StringIO()
+    w = csv.writer(out)
+    w.writerow(["iteration", *space.names, "objective"])
+    for t in history:
+        w.writerow(
+            [t.iteration]
+            + [repr(t.params[n]) for n in space.names]
+            + [f"{t.objective:.6f}"]
+        )
+    write_atomic(path, out.getvalue())
 
 
 def report_best(history) -> str:

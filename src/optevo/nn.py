@@ -34,9 +34,13 @@ gradient runs the same loop without the backward pass, and stacks its
 replayed losses and validation passes the same way. A member's numbers are
 those of training it alone, bit for bit: numpy runs a stacked matmul as one
 BLAS call per member with the strides of the single product, and every
-other step is elementwise or reduces within a member's rows. A member that
-fails, stops early or finishes leaves its stack: its row is dropped and its
-weights are written back to its network.
+other step is elementwise or reduces within a member's rows. A stack's
+per-member state is row-aligned with its (K, P) buffer: each member's
+stepper, shuffle keys, and early-stopping best loss and count of epochs
+without a strict improvement. A member that fails, stops early or finishes
+leaves its stack: its row and that state are dropped together, its weights
+are written straight into its network, and its outcome is written once,
+since every member still in a stack has run the same epochs.
 
 Floating-point errors never raise or warn here: a non-finite loss or weight
 becomes a failed run. `train` opens one `np.errstate(all="ignore")` around
@@ -209,11 +213,11 @@ def _initial_weights(layout, seeds) -> Tensor:
 
 
 class Population:
-    """K networks of one shape, `nets`, trained as one: their parameters
-    live in one (K, P) buffer, `flat`, row k laid out like nets[k].flat, and
-    `params` holds its stacked views (see `_views`). Building one copies the
-    members' weights in, unless `flat` (such as `Network.seeded`'s buffer)
-    already holds them; `train` writes them back."""
+    """K distinct networks of one shape, `nets`, trained as one: their
+    parameters live in one (K, P) buffer, `flat`, row k laid out like
+    nets[k].flat, and `params` holds its stacked views (see `_views`).
+    Building one copies the members' weights in, unless `flat` (such as
+    `Network.seeded`'s buffer) already holds them; `train` writes them back."""
 
     def __init__(self, nets, flat: Tensor | None = None):
         self.nets = list(nets)
@@ -242,11 +246,6 @@ class Population:
         over `rows` rows; they share this buffer."""
         step = population_size(rows, self.layer_sizes)
         return [self.take(slice(lo, lo + step)) for lo in range(0, len(self), step)]
-
-    def write_back(self) -> None:
-        """Copy each member's row into its network."""
-        for net, row in zip(self.nets, self.flat):
-            net.flat[...] = row
 
 
 def forward(net: Network | Population, batch_x: Tensor):
@@ -383,24 +382,6 @@ class TrainHistory:
     val_loss: float | None = None  # at the returned weights; None when failed
 
 
-class EarlyStopTracker:
-    """Stop once validation loss has gone `patience` epochs without a strict
-    improvement over the best seen so far."""
-
-    def __init__(self, patience: int):
-        self.patience = patience
-        self.best = np.inf
-        self.bad_epochs = 0
-
-    def update(self, val_loss: float) -> bool:
-        if val_loss < self.best:
-            self.best = val_loss
-            self.bad_epochs = 0
-        else:
-            self.bad_epochs += 1
-        return self.bad_epochs >= self.patience
-
-
 def _logit_bound(sizes, x_bound: float, w_bound):
     """Bound on |logit| of a net with these layer sizes, inputs bounded by
     `x_bound` and every parameter by `w_bound`, a float or an array of them
@@ -463,14 +444,13 @@ def train(net, stepper, data, cfg=None):
         raise NetworkError("the members of a population differ only in shuffle_seed")
     needs_grad = [getattr(s, "needs_grad", True) for s in steppers]
     size = population_size(min(cfgs[0].batch_size, len(train_set)), pop.layer_sizes)
-    outcomes = [None] * len(pop)
+    done = {}
     for kind in (True, False):
         rows = [k for k, flag in enumerate(needs_grad) if flag == kind]
         for stack in (rows[lo : lo + size] for lo in range(0, len(rows), size)):
-            trained = _train_stacked(pop.take(stack), [steppers[k] for k in stack], data,
-                                     [cfgs[k] for k in stack], kind)
-            for k, outcome in zip(stack, trained):
-                outcomes[k] = outcome
+            done.update(_train_stacked(pop.take(stack), [steppers[k] for k in stack], data,
+                                       [cfgs[k] for k in stack], kind))
+    outcomes = [done[member] for member in pop.nets]
     if pop is not net:
         return net, TrainHistory(*outcomes[0])
     pop.flat[...] = np.stack([member.flat for member in pop.nets])
@@ -485,53 +465,63 @@ def _x_bound(data) -> float:
 
 
 def _train_stacked(pop: Population, steppers: list, data, cfgs: list,
-                   needs_grad: bool) -> list:
+                   needs_grad: bool) -> dict:
     """Train a population whose steppers all need the gradient, or all do
-    not, batch by batch in stacked passes; returns each member's
-    (epochs_run, stopped_early, failed, val_loss), each that of training
-    the member alone. Members leave as they fail, stop early or finish, their weights
-    written back to their networks."""
+    not, batch by batch in stacked passes; returns {network: (epochs_run,
+    stopped_early, failed, val_loss)}, each that of training the member
+    alone.
+
+    Row k of `pop.flat`, `steppers[k]`, the shuffle keys `keys[k]` and the
+    early-stopping state `best[k]` and `worse[k]` belong to one member, and
+    `leave` drops them together. Every row still in the stack has run the
+    same epochs, so a member's outcome is written once, as it leaves, with
+    its weights written back to its network."""
     train_set, val_set = data
     cfg = cfgs[0]
-    size = len(pop)
-    epochs_run, stopped, failed = [0] * size, [False] * size, [False] * size
-    val_loss = [None] * size
-    trackers = [EarlyStopTracker(cfg.patience) for _ in range(size)]
-    members = np.arange(size)  # the member each row of pop.flat holds
-    # keys[k, e]: member k's epoch-e batch order, stream ("shuffle", "epoch",
-    # e) of its shuffle seed, all derived at once
+    # keys[k, e]: row k's epoch-e batch order, stream ("shuffle", "epoch", e)
+    # of its shuffle seed, all derived at once
     keys = Streams.from_seeds([c.shuffle_seed for c in cfgs]).children(
         "shuffle", "epoch", last=range(cfg.max_epochs)).keys()
-    keys = keys.reshape(size, cfg.max_epochs, 2)
+    keys = keys.reshape(len(pop), cfg.max_epochs, 2)
+    # the best validation loss so far, and the epochs since it improved;
+    # without early stopping no count reaches the patience
+    best, worse = np.full(len(pop), np.inf), np.zeros(len(pop), dtype=np.int64)
+    patience = cfg.patience if cfg.early_stop else math.inf
+    done = {}
     x_bound = _x_bound(data)
     starts = range(0, len(train_set), cfg.batch_size)
 
-    def orders(rows, epoch):  # each member's batch order for the epoch
-        return np.array(draw_keyed(keys[members[rows], epoch],
+    def orders(rows, epoch):  # each row's batch order for the epoch
+        return np.array(draw_keyed(keys[rows, epoch],
                                    lambda gen: gen.permutation(len(train_set))))
 
     def uncertified(bound):  # rows whose losses the certificate leaves open
         return ~(_logit_bound(pop.layer_sizes, x_bound, bound) < _LOGIT_MARGIN)
 
-    def leave(gone):  # write back the members of rows `gone`; the kept rows
-        nonlocal pop, members
-        pop.take(np.flatnonzero(gone)).write_back()
+    def leave(gone, outcome):  # write rows `gone` out, with outcome(row); the kept rows
+        nonlocal pop, steppers, keys, best, worse
+        for row in np.flatnonzero(gone).tolist():
+            net = pop.nets[row]
+            net.flat[...] = pop.flat[row]
+            done[net] = outcome(row)
         keep = np.flatnonzero(~gone)
         if len(keep):
-            pop, members = pop.take(keep), members[keep]
+            pop, keys, best, worse = pop.take(keep), keys[keep], best[keep], worse[keep]
+            steppers = [steppers[row] for row in keep.tolist()]
         return keep
 
     with np.errstate(all="ignore"):  # non-finite values become a failed run
         bound = _abs_max(pop.flat)
         for epoch in range(cfg.max_epochs):
-            for k in members:
-                steppers[k].begin_epoch(epoch)
-            totals = np.zeros(len(members))
+            failed = (epoch, False, True, None)
+            for stepper in steppers:
+                stepper.begin_epoch(epoch)
+            totals = np.zeros(len(pop))
             if needs_grad:
                 order = orders(slice(None), epoch)
             else:
                 seen = np.empty((len(starts), *pop.flat.shape))  # weights each update saw
-                replay = np.zeros(len(members), dtype=bool)
+                replay = np.zeros(len(pop), dtype=bool)
             for j, lo in enumerate(starts):
                 if needs_grad:
                     idx = order[:, lo : lo + cfg.batch_size]
@@ -544,17 +534,14 @@ def _train_stacked(pop: Population, steppers: list, data, cfgs: list,
                 else:
                     replay |= uncertified(bound)
                     seen[j] = pop.flat
-                    grads = [None] * len(members)
-                for k, w, g in zip(members, pop.flat, grads):
-                    steppers[k].update(w, g)
+                    grads = [None] * len(pop)
+                for stepper, w, g in zip(steppers, pop.flat, grads):
+                    stepper.update(w, g)
                 bound = _abs_max(pop.flat)
                 if not bound.max() < math.inf:  # NaN compares false too
-                    bad = ~(bound < math.inf)
-                    for k in members[bad]:
-                        failed[k] = True
-                    keep = leave(bad)
+                    keep = leave(~(bound < math.inf), lambda row: failed)
                     if not len(keep):
-                        return list(zip(epochs_run, stopped, failed, val_loss))
+                        return done
                     totals, bound = totals[keep], bound[keep]
                     if needs_grad:
                         order = order[keep]
@@ -570,30 +557,25 @@ def _train_stacked(pop: Population, steppers: list, data, cfgs: list,
             last = epoch == cfg.max_epochs - 1
             finite = np.isfinite(totals)
             need = finite.copy() if cfg.early_stop or last else finite & uncertified(bound)
-            losses = np.full(len(members), np.nan)
+            losses = np.full(len(pop), np.nan)
             rows = np.flatnonzero(need)
             if len(rows):
                 losses[rows] = np.concatenate([
                     mean_loss(forward(chunk, val_set.x)[0], val_set.y)
                     for chunk in pop.take(rows).chunks(len(val_set))])
                 finite[rows] &= np.isfinite(losses[rows])
-            gone = np.zeros(len(members), dtype=bool)
-            for row, k in enumerate(members):
-                if not finite[row]:
-                    failed[k] = gone[row] = True
-                    continue
-                epochs_run[k] += 1
-                if cfg.early_stop and trackers[k].update(float(losses[row])):
-                    stopped[k] = gone[row] = True
-                gone[row] |= last
-                if gone[row]:
-                    val_loss[k] = float(losses[row])
+            # a strict improvement resets the count; NaN compares false
+            better = losses < best
+            best, worse = np.where(better, losses, best), np.where(better, 0, worse + 1)
+            stop = worse >= patience
+            gone = ~finite | stop | last
             if gone.any():
-                keep = leave(gone)
+                keep = leave(gone, lambda row: failed if not finite[row] else
+                             (epoch + 1, bool(stop[row]), False, float(losses[row])))
                 if not len(keep):
                     break
                 bound = bound[keep]
-    return list(zip(epochs_run, stopped, failed, val_loss))
+    return done
 
 
 def _draw_seed(gen) -> int:

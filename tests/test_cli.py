@@ -500,21 +500,23 @@ class TestGrammarCheck:
         assert main(["grammar-check", str(tmp_path / "ghost.bnf")]) == EXIT_CONFIG
 
     def test_genotype_checks_fail_on_a_changed_weight_op(self, tmp_path, capsys):
-        """With square in place of negative, the shipped sgd, rmsprop and
-        adam_core genotypes, which negate their step, map to other rules;
-        momentum adds its step and still matches."""
+        """With square or sqrt in place of negative, the shipped sgd, rmsprop
+        and adam_core genotypes, which negate their step, map to other rules;
+        momentum adds its step and still matches. Under sqrt those rules'
+        trajectories go NaN, which fails the check too."""
         text = serialize_grammar(load_shipped_grammar("alr"))
-        bad = text.replace("<weight_func> ::= negative( <weight_expr> ) |",
-                           "<weight_func> ::= square( <weight_expr> ) |")
-        assert bad != text
-        p = tmp_path / "bad.bnf"
-        p.write_text(bad)
-        assert main(["grammar-check", str(p)]) == EXIT_CHECK_FAILED
-        out = capsys.readouterr().out
-        for name in ("sgd", "rmsprop", "adam_core"):
-            assert f"FAIL: genotype-{name} — trajectory diverged" in out
-        assert "PASS: genotype-momentum" in out
-        assert "6/9 checks passed" in out
+        for op in ("square", "sqrt"):
+            bad = text.replace("<weight_func> ::= negative( <weight_expr> ) |",
+                               f"<weight_func> ::= {op}( <weight_expr> ) |")
+            assert bad != text
+            p = tmp_path / f"{op}.bnf"
+            p.write_text(bad)
+            assert main(["grammar-check", str(p)]) == EXIT_CHECK_FAILED
+            out = capsys.readouterr().out
+            for name in ("sgd", "rmsprop", "adam_core"):
+                assert f"FAIL: genotype-{name} — trajectory diverged" in out
+            assert "PASS: genotype-momentum" in out
+            assert "6/9 checks passed" in out
 
     def test_health_checks_structurally_sound(self):
         checks = grammar_health_checks(load_shipped_grammar("alr"))
@@ -1109,6 +1111,21 @@ class TestTuneCommand:
         assert main(["tune", cfg]) == EXIT_CONFIG
         assert "budget" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
+
+    def test_killed_run_names_its_config(self, tmp_path, monkeypatch):
+        """config.json is written before the search, so a run that dies in
+        it still names its config."""
+        run = tmp_path / "run"
+
+        def killed(*args, **kwargs):
+            assert [p.name for p in run.iterdir()] == ["config.json"]
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli_mod, "tune", killed)
+        with pytest.raises(KeyboardInterrupt):
+            main(["tune", write_cfg(tmp_path, tune_payload()), "--run-dir", str(run)])
+        cfg = json.loads((run / "config.json").read_text())
+        assert cfg["optimizer"] == "sgd" and cfg["budget"] == 5
 
     def test_unknown_optimizer(self, tmp_path):
         cfg = write_cfg(tmp_path, tune_payload(optimizer="florp"))

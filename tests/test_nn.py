@@ -13,7 +13,6 @@ from optevo.data import Dataset, synthetic
 from optevo.dsge import map_genotype, random_derivation
 from optevo.grammar import load_shipped_grammar
 from optevo.nn import (
-    EarlyStopTracker,
     Network,
     NetworkError,
     Population,
@@ -276,24 +275,82 @@ class TestEvaluate:
             evaluate(net, Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int)))
 
 
-class TestEarlyStopTracker:
-    def test_worsening_from_epoch_three_stops_at_eight(self):
-        tracker = EarlyStopTracker(patience=5)
-        losses = [1.0, 0.9, 0.8, 0.81, 0.82, 0.83, 0.84, 0.85]
-        stops = [tracker.update(v) for v in losses]
-        assert stops == [False] * 7 + [True]
+class Scripted(Stepper):
+    """Gradient-free stepper that sets a [2, 2] network's weight matrix to
+    t * [[1, -1], [0, 0]] and its biases to 0 on every update of epoch e,
+    t = ts[e]. On `SCRIPTED_ROWS` the validation loss is then
+    log(1 + exp(-2t)), which falls strictly as t grows and is the same
+    float for the same t."""
 
-    def test_equal_loss_is_not_an_improvement(self):
-        tracker = EarlyStopTracker(patience=2)
-        assert not tracker.update(0.5)
-        assert not tracker.update(0.5)
-        assert tracker.update(0.5)
+    name = "scripted"
+    needs_grad = False
 
-    def test_recovery_resets_counter(self):
-        tracker = EarlyStopTracker(patience=2)
-        for v in (1.0, 1.1, 0.9, 1.0):
-            assert not tracker.update(v)
-        assert tracker.update(1.0)
+    def __init__(self, ts):
+        self.ts = ts
+
+    def begin_epoch(self, epoch):
+        self.t = self.ts[epoch]
+
+    def update(self, w, g):
+        w[...] = self.t * np.array([1.0, -1.0, 0.0, 0.0, 0.0, 0.0])
+
+
+SCRIPTED_ROWS = Dataset(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([0, 1]))
+
+
+def scripted_training(ts, patience, population):
+    """Train a [2, 2] network under Scripted(ts) with early stopping, alone
+    or as member 1 of a population of three, between a member whose loss
+    falls every epoch and one whose weights go NaN in epoch 1. Returns the
+    scripted member's network and (epochs_run, stopped_early, failed,
+    val_loss)."""
+    cfg = TrainConfig(batch_size=2, max_epochs=12, patience=patience)
+    data = (SCRIPTED_ROWS, SCRIPTED_ROWS)
+    if not population:
+        net, hist = train(Network([2, 2]), Scripted(ts), data, cfg)
+        return net, (hist.epochs_run, hist.stopped_early, hist.failed, hist.val_loss)
+    falling, failing = [0.1 * (e + 1) for e in range(12)], [1.0, np.nan]
+    pop, hist = train(Population([Network([2, 2]) for _ in range(3)]),
+                      [Scripted(falling), Scripted(ts), Scripted(failing)], data,
+                      [replace(cfg, shuffle_seed=k) for k in range(3)])
+    assert (hist.epochs_run[0], hist.stopped_early[0], hist.failed[0]) == (12, False, False)
+    assert (hist.epochs_run[2], hist.failed[2], hist.val_loss[2]) == (1, True, None)
+    return pop.nets[1], (hist.epochs_run[1], hist.stopped_early[1], hist.failed[1],
+                         hist.val_loss[1])
+
+
+def scripted_loss(t):
+    """The validation loss of Scripted's weights at t: logits (t, -t) and (-t, t)."""
+    return mean_loss(np.array([[t, -t], [-t, t]]), SCRIPTED_ROWS.y)
+
+
+class TestEarlyStopping:
+    """`train` stops a member once its validation loss has gone `patience`
+    epochs without a strict improvement over the best so far, alone and in
+    a population whose other members leave before or after it."""
+
+    @pytest.fixture(params=[False, True], ids=["lone", "population"])
+    def population(self, request):
+        return request.param
+
+    def test_worsening_from_epoch_three_stops_at_eight(self, population):
+        # losses fall over epochs 0-2, then rise: epochs 3-7 are five
+        # without an improvement
+        ts = [1.0, 2.0, 3.0] + [2.9 - 0.1 * e for e in range(9)]
+        net, outcome = scripted_training(ts, 5, population)
+        assert outcome == (8, True, False, scripted_loss(ts[7]))
+        assert net.flat.tolist() == [ts[7], -ts[7], 0.0, 0.0, 0.0, 0.0]
+
+    def test_equal_loss_is_not_an_improvement(self, population):
+        net, outcome = scripted_training([0.5] * 12, 2, population)
+        assert outcome == (3, True, False, scripted_loss(0.5))
+
+    def test_recovery_resets_counter(self, population):
+        # worse, better than the best, then worse twice: the recovery in
+        # epoch 2 restarts the count, so patience 2 stops after epoch 4
+        ts = [1.0, 0.9, 1.1, 1.0, 1.0] + [1.0] * 7
+        net, outcome = scripted_training(ts, 2, population)
+        assert outcome == (5, True, False, scripted_loss(1.0))
 
 
 class Swell(Stepper):
@@ -730,10 +787,11 @@ class TestCertifiedTraining:
 POPULATION_KINDS = ["alr", "alr", "sgd", "adam", "nesterov", "scheduled", *EDGE_PHENOTYPES]
 
 
-def member_case(seed, k, kind, lr_scale, batch_size, early_stop):
+def member_case(seed, k, kind, lr_scale, batch_size, early_stop, patience=1,
+                max_epochs=4):
     """Network, stepper and config of population member k."""
-    cfg = TrainConfig(batch_size=batch_size, max_epochs=4, early_stop=early_stop,
-                      patience=1, shuffle_seed=(seed + k) % 1000)
+    cfg = TrainConfig(batch_size=batch_size, max_epochs=max_epochs, early_stop=early_stop,
+                      patience=patience, shuffle_seed=(seed + k) % 1000)
     return (Network([2, 16, 2], seed=seed + k),
             make_case_stepper(kind, seed + k, lr_scale), cfg)
 
@@ -753,21 +811,23 @@ class TestPopulationTraining:
         st.sampled_from([1.0, 1e300]),
         st.sampled_from([7, 16, 64]),
         st.booleans(),
+        st.sampled_from([1, 2, 3]),
+        st.integers(1, 8),
     )
     def test_matches_members_trained_alone(self, seed, kinds, x_scale, lr_scale,
-                                           batch_size, early_stop):
+                                           batch_size, early_stop, patience, max_epochs):
         d = synthetic("two_gaussians", 90, noise=0.1, seed=seed % 89)
         x = d.x * x_scale  # larger inputs leave the certificate sooner
         # 61 rows: every batch size leaves a short last batch
         data = Dataset(x[:61], d.y[:61]), Dataset(x[61:], d.y[61:])
-        cases = [member_case(seed, k, kind, lr_scale, batch_size, early_stop)
-                 for k, kind in enumerate(kinds)]
+        case = dict(lr_scale=lr_scale, batch_size=batch_size, early_stop=early_stop,
+                    patience=patience, max_epochs=max_epochs)
+        cases = [member_case(seed, k, kind, **case) for k, kind in enumerate(kinds)]
         pop, hist = train(Population([net for net, _, _ in cases]),
                           [stepper for _, stepper, _ in cases], data,
                           [cfg for _, _, cfg in cases])
         for k, kind in enumerate(kinds):
-            net, stepper, cfg = member_case(seed, k, kind, lr_scale, batch_size,
-                                            early_stop)
+            net, stepper, cfg = member_case(seed, k, kind, **case)
             _, alone = train(net, stepper, data, cfg)
             assert_same_bits(pop.nets[k].flat, net.flat)
             assert_same_bits(pop.flat[k], net.flat)
