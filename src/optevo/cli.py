@@ -166,9 +166,9 @@ BENCHMARK_KEYS = {
     **RUN_KEYS,
     "name": _key(str, None),  # default: the preset, else "scenario"
     "preset": _key(str, None),  # epochs and early_stop default to its protocol
-    "epochs": _key(int, None),
+    "epochs": _key(int, None, least=1),
     "early_stop": _key(bool, None),
-    "repetitions": _key(int, 5, flag="override config repetitions"),
+    "repetitions": _key(int, 5, least=1, flag="override config repetitions"),
     "steppers": _key(list),
     "test_source": _key(str, "split"),
 }
@@ -508,11 +508,8 @@ def cmd_benchmark(args) -> int:
         raise ConfigError("config.test_source: must be 'split' or 'reserve'")
     cfg["task"], plan, train_config = read_task(cfg["task"], omit=at_top)
     task, splits = build_task(cfg["task"], plan, train_config, seed)
-    try:
-        train_config = replace(task.train_config, max_epochs=cfg["epochs"],
-                               early_stop=cfg["early_stop"])
-    except NetworkError as e:
-        raise ConfigError(f"config.epochs: {e}") from e
+    train_config = replace(task.train_config, max_epochs=cfg["epochs"],
+                           early_stop=cfg["early_stop"])
     test_set = splits.reserve if cfg["test_source"] == "reserve" else splits.test
     if len(test_set) == 0:
         raise DataError(f"benchmark test set ({cfg['test_source']}) is empty")

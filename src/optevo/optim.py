@@ -18,9 +18,11 @@ when the weights are not among them, `SpecStepper` needs no backward pass.
 Evolution builds one `SpecStepper` per phenotype text and gives each trial a
 shallow copy of it, so a text's rule is compiled, and its taint found, once.
 
-Hand-built specs for the classic first-order optimizers live here too, next
-to native steppers for the two rules the four-function form cannot express
-(a look-ahead gradient, a step-count-dependent rescale).
+The built-in rules live here too, each a phenotype text with its
+hyperparameters filled in, parsed as an evolved rule's text is; Nesterov's
+look-ahead is reformulated at the current point. Adam is the one native
+stepper: its bias-corrected rescale depends on the step count, which the
+four-function form cannot see.
 """
 
 from __future__ import annotations
@@ -281,7 +283,7 @@ def grad_tainted(spec: OptimizerSpec) -> frozenset:
     return frozenset(tainted)
 
 
-# --- hyperparameters and hand-built specs ------------------------------------
+# --- hyperparameters and built-in specs --------------------------------------
 
 
 @dataclass(frozen=True)
@@ -309,94 +311,53 @@ class HyperParams:
         return cls(lr=0.001 if name in ("rmsprop", "adam") else 0.01)
 
 
-_X, _Y, _Z, _GRAD, _ALPHA = Var("x"), Var("y"), Var("z"), Var("grad"), Var("alpha")
-
-
-def _c(v: float) -> Const:
-    return Const(float(v))
-
-
-def _ap(op: OpCode, *args) -> Apply:
-    return Apply(op, tuple(args))
+def _filled(name: str, template: str, **consts) -> OptimizerSpec:
+    """The spec of `template` with each {constant} written as repr(float(v)),
+    the text `serialize_expr` writes: it parses back to the same float, so
+    the spec's phenotype is the template with its constants filled in."""
+    text = template.format(**{k: repr(float(v)) for k, v in consts.items()})
+    return spec_from_phenotype(text, name=name)
 
 
 def _sgd_spec(hp: HyperParams) -> OptimizerSpec:
     # w' = w - lr * g, staged through x
-    return OptimizerSpec(
-        x_func=_ap(OpCode.SUBTRACT, _ALPHA, _ap(OpCode.MULTIPLY, _c(hp.lr), _GRAD)),
-        y_func=_Y,
-        z_func=_Z,
-        weight_func=_X,
-        name="sgd",
-    )
+    return _filled("sgd", "subtract(alpha, multiply({lr}, grad)) ; y ; z ; x", lr=hp.lr)
 
 
 def _momentum_spec(hp: HyperParams) -> OptimizerSpec:
     # x' = mom * x - lr * g; w' = w + x'
-    return OptimizerSpec(
-        x_func=_ap(
-            OpCode.SUBTRACT,
-            _ap(OpCode.MULTIPLY, _c(hp.mom), _X),
-            _ap(OpCode.MULTIPLY, _c(hp.lr), _GRAD),
-        ),
-        y_func=_Y,
-        z_func=_Z,
-        weight_func=_ap(OpCode.ADD, _ALPHA, _X),
-        name="momentum",
-    )
+    return _filled("momentum", "subtract(multiply({mom}, x), multiply({lr}, grad)) ; y ; z"
+                   " ; add(alpha, x)", mom=hp.mom, lr=hp.lr)
+
+
+def _nesterov_spec(hp: HyperParams) -> OptimizerSpec:
+    # momentum with a look-ahead gradient, reformulated at the current point:
+    # x' = mom * x - lr * g; w' = (w + mom * x') - lr * g. lr * g is staged
+    # through y, because the weight slot may not read the gradient
+    return _filled("nesterov", "subtract(multiply({mom}, x), multiply({lr}, grad))"
+                   " ; multiply({lr}, grad) ; z ; subtract(add(alpha, multiply({mom}, x)), y)",
+                   mom=hp.mom, lr=hp.lr)
 
 
 def _rmsprop_spec(hp: HyperParams) -> OptimizerSpec:
     # x' = rho * x + (1 - rho) * g^2; w' = w - lr * g / (sqrt(x') + eps)
-    return OptimizerSpec(
-        x_func=_ap(
-            OpCode.ADD,
-            _ap(OpCode.MULTIPLY, _c(hp.rho), _X),
-            _ap(OpCode.MULTIPLY, _c(1.0 - hp.rho), _ap(OpCode.SQUARE, _GRAD)),
-        ),
-        y_func=_ap(
-            OpCode.DIVIDE_NO_NAN,
-            _ap(OpCode.MULTIPLY, _c(hp.lr), _GRAD),
-            _ap(OpCode.ADD, _ap(OpCode.SQRT, _X), _c(hp.epsilon)),
-        ),
-        z_func=_Z,
-        weight_func=_ap(OpCode.SUBTRACT, _ALPHA, _Y),
-        name="rmsprop",
-    )
+    return _filled("rmsprop", "add(multiply({rho}, x), multiply({rho_c}, square(grad)))"
+                   " ; divide_no_nan(multiply({lr}, grad), add(sqrt(x), {eps})) ; z"
+                   " ; subtract(alpha, y)", rho=hp.rho, rho_c=1.0 - hp.rho, lr=hp.lr,
+                   eps=hp.epsilon)
 
 
 def _sign_spec(hp: HyperParams) -> OptimizerSpec:
     # w' = w - 9e-4 * sign(g); the step size is part of the rule, not tunable
-    return OptimizerSpec(
-        x_func=_ap(OpCode.MULTIPLY, _c(SIGN_STEP), _ap(OpCode.SIGN, _GRAD)),
-        y_func=_Y,
-        z_func=_Z,
-        weight_func=_ap(OpCode.SUBTRACT, _ALPHA, _X),
-        name="sign",
-    )
+    return _filled("sign", "multiply({step}, sign(grad)) ; y ; z ; subtract(alpha, x)",
+                   step=SIGN_STEP)
 
 
 def _ades_spec(hp: HyperParams) -> OptimizerSpec:
     # y' = (1 - c1) * y - (c1 * y^2 + c2 * y * g + c2 * g); w' = w + y'
-    return OptimizerSpec(
-        x_func=_X,
-        y_func=_ap(
-            OpCode.SUBTRACT,
-            _ap(OpCode.MULTIPLY, _c(1.0 - hp.c1), _Y),
-            _ap(
-                OpCode.ADD,
-                _ap(OpCode.MULTIPLY, _c(hp.c1), _ap(OpCode.SQUARE, _Y)),
-                _ap(
-                    OpCode.ADD,
-                    _ap(OpCode.MULTIPLY, _c(hp.c2), _ap(OpCode.MULTIPLY, _Y, _GRAD)),
-                    _ap(OpCode.MULTIPLY, _c(hp.c2), _GRAD),
-                ),
-            ),
-        ),
-        z_func=_Z,
-        weight_func=_ap(OpCode.ADD, _ALPHA, _Y),
-        name="ades",
-    )
+    return _filled("ades", "x ; subtract(multiply({c1_c}, y), add(multiply({c1}, square(y)),"
+                   " add(multiply({c2}, multiply(y, grad)), multiply({c2}, grad)))) ; z"
+                   " ; add(alpha, y)", c1_c=1.0 - hp.c1, c1=hp.c1, c2=hp.c2)
 
 
 def adam_core_spec(hp: HyperParams) -> OptimizerSpec:
@@ -405,25 +366,11 @@ def adam_core_spec(hp: HyperParams) -> OptimizerSpec:
     x' = b1*x + (1-b1)*g; y' = b2*y + (1-b2)*g^2; z' = lr*x'/(sqrt(y')+eps);
     w' = w - z'.
     """
-    return OptimizerSpec(
-        x_func=_ap(
-            OpCode.ADD,
-            _ap(OpCode.MULTIPLY, _c(hp.beta1), _X),
-            _ap(OpCode.MULTIPLY, _c(1.0 - hp.beta1), _GRAD),
-        ),
-        y_func=_ap(
-            OpCode.ADD,
-            _ap(OpCode.MULTIPLY, _c(hp.beta2), _Y),
-            _ap(OpCode.MULTIPLY, _c(1.0 - hp.beta2), _ap(OpCode.SQUARE, _GRAD)),
-        ),
-        z_func=_ap(
-            OpCode.DIVIDE_NO_NAN,
-            _ap(OpCode.MULTIPLY, _c(hp.lr), _X),
-            _ap(OpCode.ADD, _ap(OpCode.SQRT, _Y), _c(hp.epsilon)),
-        ),
-        weight_func=_ap(OpCode.SUBTRACT, _ALPHA, _Z),
-        name="adam_core",
-    )
+    return _filled("adam_core", "add(multiply({b1}, x), multiply({b1_c}, grad))"
+                   " ; add(multiply({b2}, y), multiply({b2_c}, square(grad)))"
+                   " ; divide_no_nan(multiply({lr}, x), add(sqrt(y), {eps})) ; subtract(alpha, z)",
+                   b1=hp.beta1, b1_c=1.0 - hp.beta1, b2=hp.beta2, b2_c=1.0 - hp.beta2,
+                   lr=hp.lr, eps=hp.epsilon)
 
 
 # --- steppers: nn.Stepper subclasses -----------------------------------------
@@ -474,26 +421,6 @@ class SpecStepper(Stepper):
         w[...] = new_w
 
 
-class NesterovStepper(Stepper):
-    """Momentum with a look-ahead gradient, reformulated at the current point:
-    x' = mom*x - lr*g; w' = w + mom*x' - lr*g. Native because the four-function
-    form cannot evaluate gradients anywhere but the current weights.
-    """
-
-    name = "nesterov"
-
-    def __init__(self, lr: float = 0.01, mom: float = 0.9):
-        self.lr = lr
-        self.mom = mom
-        self.velocity = None
-
-    def update(self, w: Tensor, g: Tensor) -> None:
-        if self.velocity is None:
-            self.velocity = np.zeros_like(w)
-        self.velocity = self.mom * self.velocity - self.lr * g
-        w[...] = w + self.mom * self.velocity - self.lr * g
-
-
 class AdamStepper(Stepper):
     """Bias-corrected Adam. Native because the rescale z_t depends on the
     global step count t, which spec expressions cannot see:
@@ -532,27 +459,23 @@ class AdamStepper(Stepper):
         w[...] = w - zt * self.avg / (np.sqrt(self.sq) + self.epsilon)
 
 
-BUILTIN_NAMES = ("sgd", "momentum", "nesterov", "rmsprop", "adam", "sign", "ades")
-
-_SPEC_BUILDERS = {
+_BUILDERS = {
     "sgd": _sgd_spec,
     "momentum": _momentum_spec,
+    "nesterov": _nesterov_spec,
     "rmsprop": _rmsprop_spec,
+    "adam": lambda hp: AdamStepper(hp.lr, hp.beta1, hp.beta2, hp.epsilon),
     "sign": _sign_spec,
     "ades": _ades_spec,
 }
+BUILTIN_NAMES = tuple(_BUILDERS)
 
 
 def builtin(name: str, hp: HyperParams | None = None):
-    """A hand-built OptimizerSpec, or a native stepper for nesterov/adam."""
-    hp = HyperParams.defaults_for(name) if hp is None else hp
-    if name in _SPEC_BUILDERS:
-        return _SPEC_BUILDERS[name](hp)
-    if name == "nesterov":
-        return NesterovStepper(hp.lr, hp.mom)
-    if name == "adam":
-        return AdamStepper(hp.lr, hp.beta1, hp.beta2, hp.epsilon)
-    raise ValueError(f"unknown optimizer {name!r}; expected one of {BUILTIN_NAMES}")
+    """A built-in rule's OptimizerSpec, or the native stepper for adam."""
+    if name not in _BUILDERS:
+        raise ValueError(f"unknown optimizer {name!r}; expected one of {BUILTIN_NAMES}")
+    return _BUILDERS[name](HyperParams.defaults_for(name) if hp is None else hp)
 
 
 def make_stepper(opt, hp: HyperParams | None = None) -> Stepper:

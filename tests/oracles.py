@@ -4,6 +4,9 @@ The trajectory functions advance one scalar weight through a list of
 gradients and return the weight value after every step. They are written
 directly from the published update rules in plain Python floats and share no
 code with the package — that independence is what makes them oracles.
+`nesterov_steps` is the array form of one of them, op for op as the native
+Nesterov stepper computed it before Nesterov became a spec.
+`assert_same_bits` compares float64 results byte for byte.
 
 `gp_kernel` is the tuner's squared-exponential kernel in its direct
 broadcast form, `gp_posterior_lu` is its GP posterior through three LU
@@ -66,6 +69,18 @@ def nesterov_trajectory(w0, grads, lr, mom):
     for g in grads:
         x = mom * x - lr * g
         w = w + mom * x - lr * g
+        out.append(w)
+    return out
+
+
+def nesterov_steps(w, grads, lr, mom):
+    """The weight arrays after each gradient, in the native Nesterov stepper's
+    float64 array ops and their order: the bytes its spec must write."""
+    velocity = np.zeros_like(w)
+    out = []
+    for g in grads:
+        velocity = mom * velocity - lr * g
+        w = w + mom * velocity - lr * g
         out.append(w)
     return out
 
@@ -142,6 +157,15 @@ ORACLES = {
     "sign": lambda w0, grads, hp: sign_trajectory(w0, grads),
     "ades": lambda w0, grads, hp: ades_trajectory(w0, grads, hp.c1, hp.c2),
 }
+
+
+def assert_same_bits(got, want):
+    """Byte-equal float64 values, any NaN counting as equal to any NaN."""
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    assert got.shape == want.shape
+    nan = np.isnan(got)
+    assert np.array_equal(nan, np.isnan(want))
+    assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
 def gp_kernel(a, b, length_scale=0.25):

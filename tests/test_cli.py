@@ -329,6 +329,22 @@ class TestConfigErrors:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("key", ["epochs", "repetitions"])
+    def test_bad_benchmark_count_exits_before_data_load(self, tmp_path, monkeypatch,
+                                                        capsys, key):
+        """The paper benchmark reads idx files from $OPTEVO_DATA_DIR, here
+        empty: no epochs or no repetitions exits 2 before any load would
+        exit 3."""
+        payload = json.loads((CONFIGS / "benchmark-paper.json").read_text())
+        payload[key] = 0
+        empty = tmp_path / "data"
+        empty.mkdir()
+        monkeypatch.setenv(DATA_DIR_ENV, str(empty))
+        argv = ["benchmark", write_cfg(tmp_path, payload), "--run-dir", str(tmp_path / "r")]
+        assert main(argv) == EXIT_CONFIG
+        assert f"config error: config.{key}: must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize("command, path, value, message", [
         ("evolve", "threshold", float("nan"), "must be finite"),
         ("evolve", "threshold", float("inf"), "must be finite"),

@@ -42,7 +42,7 @@ from optevo.sched import ScheduledSGD, parse_policy
 from optevo.tensor import Rng, Streams
 
 import oracles
-from oracles import train_per_tensor
+from oracles import assert_same_bits, train_per_tensor
 
 
 def sgd(lr):
@@ -1036,15 +1036,6 @@ def logits_and_labels(draw):
     for r, c, value in cells:
         logits[r, c] = value
     return logits, rng.integers(0, width, size=rows)
-
-
-def assert_same_bits(got, want):
-    """Byte-equal float64 values, any NaN counting as equal to any NaN."""
-    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
-    assert got.shape == want.shape
-    nan = np.isnan(got)
-    assert np.array_equal(nan, np.isnan(want))
-    assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
 class TestSoftmaxMatchesOracle:

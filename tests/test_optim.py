@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from optevo import optim
+from optevo.check import _grid_hyperparams
 from optevo.data import Dataset, synthetic
 from optevo.dsge import map_genotype, random_derivation
 from optevo.grammar import load_shipped_grammar
@@ -36,7 +37,7 @@ from optevo.optim import (
 )
 from optevo.sched import Leaf
 from optevo.tensor import OpCode, Rng, tensor
-from oracles import ORACLES, UnboundVariableError, eval_expr
+from oracles import ORACLES, UnboundVariableError, assert_same_bits, eval_expr, nesterov_steps
 
 SPEC_OPTIMIZERS = ["sgd", "momentum", "rmsprop", "adam", "ades", "sign"]
 
@@ -194,6 +195,108 @@ class TestSerializationFormats:
     def test_adam_core_round_trips(self):
         spec = adam_core_spec(HyperParams())
         assert spec_from_json(spec_to_json(spec)) == spec
+
+
+# The phenotype() of each spec built-in and of adam_core_spec as the
+# node-by-node builders wrote them before the built-ins became phenotype
+# templates: at each rule's defaults (adam_core at HyperParams()), at
+# grammar-check's grid values, and at odd values: an int lr, -0.0, the
+# smallest subnormal, and values near the largest float
+PINNED_HP = {
+    "default": None,
+    "grid": _grid_hyperparams(),
+    "odd": HyperParams(lr=2, mom=-0.0, rho=5e-324, beta1=-0.0, beta2=5e-324,
+                       epsilon=5e-324, c1=-0.0, c2=5e-324),
+    "huge": HyperParams(lr=1.7e308, mom=-1.7e308, rho=-1.7e308, beta1=-1.7e308,
+                        beta2=1.7e308, epsilon=1.7e308, c1=-1.7e308, c2=-1.7e308),
+}
+PINNED_PHENOTYPES = {
+    "default": {
+        "sgd": "subtract(alpha, multiply(0.01, grad)) ; y ; z ; x",
+        "momentum": "subtract(multiply(0.9, x), multiply(0.01, grad)) ; y ; z ; add(alpha, x)",
+        "rmsprop": "add(multiply(0.9, x), multiply(0.09999999999999998, square(grad))) ;"
+            " divide_no_nan(multiply(0.001, grad), add(sqrt(x), 1e-07)) ; z ; subtract(alpha, y)",
+        "sign": "multiply(0.0009, sign(grad)) ; y ; z ; subtract(alpha, x)",
+        "ades": "x ; subtract(multiply(0.91078, y), add(multiply(0.08922, square(y)),"
+            " add(multiply(0.0891, multiply(y, grad)), multiply(0.0891, grad)))) ; z"
+            " ; add(alpha, y)",
+        "adam_core": "add(multiply(0.9, x), multiply(0.09999999999999998, grad)) ;"
+            " add(multiply(0.999, y), multiply(0.0010000000000000009, square(grad))) ;"
+            " divide_no_nan(multiply(0.01, x), add(sqrt(y), 1e-07)) ; subtract(alpha, z)",
+    },
+    "grid": {
+        "sgd": "subtract(alpha, multiply(0.0109869426, grad)) ; y ; z ; x",
+        "momentum": "subtract(multiply(0.880797078, x), multiply(0.0109869426, grad)) ; y ; z ;"
+            " add(alpha, x)",
+        "rmsprop": "add(multiply(0.92414182, x), multiply(0.07585818, square(grad))) ;"
+            " divide_no_nan(multiply(0.0109869426, grad), add(sqrt(x), 4.53978687e-05)) ; z ;"
+            " subtract(alpha, y)",
+        "sign": "multiply(0.0009, sign(grad)) ; y ; z ; subtract(alpha, x)",
+        "ades": "x ; subtract(multiply(0.91078, y), add(multiply(0.08922, square(y)),"
+            " add(multiply(0.0891, multiply(y, grad)), multiply(0.0891, grad)))) ; z"
+            " ; add(alpha, y)",
+        "adam_core": "add(multiply(0.880797078, x), multiply(0.11920292200000004, grad)) ;"
+            " add(multiply(0.970687769, y), multiply(0.029312231000000022, square(grad))) ;"
+            " divide_no_nan(multiply(0.0109869426, x), add(sqrt(y), 4.53978687e-05)) ;"
+            " subtract(alpha, z)",
+    },
+    "odd": {
+        "sgd": "subtract(alpha, multiply(2.0, grad)) ; y ; z ; x",
+        "momentum": "subtract(multiply(-0.0, x), multiply(2.0, grad)) ; y ; z ; add(alpha, x)",
+        "rmsprop": "add(multiply(5e-324, x), multiply(1.0, square(grad))) ;"
+            " divide_no_nan(multiply(2.0, grad), add(sqrt(x), 5e-324)) ; z ; subtract(alpha, y)",
+        "sign": "multiply(0.0009, sign(grad)) ; y ; z ; subtract(alpha, x)",
+        "ades": "x ; subtract(multiply(1.0, y), add(multiply(-0.0, square(y)),"
+            " add(multiply(5e-324, multiply(y, grad)), multiply(5e-324, grad)))) ; z"
+            " ; add(alpha, y)",
+        "adam_core": "add(multiply(-0.0, x), multiply(1.0, grad)) ; add(multiply(5e-324, y),"
+            " multiply(1.0, square(grad))) ; divide_no_nan(multiply(2.0, x), add(sqrt(y), 5e-324))"
+            " ; subtract(alpha, z)",
+    },
+    "huge": {
+        "sgd": "subtract(alpha, multiply(1.7e+308, grad)) ; y ; z ; x",
+        "momentum": "subtract(multiply(-1.7e+308, x), multiply(1.7e+308, grad)) ; y ; z ;"
+            " add(alpha, x)",
+        "rmsprop": "add(multiply(-1.7e+308, x), multiply(1.7e+308, square(grad))) ;"
+            " divide_no_nan(multiply(1.7e+308, grad), add(sqrt(x), 1.7e+308)) ; z ;"
+            " subtract(alpha, y)",
+        "sign": "multiply(0.0009, sign(grad)) ; y ; z ; subtract(alpha, x)",
+        "ades": "x ; subtract(multiply(1.7e+308, y), add(multiply(-1.7e+308, square(y)),"
+            " add(multiply(-1.7e+308, multiply(y, grad)), multiply(-1.7e+308, grad)))) ; z ;"
+            " add(alpha, y)",
+        "adam_core": "add(multiply(-1.7e+308, x), multiply(1.7e+308, grad)) ;"
+            " add(multiply(1.7e+308, y), multiply(-1.7e+308, square(grad))) ;"
+            " divide_no_nan(multiply(1.7e+308, x), add(sqrt(y), 1.7e+308)) ; subtract(alpha, z)",
+    },
+}
+
+
+class TestBuiltinTexts:
+    @pytest.mark.parametrize("point", list(PINNED_HP))
+    def test_phenotypes_are_pinned(self, point):
+        hp = PINNED_HP[point]
+        got = {name: builtin(name, hp).phenotype()
+               for name in ("sgd", "momentum", "rmsprop", "sign", "ades")}
+        got["adam_core"] = adam_core_spec(hp or HyperParams()).phenotype()
+        assert got == PINNED_PHENOTYPES[point]
+
+    @pytest.mark.parametrize("case", range(6))
+    def test_nesterov_writes_the_native_bytes(self, case):
+        """Nesterov as a spec writes, over 30 steps, the weight bytes of the
+        native stepper's array ops, with inf and NaN gradients mixed in."""
+        rng = Rng(29).child("nesterov", case)
+        hp = HyperParams(lr=float(10 ** rng.uniform(-4, 0)), mom=float(rng.uniform(0.0, 1.0)))
+        shape = (int(rng.integers(1, 5)), int(rng.integers(1, 7)))
+        w = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3)
+        grads = [rng.normal(size=shape) * 10.0 ** rng.uniform(-6, 6) for _ in range(30)]
+        for t, bad in ((9, np.inf), (17, -np.inf), (23, np.nan)):
+            grads[t].flat[int(rng.integers(w.size))] = bad
+        stepper = make_stepper("nesterov", hp)
+        assert isinstance(stepper, SpecStepper)
+        with np.errstate(all="ignore"):
+            for g, want in zip(grads, nesterov_steps(w.copy(), grads, hp.lr, hp.mom)):
+                stepper.update(w, g)
+                assert_same_bits(w, want)
 
 
 def spec_step(spec, w, grad):
