@@ -103,8 +103,9 @@ class BenchResult:
 
     @property
     def generalization_rate(self) -> float:
-        """Mean test accuracy over mean validation accuracy, as a percentage."""
-        return 100.0 * self.mean_test / self.mean_val
+        """Mean test accuracy over mean validation accuracy, as a percentage;
+        NaN when every repetition scores 0 on validation."""
+        return 100.0 * self.mean_test / self.mean_val if self.mean_val else np.nan
 
 
 def _one_run(scenario: BenchmarkScenario, name: str, factory, rep: int, seed: int):
@@ -172,14 +173,14 @@ SUMMARY_COLUMNS = (
 
 
 def summarize(results) -> str:
-    """Aligned text table; accuracies as percent 'mean ± std', rate as percent."""
+    """Aligned text table; accuracies as percent 'mean ± std', rate as percent or n/a."""
     rows = [list(SUMMARY_COLUMNS)]
     for r in results:
         rows.append([
             r.name,
             f"{100 * r.mean_val:.2f} ± {100 * r.std_val:.2f}",
             f"{100 * r.mean_test:.2f} ± {100 * r.std_test:.2f}",
-            f"{r.generalization_rate:.2f}%",
+            "n/a" if np.isnan(r.generalization_rate) else f"{r.generalization_rate:.2f}%",
         ])
     widths = [max(len(row[c]) for row in rows) for c in range(len(rows[0]))]
     lines = []

@@ -60,7 +60,7 @@ from .grammar import (
 )
 from .hyperopt import TuneError, report_best, space_for, tune, write_tune_csv
 from .nn import NetworkError, TrainConfig
-from .optim import HyperParams, spec_from_json, spec_from_phenotype, spec_to_json
+from .optim import BUILTIN_READS, HyperParams, spec_from_json, spec_from_phenotype, spec_to_json
 from .sched import parse_policy, serialize_policy
 
 EXIT_OK = 0
@@ -471,12 +471,16 @@ def _stepper_from_config(item, where: str) -> tuple:
                 return parse_policy(text.strip()), entry
             except (KeyError, TypeError, AttributeError, ValueError) as e:
                 raise ConfigError(f"{where}: {p}: {type(e).__name__}: {e}") from e
+    name, given = entry["name"], entry.get("hyperparams", {})
     try:
-        hp = replace(HyperParams.defaults_for(entry["name"]),
-                     **entry.get("hyperparams", {}))
+        hp = replace(HyperParams.defaults_for(name), **given)
     except (TypeError, ValueError) as e:
         raise ConfigError(f"{where}.hyperparams: {e}") from e
-    return (entry["name"], hp), entry
+    reads = BUILTIN_READS.get(name, given)  # an unknown name exits 2 in make_entry
+    unread = [key for key in given if key not in reads]
+    if unread:
+        raise ConfigError(f"{where}.hyperparams: {name} does not read {', '.join(unread)}")
+    return (name, hp), entry
 
 
 def cmd_benchmark(args) -> int:

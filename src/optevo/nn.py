@@ -30,17 +30,17 @@ sized the same way. Each batch runs one stacked forward and backward for all
 members of a stack, `train` then calls each member's stepper on its own row,
 and takes every member's failed flag and bound from one max and one min
 reduction over the stack's (K, P) buffer. A stack whose steppers need no
-gradient runs the same loop without the backward pass, and stacks its
-replayed losses and validation passes the same way. A member's numbers are
+gradient runs the same loop without the backward pass, its forward only for
+the members whose losses a batch must take. A member's numbers are
 those of training it alone, bit for bit: numpy runs a stacked matmul as one
 BLAS call per member with the strides of the single product, and every
 other step is elementwise or reduces within a member's rows. A stack's
 per-member state is row-aligned with its (K, P) buffer: each member's
-stepper, shuffle keys, and early-stopping best loss and count of epochs
-without a strict improvement. A member that fails, stops early or finishes
-leaves its stack: its row and that state are dropped together, its weights
-are written straight into its network, and its outcome is written once,
-since every member still in a stack has run the same epochs.
+stepper, shuffle keys, weight bound, epoch loss sum and batch order, and
+early-stopping state. A member that fails, stops early or finishes leaves
+its stack: its row and that state are dropped together, its weights are
+written straight into its network, and its outcome is written once, since
+every member still in a stack has run the same epochs.
 
 Floating-point errors never raise or warn here: a non-finite loss or weight
 becomes a failed run. `train` opens one `np.errstate(all="ignore")` around
@@ -409,12 +409,12 @@ def train(net, stepper, data, cfg=None):
     - the validation pass runs under early stopping, on the final epoch
       (for `val_loss`) and after an epoch whose end weights are not
       certified;
-    - a stepper with `needs_grad` false runs its epoch's updates first,
-      keeping the weights each update saw. Only if one of those is not
-      certified does the epoch draw its batch order and take every batch's
-      loss from the kept weights, in batch order. A stepper that does need
-      the gradient takes each loss from the log-softmax its backward pass
-      computes anyway.
+    - a stepper with `needs_grad` false takes a batch's loss only where
+      the weights its update is about to see are not certified. Such a
+      batch's loss is finite and far below overflow, so the epoch sum of
+      the others is finite exactly when the sum of every loss is. A stepper
+      that does need the gradient takes each loss from the log-softmax its
+      backward pass computes anyway.
 
     `net` is a Network, trained as a population of one, or a Population.
     For a Population `stepper` is a list, one stepper per member; `cfg` is a
@@ -471,11 +471,12 @@ def _train_stacked(pop: Population, steppers: list, data, cfgs: list,
     stopped_early, failed, val_loss)}, each that of training the member
     alone.
 
-    Row k of `pop.flat`, `steppers[k]`, the shuffle keys `keys[k]` and the
-    early-stopping state `best[k]` and `worse[k]` belong to one member, and
-    `leave` drops them together. Every row still in the stack has run the
-    same epochs, so a member's outcome is written once, as it leaves, with
-    its weights written back to its network."""
+    Row k of `pop.flat`, `steppers[k]`, the shuffle keys `keys[k]`, the
+    weight bound `bound[k]`, the epoch's loss sum `totals[k]` and batch
+    order `order[k]`, and the early-stopping state `best[k]` and `worse[k]`
+    belong to one member, and `leave` alone drops them together. Every row
+    still in the stack has run the same epochs, so a member's outcome is
+    written once, as it leaves, with its weights written back to its network."""
     train_set, val_set = data
     cfg = cfgs[0]
     # keys[k, e]: row k's epoch-e batch order, stream ("shuffle", "epoch", e)
@@ -491,15 +492,14 @@ def _train_stacked(pop: Population, steppers: list, data, cfgs: list,
     x_bound = _x_bound(data)
     starts = range(0, len(train_set), cfg.batch_size)
 
-    def orders(rows, epoch):  # each row's batch order for the epoch
-        return np.array(draw_keyed(keys[rows, epoch],
-                                   lambda gen: gen.permutation(len(train_set))))
+    def orders(epoch):  # each row's batch order for the epoch
+        return np.array(draw_keyed(keys[:, epoch], lambda gen: gen.permutation(len(train_set))))
 
     def uncertified(bound):  # rows whose losses the certificate leaves open
         return ~(_logit_bound(pop.layer_sizes, x_bound, bound) < _LOGIT_MARGIN)
 
-    def leave(gone, outcome):  # write rows `gone` out, with outcome(row); the kept rows
-        nonlocal pop, steppers, keys, best, worse
+    def leave(gone, outcome):  # write rows `gone` out, with outcome(row); rows remain?
+        nonlocal pop, steppers, keys, best, worse, bound, totals, order
         for row in np.flatnonzero(gone).tolist():
             net = pop.nets[row]
             net.flat[...] = pop.flat[row]
@@ -507,8 +507,10 @@ def _train_stacked(pop: Population, steppers: list, data, cfgs: list,
         keep = np.flatnonzero(~gone)
         if len(keep):
             pop, keys, best, worse = pop.take(keep), keys[keep], best[keep], worse[keep]
+            bound, totals = bound[keep], totals[keep]
+            order = None if order is None else order[keep]
             steppers = [steppers[row] for row in keep.tolist()]
-        return keep
+        return len(keep)
 
     with np.errstate(all="ignore"):  # non-finite values become a failed run
         bound = _abs_max(pop.flat)
@@ -516,44 +518,29 @@ def _train_stacked(pop: Population, steppers: list, data, cfgs: list,
             failed = (epoch, False, True, None)
             for stepper in steppers:
                 stepper.begin_epoch(epoch)
-            totals = np.zeros(len(pop))
-            if needs_grad:
-                order = orders(slice(None), epoch)
-            else:
-                seen = np.empty((len(starts), *pop.flat.shape))  # weights each update saw
-                replay = np.zeros(len(pop), dtype=bool)
-            for j, lo in enumerate(starts):
-                if needs_grad:
-                    idx = order[:, lo : lo + cfg.batch_size]
+            totals, order = np.zeros(len(pop)), None  # order: drawn at the first loss
+            for lo in starts:
+                # backward needs every row's loss; a gradient-free row takes its
+                # loss only where the certificate leaves it open, at the weights
+                # its update sees
+                rows = slice(None) if needs_grad else np.flatnonzero(uncertified(bound))
+                grads = np.empty_like(pop.flat) if needs_grad else [None] * len(pop)
+                if needs_grad or len(rows):
+                    order = orders(epoch) if order is None else order
+                    idx = order[rows, lo : lo + cfg.batch_size]
                     labels = train_set.y[idx]
-                    logits, cache = forward(pop, train_set.x[idx])
+                    logits, cache = forward(pop if needs_grad else pop.take(rows),
+                                            train_set.x[idx])
                     log_probs = _log_softmax(logits)
-                    totals += _nll(log_probs, labels) * idx.shape[1]
-                    grads = np.empty_like(pop.flat)  # fresh: steppers may keep a row
-                    backward(pop, cache, labels, log_probs, grads)
-                else:
-                    replay |= uncertified(bound)
-                    seen[j] = pop.flat
-                    grads = [None] * len(pop)
+                    totals[rows] += _nll(log_probs, labels) * idx.shape[1]
+                    if needs_grad:  # into fresh `grads`: steppers may keep a row
+                        backward(pop, cache, labels, log_probs, grads)
                 for stepper, w, g in zip(steppers, pop.flat, grads):
                     stepper.update(w, g)
                 bound = _abs_max(pop.flat)
                 if not bound.max() < math.inf:  # NaN compares false too
-                    keep = leave(~(bound < math.inf), lambda row: failed)
-                    if not len(keep):
+                    if not leave(~(bound < math.inf), lambda row: failed):
                         return done
-                    totals, bound = totals[keep], bound[keep]
-                    if needs_grad:
-                        order = order[keep]
-                    else:
-                        seen, replay = seen[:, keep], replay[keep]
-            if not needs_grad and replay.any():  # each batch's loss at the weights it saw
-                rows = np.flatnonzero(replay)
-                order, nets = orders(rows, epoch), [pop.nets[k] for k in rows]
-                for j, lo in enumerate(starts):
-                    idx = order[:, lo : lo + cfg.batch_size]
-                    logits, _ = forward(Population(nets, seen[j, rows]), train_set.x[idx])
-                    totals[rows] += _nll(_log_softmax(logits), train_set.y[idx]) * idx.shape[1]
             last = epoch == cfg.max_epochs - 1
             finite = np.isfinite(totals)
             need = finite.copy() if cfg.early_stop or last else finite & uncertified(bound)
@@ -569,12 +556,9 @@ def _train_stacked(pop: Population, steppers: list, data, cfgs: list,
             best, worse = np.where(better, losses, best), np.where(better, 0, worse + 1)
             stop = worse >= patience
             gone = ~finite | stop | last
-            if gone.any():
-                keep = leave(gone, lambda row: failed if not finite[row] else
-                             (epoch + 1, bool(stop[row]), False, float(losses[row])))
-                if not len(keep):
-                    break
-                bound = bound[keep]
+            if gone.any() and not leave(gone, lambda row: failed if not finite[row] else
+                                        (epoch + 1, bool(stop[row]), False, float(losses[row]))):
+                break
     return done
 
 

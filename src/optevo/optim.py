@@ -469,6 +469,10 @@ _BUILDERS = {
     "ades": _ades_spec,
 }
 BUILTIN_NAMES = tuple(_BUILDERS)
+# the HyperParams fields each built-in reads; sign's step is part of its rule
+BUILTIN_READS = {"sgd": ("lr",), "momentum": ("lr", "mom"), "nesterov": ("lr", "mom"),
+                 "rmsprop": ("lr", "rho", "epsilon"), "adam": ("lr", "beta1", "beta2", "epsilon"),
+                 "sign": (), "ades": ("c1", "c2")}
 
 
 def builtin(name: str, hp: HyperParams | None = None):

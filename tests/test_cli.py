@@ -1042,6 +1042,35 @@ class TestBenchmarkCommand:
         )
         assert main(["benchmark", cfg]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("entry, message", [
+        ({"name": "sign", "hyperparams": {"lr": 0.5}}, "sign does not read lr"),
+        ({"name": "sgd", "hyperparams": {"mom": 0.1, "lr": 0.5, "rho": 0.5}},
+         "sgd does not read mom, rho"),
+    ])
+    def test_hyperparam_the_builtin_does_not_read(self, tmp_path, capsys, entry,
+                                                  message):
+        """A hyperparameter the named built-in never reads would be silently
+        ignored: it exits 2 before any data load."""
+        payload = bench_payload(steppers=["sgd", entry])
+        payload["task"]["dataset"] = {"kind": "idx", "images": "ghost-images",
+                                      "labels": "ghost-labels"}
+        assert main(["benchmark", write_cfg(tmp_path, payload)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"config error: config.steppers[1].hyperparams: {message}\n" in err
+
+    def test_contender_failing_every_repetition(self, tmp_path):
+        """Every training of a contender fails: it scores 0 in every CSV row,
+        and its generalization rate, 0 over 0, reads n/a in the table."""
+        run = tmp_path / "run"
+        payload = bench_payload(
+            steppers=["sgd", {"name": "sgd", "hyperparams": {"lr": 1e300}}])
+        assert main(["benchmark", write_cfg(tmp_path, payload),
+                     "--run-dir", str(run)]) == EXIT_OK
+        rows = (run / "bench_toy.csv").read_text().strip().splitlines()[1:]
+        assert [row.split(",")[3:] for row in rows[2:]] == [["0.000000", "0.000000"]] * 2
+        table = (run / "bench_toy.txt").read_text().splitlines()
+        assert table[3].split()[-1] == "n/a" and table[2].endswith("%")
+
     def test_preset_fills_epoch_defaults(self, tmp_path):
         run = tmp_path / "run"
         payload = bench_payload(preset="II", repetitions=1)

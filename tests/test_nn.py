@@ -1,5 +1,6 @@
 """Dense networks: init, forward/backward vs finite differences, training loop."""
 
+import tracemalloc
 import warnings
 from collections import Counter
 from dataclasses import replace
@@ -685,20 +686,21 @@ class TestCertifiedTraining:
         assert hist.failed and hist.epochs_run == 2
         assert np.isfinite(net.flat).all()
         # weights of about 1 and 1e60 are certified, 1e120 is not: epoch 1
-        # validates, and epoch 2 replays its batch loss and validates
+        # validates, and epoch 2 takes its batch loss and validates
         assert calls == {"forward": 3, "mean_loss": 2}
 
-    def test_crossing_mid_epoch_replays_batch_losses(self, monkeypatch):
+    def test_crossing_mid_epoch_takes_open_batch_losses(self, monkeypatch):
         """Weights scaled by 1e100 on every other update leave the
-        certificate mid-epoch: each epoch replays all four batch losses from
-        the weights its updates saw, and ends certified again."""
+        certificate mid-epoch: each epoch takes the losses of its two
+        batches whose updates see swollen weights, at those weights, and
+        ends certified again."""
         calls = count_calls(monkeypatch)
         train_set, val_set = toy_data()
         cfg = TrainConfig(batch_size=24, max_epochs=3, early_stop=False)
         net, hist = train(Network([2, 4, 2], seed=0), Swell(1e100),
                           (train_set, val_set), cfg)
         assert not hist.failed and hist.epochs_run == 3
-        assert calls == {"forward": 3 * 4 + 1, "mean_loss": 1}
+        assert calls == {"forward": 3 * 2 + 1, "mean_loss": 1}
         params = [p.copy() for p in Network([2, 4, 2], seed=0).params]
         shuffle = Rng(cfg.shuffle_seed).child("shuffle")
         _, val_loss, *outcome = train_per_tensor(
@@ -706,6 +708,25 @@ class TestCertifiedTraining:
             lambda epoch: shuffle.child("epoch", epoch).permutation(len(train_set)))
         assert net.flat.tobytes() == b"".join(p.tobytes() for p in params)
         assert outcome == [3, False, False] and hist.val_loss == val_loss[-1]
+
+    def test_gradient_free_training_keeps_no_weights_per_batch(self):
+        """A gradient-free 784-100-10 net over 40 batches of 50 rows, two
+        epochs: the weights (0.6 MiB) are all that training holds, not a
+        copy of them per batch (25 MiB an epoch)."""
+        rng = np.random.default_rng(0)
+        train_set = Dataset(rng.random((2000, 784)), rng.integers(0, 10, 2000))
+        val_set = Dataset(rng.random((100, 784)), rng.integers(0, 10, 100))
+        net = Network([784, 100, 10], seed=0)
+        shrink = make_stepper(spec_from_phenotype("grad ; y ; z ; multiply(alpha, 0.9)"))
+        cfg = TrainConfig(batch_size=50, max_epochs=2, early_stop=False)
+        tracemalloc.start()
+        try:
+            _, hist = train(net, shrink, (train_set, val_set), cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not hist.failed and hist.epochs_run == 2
+        assert peak < 10 * 2**20
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_input_gets_no_certificate(self, bad):
@@ -855,9 +876,9 @@ class TestPopulationTraining:
             assert type(hist.epochs_run) is int
             assert type(hist.val_loss) is (type(None) if failed else float)
 
-    def test_replayed_losses_match_alone(self):
+    def test_swollen_losses_match_alone(self):
         """Swell leaves the certificate on every other update, so each epoch
-        replays its batch losses from the weights its updates saw."""
+        takes those batches' losses at the weights their updates see."""
         nets = [Network([2, 4, 2], seed=k) for k in range(3)]
         cfgs = [TrainConfig(batch_size=24, max_epochs=3, early_stop=False,
                             shuffle_seed=k) for k in range(3)]
@@ -870,6 +891,26 @@ class TestPopulationTraining:
             assert (hist.epochs_run[k], hist.failed[k], hist.val_loss[k]) == (
                 alone.epochs_run, alone.failed, alone.val_loss)
         assert hist.failed == (False, True, False)
+
+    def test_member_failing_after_leaving_certificate_matches_alone(self):
+        """Weights grown by 1e100 per update leave the certificate after the
+        first of four batches, take two losses, and overflow on the fourth
+        update: that member leaves mid-epoch, between a member whose weights
+        swell and shrink and one that stays certified."""
+        grow, shrink = ("grad ; y ; z ; multiply(alpha, %s)" % f for f in ("1e100", "0.9"))
+        makers = [lambda: Swell(1e100), lambda: make_stepper(spec_from_phenotype(grow)),
+                  lambda: make_stepper(spec_from_phenotype(shrink))]
+        cfgs = [TrainConfig(batch_size=24, max_epochs=3, early_stop=False,
+                            shuffle_seed=k) for k in range(3)]
+        pop, hist = train(Population([Network([2, 4, 2], seed=k) for k in range(3)]),
+                          [make() for make in makers], toy_data(), cfgs)
+        assert hist.failed == (False, True, False) and hist.epochs_run == (3, 0, 3)
+        for k, make in enumerate(makers):
+            net = Network([2, 4, 2], seed=k)
+            _, alone = train(net, make(), toy_data(), cfgs[k])
+            assert pop.flat[k].tobytes() == net.flat.tobytes()
+            assert (hist.epochs_run[k], hist.failed[k], hist.val_loss[k]) == (
+                alone.epochs_run, alone.failed, alone.val_loss)
 
     def test_stacked_pass_per_batch(self, monkeypatch):
         """Three members run one forward and one backward per batch, one

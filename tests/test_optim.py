@@ -1,4 +1,5 @@
 import copy
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from optevo.grammar import load_shipped_grammar
 from optevo.nn import Network, Stepper, TrainConfig, train
 from optevo.optim import (
     BUILTIN_NAMES,
+    BUILTIN_READS,
     AdamStepper,
     Apply,
     Const,
@@ -496,6 +498,19 @@ class TestSteppers:
         mine = run_trajectory("nesterov", hp, 1.0, grads)
         expect = ORACLES["nesterov"](1.0, grads, hp)
         np.testing.assert_allclose(mine, expect, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_builtin_reads_name_the_fields_that_change_it(self, name):
+        """A benchmark config may set only the fields in BUILTIN_READS: each
+        of them, halved, changes the built-in rule, and no other field does."""
+        def rule(hp):
+            built = builtin(name, hp)
+            return vars(built) if isinstance(built, Stepper) else built
+
+        base = HyperParams.defaults_for(name)
+        changed = {f.name for f in fields(HyperParams)
+                   if rule(replace(base, **{f.name: getattr(base, f.name) / 2})) != rule(base)}
+        assert changed == set(BUILTIN_READS[name]) and BUILTIN_READS.keys() == set(BUILTIN_NAMES)
 
     @pytest.mark.parametrize("opt", [*BUILTIN_NAMES, Leaf(0.1)], ids=str)
     def test_nonfinite_gradient_sets_failed_and_writes(self, opt):
