@@ -10,8 +10,8 @@ callers can prove the test data was never touched by the evolutionary phase.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -118,13 +118,11 @@ def _one_run(scenario: BenchmarkScenario, name: str, factory, rep: int, seed: in
     return evaluate(net, scenario.validation), evaluate(net, scenario.test)
 
 
-def run_benchmark(
-    scenario: BenchmarkScenario, seed: int = 0, out_dir=None, workers: int = 1
-):
+def run_benchmark(scenario: BenchmarkScenario, seed: int = 0, workers: int = 1):
     """Train every contender `repetitions` times; returns list of BenchResult.
 
-    Failed trainings score 0 rather than aborting the scenario.  With
-    out_dir set, emits bench_<scenario>.csv and an aligned text table.
+    Failed trainings score 0 rather than aborting the scenario. Nothing is
+    written: `bench_csv` and `summarize` give the texts of the run's files.
     """
     jobs = [
         (name, factory, rep)
@@ -144,24 +142,18 @@ def run_benchmark(
                 test_indices=np.array(scenario.test.source_indices),
             )
         )
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        write_bench_csv(out / f"bench_{scenario.name}.csv", scenario, results)
-        (out / f"bench_{scenario.name}.txt").write_text(
-            summarize(results), encoding="utf-8"
-        )
     return results
 
 
-def write_bench_csv(path, scenario: BenchmarkScenario, results) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["scenario", "optimizer", "repetition",
-                    "val_accuracy", "test_accuracy"])
-        for res in results:
-            for rep, (v, t) in enumerate(zip(res.val_accuracies, res.test_accuracies)):
-                w.writerow([scenario.name, res.name, rep, f"{v:.6f}", f"{t:.6f}"])
+def bench_csv(scenario: BenchmarkScenario, results) -> str:
+    """CSV text of one row per contender and repetition."""
+    out = io.StringIO()
+    w = csv.writer(out)
+    w.writerow(["scenario", "optimizer", "repetition", "val_accuracy", "test_accuracy"])
+    for res in results:
+        for rep, (v, t) in enumerate(zip(res.val_accuracies, res.test_accuracies)):
+            w.writerow([scenario.name, res.name, rep, f"{v:.6f}", f"{t:.6f}"])
+    return out.getvalue()
 
 
 SUMMARY_COLUMNS = (

@@ -6,8 +6,11 @@ JSON, read against one key table per section before any data load; a flag
 overrides the key of its name, and a run's config.json is the resolved
 config, which reruns it.  `evolve` searches update rules or
 learning-rate schedules, whichever its grammar derives.  All outputs land
-under a run directory named by timestamp + seed.  Exit codes: 0 success,
-1 check failure, 2 config error, 3 data error.
+under a run directory named by timestamp + seed, and this module alone
+decides which files a run writes and when: the library hands back state and
+text.  Every file is written whole through `write_atomic`, but for the rows
+appended to `log.csv`.  Exit codes: 0 success, 1 check failure, 2 config
+error, 3 data error.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .bench import (
     SCENARIO_PRESETS,
     BenchError,
     BenchmarkScenario,
+    bench_csv,
     make_entry,
     run_benchmark,
     summarize,
@@ -48,6 +52,8 @@ from .evolve import (
     dlr_fitness_fn,
     evolve,
     load_checkpoint,
+    log_text,
+    save_checkpoint,
     write_atomic,
 )
 from .grammar import (
@@ -58,7 +64,7 @@ from .grammar import (
     parse_grammar,
     serialize_grammar,
 )
-from .hyperopt import TuneError, report_best, space_for, tune, write_tune_csv
+from .hyperopt import TuneError, report_best, space_for, tune, tune_csv
 from .nn import NetworkError, TrainConfig
 from .optim import BUILTIN_READS, HyperParams, spec_from_json, spec_from_phenotype, spec_to_json
 from .sched import parse_policy, serialize_policy
@@ -391,10 +397,18 @@ def cmd_evolve(args) -> int:
     write_atomic(run_dir / "indices.json", json.dumps(
         {"evolution_indices": splits.evolution_indices().tolist()}))
 
+    log_path = run_dir / "log.csv"
+    # a fresh log, or the checkpoint's rows without any a crash logged past it
+    logged = [] if checkpoint is None else checkpoint[4].stats
+    write_atomic(log_path, log_text(logged, header=True))
     written = []  # the best fitness best.json holds
 
-    def on_generation(_stat, log):  # a stopped run names its best so far
-        if not written or log.best_fitness > written[-1]:
+    def on_generation(generation, population, next_id, cache, log):
+        with open(log_path, "a", newline="") as f:
+            f.write(log_text(log.stats[-1:], header=False))
+        save_checkpoint(run_dir / "checkpoint.json", params, generation, population,
+                        next_id, cache, log)
+        if not written or log.best_fitness > written[-1]:  # a stopped run names it
             _write_best(run_dir, log.best_fitness, log.best_phenotype,
                         log.best_genotype, scheduler)
             written.append(log.best_fitness)
@@ -403,8 +417,6 @@ def cmd_evolve(args) -> int:
         params,
         grammar,
         fitness_fn,
-        log_path=run_dir / "log.csv",
-        checkpoint_path=run_dir / "checkpoint.json",
         resume_from=checkpoint,
         search=search,
         workers=cfg["workers"],
@@ -539,10 +551,12 @@ def cmd_benchmark(args) -> int:
     write_atomic(run_dir / "config.json", json.dumps(cfg, indent=2))
     write_atomic(run_dir / "indices.json", json.dumps(
         {"test_indices": test_set.source_indices.tolist()}))
-    results = run_benchmark(scenario, seed=seed, out_dir=run_dir,
-                            workers=cfg["workers"])
+    results = run_benchmark(scenario, seed=seed, workers=cfg["workers"])
+    write_atomic(run_dir / f"bench_{scenario.name}.csv", bench_csv(scenario, results))
+    table = summarize(results)
+    write_atomic(run_dir / f"bench_{scenario.name}.txt", table)
     print(f"run dir: {run_dir}")
-    print(summarize(results), end="")
+    print(table, end="")
     return EXIT_OK
 
 
@@ -574,7 +588,7 @@ def cmd_tune(args) -> int:
         )
     except TuneError as e:
         raise ConfigError(str(e)) from e
-    write_tune_csv(run_dir / f"tune_{opt}.csv", space, history)
+    write_atomic(run_dir / f"tune_{opt}.csv", tune_csv(space, history))
     row = report_best(history)
     write_atomic(run_dir / "best.txt", row + "\n")
     print(f"run dir: {run_dir}")

@@ -1,4 +1,4 @@
-"""Evolutionary driver: fitness functions, the generation loop, logs, checkpoints.
+"""Evolutionary driver: fitness functions and a generation loop that writes no file.
 
 Two fitness protocols share one trial path:
 
@@ -24,7 +24,9 @@ The generation loop is steady-state-free generational GE: elites carry their
 fitness, everyone else is bred by tournament + crossover + mutation and
 re-evaluated.  Fitness is cached by phenotype text, and every stochastic
 choice derives from a keyed stream, so runs (and checkpoint resumes) are
-bit-reproducible.
+bit-reproducible. `evolve` hands each generation to its caller's hook, and
+`cli` decides which run files to write: the rows that `log_text` prints, and
+the checkpoint that `save_checkpoint` writes and `load_checkpoint` reads.
 """
 
 from __future__ import annotations
@@ -270,7 +272,7 @@ def _population_stats(population, generation, evaluations, seconds) -> Generatio
     )
 
 
-def _log_text(stats, header: bool) -> str:
+def log_text(stats, header: bool) -> str:
     """CSV text of one log row per GenerationStat, after the header if asked."""
     out = io.StringIO()
     w = csv.writer(out)
@@ -357,8 +359,6 @@ def evolve(
     grammar: Grammar,
     fitness_fn,
     *,
-    log_path=None,
-    checkpoint_path=None,
     resume_from=None,
     search: str | None = None,
     workers: int = 1,
@@ -372,19 +372,18 @@ def evolve(
     fresh texts into one list per worker.
     Generation 0 is the evaluated random initialization; each later
     generation breeds, then evaluates exactly population_size - elitism
-    newcomers (elites keep their cached fitness). `resume_from` is a
-    checkpoint path or what `load_checkpoint` returned for one. `log_path`
-    is rewritten before the first generation runs, with the header alone or,
-    when resuming, the checkpoint's rows too; each generation then appends
-    its row, so the log holds each generation of this run once. `search`, a
-    digest of what defines the search, goes into every checkpoint of a fresh
-    run; a resumed run keeps its checkpoint's.
+    newcomers (elites keep their cached fitness). `resume_from` is what
+    `load_checkpoint` returned. `search`, a digest of what defines the
+    search, goes into a fresh run's EvolveRunLog, and so into its
+    checkpoints; a resumed run keeps its checkpoint's. Nothing is written
+    here: after each generation, `on_generation(generation, population,
+    next_id, cache, log)` gets what `save_checkpoint` saves, with
+    `log.stats` ending in that generation's row, and the caller decides
+    which files to write.
     """
     root = Rng(params.rng_seed).child("evolve")
     cache: dict = {}
     if resume_from is not None:
-        if isinstance(resume_from, (str, os.PathLike)):
-            resume_from = load_checkpoint(resume_from)
         start_gen, population, next_id, cache, log = resume_from
         start_gen += 1
     else:
@@ -397,30 +396,6 @@ def evolve(
         next_id = params.population_size
         log = EvolveRunLog(seed=params.rng_seed, search=search)
         start_gen = 0
-    if log_path is not None:
-        # a fresh log, or the checkpoint's rows without any a crash logged
-        # past it
-        write_atomic(log_path, _log_text(log.stats, header=True))
-
-    def finish_generation(generation, evaluations, started):
-        stat = _population_stats(
-            population, generation, evaluations, time.perf_counter() - started
-        )
-        log.stats.append(stat)
-        top = max(population, key=lambda ind: (ind.fitness, -ind.id))
-        if top.fitness > log.best_fitness or log.best_genotype is None:
-            log.best_fitness = top.fitness
-            log.best_phenotype = top.phenotype
-            log.best_genotype = top.genotype.copy()
-        if log_path is not None:
-            with open(log_path, "a", newline="") as f:
-                f.write(_log_text([stat], header=False))
-        if checkpoint_path is not None:
-            save_checkpoint(
-                checkpoint_path, params, generation, population, next_id, cache, log
-            )
-        if on_generation is not None:
-            on_generation(stat, log)
 
     for generation in range(start_gen, params.generations + 1):
         started = time.perf_counter()
@@ -431,7 +406,16 @@ def evolve(
         evaluations = _evaluate_wave(
             population, grammar, params, fitness_fn, cache, root, generation, workers
         )
-        finish_generation(generation, evaluations, started)
+        log.stats.append(_population_stats(
+            population, generation, evaluations, time.perf_counter() - started
+        ))
+        top = max(population, key=lambda ind: (ind.fitness, -ind.id))
+        if top.fitness > log.best_fitness or log.best_genotype is None:
+            log.best_fitness = top.fitness
+            log.best_phenotype = top.phenotype
+            log.best_genotype = top.genotype.copy()
+        if on_generation is not None:
+            on_generation(generation, population, next_id, cache, log)
 
     best = max(population, key=lambda ind: (ind.fitness, -ind.id))
     if log.best_fitness > best.fitness:

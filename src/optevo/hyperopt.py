@@ -46,7 +46,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .evolve import TrainingTask, _run_trial, parallel_map, write_atomic
+from .evolve import TrainingTask, _run_trial, parallel_map
 from .optim import HyperParams, make_stepper
 from .tensor import Rng
 
@@ -341,18 +341,22 @@ def tune(
     """Run the search; returns (best TuneTrial, full history).
 
     `objective(params, seed) -> float` defaults to one seeded training of
-    the family's optimizer on the task, scored on its test split.  Failures
-    (exceptions or non-finite scores) record objective 0 and the search
-    continues.  The Sobol trials run on `workers` processes; EI runs in order.
+    the family's optimizer on the task, scored on its test split; a failed
+    training scores 0, and an exception from it is a bug, which propagates.
+    A non-finite score, and an exception from an explicit `objective`,
+    record objective 0 and the search continues.  The Sobol trials run on
+    `workers` processes; EI runs in order.
     """
     if budget < 5:
         raise TuneError("budget must be >= 5")
     if space is None:
         space = space_for(opt_family)
+    caught = Exception  # what an objective may raise and score 0 for
     if objective is None:
         if task is None:
             raise TuneError("need a task or an explicit objective")
         objective = _task_objective(opt_family, task)
+        caught = ()  # a failed training scores 0 without raising
 
     root = Rng(seed).child("tune", opt_family)
     n_init = max(5, budget // 5)
@@ -363,7 +367,7 @@ def tune(
         trial_seed = int(root.child("trial", i).integers(2**31 - 1))
         try:
             score = float(objective(params, trial_seed))
-        except Exception:
+        except caught:
             score = 0.0
         if not np.isfinite(score):
             score = 0.0
@@ -384,8 +388,8 @@ def tune(
     return best, history
 
 
-def write_tune_csv(path, space: SearchSpace, history) -> None:
-    """One row per trial, written through `write_atomic`."""
+def tune_csv(space: SearchSpace, history) -> str:
+    """CSV text of one row per trial."""
     out = io.StringIO()
     w = csv.writer(out)
     w.writerow(["iteration", *space.names, "objective"])
@@ -395,7 +399,7 @@ def write_tune_csv(path, space: SearchSpace, history) -> None:
             + [repr(t.params[n]) for n in space.names]
             + [f"{t.objective:.6f}"]
         )
-    write_atomic(path, out.getvalue())
+    return out.getvalue()
 
 
 def report_best(history) -> str:

@@ -1,6 +1,7 @@
 """Benchmark harness: entries, statistics, report formatting, data hygiene."""
 
 import csv
+import io
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from optevo.bench import (
     BenchError,
     BenchmarkScenario,
     BenchResult,
+    bench_csv,
     make_entry,
     run_benchmark,
     summarize,
@@ -169,28 +171,25 @@ class TestRunBenchmark:
         assert results[0].val_accuracies == [0.0, 0.0]
         assert results[0].test_accuracies == [0.0, 0.0]
 
-    def test_emits_csv_and_table(self, tmp_path):
+    def test_emits_csv_and_table(self):
         s = tiny_scenario(["sgd"], name="demo")
-        run_benchmark(s, seed=0, out_dir=tmp_path)
-        with open(tmp_path / "bench_demo.csv") as f:
-            rows = list(csv.reader(f))
+        results = run_benchmark(s, seed=0)
+        rows = list(csv.reader(io.StringIO(bench_csv(s, results))))
         assert rows[0] == ["scenario", "optimizer", "repetition",
                            "val_accuracy", "test_accuracy"]
         assert len(rows) == 1 + 2  # two repetitions
         assert rows[1][:3] == ["demo", "sgd", "0"]
-        table = (tmp_path / "bench_demo.txt").read_text()
+        table = summarize(results)
         assert "Optimizer" in table and "sgd" in table
 
-    def test_batch_past_the_training_set_is_one_full_batch(self, tmp_path):
+    def test_batch_past_the_training_set_is_one_full_batch(self):
         """A batch size above len(train) slices the same single batch as
-        len(train) itself, so the CSV is byte for byte the same."""
-        csv_bytes = []
+        len(train) itself, so the CSV is character for character the same."""
+        csv_texts = []
         for batch_size in (80, 1000):  # tiny_scenario trains on 80 rows
-            out = tmp_path / str(batch_size)
-            run_benchmark(tiny_scenario(["sgd", "adam"], batch_size=batch_size),
-                          seed=0, out_dir=out)
-            csv_bytes.append((out / "bench_toy.csv").read_bytes())
-        assert csv_bytes[0] == csv_bytes[1]
+            s = tiny_scenario(["sgd", "adam"], batch_size=batch_size)
+            csv_texts.append(bench_csv(s, run_benchmark(s, seed=0)))
+        assert csv_texts[0] == csv_texts[1]
 
     def test_records_test_indices(self):
         s = tiny_scenario(["sgd"])

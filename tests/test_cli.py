@@ -592,7 +592,8 @@ class TestEvolveCommand:
         monkeypatch.setattr(cli_mod, "evolve", killed)
         with pytest.raises(KeyboardInterrupt):
             main(["evolve", cfg, "--run-dir", str(run)])
-        assert seen == ["config.json", "indices.json"]  # no temporary file left
+        # the log's header too, and no temporary file
+        assert seen == ["config.json", "indices.json", "log.csv"]
         assert json.loads((run / "config.json").read_text())["seed"] == 3
         idx = json.loads((run / "indices.json").read_text())["evolution_indices"]
         assert len(idx) == 240 + 60 + 60
@@ -1246,6 +1247,50 @@ def dlr_payload():
     payload["task"]["split"] = {"train_total": 180, "per_trial": 180,
                                 "trial_count": 1, "validation": 60, "test": 60}
     return payload
+
+
+class TestRunFiles:
+    """`cli` writes every run file whole, through `write_atomic` (the
+    checkpoint through `save_checkpoint`, which uses it too), and appends
+    only log.csv's rows, after its header."""
+
+    @pytest.mark.parametrize("command, payload", [
+        ("evolve", evolve_payload), ("evolve", dlr_payload),
+        ("benchmark", bench_payload), ("tune", tune_payload)],
+        ids=["evolve-alr", "evolve-dlr", "benchmark", "tune"])
+    def test_every_file_is_written_whole(self, tmp_path, monkeypatch, command, payload):
+        run = tmp_path / "run"
+        whole = set()
+        real_write_atomic = evolve_mod.write_atomic
+
+        def recording(path, text):
+            whole.add(Path(path).name)
+            real_write_atomic(path, text)
+
+        for module in (cli_mod, evolve_mod):
+            monkeypatch.setattr(module, "write_atomic", recording)
+        argv = [command, write_cfg(tmp_path, payload()), "--run-dir", str(run)]
+        assert main(argv) == EXIT_OK
+        names = {p.name for p in run.iterdir()}
+        assert names == whole
+        assert not [name for name in names if name.endswith(".tmp")]
+
+    def test_bench_csv_write_failing_part_way_leaves_none(self, tmp_path, monkeypatch):
+        run = tmp_path / "run"
+        real_write_text = Path.write_text
+
+        def disk_full_on_bench_csv(self, data, *args, **kwargs):
+            if self.name.startswith("bench_") and ".csv" in self.name:
+                real_write_text(self, data[: len(data) // 2], *args, **kwargs)
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real_write_text(self, data, *args, **kwargs)
+
+        cfg = write_cfg(tmp_path, bench_payload())
+        monkeypatch.setattr(Path, "write_text", disk_full_on_bench_csv)
+        with pytest.raises(OSError):
+            main(["benchmark", cfg, "--run-dir", str(run)])
+        monkeypatch.undo()
+        assert sorted(run.glob("bench_*.csv")) == []
 
 
 class TestConfigRoundTrip:

@@ -2,10 +2,12 @@
 
 import concurrent.futures
 import csv
+import io
 import os
 import subprocess
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +41,9 @@ from optevo.evolve import (
     dlr_fitness_fn,
     evolve,
     load_checkpoint,
+    log_text,
     parallel_map,
+    save_checkpoint,
 )
 from optevo.grammar import load_shipped_grammar, parse_grammar
 from optevo.nn import TrainConfig
@@ -474,7 +478,7 @@ class TestEvolveLoop:
     def test_on_generation_callback(self):
         rows = []
         evolve(params(generations=3), TOY, per_text(text_score),
-               on_generation=lambda stat, log: rows.append(stat.generation))
+               on_generation=lambda generation, *_: rows.append(generation))
         assert rows == [0, 1, 2, 3]
 
     def test_generation_zero_is_mapped_once(self, tmp_path, monkeypatch):
@@ -488,7 +492,9 @@ class TestEvolveLoop:
         monkeypatch.setattr(dsge_mod, "map_genotype", counting)
         monkeypatch.setattr(evolve_mod, "map_genotype", counting)
         ckpt = tmp_path / "ckpt.json"
-        evolve(params(generations=0), TOY, per_text(text_score), checkpoint_path=ckpt)
+        evo = params(generations=0)
+        evolve(evo, TOY, per_text(text_score),
+               on_generation=partial(save_checkpoint, ckpt, evo))
         assert len(calls) == 8
         _, population, *_ = load_checkpoint(ckpt)
         for ind in population:
@@ -563,7 +569,8 @@ class TestBulkStreams:
         ("seed-pop", i); a bred genotype that runs out of genes is repaired
         from stream ("repair", generation, id)."""
         evo = params(population_size=6, generations=0, max_depth=6)
-        evolve(evo, ALR, per_text(text_score), checkpoint_path=tmp_path / "c.json")
+        evolve(evo, ALR, per_text(text_score),
+               on_generation=partial(save_checkpoint, tmp_path / "c.json", evo))
         _, population, _, _, _ = load_checkpoint(tmp_path / "c.json")
         root = Rng(evo.rng_seed).child("evolve")
         for i, ind in enumerate(population):
@@ -582,11 +589,9 @@ class TestBulkStreams:
 
 
 class TestLogAndCheckpoint:
-    def test_csv_log_shape(self, tmp_path):
-        path = tmp_path / "run.csv"
-        evolve(params(generations=4), TOY, per_text(text_score), log_path=path)
-        with open(path) as f:
-            rows = list(csv.reader(f))
+    def test_csv_log_shape(self):
+        _, log = evolve(params(generations=4), TOY, per_text(text_score))
+        rows = list(csv.reader(io.StringIO(log_text(log.stats, header=True))))
         assert rows[0] == list(LOG_COLUMNS)
         assert len(rows) == 1 + 5  # header + generations 0..4
         assert [r[0] for r in rows[1:]] == ["0", "1", "2", "3", "4"]
@@ -597,9 +602,11 @@ class TestLogAndCheckpoint:
     def test_resume_reproduces_uninterrupted_run(self, tmp_path):
         ckpt = tmp_path / "state.json"
         full_best, full_log = evolve(params(generations=6), TOY, per_text(text_score))
-        evolve(params(generations=3), TOY, per_text(text_score), checkpoint_path=ckpt)
+        evo = params(generations=3)
+        evolve(evo, TOY, per_text(text_score), on_generation=partial(save_checkpoint, ckpt, evo))
         resumed_best, resumed_log = evolve(
-            params(generations=6), TOY, per_text(text_score), resume_from=ckpt
+            params(generations=6), TOY, per_text(text_score),
+            resume_from=load_checkpoint(ckpt),
         )
         assert stat_tuple(resumed_log) == stat_tuple(full_log)
         assert resumed_best.phenotype == full_best.phenotype
@@ -607,10 +614,11 @@ class TestLogAndCheckpoint:
 
     def test_resume_from_final_checkpoint_is_a_no_op(self, tmp_path):
         ckpt = tmp_path / "state.json"
-        best, log = evolve(params(generations=2), TOY, per_text(text_score),
-                           checkpoint_path=ckpt)
-        again_best, again_log = evolve(params(generations=2), TOY, per_text(text_score),
-                                       resume_from=ckpt)
+        evo = params(generations=2)
+        best, log = evolve(evo, TOY, per_text(text_score),
+                           on_generation=partial(save_checkpoint, ckpt, evo))
+        again_best, again_log = evolve(evo, TOY, per_text(text_score),
+                                       resume_from=load_checkpoint(ckpt))
         assert stat_tuple(again_log) == stat_tuple(log)
         assert again_best.fitness == best.fitness
 

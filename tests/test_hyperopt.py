@@ -1,6 +1,7 @@
 """Search spaces, the GP+EI loop, determinism, and the analytic recovery check."""
 
 import csv
+import io
 import math
 import os
 import subprocess
@@ -31,7 +32,7 @@ from optevo.hyperopt import (
     report_best,
     space_for,
     tune,
-    write_tune_csv,
+    tune_csv,
 )
 from optevo.nn import TrainConfig
 from optevo.tensor import Rng
@@ -424,29 +425,44 @@ class TestSurrogate:
             gp.add(np.array([0.5]))
 
 
+def small_task():
+    return TrainingTask(
+        trial_groups=[synthetic("two_gaussians", 60, seed=0)],
+        validation=synthetic("two_gaussians", 30, seed=1),
+        test=synthetic("two_gaussians", 30, seed=2),
+        layer_sizes=[2, 4, 2],
+        train_config=TrainConfig(batch_size=16, max_epochs=2, early_stop=False),
+    )
+
+
 class TestTaskObjective:
     def test_real_training_objective(self):
-        task = TrainingTask(
-            trial_groups=[synthetic("two_gaussians", 60, seed=0)],
-            validation=synthetic("two_gaussians", 30, seed=1),
-            test=synthetic("two_gaussians", 30, seed=2),
-            layer_sizes=[2, 4, 2],
-            train_config=TrainConfig(batch_size=16, max_epochs=2, early_stop=False),
-        )
+        task = small_task()
         best, history = tune("sgd", LR_SPACE, budget=5, task=task, seed=0)
         assert len(history) == 5
         assert all(0.0 <= t.objective <= 1.0 for t in history)
         again, _ = tune("sgd", LR_SPACE, budget=5, task=task, seed=0)
         assert again.params == best.params and again.objective == best.objective
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_training_exceptions_propagate(self, monkeypatch, workers):
+        """Training reports a failure in its history, so an exception from
+        the built-in objective is a bug: it fails the search instead of
+        scoring 0, as an explicit objective's does."""
+
+        def broken(*args):
+            raise RuntimeError("bug in training")
+
+        monkeypatch.setattr(hyperopt, "_run_trial", broken)
+        with pytest.raises(RuntimeError, match="bug in training"):
+            tune("sgd", LR_SPACE, budget=5, task=small_task(), seed=0, workers=workers)
+
 
 class TestReporting:
-    def test_csv_round_trip(self, tmp_path):
+    def test_csv_round_trip(self):
         _, history = tune("sgd", LR_SPACE, budget=6,
                           objective=quadratic_in_log10, seed=0)
-        write_tune_csv(tmp_path / "h.csv", LR_SPACE, history)
-        with open(tmp_path / "h.csv") as f:
-            rows = list(csv.reader(f))
+        rows = list(csv.reader(io.StringIO(tune_csv(LR_SPACE, history))))
         assert rows[0] == ["iteration", "lr", "objective"]
         assert len(rows) == 7
         assert float(rows[1][1]) == pytest.approx(history[0].params["lr"])
