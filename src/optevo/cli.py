@@ -485,7 +485,7 @@ def _stepper_from_config(item, where: str) -> tuple:
                 raise ConfigError(f"{where}: {p}: {type(e).__name__}: {e}") from e
     name, given = entry["name"], entry.get("hyperparams", {})
     try:
-        hp = replace(HyperParams.defaults_for(name), **given)
+        hp = HyperParams.defaults_for(name, **given)
     except (TypeError, ValueError) as e:
         raise ConfigError(f"{where}.hyperparams: {e}") from e
     reads = BUILTIN_READS.get(name, given)  # an unknown name exits 2 in make_entry

@@ -55,7 +55,7 @@ from .dsge import (
     tournament_select,
 )
 from .grammar import Grammar
-from .nn import Population, TrainConfig, evaluate, train_seeded
+from .nn import TrainConfig, evaluate, train_seeded
 from .optim import ExprError, SpecStepper, SpecValidationError, spec_from_phenotype
 from .sched import PolicyError, ScheduledSGD, parse_policy, serialize_policy
 from .tensor import Rng, Streams
@@ -132,13 +132,14 @@ def _run_trial(task: TrainingTask, stepper, trial_index: int, key):
            else Streams.of([root] * len(key)).child("fitness", key, trial_index))
     data = (task.trial_groups[trial_index], task.validation)
     net, hist = train_seeded(task.layer_sizes, stepper, data, task.train_config, rng)
-    pop, failed = (Population([net]), [hist.failed]) if lone else (net, hist.failed)
-    outcomes = [(0.0, True)] * len(pop)
-    passed = [k for k, flag in enumerate(failed) if not flag]
+    if lone:
+        return (0.0, True) if hist.failed else (evaluate(net, task.test), False)
+    outcomes = [(0.0, True)] * len(net)
+    passed = [k for k, flag in enumerate(hist.failed) if not flag]
     if passed:
-        for k, score in zip(passed, evaluate(pop.take(passed), task.test)):
+        for k, score in zip(passed, evaluate(net.take(passed), task.test)):
             outcomes[k] = (score, False)
-    return outcomes[0] if lone else outcomes
+    return outcomes
 
 
 def _population_fitness(task: TrainingTask, parse, trial_number: int = 1,
@@ -321,10 +322,15 @@ def save_checkpoint(path, params: EvoParams, generation: int, population,
 
 def write_atomic(path, text: str) -> None:
     """Write `text` to a temporary file beside `path`, then rename it over
-    `path`: a crash mid-write leaves the previous file, or none, intact."""
+    `path`: a crash mid-write leaves the previous file, or none, intact. A
+    write that raises (a full disk) removes the temporary file first."""
     tmp = Path(path).with_name(Path(path).name + ".tmp")
-    tmp.write_text(text, encoding="utf-8", newline="")  # line ends as given
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text, encoding="utf-8", newline="")  # line ends as given
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path):

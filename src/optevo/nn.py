@@ -66,7 +66,8 @@ of a fresh generator per stream; a lone `Rng` trains as `Streams` of one.
 
 Most losses a training computes are read only to check that they are
 finite, and `train` skips those that a finiteness certificate shows cannot
-be anything else. `train` records B = max |w| of the weights after each
+be anything else: batch losses, with or without a backward pass, and
+validation passes. `train` records B = max |w| of the weights after each
 update, and each Dataset caches X = max |x| over its rows. Folding the layer
 sizes in with a <- fan_in * a * B + B from a = X bounds every logit by L:
 ReLU never grows a magnitude. While L stays below `_LOGIT_MARGIN` (1e150),
@@ -74,7 +75,9 @@ the logits minus their row max lie in [-2L, 0] and include one exact 0, so
 each row's exp-sum lies in [1, classes]: every log-softmax, batch loss and
 epoch sum is finite. The margin, 150 orders below overflow, absorbs the
 rounding of every matmul. A non-finite X or B, or a product that overflows,
-compares false and certifies nothing.
+compares false and certifies nothing. L only grows with B, so the largest B
+of a stack certifies all its members in one scalar check, and a member's
+own B is read only when that check fails.
 """
 
 from __future__ import annotations
@@ -85,7 +88,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Dataset
-from .tensor import Rng, Streams, Tensor, draw_keyed
+from .tensor import Rng, Streams, Tensor, draw_keyed, draw_seed
 
 
 # a logit bound below this certifies every loss finite (module docstring)
@@ -236,10 +239,11 @@ class Population:
         return len(self.nets)
 
     def take(self, rows) -> "Population":
-        """The members at `rows`: a slice shares this buffer, an index array
-        copies its rows."""
+        """The members at `rows`, in increasing order: this population when
+        they are all of them, else a slice shares this buffer and an index
+        array copies its rows."""
         nets = self.nets[rows] if isinstance(rows, slice) else [self.nets[k] for k in rows]
-        return Population(nets, self.flat[rows])
+        return self if len(nets) == len(self.nets) else Population(nets, self.flat[rows])
 
     def chunks(self, rows: int):
         """Consecutive groups of members, each sized for one stacked pass
@@ -409,12 +413,14 @@ def train(net, stepper, data, cfg=None):
     - the validation pass runs under early stopping, on the final epoch
       (for `val_loss`) and after an epoch whose end weights are not
       certified;
-    - a stepper with `needs_grad` false takes a batch's loss only where
-      the weights its update is about to see are not certified. Such a
-      batch's loss is finite and far below overflow, so the epoch sum of
-      the others is finite exactly when the sum of every loss is. A stepper
-      that does need the gradient takes each loss from the log-softmax its
-      backward pass computes anyway.
+    - a batch takes its loss only where the weights its update is about to
+      see are not certified. A certified batch's loss is finite and far
+      below overflow, so the epoch sum of the others is finite exactly when
+      the sum of every loss is. A gradient stack then takes every member's
+      loss from the log-softmax its backward pass needs anyway; a
+      gradient-free stack runs its forward pass for the open members alone;
+    - without early stopping, an epoch before the last with finite sums and
+      certified end weights ends in one scalar check: no member can leave.
 
     `net` is a Network, trained as a population of one, or a Population.
     For a Population `stepper` is a list, one stepper per member; `cfg` is a
@@ -457,13 +463,6 @@ def train(net, stepper, data, cfg=None):
     return net, TrainHistory(*map(tuple, zip(*outcomes)))
 
 
-def _x_bound(data) -> float:
-    """max |x| over the training and validation rows; no validation rows
-    give a mean loss of 0/0, never certified."""
-    train_set, val_set = data
-    return max(train_set.x_bound, val_set.x_bound) if len(val_set) else math.inf
-
-
 def _train_stacked(pop: Population, steppers: list, data, cfgs: list,
                    needs_grad: bool) -> dict:
     """Train a population whose steppers all need the gradient, or all do
@@ -476,7 +475,9 @@ def _train_stacked(pop: Population, steppers: list, data, cfgs: list,
     order `order[k]`, and the early-stopping state `best[k]` and `worse[k]`
     belong to one member, and `leave` alone drops them together. Every row
     still in the stack has run the same epochs, so a member's outcome is
-    written once, as it leaves, with its weights written back to its network."""
+    written once, as it leaves, with its weights written back to its network.
+    `top`, the largest bound, stays as it is when rows leave: it still
+    bounds every row left."""
     train_set, val_set = data
     cfg = cfgs[0]
     # keys[k, e]: row k's epoch-e batch order, stream ("shuffle", "epoch", e)
@@ -489,7 +490,8 @@ def _train_stacked(pop: Population, steppers: list, data, cfgs: list,
     best, worse = np.full(len(pop), np.inf), np.zeros(len(pop), dtype=np.int64)
     patience = cfg.patience if cfg.early_stop else math.inf
     done = {}
-    x_bound = _x_bound(data)
+    # max |x| over both sets; no validation rows give a 0/0 loss, never certified
+    x_bound = max(train_set.x_bound, val_set.x_bound) if len(val_set) else math.inf
     starts = range(0, len(train_set), cfg.batch_size)
 
     def orders(epoch):  # each row's batch order for the epoch
@@ -514,34 +516,44 @@ def _train_stacked(pop: Population, steppers: list, data, cfgs: list,
 
     with np.errstate(all="ignore"):  # non-finite values become a failed run
         bound = _abs_max(pop.flat)
+        top = bound.max()  # the stack's largest bound: certifies every row at once
         for epoch in range(cfg.max_epochs):
             failed = (epoch, False, True, None)
             for stepper in steppers:
                 stepper.begin_epoch(epoch)
-            totals, order = np.zeros(len(pop)), None  # order: drawn at the first loss
+            totals, order = np.zeros(len(pop)), None  # order: drawn at the first forward
             for lo in starts:
-                # backward needs every row's loss; a gradient-free row takes its
-                # loss only where the certificate leaves it open, at the weights
-                # its update sees
-                rows = slice(None) if needs_grad else np.flatnonzero(uncertified(bound))
+                # the rows whose loss the certificate leaves open at the weights
+                # this batch's update sees; a gradient-free stack runs its
+                # forward for them alone, a gradient stack for every row
+                rows = np.flatnonzero(uncertified(bound)) if uncertified(top) else ()
+                batch = slice(None) if needs_grad else rows
                 grads = np.empty_like(pop.flat) if needs_grad else [None] * len(pop)
                 if needs_grad or len(rows):
                     order = orders(epoch) if order is None else order
-                    idx = order[rows, lo : lo + cfg.batch_size]
+                    idx = order[batch, lo : lo + cfg.batch_size]
                     labels = train_set.y[idx]
+                    # take() gathers the rows of x several times faster than x[idx]
                     logits, cache = forward(pop if needs_grad else pop.take(rows),
-                                            train_set.x[idx])
+                                            train_set.x.take(idx, axis=0))
                     log_probs = _log_softmax(logits)
-                    totals[rows] += _nll(log_probs, labels) * idx.shape[1]
+                    if len(rows):  # the certified rows' losses come along
+                        totals[batch] += _nll(log_probs, labels) * idx.shape[1]
                     if needs_grad:  # into fresh `grads`: steppers may keep a row
                         backward(pop, cache, labels, log_probs, grads)
                 for stepper, w, g in zip(steppers, pop.flat, grads):
                     stepper.update(w, g)
                 bound = _abs_max(pop.flat)
-                if not bound.max() < math.inf:  # NaN compares false too
+                top = bound.max()
+                if not top < math.inf:  # NaN compares false too
                     if not leave(~(bound < math.inf), lambda row: failed):
                         return done
             last = epoch == cfg.max_epochs - 1
+            # without early stopping, an epoch before the last whose sums are
+            # finite and whose end weights are certified has nothing to decide
+            if not (cfg.early_stop or last or uncertified(top)) and np.isfinite(
+                    np.add.reduce(totals)):
+                continue
             finite = np.isfinite(totals)
             need = finite.copy() if cfg.early_stop or last else finite & uncertified(bound)
             losses = np.full(len(pop), np.nan)
@@ -562,10 +574,6 @@ def _train_stacked(pop: Population, steppers: list, data, cfgs: list,
     return done
 
 
-def _draw_seed(gen) -> int:
-    return int(gen.integers(2**31 - 1))
-
-
 def train_seeded(layer_sizes, stepper, data, cfg: TrainConfig, rng):
     """Train fresh networks whose initial weights and batch orders derive
     from `rng`; returns (net, TrainHistory) like `train`. A lone `Rng`
@@ -575,7 +583,7 @@ def train_seeded(layer_sizes, stepper, data, cfg: TrainConfig, rng):
     child "net", and its shuffle seed one from its child "shuffle"."""
     lone = isinstance(rng, Rng)
     streams = Streams.of([rng]) if lone else rng
-    seeds = streams.children(last=["net", "shuffle"]).draw(_draw_seed)
+    seeds = streams.children(last=["net", "shuffle"]).draw(draw_seed)
     nets, flat = Network.seeded(layer_sizes, seeds[::2])
     cfgs = [replace(cfg, shuffle_seed=seed) for seed in seeds[1::2]]
     return train(nets[0] if lone else Population(nets, flat), stepper, data, cfgs)

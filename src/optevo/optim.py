@@ -28,6 +28,7 @@ four-function form cannot see.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from itertools import combinations
 from operator import itemgetter
@@ -299,16 +300,17 @@ class HyperParams:
 
     def __post_init__(self):
         for name in ("lr", "mom", "rho", "beta1", "beta2", "epsilon", "c1", "c2"):
-            if not np.isfinite(getattr(self, name)):
+            if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"hyperparameter {name} must be finite")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be > 0")
 
     @classmethod
-    def defaults_for(cls, name: str) -> "HyperParams":
-        # library-default learning rates: 1e-3 for the adaptive-moment pair,
-        # 1e-2 for the plain-SGD family
-        return cls(lr=0.001 if name in ("rmsprop", "adam") else 0.01)
+    def defaults_for(cls, name: str, **values) -> "HyperParams":
+        """The family's defaults, with these values set. Library-default
+        learning rates: 1e-3 for the adaptive-moment pair, 1e-2 for the
+        plain-SGD family."""
+        return cls(**{"lr": 0.001 if name in ("rmsprop", "adam") else 0.01, **values})
 
 
 def _filled(name: str, template: str, **consts) -> OptimizerSpec:
@@ -453,10 +455,10 @@ class AdamStepper(Stepper):
             self.avg = np.zeros_like(w)
             self.sq = np.zeros_like(w)
         self.t += 1
-        zt = self.lr * np.sqrt(1.0 - self.beta2**self.t) / (1.0 - self.beta1**self.t)
+        zt = self.lr * math.sqrt(1.0 - self.beta2**self.t) / (1.0 - self.beta1**self.t)
         self.avg = self.beta1 * self.avg + (1.0 - self.beta1) * g
         self.sq = self.beta2 * self.sq + (1.0 - self.beta2) * np.square(g)
-        w[...] = w - zt * self.avg / (np.sqrt(self.sq) + self.epsilon)
+        w -= zt * self.avg / (np.sqrt(self.sq) + self.epsilon)
 
 
 _BUILDERS = {

@@ -275,7 +275,8 @@ class Rng:
     """
 
     def __init__(self, seed: int, _key: tuple = ()):
-        self._streams = Streams.from_seeds([seed]).child(*_key)
+        streams = Streams.from_seeds([seed])
+        self._streams = streams.child(*_key) if _key else streams
         self._generator = None
 
     @classmethod
@@ -305,8 +306,18 @@ class Rng:
         """Derive an independent stream named by the given tags."""
         return Rng._keyed(self._streams.child(*tags))
 
+    def draw(self, fn):
+        """fn(a fresh generator of this stream), through the shared one (see
+        `Streams.draw`): the stream's first draws, for a stream drawn once."""
+        return self._streams.draw(fn)[0]
+
     def __repr__(self):
         return f"Rng(pool={tuple(self._streams.pool[0].tolist())})"
+
+
+def draw_seed(gen) -> int:
+    """One seed drawn from `gen`, below 2**31 - 1."""
+    return int(gen.integers(2**31 - 1))
 
 
 def draw_keyed(keys: np.ndarray, fn) -> list:

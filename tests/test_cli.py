@@ -1291,6 +1291,7 @@ class TestRunFiles:
             main(["benchmark", cfg, "--run-dir", str(run)])
         monkeypatch.undo()
         assert sorted(run.glob("bench_*.csv")) == []
+        assert sorted(run.glob("*.tmp")) == []  # nor the half-written temporary file
 
 
 class TestConfigRoundTrip:

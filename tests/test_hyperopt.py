@@ -1,6 +1,7 @@
 """Search spaces, the GP+EI loop, determinism, and the analytic recovery check."""
 
 import csv
+import hashlib
 import io
 import math
 import os
@@ -456,6 +457,20 @@ class TestTaskObjective:
         monkeypatch.setattr(hyperopt, "_run_trial", broken)
         with pytest.raises(RuntimeError, match="bug in training"):
             tune("sgd", LR_SPACE, budget=5, task=small_task(), seed=0, workers=workers)
+
+    def test_quick_adam_tune_writes_the_recorded_csv(self, tmp_path):
+        """configs/tune-adam.json at budget 40 (8 Sobol trials, then 32 EI
+        proposals) writes these bytes. They were recorded while every trial
+        seed and candidate set still came from a generator built for it, so
+        the one-shot draws through the shared generator change no number."""
+        from optevo.cli import EXIT_OK, main
+
+        config = Path(__file__).resolve().parent.parent / "configs" / "tune-adam.json"
+        run = tmp_path / "run"
+        argv = ["tune", str(config), "--budget", "40", "--workers", "1", "--run-dir", str(run)]
+        assert main(argv) == EXIT_OK
+        digest = hashlib.sha256((run / "tune_adam.csv").read_bytes()).hexdigest()
+        assert digest == "0ae3568b4b86083cbdba03f854f9995105c29a67a32fea90b879b8c43f5a743d"
 
 
 class TestReporting:

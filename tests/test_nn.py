@@ -258,6 +258,17 @@ class TestBackwardAgainstFiniteDifferences:
         with pytest.raises(NetworkError, match="class range"):
             backward(net, cache, np.array([3]))
 
+    @pytest.mark.parametrize("labels", [[0, 2], [-1, 1]], ids=["above", "below"])
+    @pytest.mark.parametrize("fused", [False, True], ids=["own-softmax", "log-probs"])
+    def test_direct_call_checks_labels(self, labels, fused):
+        """`train` checks the labels once, but a direct `backward` call
+        still rejects one outside the class range."""
+        net = Network([2, 3, 2], seed=0)
+        logits, cache = forward(net, np.ones((2, 2)))
+        log_probs = _log_softmax(logits) if fused else None
+        with pytest.raises(NetworkError, match="class range"):
+            backward(net, cache, np.array(labels), log_probs)
+
 
 class TestEvaluate:
     def test_zero_network_predicts_class_zero(self):
@@ -369,6 +380,13 @@ class Swell(Stepper):
         self.t += 1
         with np.errstate(all="ignore"):
             w[...] = w * (self.factor if self.t % 2 else 1.0 / self.factor)
+
+
+class GradientSwell(Swell):
+    """Swell that takes the gradient: `train` runs its backward pass and
+    hands it every batch's gradient, which it ignores."""
+
+    needs_grad = True
 
 
 class RecordingStepper:
@@ -801,6 +819,54 @@ class TestCertifiedTraining:
         stepped[1, 0], stepped[2, 2] = -np.inf, np.nan
         bound = _abs_max(stepped)
         assert bound[0] == 4.0 and bound[1] == np.inf and np.isnan(bound[2])
+
+
+class TestSkippedWork:
+    """The work `train` leaves out, pinned by call counts. `_nll` counts the
+    batch losses and the one inside each `mean_loss`."""
+
+    COUNTED = ("forward", "backward", "mean_loss", "_nll")
+
+    def test_certified_training_takes_no_batch_loss(self, monkeypatch):
+        calls = count_calls(monkeypatch, self.COUNTED)
+        cfg = TrainConfig(batch_size=30, max_epochs=4, early_stop=False)
+        _, hist = train(Network([2, 4, 2], seed=0), sgd(0.1), toy_data(), cfg)
+        assert not hist.failed and hist.epochs_run == 4
+        # 90 rows in batches of 30 over four epochs, then the final validation
+        assert calls == {"forward": 12 + 1, "backward": 12, "mean_loss": 1, "_nll": 1}
+        calls.clear()
+        free = make_stepper(spec_from_phenotype("grad ; y ; z ; multiply(alpha, 0.9)"))
+        _, hist = train(Network([2, 4, 2], seed=0), free, toy_data(), cfg)
+        assert not hist.failed
+        assert calls == {"forward": 1, "mean_loss": 1, "_nll": 1}
+
+    def test_gradient_training_takes_every_open_batch_loss(self, monkeypatch):
+        """Weights scaled by 1e100 on every other update, with a backward
+        pass: of each epoch's four batches, the two whose updates see
+        swollen weights take their losses, and each epoch ends certified."""
+        calls = count_calls(monkeypatch, self.COUNTED)
+        train_set, val_set = toy_data()
+        cfg = TrainConfig(batch_size=24, max_epochs=3, early_stop=False)
+        net, hist = train(Network([2, 4, 2], seed=0), GradientSwell(1e100),
+                          (train_set, val_set), cfg)
+        assert not hist.failed and hist.epochs_run == 3
+        assert calls == {"forward": 3 * 4 + 1, "backward": 3 * 4, "mean_loss": 1,
+                         "_nll": 3 * 2 + 1}
+        params = [p.copy() for p in Network([2, 4, 2], seed=0).params]
+        shuffle = Rng(cfg.shuffle_seed).child("shuffle")
+        _, val_loss, *outcome = train_per_tensor(
+            params, lambda: GradientSwell(1e100), (train_set, val_set), cfg,
+            lambda epoch: shuffle.child("epoch", epoch).permutation(len(train_set)))
+        assert net.flat.tobytes() == b"".join(p.tobytes() for p in params)
+        assert outcome == [3, False, False] and hist.val_loss == val_loss[-1]
+
+    def test_early_stopping_validates_every_epoch(self, monkeypatch):
+        calls = count_calls(monkeypatch, self.COUNTED)
+        cfg = TrainConfig(batch_size=30, max_epochs=4, patience=10)
+        _, hist = train(Network([2, 4, 2], seed=0), sgd(0.1), toy_data(), cfg)
+        assert hist.epochs_run == 4 and not hist.stopped_early
+        # every epoch validates; the weights stay certified, so no batch loss
+        assert calls == {"forward": 12 + 4, "backward": 12, "mean_loss": 4, "_nll": 4}
 
 
 # members that need the gradient train in one stacked loop, the others

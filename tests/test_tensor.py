@@ -13,6 +13,7 @@ from optevo.tensor import (
     ShapeMismatchError,
     Streams,
     check_binary_shapes,
+    draw_seed,
     elementwise,
     tensor,
 )
@@ -317,3 +318,29 @@ class TestBulkStreams:
         got = Streams.from_seeds([9, 2**70]).child(*tags).draw(lambda gen: gen.random(size=3))
         for g, seed in zip(got, [9, 2**70]):
             assert g.tobytes() == seed_sequence_stream(seed, tuple(tags)).random(size=3).tobytes()
+
+
+class TestOneShotDraws:
+    """A stream drawn from once draws through the shared generator
+    (`Streams.draw`, `Rng.draw`), re-keyed to the stream: the numbers of the
+    first draw of the stream's own generator, which `Rng.child(...)` builds."""
+
+    DRAWS = {"seed": draw_seed,
+             "random": lambda gen: gen.random(size=(6, 3)),
+             "normal": lambda gen: gen.normal(size=(5, 3))}
+
+    @given(st.one_of(st.just(0), st.integers(1, 2**32 - 1), st.integers(2**32, 2**200)),
+           st.lists(TAG, min_size=1, max_size=3), st.sampled_from(sorted(DRAWS)))
+    def test_equals_the_child_generator(self, seed, tags, kind):
+        fn = self.DRAWS[kind]
+        want = np.asarray(fn(Rng(seed).child(*tags).generator)).tobytes()
+        got = Streams.from_seeds([seed]).child(*tags).draw(fn)
+        assert len(got) == 1 and np.asarray(got[0]).tobytes() == want
+        assert np.asarray(Rng(seed).child(*tags).draw(fn)).tobytes() == want
+
+    def test_drawn_stream_draws_its_start_again(self):
+        """An Rng's one-shot draw ignores the draws its own generator made."""
+        rng = Rng(4).child("a")
+        first = rng.random(size=3)
+        rng.random(size=3)
+        assert rng.draw(lambda gen: gen.random(size=3)).tobytes() == first.tobytes()
