@@ -58,11 +58,11 @@ def _genotype_matches_reference(g: Grammar, name: str) -> tuple[bool, str]:
     with np.errstate(all="ignore"):
         for case in range(20):
             r = rng.child(case)
-            w_a = r.normal(size=4)
+            w_a = r.draw(lambda gen: gen.normal(size=4))
             w_b = w_a.copy()  # each stepper writes its own weights in place
             s_a, s_b = SpecStepper(mapped), SpecStepper(reference)
             for t in range(10):
-                grad = r.child("g", t).normal(size=4)
+                grad = r.child("g", t).draw(lambda gen: gen.normal(size=4))
                 s_a.update(w_a, grad)
                 s_b.update(w_b, grad)
                 if not np.max(np.abs(w_a - w_b)) <= 1e-9:  # NaN fails too

@@ -16,6 +16,7 @@ error, 3 data error.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import os
@@ -661,7 +662,15 @@ def _keep_freed_memory() -> None:
 
 
 def main(argv=None) -> int:
+    """Run one optevo command; returns its exit code. Two process settings
+    come first: `_keep_freed_memory`, then `gc.freeze()`, which exempts every
+    object alive when `main` starts from cyclic collection from then on.
+    Those objects (about 23.6k after importing this module) live as long
+    as the process, yet each full collection walked them all: 8.5-11 ms in
+    an evolve-toy run, whose exit took 33 ms instead of 7. No collection
+    runs first: it finds no garbage there, and takes about 6 ms."""
     _keep_freed_memory()
+    gc.freeze()
     args = build_parser().parse_args(argv)
     try:
         if args.command == "grammar-check":

@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -176,7 +176,7 @@ def split(d: Dataset, plan: SplitPlan) -> Splits:
     the parts are read-only row slices of one permuted copy of `d`."""
     if plan.total > len(d):
         raise DataError(f"plan needs {plan.total} examples, dataset has {len(d)}")
-    perm = Rng(plan.seed).child("split", d.name).permutation(len(d))
+    perm = Rng(plan.seed).child("split", d.name).draw(lambda gen: gen.permutation(len(d)))
     x, y, rows = d.x[perm], d.y[perm], d.source_indices[perm]
     for a in (x, y, rows):
         a.flags.writeable = False
@@ -205,7 +205,12 @@ def synthetic(kind: str, n: int, noise: float = 0.1, seed: int = 0) -> Dataset:
         raise DataError(f"unknown synthetic kind {kind!r}")
     if n < 10:
         raise DataError("need n >= 10")
-    rng = Rng(seed).child("synthetic", kind)
+    x, y = Rng(seed).child("synthetic", kind).draw(partial(_synthetic_points, kind, n, noise))
+    return Dataset(x, y, name=f"{kind}(n={n},noise={noise},seed={seed})")
+
+
+def _synthetic_points(kind: str, n: int, noise: float, rng) -> tuple:
+    """`synthetic`'s shuffled (x, y), drawn from the numpy Generator `rng`."""
     half = n // 2
     counts = [half, n - half]
     if kind == "two_gaussians":
@@ -238,4 +243,4 @@ def synthetic(kind: str, n: int, noise: float = 0.1, seed: int = 0) -> Dataset:
     x = np.clip(np.concatenate(xs), 0.0, 1.0)
     y = np.concatenate(ys).astype(np.int64)
     order = rng.permutation(len(y))
-    return Dataset(x[order], y[order], name=f"{kind}(n={n},noise={noise},seed={seed})")
+    return x[order], y[order]

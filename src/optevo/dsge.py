@@ -17,8 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from numpy.random import Generator
+
 from .grammar import TOKEN_RE, Grammar, Terminal, load_shipped_grammar
-from .tensor import Rng
 
 DEFAULT_MAX_DEPTH = 6
 MAX_ATTEMPTS = 10_000  # random_derivation's draws before it gives up
@@ -60,10 +61,20 @@ class Genotype:
         for nt, lst in self.genes.items():
             self.used.setdefault(nt, len(lst))
 
+    @classmethod
+    def _checked(cls, genes: dict, used: dict) -> "Genotype":
+        """Genes that passed the checks once, not checked again; `used`
+        holds every nonterminal of `genes`."""
+        geno = cls.__new__(cls)
+        geno.genes, geno.used = genes, used
+        return geno
+
     def copy(self) -> "Genotype":
-        return Genotype(
-            {nt: list(lst) for nt, lst in self.genes.items()}, dict(self.used)
-        )
+        """A copy sharing no list, `used` as the checked construction fills
+        it: genes of a nonterminal the last mapping did not reach all count."""
+        unreached = {nt: len(lst) for nt, lst in self.genes.items() if nt not in self.used}
+        return Genotype._checked({nt: list(lst) for nt, lst in self.genes.items()},
+                                 self.used | unreached)
 
 
 @dataclass
@@ -104,10 +115,11 @@ def map_genotype(
     g: Grammar,
     geno: Genotype,
     max_depth: int = DEFAULT_MAX_DEPTH,
-    rng: Rng | None = None,
+    rng: Generator | None = None,
 ) -> str:
     """The phenotype of `geno` under `g`: the terminals of its leftmost
-    derivation, joined by single spaces. Repairs are written back.
+    derivation, joined by single spaces. Repairs are written back, each gene
+    one draw from `rng`, a numpy Generator such as `Streams.draw` passes.
 
     After the call, ``geno.used`` records how many genes each nonterminal
     consumed; genes beyond that prefix took no part in the phenotype.
@@ -148,7 +160,10 @@ def map_genotype(
                 expand(sym.name)
         depths[nt] = depth - 1
 
-    expand(g.start)
+    try:
+        expand(g.start)
+    finally:  # expand's closure holds expand: free the cycle now, not at a collection
+        expand = None
     geno.used = dict(cursor)
     return " ".join(terminals)
 
@@ -156,16 +171,16 @@ def map_genotype(
 def random_derivation(
     g: Grammar,
     max_depth: int = DEFAULT_MAX_DEPTH,
-    rng: Rng | None = None,
+    rng: Generator | None = None,
 ) -> tuple[Genotype, str]:
-    """(genotype, phenotype) of a random derivation recorded as genes.
+    """(genotype, phenotype) of a random derivation recorded as genes, its
+    genes drawn from `rng`, a numpy Generator.
 
     Mapping the genotype back (same grammar, same max_depth) reproduces the
     phenotype with no repairs. The rare random derivation that dead-ends at
-    the depth limit is discarded and redrawn, up to MAX_ATTEMPTS times.
+    the depth limit is discarded and redrawn from the same generator, up
+    to MAX_ATTEMPTS times.
     """
-    if rng is None:
-        raise ValueError("random_derivation needs an rng")
     for _ in range(MAX_ATTEMPTS):
         geno = Genotype({})
         try:
@@ -175,8 +190,9 @@ def random_derivation(
     raise RuntimeError(f"no valid random genotype in {MAX_ATTEMPTS} attempts")
 
 
-def mutate(geno: Genotype, rate: float, g: Grammar, rng: Rng) -> Genotype:
-    """Per-gene replacement with probability `rate`; dormant genes untouched.
+def mutate(geno: Genotype, rate: float, g: Grammar, rng: Generator) -> Genotype:
+    """A copy of `geno` with per-gene replacement at probability `rate`;
+    dormant genes untouched. Draws from `rng`, a numpy Generator.
 
     Replacements are uniform over [0, |alternatives|) for the gene's own
     nonterminal. Genes past the consumed prefix of the last mapping stay as
@@ -198,15 +214,16 @@ def mutate(geno: Genotype, rate: float, g: Grammar, rng: Rng) -> Genotype:
     return child
 
 
-def crossover(a: Genotype, b: Genotype, rng: Rng) -> Genotype:
-    """Uniform per-nonterminal crossover: each gene list inherited whole."""
+def crossover(a: Genotype, b: Genotype, rng: Generator) -> Genotype:
+    """Uniform per-nonterminal crossover: each gene list inherited whole,
+    its donor one draw from `rng`, a numpy Generator."""
     genes: dict = {}
     used: dict = {}
     for nt in sorted(set(a.genes) | set(b.genes)):
         donor = a if rng.random() < 0.5 else b
         genes[nt] = list(donor.genes.get(nt, []))
         used[nt] = donor.used.get(nt, len(genes[nt]))
-    return Genotype(genes, used)
+    return Genotype._checked(genes, used)
 
 
 def encode(g: Grammar, text: str, max_depth: int = DEFAULT_MAX_DEPTH) -> Genotype:
@@ -260,9 +277,9 @@ def load_shipped_genotype(name: str) -> Genotype:
     return encode(load_shipped_grammar("alr"), SHIPPED_GENOTYPES[name])
 
 
-def tournament_select(pop: list, k: int, rng) -> Individual:
-    """Best of a uniform k-subset; fitness ties go to the lower id. `rng` is
-    an Rng or a numpy Generator, such as the one `Streams.draw` passes."""
+def tournament_select(pop: list, k: int, rng: Generator) -> Individual:
+    """Best of a uniform k-subset, drawn from `rng`, a numpy Generator;
+    fitness ties go to the lower id."""
     if not pop:
         raise ValueError("empty population")
     if not 0 < k <= len(pop):

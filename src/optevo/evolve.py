@@ -58,7 +58,7 @@ from .grammar import Grammar
 from .nn import TrainConfig, evaluate, train_seeded
 from .optim import ExprError, SpecStepper, SpecValidationError, spec_from_phenotype
 from .sched import PolicyError, ScheduledSGD, parse_policy, serialize_policy
-from .tensor import Rng, Streams
+from .tensor import Rng, Streams, draw_one
 
 LOG_COLUMNS = ("generation", "best", "mean", "median", "evaluations", "seconds")
 
@@ -212,10 +212,11 @@ def _evaluate_wave(population, grammar, params, fitness_fn, cache, root: Rng,
     pending = [ind for ind in population if ind.fitness is None]
     unmapped = [ind for ind in pending if ind.phenotype is None]
     repairs = Streams.of([root] * len(unmapped)).child(
-        "repair", generation, [ind.id for ind in unmapped]).rngs()
-    for ind, rng in zip(unmapped, repairs):
-        try:
-            ind.phenotype = map_genotype(grammar, ind.genotype, params.max_depth, rng)
+        "repair", generation, [ind.id for ind in unmapped]).keys()
+    for ind, key in zip(unmapped, repairs.tolist()):
+        try:  # a failure part way leaves the next stream's draws alone
+            ind.phenotype = draw_one(key, partial(map_genotype, grammar, ind.genotype,
+                                                  params.max_depth))
         except MappingFailure:
             pass  # no phenotype: scores 0
     fresh = list(dict.fromkeys(
@@ -248,14 +249,14 @@ def _breed(population, params, grammar, root: Rng, generation: int, next_id: int
     coins = streams("xo", children).draw(lambda gen: gen.random())
     crossed = [i for i in children if coins[i] < params.crossover_prob]
     seconds = dict(zip(crossed, streams("tour", crossed, 1).draw(select)))
-    crosses = streams("cross", crossed).rngs()  # in the order of `crossed`
-    mutations = streams("mut", children).rngs()
+    crosses = iter(streams("cross", crossed).keys().tolist())  # in the order of `crossed`
+    mutations = streams("mut", children).keys().tolist()
     for i, first, mutation in zip(children, firsts, mutations):
-        if i in seconds:
-            geno = crossover(first.genotype, seconds[i].genotype, next(crosses))
-        else:
-            geno = first.genotype.copy()
-        geno = mutate(geno, params.mutation_rate, grammar, mutation)
+        geno = first.genotype
+        if i in seconds:  # mutated as soon as it is made
+            geno = draw_one(next(crosses), partial(crossover, geno, seconds[i].genotype))
+        # mutate's copy is the child's one copy of its genes
+        geno = draw_one(mutation, partial(mutate, geno, params.mutation_rate, grammar))
         new_pop.append(Individual(geno, id=next_id))
         next_id += 1
     return new_pop, next_id
@@ -393,12 +394,11 @@ def evolve(
         start_gen, population, next_id, cache, log = resume_from
         start_gen += 1
     else:
-        population = []
         seeding = Streams.of([root] * params.population_size).child(
-            "seed-pop", range(params.population_size)).rngs()
-        for i, rng in enumerate(seeding):
-            geno, text = random_derivation(grammar, params.max_depth, rng)
-            population.append(Individual(geno, text, id=i))
+            "seed-pop", range(params.population_size)).keys()
+        derive = partial(random_derivation, grammar, params.max_depth)
+        population = [Individual(*draw_one(key, derive), id=i)  # each made as it is drawn
+                      for i, key in enumerate(seeding.tolist())]
         next_id = params.population_size
         log = EvolveRunLog(seed=params.rng_seed, search=search)
         start_gen = 0

@@ -15,13 +15,11 @@ each tag into every stream with a few uint32 array operations, and `keys`
 hashes every Philox key at once; these are the only copies of the two
 hashes, which an `Rng`, one stream, uses as a `Streams` of one.
 
-A one-shot draw (`Streams.draw`) re-keys one shared generator per stream
-through its `state` setter (counter 0, empty buffer): exactly a fresh
-generator of the stream, without building one. A stream of many draws is
-an `Rng`, whose own generator is built on its first draw; that draw also
-binds the generator's draw methods (`integers`, `random`, ...) onto the
-Rng, so the many draws of a genotype derivation or a mutation call them
-directly.
+Every draw is a one-shot draw (`Streams.draw`, `Rng.draw`, `draw_one`):
+one shared generator, re-keyed per stream through its `state` setter, gives
+exactly the numbers of a fresh generator of the stream. A stream of many
+draws, such as a mutation, is one draw fn that makes them all and no keyed
+draw of its own. An `Rng` names streams and has no generator of its own.
 """
 
 from __future__ import annotations
@@ -243,20 +241,8 @@ class Streams:
         return words.view(np.uint64)
 
     def draw(self, fn) -> list:
-        """[fn(generator of stream k) for each stream k], each generator
-        fresh (see `draw_keyed`)."""
+        """[fn(a fresh generator of stream k) for each stream k] (`draw_one`)."""
         return draw_keyed(self.keys(), fn)
-
-    def rngs(self):
-        """Each stream as an Rng, for streams that draw many times. An
-        iterator: an Rng made as it is reached frees its generator once the
-        caller is done with it."""
-        for k in range(len(self.pool)):
-            yield Rng._keyed(self.take(slice(k, k + 1)))
-
-
-# the draws an Rng takes from its generator
-_DRAWS = frozenset({"integers", "random", "uniform", "normal", "permutation", "choice"})
 
 
 class Rng:
@@ -269,46 +255,23 @@ class Rng:
     and of each other by construction of the seed sequence.
 
     An Rng is a `Streams` of one: a child mixes in only its own tags, and
-    the generator reads its Philox key from the mixed pool without a
-    SeedSequence of its own. Its draws (`integers`, `random`, `uniform`,
-    `normal`, `permutation`, `choice`) are the generator's own methods.
+    `draw` reads the Philox key from the mixed pool without a SeedSequence
+    of its own.
     """
 
     def __init__(self, seed: int, _key: tuple = ()):
         streams = Streams.from_seeds([seed])
         self._streams = streams.child(*_key) if _key else streams
-        self._generator = None
-
-    @classmethod
-    def _keyed(cls, streams: Streams) -> "Rng":
-        """The stream of a Streams of one."""
-        rng = cls.__new__(cls)
-        rng._streams, rng._generator = streams, None
-        return rng
-
-    @property
-    def generator(self) -> np.random.Generator:
-        """The stream itself, built on the first draw: many streams only ever
-        name children, and the Philox set-up costs more than a small draw."""
-        if self._generator is None:
-            self._generator = np.random.Generator(np.random.Philox(key=self._streams.keys()[0]))
-            for name in _DRAWS:  # later draws find them without __getattr__
-                setattr(self, name, getattr(self._generator, name))
-        return self._generator
-
-    def __getattr__(self, name):
-        """A draw before the first: build the generator, which binds them all."""
-        if name not in _DRAWS:
-            raise AttributeError(f"'Rng' object has no attribute {name!r}")
-        return getattr(self.generator, name)
 
     def child(self, *tags) -> "Rng":
         """Derive an independent stream named by the given tags."""
-        return Rng._keyed(self._streams.child(*tags))
+        child = Rng.__new__(Rng)
+        child._streams = self._streams.child(*tags)
+        return child
 
     def draw(self, fn):
         """fn(a fresh generator of this stream), through the shared one (see
-        `Streams.draw`): the stream's first draws, for a stream drawn once."""
+        `Streams.draw`)."""
         return self._streams.draw(fn)[0]
 
     def __repr__(self):
@@ -321,16 +284,14 @@ def draw_seed(gen) -> int:
 
 
 def draw_keyed(keys: np.ndarray, fn) -> list:
-    """[fn(generator) for each Philox key in `keys`, (N, 2) uint64]: the
-    shared generator, re-keyed with counter 0 and an empty buffer as a fresh
-    Philox starts. `fn` draws only from the generator it is given, and keeps
-    no reference to it."""
-    philox = {"counter": (0, 0, 0, 0), "key": None}
-    state = {"bit_generator": "Philox", "state": philox, "buffer": (0, 0, 0, 0),
-             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    out = []
-    for key in keys.tolist():
-        philox["key"] = key
-        _SHARED_BITS.state = state
-        out.append(fn(_SHARED))
-    return out
+    """[draw_one(key, fn) for each Philox key in `keys`, (N, 2) uint64]."""
+    return [draw_one(key, fn) for key in keys.tolist()]
+
+
+def draw_one(key, fn):
+    """fn(the shared generator, re-keyed to Philox key `key` with counter 0
+    and an empty buffer, as a fresh Philox starts). `fn` draws only from it,
+    makes no keyed draw of its own and keeps no reference to it."""
+    _SHARED_BITS.state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": key},
+                          "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return fn(_SHARED)

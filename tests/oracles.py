@@ -28,16 +28,26 @@ call per node, constants broadcast as scalars.
 ran before trials went trial-major: each text's trials train one lone
 network at a time through `evolve._run_trial`, in trial order, cancelled at
 the first score below the threshold.
+
+`stream` builds the generator of one keyed stream alone, from numpy's
+SeedSequence, as each stream of many draws once built its own generator.
+`seed_population_per_stream`, `breed_per_stream` and `repair_per_stream`
+are the evolve generation's stochastic steps on those generators: seeding,
+tournament, crossover and mutation, and repair, each choice drawing from a
+generator of its own stream instead of the re-keyed shared one.
 """
 
 import hashlib
 import math
 import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
 
 from optevo import evolve
+from optevo.dsge import (Genotype, Individual, MappingFailure, crossover, map_genotype, mutate,
+                         random_derivation, tournament_select)
 from optevo.optim import Apply, Const, ExprError, SpecStepper, Var
 from optevo.sched import ScheduledSGD, serialize_policy
 from optevo.tensor import elementwise
@@ -362,3 +372,59 @@ def fitness_dlr_lone(policy, task):
     stepper = ScheduledSGD(policy, initial_lr=task.initial_lr)
     score, _ = evolve._run_trial(task, stepper, 0, serialize_policy(policy))
     return score
+
+
+def stream(seed, *tags):
+    """A fresh generator of the stream of `seed` and `tags`: Philox over
+    numpy's SeedSequence(seed, spawn_key=tags), a string tag read as its
+    CRC-32."""
+    key = tuple(zlib.crc32(t.encode()) if isinstance(t, str) else t for t in tags)
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
+
+
+def seed_population_per_stream(grammar, max_depth, seed, size):
+    """Generation 0 of `evolve` at rng_seed `seed`: individual i is the
+    random derivation of stream ("evolve", "seed-pop", i)."""
+    return [Individual(*random_derivation(grammar, max_depth, stream(seed, "evolve", "seed-pop", i)),
+                       id=i) for i in range(size)]
+
+
+def breed_per_stream(population, params, grammar, seed, generation, next_id):
+    """`evolve._breed` at rng_seed `seed`: child i's tournaments, crossover
+    coin, crossover and mutation each draw from a generator of their own
+    stream ("evolve", tag, generation, i, ...), and a parent that is not
+    crossed is copied through the checked constructor."""
+
+    def gen(*tags):
+        return stream(seed, "evolve", *tags)
+
+    ranked = sorted(population, key=lambda ind: (-ind.fitness, ind.id))
+    new_pop = ranked[: params.elitism]
+    for i in range(params.population_size - params.elitism):
+        first = tournament_select(population, params.tournament_size,
+                                  gen("tour", generation, i, 0))
+        if gen("xo", generation, i).random() < params.crossover_prob:
+            second = tournament_select(population, params.tournament_size,
+                                       gen("tour", generation, i, 1))
+            geno = crossover(first.genotype, second.genotype, gen("cross", generation, i))
+        else:
+            geno = Genotype({nt: list(lst) for nt, lst in first.genotype.genes.items()},
+                            dict(first.genotype.used))
+        geno = mutate(geno, params.mutation_rate, grammar, gen("mut", generation, i))
+        new_pop.append(Individual(geno, id=next_id))
+        next_id += 1
+    return new_pop, next_id
+
+
+def repair_per_stream(individuals, grammar, max_depth, seed, generation):
+    """Map each individual's genotype in place, its repairs drawn from a
+    generator of stream ("evolve", "repair", generation, id) of `seed`;
+    returns the phenotypes, None where the mapping fails."""
+    texts = []
+    for ind in individuals:
+        try:
+            texts.append(map_genotype(grammar, ind.genotype, max_depth,
+                                      stream(seed, "evolve", "repair", generation, ind.id)))
+        except MappingFailure:
+            texts.append(None)
+    return texts

@@ -36,7 +36,6 @@ from optevo.optim import (
     make_stepper,
     spec_from_phenotype,
 )
-from optevo.tensor import Rng
 
 
 @contextlib.contextmanager
@@ -62,9 +61,9 @@ def test_01_steppers_match_scalar_oracles():
         for name in names:
             hp = HyperParams.defaults_for(name)
             for case in range(50):
-                r = Rng(1000 + case).child("oracle", name)
+                r = np.random.default_rng(1000 + case)
                 w0 = float(r.normal())
-                grads = [float(g) for g in r.child("grads").normal(size=20)]
+                grads = [float(g) for g in r.normal(size=20)]
                 expected = ORACLES[name](w0, grads, hp)
                 stepper = make_stepper(name, hp)
                 w = np.array([w0], dtype=np.float64)
@@ -82,9 +81,9 @@ def test_02_backprop_matches_central_differences():
     with criterion(2, "backprop gradients match central finite differences"):
         t0 = time.perf_counter()
         net = Network([2, 16, 3], seed=11)
-        r = Rng(12).child("fd")
-        x = r.child("x").normal(size=(12, 2))
-        labels = r.child("y").integers(0, 3, size=12)
+        r = np.random.default_rng(12)
+        x = r.normal(size=(12, 2))
+        labels = r.integers(0, 3, size=12)
 
         logits, cache = forward(net, x)
         grads = backward(net, cache, labels)
@@ -92,7 +91,7 @@ def test_02_backprop_matches_central_differences():
         params = net.params
         h = 1e-5
         picks = []
-        pick_rng = r.child("picks")
+        pick_rng = r
         for _ in range(10):
             pi = int(pick_rng.integers(0, len(params)))
             flat = int(pick_rng.integers(0, params[pi].size))
@@ -145,12 +144,12 @@ def test_03_shipped_genotypes_encode_reference_rules():
             geno = load_shipped_genotype(name)
             mapped = spec_from_phenotype(map_genotype(grammar, geno), name)
             for case in range(100):
-                r = Rng(77).child("env", name, case)
-                w_m = r.child("w").normal(size=5)
+                r = np.random.default_rng((77, case))
+                w_m = r.normal(size=5)
                 w_r = w_m.copy()  # each stepper writes its own weights in place
                 s_m, s_r = SpecStepper(mapped), SpecStepper(reference)
                 for t in range(10):
-                    g = r.child("g", t).normal(size=5)
+                    g = r.normal(size=5)
                     with np.errstate(all="ignore"):
                         s_m.update(w_m, g)
                         s_r.update(w_r, g)

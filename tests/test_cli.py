@@ -1,6 +1,7 @@
 """Command-line behavior: config validation, exit codes, outputs, resume."""
 
 import errno
+import gc
 import json
 import shutil
 import struct
@@ -539,6 +540,42 @@ class TestGrammarCheck:
         names = [name for name, _, _ in checks]
         assert len(names) == len(set(names)) == 9
         assert all(ok for _, ok, _ in checks)
+
+
+class TestProcessSettings:
+    def test_main_freezes_the_objects_alive_at_its_start(self):
+        """`main` moves the objects alive when it starts into the
+        collector's permanent generation, which no collection walks."""
+        gc.unfreeze()
+        marker = [object()]  # a container the collector tracks
+        try:
+            assert any(obj is marker for obj in gc.get_objects())
+            assert main(["grammar-check", "dlr"]) == EXIT_OK
+            assert gc.get_freeze_count() > 0
+            assert not any(obj is marker for obj in gc.get_objects())
+        finally:
+            gc.unfreeze()
+
+    def test_two_runs_in_one_process_write_the_same_files(self, tmp_path):
+        """A second `main` in the same process, whose first one froze the
+        heap, writes the same run files, bar the seconds of each log row."""
+        cfg = write_cfg(tmp_path, evolve_payload())
+        runs = [tmp_path / "a", tmp_path / "b"]
+        for run in runs:
+            assert main(["evolve", cfg, "--run-dir", str(run)]) == EXIT_OK
+        names = sorted(p.name for p in runs[0].iterdir())
+        assert names == sorted(p.name for p in runs[1].iterdir())
+        for name in names:
+            a, b = ((run / name).read_bytes() for run in runs)
+            if name == "log.csv":
+                assert log_rows(runs[0])[1] != []
+                a, b = ([row[:5] for row in log_rows(run)[1]] for run in runs)
+            elif name == "checkpoint.json":
+                a, b = (json.loads(x) for x in (a, b))
+                for state in (a, b):
+                    for stat in state["stats"]:
+                        stat.pop("seconds")
+            assert a == b, name
 
 
 class TestEvolveCommand:

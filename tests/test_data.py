@@ -320,7 +320,7 @@ class TestSplitMatchesPerPartCopies:
              reserve=4, seed=2)
     def test_parts_and_checksums(self, **case):
         d, plan = split_case(**case)
-        perm = Rng(plan.seed).child("split", d.name).permutation(len(d))
+        perm = Rng(plan.seed).child("split", d.name).draw(lambda g: g.permutation(len(d)))
         expected = split_by_take(d.x, d.y, d.source_indices, perm, plan)
         s = split(d, plan)
         parts = {"train": s.train_pool, "val": s.validation, "test": s.test,

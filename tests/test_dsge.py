@@ -1,8 +1,12 @@
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import stream
+from optevo.data import SYNTHETIC_KINDS, _synthetic_points, synthetic
 from optevo.dsge import (
     EvoParams,
     Genotype,
@@ -19,7 +23,7 @@ from optevo.dsge import (
 )
 from optevo.grammar import TOKEN_RE, load_shipped_grammar, parse_grammar, sigmoidal_constants
 from optevo.optim import SpecStepper, builtin, spec_from_phenotype, make_stepper
-from optevo.tensor import Rng, tensor
+from optevo.tensor import Rng, Streams, tensor
 
 TOY = parse_grammar("<s> ::= a | b")
 
@@ -48,7 +52,7 @@ class TestMapping:
 
     def test_repair_records_gene(self):
         geno = Genotype({"s": []})
-        text = map_genotype(TOY, geno, rng=Rng(5).child("repair"))
+        text = map_genotype(TOY, geno, rng=np.random.default_rng(5))
         assert text in ("a", "b")
         assert geno.genes["s"][0] in (0, 1)
         # idempotence: remapping without an rng reproduces the phenotype
@@ -65,7 +69,7 @@ class TestMapping:
         assert geno.used == {"s": 1}  # trailing genes stay but are dormant
 
     def test_mapping_deterministic(self, alr):
-        geno = random_derivation(alr, rng=Rng(42).child("g"))[0]
+        geno = random_derivation(alr, rng=np.random.default_rng(42))[0]
         a = map_genotype(alr, geno.copy())
         b = map_genotype(alr, geno.copy())
         assert a == b
@@ -76,13 +80,31 @@ class TestMapping:
             {"start": [0], "x_expr": [1] * 12, "x_update": [0] * 12, "x_func": [0] * 12}
         )
         with pytest.raises(MappingFailure):
-            map_genotype(alr, geno, max_depth=6, rng=Rng(0).child("fail"))
+            map_genotype(alr, geno, max_depth=6, rng=np.random.default_rng(0))
+
+    def test_mapping_leaves_no_reference_cycle(self, alr):
+        """A mapping, whether it fails or not, frees its recursive closure
+        as it returns, so it leaves the cyclic collector nothing to do."""
+        doomed = Genotype({"start": [0], "x_expr": [1] * 12, "x_update": [0] * 12,
+                           "x_func": [0] * 12})
+        adam = load_shipped_genotype("adam_core")
+        gc.collect()
+        gc.disable()
+        try:
+            map_genotype(alr, adam)
+            try:
+                map_genotype(alr, doomed, max_depth=6)
+            except MappingFailure:
+                pass
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_depth_limit_forces_leaf_when_available(self, dlr):
         # nested if(...) conditions: at the limit the expr rule must pick a
         # constant leaf, because that alternative cannot recurse
         geno = Genotype({"expr": [0] * 50})
-        text = map_genotype(dlr, geno, max_depth=3, rng=Rng(1).child("dlr"))
+        text = map_genotype(dlr, geno, max_depth=3, rng=np.random.default_rng(1))
         # each open if( is one <expr> level; the leaf inside the deepest is one more
         open_ifs = deepest = 0
         for token in text.split():
@@ -95,8 +117,8 @@ class TestMapping:
         # has one entry so any gene value maps to the constant-leaf rule
         g1 = Genotype({"expr": [0] * 50})
         g2 = Genotype({"expr": [1] * 50})
-        t1 = map_genotype(dlr, g1, max_depth=2, rng=Rng(3).child("a"))
-        t2 = map_genotype(dlr, g2, max_depth=2, rng=Rng(3).child("a"))
+        t1 = map_genotype(dlr, g1, max_depth=2, rng=np.random.default_rng(3))
+        t2 = map_genotype(dlr, g2, max_depth=2, rng=np.random.default_rng(3))
         assert t1  # both complete without failure
         assert t2
 
@@ -107,7 +129,7 @@ class TestHandBuiltSgd:
         text = map_genotype(alr, geno)
         spec = spec_from_phenotype(text, name="sgd-geno")
         lr = grid(-4.5)
-        rng = Rng(99).child("pairs")
+        rng = np.random.default_rng(99)
         for _ in range(100):
             w = tensor(rng.normal(size=3))
             g = tensor(rng.normal(size=3))
@@ -142,7 +164,7 @@ class TestShippedGenotypes:
         geno = load_shipped_genotype(name)
         spec = spec_from_phenotype(map_genotype(alr, geno), name=name)
         ref = self.reference(name)
-        rng = Rng(2026).child("traj", name)
+        rng = np.random.default_rng(2026)
         for _ in range(20):
             w0 = float(rng.uniform(-1, 1))
             mine = make_stepper(spec)
@@ -158,7 +180,7 @@ class TestShippedGenotypes:
 
 class TestRandomGenotype:
     def test_idempotent_no_repair(self, alr):
-        geno, text = random_derivation(alr, rng=Rng(7).child("init"))
+        geno, text = random_derivation(alr, rng=np.random.default_rng(7))
         before = {nt: list(v) for nt, v in geno.genes.items()}
         used = dict(geno.used)
         again = map_genotype(alr, geno)  # no rng: repairs impossible
@@ -166,15 +188,15 @@ class TestRandomGenotype:
         assert again == text
 
     def test_deterministic(self, alr):
-        a = random_derivation(alr, rng=Rng(3).child("x"))[0]
-        b = random_derivation(alr, rng=Rng(3).child("x"))[0]
+        a = random_derivation(alr, rng=np.random.default_rng(3))[0]
+        b = random_derivation(alr, rng=np.random.default_rng(3))[0]
         assert a.genes == b.genes
 
     def test_distinct_across_seeds(self, alr):
         differing = 0
         for s in range(200):
-            a = random_derivation(alr, rng=Rng(s).child("a"))[0]
-            b = random_derivation(alr, rng=Rng(s).child("b"))[0]
+            a = random_derivation(alr, rng=np.random.default_rng((s, 0)))[0]
+            b = random_derivation(alr, rng=np.random.default_rng((s, 1)))[0]
             differing += a.genes != b.genes
         assert differing >= 198
 
@@ -191,7 +213,7 @@ class TestEncode:
     @given(st.integers(0, 2**32 - 1))
     def test_mapping_the_encoding_gives_the_same_tokens(self, name, seed):
         g = SHIPPED[name]
-        text = map_genotype(g, random_derivation(g, rng=Rng(seed).child("enc"))[0])
+        text = map_genotype(g, random_derivation(g, rng=np.random.default_rng(seed))[0])
         again = map_genotype(g, encode(g, text))  # no rng: no repair
         assert TOKEN_RE.findall(again) == TOKEN_RE.findall(text)
 
@@ -224,18 +246,18 @@ class TestEncode:
 
 class TestMutate:
     def test_rate_zero_identity(self, alr):
-        geno = random_derivation(alr, rng=Rng(1).child("m"))[0]
-        out = mutate(geno, 0.0, alr, Rng(2).child("m"))
+        geno = random_derivation(alr, rng=np.random.default_rng(1))[0]
+        out = mutate(geno, 0.0, alr, np.random.default_rng(2))
         assert out.genes == geno.genes
 
     def test_rate_one_codomain(self):
-        out = mutate(Genotype({"s": [0]}), 1.0, TOY, Rng(9).child("m"))
+        out = mutate(Genotype({"s": [0]}), 1.0, TOY, np.random.default_rng(9))
         assert out.genes["s"][0] in (0, 1)
 
     def test_binomial_concentration(self):
         g = parse_grammar("<s> ::= a | b | c | d | e | f | g | h")
         geno = Genotype({"s": [0] * 10_000})
-        out = mutate(geno, 0.15, g, Rng(123).child("conc"))
+        out = mutate(geno, 0.15, g, np.random.default_rng(123))
         # a replacement may redraw the same value; count draws, not changes
         changed = sum(a != b for a, b in zip(geno.genes["s"], out.genes["s"]))
         # P(change) = 0.15 * 7/8; invert to estimate the raw mutation rate
@@ -244,45 +266,45 @@ class TestMutate:
 
     def test_unused_suffix_untouched(self):
         geno = Genotype({"s": [0, 0, 0, 0]}, used={"s": 2})
-        out = mutate(geno, 1.0, TOY, Rng(4).child("m"))
+        out = mutate(geno, 1.0, TOY, np.random.default_rng(4))
         assert out.genes["s"][2:] == [0, 0]
 
     def test_input_not_mutated(self):
         geno = Genotype({"s": [0, 1, 0]})
         snap = [list(v) for v in geno.genes.values()]
-        mutate(geno, 1.0, TOY, Rng(5).child("m"))
+        mutate(geno, 1.0, TOY, np.random.default_rng(5))
         assert [list(v) for v in geno.genes.values()] == snap
 
     def test_bad_rate(self):
         with pytest.raises(ValueError):
-            mutate(Genotype({"s": [0]}), 1.5, TOY, Rng(0).child("m"))
+            mutate(Genotype({"s": [0]}), 1.5, TOY, np.random.default_rng(0))
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=20)
     def test_genes_stay_in_range(self, seed):
         g = parse_grammar("<s> ::= a | b | c")
         geno = Genotype({"s": [0] * 50})
-        out = mutate(geno, 0.5, g, Rng(seed).child("rng"))
+        out = mutate(geno, 0.5, g, np.random.default_rng(seed))
         assert all(0 <= v < 3 for v in out.genes["s"])
 
 
 class TestCrossover:
     def test_identical_parents(self, alr):
-        a = random_derivation(alr, rng=Rng(10).child("p"))[0]
-        child = crossover(a, a.copy(), Rng(11).child("c"))
+        a = random_derivation(alr, rng=np.random.default_rng(10))[0]
+        child = crossover(a, a.copy(), np.random.default_rng(11))
         assert child.genes == a.genes
 
     def test_lists_inherited_verbatim(self, alr):
-        a = random_derivation(alr, rng=Rng(20).child("pa"))[0]
-        b = random_derivation(alr, rng=Rng(21).child("pb"))[0]
-        child = crossover(a, b, Rng(22).child("c"))
+        a = random_derivation(alr, rng=np.random.default_rng(20))[0]
+        b = random_derivation(alr, rng=np.random.default_rng(21))[0]
+        child = crossover(a, b, np.random.default_rng(22))
         for nt, lst in child.genes.items():
             assert lst == a.genes.get(nt, []) or lst == b.genes.get(nt, [])
 
     def test_inheritance_balanced(self):
         a = Genotype({"s": [0], "t": [0], "u": [0]})
         b = Genotype({"s": [1], "t": [1], "u": [1]})
-        rng = Rng(33).child("bal")
+        rng = np.random.default_rng(33)
         from_a = total = 0
         for _ in range(1000):
             child = crossover(a, b, rng)
@@ -294,7 +316,7 @@ class TestCrossover:
     def test_used_inherited_with_list(self):
         a = Genotype({"s": [0, 0, 0]}, used={"s": 1})
         b = Genotype({"s": [1, 1]}, used={"s": 2})
-        child = crossover(a, b, Rng(44).child("u"))
+        child = crossover(a, b, np.random.default_rng(44))
         if child.genes["s"] == [0, 0, 0]:
             assert child.used["s"] == 1
         else:
@@ -309,32 +331,32 @@ class TestTournament:
 
     def test_full_tournament_returns_global_best(self):
         pop = self.make_pop([0.2, 0.9, 0.5, 0.1])
-        assert tournament_select(pop, 4, Rng(0).child("t")).fitness == 0.9
+        assert tournament_select(pop, 4, np.random.default_rng(0)).fitness == 0.9
 
     def test_pairwise(self):
         pop = self.make_pop([0.1, 0.9])
-        assert tournament_select(pop, 2, Rng(1).child("t")).fitness == 0.9
+        assert tournament_select(pop, 2, np.random.default_rng(1)).fitness == 0.9
 
     def test_k_one_returns_member(self):
         pop = self.make_pop([0.3, 0.6])
-        assert tournament_select(pop, 1, Rng(2).child("t")) in pop
+        assert tournament_select(pop, 1, np.random.default_rng(2)) in pop
 
     def test_ties_break_to_lower_id(self):
         pop = self.make_pop([0.5, 0.5, 0.5])
-        assert tournament_select(pop, 3, Rng(3).child("t")).id == 0
+        assert tournament_select(pop, 3, np.random.default_rng(3)).id == 0
 
     def test_errors(self):
         with pytest.raises(ValueError):
-            tournament_select([], 1, Rng(0).child("t"))
+            tournament_select([], 1, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            tournament_select(self.make_pop([0.1]), 2, Rng(0).child("t"))
+            tournament_select(self.make_pop([0.1]), 2, np.random.default_rng(0))
 
     def test_selection_monotone_in_fitness(self):
         # raising one individual's fitness must not reduce how often it wins
         low = self.make_pop([0.4, 0.5, 0.6, 0.7])
         high = self.make_pop([0.9, 0.5, 0.6, 0.7])
-        rng1 = Rng(77).child("mono")
-        rng2 = Rng(77).child("mono")
+        rng1 = np.random.default_rng(77)
+        rng2 = np.random.default_rng(77)
         wins_low = sum(
             tournament_select(low, 2, rng1).id == 0 for _ in range(300)
         )
@@ -371,3 +393,120 @@ class TestTypes:
     def test_load_shipped_unknown(self):
         with pytest.raises(ValueError):
             load_shipped_genotype("adagrad")
+
+
+class TestGenotypeCopy:
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=30)
+    def test_copy_is_the_checked_construction(self, seed):
+        """A copy skips the gene checks, but equals the checked
+        construction, `used` included: a nonterminal that has genes but
+        that the last mapping did not reach counts every gene as used."""
+        alr = SHIPPED["alr"]
+        rng = np.random.default_rng(seed)
+        geno = mutate(random_derivation(alr, rng=rng)[0], 0.5, alr, rng)
+        try:
+            map_genotype(alr, geno, 6, rng)
+        except MappingFailure:
+            pass
+        geno.genes["unreached"] = [1, 2]
+        twin = geno.copy()
+        checked = Genotype({nt: list(lst) for nt, lst in geno.genes.items()}, dict(geno.used))
+        assert (twin.genes, twin.used) == (checked.genes, checked.used)
+        assert twin == checked and twin.used["unreached"] == 2
+        snapshot = ({nt: list(lst) for nt, lst in geno.genes.items()}, dict(geno.used))
+        mutate(twin, 1.0, alr, rng)
+        for lst in twin.genes.values():
+            lst.append(0)
+        twin.used["unreached"] = 0
+        assert (geno.genes, geno.used) == snapshot
+
+
+DOOMED = parse_grammar("<s> ::= <t> <r>\n<t> ::= a | b\n<r> ::= c <r>\n")
+TAGS = st.lists(st.one_of(st.integers(0, 2**32 - 1), st.text(max_size=8)), min_size=1, max_size=3)
+
+
+def genes_of(geno):
+    return geno.genes, geno.used
+
+
+class TestDrawnConsumers:
+    """Each consumer of a stream of many draws, run as one draw fn under
+    `Streams.draw`, gives the result of the same call on a generator built
+    for its stream alone (`oracles.stream`)."""
+
+    @staticmethod
+    def parents(seed):
+        alr = SHIPPED["alr"]
+        rng = np.random.default_rng(seed)
+        a, b = (random_derivation(alr, rng=rng)[0] for _ in range(2))
+        for lst in b.genes.values():
+            del lst[len(lst) // 2:]  # cut short: mapping b repairs
+        return a, b
+
+    @staticmethod
+    def consumers(a, b):
+        alr = SHIPPED["alr"]
+        pop = [Individual(Genotype({}), fitness=f, id=i)
+               for i, f in enumerate([0.3, 0.9, 0.1, 0.9, 0.5, 0.2])]
+
+        def repaired(gen):
+            geno = b.copy()
+            try:
+                return map_genotype(alr, geno, 6, gen), genes_of(geno)
+            except MappingFailure:
+                return None, genes_of(geno)
+
+        def doomed(gen):
+            try:
+                map_genotype(DOOMED, Genotype({}), 3, gen)
+            except MappingFailure:
+                return gen.random()  # the draws after a failure's own
+
+        def derived(gen):
+            geno, text = random_derivation(alr, rng=gen)
+            return genes_of(geno), text
+
+        return {
+            "random_derivation": derived,
+            "map_genotype": repaired,
+            "mapping failure": doomed,
+            "mutate": lambda gen: genes_of(mutate(a, 0.3, alr, gen)),
+            "crossover": lambda gen: genes_of(crossover(a, b, gen)),
+            "tournament_select": lambda gen: tournament_select(pop, 3, gen).id,
+        }
+
+    @given(st.lists(st.integers(0, 2**70), min_size=1, max_size=3), TAGS,
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_draws_match_per_stream_generators(self, seeds, tags, parent_seed):
+        a, b = self.parents(parent_seed)
+        streams = Streams.from_seeds(seeds).child(*tags)
+        for name, fn in self.consumers(a, b).items():
+            assert streams.draw(fn) == [fn(stream(seed, *tags)) for seed in seeds], name
+
+    @given(st.integers(0, 2**40), st.sampled_from(SYNTHETIC_KINDS), st.integers(10, 60))
+    @settings(max_examples=20, deadline=None)
+    def test_synthetic_is_its_stream(self, seed, kind, n):
+        got = synthetic(kind, n, 0.1, seed)
+        x, y = _synthetic_points(kind, n, 0.1, stream(seed, "synthetic", kind))
+        assert (got.x.tobytes(), got.y.tobytes()) == (x.tobytes(), y.tobytes())
+
+    def test_raising_draw_fn_leaves_the_next_stream_alone(self):
+        """A mapping that fails part way through its draws, raised out of a
+        draw or caught in its fn, moves no other stream's numbers."""
+        with pytest.raises(MappingFailure):
+            Rng(1).child("a").draw(lambda gen: map_genotype(DOOMED, Genotype({}), 3, gen))
+        assert Rng(2).child("b").draw(lambda gen: gen.random(size=4)).tobytes() == \
+            stream(2, "b").random(size=4).tobytes()
+
+        def repair(gen):
+            try:
+                return map_genotype(DOOMED, Genotype({}), 3, gen)
+            except MappingFailure:
+                return None
+
+        streams = Streams.from_seeds([5, 6]).child("repair")
+        assert streams.draw(repair) == [None, None]
+        got = streams.draw(lambda gen: gen.random(size=4).tobytes())
+        assert got == [stream(seed, "repair").random(size=4).tobytes() for seed in (5, 6)]

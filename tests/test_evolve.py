@@ -1,6 +1,7 @@
 """Fitness semantics (min rule, early cancel), generation loop, checkpoints."""
 
 import concurrent.futures
+import copy
 import csv
 import io
 import os
@@ -15,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import fitness_alr_lone, fitness_dlr_lone
+from oracles import (breed_per_stream, fitness_alr_lone, fitness_dlr_lone, repair_per_stream,
+                     seed_population_per_stream)
 import optevo.dsge as dsge_mod
 import optevo.evolve as evolve_mod
 import optevo.nn as nn_mod
@@ -26,11 +28,9 @@ from optevo.dsge import (
     Genotype,
     Individual,
     MappingFailure,
-    crossover,
     map_genotype,
     mutate,
     random_derivation,
-    tournament_select,
 )
 from optevo.evolve import (
     LOG_COLUMNS,
@@ -246,7 +246,7 @@ class TestFitnessReal:
         task = tiny_task(4)
         task.train_config = TrainConfig(batch_size=16, max_epochs=3, patience=1)
         grammar = load_shipped_grammar("alr")
-        rules = [random_derivation(grammar, 6, Rng(d))[1] if isinstance(d, int)
+        rules = [Rng(d).draw(partial(random_derivation, grammar, 6))[1] if isinstance(d, int)
                  else builtin(d[0], HyperParams(lr=d[1])).phenotype() for d in draws]
         with pytest.MonkeyPatch.context() as monkeypatch:
             monkeypatch.setattr(nn_mod, "POPULATION_ELEMENTS", elements)
@@ -270,7 +270,7 @@ class TestFitnessReal:
         task = tiny_task(4)
         task.train_config = TrainConfig(batch_size=16, max_epochs=6, patience=2)
         grammar = load_shipped_grammar("alr")
-        rules = [random_derivation(grammar, 6, Rng(5).child(i))[1]
+        rules = [Rng(5).child(i).draw(partial(random_derivation, grammar, 6))[1]
                  for i in range(14)]
         rules[3:3] = ["grad ; y ; z ; multiply(alpha, 0.9)", "not a rule",
                       "multiply(grad, grad) ; y ; z ; subtract(alpha, multiply(1e300, x))",
@@ -521,34 +521,29 @@ class TestEvolveLoop:
 ALR = load_shipped_grammar("alr")
 
 
-def breed_per_choice(population, params, grammar, root, generation, next_id):
-    """`_breed` with one Rng per stochastic choice, each built alone: child
-    i's tournaments, crossover coin, crossover and mutation."""
-    ranked = sorted(population, key=lambda ind: (-ind.fitness, ind.id))
-    new_pop = ranked[: params.elitism]
-    for i in range(params.population_size - params.elitism):
-        first = tournament_select(population, params.tournament_size,
-                                  root.child("tour", generation, i, 0))
-        if root.child("xo", generation, i).random() < params.crossover_prob:
-            second = tournament_select(population, params.tournament_size,
-                                       root.child("tour", generation, i, 1))
-            geno = crossover(first.genotype, second.genotype, root.child("cross", generation, i))
-        else:
-            geno = first.genotype.copy()
-        geno = mutate(geno, params.mutation_rate, grammar, root.child("mut", generation, i))
-        new_pop.append(Individual(geno, id=next_id))
-        next_id += 1
-    return new_pop, next_id
-
-
 def individuals(seeds, ids):
-    return [Individual(random_derivation(ALR, 6, Rng(seed).child("g"))[0], id=ind_id,
-                       fitness=(seed % 7) / 7) for seed, ind_id in zip(seeds, ids)]
+    """Mapped genotypes, mutated before their mapping, so that some hold
+    genes that their last mapping did not reach, or failed to map."""
+    out = []
+    for seed, ind_id in zip(seeds, ids):
+        rng = np.random.default_rng(seed)
+        geno = mutate(random_derivation(ALR, 6, rng)[0], 0.5, ALR, rng)
+        try:
+            map_genotype(ALR, geno, 6, rng)
+        except MappingFailure:
+            pass
+        out.append(Individual(geno, id=ind_id, fitness=(seed % 7) / 7))
+    return out
+
+
+def genotypes(population):
+    return [(ind.id, ind.genotype.genes, ind.genotype.used) for ind in population]
 
 
 class TestBulkStreams:
-    """Breeding, seeding and repair derive a generation's streams in bulk;
-    every choice is the one its own stream makes alone."""
+    """Breeding, seeding and repair draw each stream's numbers through the
+    shared generator; every choice is the one a generator built for its own
+    stream alone makes (`oracles.stream`)."""
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 2**40), st.integers(1, 50), st.sampled_from([0.0, 0.5, 1.0]))
@@ -557,12 +552,33 @@ class TestBulkStreams:
                      crossover_prob=crossover_prob)
         root = Rng(seed).child("evolve")
         population = individuals(range(seed, seed + 12), range(100, 112))
+        before = copy.deepcopy(genotypes(population))
         got, got_id = evolve_mod._breed(population, evo, ALR, root, generation, 500)
-        want, want_id = breed_per_choice(individuals(range(seed, seed + 12), range(100, 112)),
-                                         evo, ALR, root, generation, 500)
+        want, want_id = breed_per_stream(individuals(range(seed, seed + 12), range(100, 112)),
+                                         evo, ALR, seed, generation, 500)
         assert got_id == want_id == 510
-        assert [(ind.id, ind.genotype.genes, ind.genotype.used) for ind in got] == [
-            (ind.id, ind.genotype.genes, ind.genotype.used) for ind in want]
+        assert genotypes(got) == genotypes(want)
+        assert genotypes(population) == before  # parents are never written
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 2**40), st.integers(1, 50), st.integers(2, 6))
+    def test_repairs_match_per_stream_repairs(self, seed, generation, max_depth):
+        """Genotypes cut short are repaired, and some fail to map, each as a
+        generator of its own stream ("repair", generation, id) repairs it;
+        a failed mapping leaves the next stream's draws as they were."""
+        evo = params(max_depth=max_depth)
+        ids = [3, 11, 40, 41, 97, 1000]
+        pending = individuals(range(seed, seed + len(ids)), ids)
+        for k, ind in enumerate(pending):
+            ind.fitness = None
+            for lst in ind.genotype.genes.values():
+                del lst[k % 3:]
+        want = copy.deepcopy(pending)
+        evolve_mod._evaluate_wave(pending, ALR, evo, per_text(text_score), {},
+                                  Rng(seed).child("evolve"), generation, 1)
+        texts = repair_per_stream(want, ALR, max_depth, seed, generation)
+        assert [ind.phenotype for ind in pending] == texts
+        assert genotypes(pending) == genotypes(want)
 
     def test_seed_population_and_repairs_are_their_streams(self, tmp_path):
         """Generation 0's genotype i is the random derivation of stream
@@ -572,20 +588,16 @@ class TestBulkStreams:
         evolve(evo, ALR, per_text(text_score),
                on_generation=partial(save_checkpoint, tmp_path / "c.json", evo))
         _, population, _, _, _ = load_checkpoint(tmp_path / "c.json")
-        root = Rng(evo.rng_seed).child("evolve")
-        for i, ind in enumerate(population):
-            geno, text = random_derivation(ALR, 6, root.child("seed-pop", i))
-            assert (ind.genotype.genes, ind.phenotype) == (geno.genes, text)
+        want = seed_population_per_stream(ALR, 6, evo.rng_seed, 6)
+        assert [(ind.genotype.genes, ind.phenotype) for ind in population] == [
+            (ind.genotype.genes, ind.phenotype) for ind in want]
         pending = [Individual(Genotype({}), id=ind_id) for ind_id in (3, 11, 40)]
+        root = Rng(evo.rng_seed).child("evolve")
         evolve_mod._evaluate_wave(pending, ALR, evo, per_text(text_score), {}, root, 7, 1)
-        for ind in pending:
-            geno, text = Genotype({}), None
-            try:
-                text = map_genotype(ALR, geno, max_depth=6,
-                                    rng=root.child("repair", 7, ind.id))
-            except MappingFailure:
-                pass
-            assert (ind.genotype.genes, ind.phenotype) == (geno.genes, text)
+        fresh = [Individual(Genotype({}), id=ind_id) for ind_id in (3, 11, 40)]
+        texts = repair_per_stream(fresh, ALR, 6, evo.rng_seed, 7)
+        assert [(ind.genotype.genes, ind.phenotype) for ind in pending] == [
+            (ind.genotype.genes, text) for ind, text in zip(fresh, texts)]
 
 
 class TestLogAndCheckpoint:

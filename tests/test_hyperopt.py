@@ -218,7 +218,7 @@ class TestSelfContainedDesign:
         qmc = pytest.importorskip("scipy.stats").qmc
         for seed in range(6):
             rng = Rng(seed).child("sobol")
-            draw = int(Rng(seed).child("sobol").integers(2**31 - 1))
+            draw = Rng(seed).child("sobol").draw(lambda g: int(g.integers(2**31 - 1)))
             pow2 = 1 << (n - 1).bit_length()
             expected = qmc.Sobol(dim, scramble=True, seed=draw).random(pow2)[:n]
             got = _sobol_design(n, dim, rng)

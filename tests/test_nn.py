@@ -88,7 +88,8 @@ class TestNetworkInit:
         net = Network([3, 6, 4, 2], seed=seed)
         for i, (w, b) in enumerate(zip(net.params[::2], net.params[1::2])):
             limit = np.sqrt(6.0 / w.shape[0])
-            want = Rng(seed).child("init").child("layer", i).uniform(-limit, limit, size=w.shape)
+            want = Rng(seed).child("init").child("layer", i).draw(
+                lambda g: g.uniform(-limit, limit, size=w.shape))
             assert w.tobytes() == want.tobytes()
             assert not b.any()
 
@@ -594,11 +595,11 @@ STEPPER_KINDS = [*BUILTIN_NAMES, "scheduled", "alr", *EDGE_PHENOTYPES]
 
 
 def make_case_stepper(kind, seed, lr_scale):
-    rng = Rng(seed).child("flat-vs-per-tensor")
+    rng = np.random.default_rng(seed)
     if kind == "scheduled":
         return ScheduledSGD(parse_policy(f"if(epoch < 2.0, {0.5 * lr_scale!r}, 0.01)"))
     if kind == "alr":
-        genotype = random_derivation(ALR, rng=rng.child("genotype"))[0]
+        genotype = random_derivation(ALR, rng=rng)[0]
         return make_stepper(spec_from_phenotype(map_genotype(ALR, genotype)))
     if kind in BUILTIN_NAMES:
         hp = HyperParams.defaults_for(kind)
@@ -616,7 +617,7 @@ def oracle_training(sizes, seed, make_stepper, data, cfg):
     shuffle = Rng(cfg.shuffle_seed).child("shuffle")
     _, val_loss, *outcome = train_per_tensor(
         params, make_stepper, data, cfg,
-        lambda epoch: shuffle.child("epoch", epoch).permutation(len(data[0])))
+        lambda epoch: shuffle.child("epoch", epoch).draw(lambda g: g.permutation(len(data[0]))))
     flat = np.concatenate([p.ravel() for p in params])
     return flat, outcome, None if outcome[-1] else val_loss[-1]
 
@@ -723,7 +724,7 @@ class TestCertifiedTraining:
         shuffle = Rng(cfg.shuffle_seed).child("shuffle")
         _, val_loss, *outcome = train_per_tensor(
             params, lambda: Swell(1e100), (train_set, val_set), cfg,
-            lambda epoch: shuffle.child("epoch", epoch).permutation(len(train_set)))
+            lambda epoch: shuffle.child("epoch", epoch).draw(lambda g: g.permutation(len(train_set))))
         assert net.flat.tobytes() == b"".join(p.tobytes() for p in params)
         assert outcome == [3, False, False] and hist.val_loss == val_loss[-1]
 
@@ -856,7 +857,7 @@ class TestSkippedWork:
         shuffle = Rng(cfg.shuffle_seed).child("shuffle")
         _, val_loss, *outcome = train_per_tensor(
             params, lambda: GradientSwell(1e100), (train_set, val_set), cfg,
-            lambda epoch: shuffle.child("epoch", epoch).permutation(len(train_set)))
+            lambda epoch: shuffle.child("epoch", epoch).draw(lambda g: g.permutation(len(train_set))))
         assert net.flat.tobytes() == b"".join(p.tobytes() for p in params)
         assert outcome == [3, False, False] and hist.val_loss == val_loss[-1]
 
@@ -1083,8 +1084,8 @@ class TestPopulationTraining:
         monkeypatch.setattr(nn, "train", real_train)
         assert stacks == ([4, 1] if budget is None else [2, 2, 1])
         for k, (kind, rng) in enumerate(zip(kinds, rngs)):
-            net_seed = int(rng.child("net").integers(2**31 - 1))
-            shuffle_seed = int(rng.child("shuffle").integers(2**31 - 1))
+            net_seed = rng.child("net").draw(lambda g: int(g.integers(2**31 - 1)))
+            shuffle_seed = rng.child("shuffle").draw(lambda g: int(g.integers(2**31 - 1)))
             assert pop.nets[k].seed == net_seed
             assert seen["flat"][k].tobytes() == Network([2, 16, 2], seed=net_seed).flat.tobytes()
             assert seen["cfgs"][k] == replace(cfg, shuffle_seed=shuffle_seed)

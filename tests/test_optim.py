@@ -38,7 +38,7 @@ from optevo.optim import (
     spec_to_json,
 )
 from optevo.sched import Leaf
-from optevo.tensor import OpCode, Rng, tensor
+from optevo.tensor import OpCode, tensor
 from oracles import ORACLES, UnboundVariableError, assert_same_bits, eval_expr, nesterov_steps
 
 SPEC_OPTIMIZERS = ["sgd", "momentum", "rmsprop", "adam", "ades", "sign"]
@@ -286,7 +286,7 @@ class TestBuiltinTexts:
     def test_nesterov_writes_the_native_bytes(self, case):
         """Nesterov as a spec writes, over 30 steps, the weight bytes of the
         native stepper's array ops, with inf and NaN gradients mixed in."""
-        rng = Rng(29).child("nesterov", case)
+        rng = np.random.default_rng((29, case))
         hp = HyperParams(lr=float(10 ** rng.uniform(-4, 0)), mom=float(rng.uniform(0.0, 1.0)))
         shape = (int(rng.integers(1, 5)), int(rng.integers(1, 7)))
         w = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3)
@@ -418,7 +418,7 @@ class TestAdesStep:
 class TestOracleEquivalence:
     @pytest.mark.parametrize("name", SPEC_OPTIMIZERS + ["nesterov"])
     def test_fifty_random_trajectories(self, name):
-        rng = Rng(20260819).child("oracle", name)
+        rng = np.random.default_rng(20260819)
         worst = 0.0
         for _ in range(50):
             w0 = float(rng.uniform(-2.0, 2.0))
@@ -430,7 +430,7 @@ class TestOracleEquivalence:
         assert worst <= 1e-10
 
     def test_momentum_at_zero_equals_sgd(self):
-        rng = Rng(7).child("degenerate")
+        rng = np.random.default_rng(7)
         w0 = 0.5
         grads = [float(g) for g in rng.normal(size=20)]
         hp = HyperParams(lr=0.05, mom=0.0)
@@ -439,7 +439,7 @@ class TestOracleEquivalence:
         )
 
     def test_adam_core_spec_matches_oracle(self):
-        rng = Rng(11).child("adamcore")
+        rng = np.random.default_rng(11)
         hp = HyperParams(lr=0.01, beta1=0.9, beta2=0.99, epsilon=1e-6)
         w0 = 1.0
         grads = [float(g) for g in rng.normal(size=20)]
@@ -558,15 +558,14 @@ TOY_SHAPES = [(2, 16), (16,), (16, 2), (2,)]  # the 2-16-2 net's params
 def assert_compiled_matches_interpreted(spec, seed, grad_scale, batches=5):
     """Step SpecStepper and the interpreter side by side on the toy shapes,
     one stepper per shape; returns whether any update failed."""
-    rng = Rng(seed).child("compiled-vs-interpreted")
+    rng = np.random.default_rng(seed)
     steppers = [SpecStepper(spec) for _ in TOY_SHAPES]
-    w_compiled = [rng.child("w", k).normal(size=s) for k, s in enumerate(TOY_SHAPES)]
+    w_compiled = [rng.normal(size=s) for s in TOY_SHAPES]
     w_interp = [w.copy() for w in w_compiled]
     states = [tuple(np.zeros(s) for _ in range(3)) for s in TOY_SHAPES]
     failed = compiled_failed = False
     for t in range(batches):
-        grads = [rng.child("g", t, k).normal(size=s) * grad_scale
-                 for k, s in enumerate(TOY_SHAPES)]
+        grads = [rng.normal(size=s) * grad_scale for s in TOY_SHAPES]
         with np.errstate(all="ignore"):  # update runs under the caller's
             for stepper, w, g in zip(steppers, w_compiled, grads):
                 stepper.update(w, g)
@@ -594,7 +593,7 @@ class TestCompiledMatchesInterpreted:
         st.sampled_from([1.0, 1e-3, 1e3, 1e150, 1e300]),
     )
     def test_random_genotypes(self, seed, grad_scale):
-        genotype = random_derivation(ALR, rng=Rng(seed).child("genotype"))[0]
+        genotype = random_derivation(ALR, rng=np.random.default_rng(seed))[0]
         spec = spec_from_phenotype(map_genotype(ALR, genotype))
         assert_compiled_matches_interpreted(spec, seed, grad_scale)
 
@@ -649,7 +648,7 @@ class TestOnePassCompile:
     variables does: one `elementwise` call per variable-free op node."""
 
     @pytest.mark.parametrize("text", NESTED_CONSTANT_PHENOTYPES + [
-        map_genotype(ALR, random_derivation(ALR, rng=Rng(seed).child("genotype"))[0])
+        map_genotype(ALR, random_derivation(ALR, rng=np.random.default_rng(seed))[0])
         for seed in range(40)],
         ids=[f"nested{i}" for i in range(len(NESTED_CONSTANT_PHENOTYPES))]
         + [f"alr{seed}" for seed in range(40)])
@@ -779,7 +778,7 @@ class TestLeanStepMatchesFullStep:
         st.sampled_from([1.0, 1e-3, 1e3, 1e150, 1e300]),
     )
     def test_random_genotypes(self, seed, grad_scale):
-        genotype = random_derivation(ALR, rng=Rng(seed).child("genotype"))[0]
+        genotype = random_derivation(ALR, rng=np.random.default_rng(seed))[0]
         spec = spec_from_phenotype(map_genotype(ALR, genotype))
         lean = train_outcome(spec, seed, grad_scale, force=False)
         full = train_outcome(spec, seed, grad_scale, force=True)
@@ -798,7 +797,7 @@ SHARED_RULE_TEXTS = [
 
 
 def alr_text(seed):
-    return map_genotype(ALR, random_derivation(ALR, rng=Rng(seed).child("genotype"))[0])
+    return map_genotype(ALR, random_derivation(ALR, rng=np.random.default_rng(seed))[0])
 
 
 class TestSharedRule:
@@ -817,15 +816,14 @@ class TestSharedRule:
         shared = SpecStepper(spec)
         copies = [copy.copy(shared) for _ in range(n)]
         own = [SpecStepper(spec) for _ in range(n)]
-        rng = Rng(seed).child("shared-rule")
+        rng = np.random.default_rng(seed)
         shapes = [TOY_SHAPES[k % len(TOY_SHAPES)] for k in range(n)]
-        w_copies = [rng.child("w", k).normal(size=s) for k, s in enumerate(shapes)]
+        w_copies = [rng.normal(size=s) for s in shapes]
         w_own = [w.copy() for w in w_copies]
         for t in range(4):
-            grads = [rng.child("g", t, k).normal(size=s) if shared.needs_grad else None
-                     for k, s in enumerate(shapes)]
+            grads = [rng.normal(size=s) if shared.needs_grad else None for s in shapes]
             with np.errstate(all="ignore"):
-                for k in rng.child("order", t).permutation(n):
+                for k in rng.permutation(n):
                     copies[k].update(w_copies[k], grads[k])
                 for k in range(n):
                     own[k].update(w_own[k], grads[k])

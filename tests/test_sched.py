@@ -15,7 +15,6 @@ from optevo.sched import (
     parse_policy,
     serialize_policy,
 )
-from optevo.tensor import Rng
 
 
 @pytest.fixture(scope="module")
@@ -116,7 +115,7 @@ class TestPolicyFromGenotype:
         assert parse_policy(map_genotype(dlr, geno)) == Leaf(0.01)
 
     def test_fuzzed_genotypes_always_yield_valid_trees(self, dlr):
-        master = Rng(314).child("fuzz")
+        master = np.random.default_rng(314)
         for i in range(1000):
             geno = random_derivation(dlr, max_depth=4, rng=master)[0]
             p = parse_policy(map_genotype(dlr, geno, max_depth=4))
@@ -124,7 +123,7 @@ class TestPolicyFromGenotype:
             assert np.isfinite(lr) and 0 < lr <= 1.0
 
     def test_deterministic_given_genes(self, dlr):
-        geno = random_derivation(dlr, rng=Rng(7).child("p"))[0]
+        geno = random_derivation(dlr, rng=np.random.default_rng(7))[0]
         a = parse_policy(map_genotype(dlr, geno.copy()))
         b = parse_policy(map_genotype(dlr, geno.copy()))
         assert a == b

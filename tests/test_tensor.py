@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from oracles import stream
 from optevo.tensor import (
     ARITY,
     OpCode,
@@ -147,77 +148,79 @@ class TestShapes:
             elementwise(OpCode.ADD, tensor([1.0, 2.0]), tensor([[1.0], [2.0]]))
 
 
+def normal(n):
+    return lambda gen: gen.normal(size=n)
+
+
+def uniform(n):
+    return lambda gen: gen.uniform(size=n)
+
+
 class TestRng:
     def test_same_seed_same_stream(self):
-        a = Rng(42).normal(size=10)
-        b = Rng(42).normal(size=10)
+        a = Rng(42).draw(normal(10))
+        b = Rng(42).draw(normal(10))
         np.testing.assert_array_equal(a, b)
 
     def test_different_seeds_differ(self):
-        assert not np.array_equal(Rng(1).normal(size=10), Rng(2).normal(size=10))
+        assert not np.array_equal(Rng(1).draw(normal(10)), Rng(2).draw(normal(10)))
 
     def test_children_reproducible(self):
-        a = Rng(7).child("init", 3).uniform(size=5)
-        b = Rng(7).child("init", 3).uniform(size=5)
+        a = Rng(7).child("init", 3).draw(uniform(5))
+        b = Rng(7).child("init", 3).draw(uniform(5))
         np.testing.assert_array_equal(a, b)
 
     def test_children_independent_of_parent_use(self):
         r1 = Rng(7)
-        r1.normal(size=100)  # drawing from the parent ...
-        a = r1.child("data").uniform(size=5)
-        b = Rng(7).child("data").uniform(size=5)  # ... must not shift children
+        r1.draw(normal(100))  # drawing from the parent ...
+        a = r1.child("data").draw(uniform(5))
+        b = Rng(7).child("data").draw(uniform(5))  # ... must not shift children
         np.testing.assert_array_equal(a, b)
 
     def test_sibling_streams_differ(self):
         r = Rng(7)
-        a = r.child("a").uniform(size=20)
-        b = r.child("b").uniform(size=20)
+        a = r.child("a").draw(uniform(20))
+        b = r.child("b").draw(uniform(20))
         assert not np.array_equal(a, b)
 
     def test_tag_types(self):
         r = Rng(0)
         assert not np.array_equal(
-            r.child("gen", 1).uniform(size=8), r.child("gen", 2).uniform(size=8)
+            r.child("gen", 1).draw(uniform(8)), r.child("gen", 2).draw(uniform(8))
         )
 
-    def test_stream_is_built_on_first_draw(self):
-        root = Rng(11)
-        r = root.child("init", 2)
-        assert root._generator is None and r._generator is None
-        got = r.normal(size=6)
-        assert root._generator is None and r._generator is not None
-        seq = np.random.SeedSequence(11, spawn_key=(zlib.crc32(b"init"), 2))
-        want = np.random.Generator(np.random.Philox(seq))
-        assert got.tobytes() == want.normal(size=6).tobytes()
-        # the first draw bound the generator's own draw methods onto the Rng
-        assert r.integers.__self__ is r.generator and r.choice.__self__ is r.generator
-        assert r.integers(0, 9, size=5).tolist() == want.integers(0, 9, size=5).tolist()
-        assert r.random(size=3).tobytes() == want.random(size=3).tobytes()
-        assert r.uniform(-1, 2, size=3).tobytes() == want.uniform(-1, 2, size=3).tobytes()
-        assert r.normal(1, 3) == want.normal(1, 3)
-        assert r.permutation(9).tolist() == want.permutation(9).tolist()
-        assert r.choice(20, size=4, replace=False).tolist() == want.choice(
-            20, size=4, replace=False).tolist()
-        assert r.integers(7) == want.integers(7)
-        assert Rng(11).child("init", 2).integers.__self__ is not r.generator  # per stream
-        with pytest.raises(AttributeError):  # only the draws reach the generator
-            Rng(11).bit_generator
+    def test_draws_are_the_seed_sequence_stream(self):
+        """A draw fn gets a fresh generator of the stream's SeedSequence,
+        whichever of the generator's draw methods it calls."""
+        r = Rng(11).child("init", 2)
+        want = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(11, spawn_key=(zlib.crc32(b"init"), 2))))
+
+        def draws(gen):
+            return [gen.normal(size=6).tobytes(), gen.integers(0, 9, size=5).tolist(),
+                    gen.random(size=3).tobytes(), gen.uniform(-1, 2, size=3).tobytes(),
+                    gen.normal(1, 3), gen.permutation(9).tolist(),
+                    gen.choice(20, size=4, replace=False).tolist(), gen.integers(7)]
+
+        assert r.draw(draws) == draws(want)
+        with pytest.raises(AttributeError):  # an Rng names streams; it has no draws
+            Rng(11).normal
 
     def test_bulk_draw_leaves_live_streams_alone(self):
-        """A `Streams.draw` re-keys the shared generator; a live Rng keeps
-        its own, so a draw between two of its draws does not move it."""
+        """A `Streams.draw` re-keys the shared generator; a stream drawn
+        again after it draws the same numbers."""
         r = Rng(4).child("live")
         want = np.random.Generator(np.random.Philox(np.random.SeedSequence(
             4, spawn_key=(zlib.crc32(b"live"),))))
-        assert r.integers(100, size=3).tolist() == want.integers(100, size=3).tolist()
+        first = r.draw(lambda gen: gen.integers(100, size=3).tolist())
+        assert first == want.integers(100, size=3).tolist()
         Streams.of([r, Rng(5)]).child("other").draw(lambda gen: gen.random(size=50))
         Streams.of([r]).draw(lambda gen: gen.integers(100, size=7))  # r's own key
-        assert r.random(size=4).tobytes() == want.random(size=4).tobytes()
-        assert r.integers(100, size=3).tolist() == want.integers(100, size=3).tolist()
+        assert r.draw(lambda gen: gen.integers(100, size=3).tolist()) == first
 
     def test_shuffle_and_permutation(self):
         r = Rng(3)
-        p = r.child("perm").permutation(10)
+        p = r.child("perm").draw(lambda gen: gen.permutation(10))
         assert sorted(p) == list(range(10))
 
 
@@ -239,8 +242,9 @@ class TestPrefixKeyedStreams:
                     for tags in tag_groups for t in tags)
         want = np.random.Generator(np.random.Philox(
             np.random.SeedSequence(seed, spawn_key=key))).random(size=7).tobytes()
-        assert rng.random(size=7).tobytes() == want
-        assert Rng(seed, key).random(size=7).tobytes() == want  # the whole key at once
+        assert rng.draw(lambda gen: gen.random(size=7)).tobytes() == want
+        # the whole key at once
+        assert Rng(seed, key).draw(lambda gen: gen.random(size=7)).tobytes() == want
 
     @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 5, 2**160 + 3])
     @pytest.mark.parametrize("length", range(6))
@@ -251,7 +255,7 @@ class TestPrefixKeyedStreams:
             rng = rng.child(word)
         want = np.random.Generator(np.random.Philox(
             np.random.SeedSequence(seed, spawn_key=key)))
-        assert rng.permutation(50).tolist() == want.permutation(50).tolist()
+        assert rng.draw(lambda gen: gen.permutation(50)).tolist() == want.permutation(50).tolist()
 
 
 def seed_sequence_stream(seed, key):
@@ -296,21 +300,16 @@ class TestBulkStreams:
             for k in range(n):
                 want = fn(seed_sequence_stream(seeds[k], keys[k]))
                 assert np.asarray(got[k]).tobytes() == np.asarray(want).tobytes()
-        for k, rng in enumerate(streams.rngs()):  # a many-draw stream as an Rng
-            want = seed_sequence_stream(seeds[k], keys[k])
-            for _ in range(2):
-                assert rng.integers(1000, size=3).tolist() == want.integers(1000, size=3).tolist()
 
     def test_of_rngs_and_take(self):
         rngs = [Rng(3).child("a", k) for k in range(4)]
         streams = Streams.of(rngs).child("b").take([2, 0])
         got = streams.draw(lambda gen: gen.random(size=2))
         for g, k in zip(got, [2, 0]):
-            assert g.tobytes() == rngs[k].child("b").random(size=2).tobytes()
+            assert g.tobytes() == rngs[k].child("b").draw(lambda gen: gen.random(size=2)).tobytes()
 
     def test_no_streams_draw_nothing(self):
         assert Streams.of([]).child("a", [], 3).draw(lambda gen: gen.random()) == []
-        assert list(Streams.from_seeds([]).rngs()) == []
 
     def test_many_tags_at_once(self):
         """More tags than the precomputed hash constants cover."""
@@ -321,9 +320,9 @@ class TestBulkStreams:
 
 
 class TestOneShotDraws:
-    """A stream drawn from once draws through the shared generator
-    (`Streams.draw`, `Rng.draw`), re-keyed to the stream: the numbers of the
-    first draw of the stream's own generator, which `Rng.child(...)` builds."""
+    """A stream draws through the shared generator (`Streams.draw`,
+    `Rng.draw`), re-keyed to the stream: the numbers of a generator built
+    for the stream alone."""
 
     DRAWS = {"seed": draw_seed,
              "random": lambda gen: gen.random(size=(6, 3)),
@@ -333,14 +332,14 @@ class TestOneShotDraws:
            st.lists(TAG, min_size=1, max_size=3), st.sampled_from(sorted(DRAWS)))
     def test_equals_the_child_generator(self, seed, tags, kind):
         fn = self.DRAWS[kind]
-        want = np.asarray(fn(Rng(seed).child(*tags).generator)).tobytes()
+        want = np.asarray(fn(stream(seed, *tags))).tobytes()
         got = Streams.from_seeds([seed]).child(*tags).draw(fn)
         assert len(got) == 1 and np.asarray(got[0]).tobytes() == want
         assert np.asarray(Rng(seed).child(*tags).draw(fn)).tobytes() == want
 
     def test_drawn_stream_draws_its_start_again(self):
-        """An Rng's one-shot draw ignores the draws its own generator made."""
+        """Each draw of a stream starts it afresh, whatever it drew before."""
         rng = Rng(4).child("a")
-        first = rng.random(size=3)
-        rng.random(size=3)
+        first = rng.draw(lambda gen: gen.random(size=3))
+        rng.draw(lambda gen: (gen.random(size=3), gen.random(size=3)))
         assert rng.draw(lambda gen: gen.random(size=3)).tobytes() == first.tobytes()
