@@ -407,8 +407,8 @@ def cmd_evolve(args) -> int:
     def on_generation(generation, population, next_id, cache, log):
         with open(log_path, "a", newline="") as f:
             f.write(log_text(log.stats[-1:], header=False))
-        save_checkpoint(run_dir / "checkpoint.json", params, generation, population,
-                        next_id, cache, log)
+        save_checkpoint(run_dir / "checkpoint.json", generation, population, next_id,
+                        cache, log)
         if not written or log.best_fitness > written[-1]:  # a stopped run names it
             _write_best(run_dir, log.best_fitness, log.best_phenotype,
                         log.best_genotype, scheduler)

@@ -264,9 +264,12 @@ def encode(g: Grammar, text: str, max_depth: int = DEFAULT_MAX_DEPTH) -> Genotyp
         for mid in derive(sym.name, depths, pos):
             yield from derive_seq(symbols, i + 1, depths, mid)
 
-    for end in derive(g.start, {}, 0):
-        if end == len(tokens):
-            return Genotype({nt: list(lst) for nt, lst in genes.items() if lst})
+    try:
+        for end in derive(g.start, {}, 0):
+            if end == len(tokens):
+                return Genotype({nt: list(lst) for nt, lst in genes.items() if lst})
+    finally:  # derive and derive_seq hold each other: free the cycle now, not at a collection
+        derive = derive_seq = None
     raise ValueError(f"grammar cannot derive {text!r}")
 
 

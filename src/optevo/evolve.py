@@ -291,12 +291,13 @@ def log_text(stats, header: bool) -> str:
     return out.getvalue()
 
 
-def save_checkpoint(path, params: EvoParams, generation: int, population,
-                    next_id: int, cache: dict, log: EvolveRunLog) -> None:
+def save_checkpoint(path, generation: int, population, next_id: int, cache: dict,
+                    log: EvolveRunLog) -> None:
+    """Write what `evolve`'s hook gets to `path`, whole (`write_atomic`)."""
     state = {
         "generation": generation,
         "next_id": next_id,
-        "seed": params.rng_seed,
+        "seed": log.seed,
         "search": log.search,
         "population": [
             {

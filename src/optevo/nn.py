@@ -17,11 +17,12 @@ one max and one min reduction over the weights give each failed flag (a
 non-finite weight) and the bound B = max |w| that the certificate below
 reads.
 
-A `Population` is K networks of one shape whose parameters live in one
-(K, P) buffer, row k holding member k's flat buffer. `forward`,
-`_log_softmax`, `_nll`, `mean_loss`, `backward`, `evaluate` and `train` all
-take such a leading member axis. `train` has one epoch loop, and it always
-trains a population: a lone Network trains as a population of one. `nn`
+A `Population` is K networks of one shape held as their parameters alone:
+one (K, P) buffer, the caller's, whose row k is member k's flat buffer; it
+keeps no Network per member. `forward`, `_log_softmax`, `_nll`, `mean_loss`,
+`backward`, `evaluate` and `train` all take such a leading member axis.
+`train` has one epoch loop, and it always trains a population: a lone
+Network trains as a population of one, over a view of its own buffer. `nn`
 alone decides how members stack. `train` splits a population of any size by
 `needs_grad` and cuts each kind into consecutive stacks of at most
 `population_size` members, a budget of `POPULATION_ELEMENTS` per stacked
@@ -35,12 +36,13 @@ the members whose losses a batch must take. A member's numbers are
 those of training it alone, bit for bit: numpy runs a stacked matmul as one
 BLAS call per member with the strides of the single product, and every
 other step is elementwise or reduces within a member's rows. A stack's
-per-member state is row-aligned with its (K, P) buffer: each member's
-stepper, shuffle keys, weight bound, epoch loss sum and batch order, and
-early-stopping state. A member that fails, stops early or finishes leaves
-its stack: its row and that state are dropped together, its weights are
-written straight into its network, and its outcome is written once, since
-every member still in a stack has run the same epochs.
+per-member state is row-aligned with its (K, P) buffer: each member's row
+in the caller's buffer, stepper, shuffle keys, weight bound, epoch loss sum
+and batch order, and early-stopping state. A member that fails, stops early
+or finishes leaves its stack: its row and that state are dropped together,
+its weights are written into its row of the caller's buffer, and its
+outcome is written once, since every member still in a stack has run the
+same epochs.
 
 Floating-point errors never raise or warn here: a non-finite loss or weight
 becomes a failed run. `train` opens one `np.errstate(all="ignore")` around
@@ -56,9 +58,9 @@ not reproduce at every width.
 
 Every random number a training draws comes from a keyed stream, derived
 for a whole population at once as `tensor.Streams`: `train_seeded` draws
-each member's network and shuffle seeds from its stream, `Network.seeded`
-draws every member's layer i from stream ("init", "layer", i) of its
-network seed into the one buffer their `Population` trains on, and
+each member's network and shuffle seeds from its stream, and every
+member's layer i from stream ("init", "layer", i) of its network seed
+straight into the one buffer their `Population` trains on, and
 `_train_stacked` draws each member's epoch-e batch order from stream
 ("shuffle", "epoch", e) of its shuffle seed, every epoch's key derived once
 per stack. Each is a one-shot draw on one re-keyed generator, the numbers
@@ -83,7 +85,7 @@ own B is read only when that check fails.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -159,27 +161,11 @@ class Network:
     """
 
     def __init__(self, layer_sizes, seed: int = 0):
-        layout = _layout(list(layer_sizes))
-        self._adopt(layer_sizes, seed, layout, _initial_weights(layout, [seed])[0])
-
-    @classmethod
-    def seeded(cls, layer_sizes, seeds) -> tuple[list["Network"], Tensor]:
-        """[Network(layer_sizes, seed) for seed in seeds], every initial
-        weight drawn in one pass, and the (K, P) buffer whose row k is
-        nets[k].flat."""
-        layout = _layout(list(layer_sizes))
-        flat = _initial_weights(layout, seeds)
-        nets = [cls.__new__(cls) for _ in seeds]
-        for net, seed, row in zip(nets, seeds, flat):
-            net._adopt(layer_sizes, seed, layout, row)
-        return nets, flat
-
-    def _adopt(self, layer_sizes, seed, layout, flat: Tensor) -> None:
         self.layer_sizes = list(layer_sizes)
         self.seed = seed
-        self._layout = layout
-        self.flat = flat
-        self.params = self._views(flat)
+        self._layout = _layout(self.layer_sizes)
+        self.flat = _initial_weights(self._layout, [seed])[0]
+        self.params = self._views(self.flat)
 
     def _views(self, flat: Tensor) -> list[Tensor]:
         """Views [w0, b0, w1, b1, ...] into a buffer laid out like `flat`."""
@@ -216,34 +202,39 @@ def _initial_weights(layout, seeds) -> Tensor:
 
 
 class Population:
-    """K distinct networks of one shape, `nets`, trained as one: their
-    parameters live in one (K, P) buffer, `flat`, row k laid out like
-    nets[k].flat, and `params` holds its stacked views (see `_views`).
-    Building one copies the members' weights in, unless `flat` (such as
-    `Network.seeded`'s buffer) already holds them; `train` writes them back."""
+    """K networks of one shape, held as their parameters alone: row k of the
+    (K, P) buffer `flat` is member k, laid out like a Network's `flat`, and
+    `params` holds its stacked views (see `_views`). `flat` is the caller's
+    buffer, not a copy, and `train` trains the members in it; a Network
+    trains as Population(net.layer_sizes, net.flat[None]), a view of its
+    own buffer."""
 
-    def __init__(self, nets, flat: Tensor | None = None):
-        self.nets = list(nets)
-        if not self.nets:
-            raise NetworkError("a population needs at least one network")
-        self.layer_sizes = self.nets[0].layer_sizes
-        if any(net.layer_sizes != self.layer_sizes for net in self.nets):
-            raise NetworkError("the networks of a population share one shape")
-        self._layout = self.nets[0]._layout
-        self.flat = np.stack([net.flat for net in self.nets]) if flat is None else flat
-        self.params = self._views(self.flat)
+    def __init__(self, layer_sizes, flat: Tensor):
+        self.layer_sizes = list(layer_sizes)
+        self._layout = _layout(self.layer_sizes)
+        width = self._layout[-1][1]
+        if flat.shape[1:] != (width,) or not len(flat):
+            raise NetworkError(f"a population of {self.layer_sizes} networks needs a "
+                               f"(K >= 1, {width}) buffer, got {flat.shape}")
+        self.flat = flat
+        self.params = self._views(flat)
 
     _views = Network._views
 
     def __len__(self) -> int:
-        return len(self.nets)
+        return len(self.flat)
 
     def take(self, rows) -> "Population":
         """The members at `rows`, in increasing order: this population when
         they are all of them, else a slice shares this buffer and an index
         array copies its rows."""
-        nets = self.nets[rows] if isinstance(rows, slice) else [self.nets[k] for k in rows]
-        return self if len(nets) == len(self.nets) else Population(nets, self.flat[rows])
+        flat = self.flat[rows] if isinstance(rows, slice) or len(rows) < len(self) else self.flat
+        if len(flat) == len(self):
+            return self
+        pop = Population.__new__(Population)
+        pop.layer_sizes, pop._layout, pop.flat = self.layer_sizes, self._layout, flat
+        pop.params = pop._views(flat)
+        return pop
 
     def chunks(self, rows: int):
         """Consecutive groups of members, each sized for one stacked pass
@@ -364,7 +355,6 @@ class TrainConfig:
     max_epochs: int = 100
     early_stop: bool = True
     patience: int = 5
-    shuffle_seed: int = 0
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -396,7 +386,7 @@ def _logit_bound(sizes, x_bound: float, w_bound):
     return a
 
 
-def train(net, stepper, data, cfg=None):
+def train(net, stepper, data, cfg=None, shuffle_seed=0):
     """Mini-batch training loop; returns (net, TrainHistory).
 
     `data` is a (train, validation) Dataset pair. A non-finite parameter
@@ -423,13 +413,16 @@ def train(net, stepper, data, cfg=None):
       certified end weights ends in one scalar check: no member can leave.
 
     `net` is a Network, trained as a population of one, or a Population.
-    For a Population `stepper` is a list, one stepper per member; `cfg` is a
-    TrainConfig or a list of one per member, and the members' configs differ
-    at most in `shuffle_seed`. Every member's outcome is that of training it
-    alone, and each member's network holds its final weights. A Network's
-    history holds scalars, a Population's one tuple entry per member. The
-    members whose steppers need the gradient train first, then the others,
-    each kind cut into consecutive stacks of at most
+    Epoch e's batch order is stream ("shuffle", "epoch", e) of the shuffle
+    seed. A Network takes one stepper and one `shuffle_seed` (0 unless
+    given); a Population takes lists of them, one per member, and every
+    member shares `cfg`.
+    Every member's outcome is that of training it alone, and its final
+    weights are written into its row of the Population's buffer, as a
+    Network's are into its `flat`. A Network's history holds scalars, a
+    Population's one tuple entry per member. The members whose steppers
+    need the gradient train first, then the others, each kind cut into
+    consecutive stacks of at most
     `population_size(min(batch_size, len(train)), layer_sizes)` members.
     """
     cfg = cfg or TrainConfig()
@@ -441,55 +434,51 @@ def train(net, stepper, data, cfg=None):
         if len(part) and not (np.minimum.reduce(part.y) >= 0
                               and np.maximum.reduce(part.y) < width):
             raise NetworkError("label outside the network's class range")
-    pop = net if isinstance(net, Population) else Population([net])
-    steppers = list(stepper) if pop is net else [stepper]
-    cfgs = list(cfg) if isinstance(cfg, (list, tuple)) else [cfg] * len(pop)
-    if not len(steppers) == len(cfgs) == len(pop):
-        raise NetworkError("a population needs one stepper and one config per member")
-    if any(replace(c, shuffle_seed=cfgs[0].shuffle_seed) != cfgs[0] for c in cfgs[1:]):
-        raise NetworkError("the members of a population differ only in shuffle_seed")
+    lone = not isinstance(net, Population)
+    pop = Population(net.layer_sizes, net.flat[None]) if lone else net
+    steppers, seeds = ([stepper], [shuffle_seed]) if lone else (list(stepper), shuffle_seed)
+    if np.isscalar(seeds) or not len(steppers) == len(seeds) == len(pop):
+        raise NetworkError("a population needs one stepper and one shuffle seed per member")
     needs_grad = [getattr(s, "needs_grad", True) for s in steppers]
-    size = population_size(min(cfgs[0].batch_size, len(train_set)), pop.layer_sizes)
-    done = {}
+    size = population_size(min(cfg.batch_size, len(train_set)), pop.layer_sizes)
+    outcomes = [None] * len(pop)
     for kind in (True, False):
         rows = [k for k, flag in enumerate(needs_grad) if flag == kind]
         for stack in (rows[lo : lo + size] for lo in range(0, len(rows), size)):
-            done.update(_train_stacked(pop.take(stack), [steppers[k] for k in stack], data,
-                                       [cfgs[k] for k in stack], kind))
-    outcomes = [done[member] for member in pop.nets]
-    if pop is not net:
+            _train_stacked(pop, np.array(stack), [steppers[k] for k in stack],
+                           [seeds[k] for k in stack], data, cfg, kind, outcomes)
+    if lone:
         return net, TrainHistory(*outcomes[0])
-    pop.flat[...] = np.stack([member.flat for member in pop.nets])
     return net, TrainHistory(*map(tuple, zip(*outcomes)))
 
 
-def _train_stacked(pop: Population, steppers: list, data, cfgs: list,
-                   needs_grad: bool) -> dict:
-    """Train a population whose steppers all need the gradient, or all do
-    not, batch by batch in stacked passes; returns {network: (epochs_run,
-    stopped_early, failed, val_loss)}, each that of training the member
-    alone.
+def _train_stacked(pop: Population, index, steppers: list, seeds: list, data,
+                   cfg: TrainConfig, needs_grad: bool, done: list) -> None:
+    """Train the members of `pop` at rows `index`, whose steppers all need
+    the gradient, or all do not, batch by batch in stacked passes. Each
+    member's final weights go into its row of `pop.flat`, and its
+    (epochs_run, stopped_early, failed, val_loss) into done[its row], each
+    that of training the member alone.
 
-    Row k of `pop.flat`, `steppers[k]`, the shuffle keys `keys[k]`, the
-    weight bound `bound[k]`, the epoch's loss sum `totals[k]` and batch
-    order `order[k]`, and the early-stopping state `best[k]` and `worse[k]`
-    belong to one member, and `leave` alone drops them together. Every row
-    still in the stack has run the same epochs, so a member's outcome is
-    written once, as it leaves, with its weights written back to its network.
-    `top`, the largest bound, stays as it is when rows leave: it still
-    bounds every row left."""
+    Row k of the stack's buffer, its row `index[k]` in `pop`, `steppers[k]`,
+    the shuffle keys `keys[k]`, the weight bound `bound[k]`, the epoch's loss
+    sum `totals[k]` and batch order `order[k]`, and the early-stopping state
+    `best[k]` and `worse[k]` belong to one member, and `leave` alone drops
+    them together. Every row still in the stack has run the same epochs, so
+    a member's weights and outcome are written once, as it leaves. `top`,
+    the largest bound, stays as it is when rows leave: it still bounds every
+    row left."""
     train_set, val_set = data
-    cfg = cfgs[0]
+    stack = pop.take(index)
     # keys[k, e]: row k's epoch-e batch order, stream ("shuffle", "epoch", e)
     # of its shuffle seed, all derived at once
-    keys = Streams.from_seeds([c.shuffle_seed for c in cfgs]).children(
+    keys = Streams.from_seeds(seeds).children(
         "shuffle", "epoch", last=range(cfg.max_epochs)).keys()
-    keys = keys.reshape(len(pop), cfg.max_epochs, 2)
+    keys = keys.reshape(len(stack), cfg.max_epochs, 2)
     # the best validation loss so far, and the epochs since it improved;
     # without early stopping no count reaches the patience
-    best, worse = np.full(len(pop), np.inf), np.zeros(len(pop), dtype=np.int64)
+    best, worse = np.full(len(stack), np.inf), np.zeros(len(stack), dtype=np.int64)
     patience = cfg.patience if cfg.early_stop else math.inf
-    done = {}
     # max |x| over both sets; no validation rows give a 0/0 loss, never certified
     x_bound = max(train_set.x_bound, val_set.x_bound) if len(val_set) else math.inf
     starts = range(0, len(train_set), cfg.batch_size)
@@ -501,53 +490,52 @@ def _train_stacked(pop: Population, steppers: list, data, cfgs: list,
         return ~(_logit_bound(pop.layer_sizes, x_bound, bound) < _LOGIT_MARGIN)
 
     def leave(gone, outcome):  # write rows `gone` out, with outcome(row); rows remain?
-        nonlocal pop, steppers, keys, best, worse, bound, totals, order
+        nonlocal stack, index, steppers, keys, best, worse, bound, totals, order
         for row in np.flatnonzero(gone).tolist():
-            net = pop.nets[row]
-            net.flat[...] = pop.flat[row]
-            done[net] = outcome(row)
+            pop.flat[index[row]] = stack.flat[row]
+            done[index[row]] = outcome(row)
         keep = np.flatnonzero(~gone)
         if len(keep):
-            pop, keys, best, worse = pop.take(keep), keys[keep], best[keep], worse[keep]
-            bound, totals = bound[keep], totals[keep]
+            stack, index, keys = stack.take(keep), index[keep], keys[keep]
+            best, worse, bound, totals = best[keep], worse[keep], bound[keep], totals[keep]
             order = None if order is None else order[keep]
             steppers = [steppers[row] for row in keep.tolist()]
         return len(keep)
 
     with np.errstate(all="ignore"):  # non-finite values become a failed run
-        bound = _abs_max(pop.flat)
+        bound = _abs_max(stack.flat)
         top = bound.max()  # the stack's largest bound: certifies every row at once
         for epoch in range(cfg.max_epochs):
             failed = (epoch, False, True, None)
             for stepper in steppers:
                 stepper.begin_epoch(epoch)
-            totals, order = np.zeros(len(pop)), None  # order: drawn at the first forward
+            totals, order = np.zeros(len(stack)), None  # order: drawn at the first forward
             for lo in starts:
                 # the rows whose loss the certificate leaves open at the weights
                 # this batch's update sees; a gradient-free stack runs its
                 # forward for them alone, a gradient stack for every row
                 rows = np.flatnonzero(uncertified(bound)) if uncertified(top) else ()
                 batch = slice(None) if needs_grad else rows
-                grads = np.empty_like(pop.flat) if needs_grad else [None] * len(pop)
+                grads = np.empty_like(stack.flat) if needs_grad else [None] * len(stack)
                 if needs_grad or len(rows):
                     order = orders(epoch) if order is None else order
                     idx = order[batch, lo : lo + cfg.batch_size]
                     labels = train_set.y[idx]
                     # take() gathers the rows of x several times faster than x[idx]
-                    logits, cache = forward(pop if needs_grad else pop.take(rows),
+                    logits, cache = forward(stack if needs_grad else stack.take(rows),
                                             train_set.x.take(idx, axis=0))
                     log_probs = _log_softmax(logits)
                     if len(rows):  # the certified rows' losses come along
                         totals[batch] += _nll(log_probs, labels) * idx.shape[1]
                     if needs_grad:  # into fresh `grads`: steppers may keep a row
-                        backward(pop, cache, labels, log_probs, grads)
-                for stepper, w, g in zip(steppers, pop.flat, grads):
+                        backward(stack, cache, labels, log_probs, grads)
+                for stepper, w, g in zip(steppers, stack.flat, grads):
                     stepper.update(w, g)
-                bound = _abs_max(pop.flat)
+                bound = _abs_max(stack.flat)
                 top = bound.max()
                 if not top < math.inf:  # NaN compares false too
                     if not leave(~(bound < math.inf), lambda row: failed):
-                        return done
+                        return
             last = epoch == cfg.max_epochs - 1
             # without early stopping, an epoch before the last whose sums are
             # finite and whose end weights are certified has nothing to decide
@@ -556,12 +544,12 @@ def _train_stacked(pop: Population, steppers: list, data, cfgs: list,
                 continue
             finite = np.isfinite(totals)
             need = finite.copy() if cfg.early_stop or last else finite & uncertified(bound)
-            losses = np.full(len(pop), np.nan)
+            losses = np.full(len(stack), np.nan)
             rows = np.flatnonzero(need)
             if len(rows):
                 losses[rows] = np.concatenate([
                     mean_loss(forward(chunk, val_set.x)[0], val_set.y)
-                    for chunk in pop.take(rows).chunks(len(val_set))])
+                    for chunk in stack.take(rows).chunks(len(val_set))])
                 finite[rows] &= np.isfinite(losses[rows])
             # a strict improvement resets the count; NaN compares false
             better = losses < best
@@ -570,8 +558,7 @@ def _train_stacked(pop: Population, steppers: list, data, cfgs: list,
             gone = ~finite | stop | last
             if gone.any() and not leave(gone, lambda row: failed if not finite[row] else
                                         (epoch + 1, bool(stop[row]), False, float(losses[row]))):
-                break
-    return done
+                return
 
 
 def train_seeded(layer_sizes, stepper, data, cfg: TrainConfig, rng):
@@ -579,11 +566,13 @@ def train_seeded(layer_sizes, stepper, data, cfg: TrainConfig, rng):
     from `rng`; returns (net, TrainHistory) like `train`. A lone `Rng`
     trains one Network under `stepper`, as `Streams` of one; `Streams` and a
     list of steppers, one per stream, train one Population, member k seeded
-    by stream k. Each member's network seed is one draw from its stream's
-    child "net", and its shuffle seed one from its child "shuffle"."""
+    by stream k, its initial weights drawn straight into row k of the
+    buffer. Each member's network seed is one draw from its stream's child
+    "net", and its shuffle seed one from its child "shuffle"."""
     lone = isinstance(rng, Rng)
     streams = Streams.of([rng]) if lone else rng
     seeds = streams.children(last=["net", "shuffle"]).draw(draw_seed)
-    nets, flat = Network.seeded(layer_sizes, seeds[::2])
-    cfgs = [replace(cfg, shuffle_seed=seed) for seed in seeds[1::2]]
-    return train(nets[0] if lone else Population(nets, flat), stepper, data, cfgs)
+    if lone:
+        return train(Network(layer_sizes, seeds[0]), stepper, data, cfg, seeds[1])
+    flat = _initial_weights(_layout(list(layer_sizes)), seeds[::2])
+    return train(Population(layer_sizes, flat), stepper, data, cfg, seeds[1::2])

@@ -6,7 +6,9 @@ directly from the published update rules in plain Python floats and share no
 code with the package — that independence is what makes them oracles.
 `nesterov_steps` is the array form of one of them, op for op as the native
 Nesterov stepper computed it before Nesterov became a spec.
-`assert_same_bits` compares float64 results byte for byte.
+`assert_same_bits` compares float64 results byte for byte, and
+`stack_networks` stacks copies of Networks' weights into the (K, P) buffer
+of a Population.
 
 `gp_kernel` is the tuner's squared-exponential kernel in its direct
 broadcast form, `gp_posterior_lu` is its GP posterior through three LU
@@ -48,6 +50,7 @@ import numpy as np
 from optevo import evolve
 from optevo.dsge import (Genotype, Individual, MappingFailure, crossover, map_genotype, mutate,
                          random_derivation, tournament_select)
+from optevo.nn import Population
 from optevo.optim import Apply, Const, ExprError, SpecStepper, Var
 from optevo.sched import ScheduledSGD, serialize_policy
 from optevo.tensor import elementwise
@@ -176,6 +179,12 @@ def assert_same_bits(got, want):
     nan = np.isnan(got)
     assert np.array_equal(nan, np.isnan(want))
     assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+def stack_networks(nets):
+    """A Population over a fresh (K, P) buffer whose row k is a copy of
+    nets[k].flat."""
+    return Population(nets[0].layer_sizes, np.stack([net.flat for net in nets]))
 
 
 def gp_kernel(a, b, length_scale=0.25):

@@ -83,14 +83,19 @@ class TestMapping:
             map_genotype(alr, geno, max_depth=6, rng=np.random.default_rng(0))
 
     def test_mapping_leaves_no_reference_cycle(self, alr):
-        """A mapping, whether it fails or not, frees its recursive closure
-        as it returns, so it leaves the cyclic collector nothing to do."""
+        """A mapping or an encoding, whether it fails or not, frees its
+        recursive closures as it returns, so it leaves the cyclic collector
+        nothing to do."""
         doomed = Genotype({"start": [0], "x_expr": [1] * 12, "x_update": [0] * 12,
                            "x_func": [0] * 12})
-        adam = load_shipped_genotype("adam_core")
+        load_shipped_genotype("adam_core")  # loads the grammar outside the count
         gc.collect()
         gc.disable()
         try:
+            adam = load_shipped_genotype("adam_core")
+            load_shipped_genotype("rmsprop")
+            with pytest.raises(ValueError, match="cannot derive"):
+                encode(alr, "grad ; grad")
             map_genotype(alr, adam)
             try:
                 map_genotype(alr, doomed, max_depth=6)

@@ -287,9 +287,9 @@ class TestFitnessReal:
         stacks = []  # per stacked pass: (members, their needs_grad kinds, kind)
         real_stacked = nn_mod._train_stacked
 
-        def stacked(pop, steppers, data, cfgs, needs_grad):
-            stacks.append((len(pop), {s.needs_grad for s in steppers}, needs_grad))
-            return real_stacked(pop, steppers, data, cfgs, needs_grad)
+        def stacked(pop, index, steppers, seeds, data, cfg, needs_grad, done):
+            stacks.append((len(index), {s.needs_grad for s in steppers}, needs_grad))
+            return real_stacked(pop, index, steppers, seeds, data, cfg, needs_grad, done)
 
         monkeypatch.setattr(evolve_mod, "_run_trial", counted)
         monkeypatch.setattr(nn_mod, "_train_stacked", stacked)
@@ -494,7 +494,7 @@ class TestEvolveLoop:
         ckpt = tmp_path / "ckpt.json"
         evo = params(generations=0)
         evolve(evo, TOY, per_text(text_score),
-               on_generation=partial(save_checkpoint, ckpt, evo))
+               on_generation=partial(save_checkpoint, ckpt))
         assert len(calls) == 8
         _, population, *_ = load_checkpoint(ckpt)
         for ind in population:
@@ -586,7 +586,7 @@ class TestBulkStreams:
         from stream ("repair", generation, id)."""
         evo = params(population_size=6, generations=0, max_depth=6)
         evolve(evo, ALR, per_text(text_score),
-               on_generation=partial(save_checkpoint, tmp_path / "c.json", evo))
+               on_generation=partial(save_checkpoint, tmp_path / "c.json"))
         _, population, _, _, _ = load_checkpoint(tmp_path / "c.json")
         want = seed_population_per_stream(ALR, 6, evo.rng_seed, 6)
         assert [(ind.genotype.genes, ind.phenotype) for ind in population] == [
@@ -615,7 +615,7 @@ class TestLogAndCheckpoint:
         ckpt = tmp_path / "state.json"
         full_best, full_log = evolve(params(generations=6), TOY, per_text(text_score))
         evo = params(generations=3)
-        evolve(evo, TOY, per_text(text_score), on_generation=partial(save_checkpoint, ckpt, evo))
+        evolve(evo, TOY, per_text(text_score), on_generation=partial(save_checkpoint, ckpt))
         resumed_best, resumed_log = evolve(
             params(generations=6), TOY, per_text(text_score),
             resume_from=load_checkpoint(ckpt),
@@ -628,7 +628,7 @@ class TestLogAndCheckpoint:
         ckpt = tmp_path / "state.json"
         evo = params(generations=2)
         best, log = evolve(evo, TOY, per_text(text_score),
-                           on_generation=partial(save_checkpoint, ckpt, evo))
+                           on_generation=partial(save_checkpoint, ckpt))
         again_best, again_log = evolve(evo, TOY, per_text(text_score),
                                        resume_from=load_checkpoint(ckpt))
         assert stat_tuple(again_log) == stat_tuple(log)

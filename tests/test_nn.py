@@ -21,6 +21,8 @@ from optevo.nn import (
     TrainConfig,
     TrainHistory,
     _abs_max,
+    _initial_weights,
+    _layout,
     _log_softmax,
     _logit_bound,
     _nll,
@@ -43,7 +45,7 @@ from optevo.sched import ScheduledSGD, parse_policy
 from optevo.tensor import Rng, Streams
 
 import oracles
-from oracles import assert_same_bits, train_per_tensor
+from oracles import assert_same_bits, stack_networks, train_per_tensor
 
 
 def sgd(lr):
@@ -93,17 +95,17 @@ class TestNetworkInit:
             assert w.tobytes() == want.tobytes()
             assert not b.any()
 
-    def test_seeded_networks_view_one_buffer(self):
-        """`Network.seeded` gives each seed's Network, its weights row k of
-        one (K, P) buffer."""
+    def test_seeded_population_views_one_buffer(self):
+        """`_initial_weights` draws each seed's Network weights into row k of
+        one (K, P) buffer, and a Population over it views that buffer."""
         seeds = [4, 0, 2**31 - 2]
-        nets, flat = Network.seeded([3, 6, 2], seeds)
-        assert flat.shape == (3, nets[0].flat.size)
-        for k, (net, seed) in enumerate(zip(nets, seeds)):
-            assert net.seed == seed and net.layer_sizes == [3, 6, 2]
-            assert net.flat.tobytes() == Network([3, 6, 2], seed=seed).flat.tobytes()
-            assert np.shares_memory(net.flat, flat[k])
-            assert all(np.shares_memory(p, flat[k]) for p in net.params)
+        flat = _initial_weights(_layout([3, 6, 2]), seeds)
+        pop = Population([3, 6, 2], flat)
+        assert flat.shape == (3, Network([3, 6, 2]).flat.size)
+        assert pop.flat is flat and pop.layer_sizes == [3, 6, 2] and len(pop) == 3
+        for k, seed in enumerate(seeds):
+            assert flat[k].tobytes() == Network([3, 6, 2], seed=seed).flat.tobytes()
+        assert all(np.shares_memory(p, flat) for p in pop.params)
 
     def test_size_validation(self):
         with pytest.raises(NetworkError, match="at least"):
@@ -315,20 +317,20 @@ def scripted_training(ts, patience, population):
     """Train a [2, 2] network under Scripted(ts) with early stopping, alone
     or as member 1 of a population of three, between a member whose loss
     falls every epoch and one whose weights go NaN in epoch 1. Returns the
-    scripted member's network and (epochs_run, stopped_early, failed,
+    scripted member's final weights and (epochs_run, stopped_early, failed,
     val_loss)."""
     cfg = TrainConfig(batch_size=2, max_epochs=12, patience=patience)
     data = (SCRIPTED_ROWS, SCRIPTED_ROWS)
     if not population:
         net, hist = train(Network([2, 2]), Scripted(ts), data, cfg)
-        return net, (hist.epochs_run, hist.stopped_early, hist.failed, hist.val_loss)
+        return net.flat, (hist.epochs_run, hist.stopped_early, hist.failed, hist.val_loss)
     falling, failing = [0.1 * (e + 1) for e in range(12)], [1.0, np.nan]
-    pop, hist = train(Population([Network([2, 2]) for _ in range(3)]),
-                      [Scripted(falling), Scripted(ts), Scripted(failing)], data,
-                      [replace(cfg, shuffle_seed=k) for k in range(3)])
+    pop, hist = train(stack_networks([Network([2, 2]) for _ in range(3)]),
+                      [Scripted(falling), Scripted(ts), Scripted(failing)], data, cfg,
+                      [0, 1, 2])
     assert (hist.epochs_run[0], hist.stopped_early[0], hist.failed[0]) == (12, False, False)
     assert (hist.epochs_run[2], hist.failed[2], hist.val_loss[2]) == (1, True, None)
-    return pop.nets[1], (hist.epochs_run[1], hist.stopped_early[1], hist.failed[1],
+    return pop.flat[1], (hist.epochs_run[1], hist.stopped_early[1], hist.failed[1],
                          hist.val_loss[1])
 
 
@@ -350,19 +352,19 @@ class TestEarlyStopping:
         # losses fall over epochs 0-2, then rise: epochs 3-7 are five
         # without an improvement
         ts = [1.0, 2.0, 3.0] + [2.9 - 0.1 * e for e in range(9)]
-        net, outcome = scripted_training(ts, 5, population)
+        flat, outcome = scripted_training(ts, 5, population)
         assert outcome == (8, True, False, scripted_loss(ts[7]))
-        assert net.flat.tolist() == [ts[7], -ts[7], 0.0, 0.0, 0.0, 0.0]
+        assert flat.tolist() == [ts[7], -ts[7], 0.0, 0.0, 0.0, 0.0]
 
     def test_equal_loss_is_not_an_improvement(self, population):
-        net, outcome = scripted_training([0.5] * 12, 2, population)
+        _, outcome = scripted_training([0.5] * 12, 2, population)
         assert outcome == (3, True, False, scripted_loss(0.5))
 
     def test_recovery_resets_counter(self, population):
         # worse, better than the best, then worse twice: the recovery in
         # epoch 2 restarts the count, so patience 2 stops after epoch 4
         ts = [1.0, 0.9, 1.1, 1.0, 1.0] + [1.0] * 7
-        net, outcome = scripted_training(ts, 2, population)
+        _, outcome = scripted_training(ts, 2, population)
         assert outcome == (5, True, False, scripted_loss(1.0))
 
 
@@ -465,8 +467,7 @@ class TestTrain:
         for _ in range(2):
             net = Network([2, 8, 2], seed=4)
             _, hist = train(net, sgd(0.3), toy_data(),
-                            TrainConfig(batch_size=8, max_epochs=5, early_stop=False,
-                                        shuffle_seed=2))
+                            TrainConfig(batch_size=8, max_epochs=5, early_stop=False), 2)
             runs.append((net.flat.tobytes(), hist))
         assert runs[0] == runs[1]
 
@@ -475,8 +476,7 @@ class TestTrain:
         for seed in (0, 1):
             net = Network([2, 8, 2], seed=4)
             train(net, sgd(0.3), toy_data(),
-                  TrainConfig(batch_size=8, max_epochs=3, early_stop=False,
-                              shuffle_seed=seed))
+                  TrainConfig(batch_size=8, max_epochs=3, early_stop=False), seed)
             weights.append(net.flat.tobytes())
         assert weights[0] != weights[1]
 
@@ -609,12 +609,13 @@ def make_case_stepper(kind, seed, lr_scale):
     return make_stepper(spec_from_phenotype(kind))
 
 
-def oracle_training(sizes, seed, make_stepper, data, cfg):
+def oracle_training(sizes, seed, make_stepper, data, cfg, shuffle_seed):
     """`oracles.train_per_tensor` from the initial weights of
-    Network(sizes, seed) and the batch orders `train` draws from cfg:
-    (final flat weights, [epochs_run, stopped_early, failed], val_loss)."""
+    Network(sizes, seed) and the batch orders `train` draws from
+    `shuffle_seed`: (final flat weights, [epochs_run, stopped_early,
+    failed], val_loss)."""
     params = [p.copy() for p in Network(sizes, seed=seed).params]
-    shuffle = Rng(cfg.shuffle_seed).child("shuffle")
+    shuffle = Rng(shuffle_seed).child("shuffle")
     _, val_loss, *outcome = train_per_tensor(
         params, make_stepper, data, cfg,
         lambda epoch: shuffle.child("epoch", epoch).draw(lambda g: g.permutation(len(data[0]))))
@@ -639,12 +640,12 @@ class TestFlatMatchesPerTensor:
         d = synthetic("two_gaussians", 90, noise=0.1, seed=seed % 89)
         data = Dataset(d.x[:60], d.y[:60]), Dataset(d.x[60:], d.y[60:])
         sizes = [2, *hidden, 2 + seed % 2]
-        cfg = TrainConfig(batch_size=16, max_epochs=4, early_stop=early_stop,
-                          patience=1, shuffle_seed=seed % 1000)
+        cfg = TrainConfig(batch_size=16, max_epochs=4, early_stop=early_stop, patience=1)
         net, hist = train(Network(sizes, seed=seed),
-                          make_case_stepper(kind, seed, lr_scale), data, cfg)
+                          make_case_stepper(kind, seed, lr_scale), data, cfg, seed % 1000)
         flat, outcome, val_loss = oracle_training(
-            sizes, seed, lambda: make_case_stepper(kind, seed, lr_scale), data, cfg)
+            sizes, seed, lambda: make_case_stepper(kind, seed, lr_scale), data, cfg,
+            seed % 1000)
         assert_same_bits(net.flat, flat)
         assert [hist.epochs_run, hist.stopped_early, hist.failed] == outcome
         assert hist.val_loss == val_loss
@@ -681,11 +682,11 @@ class TestCertifiedTraining:
         data = Dataset(x[:61], d.y[:61]), Dataset(x[61:], d.y[61:])
         sizes = [2, 16, 2]
         cfg = TrainConfig(batch_size=batch_size, max_epochs=4, early_stop=early_stop,
-                          patience=1, shuffle_seed=seed % 1000)
+                          patience=1)
         net, hist = train(Network(sizes, seed=seed),
-                          make_case_stepper(kind, seed, 1.0), data, cfg)
+                          make_case_stepper(kind, seed, 1.0), data, cfg, seed % 1000)
         flat, outcome, val_loss = oracle_training(
-            sizes, seed, lambda: make_case_stepper(kind, seed, 1.0), data, cfg)
+            sizes, seed, lambda: make_case_stepper(kind, seed, 1.0), data, cfg, seed % 1000)
         # the sign of a NaN may differ between flat and per-tensor stepping
         # (at the parent too); a failed run's weights are never read
         assert_same_bits(net.flat, flat)
@@ -721,7 +722,7 @@ class TestCertifiedTraining:
         assert not hist.failed and hist.epochs_run == 3
         assert calls == {"forward": 3 * 2 + 1, "mean_loss": 1}
         params = [p.copy() for p in Network([2, 4, 2], seed=0).params]
-        shuffle = Rng(cfg.shuffle_seed).child("shuffle")
+        shuffle = Rng(0).child("shuffle")
         _, val_loss, *outcome = train_per_tensor(
             params, lambda: Swell(1e100), (train_set, val_set), cfg,
             lambda epoch: shuffle.child("epoch", epoch).draw(lambda g: g.permutation(len(train_set))))
@@ -854,7 +855,7 @@ class TestSkippedWork:
         assert calls == {"forward": 3 * 4 + 1, "backward": 3 * 4, "mean_loss": 1,
                          "_nll": 3 * 2 + 1}
         params = [p.copy() for p in Network([2, 4, 2], seed=0).params]
-        shuffle = Rng(cfg.shuffle_seed).child("shuffle")
+        shuffle = Rng(0).child("shuffle")
         _, val_loss, *outcome = train_per_tensor(
             params, lambda: GradientSwell(1e100), (train_set, val_set), cfg,
             lambda epoch: shuffle.child("epoch", epoch).draw(lambda g: g.permutation(len(train_set))))
@@ -877,11 +878,17 @@ POPULATION_KINDS = ["alr", "alr", "sgd", "adam", "nesterov", "scheduled", *EDGE_
 
 def member_case(seed, k, kind, lr_scale, batch_size, early_stop, patience=1,
                 max_epochs=4):
-    """Network, stepper and config of population member k."""
+    """Network, stepper, config and shuffle seed of population member k."""
     cfg = TrainConfig(batch_size=batch_size, max_epochs=max_epochs, early_stop=early_stop,
-                      patience=patience, shuffle_seed=(seed + k) % 1000)
+                      patience=patience)
     return (Network([2, 16, 2], seed=seed + k),
-            make_case_stepper(kind, seed + k, lr_scale), cfg)
+            make_case_stepper(kind, seed + k, lr_scale), cfg, (seed + k) % 1000)
+
+
+def train_members(cases, data):
+    """Train `member_case` cases as one Population over a fresh buffer."""
+    nets, steppers, cfgs, shuffles = zip(*cases)
+    return train(stack_networks(nets), list(steppers), data, cfgs[0], list(shuffles))
 
 
 class TestPopulationTraining:
@@ -901,31 +908,41 @@ class TestPopulationTraining:
         st.booleans(),
         st.sampled_from([1, 2, 3]),
         st.integers(1, 8),
+        st.sampled_from([3 * 16 * 16, 2**16]),
     )
     def test_matches_members_trained_alone(self, seed, kinds, x_scale, lr_scale,
-                                           batch_size, early_stop, patience, max_epochs):
+                                           batch_size, early_stop, patience, max_epochs,
+                                           elements):
+        """Member k of a Population is row k of the caller's (K, P) buffer,
+        trained in place, whether the members train in small stacks or in
+        one stack per kind."""
+        import optevo.nn as nn
+
         d = synthetic("two_gaussians", 90, noise=0.1, seed=seed % 89)
         x = d.x * x_scale  # larger inputs leave the certificate sooner
         # 61 rows: every batch size leaves a short last batch
         data = Dataset(x[:61], d.y[:61]), Dataset(x[61:], d.y[61:])
         case = dict(lr_scale=lr_scale, batch_size=batch_size, early_stop=early_stop,
                     patience=patience, max_epochs=max_epochs)
-        cases = [member_case(seed, k, kind, **case) for k, kind in enumerate(kinds)]
-        pop, hist = train(Population([net for net, _, _ in cases]),
-                          [stepper for _, stepper, _ in cases], data,
-                          [cfg for _, _, cfg in cases])
+        nets, steppers, cfgs, shuffles = zip(*(member_case(seed, k, kind, **case)
+                                               for k, kind in enumerate(kinds)))
+        pop = stack_networks(nets)
+        buffer = pop.flat
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(nn, "POPULATION_ELEMENTS", elements)
+            got, hist = train(pop, list(steppers), data, cfgs[0], list(shuffles))
+        assert got is pop and pop.flat is buffer
         for k, kind in enumerate(kinds):
-            net, stepper, cfg = member_case(seed, k, kind, **case)
-            _, alone = train(net, stepper, data, cfg)
-            assert_same_bits(pop.nets[k].flat, net.flat)
-            assert_same_bits(pop.flat[k], net.flat)
+            net, stepper, cfg, shuffle = member_case(seed, k, kind, **case)
+            _, alone = train(net, stepper, data, cfg, shuffle)
+            assert_same_bits(buffer[k], net.flat)
             assert (hist.epochs_run[k], hist.stopped_early[k], hist.failed[k],
                     hist.val_loss[k]) == (alone.epochs_run, alone.stopped_early,
                                           alone.failed, alone.val_loss)
             flat, outcome, val_loss = oracle_training(
                 [2, 16, 2], seed + k,
-                lambda: make_case_stepper(kind, seed + k, lr_scale), data, cfg)
-            assert_same_bits(pop.flat[k], flat)
+                lambda: make_case_stepper(kind, seed + k, lr_scale), data, cfg, shuffle)
+            assert_same_bits(buffer[k], flat)
             assert [hist.epochs_run[k], hist.stopped_early[k], hist.failed[k]] == outcome
             assert hist.val_loss[k] == val_loss
 
@@ -933,8 +950,8 @@ class TestPopulationTraining:
     def test_lone_network_history_holds_scalars(self, lr_scale, failed):
         """A Network trains as a population of one, but its history is not
         a population's: a 1-tuple (False,) would read as failed."""
-        net, stepper, cfg = member_case(0, 0, "sgd", lr_scale, 30, True)
-        histories = [train(net, stepper, toy_data(), cfg)[1],
+        net, stepper, cfg, shuffle = member_case(0, 0, "sgd", lr_scale, 30, True)
+        histories = [train(net, stepper, toy_data(), cfg, shuffle)[1],
                      train_seeded([2, 16, 2], make_case_stepper("sgd", 0, lr_scale),
                                   toy_data(), cfg, Rng(0))[1]]
         for hist in histories:
@@ -947,13 +964,13 @@ class TestPopulationTraining:
         """Swell leaves the certificate on every other update, so each epoch
         takes those batches' losses at the weights their updates see."""
         nets = [Network([2, 4, 2], seed=k) for k in range(3)]
-        cfgs = [TrainConfig(batch_size=24, max_epochs=3, early_stop=False,
-                            shuffle_seed=k) for k in range(3)]
+        cfg = TrainConfig(batch_size=24, max_epochs=3, early_stop=False)
         factors = [1e100, 1e200, 1.5]
-        pop, hist = train(Population(nets), [Swell(f) for f in factors], toy_data(), cfgs)
+        pop, hist = train(stack_networks(nets), [Swell(f) for f in factors], toy_data(), cfg,
+                          [0, 1, 2])
         for k, factor in enumerate(factors):
             net = Network([2, 4, 2], seed=k)
-            _, alone = train(net, Swell(factor), toy_data(), cfgs[k])
+            _, alone = train(net, Swell(factor), toy_data(), cfg, k)
             assert pop.flat[k].tobytes() == net.flat.tobytes()
             assert (hist.epochs_run[k], hist.failed[k], hist.val_loss[k]) == (
                 alone.epochs_run, alone.failed, alone.val_loss)
@@ -967,14 +984,13 @@ class TestPopulationTraining:
         grow, shrink = ("grad ; y ; z ; multiply(alpha, %s)" % f for f in ("1e100", "0.9"))
         makers = [lambda: Swell(1e100), lambda: make_stepper(spec_from_phenotype(grow)),
                   lambda: make_stepper(spec_from_phenotype(shrink))]
-        cfgs = [TrainConfig(batch_size=24, max_epochs=3, early_stop=False,
-                            shuffle_seed=k) for k in range(3)]
-        pop, hist = train(Population([Network([2, 4, 2], seed=k) for k in range(3)]),
-                          [make() for make in makers], toy_data(), cfgs)
+        cfg = TrainConfig(batch_size=24, max_epochs=3, early_stop=False)
+        pop, hist = train(stack_networks([Network([2, 4, 2], seed=k) for k in range(3)]),
+                          [make() for make in makers], toy_data(), cfg, [0, 1, 2])
         assert hist.failed == (False, True, False) and hist.epochs_run == (3, 0, 3)
         for k, make in enumerate(makers):
             net = Network([2, 4, 2], seed=k)
-            _, alone = train(net, make(), toy_data(), cfgs[k])
+            _, alone = train(net, make(), toy_data(), cfg, k)
             assert pop.flat[k].tobytes() == net.flat.tobytes()
             assert (hist.epochs_run[k], hist.failed[k], hist.val_loss[k]) == (
                 alone.epochs_run, alone.failed, alone.val_loss)
@@ -983,10 +999,8 @@ class TestPopulationTraining:
         """Three members run one forward and one backward per batch, one
         update each, and validate together on the final epoch."""
         calls = count_calls(monkeypatch)
-        cases = [member_case(0, k, "sgd", 1.0, 30, False) for k in range(3)]
-        _, hist = train(Population([net for net, _, _ in cases]),
-                        [stepper for _, stepper, _ in cases], toy_data(),
-                        [replace(cfg, max_epochs=2) for _, _, cfg in cases])
+        cases = [member_case(0, k, "sgd", 1.0, 30, False, max_epochs=2) for k in range(3)]
+        _, hist = train_members(cases, toy_data())
         assert hist.failed == (False,) * 3 and hist.epochs_run == (2,) * 3
         # 90 rows in batches of 30 over two epochs, then the final validation
         assert calls == {"forward": 6 + 1, "backward": 6, "mean_loss": 1}
@@ -995,12 +1009,10 @@ class TestPopulationTraining:
         free = "grad ; y ; z ; multiply(alpha, 0.9)"
         cases = [member_case(3, k, kind, 1.0, 16, True)
                  for k, kind in enumerate([free, "sgd"])]
-        pop, hist = train(Population([net for net, _, _ in cases]),
-                          [stepper for _, stepper, _ in cases], toy_data(),
-                          [cfg for _, _, cfg in cases])
+        pop, hist = train_members(cases, toy_data())
         for k, kind in enumerate([free, "sgd"]):
-            net, stepper, cfg = member_case(3, k, kind, 1.0, 16, True)
-            _, alone = train(net, stepper, toy_data(), cfg)
+            net, stepper, cfg, shuffle = member_case(3, k, kind, 1.0, 16, True)
+            _, alone = train(net, stepper, toy_data(), cfg, shuffle)
             assert pop.flat[k].tobytes() == net.flat.tobytes()
             assert hist.val_loss[k] == alone.val_loss
 
@@ -1010,9 +1022,7 @@ class TestPopulationTraining:
         train_set, _ = toy_data()
         empty = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int))
         cases = [member_case(0, k, kind, 1.0, 30, False) for k in range(3)]
-        _, hist = train(Population([net for net, _, _ in cases]),
-                        [stepper for _, stepper, _ in cases], (train_set, empty),
-                        [cfg for _, _, cfg in cases])
+        _, hist = train_members(cases, (train_set, empty))
         assert hist.failed == (True,) * 3 and hist.epochs_run == (0,) * 3
 
     def test_population_past_the_budget_trains_in_stacks(self, monkeypatch):
@@ -1026,27 +1036,23 @@ class TestPopulationTraining:
                 "divide_no_nan(0.01, 3.0) ; y ; z ; subtract(alpha, x)"]
         kinds = ["sgd", free[0], "adam", "scheduled", free[1], "momentum",
                  "nesterov", free[0], "sgd", "rmsprop"]
-        stacks = []  # per stacked pass: (member seeds, their kinds, the pass's kind)
+        stacks = []  # per stacked pass: (member rows, their kinds, the pass's kind)
         real = nn._train_stacked
 
-        def spy(pop, steppers, data, cfgs, needs_grad):
-            stacks.append(([net.seed for net in pop.nets],
-                           {s.needs_grad for s in steppers}, needs_grad))
-            return real(pop, steppers, data, cfgs, needs_grad)
+        def spy(pop, index, steppers, *args):
+            stacks.append((index.tolist(), {s.needs_grad for s in steppers}, args[-2]))
+            return real(pop, index, steppers, *args)
 
         monkeypatch.setattr(nn, "_train_stacked", spy)
         cases = [member_case(0, k, kind, 1.0, 16, True) for k, kind in enumerate(kinds)]
-        pop, hist = train(Population([net for net, _, _ in cases]),
-                          [stepper for _, stepper, _ in cases], toy_data(),
-                          [cfg for _, _, cfg in cases])
+        pop, hist = train_members(cases, toy_data())
         assert population_size(16, [2, 16, 2]) == 3
-        assert [seeds for seeds, _, _ in stacks] == [[0, 2, 3], [5, 6, 8], [9], [1, 4, 7]]
+        assert [rows for rows, _, _ in stacks] == [[0, 2, 3], [5, 6, 8], [9], [1, 4, 7]]
         assert all(kinds == {kind} for _, kinds, kind in stacks)
         monkeypatch.setattr(nn, "_train_stacked", real)
         for k, kind in enumerate(kinds):
-            net, stepper, cfg = member_case(0, k, kind, 1.0, 16, True)
-            _, alone = train(net, stepper, toy_data(), cfg)
-            assert_same_bits(pop.nets[k].flat, net.flat)
+            net, stepper, cfg, shuffle = member_case(0, k, kind, 1.0, 16, True)
+            _, alone = train(net, stepper, toy_data(), cfg, shuffle)
             assert_same_bits(pop.flat[k], net.flat)
             assert (hist.epochs_run[k], hist.stopped_early[k], hist.failed[k],
                     hist.val_loss[k]) == (alone.epochs_run, alone.stopped_early,
@@ -1068,13 +1074,13 @@ class TestPopulationTraining:
         seen, stacks = {}, []
         real_train, real_stacked = nn.train, nn._train_stacked
 
-        def spy_train(net, stepper, data, cfgs):
-            seen.update(flat=net.flat.copy(), cfgs=cfgs)
-            return real_train(net, stepper, data, cfgs)
+        def spy_train(net, stepper, data, cfg, shuffle_seeds):
+            seen.update(flat=net.flat.copy(), cfg=cfg, shuffles=shuffle_seeds)
+            return real_train(net, stepper, data, cfg, shuffle_seeds)
 
-        def spy_stacked(pop, *args):
-            stacks.append(len(pop))
-            return real_stacked(pop, *args)
+        def spy_stacked(pop, index, *args):
+            stacks.append(len(index))
+            return real_stacked(pop, index, *args)
 
         monkeypatch.setattr(nn, "train", spy_train)
         monkeypatch.setattr(nn, "_train_stacked", spy_stacked)
@@ -1083,15 +1089,15 @@ class TestPopulationTraining:
                                  toy_data(), cfg, Streams.of(rngs))
         monkeypatch.setattr(nn, "train", real_train)
         assert stacks == ([4, 1] if budget is None else [2, 2, 1])
+        assert seen["cfg"] == cfg
         for k, (kind, rng) in enumerate(zip(kinds, rngs)):
             net_seed = rng.child("net").draw(lambda g: int(g.integers(2**31 - 1)))
             shuffle_seed = rng.child("shuffle").draw(lambda g: int(g.integers(2**31 - 1)))
-            assert pop.nets[k].seed == net_seed
             assert seen["flat"][k].tobytes() == Network([2, 16, 2], seed=net_seed).flat.tobytes()
-            assert seen["cfgs"][k] == replace(cfg, shuffle_seed=shuffle_seed)
+            assert seen["shuffles"][k] == shuffle_seed
             flat, outcome, val_loss = oracle_training(
                 [2, 16, 2], net_seed, lambda: make_case_stepper(kind, k, 1.0), toy_data(),
-                replace(cfg, shuffle_seed=shuffle_seed))
+                cfg, shuffle_seed)
             assert_same_bits(pop.flat[k], flat)
             assert [hist.epochs_run[k], hist.stopped_early[k], hist.failed[k]] == outcome
             assert hist.val_loss[k] == val_loss
@@ -1107,22 +1113,27 @@ class TestPopulationTraining:
         val = synthetic("two_gaussians", 3000, noise=0.5, seed=1)
         # 3000 rows x 16 wide: groups of population_size = 1 member
         assert population_size(len(val), [2, 16, 2]) == 1
-        assert evaluate(Population(nets), val) == [evaluate(n, val) for n in nets]
+        assert evaluate(stack_networks(nets), val) == [evaluate(n, val) for n in nets]
         small = Dataset(val.x[:300], val.y[:300])
         assert population_size(len(small), [2, 16, 2]) == 13
-        assert evaluate(Population(nets), small) == [evaluate(n, small) for n in nets]
+        assert evaluate(stack_networks(nets), small) == [evaluate(n, small) for n in nets]
 
     def test_population_size(self):
         assert population_size(200, [2, 16, 2]) == 20  # toy batches
         assert population_size(400, [2, 16, 2]) == 10  # toy validation and test
         assert population_size(1000, [784, 100, 10]) == 1
 
-    def test_mixed_shapes_rejected(self):
-        with pytest.raises(NetworkError, match="one shape"):
-            Population([Network([2, 4, 2]), Network([2, 5, 2])])
-        with pytest.raises(NetworkError, match="shuffle_seed"):
-            train(Population([Network([2, 4, 2])] * 2), [sgd(0.1), sgd(0.1)],
-                  toy_data(), [TrainConfig(batch_size=5), TrainConfig(batch_size=6)])
+    def test_buffer_of_another_width_refused(self):
+        """A Population's buffer is (K, P) with K >= 1 and P its layout's
+        size, and `train` takes one stepper and one shuffle seed per row."""
+        width = Network([2, 4, 2]).flat.size
+        for shape in [(2, width + 1), (2, Network([2, 5, 2]).flat.size), (width,), (0, width)]:
+            with pytest.raises(NetworkError, match="buffer"):
+                Population([2, 4, 2], np.zeros(shape))
+        for seeds in ([0], 0):  # the default seed is a lone Network's
+            with pytest.raises(NetworkError, match="one shuffle seed per member"):
+                train(Population([2, 4, 2], np.zeros((2, width))), [sgd(0.1), sgd(0.1)],
+                      toy_data(), TrainConfig(batch_size=5), seeds)
 
 
 SPECIAL_VALUES = [np.inf, -np.inf, np.nan, 0.0, -0.0]

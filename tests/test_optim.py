@@ -764,10 +764,9 @@ class GradScaled(SpecStepper):
 def train_outcome(spec, seed, scale, force):
     d = synthetic("two_gaussians", 100, noise=0.1, seed=seed % 97)
     data = Dataset(d.x[:70], d.y[:70]), Dataset(d.x[70:], d.y[70:])
-    cfg = TrainConfig(batch_size=20, max_epochs=3, early_stop=False,
-                      shuffle_seed=seed)
+    cfg = TrainConfig(batch_size=20, max_epochs=3, early_stop=False)
     net, hist = train(Network([2, 16, 2], seed=seed), GradScaled(spec, scale, force),
-                      data, cfg)
+                      data, cfg, seed)
     return ([p.tobytes() for p in net.params], hist.val_loss, hist.epochs_run,
             hist.stopped_early, hist.failed)
 
