@@ -115,7 +115,7 @@ def _one_run(scenario: BenchmarkScenario, name: str, factory, rep: int, seed: in
                              scenario.train_config, rng)
     if hist.failed:
         return 0.0, 0.0
-    return evaluate(net, scenario.validation), evaluate(net, scenario.test)
+    return evaluate(net, scenario.validation)[0], evaluate(net, scenario.test)[0]
 
 
 def run_benchmark(scenario: BenchmarkScenario, seed: int = 0, workers: int = 1):

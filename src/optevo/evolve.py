@@ -10,9 +10,9 @@ Two fitness protocols share one trial path:
   the moment one falls below the acceptance threshold.
 
 Every training behind a fitness, and behind a `tune` objective, is one
-seeded trial, `_run_trial`: one phenotype trains as a lone network, and a
-list of them as one `nn.Population`, both in `nn.train`'s one loop, which
-alone decides how many members train in each stacked pass. The fitness
+seeded trial, `_run_trial`: one phenotype trains as an `nn.Population` of
+one, and a list of them as one of many, both in `nn.train`'s one loop,
+which alone decides how many members train in each stacked pass. The fitness
 adapters score a list of phenotypes trial-major. All of them are parsed
 first, an update rule into one compiled `SpecStepper`, which each of its
 trials copies. Each trial is one `_run_trial` call on every phenotype still
@@ -133,7 +133,7 @@ def _run_trial(task: TrainingTask, stepper, trial_index: int, key):
     data = (task.trial_groups[trial_index], task.validation)
     net, hist = train_seeded(task.layer_sizes, stepper, data, task.train_config, rng)
     if lone:
-        return (0.0, True) if hist.failed else (evaluate(net, task.test), False)
+        return (0.0, True) if hist.failed else (evaluate(net, task.test)[0], False)
     outcomes = [(0.0, True)] * len(net)
     passed = [k for k, flag in enumerate(hist.failed) if not flag]
     if passed:
@@ -335,29 +335,50 @@ def write_atomic(path, text: str) -> None:
         raise
 
 
+def _typed(value, *types):
+    """`value` when its exact type is one of `types`, so that a bool is no
+    int; TypeError otherwise."""
+    if type(value) not in types:
+        raise TypeError(f"{value!r} is not {' or '.join(t.__name__ for t in types)}")
+    return value
+
+
+_NUMBER = (int, float)
+
+
 def load_checkpoint(path):
     """(generation, population, next_id, cache, log) from a checkpoint file;
-    DataError when the file is not a checkpoint that save_checkpoint wrote."""
+    DataError when the file is not a checkpoint that save_checkpoint wrote,
+    a field of the wrong type included."""
     try:
         state = json.loads(Path(path).read_text(encoding="utf-8"))
         population = [
             Individual(
                 Genotype(d["genes"], d["used"]),
-                phenotype=d["phenotype"],
-                fitness=d["fitness"],
-                id=d["id"],
+                phenotype=_typed(d["phenotype"], str, type(None)),
+                fitness=_typed(d["fitness"], *_NUMBER, type(None)),
+                id=_typed(d["id"], int),
             )
             for d in state["population"]
         ]
-        log = EvolveRunLog(seed=state["seed"], search=state.get("search"))
+        log = EvolveRunLog(seed=_typed(state["seed"], int), search=state.get("search"))
         log.stats = [GenerationStat(**s) for s in state["stats"]]
-        log.best_fitness = state["best"]["fitness"]
-        log.best_phenotype = state["best"]["phenotype"]
+        for stat in log.stats:
+            for value in (stat.generation, stat.evaluations):
+                _typed(value, int)
+            for value in (stat.best, stat.mean, stat.median, stat.seconds):
+                _typed(value, *_NUMBER)
+        log.best_fitness = _typed(state["best"]["fitness"], *_NUMBER)
+        log.best_phenotype = _typed(state["best"]["phenotype"], str, type(None))
         if state["best"]["genotype"] is not None:
             log.best_genotype = Genotype(
                 state["best"]["genotype"]["genes"], state["best"]["genotype"]["used"]
             )
-        return state["generation"], population, state["next_id"], state["cache"], log
+        cache = _typed(state["cache"], dict)  # JSON keys are text
+        for fitness in cache.values():
+            _typed(fitness, *_NUMBER)
+        return (_typed(state["generation"], int), population, _typed(state["next_id"], int),
+                cache, log)
     except (KeyError, TypeError, ValueError, AttributeError) as e:
         raise DataError(f"{path}: not an evolve checkpoint ({type(e).__name__}: {e})") from e
 

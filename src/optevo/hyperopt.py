@@ -19,7 +19,7 @@ m = 832, one BLAS thread), in an `optevo` process, which keeps freed heap
 an added point about 0.08 ms. Without the kept heap each proposal faults its
 two 1.3 MB temporaries, kq and v, in afresh: about 4.5-5.5 ms, against about
 10.5 ms when each proposal rebuilt the train kernel, factored it and inverted
-the factor with a general LU. A trial is one lone training (`evolve._run_trial`):
+the factor with a general LU. A trial trains a Population of one (`evolve._run_trial`):
 at the quick task (900 rows, batch 300, 8 epochs, 2-16-2) about 3.1 ms, most
 of it its 24 batches' arithmetic, since a certified training takes no batch
 loss and validates only on its last epoch. Its seed, and a proposal's two

@@ -18,12 +18,11 @@ non-finite weight) and the bound B = max |w| that the certificate below
 reads.
 
 A `Population` is K networks of one shape held as their parameters alone:
-one (K, P) buffer, the caller's, whose row k is member k's flat buffer; it
-keeps no Network per member. `forward`, `_log_softmax`, `_nll`, `mean_loss`,
-`backward`, `evaluate` and `train` all take such a leading member axis.
-`train` has one epoch loop, and it always trains a population: a lone
-Network trains as a population of one, over a view of its own buffer. `nn`
-alone decides how members stack. `train` splits a population of any size by
+one (K, P) buffer, the caller's, whose row k is member k's flat buffer. It
+is the one network type: a lone network is a population of one. `forward`,
+`_nll`, `mean_loss`, `backward` and `evaluate` each have one form, which
+takes the leading member axis, and `train` has one epoch loop. `nn` alone
+decides how members stack. `train` splits a population of any size by
 `needs_grad` and cuts each kind into consecutive stacks of at most
 `population_size` members, a budget of `POPULATION_ELEMENTS` per stacked
 activation; the validation and test passes go through the members in groups
@@ -64,7 +63,7 @@ straight into the one buffer their `Population` trains on, and
 `_train_stacked` draws each member's epoch-e batch order from stream
 ("shuffle", "epoch", e) of its shuffle seed, every epoch's key derived once
 per stack. Each is a one-shot draw on one re-keyed generator, the numbers
-of a fresh generator per stream; a lone `Rng` trains as `Streams` of one.
+of a fresh generator per stream.
 
 Most losses a training computes are read only to check that they are
 finite, and `train` skips those that a finiteness certificate shows cannot
@@ -115,11 +114,10 @@ class Stepper:
 
     `begin_epoch(epoch)` runs before each epoch's first batch;
     `update(w, g)` takes one weight tensor and its gradient and writes the
-    new weights into `w` in place. `train` passes the network's flat
-    parameter buffer and its flat gradient, so an update must act
-    elementwise; in a population each member's stepper gets its own row of
-    the stacked buffers, which may be a different array on the next call, so
-    a stepper keeps no reference to `w`. `update` runs under the caller's
+    new weights into `w` in place. `train` passes each member's stepper its
+    own row of the stacked flat parameters and flat gradients, so an update
+    must act elementwise; the row may be a different array on the next call,
+    so a stepper keeps no reference to `w`. `update` runs under the caller's
     `np.errstate`: `train` opens one for its whole loop, and a direct caller
     that may overflow opens its own. `train` checks the weights each update
     writes (see the module docstring). A stepper whose weights never depend
@@ -141,35 +139,11 @@ def _abs_max(w: Tensor):
 
 
 def _views(layout, flat: Tensor) -> list[Tensor]:
-    """Views [w0, b0, w1, b1, ...] into `flat`, a (P,) buffer or a (K, P)
-    stack of them: weights (K, fan_in, fan_out) and biases (K, 1, fan_out)
-    when stacked, so that the biases broadcast over rows."""
-    lead = flat.shape[:-1]
-    return [flat[..., start:stop].reshape(*lead, *((1,) if lead and len(shape) == 1
-                                                    else ()), *shape)
+    """Views [w0, b0, w1, b1, ...] into a (K, P) stack of flat buffers:
+    weights (K, fan_in, fan_out) and biases (K, 1, fan_out), so that the
+    biases broadcast over rows."""
+    return [flat[:, start:stop].reshape(len(flat), *((1,) if len(shape) == 1 else ()), *shape)
             for start, stop, shape in layout]
-
-
-class Network:
-    """Fully-connected stack: ReLU after every layer but the last, whose
-    logits feed softmax cross-entropy.
-
-    All parameters live in one float64 vector, `flat`. `params` holds views
-    into it, [w0, b0, w1, b1, ...], each C order, with weights of shape
-    (fan_in, fan_out) and biases of shape (fan_out,): write into them, do not
-    rebind them.
-    """
-
-    def __init__(self, layer_sizes, seed: int = 0):
-        self.layer_sizes = list(layer_sizes)
-        self.seed = seed
-        self._layout = _layout(self.layer_sizes)
-        self.flat = _initial_weights(self._layout, [seed])[0]
-        self.params = self._views(self.flat)
-
-    def _views(self, flat: Tensor) -> list[Tensor]:
-        """Views [w0, b0, w1, b1, ...] into a buffer laid out like `flat`."""
-        return _views(self._layout, flat)
 
 
 def _layout(sizes) -> list:
@@ -186,28 +160,14 @@ def _layout(sizes) -> list:
     return layout
 
 
-def _initial_weights(layout, seeds) -> Tensor:
-    """(len(seeds), P) initial parameters, row k those of a network seeded
-    by seeds[k]: weight matrix i uniform in +-sqrt(6 / fan_in), drawn from
-    stream ("init", "layer", i) of the seed, and zero biases."""
-    weights = layout[::2]
-    flat = np.zeros((len(seeds), layout[-1][1]))
-    keys = Streams.from_seeds(seeds).children("init", "layer", last=range(len(weights))).keys()
-    keys = keys.reshape(len(seeds), len(weights), 2)
-    for i, (start, stop, shape) in enumerate(weights):
-        limit = np.sqrt(6.0 / shape[0])
-        flat[:, start:stop] = draw_keyed(
-            keys[:, i], lambda gen: gen.uniform(-limit, limit, size=stop - start))
-    return flat
-
-
 class Population:
-    """K networks of one shape, held as their parameters alone: row k of the
-    (K, P) buffer `flat` is member k, laid out like a Network's `flat`, and
-    `params` holds its stacked views (see `_views`). `flat` is the caller's
-    buffer, not a copy, and `train` trains the members in it; a Network
-    trains as Population(net.layer_sizes, net.flat[None]), a view of its
-    own buffer."""
+    """K fully-connected networks of one shape, ReLU after every layer but
+    the last, whose logits feed softmax cross-entropy; one network is a
+    Population of one. Row k of the (K, P) buffer `flat` is member k's
+    parameters [w0, b0, w1, b1, ...], each C order, weights (fan_in,
+    fan_out) and biases (fan_out,), and `params` holds their stacked views
+    (see `_views`): write into them, do not rebind them. `flat` is the
+    caller's buffer, not a copy, and `train` trains the members in it."""
 
     def __init__(self, layer_sizes, flat: Tensor):
         self.layer_sizes = list(layer_sizes)
@@ -217,9 +177,23 @@ class Population:
             raise NetworkError(f"a population of {self.layer_sizes} networks needs a "
                                f"(K >= 1, {width}) buffer, got {flat.shape}")
         self.flat = flat
-        self.params = self._views(flat)
+        self.params = _views(self._layout, flat)
 
-    _views = Network._views
+    @classmethod
+    def seeded(cls, layer_sizes, seeds) -> "Population":
+        """Fresh members, member k seeded by seeds[k]: its weight matrix i
+        uniform in +-sqrt(6 / fan_in), drawn from stream ("init", "layer", i)
+        of the seed straight into row k, and zero biases."""
+        layout = _layout(layer_sizes)
+        weights = layout[::2]
+        flat = np.zeros((len(seeds), layout[-1][1]))
+        keys = Streams.from_seeds(seeds).children("init", "layer", last=range(len(weights)))
+        keys = keys.keys().reshape(len(seeds), len(weights), 2)
+        for i, (start, stop, shape) in enumerate(weights):
+            limit = np.sqrt(6.0 / shape[0])
+            flat[:, start:stop] = draw_keyed(
+                keys[:, i], lambda gen: gen.uniform(-limit, limit, size=stop - start))
+        return cls(layer_sizes, flat)
 
     def __len__(self) -> int:
         return len(self.flat)
@@ -233,7 +207,7 @@ class Population:
             return self
         pop = Population.__new__(Population)
         pop.layer_sizes, pop._layout, pop.flat = self.layer_sizes, self._layout, flat
-        pop.params = pop._views(flat)
+        pop.params = _views(pop._layout, flat)
         return pop
 
     def chunks(self, rows: int):
@@ -243,20 +217,19 @@ class Population:
         return [self.take(slice(lo, lo + step)) for lo in range(0, len(self), step)]
 
 
-def forward(net: Network | Population, batch_x: Tensor):
-    """Return (logits, cache); the cache feeds backward(). A population
-    takes rows (B, inputs) shared by all members or (K, B, inputs), one
-    batch per member, and gives (K, B, classes) logits. Runs under the
-    caller's errstate."""
+def forward(pop: Population, batch_x: Tensor):
+    """Return (logits, cache); the cache feeds backward(). Takes rows (B,
+    inputs) shared by all members or (K, B, inputs), one batch per member,
+    and gives (K, B, classes) logits. Runs under the caller's errstate."""
     x = np.asarray(batch_x, dtype=np.float64)
-    if x.ndim not in (2, net.flat.ndim + 1) or x.shape[-1] != net.layer_sizes[0]:
+    if x.ndim not in (2, 3) or x.shape[-1] != pop.layer_sizes[0]:
         raise NetworkError(
-            f"expected inputs of shape (B, {net.layer_sizes[0]}), got {x.shape}"
+            f"expected inputs of shape (B, {pop.layer_sizes[0]}), got {x.shape}"
         )
     activations = [x]
     pre = []
     out = x
-    params = net.params
+    params = pop.params
     for i in range(0, len(params), 2):
         z = out @ params[i]
         z += params[i + 1]
@@ -267,8 +240,7 @@ def forward(net: Network | Population, batch_x: Tensor):
 
 
 def _log_softmax(logits: Tensor) -> Tensor:
-    """Log-softmax along the last axis of 2-D or stacked 3-D logits, under
-    the caller's errstate.
+    """Log-softmax along the last axis, under the caller's errstate.
 
     The row max from a column loop equals `max(axis=-1)`. Where a row's max
     is a +0/-0 tie the two may differ in its sign, which can flip the sign
@@ -284,32 +256,31 @@ def _log_softmax(logits: Tensor) -> Tensor:
     return shifted
 
 
-def _nll(log_probs: Tensor, labels: Tensor):
-    """Mean negative log-probability of the labels: the ops of `.mean()`
-    without its Python wrapper. Stacked (K, B, classes) log-probabilities
-    take labels (B,) shared by all members or (K, B), and give a (K,) array."""
+def _nll(log_probs: Tensor, labels: Tensor) -> Tensor:
+    """Each member's mean negative log-probability of the labels: the ops of
+    `.mean()` without its Python wrapper. Stacked (K, B, classes)
+    log-probabilities take labels (B,) shared by all members or (K, B), and
+    give a (K,) array."""
     n = labels.shape[-1]
-    if log_probs.ndim == 2:
-        return float(-(np.add.reduce(log_probs[np.arange(n), labels]) / n))
     rows = np.arange(0, log_probs.size, log_probs.shape[-1]).reshape(log_probs.shape[:-1])
     return -(np.add.reduce(log_probs.reshape(-1)[rows + labels], axis=-1) / n)
 
 
-def mean_loss(logits: Tensor, labels: Tensor):
-    """Softmax cross-entropy averaged over the batch; one per member for
-    stacked logits."""
+def mean_loss(logits: Tensor, labels: Tensor) -> Tensor:
+    """Softmax cross-entropy averaged over each member's batch of stacked
+    (K, B, classes) logits: a (K,) array."""
     labels = np.asarray(labels, dtype=np.int64)
     with np.errstate(all="ignore"):  # non-finite logits surface as failed runs
         return _nll(_log_softmax(np.asarray(logits, dtype=np.float64)), labels)
 
 
-def backward(net: Network | Population, cache: dict, labels: Tensor,
+def backward(pop: Population, cache: dict, labels: Tensor,
              log_probs: Tensor | None = None, out: Tensor | None = None) -> list[Tensor]:
-    """Gradients of the mean cross-entropy, ordered like net.params: views
-    into `out`, a float64 buffer laid out like net.flat (a fresh one when not
-    given). `log_probs`, the log-softmax of the cached logits, is computed
-    when not given. A population takes labels (K, B) and gives each member
-    the gradient of its own batch. Runs under the caller's errstate."""
+    """Gradients of the mean cross-entropy, ordered like pop.params: views
+    into `out`, a float64 buffer laid out like pop.flat (a fresh one when
+    not given). `log_probs`, the log-softmax of the cached logits, is
+    computed when not given. Labels (K, B) give each member the gradient of
+    its own batch. Runs under the caller's errstate."""
     labels = np.asarray(labels, dtype=np.int64)
     activations, pre = cache["activations"], cache["pre"]
     batch = labels.shape[-1]
@@ -319,16 +290,15 @@ def backward(net: Network | Population, cache: dict, labels: Tensor,
         raise NetworkError("label outside the network's class range")
     if log_probs is None:
         log_probs = _log_softmax(logits)
-    grads = net._views(np.empty_like(net.flat) if out is None else out)
-    stacked = logits.ndim == 3
+    grads = _views(pop._layout, np.empty_like(pop.flat) if out is None else out)
     delta = np.exp(log_probs, order="C")
     # C order keeps reshape(-1) a view, where row r's label entry sits at
     # r * classes + labels[r]
     delta.reshape(-1)[np.arange(0, delta.size, delta.shape[-1]) + labels.reshape(-1)] -= 1.0
     delta /= batch
-    params = net.params
+    params = pop.params
     for i in range(len(params) // 2 - 1, -1, -1):
-        np.add.reduce(delta, axis=-2, out=grads[2 * i + 1], keepdims=stacked)  # bias
+        np.add.reduce(delta, axis=-2, out=grads[2 * i + 1], keepdims=True)  # bias
         np.matmul(activations[i].swapaxes(-1, -2), delta, out=grads[2 * i])  # weights
         if i > 0:
             delta = delta @ params[2 * i].swapaxes(-1, -2)
@@ -336,16 +306,13 @@ def backward(net: Network | Population, cache: dict, labels: Tensor,
     return grads
 
 
-def evaluate(net: Network | Population, data: Dataset):
-    """Accuracy under argmax prediction; ties resolve to the lowest class. A
-    population gets a list, one per member."""
+def evaluate(pop: Population, data: Dataset) -> list[float]:
+    """Each member's accuracy under argmax prediction, in member order; ties
+    resolve to the lowest class."""
     if len(data) == 0:
         raise NetworkError("cannot evaluate on an empty dataset")
     with np.errstate(all="ignore"):  # overflowed logits still give an argmax
-        if isinstance(net, Network):
-            logits, _ = forward(net, data.x)
-            return float((logits.argmax(axis=1) == data.y).mean())
-        return [float(acc) for chunk in net.chunks(len(data))
+        return [float(acc) for chunk in pop.chunks(len(data))
                 for acc in (forward(chunk, data.x)[0].argmax(axis=-1) == data.y).mean(axis=-1)]
 
 
@@ -386,8 +353,8 @@ def _logit_bound(sizes, x_bound: float, w_bound):
     return a
 
 
-def train(net, stepper, data, cfg=None, shuffle_seed=0):
-    """Mini-batch training loop; returns (net, TrainHistory).
+def train(pop: Population, stepper, data, cfg=None, shuffle_seed=0):
+    """Mini-batch training loop; returns (pop, TrainHistory).
 
     `data` is a (train, validation) Dataset pair. A non-finite parameter
     aborts the run at once with history.failed set; a non-finite training
@@ -412,32 +379,29 @@ def train(net, stepper, data, cfg=None, shuffle_seed=0):
     - without early stopping, an epoch before the last with finite sums and
       certified end weights ends in one scalar check: no member can leave.
 
-    `net` is a Network, trained as a population of one, or a Population.
-    Epoch e's batch order is stream ("shuffle", "epoch", e) of the shuffle
-    seed. A Network takes one stepper and one `shuffle_seed` (0 unless
-    given); a Population takes lists of them, one per member, and every
-    member shares `cfg`.
+    `stepper` and `shuffle_seed` are lists, one per member, and every
+    member shares `cfg`; a Population of one may take one stepper and one
+    scalar `shuffle_seed` (0 unless given) instead, and its history then
+    holds scalars, where the lists give one tuple entry per member. Epoch
+    e's batch order is stream ("shuffle", "epoch", e) of the shuffle seed.
     Every member's outcome is that of training it alone, and its final
-    weights are written into its row of the Population's buffer, as a
-    Network's are into its `flat`. A Network's history holds scalars, a
-    Population's one tuple entry per member. The members whose steppers
-    need the gradient train first, then the others, each kind cut into
-    consecutive stacks of at most
+    weights are written into its row of `pop.flat`. The members whose
+    steppers need the gradient train first, then the others, each kind cut
+    into consecutive stacks of at most
     `population_size(min(batch_size, len(train)), layer_sizes)` members.
     """
     cfg = cfg or TrainConfig()
     train_set, val_set = data
     if len(train_set) == 0:
         raise NetworkError("cannot train on an empty dataset")
-    width = net.layer_sizes[-1]
+    width = pop.layer_sizes[-1]
     for part in (train_set, val_set):
         if len(part) and not (np.minimum.reduce(part.y) >= 0
                               and np.maximum.reduce(part.y) < width):
             raise NetworkError("label outside the network's class range")
-    lone = not isinstance(net, Population)
-    pop = Population(net.layer_sizes, net.flat[None]) if lone else net
+    lone = np.isscalar(shuffle_seed)
     steppers, seeds = ([stepper], [shuffle_seed]) if lone else (list(stepper), shuffle_seed)
-    if np.isscalar(seeds) or not len(steppers) == len(seeds) == len(pop):
+    if not len(steppers) == len(seeds) == len(pop):
         raise NetworkError("a population needs one stepper and one shuffle seed per member")
     needs_grad = [getattr(s, "needs_grad", True) for s in steppers]
     size = population_size(min(cfg.batch_size, len(train_set)), pop.layer_sizes)
@@ -447,9 +411,11 @@ def train(net, stepper, data, cfg=None, shuffle_seed=0):
         for stack in (rows[lo : lo + size] for lo in range(0, len(rows), size)):
             _train_stacked(pop, np.array(stack), [steppers[k] for k in stack],
                            [seeds[k] for k in stack], data, cfg, kind, outcomes)
+    # a lone training keeps a scalar history while perfbench's tracer and
+    # CI's tune guard count bool(history.failed) per train call
     if lone:
-        return net, TrainHistory(*outcomes[0])
-    return net, TrainHistory(*map(tuple, zip(*outcomes)))
+        return pop, TrainHistory(*outcomes[0])
+    return pop, TrainHistory(*map(tuple, zip(*outcomes)))
 
 
 def _train_stacked(pop: Population, index, steppers: list, seeds: list, data,
@@ -562,17 +528,14 @@ def _train_stacked(pop: Population, index, steppers: list, seeds: list, data,
 
 
 def train_seeded(layer_sizes, stepper, data, cfg: TrainConfig, rng):
-    """Train fresh networks whose initial weights and batch orders derive
-    from `rng`; returns (net, TrainHistory) like `train`. A lone `Rng`
-    trains one Network under `stepper`, as `Streams` of one; `Streams` and a
-    list of steppers, one per stream, train one Population, member k seeded
-    by stream k, its initial weights drawn straight into row k of the
-    buffer. Each member's network seed is one draw from its stream's child
-    "net", and its shuffle seed one from its child "shuffle"."""
+    """Train a fresh `Population.seeded`, member k seeded by stream k of
+    `rng`; returns (pop, TrainHistory) like `train`. `Streams` take a list
+    of steppers, one per stream; an `Rng` takes one stepper, as `Streams` of
+    one, and gets the scalar history. Each member's network seed is one
+    draw from its stream's child "net", and its shuffle seed one from its
+    child "shuffle"."""
     lone = isinstance(rng, Rng)
     streams = Streams.of([rng]) if lone else rng
     seeds = streams.children(last=["net", "shuffle"]).draw(draw_seed)
-    if lone:
-        return train(Network(layer_sizes, seeds[0]), stepper, data, cfg, seeds[1])
-    flat = _initial_weights(_layout(list(layer_sizes)), seeds[::2])
-    return train(Population(layer_sizes, flat), stepper, data, cfg, seeds[1::2])
+    return train(Population.seeded(layer_sizes, seeds[::2]), stepper, data, cfg,
+                 seeds[1] if lone else seeds[1::2])

@@ -6,9 +6,11 @@ directly from the published update rules in plain Python floats and share no
 code with the package — that independence is what makes them oracles.
 `nesterov_steps` is the array form of one of them, op for op as the native
 Nesterov stepper computed it before Nesterov became a spec.
-`assert_same_bits` compares float64 results byte for byte, and
-`stack_networks` stacks copies of Networks' weights into the (K, P) buffer
-of a Population.
+`assert_same_bits` compares float64 results byte for byte,
+`stack_networks` stacks copies of one-member Populations' weights into the
+(K, P) buffer of a Population, and `member_params` copies one member's
+tensors out in the unstacked layout that `_forward`, `_backward` and
+`train_per_tensor` take.
 
 `gp_kernel` is the tuner's squared-exponential kernel in its direct
 broadcast form, `gp_posterior_lu` is its GP posterior through three LU
@@ -182,9 +184,15 @@ def assert_same_bits(got, want):
 
 
 def stack_networks(nets):
-    """A Population over a fresh (K, P) buffer whose row k is a copy of
-    nets[k].flat."""
-    return Population(nets[0].layer_sizes, np.stack([net.flat for net in nets]))
+    """A Population over a fresh (K, P) buffer whose row k is a copy of the
+    one row of nets[k].flat."""
+    return Population(nets[0].layer_sizes, np.concatenate([net.flat for net in nets]))
+
+
+def member_params(pop, k):
+    """Copies of member k's [w0, b0, w1, b1, ...]: weights (fan_in, fan_out)
+    and biases (fan_out,)."""
+    return [p[k].copy() if i % 2 == 0 else p[k][0].copy() for i, p in enumerate(pop.params)]
 
 
 def gp_kernel(a, b, length_scale=0.25):

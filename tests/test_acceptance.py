@@ -27,7 +27,7 @@ from optevo.evolve import TrainingTask, alr_fitness_fn, evolve, fitness_alr
 import optevo.evolve as evolve_mod
 from optevo.grammar import load_shipped_grammar, sigmoidal_constants
 from optevo.hyperopt import ParamSpec, SearchSpace, tune
-from optevo.nn import Network, TrainConfig, backward, forward, mean_loss
+from optevo.nn import Population, TrainConfig, backward, forward, mean_loss
 from optevo.optim import (
     HyperParams,
     SpecStepper,
@@ -80,7 +80,7 @@ def test_02_backprop_matches_central_differences():
     """2-16-3 network: 10 random parameters, relative error < 1e-4."""
     with criterion(2, "backprop gradients match central finite differences"):
         t0 = time.perf_counter()
-        net = Network([2, 16, 3], seed=11)
+        net = Population.seeded([2, 16, 3], [11])
         r = np.random.default_rng(12)
         x = r.normal(size=(12, 2))
         labels = r.integers(0, 3, size=12)
@@ -102,10 +102,10 @@ def test_02_backprop_matches_central_differences():
             orig = p[idx]
             p[idx] = orig + h
             up, _ = forward(net, x)
-            loss_up = mean_loss(up, labels)
+            loss_up, = mean_loss(up, labels)
             p[idx] = orig - h
             down, _ = forward(net, x)
-            loss_down = mean_loss(down, labels)
+            loss_down, = mean_loss(down, labels)
             p[idx] = orig
             fd = (loss_up - loss_down) / (2 * h)
             an = grads[pi][idx]

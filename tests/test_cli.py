@@ -29,7 +29,7 @@ import optevo.hyperopt as hyperopt_mod
 from optevo.check import grammar_health_checks
 from optevo.evolve import load_checkpoint, parallel_map
 from optevo.grammar import load_shipped_grammar, serialize_grammar
-from optevo.optim import HyperParams, builtin, spec_to_json
+from optevo.optim import HyperParams, builtin, spec_from_json, spec_to_json
 from optevo.sched import parse_policy
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -748,12 +748,34 @@ class TestEvolveCommand:
         assert capsys.readouterr().err.startswith("data error: checkpoint not found")
         assert not (tmp_path / "runs").exists()
 
-    @pytest.mark.parametrize("content", ['{"bad": 1}', "[]", '"text"', "{"])
+    @pytest.mark.parametrize("content", [
+        '{"bad": 1}', "[]", '"text"', "{",
+        # a real run's checkpoint with one field of the wrong type
+        pytest.param(lambda ck: ck.update(cache=[]), id="cache-list"),
+        pytest.param(lambda ck: ck.update(cache={text: str(fitness) for text, fitness
+                                                 in ck["cache"].items()}),
+                     id="cache-values-text"),
+        pytest.param(lambda ck: ck["population"][0].update(fitness="x"), id="fitness-text"),
+        pytest.param(lambda ck: ck["population"][0].update(fitness=True), id="fitness-bool"),
+        pytest.param(lambda ck: ck.update(generation="0"), id="generation-text"),
+        pytest.param(lambda ck: ck.update(next_id="5"), id="next-id-text"),
+        pytest.param(lambda ck: ck["best"].update(fitness="x"), id="best-text"),
+        pytest.param(lambda ck: ck["stats"][0].update(best="x"), id="stats-text"),
+    ])
     def test_resume_from_malformed_checkpoint_is_data_error(
             self, tmp_path, capsys, monkeypatch, content):
+        """Exit 3 before any run directory is made, where a checkpoint of
+        the wrong type would fail part way through the resumed run."""
         monkeypatch.chdir(tmp_path)
         cfg = write_cfg(tmp_path, evolve_payload())
         bad = tmp_path / "ck.json"
+        if callable(content):
+            assert main(["evolve", cfg, "--run-dir", str(tmp_path / "p")]) == EXIT_OK
+            capsys.readouterr()
+            state = json.loads((tmp_path / "p" / "checkpoint.json").read_text())
+            assert state["cache"]
+            content(state)
+            content = json.dumps(state)
         bad.write_text(content)
         assert main(["evolve", cfg, "--resume", str(bad)]) == EXIT_DATA
         assert capsys.readouterr().err.startswith(
@@ -1382,6 +1404,40 @@ class TestConfigRoundTrip:
         echoed = json.loads((tmp_path / "benchmark-first" / "config.json").read_text())
         assert echoed["steppers"] == ["sgd", {"spec_file": str(home / "rule.json")},
                                       {"policy_file": str(home / "sched.txt")}]
+
+
+class TestEvolveThenBenchmark:
+    """README's route from `evolve` to `benchmark`: the run's best rule
+    (best_spec.json) and best schedule (best_policy.txt) score on reserve
+    rows, which no evolve run on the same task and seed ever saw."""
+
+    def test_evolved_entries_score_on_rows_evolution_never_saw(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        alr, dlr = tmp_path / "alr", tmp_path / "dlr"
+        for payload, generations, run in ((evolve_payload(), "1", alr),
+                                          (dlr_payload(), "0", dlr)):
+            argv = ["evolve", write_cfg(tmp_path, payload), "--generations", generations,
+                    "--run-dir", str(run)]
+            assert main(argv) == EXIT_OK
+        task = evolve_payload()["task"]  # the alr run's rows, split and seed
+        del task["max_epochs"], task["early_stop"]
+        spec, policy = alr / "best_spec.json", dlr / "best_policy.txt"
+        bench = bench_payload(seed=3, repetitions=1, test_source="reserve", task=task,
+                              steppers=["sgd", {"spec_file": str(spec)},
+                                        {"policy_file": str(policy)}])
+        runs = [tmp_path / "bench", tmp_path / "bench-again"]
+        for run in runs:
+            assert main(["benchmark", write_cfg(tmp_path, bench), "--run-dir", str(run)]) == EXIT_OK
+        rows = (runs[0] / "bench_toy.csv").read_text().splitlines()[1:]
+        names = [bench_mod.make_entry(item)[0] for item in (
+            "sgd", spec_from_json(spec.read_text()), parse_policy(policy.read_text().strip()))]
+        assert [row.split(",")[1] for row in rows] == names
+        tested = set(json.loads((runs[0] / "indices.json").read_text())["test_indices"])
+        assert len(tested) == 40  # 400 rows, 360 of them in the split
+        for run in (alr, dlr):
+            seen = json.loads((run / "indices.json").read_text())["evolution_indices"]
+            assert seen and not tested & set(seen)
+        assert (runs[1] / "bench_toy.csv").read_bytes() == (runs[0] / "bench_toy.csv").read_bytes()
 
 
 class TestRunDir:

@@ -189,21 +189,21 @@ class TestFitnessReal:
         assert all(0.0 <= s <= 1.0 for s in a.trial_scores)
 
     def test_lone_trial_trains_a_network(self, monkeypatch):
-        """A lone key trains one Network, whose history holds scalars (a
-        population's 1-tuple (False,) would read as failed), and scores what
-        it scores as a member of a wave."""
+        """A lone key trains a Population of one, whose history holds
+        scalars (a population's 1-tuple (False,) would read as failed), and
+        scores what it scores as a member of a wave."""
         task, text = tiny_task(1), builtin("sgd").phenotype()
         histories = []
         real = nn_mod.train
 
         def spy(net, *args):
-            histories.append((type(net), real(net, *args)))
+            histories.append((len(net), real(net, *args)))
             return histories[-1][1]
 
         monkeypatch.setattr(nn_mod, "train", spy)
         lone = evolve_mod._run_trial(task, SpecStepper(builtin("sgd")), 0, text)
-        (kind, (_, hist)), = histories
-        assert kind is nn_mod.Network and hist.failed is False
+        (members, (_, hist)), = histories
+        assert members == 1 and hist.failed is False
         wave = evolve_mod._run_trial(task, [SpecStepper(builtin("sgd")) for _ in range(2)], 0,
                                      [text, builtin("momentum").phenotype()])
         assert lone == wave[0] and not lone[1]

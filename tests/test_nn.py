@@ -1,4 +1,5 @@
-"""Dense networks: init, forward/backward vs finite differences, training loop."""
+"""Dense networks, each a Population of K >= 1 members: init,
+forward/backward vs finite differences and the oracle, training loop."""
 
 import tracemalloc
 import warnings
@@ -14,15 +15,12 @@ from optevo.data import Dataset, synthetic
 from optevo.dsge import map_genotype, random_derivation
 from optevo.grammar import load_shipped_grammar
 from optevo.nn import (
-    Network,
     NetworkError,
     Population,
     Stepper,
     TrainConfig,
     TrainHistory,
     _abs_max,
-    _initial_weights,
-    _layout,
     _log_softmax,
     _logit_bound,
     _nll,
@@ -45,7 +43,7 @@ from optevo.sched import ScheduledSGD, parse_policy
 from optevo.tensor import Rng, Streams
 
 import oracles
-from oracles import assert_same_bits, stack_networks, train_per_tensor
+from oracles import assert_same_bits, member_params, stack_networks, train_per_tensor
 
 
 def sgd(lr):
@@ -54,9 +52,9 @@ def sgd(lr):
 
 class TestNetworkInit:
     def test_layer_shapes_and_activations(self):
-        net = Network([4, 8, 5, 3], seed=0)
-        assert [w.shape for w in net.params[::2]] == [(4, 8), (8, 5), (5, 3)]
-        assert [b.shape for b in net.params[1::2]] == [(8,), (5,), (3,)]
+        net = Population.seeded([4, 8, 5, 3], [0])
+        assert [w.shape for w in net.params[::2]] == [(1, 4, 8), (1, 8, 5), (1, 5, 3)]
+        assert [b.shape for b in net.params[1::2]] == [(1, 1, 8), (1, 1, 5), (1, 1, 3)]
         for b in net.params[1::2]:
             np.testing.assert_array_equal(b, 0.0)
         # ReLU after the hidden layers only: the output layer stays linear
@@ -66,67 +64,67 @@ class TestNetworkInit:
         assert cache["activations"][-1] is cache["pre"][-1]
 
     def test_he_uniform_bounds(self):
-        net = Network([100, 50, 10], seed=1)
+        net = Population.seeded([100, 50, 10], [1])
         for w in net.params[::2]:
-            limit = np.sqrt(6.0 / w.shape[0])
+            limit = np.sqrt(6.0 / w.shape[1])
             assert np.abs(w).max() <= limit
             # spread should fill a decent fraction of the admissible range
             assert np.abs(w).max() > 0.5 * limit
 
     def test_deterministic_in_seed(self):
-        a, b = Network([3, 7, 2], seed=9), Network([3, 7, 2], seed=9)
+        a, b = Population.seeded([3, 7, 2], [9]), Population.seeded([3, 7, 2], [9])
         assert a.flat.tobytes() == b.flat.tobytes()
-        c = Network([3, 7, 2], seed=10)
+        c = Population.seeded([3, 7, 2], [10])
         assert not np.array_equal(a.params[0], c.params[0])
 
     def test_layers_draw_independent_streams(self):
-        net = Network([5, 5, 5, 5], seed=0)
+        net = Population.seeded([5, 5, 5, 5], [0])
         assert not np.array_equal(net.params[0], net.params[2])
 
     @pytest.mark.parametrize("seed", [0, 17, 2**31 - 2, 2**40 + 3])
     def test_weights_are_the_layer_streams(self, seed):
         """Weight matrix i is drawn from stream ("init", "layer", i) of the
         seed, and the biases are zero."""
-        net = Network([3, 6, 4, 2], seed=seed)
+        net = Population.seeded([3, 6, 4, 2], [seed])
         for i, (w, b) in enumerate(zip(net.params[::2], net.params[1::2])):
-            limit = np.sqrt(6.0 / w.shape[0])
+            limit = np.sqrt(6.0 / w.shape[1])
             want = Rng(seed).child("init").child("layer", i).draw(
-                lambda g: g.uniform(-limit, limit, size=w.shape))
+                lambda g: g.uniform(-limit, limit, size=w.shape[1:]))
             assert w.tobytes() == want.tobytes()
             assert not b.any()
 
     def test_seeded_population_views_one_buffer(self):
-        """`_initial_weights` draws each seed's Network weights into row k of
-        one (K, P) buffer, and a Population over it views that buffer."""
+        """`Population.seeded` draws each seed's weights into row k of one
+        (K, P) buffer, and a Population over it views that buffer."""
         seeds = [4, 0, 2**31 - 2]
-        flat = _initial_weights(_layout([3, 6, 2]), seeds)
+        flat = Population.seeded([3, 6, 2], seeds).flat
         pop = Population([3, 6, 2], flat)
-        assert flat.shape == (3, Network([3, 6, 2]).flat.size)
+        assert flat.shape == (3, Population.seeded([3, 6, 2], [0]).flat.size)
         assert pop.flat is flat and pop.layer_sizes == [3, 6, 2] and len(pop) == 3
         for k, seed in enumerate(seeds):
-            assert flat[k].tobytes() == Network([3, 6, 2], seed=seed).flat.tobytes()
+            assert flat[k].tobytes() == Population.seeded([3, 6, 2], [seed]).flat.tobytes()
         assert all(np.shares_memory(p, flat) for p in pop.params)
 
     def test_size_validation(self):
         with pytest.raises(NetworkError, match="at least"):
-            Network([4])
+            Population.seeded([4], [0])
         with pytest.raises(NetworkError, match="positive"):
-            Network([4, 0, 2])
+            Population.seeded([4, 0, 2], [0])
 
     def test_params_alias_layer_tensors(self):
         """`params` is built once: every read gives the same views, and a
         write through one reaches the forward pass."""
-        net = Network([2, 3, 2], seed=0)
+        net = Population.seeded([2, 3, 2], [0])
         params = net.params
         assert len(params) == 4
         assert all(a is b for a, b in zip(params, net.params))
         params[2][...] = 0.0
         params[3][...] = 7.0
         logits, _ = forward(net, np.ones((1, 2)))
-        np.testing.assert_array_equal(logits, [[7.0, 7.0]])
+        np.testing.assert_array_equal(logits, [[[7.0, 7.0]]])
 
     def test_params_are_views_into_flat(self):
-        net = Network([3, 4, 2], seed=1)
+        net = Population.seeded([3, 4, 2], [1])
         params = net.params
         assert net.flat.tobytes() == b"".join(p.tobytes() for p in params)
         assert all(p.flags.c_contiguous and np.shares_memory(p, net.flat)
@@ -137,7 +135,7 @@ class TestNetworkInit:
 
 class TestForward:
     def test_hand_computed_relu_chain(self):
-        net = Network([2, 2, 2], seed=0)
+        net = Population.seeded([2, 2, 2], [0])
         for p, value in zip(net.params, [
             [[1.0, -1.0], [0.0, 2.0]], [0.5, -0.5],
             [[1.0, 0.0], [1.0, 1.0]], [0.0, 1.0],
@@ -145,19 +143,19 @@ class TestForward:
             p[...] = value
         logits, cache = forward(net, np.array([[1.0, 1.0]]))
         # z1 = [1.5, 0.5]; relu keeps both; z2 = [1.5+0.5, 0.5+1] = [2.0, 1.5]
-        np.testing.assert_allclose(logits, [[2.0, 1.5]])
-        np.testing.assert_allclose(cache["activations"][1], [[1.5, 0.5]])
+        np.testing.assert_allclose(logits, [[[2.0, 1.5]]])
+        np.testing.assert_allclose(cache["activations"][1], [[[1.5, 0.5]]])
 
     def test_relu_clamps_negatives(self):
-        net = Network([1, 1, 1], seed=0)
+        net = Population.seeded([1, 1, 1], [0])
         for p, value in zip(net.params, [[[-1.0]], [0.0], [[1.0]], [0.0]]):
             p[...] = value
         logits, cache = forward(net, np.array([[2.0]]))
-        np.testing.assert_array_equal(cache["pre"][0], [[-2.0]])
-        np.testing.assert_array_equal(logits, [[0.0]])
+        np.testing.assert_array_equal(cache["pre"][0], [[[-2.0]]])
+        np.testing.assert_array_equal(logits, [[[0.0]]])
 
     def test_shape_check(self):
-        net = Network([3, 2], seed=0)
+        net = Population.seeded([3, 2], [0])
         with pytest.raises(NetworkError, match="expected inputs"):
             forward(net, np.zeros((5, 4)))
         with pytest.raises(NetworkError, match="expected inputs"):
@@ -165,33 +163,33 @@ class TestForward:
 
 
 class TestLoss:
+    """`mean_loss` of one member's (1, B, classes) logits."""
+
     def test_uniform_logits_give_log_classes(self):
-        logits = np.zeros((7, 4))
+        logits = np.zeros((1, 7, 4))
         labels = np.arange(7) % 4
-        np.testing.assert_allclose(mean_loss(logits, labels), np.log(4.0))
+        np.testing.assert_allclose(mean_loss(logits, labels), [np.log(4.0)])
 
     def test_confident_correct_is_near_zero(self):
-        logits = np.array([[50.0, 0.0, 0.0]])
-        assert mean_loss(logits, np.array([0])) < 1e-10
+        logits = np.array([[[50.0, 0.0, 0.0]]])
+        assert mean_loss(logits, np.array([0]))[0] < 1e-10
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(0)
-        logits = rng.normal(size=(5, 3))
+        logits = rng.normal(size=(1, 5, 3))
         labels = rng.integers(0, 3, 5)
         a = mean_loss(logits, labels)
         b = mean_loss(logits + 1000.0, labels)
         np.testing.assert_allclose(a, b, atol=1e-9)
 
     def test_extreme_logits_stay_finite(self):
-        logits = np.array([[1e4, -1e4]])
-        assert np.isfinite(mean_loss(logits, np.array([1]))) is np.True_ or np.isfinite(
-            mean_loss(logits, np.array([1]))
-        )
+        logits = np.array([[[1e4, -1e4]]])
+        assert np.isfinite(mean_loss(logits, np.array([1]))[0])
 
 
 def loss_at(net, x, y):
     logits, _ = forward(net, x)
-    return mean_loss(logits, y)
+    return mean_loss(logits, y)[0]
 
 
 def fd_gradients(net, x, y, h=1e-5):
@@ -217,7 +215,7 @@ def fd_gradients(net, x, y, h=1e-5):
 class TestBackwardAgainstFiniteDifferences:
     def test_2_16_3_network(self):
         rng = np.random.default_rng(42)
-        net = Network([2, 16, 3], seed=5)
+        net = Population.seeded([2, 16, 3], [5])
         x = rng.random((8, 2))
         y = rng.integers(0, 3, 8)
         _, cache = forward(net, x)
@@ -228,7 +226,7 @@ class TestBackwardAgainstFiniteDifferences:
             assert np.linalg.norm(a - n) / denom < 1e-4
 
     def test_deeper_network_and_batch_of_one(self):
-        net = Network([3, 5, 4, 2], seed=1)
+        net = Population.seeded([3, 5, 4, 2], [1])
         x = np.array([[0.2, 0.9, 0.4]])
         y = np.array([1])
         _, cache = forward(net, x)
@@ -238,7 +236,7 @@ class TestBackwardAgainstFiniteDifferences:
             np.testing.assert_allclose(a, n, atol=1e-7, rtol=1e-4)
 
     def test_gradient_descends(self):
-        net = Network([2, 8, 2], seed=3)
+        net = Population.seeded([2, 8, 2], [3])
         d = synthetic("two_gaussians", 64, seed=0)
         before = loss_at(net, d.x, d.y)
         _, cache = forward(net, d.x)
@@ -248,15 +246,36 @@ class TestBackwardAgainstFiniteDifferences:
         assert loss_at(net, d.x, d.y) < before
 
     def test_given_log_probs_give_the_same_bytes(self):
-        net = Network([2, 8, 3], seed=2)
+        net = Population.seeded([2, 8, 3], [2])
         d = synthetic("xor_blobs", 40, seed=1)
         logits, cache = forward(net, d.x)
         fused = backward(net, cache, d.y, _log_softmax(logits))
         for a, b in zip(fused, backward(net, cache, d.y)):
             assert a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("members", [1, 3])
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared-rows", "own-rows"])
+    def test_members_match_the_oracle(self, members, shared):
+        """Each member's logits and gradients are those that the forward and
+        backward passes of tests/oracles.py give on its rows and labels,
+        bit for bit."""
+        rng = np.random.default_rng(members)
+        pop = Population.seeded([3, 16, 8, 4], range(7, 7 + members))
+        x = rng.normal(size=(9, 3) if shared else (members, 9, 3))
+        labels = rng.integers(0, 4, (members, 9))
+        logits, cache = forward(pop, x)
+        grads = backward(pop, cache, labels)
+        for k in range(members):
+            params = member_params(pop, k)
+            activations, pre = oracles._forward(params, x if shared else x[k])
+            want = oracles._backward(params, activations, pre, labels[k],
+                                     oracles._log_softmax(activations[-1]))
+            assert_same_bits(logits[k], activations[-1])
+            for i, (got, w) in enumerate(zip(grads, want)):
+                assert_same_bits(got[k] if i % 2 == 0 else got[k][0], w)
+
     def test_label_out_of_range(self):
-        net = Network([2, 3], seed=0)
+        net = Population.seeded([2, 3], [0])
         _, cache = forward(net, np.zeros((1, 2)))
         with pytest.raises(NetworkError, match="class range"):
             backward(net, cache, np.array([3]))
@@ -266,7 +285,7 @@ class TestBackwardAgainstFiniteDifferences:
     def test_direct_call_checks_labels(self, labels, fused):
         """`train` checks the labels once, but a direct `backward` call
         still rejects one outside the class range."""
-        net = Network([2, 3, 2], seed=0)
+        net = Population.seeded([2, 3, 2], [0])
         logits, cache = forward(net, np.ones((2, 2)))
         log_probs = _log_softmax(logits) if fused else None
         with pytest.raises(NetworkError, match="class range"):
@@ -275,17 +294,17 @@ class TestBackwardAgainstFiniteDifferences:
 
 class TestEvaluate:
     def test_zero_network_predicts_class_zero(self):
-        net = Network([2, 4, 3], seed=0)
+        net = Population.seeded([2, 4, 3], [0])
         net.flat[...] = 0.0
         d = synthetic("two_gaussians", 40, seed=1)
         # all logits tie at 0, argmax resolves to the lowest index -> class 0
         acc = evaluate(net, d)
-        np.testing.assert_allclose(acc, (d.y == 0).mean())
+        np.testing.assert_allclose(acc, [(d.y == 0).mean()])
 
     def test_empty_dataset_rejected(self):
         from optevo.data import Dataset
 
-        net = Network([2, 2], seed=0)
+        net = Population.seeded([2, 2], [0])
         with pytest.raises(NetworkError, match="empty"):
             evaluate(net, Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int)))
 
@@ -322,10 +341,10 @@ def scripted_training(ts, patience, population):
     cfg = TrainConfig(batch_size=2, max_epochs=12, patience=patience)
     data = (SCRIPTED_ROWS, SCRIPTED_ROWS)
     if not population:
-        net, hist = train(Network([2, 2]), Scripted(ts), data, cfg)
-        return net.flat, (hist.epochs_run, hist.stopped_early, hist.failed, hist.val_loss)
+        net, hist = train(Population.seeded([2, 2], [0]), Scripted(ts), data, cfg)
+        return net.flat[0], (hist.epochs_run, hist.stopped_early, hist.failed, hist.val_loss)
     falling, failing = [0.1 * (e + 1) for e in range(12)], [1.0, np.nan]
-    pop, hist = train(stack_networks([Network([2, 2]) for _ in range(3)]),
+    pop, hist = train(Population.seeded([2, 2], [0, 0, 0]),
                       [Scripted(falling), Scripted(ts), Scripted(failing)], data, cfg,
                       [0, 1, 2])
     assert (hist.epochs_run[0], hist.stopped_early[0], hist.failed[0]) == (12, False, False)
@@ -336,7 +355,7 @@ def scripted_training(ts, patience, population):
 
 def scripted_loss(t):
     """The validation loss of Scripted's weights at t: logits (t, -t) and (-t, t)."""
-    return mean_loss(np.array([[t, -t], [-t, t]]), SCRIPTED_ROWS.y)
+    return mean_loss(np.array([[[t, -t], [-t, t]]]), SCRIPTED_ROWS.y)[0]
 
 
 class TestEarlyStopping:
@@ -416,7 +435,7 @@ def toy_data(n=120, seed=0):
 
 class TestTrain:
     def test_zero_lr_leaves_weights_unchanged(self):
-        net = Network([2, 4, 2], seed=0)
+        net = Population.seeded([2, 4, 2], [0])
         before = [p.copy() for p in net.params]
         data = toy_data()
         _, hist = train(net, sgd(0.0), data,
@@ -427,16 +446,16 @@ class TestTrain:
         assert not hist.stopped_early and not hist.failed
 
     def test_val_loss_is_at_returned_weights(self):
-        net = Network([2, 4, 2], seed=0)
+        net = Population.seeded([2, 4, 2], [0])
         train_set, val_set = toy_data()
         _, hist = train(net, sgd(0.1), (train_set, val_set),
                         TrainConfig(batch_size=16, max_epochs=4, early_stop=False))
         assert hist.epochs_run == 4
         logits, _ = forward(net, val_set.x)
-        assert hist.val_loss == mean_loss(logits, val_set.y)
+        assert hist.val_loss == mean_loss(logits, val_set.y)[0]
 
     def test_constant_val_loss_stops_after_patience(self):
-        net = Network([2, 4, 2], seed=0)
+        net = Population.seeded([2, 4, 2], [0])
         _, hist = train(net, RecordingStepper(), toy_data(),
                         TrainConfig(batch_size=16, max_epochs=50, patience=5))
         # epoch 0 sets the best; epochs 1-5 tie, never strictly better
@@ -445,7 +464,7 @@ class TestTrain:
 
     def test_begin_epoch_gets_zero_based_indices(self):
         rec = RecordingStepper()
-        net = Network([2, 4, 2], seed=0)
+        net = Population.seeded([2, 4, 2], [0])
         train(net, rec, toy_data(),
               TrainConfig(batch_size=16, max_epochs=4, early_stop=False))
         assert rec.epochs == [0, 1, 2, 3]
@@ -455,7 +474,7 @@ class TestTrain:
         spec = spec_from_phenotype(
             "sqrt(negative(grad)) ; y ; z ; add(alpha, x)", name="nan_maker"
         )
-        net = Network([2, 4, 2], seed=0)
+        net = Population.seeded([2, 4, 2], [0])
         _, hist = train(net, make_stepper(spec), toy_data(),
                         TrainConfig(batch_size=16, max_epochs=5))
         assert hist.failed
@@ -465,7 +484,7 @@ class TestTrain:
     def test_training_is_deterministic(self):
         runs = []
         for _ in range(2):
-            net = Network([2, 8, 2], seed=4)
+            net = Population.seeded([2, 8, 2], [4])
             _, hist = train(net, sgd(0.3), toy_data(),
                             TrainConfig(batch_size=8, max_epochs=5, early_stop=False), 2)
             runs.append((net.flat.tobytes(), hist))
@@ -474,24 +493,24 @@ class TestTrain:
     def test_shuffle_seed_changes_trajectory(self):
         weights = []
         for seed in (0, 1):
-            net = Network([2, 8, 2], seed=4)
+            net = Population.seeded([2, 8, 2], [4])
             train(net, sgd(0.3), toy_data(),
                   TrainConfig(batch_size=8, max_epochs=3, early_stop=False), seed)
             weights.append(net.flat.tobytes())
         assert weights[0] != weights[1]
 
     def test_sgd_solves_two_gaussians(self):
-        net = Network([2, 16, 2], seed=0)
+        net = Population.seeded([2, 16, 2], [0])
         train_set, val_set = toy_data(n=400, seed=2)
         _, hist = train(net, sgd(0.5), (train_set, val_set),
                         TrainConfig(batch_size=32, max_epochs=50, early_stop=False))
-        assert evaluate(net, val_set) >= 0.95
-        untrained, _ = forward(Network([2, 16, 2], seed=0), val_set.x)
-        assert hist.val_loss < mean_loss(untrained, val_set.y)
+        assert evaluate(net, val_set)[0] >= 0.95
+        untrained, _ = forward(Population.seeded([2, 16, 2], [0]), val_set.x)
+        assert hist.val_loss < mean_loss(untrained, val_set.y)[0]
 
     def test_scheduled_sgd_consults_policy_each_epoch(self):
         policy = parse_policy("if(epoch < 3.0, 0.5, 0.001)")
-        net = Network([2, 4, 2], seed=0)
+        net = Population.seeded([2, 4, 2], [0])
         stepper = ScheduledSGD(policy)
         seen = []
         original = stepper.begin_epoch
@@ -511,12 +530,12 @@ class TestTrain:
         ends at weights whose validation loss is finite."""
         train_set, val_set = toy_data()
         cfg = TrainConfig(batch_size=24, max_epochs=3, early_stop=False)
-        net, hist = train(Network([2, 4, 2], seed=0), Swell(1e200),
+        net, hist = train(Population.seeded([2, 4, 2], [0]), Swell(1e200),
                           (train_set, val_set), cfg)
         assert hist.failed and hist.epochs_run == 0
         assert np.isfinite(net.flat).all()
         logits, _ = forward(net, val_set.x)
-        assert np.isfinite(mean_loss(logits, val_set.y))
+        assert np.isfinite(mean_loss(logits, val_set.y)[0])
 
     def test_gradient_free_stepper_gets_no_backward(self, monkeypatch):
         import optevo.nn as nn
@@ -531,15 +550,15 @@ class TestTrain:
         grads_seen = []
         update = free.update
         free.update = lambda w, g: grads_seen.append(g) or update(w, g)
-        train(Network([2, 4, 2], seed=0), free, toy_data(), cfg)
+        train(Population.seeded([2, 4, 2], [0]), free, toy_data(), cfg)
         assert calls == [] and grads_seen == [None] * 6
-        train(Network([2, 4, 2], seed=0), sgd(0.1), toy_data(), cfg)
+        train(Population.seeded([2, 4, 2], [0]), sgd(0.1), toy_data(), cfg)
         assert len(calls) == 6  # 90 rows in batches of 30, two epochs
 
     def test_empty_training_set_rejected(self):
         from optevo.data import Dataset
 
-        net = Network([2, 2], seed=0)
+        net = Population.seeded([2, 2], [0])
         empty = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int))
         val = synthetic("two_gaussians", 10, seed=0)
         with pytest.raises(NetworkError, match="empty"):
@@ -570,12 +589,12 @@ class TestLabelRange:
         update = stepper.update
         stepper.update = lambda w, g: calls.append(1) or update(w, g)
         with pytest.raises(NetworkError, match="class range"):
-            train(Network([2, 2], seed=0), stepper, data,
+            train(Population.seeded([2, 2], [0]), stepper, data,
                   TrainConfig(batch_size=5, max_epochs=1))
         assert calls == []
 
     def test_unused_output_classes_are_allowed(self):
-        _, hist = train(Network([2, 3], seed=0), sgd(0.1), toy_data(),
+        _, hist = train(Population.seeded([2, 3], [0]), sgd(0.1), toy_data(),
                         TrainConfig(batch_size=30, max_epochs=2))
         assert hist.epochs_run == 2 and not hist.failed
 
@@ -611,10 +630,10 @@ def make_case_stepper(kind, seed, lr_scale):
 
 def oracle_training(sizes, seed, make_stepper, data, cfg, shuffle_seed):
     """`oracles.train_per_tensor` from the initial weights of
-    Network(sizes, seed) and the batch orders `train` draws from
+    Population.seeded(sizes, [seed]) and the batch orders `train` draws from
     `shuffle_seed`: (final flat weights, [epochs_run, stopped_early,
     failed], val_loss)."""
-    params = [p.copy() for p in Network(sizes, seed=seed).params]
+    params = member_params(Population.seeded(sizes, [seed]), 0)
     shuffle = Rng(shuffle_seed).child("shuffle")
     _, val_loss, *outcome = train_per_tensor(
         params, make_stepper, data, cfg,
@@ -641,12 +660,12 @@ class TestFlatMatchesPerTensor:
         data = Dataset(d.x[:60], d.y[:60]), Dataset(d.x[60:], d.y[60:])
         sizes = [2, *hidden, 2 + seed % 2]
         cfg = TrainConfig(batch_size=16, max_epochs=4, early_stop=early_stop, patience=1)
-        net, hist = train(Network(sizes, seed=seed),
+        net, hist = train(Population.seeded(sizes, [seed]),
                           make_case_stepper(kind, seed, lr_scale), data, cfg, seed % 1000)
         flat, outcome, val_loss = oracle_training(
             sizes, seed, lambda: make_case_stepper(kind, seed, lr_scale), data, cfg,
             seed % 1000)
-        assert_same_bits(net.flat, flat)
+        assert_same_bits(net.flat[0], flat)
         assert [hist.epochs_run, hist.stopped_early, hist.failed] == outcome
         assert hist.val_loss == val_loss
 
@@ -683,13 +702,13 @@ class TestCertifiedTraining:
         sizes = [2, 16, 2]
         cfg = TrainConfig(batch_size=batch_size, max_epochs=4, early_stop=early_stop,
                           patience=1)
-        net, hist = train(Network(sizes, seed=seed),
+        net, hist = train(Population.seeded(sizes, [seed]),
                           make_case_stepper(kind, seed, 1.0), data, cfg, seed % 1000)
         flat, outcome, val_loss = oracle_training(
             sizes, seed, lambda: make_case_stepper(kind, seed, 1.0), data, cfg, seed % 1000)
         # the sign of a NaN may differ between flat and per-tensor stepping
         # (at the parent too); a failed run's weights are never read
-        assert_same_bits(net.flat, flat)
+        assert_same_bits(net.flat[0], flat)
         assert [hist.epochs_run, hist.stopped_early, hist.failed] == outcome
         assert hist.val_loss == val_loss
 
@@ -701,7 +720,7 @@ class TestCertifiedTraining:
         spec = spec_from_phenotype("grad ; y ; z ; multiply(alpha, 1e60)")
         train_set, val_set = toy_data()
         cfg = TrainConfig(batch_size=len(train_set), max_epochs=5, early_stop=False)
-        net, hist = train(Network([2, 16, 2], seed=0), make_stepper(spec),
+        net, hist = train(Population.seeded([2, 16, 2], [0]), make_stepper(spec),
                           (train_set, val_set), cfg)
         assert hist.failed and hist.epochs_run == 2
         assert np.isfinite(net.flat).all()
@@ -717,11 +736,11 @@ class TestCertifiedTraining:
         calls = count_calls(monkeypatch)
         train_set, val_set = toy_data()
         cfg = TrainConfig(batch_size=24, max_epochs=3, early_stop=False)
-        net, hist = train(Network([2, 4, 2], seed=0), Swell(1e100),
+        net, hist = train(Population.seeded([2, 4, 2], [0]), Swell(1e100),
                           (train_set, val_set), cfg)
         assert not hist.failed and hist.epochs_run == 3
         assert calls == {"forward": 3 * 2 + 1, "mean_loss": 1}
-        params = [p.copy() for p in Network([2, 4, 2], seed=0).params]
+        params = member_params(Population.seeded([2, 4, 2], [0]), 0)
         shuffle = Rng(0).child("shuffle")
         _, val_loss, *outcome = train_per_tensor(
             params, lambda: Swell(1e100), (train_set, val_set), cfg,
@@ -736,7 +755,7 @@ class TestCertifiedTraining:
         rng = np.random.default_rng(0)
         train_set = Dataset(rng.random((2000, 784)), rng.integers(0, 10, 2000))
         val_set = Dataset(rng.random((100, 784)), rng.integers(0, 10, 100))
-        net = Network([784, 100, 10], seed=0)
+        net = Population.seeded([784, 100, 10], [0])
         shrink = make_stepper(spec_from_phenotype("grad ; y ; z ; multiply(alpha, 0.9)"))
         cfg = TrainConfig(batch_size=50, max_epochs=2, early_stop=False)
         tracemalloc.start()
@@ -758,7 +777,7 @@ class TestCertifiedTraining:
         poisoned = Dataset(x, train_set.y)
         assert poisoned.x_bound == np.inf
         shrink = make_stepper(spec_from_phenotype("grad ; y ; z ; multiply(alpha, 0.9)"))
-        _, hist = train(Network([2, 16, 2], seed=0), shrink, (poisoned, val_set),
+        _, hist = train(Population.seeded([2, 16, 2], [0]), shrink, (poisoned, val_set),
                         TrainConfig(batch_size=16, max_epochs=3, early_stop=False))
         assert hist.failed and hist.epochs_run == 0
 
@@ -768,27 +787,27 @@ class TestCertifiedTraining:
         train_set, _ = toy_data()
         empty = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int))
         shrink = make_stepper(spec_from_phenotype("grad ; y ; z ; multiply(alpha, 0.9)"))
-        _, hist = train(Network([2, 4, 2], seed=0), shrink, (train_set, empty),
+        _, hist = train(Population.seeded([2, 4, 2], [0]), shrink, (train_set, empty),
                         TrainConfig(batch_size=30, max_epochs=3, early_stop=False))
         assert hist.failed and hist.epochs_run == 0
 
     def test_certified_training_takes_one_validation_loss(self, monkeypatch):
         calls = count_calls(monkeypatch)
         cfg = TrainConfig(batch_size=30, max_epochs=4, early_stop=False)
-        _, hist = train(Network([2, 4, 2], seed=0), sgd(0.1), toy_data(), cfg)
+        _, hist = train(Population.seeded([2, 4, 2], [0]), sgd(0.1), toy_data(), cfg)
         assert not hist.failed
         # 90 rows in batches of 30 over four epochs, then the final validation
         assert calls == {"forward": 12 + 1, "backward": 12, "mean_loss": 1}
         calls.clear()
         free = make_stepper(spec_from_phenotype("grad ; y ; z ; multiply(alpha, 0.9)"))
-        _, hist = train(Network([2, 4, 2], seed=0), free, toy_data(), cfg)
+        _, hist = train(Population.seeded([2, 4, 2], [0]), free, toy_data(), cfg)
         assert not hist.failed
         assert calls == {"forward": 1, "mean_loss": 1}
 
     def test_early_stopping_takes_every_validation_loss(self, monkeypatch):
         calls = count_calls(monkeypatch, ("mean_loss",))
         cfg = TrainConfig(batch_size=30, max_epochs=4, patience=10)
-        _, hist = train(Network([2, 4, 2], seed=0), sgd(0.1), toy_data(), cfg)
+        _, hist = train(Population.seeded([2, 4, 2], [0]), sgd(0.1), toy_data(), cfg)
         assert hist.epochs_run == 4 and calls == {"mean_loss": 4}
 
     @given(st.lists(st.integers(1, 40), min_size=2, max_size=4),
@@ -799,7 +818,7 @@ class TestCertifiedTraining:
         """Every parameter at +-w_bound and every input at +-x_bound; with
         all signs positive the logits reach the bound itself."""
         rng = np.random.default_rng(seed)
-        net = Network(sizes, seed=0)
+        net = Population.seeded(sizes, [0])
         signs = np.ones(net.flat.size) if aligned else rng.choice([-1.0, 1.0], net.flat.size)
         net.flat[...] = w_bound * signs
         x = x_bound * (np.ones((5, sizes[0])) if aligned
@@ -832,13 +851,13 @@ class TestSkippedWork:
     def test_certified_training_takes_no_batch_loss(self, monkeypatch):
         calls = count_calls(monkeypatch, self.COUNTED)
         cfg = TrainConfig(batch_size=30, max_epochs=4, early_stop=False)
-        _, hist = train(Network([2, 4, 2], seed=0), sgd(0.1), toy_data(), cfg)
+        _, hist = train(Population.seeded([2, 4, 2], [0]), sgd(0.1), toy_data(), cfg)
         assert not hist.failed and hist.epochs_run == 4
         # 90 rows in batches of 30 over four epochs, then the final validation
         assert calls == {"forward": 12 + 1, "backward": 12, "mean_loss": 1, "_nll": 1}
         calls.clear()
         free = make_stepper(spec_from_phenotype("grad ; y ; z ; multiply(alpha, 0.9)"))
-        _, hist = train(Network([2, 4, 2], seed=0), free, toy_data(), cfg)
+        _, hist = train(Population.seeded([2, 4, 2], [0]), free, toy_data(), cfg)
         assert not hist.failed
         assert calls == {"forward": 1, "mean_loss": 1, "_nll": 1}
 
@@ -849,12 +868,12 @@ class TestSkippedWork:
         calls = count_calls(monkeypatch, self.COUNTED)
         train_set, val_set = toy_data()
         cfg = TrainConfig(batch_size=24, max_epochs=3, early_stop=False)
-        net, hist = train(Network([2, 4, 2], seed=0), GradientSwell(1e100),
+        net, hist = train(Population.seeded([2, 4, 2], [0]), GradientSwell(1e100),
                           (train_set, val_set), cfg)
         assert not hist.failed and hist.epochs_run == 3
         assert calls == {"forward": 3 * 4 + 1, "backward": 3 * 4, "mean_loss": 1,
                          "_nll": 3 * 2 + 1}
-        params = [p.copy() for p in Network([2, 4, 2], seed=0).params]
+        params = member_params(Population.seeded([2, 4, 2], [0]), 0)
         shuffle = Rng(0).child("shuffle")
         _, val_loss, *outcome = train_per_tensor(
             params, lambda: GradientSwell(1e100), (train_set, val_set), cfg,
@@ -865,7 +884,7 @@ class TestSkippedWork:
     def test_early_stopping_validates_every_epoch(self, monkeypatch):
         calls = count_calls(monkeypatch, self.COUNTED)
         cfg = TrainConfig(batch_size=30, max_epochs=4, patience=10)
-        _, hist = train(Network([2, 4, 2], seed=0), sgd(0.1), toy_data(), cfg)
+        _, hist = train(Population.seeded([2, 4, 2], [0]), sgd(0.1), toy_data(), cfg)
         assert hist.epochs_run == 4 and not hist.stopped_early
         # every epoch validates; the weights stay certified, so no batch loss
         assert calls == {"forward": 12 + 4, "backward": 12, "mean_loss": 4, "_nll": 4}
@@ -878,10 +897,11 @@ POPULATION_KINDS = ["alr", "alr", "sgd", "adam", "nesterov", "scheduled", *EDGE_
 
 def member_case(seed, k, kind, lr_scale, batch_size, early_stop, patience=1,
                 max_epochs=4):
-    """Network, stepper, config and shuffle seed of population member k."""
+    """One-member Population, stepper, config and shuffle seed of population
+    member k."""
     cfg = TrainConfig(batch_size=batch_size, max_epochs=max_epochs, early_stop=early_stop,
                       patience=patience)
-    return (Network([2, 16, 2], seed=seed + k),
+    return (Population.seeded([2, 16, 2], [seed + k]),
             make_case_stepper(kind, seed + k, lr_scale), cfg, (seed + k) % 1000)
 
 
@@ -935,7 +955,7 @@ class TestPopulationTraining:
         for k, kind in enumerate(kinds):
             net, stepper, cfg, shuffle = member_case(seed, k, kind, **case)
             _, alone = train(net, stepper, data, cfg, shuffle)
-            assert_same_bits(buffer[k], net.flat)
+            assert_same_bits(buffer[k], net.flat[0])
             assert (hist.epochs_run[k], hist.stopped_early[k], hist.failed[k],
                     hist.val_loss[k]) == (alone.epochs_run, alone.stopped_early,
                                           alone.failed, alone.val_loss)
@@ -948,8 +968,8 @@ class TestPopulationTraining:
 
     @pytest.mark.parametrize("lr_scale, failed", [(1.0, False), (1e300, True)])
     def test_lone_network_history_holds_scalars(self, lr_scale, failed):
-        """A Network trains as a population of one, but its history is not
-        a population's: a 1-tuple (False,) would read as failed."""
+        """A Population of one given one stepper and one shuffle seed has
+        scalars in its history: a 1-tuple (False,) would read as failed."""
         net, stepper, cfg, shuffle = member_case(0, 0, "sgd", lr_scale, 30, True)
         histories = [train(net, stepper, toy_data(), cfg, shuffle)[1],
                      train_seeded([2, 16, 2], make_case_stepper("sgd", 0, lr_scale),
@@ -963,13 +983,13 @@ class TestPopulationTraining:
     def test_swollen_losses_match_alone(self):
         """Swell leaves the certificate on every other update, so each epoch
         takes those batches' losses at the weights their updates see."""
-        nets = [Network([2, 4, 2], seed=k) for k in range(3)]
+        nets = [Population.seeded([2, 4, 2], [k]) for k in range(3)]
         cfg = TrainConfig(batch_size=24, max_epochs=3, early_stop=False)
         factors = [1e100, 1e200, 1.5]
         pop, hist = train(stack_networks(nets), [Swell(f) for f in factors], toy_data(), cfg,
                           [0, 1, 2])
         for k, factor in enumerate(factors):
-            net = Network([2, 4, 2], seed=k)
+            net = Population.seeded([2, 4, 2], [k])
             _, alone = train(net, Swell(factor), toy_data(), cfg, k)
             assert pop.flat[k].tobytes() == net.flat.tobytes()
             assert (hist.epochs_run[k], hist.failed[k], hist.val_loss[k]) == (
@@ -985,11 +1005,11 @@ class TestPopulationTraining:
         makers = [lambda: Swell(1e100), lambda: make_stepper(spec_from_phenotype(grow)),
                   lambda: make_stepper(spec_from_phenotype(shrink))]
         cfg = TrainConfig(batch_size=24, max_epochs=3, early_stop=False)
-        pop, hist = train(stack_networks([Network([2, 4, 2], seed=k) for k in range(3)]),
+        pop, hist = train(Population.seeded([2, 4, 2], range(3)),
                           [make() for make in makers], toy_data(), cfg, [0, 1, 2])
         assert hist.failed == (False, True, False) and hist.epochs_run == (3, 0, 3)
         for k, make in enumerate(makers):
-            net = Network([2, 4, 2], seed=k)
+            net = Population.seeded([2, 4, 2], [k])
             _, alone = train(net, make(), toy_data(), cfg, k)
             assert pop.flat[k].tobytes() == net.flat.tobytes()
             assert (hist.epochs_run[k], hist.failed[k], hist.val_loss[k]) == (
@@ -1053,7 +1073,7 @@ class TestPopulationTraining:
         for k, kind in enumerate(kinds):
             net, stepper, cfg, shuffle = member_case(0, k, kind, 1.0, 16, True)
             _, alone = train(net, stepper, toy_data(), cfg, shuffle)
-            assert_same_bits(pop.flat[k], net.flat)
+            assert_same_bits(pop.flat[k], net.flat[0])
             assert (hist.epochs_run[k], hist.stopped_early[k], hist.failed[k],
                     hist.val_loss[k]) == (alone.epochs_run, alone.stopped_early,
                                           alone.failed, alone.val_loss)
@@ -1087,14 +1107,15 @@ class TestPopulationTraining:
         pop, hist = train_seeded([2, 16, 2], [make_case_stepper(kind, k, 1.0)
                                               for k, kind in enumerate(kinds)],
                                  toy_data(), cfg, Streams.of(rngs))
-        monkeypatch.setattr(nn, "train", real_train)
+        members = dict(seen)
         assert stacks == ([4, 1] if budget is None else [2, 2, 1])
-        assert seen["cfg"] == cfg
+        assert members["cfg"] == cfg
         for k, (kind, rng) in enumerate(zip(kinds, rngs)):
             net_seed = rng.child("net").draw(lambda g: int(g.integers(2**31 - 1)))
             shuffle_seed = rng.child("shuffle").draw(lambda g: int(g.integers(2**31 - 1)))
-            assert seen["flat"][k].tobytes() == Network([2, 16, 2], seed=net_seed).flat.tobytes()
-            assert seen["shuffles"][k] == shuffle_seed
+            initial = Population.seeded([2, 16, 2], [net_seed]).flat
+            assert members["flat"][k].tobytes() == initial.tobytes()
+            assert members["shuffles"][k] == shuffle_seed
             flat, outcome, val_loss = oracle_training(
                 [2, 16, 2], net_seed, lambda: make_case_stepper(kind, k, 1.0), toy_data(),
                 cfg, shuffle_seed)
@@ -1103,20 +1124,29 @@ class TestPopulationTraining:
             assert hist.val_loss[k] == val_loss
             net, alone = train_seeded([2, 16, 2], make_case_stepper(kind, k, 1.0),
                                       toy_data(), cfg, rng)
-            assert net.seed == net_seed
-            assert_same_bits(net.flat, flat)
+            assert seen["flat"].tobytes() == initial.tobytes()
+            assert seen["shuffles"] == shuffle_seed
+            assert_same_bits(net.flat[0], flat)
             assert (alone.epochs_run, alone.stopped_early, alone.failed, alone.val_loss) == (
                 hist.epochs_run[k], hist.stopped_early[k], hist.failed[k], hist.val_loss[k])
 
     def test_members_evaluate_as_alone(self):
-        nets = [Network([2, 16, 2], seed=k) for k in range(23)]
+        """Each member's accuracy is what it scores alone, in groups of any
+        size, and what the oracle forward pass of tests/oracles.py gives."""
+        nets = [Population.seeded([2, 16, 2], [k]) for k in range(23)]
         val = synthetic("two_gaussians", 3000, noise=0.5, seed=1)
         # 3000 rows x 16 wide: groups of population_size = 1 member
         assert population_size(len(val), [2, 16, 2]) == 1
-        assert evaluate(stack_networks(nets), val) == [evaluate(n, val) for n in nets]
+        assert evaluate(stack_networks(nets), val) == [evaluate(n, val)[0] for n in nets]
         small = Dataset(val.x[:300], val.y[:300])
         assert population_size(len(small), [2, 16, 2]) == 13
-        assert evaluate(stack_networks(nets), small) == [evaluate(n, small) for n in nets]
+        assert evaluate(stack_networks(nets), small) == [evaluate(n, small)[0] for n in nets]
+        for members in (1, 3):
+            pop = Population.seeded([2, 16, 2], range(members))
+            pop.flat[:, :16] *= 4.0  # some rows cross the ReLU's zero
+            oracle = [float((oracles._forward(member_params(pop, k), small.x)[0][-1]
+                             .argmax(axis=1) == small.y).mean()) for k in range(members)]
+            assert evaluate(pop, small) == oracle
 
     def test_population_size(self):
         assert population_size(200, [2, 16, 2]) == 20  # toy batches
@@ -1126,11 +1156,11 @@ class TestPopulationTraining:
     def test_buffer_of_another_width_refused(self):
         """A Population's buffer is (K, P) with K >= 1 and P its layout's
         size, and `train` takes one stepper and one shuffle seed per row."""
-        width = Network([2, 4, 2]).flat.size
-        for shape in [(2, width + 1), (2, Network([2, 5, 2]).flat.size), (width,), (0, width)]:
+        width = Population.seeded([2, 4, 2], [0]).flat.size
+        for shape in [(2, width + 1), (2, Population.seeded([2, 5, 2], [0]).flat.size), (width,), (0, width)]:
             with pytest.raises(NetworkError, match="buffer"):
                 Population([2, 4, 2], np.zeros(shape))
-        for seeds in ([0], 0):  # the default seed is a lone Network's
+        for seeds in ([0], 0):  # the default seed is a Population of one's
             with pytest.raises(NetworkError, match="one shuffle seed per member"):
                 train(Population([2, 4, 2], np.zeros((2, width))), [sgd(0.1), sgd(0.1)],
                       toy_data(), TrainConfig(batch_size=5), seeds)
@@ -1173,17 +1203,17 @@ class TestSoftmaxMatchesOracle:
         logits, labels = case
         log_probs = oracles._log_softmax(logits)
         with np.errstate(all="ignore"):
-            got = _nll(log_probs, labels)
+            got = _nll(log_probs[None], labels)  # one member's
             want = oracles._nll(log_probs, labels)
-        assert type(got) is float
-        assert_same_bits(got, want)
+        assert got.shape == (1,)
+        assert_same_bits(got[0], want)
 
     @given(logits_and_labels())
     def test_mean_loss(self, case):
         logits, labels = case
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # mean_loss opens its own errstate
-            got = mean_loss(logits, labels)
+            got, = mean_loss(logits[None], labels)
         with np.errstate(all="ignore"):
             want = oracles._nll(oracles._log_softmax(logits), labels)
         assert_same_bits(got, want)
@@ -1191,7 +1221,7 @@ class TestSoftmaxMatchesOracle:
     @given(logits_and_labels())
     def test_stacked_members_match_alone(self, case):
         """Stacked logits, one (B, classes) block per member, give each
-        member's log-softmax and loss bit for bit."""
+        member's log-softmax and loss bit for bit, as a stack of one does."""
         logits, labels = case
         stacked = np.stack([logits, logits[::-1], 3.0 * logits])
         member_labels = np.stack([labels, labels[::-1], labels])
@@ -1202,8 +1232,8 @@ class TestSoftmaxMatchesOracle:
             for k in range(3):
                 alone = _log_softmax(stacked[k])
                 assert_same_bits(log_probs[k], alone)
-                assert_same_bits(losses[k], _nll(alone, member_labels[k]))
-                assert_same_bits(shared[k], _nll(alone, labels))
+                assert_same_bits(losses[k], _nll(alone[None], member_labels[k])[0])
+                assert_same_bits(shared[k], _nll(alone[None], labels)[0])
 
     def test_signed_zero_tie(self):
         """A +0/-0 row max may keep either sign; the output does not show it."""
@@ -1222,13 +1252,13 @@ class TestOverflowStaysSilent:
         spec_from_phenotype("grad ; y ; z ; multiply(alpha, 0.9)"),  # no backward
     ])
     def test_huge_initial_weights(self, opt):
-        net = Network([2, 16, 2], seed=0)
+        net = Population.seeded([2, 16, 2], [0])
         net.flat *= 1e200
         data = toy_data()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             _, hist = train(net, make_stepper(opt), data,
                             TrainConfig(batch_size=16, max_epochs=3))
-            acc = evaluate(net, data[1])
+            acc, = evaluate(net, data[1])
         assert hist.failed
         assert type(acc) is float

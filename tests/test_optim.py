@@ -11,7 +11,7 @@ from optevo.check import _grid_hyperparams
 from optevo.data import Dataset, synthetic
 from optevo.dsge import map_genotype, random_derivation
 from optevo.grammar import load_shipped_grammar
-from optevo.nn import Network, Stepper, TrainConfig, train
+from optevo.nn import Population, Stepper, TrainConfig, train
 from optevo.optim import (
     BUILTIN_NAMES,
     BUILTIN_READS,
@@ -765,7 +765,7 @@ def train_outcome(spec, seed, scale, force):
     d = synthetic("two_gaussians", 100, noise=0.1, seed=seed % 97)
     data = Dataset(d.x[:70], d.y[:70]), Dataset(d.x[70:], d.y[70:])
     cfg = TrainConfig(batch_size=20, max_epochs=3, early_stop=False)
-    net, hist = train(Network([2, 16, 2], seed=seed), GradScaled(spec, scale, force),
+    net, hist = train(Population.seeded([2, 16, 2], [seed]), GradScaled(spec, scale, force),
                       data, cfg, seed)
     return ([p.tobytes() for p in net.params], hist.val_loss, hist.epochs_run,
             hist.stopped_early, hist.failed)
