@@ -46,7 +46,7 @@ from .data import (
     synthetic,
 )
 from .check import grammar_health_checks, scheduler_health_checks
-from .dsge import EvoParams
+from .dsge import EvoParams, Individual
 from .evolve import (
     TrainingTask,
     alr_fitness_fn,
@@ -381,16 +381,15 @@ def cmd_evolve(args) -> int:
         if not Path(resume).is_file():
             raise DataError(f"checkpoint not found: {resume}")
         checkpoint = load_checkpoint(resume)  # malformed: DataError, no run dir
-        _, population, _, _, log = checkpoint
-        if (log.seed, len(population)) != (seed, params.population_size):
+        if (checkpoint.seed, len(checkpoint.population)) != (seed, params.population_size):
             raise DataError(
-                f"{resume}: checkpoint has seed {log.seed} and population "
-                f"{len(population)}, the run has seed {seed} and population "
+                f"{resume}: checkpoint has seed {checkpoint.seed} and population "
+                f"{len(checkpoint.population)}, the run has seed {seed} and population "
                 f"{params.population_size}"
             )
-        if log.search != search:
+        if checkpoint.search != search:
             raise DataError(f"{resume}: checkpoint " + (
-                "records no search digest" if log.search is None else
+                "records no search digest" if checkpoint.search is None else
                 "is of another search: its grammar, task, trials or threshold differ"))
     run_dir = make_run_dir(cfg["out"], seed, args.run_dir)
     # before generation 0, so a killed run still names its config and rows
@@ -400,21 +399,22 @@ def cmd_evolve(args) -> int:
 
     log_path = run_dir / "log.csv"
     # a fresh log, or the checkpoint's rows without any a crash logged past it
-    logged = [] if checkpoint is None else checkpoint[4].stats
+    logged = [] if checkpoint is None else checkpoint.stats
     write_atomic(log_path, log_text(logged, header=True))
-    written = []  # the best fitness best.json holds
+    written = []  # the best that best.json holds
 
-    def on_generation(generation, population, next_id, cache, log):
+    def save(run):
+        save_checkpoint(run_dir / "checkpoint.json", run)
+        if not written or run.best is not written[-1]:  # a stopped run names it
+            _write_best(run_dir, run.best, scheduler)
+            written.append(run.best)
+
+    def on_generation(run):
         with open(log_path, "a", newline="") as f:
-            f.write(log_text(log.stats[-1:], header=False))
-        save_checkpoint(run_dir / "checkpoint.json", generation, population, next_id,
-                        cache, log)
-        if not written or log.best_fitness > written[-1]:  # a stopped run names it
-            _write_best(run_dir, log.best_fitness, log.best_phenotype,
-                        log.best_genotype, scheduler)
-            written.append(log.best_fitness)
+            f.write(log_text(run.stats[-1:], header=False))
+        save(run)
 
-    best, log = evolve(
+    run = evolve(
         params,
         grammar,
         fitness_fn,
@@ -423,10 +423,11 @@ def cmd_evolve(args) -> int:
         workers=cfg["workers"],
         on_generation=on_generation,
     )
-    _write_best(run_dir, best.fitness, best.phenotype, best.genotype, scheduler)
+    if not written:  # resumed with no generation left: the checkpoint as it came
+        save(run)
     print(f"run dir: {run_dir}")
-    print(f"best fitness: {best.fitness:.6f}")
-    print(f"best phenotype: {best.phenotype}")
+    print(f"best fitness: {run.best.fitness:.6f}")
+    print(f"best phenotype: {run.best.phenotype}")
     return EXIT_OK
 
 
@@ -438,17 +439,17 @@ def _search_digest(grammar: Grammar, cfg: dict) -> str:
     return hashlib.sha256(json.dumps(defining, sort_keys=True).encode()).hexdigest()
 
 
-def _write_best(run_dir: Path, fitness, phenotype, genotype, scheduler: bool) -> None:
+def _write_best(run_dir: Path, best: Individual, scheduler: bool) -> None:
     """best.json, and the best rule or policy as its artifact, each through
     write_atomic."""
-    record = {"fitness": fitness, "phenotype": phenotype,
-              "genotype": vars(genotype)}  # its genes and used counts
+    record = {"fitness": best.fitness, "phenotype": best.phenotype,
+              "genotype": vars(best.genotype)}  # its genes and used counts
     write_atomic(run_dir / "best.json", json.dumps(record, indent=2))
-    if phenotype is not None and scheduler:
-        policy = serialize_policy(parse_policy(phenotype))
+    if best.phenotype is not None and scheduler:
+        policy = serialize_policy(parse_policy(best.phenotype))
         write_atomic(run_dir / "best_policy.txt", policy + "\n")
-    elif phenotype is not None:
-        spec = spec_to_json(spec_from_phenotype(phenotype, name="evolved"))
+    elif best.phenotype is not None:
+        spec = spec_to_json(spec_from_phenotype(best.phenotype, name="evolved"))
         write_atomic(run_dir / "best_spec.json", spec)
 
 

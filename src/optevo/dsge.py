@@ -50,31 +50,33 @@ class MappingFailure(Exception):
 
 @dataclass
 class Genotype:
+    """Gene lists and what the last mapping consumed of them: `used[N]` genes
+    of N took part in the phenotype, and a nonterminal missing from `used`
+    has all its genes in play."""
+
     genes: dict  # nonterminal -> list[int]
     used: dict = field(default_factory=dict)  # nonterminal -> consumed count
 
     def __post_init__(self):
         for nt, lst in self.genes.items():
-            if any((not isinstance(v, int)) or v < 0 for v in lst):
+            if any(type(v) is not int or v < 0 for v in lst):  # a bool is no gene
                 raise ValueError(f"genes for <{nt}> must be non-negative ints")
-        # unmapped genotypes treat every gene as meaningful
-        for nt, lst in self.genes.items():
-            self.used.setdefault(nt, len(lst))
+        for nt, count in self.used.items():
+            if nt not in self.genes or type(count) is not int or count < 0:
+                raise ValueError(f"used count for <{nt}> must be a non-negative int "
+                                 f"of a nonterminal with genes")
 
     @classmethod
     def _checked(cls, genes: dict, used: dict) -> "Genotype":
-        """Genes that passed the checks once, not checked again; `used`
-        holds every nonterminal of `genes`."""
+        """Genes and counts that passed the checks once, not checked again."""
         geno = cls.__new__(cls)
         geno.genes, geno.used = genes, used
         return geno
 
     def copy(self) -> "Genotype":
-        """A copy sharing no list, `used` as the checked construction fills
-        it: genes of a nonterminal the last mapping did not reach all count."""
-        unreached = {nt: len(lst) for nt, lst in self.genes.items() if nt not in self.used}
+        """A copy sharing no list or dict."""
         return Genotype._checked({nt: list(lst) for nt, lst in self.genes.items()},
-                                 self.used | unreached)
+                                 dict(self.used))
 
 
 @dataclass

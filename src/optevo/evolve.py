@@ -24,9 +24,11 @@ The generation loop is steady-state-free generational GE: elites carry their
 fitness, everyone else is bred by tournament + crossover + mutation and
 re-evaluated.  Fitness is cached by phenotype text, and every stochastic
 choice derives from a keyed stream, so runs (and checkpoint resumes) are
-bit-reproducible. `evolve` hands each generation to its caller's hook, and
-`cli` decides which run files to write: the rows that `log_text` prints, and
-the checkpoint that `save_checkpoint` writes and `load_checkpoint` reads.
+bit-reproducible. A run's whole state is one `EvolveRun`: its population,
+fitness cache, log rows and best. `evolve` hands it to its caller's hook
+after each generation, and continues one on resume; `cli` decides which run
+files to write: the rows that `log_text` prints, and the checkpoint that
+`save_checkpoint` writes and `load_checkpoint` reads back equal.
 """
 
 from __future__ import annotations
@@ -196,13 +198,18 @@ class GenerationStat:
 
 
 @dataclass
-class EvolveRunLog:
+class EvolveRun:
+    """An evolve run as far as it has got: what its hook gets after each
+    generation, what a checkpoint holds, and what a resume continues."""
+
     seed: int
     search: str | None = None  # digest of what defines the search
-    stats: list = field(default_factory=list)  # of GenerationStat
-    best_fitness: float = 0.0
-    best_phenotype: str | None = None
-    best_genotype: Genotype | None = None
+    generation: int = -1  # the last generation evaluated
+    population: list = field(default_factory=list)  # of Individual
+    next_id: int = 0
+    cache: dict = field(default_factory=dict)  # phenotype text -> fitness
+    stats: list = field(default_factory=list)  # of GenerationStat, one per generation
+    best: Individual | None = None  # the first individual to reach the best fitness
 
 
 def _evaluate_wave(population, grammar, params, fitness_fn, cache, root: Rng,
@@ -291,33 +298,23 @@ def log_text(stats, header: bool) -> str:
     return out.getvalue()
 
 
-def save_checkpoint(path, generation: int, population, next_id: int, cache: dict,
-                    log: EvolveRunLog) -> None:
-    """Write what `evolve`'s hook gets to `path`, whole (`write_atomic`)."""
+def _individual_state(ind: Individual) -> dict:
+    return {"genes": ind.genotype.genes, "used": ind.genotype.used,
+            "fitness": ind.fitness, "phenotype": ind.phenotype, "id": ind.id}
+
+
+def save_checkpoint(path, run: EvolveRun) -> None:
+    """Write the run, as `evolve`'s hook gets it, to `path`, whole
+    (`write_atomic`); `load_checkpoint` reads back an equal EvolveRun."""
     state = {
-        "generation": generation,
-        "next_id": next_id,
-        "seed": log.seed,
-        "search": log.search,
-        "population": [
-            {
-                "genes": ind.genotype.genes,
-                "used": ind.genotype.used,
-                "fitness": ind.fitness,
-                "phenotype": ind.phenotype,
-                "id": ind.id,
-            }
-            for ind in population
-        ],
-        "cache": cache,
-        "stats": [vars(s) for s in log.stats],
-        "best": {
-            "fitness": log.best_fitness,
-            "phenotype": log.best_phenotype,
-            "genotype": None
-            if log.best_genotype is None
-            else {"genes": log.best_genotype.genes, "used": log.best_genotype.used},
-        },
+        "generation": run.generation,
+        "next_id": run.next_id,
+        "seed": run.seed,
+        "search": run.search,
+        "population": [_individual_state(ind) for ind in run.population],
+        "cache": run.cache,
+        "stats": [vars(s) for s in run.stats],
+        "best": _individual_state(run.best),
     }
     write_atomic(path, json.dumps(state))
 
@@ -346,39 +343,37 @@ def _typed(value, *types):
 _NUMBER = (int, float)
 
 
-def load_checkpoint(path):
-    """(generation, population, next_id, cache, log) from a checkpoint file;
-    DataError when the file is not a checkpoint that save_checkpoint wrote,
-    a field of the wrong type included."""
+def _individual(d: dict) -> Individual:
+    return Individual(
+        Genotype(d["genes"], d["used"]),  # checks the genes and used counts
+        phenotype=_typed(d["phenotype"], str, type(None)),
+        fitness=_typed(d["fitness"], *_NUMBER, type(None)),
+        id=_typed(d["id"], int),
+    )
+
+
+def load_checkpoint(path) -> EvolveRun:
+    """The EvolveRun a checkpoint file holds; DataError when the file is not
+    a checkpoint that save_checkpoint wrote, a field of the wrong type
+    included."""
     try:
         state = json.loads(Path(path).read_text(encoding="utf-8"))
-        population = [
-            Individual(
-                Genotype(d["genes"], d["used"]),
-                phenotype=_typed(d["phenotype"], str, type(None)),
-                fitness=_typed(d["fitness"], *_NUMBER, type(None)),
-                id=_typed(d["id"], int),
-            )
-            for d in state["population"]
-        ]
-        log = EvolveRunLog(seed=_typed(state["seed"], int), search=state.get("search"))
-        log.stats = [GenerationStat(**s) for s in state["stats"]]
-        for stat in log.stats:
+        stats = [GenerationStat(**s) for s in state["stats"]]
+        for stat in stats:
             for value in (stat.generation, stat.evaluations):
                 _typed(value, int)
             for value in (stat.best, stat.mean, stat.median, stat.seconds):
                 _typed(value, *_NUMBER)
-        log.best_fitness = _typed(state["best"]["fitness"], *_NUMBER)
-        log.best_phenotype = _typed(state["best"]["phenotype"], str, type(None))
-        if state["best"]["genotype"] is not None:
-            log.best_genotype = Genotype(
-                state["best"]["genotype"]["genes"], state["best"]["genotype"]["used"]
-            )
         cache = _typed(state["cache"], dict)  # JSON keys are text
         for fitness in cache.values():
             _typed(fitness, *_NUMBER)
-        return (_typed(state["generation"], int), population, _typed(state["next_id"], int),
-                cache, log)
+        best = _individual(state["best"])
+        _typed(best.fitness, *_NUMBER)
+        return EvolveRun(
+            seed=_typed(state["seed"], int), search=state.get("search"),
+            generation=_typed(state["generation"], int),
+            population=[_individual(d) for d in state["population"]],
+            next_id=_typed(state["next_id"], int), cache=cache, stats=stats, best=best)
     except (KeyError, TypeError, ValueError, AttributeError) as e:
         raise DataError(f"{path}: not an evolve checkpoint ({type(e).__name__}: {e})") from e
 
@@ -393,7 +388,8 @@ def evolve(
     workers: int = 1,
     on_generation=None,
 ):
-    """Run the generational loop; returns (best Individual, EvolveRunLog).
+    """Run the generational loop, continuing `resume_from` (an EvolveRun
+    such as `load_checkpoint` returns) where given; returns the EvolveRun.
 
     `fitness_fn(phenotype_texts) -> fitnesses`, one float per text in text
     order, carries all problem semantics; each text's fitness must not
@@ -401,57 +397,46 @@ def evolve(
     fresh texts into one list per worker.
     Generation 0 is the evaluated random initialization; each later
     generation breeds, then evaluates exactly population_size - elitism
-    newcomers (elites keep their cached fitness). `resume_from` is what
-    `load_checkpoint` returned. `search`, a digest of what defines the
-    search, goes into a fresh run's EvolveRunLog, and so into its
-    checkpoints; a resumed run keeps its checkpoint's. Nothing is written
-    here: after each generation, `on_generation(generation, population,
-    next_id, cache, log)` gets what `save_checkpoint` saves, with
-    `log.stats` ending in that generation's row, and the caller decides
-    which files to write.
+    newcomers (elites keep their cached fitness). The run's best is the
+    first individual to reach the best fitness, ties within a generation
+    going to the lower id; an individual is never changed once evaluated.
+    `search`, a digest of what defines the search, goes into a fresh run,
+    and so into its checkpoints; a resumed run keeps its checkpoint's.
+    Nothing is written here: after each generation, `on_generation(run)`
+    gets the run, its `stats` ending in that generation's row, and the
+    caller decides which files to write. A resumed run with no generation
+    left calls it never and returns `resume_from` as it came.
     """
     root = Rng(params.rng_seed).child("evolve")
-    cache: dict = {}
-    if resume_from is not None:
-        start_gen, population, next_id, cache, log = resume_from
-        start_gen += 1
-    else:
+    run = resume_from
+    if run is None:
         seeding = Streams.of([root] * params.population_size).child(
             "seed-pop", range(params.population_size)).keys()
         derive = partial(random_derivation, grammar, params.max_depth)
-        population = [Individual(*draw_one(key, derive), id=i)  # each made as it is drawn
-                      for i, key in enumerate(seeding.tolist())]
-        next_id = params.population_size
-        log = EvolveRunLog(seed=params.rng_seed, search=search)
-        start_gen = 0
+        run = EvolveRun(
+            seed=params.rng_seed, search=search, next_id=params.population_size,
+            population=[Individual(*draw_one(key, derive), id=i)  # each made as it is drawn
+                        for i, key in enumerate(seeding.tolist())])
 
-    for generation in range(start_gen, params.generations + 1):
+    for generation in range(run.generation + 1, params.generations + 1):
         started = time.perf_counter()
         if generation > 0:
-            population, next_id = _breed(
-                population, params, grammar, root, generation, next_id
+            run.population, run.next_id = _breed(
+                run.population, params, grammar, root, generation, run.next_id
             )
         evaluations = _evaluate_wave(
-            population, grammar, params, fitness_fn, cache, root, generation, workers
+            run.population, grammar, params, fitness_fn, run.cache, root, generation, workers
         )
-        log.stats.append(_population_stats(
-            population, generation, evaluations, time.perf_counter() - started
+        run.generation = generation
+        run.stats.append(_population_stats(
+            run.population, generation, evaluations, time.perf_counter() - started
         ))
-        top = max(population, key=lambda ind: (ind.fitness, -ind.id))
-        if top.fitness > log.best_fitness or log.best_genotype is None:
-            log.best_fitness = top.fitness
-            log.best_phenotype = top.phenotype
-            log.best_genotype = top.genotype.copy()
+        top = max(run.population, key=lambda ind: (ind.fitness, -ind.id))
+        if run.best is None or top.fitness > run.best.fitness:
+            run.best = top
         if on_generation is not None:
-            on_generation(generation, population, next_id, cache, log)
-
-    best = max(population, key=lambda ind: (ind.fitness, -ind.id))
-    if log.best_fitness > best.fitness:
-        best = Individual(
-            log.best_genotype, phenotype=log.best_phenotype,
-            fitness=log.best_fitness, id=-1,
-        )
-    return best, log
+            on_generation(run)
+    return run
 
 
 def alr_fitness_fn(task: TrainingTask, trial_number: int = 5, threshold: float = 0.8):

@@ -259,9 +259,8 @@ class Rng:
     of its own.
     """
 
-    def __init__(self, seed: int, _key: tuple = ()):
-        streams = Streams.from_seeds([seed])
-        self._streams = streams.child(*_key) if _key else streams
+    def __init__(self, seed: int):
+        self._streams = Streams.from_seeds([seed])
 
     def child(self, *tags) -> "Rng":
         """Derive an independent stream named by the given tags."""

@@ -252,16 +252,16 @@ def test_05_evolution_discovers_a_working_optimizer():
         )
         grammar = load_shipped_grammar("alr")
         fitness = alr_fitness_fn(task, trial_number=5, threshold=0.8)
-        best, log = evolve(params, grammar, fitness, workers=2)
-        bests = [s.best for s in log.stats]
+        run = evolve(params, grammar, fitness, workers=2)
+        bests = [s.best for s in run.stats]
         assert all(b2 >= b1 for b1, b2 in zip(bests, bests[1:])), "best regressed"
-        assert best.fitness >= 0.8, f"best fitness {best.fitness}"
+        assert run.best.fitness >= 0.8, f"best fitness {run.best.fitness}"
 
         def short_run(seed, workers):
             short = replace(params, generations=2, rng_seed=seed)
-            best, log = evolve(short, grammar, fitness, workers=workers)
-            stats = [(s.best, s.mean, s.median, s.evaluations) for s in log.stats]
-            return best.phenotype, best.fitness, stats
+            run = evolve(short, grammar, fitness, workers=workers)
+            stats = [(s.best, s.mean, s.median, s.evaluations) for s in run.stats]
+            return run.best.phenotype, run.best.fitness, stats
 
         same_at_any_workers(short_run)
         elapsed = time.perf_counter() - t0

@@ -131,6 +131,11 @@ def tune_payload(**over):
     return payload
 
 
+def first_used(individual, count):
+    """Set the first used count of a checkpoint's individual to `count`."""
+    individual["used"][next(iter(individual["used"]))] = count
+
+
 def log_rows(run_dir):
     lines = (run_dir / "log.csv").read_text().strip().splitlines()
     header = lines[0].split(",")
@@ -716,6 +721,35 @@ class TestEvolveCommand:
         best_res = json.loads((resumed / "best.json").read_text())
         assert best_full == best_res
 
+    @pytest.mark.parametrize("grammar", ["alr", "dlr"])
+    def test_resume_after_any_generation_writes_the_uninterrupted_files(
+            self, tmp_path, monkeypatch, grammar):
+        """Stopped after any generation and resumed, a run writes the
+        uninterrupted run's best.json and artifact byte for byte. Resumed
+        with no generation left, it writes best.json once and the checkpoint
+        it came from, byte for byte, so that it can be resumed again."""
+        payload, artifact = {"alr": (evolve_payload(), "best_spec.json"),
+                             "dlr": (dlr_payload(), "best_policy.txt")}[grammar]
+        cfg = write_cfg(tmp_path, payload)
+        full = tmp_path / "full"
+        assert main(["evolve", cfg, "--run-dir", str(full), "--generations", "3"]) == EXIT_OK
+        written = []
+        real_write_atomic = cli_mod.write_atomic
+        monkeypatch.setattr(cli_mod, "write_atomic", lambda path, text: (
+            written.append(Path(path).name), real_write_atomic(path, text)))
+        for stop in range(4):
+            part, resumed = tmp_path / f"part{stop}", tmp_path / f"resumed{stop}"
+            assert main(["evolve", cfg, "--run-dir", str(part),
+                         "--generations", str(stop)]) == EXIT_OK
+            written.clear()
+            assert main(["evolve", cfg, "--run-dir", str(resumed), "--generations", "3",
+                         "--resume", str(part / "checkpoint.json")]) == EXIT_OK
+            for name in ("best.json", artifact):
+                assert (resumed / name).read_bytes() == (full / name).read_bytes()
+        assert written.count("best.json") == 1
+        assert ((resumed / "checkpoint.json").read_bytes()
+                == (part / "checkpoint.json").read_bytes())
+
     def test_resume_into_crashed_run_dir_logs_each_generation_once(self, tmp_path):
         """A crash between the log append and the checkpoint write leaves a
         log row past the checkpoint; resuming in place must not repeat it."""
@@ -761,6 +795,15 @@ class TestEvolveCommand:
         pytest.param(lambda ck: ck.update(next_id="5"), id="next-id-text"),
         pytest.param(lambda ck: ck["best"].update(fitness="x"), id="best-text"),
         pytest.param(lambda ck: ck["stats"][0].update(best="x"), id="stats-text"),
+        pytest.param(lambda ck: first_used(ck["population"][0], "a"), id="used-text"),
+        pytest.param(lambda ck: first_used(ck["population"][0], -5), id="used-negative"),
+        pytest.param(lambda ck: first_used(ck["best"], True), id="best-used-bool"),
+        pytest.param(lambda ck: ck["population"][0]["genes"].update(
+            {nt: [True] * len(genes) for nt, genes in ck["population"][0]["genes"].items()}),
+                     id="genes-bool"),
+        pytest.param(lambda ck: ck["best"]["genes"].update(
+            {nt: [False] * len(genes) for nt, genes in ck["best"]["genes"].items()}),
+                     id="best-genes-bool"),
     ])
     def test_resume_from_malformed_checkpoint_is_data_error(
             self, tmp_path, capsys, monkeypatch, content):
@@ -861,8 +904,7 @@ class TestEvolveCommand:
             main(["evolve", cfg, "--run-dir", str(crashed), "--generations", "4"])
         monkeypatch.undo()
 
-        generation, *_ = load_checkpoint(crashed / "checkpoint.json")
-        assert generation == 2
+        assert load_checkpoint(crashed / "checkpoint.json").generation == 2
         assert main(["evolve", cfg, "--run-dir", str(resumed),
                      "--generations", "4",
                      "--resume", str(crashed / "checkpoint.json")]) == EXIT_OK

@@ -379,6 +379,14 @@ class TestTypes:
     def test_genotype_rejects_non_int(self):
         with pytest.raises(ValueError):
             Genotype({"s": [0.5]})
+        with pytest.raises(ValueError):
+            Genotype({"s": [True]})
+
+    @pytest.mark.parametrize("used", [{"s": "a"}, {"s": -5}, {"s": 1.0}, {"s": False},
+                                      {"t": 0}])
+    def test_genotype_rejects_malformed_used(self, used):
+        with pytest.raises(ValueError):
+            Genotype({"s": [0, 1]}, used)
 
     def test_evo_params_defaults_match_run_setup(self):
         p = EvoParams()
@@ -406,7 +414,8 @@ class TestGenotypeCopy:
     def test_copy_is_the_checked_construction(self, seed):
         """A copy skips the gene checks, but equals the checked
         construction, `used` included: a nonterminal that has genes but
-        that the last mapping did not reach counts every gene as used."""
+        that the last mapping did not reach stays missing from `used`, all
+        its genes in play."""
         alr = SHIPPED["alr"]
         rng = np.random.default_rng(seed)
         geno = mutate(random_derivation(alr, rng=rng)[0], 0.5, alr, rng)
@@ -418,7 +427,7 @@ class TestGenotypeCopy:
         twin = geno.copy()
         checked = Genotype({nt: list(lst) for nt, lst in geno.genes.items()}, dict(geno.used))
         assert (twin.genes, twin.used) == (checked.genes, checked.used)
-        assert twin == checked and twin.used["unreached"] == 2
+        assert twin == checked and twin.used == geno.used and "unreached" not in twin.used
         snapshot = ({nt: list(lst) for nt, lst in geno.genes.items()}, dict(geno.used))
         mutate(twin, 1.0, alr, rng)
         for lst in twin.genes.values():

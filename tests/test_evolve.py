@@ -7,7 +7,10 @@ import io
 import os
 import subprocess
 import sys
+import tempfile
 import time
+import zlib
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -34,7 +37,6 @@ from optevo.dsge import (
 )
 from optevo.evolve import (
     LOG_COLUMNS,
-    EvolveRunLog,
     FitnessReport,
     TrainingTask,
     alr_fitness_fn,
@@ -414,39 +416,39 @@ def params(**kw):
     return EvoParams(**base)
 
 
-def stat_tuple(log):
-    return [(s.generation, s.best, s.mean, s.median, s.evaluations) for s in log.stats]
+def stat_tuple(run):
+    return [(s.generation, s.best, s.mean, s.median, s.evaluations) for s in run.stats]
 
 
 class TestEvolveLoop:
     def test_constant_fitness_gives_flat_log(self):
-        best, log = evolve(params(), TOY, per_text(lambda text: 0.5))
-        assert best.fitness == 0.5
-        assert all(s.best == 0.5 and s.mean == 0.5 for s in log.stats)
+        run = evolve(params(), TOY, per_text(lambda text: 0.5))
+        assert run.best.fitness == 0.5
+        assert all(s.best == 0.5 and s.mean == 0.5 for s in run.stats)
 
     def test_zero_generations_returns_best_of_init(self):
-        best, log = evolve(params(generations=0), TOY, per_text(text_score))
-        assert len(log.stats) == 1
-        assert log.stats[0].generation == 0
-        assert best.fitness == log.stats[0].best
+        run = evolve(params(generations=0), TOY, per_text(text_score))
+        assert len(run.stats) == 1
+        assert run.stats[0].generation == 0
+        assert run.best.fitness == run.stats[0].best
 
     def test_best_is_monotone_with_elitism(self):
-        _, log = evolve(params(generations=12), TOY, per_text(text_score))
-        bests = [s.best for s in log.stats]
+        run = evolve(params(generations=12), TOY, per_text(text_score))
+        bests = [s.best for s in run.stats]
         assert all(b2 >= b1 for b1, b2 in zip(bests, bests[1:]))
 
     def test_evaluation_accounting(self):
-        _, log = evolve(params(elitism=2, population_size=9), TOY, per_text(text_score))
-        assert log.stats[0].evaluations == 9
-        assert all(s.evaluations == 9 - 2 for s in log.stats[1:])
+        run = evolve(params(elitism=2, population_size=9), TOY, per_text(text_score))
+        assert run.stats[0].evaluations == 9
+        assert all(s.evaluations == 9 - 2 for s in run.stats[1:])
 
     def test_deterministic_in_seed(self):
         a = evolve(params(), TOY, per_text(text_score))
         b = evolve(params(), TOY, per_text(text_score))
-        assert stat_tuple(a[1]) == stat_tuple(b[1])
-        assert a[0].phenotype == b[0].phenotype
+        assert stat_tuple(a) == stat_tuple(b)
+        assert a.best.phenotype == b.best.phenotype
         c = evolve(params(rng_seed=99), TOY, per_text(text_score))
-        assert stat_tuple(a[1]) != stat_tuple(c[1])
+        assert stat_tuple(a) != stat_tuple(c)
 
     def test_fitness_cache_deduplicates_calls(self):
         seen = []
@@ -455,10 +457,10 @@ class TestEvolveLoop:
             seen.append(text)
             return text_score(text)
 
-        _, log = evolve(params(generations=8), TOY, per_text(counting))
+        run = evolve(params(generations=8), TOY, per_text(counting))
         assert len(seen) == len(set(seen))  # never trains the same phenotype twice
         # accounting still reports requested evaluations, not cache misses
-        assert all(s.evaluations == 7 for s in log.stats[1:])
+        assert all(s.evaluations == 7 for s in run.stats[1:])
 
     @settings(max_examples=3)
     @given(st.integers(0, 2**31 - 1))
@@ -466,19 +468,26 @@ class TestEvolveLoop:
         a = evolve(params(rng_seed=seed), TOY, per_text(text_score))
         for workers in (2, 3):
             b = evolve(params(rng_seed=seed), TOY, per_text(text_score), workers=workers)
-            assert stat_tuple(a[1]) == stat_tuple(b[1])
-            assert a[0].phenotype == b[0].phenotype
+            assert stat_tuple(a) == stat_tuple(b)
+            assert a.best.phenotype == b.best.phenotype
 
     def test_best_fitness_equals_max_over_log(self):
-        best, log = evolve(params(generations=10), TOY, per_text(text_score))
-        assert best.fitness == max(s.best for s in log.stats)
-        assert best.fitness == log.best_fitness
-        assert best.phenotype == log.best_phenotype
+        """The run's best is the first individual to reach the best fitness
+        of the log, at elitism 0 too, where later generations may lose it."""
+        for elitism in (0, 1):
+            populations = []
+            run = evolve(params(generations=10, elitism=elitism), TOY, per_text(text_score),
+                         on_generation=lambda state: populations.append(state.population))
+            assert run.best.fitness == max(s.best for s in run.stats)
+            first = next(pop for pop in populations if max(ind.fitness for ind in pop)
+                         == run.best.fitness)
+            assert run.best == min((ind for ind in first if ind.fitness == run.best.fitness),
+                                   key=lambda ind: ind.id)
 
     def test_on_generation_callback(self):
         rows = []
         evolve(params(generations=3), TOY, per_text(text_score),
-               on_generation=lambda generation, *_: rows.append(generation))
+               on_generation=lambda run: rows.append(run.generation))
         assert rows == [0, 1, 2, 3]
 
     def test_generation_zero_is_mapped_once(self, tmp_path, monkeypatch):
@@ -496,8 +505,7 @@ class TestEvolveLoop:
         evolve(evo, TOY, per_text(text_score),
                on_generation=partial(save_checkpoint, ckpt))
         assert len(calls) == 8
-        _, population, *_ = load_checkpoint(ckpt)
-        for ind in population:
+        for ind in load_checkpoint(ckpt).population:
             fresh = map_genotype(TOY, ind.genotype.copy(), max_depth=4)
             assert ind.phenotype == fresh
         calls.clear()
@@ -507,18 +515,19 @@ class TestEvolveLoop:
     def test_mapping_failures_score_zero_without_crashing(self):
         # choosing <r> dooms a genotype: every alternative recurses forever
         doomed = parse_grammar("<s> ::= <r> | x\n<r> ::= a <r>\n")
-        best, log = evolve(
+        run = evolve(
             EvoParams(population_size=4, generations=3, tournament_size=2,
                       mutation_rate=1.0, elitism=1, max_depth=3, rng_seed=5),
             doomed,
             per_text(lambda text: 1.0),
         )
-        fits = {s.best for s in log.stats}
-        assert best.fitness == 1.0  # the elite survives the doomed mutants
+        fits = {s.best for s in run.stats}
+        assert run.best.fitness == 1.0  # the elite survives the doomed mutants
         assert all(f in (0.0, 1.0) for f in fits)
 
 
 ALR = load_shipped_grammar("alr")
+DLR = load_shipped_grammar("dlr")
 
 
 def individuals(seeds, ids):
@@ -587,7 +596,7 @@ class TestBulkStreams:
         evo = params(population_size=6, generations=0, max_depth=6)
         evolve(evo, ALR, per_text(text_score),
                on_generation=partial(save_checkpoint, tmp_path / "c.json"))
-        _, population, _, _, _ = load_checkpoint(tmp_path / "c.json")
+        population = load_checkpoint(tmp_path / "c.json").population
         want = seed_population_per_stream(ALR, 6, evo.rng_seed, 6)
         assert [(ind.genotype.genes, ind.phenotype) for ind in population] == [
             (ind.genotype.genes, ind.phenotype) for ind in want]
@@ -602,8 +611,8 @@ class TestBulkStreams:
 
 class TestLogAndCheckpoint:
     def test_csv_log_shape(self):
-        _, log = evolve(params(generations=4), TOY, per_text(text_score))
-        rows = list(csv.reader(io.StringIO(log_text(log.stats, header=True))))
+        run = evolve(params(generations=4), TOY, per_text(text_score))
+        rows = list(csv.reader(io.StringIO(log_text(run.stats, header=True))))
         assert rows[0] == list(LOG_COLUMNS)
         assert len(rows) == 1 + 5  # header + generations 0..4
         assert [r[0] for r in rows[1:]] == ["0", "1", "2", "3", "4"]
@@ -613,38 +622,69 @@ class TestLogAndCheckpoint:
 
     def test_resume_reproduces_uninterrupted_run(self, tmp_path):
         ckpt = tmp_path / "state.json"
-        full_best, full_log = evolve(params(generations=6), TOY, per_text(text_score))
+        full = evolve(params(generations=6), TOY, per_text(text_score))
         evo = params(generations=3)
         evolve(evo, TOY, per_text(text_score), on_generation=partial(save_checkpoint, ckpt))
-        resumed_best, resumed_log = evolve(
+        resumed = evolve(
             params(generations=6), TOY, per_text(text_score),
             resume_from=load_checkpoint(ckpt),
         )
-        assert stat_tuple(resumed_log) == stat_tuple(full_log)
-        assert resumed_best.phenotype == full_best.phenotype
-        assert resumed_best.fitness == full_best.fitness
+        assert stat_tuple(resumed) == stat_tuple(full)
+        assert resumed.best.phenotype == full.best.phenotype
+        assert resumed.best.fitness == full.best.fitness
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.sampled_from([ALR, DLR]), st.integers(0, 1), st.integers(0, 2**31 - 1),
+           st.integers(0, 3))
+    def test_resume_at_every_generation_is_the_uninterrupted_run(
+            self, grammar, elitism, seed, stop):
+        """Stopped after generation `stop`, saved, loaded and resumed, a run
+        ends as the uninterrupted run does: its best (fitness, phenotype,
+        genes and used counts), stats bar their seconds, population and
+        cache. Every checkpoint loads back equal to the run it saved."""
+        evo = params(population_size=6, generations=3, tournament_size=2, elitism=elitism,
+                     max_depth=6, rng_seed=seed)
+        # a coarse score, so that individuals tie on fitness
+        fitness = per_text(lambda text: zlib.crc32(text.encode()) % 4 / 4)
+
+        def strip(run):  # the run without its timings
+            return replace(run, stats=[replace(stat, seconds=0.0) for stat in run.stats])
+
+        with tempfile.TemporaryDirectory() as tmp:
+            ckpt = Path(tmp) / "c.json"
+
+            def save(run):
+                save_checkpoint(ckpt, run)
+                assert load_checkpoint(ckpt) == run
+
+            full = evolve(evo, grammar, fitness)
+            evolve(replace(evo, generations=stop), grammar, fitness, on_generation=save)
+            resumed = evolve(evo, grammar, fitness, resume_from=load_checkpoint(ckpt),
+                             on_generation=save)
+        assert vars(resumed.best.genotype) == vars(full.best.genotype)
+        assert strip(resumed) == strip(full)
 
     def test_resume_from_final_checkpoint_is_a_no_op(self, tmp_path):
         ckpt = tmp_path / "state.json"
         evo = params(generations=2)
-        best, log = evolve(evo, TOY, per_text(text_score),
-                           on_generation=partial(save_checkpoint, ckpt))
-        again_best, again_log = evolve(evo, TOY, per_text(text_score),
-                                       resume_from=load_checkpoint(ckpt))
-        assert stat_tuple(again_log) == stat_tuple(log)
-        assert again_best.fitness == best.fitness
+        run = evolve(evo, TOY, per_text(text_score),
+                     on_generation=partial(save_checkpoint, ckpt))
+        again = evolve(evo, TOY, per_text(text_score), resume_from=load_checkpoint(ckpt))
+        assert stat_tuple(again) == stat_tuple(run)
+        assert again.best.fitness == run.best.fitness
+        assert again == run  # the checkpoint as it came
 
 
 class TestEndToEndMini:
     def test_real_task_smoke(self):
         task = tiny_task(1, n_per=80)
         fn = alr_fitness_fn(task, trial_number=1, threshold=0.0)
-        best, log = evolve(
+        run = evolve(
             EvoParams(population_size=6, generations=2, tournament_size=2,
                       mutation_rate=0.2, elitism=1, max_depth=4, rng_seed=3),
             load_shipped_grammar("alr"),
             fn,
         )
-        assert len(log.stats) == 3
-        assert 0.0 <= best.fitness <= 1.0
-        assert best.phenotype is not None
+        assert len(run.stats) == 3
+        assert 0.0 <= run.best.fitness <= 1.0
+        assert run.best.phenotype is not None

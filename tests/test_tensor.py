@@ -244,7 +244,7 @@ class TestPrefixKeyedStreams:
             np.random.SeedSequence(seed, spawn_key=key))).random(size=7).tobytes()
         assert rng.draw(lambda gen: gen.random(size=7)).tobytes() == want
         # the whole key at once
-        assert Rng(seed, key).draw(lambda gen: gen.random(size=7)).tobytes() == want
+        assert Rng(seed).child(*key).draw(lambda gen: gen.random(size=7)).tobytes() == want
 
     @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 5, 2**160 + 3])
     @pytest.mark.parametrize("length", range(6))
